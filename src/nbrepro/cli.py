@@ -190,11 +190,10 @@ def cmd_classify(config: PipelineConfig, store: Store) -> int:
         raise ConfigError(
             "outcome classification requires a baseline export; pass --baseline")
     baselines = read_baseline_csv(config.baseline_path)
-    known = {n.notebook_id for n in store.list_notebooks()}
-    matched, unmatched = match_baselines(baselines, known)
-
     latest = store.latest_runs()
     notebook_repo = {n.notebook_id: n.repository_id for n in store.list_notebooks()}
+    matched, unmatched = match_baselines(baselines, set(notebook_repo))
+
     assignments: list[tuple[BaselineRecord, str]] = []
     counts: dict[str, int] = {}
     rate_inputs = []
@@ -208,10 +207,11 @@ def cmd_classify(config: PipelineConfig, store: Store) -> int:
         rate_inputs.append((baseline, outcome))
     rate = resolution_rate(rate_inputs)
 
-    repo_has_req = {r.repository_id: r.has_requirements_file
-                    for r in store.list_repositories()}
-    notebook_has_req = {nb_id: repo_has_req.get(repo_id, False)
-                        for nb_id, repo_id in notebook_repo.items()}
+    notebook_has_req = reportmod.requirements_by_notebook(
+        store.list_repositories(), notebook_repo)
+    latest_run_ids = {run.run_id for run in latest.values()}
+    latest_executions = [record for record in store.list_executions()
+                         if record.run_id in latest_run_ids]
     payload = {
         "note": _INTERPRETATION_NOTE,
         "resolution_rate": rate,
@@ -219,7 +219,8 @@ def cmd_classify(config: PipelineConfig, store: Store) -> int:
         "baseline_success_rate_by_requirements":
             baseline_success_rate_by_requirements(matched, notebook_has_req),
         "containerized_success_rate_by_requirements":
-            reportmod.success_rate_by_requirements(store),
+            reportmod.success_rate_by_requirements(latest_executions,
+                                                   notebook_has_req),
         "unmatched_baseline_rows": sorted(b.notebook_id for b in unmatched),
         "assignments": [
             {"notebook_id": b.notebook_id, "outcome_class": cls}

@@ -211,22 +211,18 @@ def cleanup_previous(repository_id: str, docker: DockerCli) -> None:
         docker.remove_image(image)
 
 
-def build_image(recipe: BuildRecipe, docker: DockerCli, *,
+def build_image(tag: str, dockerfile_path: Path, context_dir: Path,
+                docker: DockerCli, *,
                 timeout: float = DEFAULT_BUILD_TIMEOUT,
-                dockerfile_path: Path | None = None,
                 log_path: Path | None = None) -> str | BuildFailure:
-    """Build the image; returns its tag, or a classified BuildFailure.
+    """Build a written recipe as is; returns the tag, or a classified
+    BuildFailure.
 
     The full build log is persisted for every attempt, success or failure.
     """
-    if dockerfile_path is None:
-        dockerfile_path = recipe.context_dir.parent / "Dockerfile"
-    write_recipe(recipe, dockerfile_path)
-
     timed_out = False
     try:
-        result = docker.build(recipe.image_tag, dockerfile_path,
-                              recipe.context_dir, timeout=timeout)
+        result = docker.build(tag, dockerfile_path, context_dir, timeout=timeout)
         log_text = f"{result.stdout}\n{result.stderr}"
         exit_code = result.returncode
     except subprocess.TimeoutExpired as exc:
@@ -245,7 +241,7 @@ def build_image(recipe: BuildRecipe, docker: DockerCli, *,
         return BuildFailure(BuildPhase.TIMEOUT,
                             _log_excerpt(log_text) or f"build exceeded {timeout}s")
     if exit_code == 0:
-        return recipe.image_tag
+        return tag
     return BuildFailure(_classify_build_failure(log_text), _log_excerpt(log_text))
 
 

@@ -176,8 +176,12 @@ def acquire_repository(url: str, workdir: Path, store: Store,
     return repo
 
 
-def discover_notebooks(repo: Repository, store: Store) -> list[NotebookDescriptor]:
-    """One descriptor per notebook file, in deterministic path-sorted order.
+def discover_notebooks(repo: Repository, store: Store
+                       ) -> tuple[list[NotebookDescriptor],
+                                  dict[str, nbmodel.ParsedNotebook]]:
+    """One descriptor per notebook file, in deterministic path-sorted order,
+    plus every notebook that parses, keyed by its relative path in the same
+    order, so dependency inference need not parse the files again.
 
     Unparseable notebooks are recorded with the parse-failure flag rather
     than skipped. Each parsed notebook is also scanned for non-determinism
@@ -186,6 +190,7 @@ def discover_notebooks(repo: Repository, store: Store) -> list[NotebookDescripto
     """
     tree = Path(repo.local_path or "")
     descriptors: list[NotebookDescriptor] = []
+    parsed: dict[str, nbmodel.ParsedNotebook] = {}
     paths = sorted(
         p for p in tree.rglob(f"*{NOTEBOOK_SUFFIX}")
         if ".git" not in p.relative_to(tree).parts
@@ -205,6 +210,7 @@ def discover_notebooks(repo: Repository, store: Store) -> list[NotebookDescripto
                 parse_error=str(exc)[:500],
             ))
             continue
+        parsed[relative_path] = nb
         code = sum(1 for c in nb.cells if c.kind is CellKind.CODE)
         markdown = sum(1 for c in nb.cells if c.kind is CellKind.MARKDOWN)
         descriptors.append(NotebookDescriptor(
@@ -221,4 +227,4 @@ def discover_notebooks(repo: Repository, store: Store) -> list[NotebookDescripto
     for descriptor in descriptors:
         store.upsert_notebook(descriptor)
     store.set_notebook_count(repo.repository_id, len(descriptors))
-    return descriptors
+    return descriptors, parsed

@@ -83,9 +83,9 @@ def _token(status: str) -> str:
     return status.strip().strip("<>").replace(" ", "").replace("_", "").lower()
 
 
-def normalize_error_type(status: str) -> str:
-    """Error-type token used when matching baseline vs current failures."""
-    return _token(status)
+def percentage(hits: int, total: int) -> float | None:
+    """``hits`` as a percentage of ``total``; undefined (None) when empty."""
+    return 100.0 * hits / total if total else None
 
 
 def _baseline_progress(b: BaselineRecord) -> float:
@@ -136,7 +136,7 @@ def _current_error_tokens(current: CurrentOutcome) -> set[str]:
     execution = current.execution
     if execution is not None:
         for error in execution.errors:
-            tokens.add(normalize_error_type(error.error_type))
+            tokens.add(_token(error.error_type))
         if execution.status is ExecutionStatus.KERNEL_NOT_FOUND:
             tokens.add("kernelnotfound")
         elif execution.status is ExecutionStatus.NOTEBOOK_NOT_FOUND:
@@ -175,7 +175,7 @@ def assign_outcome_class(baseline: BaselineRecord | None,
             and current.provisioning_status is ProvisioningStatus.ENVIRONMENT_BUILT):
         return OutcomeClass.A_ENVIRONMENT_RESOLVED
 
-    prev_token = normalize_error_type(baseline.prev_execution_status)
+    prev_token = _token(baseline.prev_execution_status)
     if (prev_token not in _SUCCESS_TOKENS and prev_token not in _FAIL_TOKENS
             and prev_token in _current_error_tokens(current)):
         return OutcomeClass.B_PERSISTENT_ERROR
@@ -198,13 +198,9 @@ def resolution_rate(assignments: Sequence[tuple[BaselineRecord, OutcomeClass]]
 
     Undefined (None) when no baseline record failed on dependency install.
     """
-    failed = [b for b, _ in assignments if b.install_failed]
-    if not failed:
-        return None
-    resolved = sum(
-        1 for b, cls in assignments
-        if b.install_failed and cls is OutcomeClass.A_ENVIRONMENT_RESOLVED)
-    return 100.0 * resolved / len(failed)
+    failed = [cls for b, cls in assignments if b.install_failed]
+    resolved = sum(1 for cls in failed if cls is OutcomeClass.A_ENVIRONMENT_RESOLVED)
+    return percentage(resolved, len(failed))
 
 
 def baseline_success_rate_by_requirements(
@@ -221,11 +217,9 @@ def baseline_success_rate_by_requirements(
         totals[stratum] += 1
         if not record.install_failed and record.execution_succeeded:
             successes[stratum] += 1
-    def rate(hit, total):
-        return 100.0 * hit / total if total else None
     return {
-        "with_requirements": rate(successes[True], totals[True]),
-        "without_requirements": rate(successes[False], totals[False]),
+        "with_requirements": percentage(successes[True], totals[True]),
+        "without_requirements": percentage(successes[False], totals[False]),
     }
 
 

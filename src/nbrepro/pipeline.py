@@ -22,7 +22,6 @@ from nbrepro.config import PipelineConfig
 from nbrepro.containerize import BuildFailure, DockerCli
 from nbrepro.executor import ExecutionStatus
 from nbrepro.store import (
-    NotebookDescriptor,
     ProvisioningStatus,
     Repository,
     RunRecord,
@@ -141,43 +140,27 @@ class Pipeline:
         )
         self.store.insert_run(run)
 
-        descriptors = corpus.discover_notebooks(repo, self.store)
+        descriptors, parsed = corpus.discover_notebooks(repo, self.store)
         self.events.emit("infer", "discovered", repository_id=repository_id,
                          notebooks=len(descriptors))
         if not descriptors:
             self.store.finish_run(run, ProvisioningStatus.NO_PYTHON_NOTEBOOKS)
             return result
 
-        parsed, parsed_paths = self._parse_notebooks(tree, descriptors)
         spec = depinfer.synthesize_dependency_spec(
-            self.store.get_repository(repository_id) or repo,
-            parsed,
-            notebook_paths=parsed_paths,
+            repo,
+            list(parsed.values()),
+            notebook_paths=list(parsed),
             tree=tree,
             scan_magic_installs=self.config.scan_magic_installs,
             aliases=self._aliases,
         )
         recipe = containerize.generate_build_recipe(
             spec, run.run_id, context_dir=tree, base_image=self.config.base_image)
-        containerize.write_recipe(recipe, tree.parent / "Dockerfile")
+        containerize.write_recipe(recipe, _dockerfile_for(tree))
         self.events.emit("infer", "synthesized", repository_id=repository_id,
                          requirements=len(spec.requirements))
         return result
-
-    def _parse_notebooks(self, tree: Path, descriptors: list[NotebookDescriptor]
-                         ) -> tuple[list, list[str]]:
-        parsed, paths = [], []
-        for descriptor in descriptors:
-            if descriptor.parse_failed:
-                continue
-            try:
-                nb = nbmodel.parse_notebook(
-                    (tree / descriptor.relative_path).read_bytes())
-            except (nbmodel.ParseError, OSError):
-                continue
-            parsed.append(nb)
-            paths.append(descriptor.relative_path)
-        return parsed, paths
 
     def _canonical_input(self, raw_input: str) -> str:
         candidate = Path(raw_input)
@@ -197,7 +180,15 @@ class Pipeline:
             result.degraded_reason = "repository tree missing; rerun the infer stage"
             return result
 
+        # Infer is the only writer of the recipe; execute builds its bytes.
         tree = Path(repo.local_path)
+        dockerfile = _dockerfile_for(tree)
+        if not (dockerfile.is_file()
+                and (tree / containerize.SYNTHESIZED_MANIFEST_NAME).is_file()):
+            result.completed = False
+            result.degraded_reason = "build recipe missing; rerun the infer stage"
+            return result
+
         logdir = Path(self.config.logdir) / run.run_id
         self.events.emit("execute", "cleanup", repository_id=repo.repository_id)
         try:
@@ -211,15 +202,12 @@ class Pipeline:
             result.degraded_reason = "container runtime unavailable"
             return result
 
-        spec = self._resynthesize(repo)
-        recipe = containerize.generate_build_recipe(
-            spec, run.run_id, context_dir=tree, base_image=self.config.base_image)
+        tag = containerize.image_tag_for(repo.repository_id, run.run_id)
         self.events.emit("execute", "build_start",
-                         repository_id=repo.repository_id, tag=recipe.image_tag)
+                         repository_id=repo.repository_id, tag=tag)
         built = containerize.build_image(
-            recipe, self.docker, timeout=self.config.build_timeout,
-            dockerfile_path=tree.parent / "Dockerfile",
-            log_path=logdir / "build.log")
+            tag, dockerfile, tree, self.docker,
+            timeout=self.config.build_timeout, log_path=logdir / "build.log")
         if isinstance(built, BuildFailure):
             self.store.finish_run(
                 run, ProvisioningStatus.BUILD_FAILED,
@@ -261,15 +249,6 @@ class Pipeline:
                                   image_reference=built)
         return result
 
-    def _resynthesize(self, repo: Repository):
-        tree = Path(repo.local_path or "")
-        descriptors = self.store.list_notebooks(repo.repository_id)
-        parsed, paths = self._parse_notebooks(tree, descriptors)
-        return depinfer.synthesize_dependency_spec(
-            repo, parsed, notebook_paths=paths, tree=tree,
-            scan_magic_installs=self.config.scan_magic_installs,
-            aliases=self._aliases)
-
     # ---- stage 4: comparison -------------------------------------------------
 
     def compare_run(self, run: RunRecord) -> int:
@@ -279,13 +258,16 @@ class Pipeline:
             return 0
         tree = Path(repo.local_path)
         logdir = Path(self.config.logdir) / run.run_id
+        notebooks = {d.notebook_id: d
+                     for d in self.store.list_notebooks(run.repository_id)}
+        compared = {m.notebook_id for m, _ in self.store.list_metrics(run.run_id)}
         written = 0
         for record in self.store.list_executions(run.run_id):
             if record.executed_notebook_path is None:
                 continue
-            if self.store.get_metrics(record.notebook_id, run.run_id) is not None:
+            if record.notebook_id in compared:
                 continue
-            descriptor = self.store.get_notebook(record.notebook_id)
+            descriptor = notebooks.get(record.notebook_id)
             if descriptor is None or descriptor.parse_failed:
                 continue
             try:
@@ -391,6 +373,11 @@ class Pipeline:
                              error=str(exc))
             return RepositoryResult(url=label, completed=False,
                                     degraded_reason=f"unexpected error: {exc}")
+
+
+def _dockerfile_for(tree: Path) -> Path:
+    """The recipe sits next to the build context, outside the cloned tree."""
+    return tree.parent / "Dockerfile"
 
 
 def exit_code_for(results: list[RepositoryResult]) -> int:

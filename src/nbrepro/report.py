@@ -11,14 +11,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from nbrepro import __version__
 from nbrepro.compare import ScoreCategory, categorize_score
-from nbrepro.executor import ExecutionStatus
-from nbrepro.outcomes import OutcomeClass
-from nbrepro.store import ProvisioningStatus, Store, utc_now_iso
+from nbrepro.executor import ExecutionRecord, ExecutionStatus
+from nbrepro.outcomes import OutcomeClass, percentage
+from nbrepro.store import ProvisioningStatus, Repository, Store, utc_now_iso
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -100,8 +102,8 @@ def aggregate_corpus(store: Store,
     executions = [record for record in store.list_executions()
                   if record.run_id in latest_run_ids]
     notebooks = store.list_notebooks()
-    repo_has_req = {r.repository_id: r.has_requirements_file for r in repositories}
-    notebook_repo = {n.notebook_id: n.repository_id for n in notebooks}
+    notebook_has_req = requirements_by_notebook(
+        repositories, {n.notebook_id: n.repository_id for n in notebooks})
 
     zero_errors = sum(1 for record in executions if not record.errors)
     error_types: dict[str, int] = {}
@@ -114,9 +116,6 @@ def aggregate_corpus(store: Store,
             error_categories[error.category.value] = (
                 error_categories.get(error.category.value, 0) + 1)
 
-    success_rates = _success_rate_by_requirements(executions, notebook_repo,
-                                                  repo_has_req)
-
     metric_rows = [(m, mismatch) for m, mismatch in store.list_metrics()
                    if m.run_id in latest_run_ids]
     score_categories = {key: 0 for key in SCORE_CATEGORY_ORDER}
@@ -128,7 +127,7 @@ def aggregate_corpus(store: Store,
         score_categories[category.value] += 1
         if metrics.score is not None and not mismatch:
             scores.append(metrics.score)
-            stratum = repo_has_req.get(notebook_repo.get(metrics.notebook_id, ""), False)
+            stratum = notebook_has_req.get(metrics.notebook_id, False)
             scores_by_stratum[stratum].append(metrics.score)
 
     flagged = sum(1 for n in notebooks if (n.nondeterministic_pattern_cells or 0) > 0)
@@ -153,7 +152,8 @@ def aggregate_corpus(store: Store,
         total_error_records=total_error_records,
         error_types=dict(sorted(error_types.items())),
         error_categories=dict(sorted(error_categories.items())),
-        success_rate_by_requirements=success_rates,
+        success_rate_by_requirements=success_rate_by_requirements(
+            executions, notebook_has_req),
         mean_score_by_requirements={
             "with_requirements": _mean(scores_by_stratum[True]),
             "without_requirements": _mean(scores_by_stratum[False]),
@@ -169,51 +169,38 @@ def aggregate_corpus(store: Store,
     )
 
 
-def success_rate_by_requirements(store: Store) -> dict[str, float | None]:
-    """Notebook success rate split by the repository's requirements status."""
-    repositories = store.list_repositories()
-    latest_run_ids = {run.run_id for run in store.latest_runs().values()}
-    executions = [record for record in store.list_executions()
-                  if record.run_id in latest_run_ids]
-    notebook_repo = {n.notebook_id: n.repository_id for n in store.list_notebooks()}
-    repo_has_req = {r.repository_id: r.has_requirements_file for r in repositories}
-    return _success_rate_by_requirements(executions, notebook_repo, repo_has_req)
+def requirements_by_notebook(repositories: Iterable[Repository],
+                             notebook_repo: dict[str, str]) -> dict[str, bool]:
+    """Whether each notebook's repository has a requirements file, from a
+    notebook_id -> repository_id map."""
+    has_req = {r.repository_id: r.has_requirements_file for r in repositories}
+    return {notebook_id: has_req.get(repository_id, False)
+            for notebook_id, repository_id in notebook_repo.items()}
 
 
-def _success_rate_by_requirements(executions, notebook_repo, repo_has_req
-                                  ) -> dict[str, float | None]:
+def success_rate_by_requirements(executions: Iterable[ExecutionRecord],
+                                 notebook_has_requirements: dict[str, bool]
+                                 ) -> dict[str, float | None]:
+    """Notebook success rate split by the repository's requirements status;
+    executions of unknown notebooks are left out."""
     totals = {True: 0, False: 0}
     successes = {True: 0, False: 0}
     for record in executions:
-        repo_id = notebook_repo.get(record.notebook_id)
-        if repo_id is None:
+        stratum = notebook_has_requirements.get(record.notebook_id)
+        if stratum is None:
             continue
-        stratum = repo_has_req.get(repo_id, False)
         totals[stratum] += 1
         if record.status is ExecutionStatus.SUCCESS:
             successes[stratum] += 1
     return {
-        "with_requirements": _rate(successes[True], totals[True]),
-        "without_requirements": _rate(successes[False], totals[False]),
+        "with_requirements": percentage(successes[True], totals[True]),
+        "without_requirements": percentage(successes[False], totals[False]),
     }
 
 
-def nondeterminism_prevalence(store: Store) -> float:
-    """Fraction of notebooks with at least one pattern-flagged code cell."""
-    notebooks = store.list_notebooks()
-    if not notebooks:
-        return 0.0
-    flagged = sum(1 for n in notebooks
-                  if (n.nondeterministic_pattern_cells or 0) > 0)
-    return flagged / len(notebooks)
-
-
-def _rate(hits: int, total: int) -> float | None:
-    return 100.0 * hits / total if total else None
-
-
 def _mean(values: list[float]) -> float | None:
-    return sum(values) / len(values) if values else None
+    # fsum rounds once, so the mean does not depend on the order of the rows.
+    return math.fsum(values) / len(values) if values else None
 
 
 def emit_reports(summary: CorpusSummary, report_dir: Path,

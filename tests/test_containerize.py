@@ -141,9 +141,11 @@ def test_build_success_returns_tag_and_logs(tmp_path):
                                    context_dir=tmp_path / "ctx")
     (tmp_path / "ctx").mkdir()
     log_path = tmp_path / "logs" / "build.log"
-    result = build_image(recipe, docker, dockerfile_path=tmp_path / "Dockerfile",
+    dockerfile = write_recipe(recipe, tmp_path / "Dockerfile")
+    result = build_image(recipe.image_tag, dockerfile, recipe.context_dir, docker,
                          log_path=log_path)
     assert result == recipe.image_tag
+    assert ("build", recipe.image_tag) in docker.calls
     assert log_path.exists()
 
 
@@ -174,7 +176,8 @@ def test_build_failure_phases(tmp_path, stderr, phase):
     (tmp_path / "ctx").mkdir()
     recipe = generate_build_recipe(_spec("numpy"), "run1",
                                    context_dir=tmp_path / "ctx")
-    result = build_image(recipe, docker, dockerfile_path=tmp_path / "Dockerfile",
+    result = build_image(recipe.image_tag, tmp_path / "Dockerfile",
+                         recipe.context_dir, docker,
                          log_path=tmp_path / "build.log")
     assert isinstance(result, BuildFailure)
     assert result.phase is phase
@@ -187,8 +190,8 @@ def test_build_timeout_phase(tmp_path):
     (tmp_path / "ctx").mkdir()
     recipe = generate_build_recipe(_spec("numpy"), "run1",
                                    context_dir=tmp_path / "ctx")
-    result = build_image(recipe, docker, timeout=5.0,
-                         dockerfile_path=tmp_path / "Dockerfile",
+    result = build_image(recipe.image_tag, tmp_path / "Dockerfile",
+                         recipe.context_dir, docker, timeout=5.0,
                          log_path=tmp_path / "build.log")
     assert isinstance(result, BuildFailure)
     assert result.phase is BuildPhase.TIMEOUT

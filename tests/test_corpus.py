@@ -136,8 +136,9 @@ def test_discovery_order_and_persistence(tmp_path, store):
         "sub/b.ipynb": _notebook_file(code_cell("2")),
     })
     repo = acquire_repository(url, tmp_path / "work", store)
-    descriptors = discover_notebooks(repo, store)
+    descriptors, parsed = discover_notebooks(repo, store)
     assert [d.relative_path for d in descriptors] == ["a.ipynb", "sub/b.ipynb"]
+    assert list(parsed) == ["a.ipynb", "sub/b.ipynb"]
     assert store.get_repository(repo.repository_id).notebook_count == 2
     assert {d.notebook_id for d in store.list_notebooks(repo.repository_id)} == {
         d.notebook_id for d in descriptors}
@@ -146,7 +147,7 @@ def test_discovery_order_and_persistence(tmp_path, store):
 def test_tree_without_notebooks(tmp_path, store):
     url = make_git_repo(tmp_path / "proj", {"only.py": "pass\n"})
     repo = acquire_repository(url, tmp_path / "work", store)
-    assert discover_notebooks(repo, store) == []
+    assert discover_notebooks(repo, store) == ([], {})
     assert store.get_repository(repo.repository_id).notebook_count == 0
 
 
@@ -155,7 +156,7 @@ def test_non_default_kernel_carried_verbatim(tmp_path, store):
         "r_analysis.ipynb": _notebook_file(code_cell("plot(1)"), kernel="ir42"),
     })
     repo = acquire_repository(url, tmp_path / "work", store)
-    (descriptor,) = discover_notebooks(repo, store)
+    (descriptor,), _ = discover_notebooks(repo, store)
     assert descriptor.kernel_name == "ir42"
     assert descriptor.nbformat_version == (4, 5)
 
@@ -166,8 +167,9 @@ def test_unreadable_notebook_recorded_not_skipped(tmp_path, store):
         "fine.ipynb": _notebook_file(code_cell("1")),
     })
     repo = acquire_repository(url, tmp_path / "work", store)
-    descriptors = discover_notebooks(repo, store)
+    descriptors, parsed = discover_notebooks(repo, store)
     assert [d.relative_path for d in descriptors] == ["broken.ipynb", "fine.ipynb"]
+    assert list(parsed) == ["fine.ipynb"]
     broken = descriptors[0]
     assert broken.parse_failed
     assert broken.parse_error
@@ -191,7 +193,7 @@ def test_pattern_scan_recorded_on_descriptor(tmp_path, store):
                                    code_cell("print('stable')")),
     })
     repo = acquire_repository(url, tmp_path / "work", store)
-    (descriptor,) = discover_notebooks(repo, store)
+    (descriptor,), _ = discover_notebooks(repo, store)
     assert descriptor.nondeterministic_pattern_cells == 1
     assert descriptor.code_cell_count == 2
 

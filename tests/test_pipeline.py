@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from nbrepro import containerize, depinfer, notebook
 from nbrepro.config import PipelineConfig
 from nbrepro.executor import ExecutionStatus
 from nbrepro.pipeline import Pipeline
@@ -17,6 +18,7 @@ from conftest import (
     FakeDocker,
     code_cell,
     make_git_repo,
+    markdown_cell,
     notebook_bytes,
     requires_git,
     stream_output,
@@ -153,3 +155,101 @@ def test_all_kernels_missing_marks_run_kernel_not_found(env):
     assert finished.provisioning_status is ProvisioningStatus.KERNEL_NOT_FOUND
     (record,) = store.list_executions(result.run_id)
     assert record.status is ExecutionStatus.KERNEL_NOT_FOUND
+
+
+# ---- each fact computed once -------------------------------------------------
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _two_notebook_repo(tmp_path, docker):
+    first = notebook_bytes([
+        markdown_cell("# setup"),
+        code_cell("import numpy\n!pip install requests", [stream_output("a\n")], 1),
+        code_cell("print('b')", [stream_output("b\n")], 2),
+    ])
+    second = _original("import pandas", "c\n")
+    docker.copy_payloads["/workspace/first.executed.ipynb"] = first
+    docker.copy_payloads["/workspace/second.executed.ipynb"] = second
+    return make_git_repo(tmp_path / "origin", {
+        "first.ipynb": first.decode(), "second.ipynb": second.decode()})
+
+
+def test_run_computes_each_fact_once(env, monkeypatch):
+    config, store, tmp_path = env
+    docker = FakeDocker()
+    url = _two_notebook_repo(tmp_path, docker)
+    parses = _count_calls(monkeypatch, notebook, "parse_notebook")
+    syntheses = _count_calls(monkeypatch, depinfer, "synthesize_dependency_spec")
+    recipe_writes = _count_calls(monkeypatch, containerize, "write_recipe")
+    import_scans = _count_calls(monkeypatch, depinfer, "extract_imports")
+
+    result = Pipeline(config, store, docker).run_repository(
+        url, runtime_available=True)
+
+    assert result.completed
+    executed = store.list_executions(result.run_id)
+    assert len(executed) == 2
+    assert len(store.list_metrics(result.run_id)) == 2
+    # discover, the executed artifact, and compare's original and executed
+    assert len(parses) <= 4 * len(executed)
+    assert len(syntheses) == 1
+    assert len(recipe_writes) == 1
+    assert len(import_scans) == 3  # one per code cell
+
+
+def _recipe_bytes(store, repository_id):
+    tree = Path(store.get_repository(repository_id).local_path)
+    return ((tree.parent / "Dockerfile").read_bytes(),
+            (tree / containerize.SYNTHESIZED_MANIFEST_NAME).read_bytes())
+
+
+def test_execute_builds_the_recipe_infer_wrote(env):
+    config, store, tmp_path = env
+    docker = FakeDocker()
+    url = _two_notebook_repo(tmp_path, docker)
+    result = Pipeline(config, store, docker).infer_repository(url)
+    written = _recipe_bytes(store, result.repository_id)
+    assert b"requests" in written[1]
+
+    # Settings that shape the recipe act at infer time only.
+    later = PipelineConfig(
+        store_path=config.store_path, logdir=config.logdir,
+        artifacts_dir=config.artifacts_dir, report_dir=config.report_dir,
+        base_image="python:3.12-slim", scan_magic_installs=False)
+    outcome = Pipeline(later, store, docker).execute_run(
+        store.get_run(result.run_id))
+
+    assert outcome.completed
+    assert _recipe_bytes(store, result.repository_id) == written
+    tag = containerize.image_tag_for(result.repository_id, result.run_id)
+    assert ("build", tag) in docker.calls
+    assert store.get_run(result.run_id).image_reference == tag
+
+
+def test_execute_without_recipe_is_degraded(env):
+    config, store, tmp_path = env
+    docker = FakeDocker()
+    url = _two_notebook_repo(tmp_path, docker)
+    pipeline = Pipeline(config, store, docker)
+    result = pipeline.infer_repository(url)
+    tree = Path(store.get_repository(result.repository_id).local_path)
+    (tree.parent / "Dockerfile").unlink()
+
+    outcome = pipeline.execute_run(store.get_run(result.run_id))
+
+    assert not outcome.completed
+    assert outcome.degraded_reason == "build recipe missing; rerun the infer stage"
+    assert not any(call[0] == "build" for call in docker.calls)
+    assert store.list_executions(result.run_id) == []
+    assert (store.get_run(result.run_id).provisioning_status
+            is ProvisioningStatus.PENDING)

@@ -19,7 +19,7 @@ from nbrepro.report import (
     aggregate_corpus,
     emit_reports,
     load_report,
-    nondeterminism_prevalence,
+    requirements_by_notebook,
     success_rate_by_requirements,
 )
 from nbrepro.store import (
@@ -183,26 +183,33 @@ def _stratified_store(store: Store) -> None:
             errors=errors, executed_notebook_path="/tmp/x.ipynb"))
 
 
+def _success_rates(store: Store) -> dict[str, float | None]:
+    notebook_repo = {n.notebook_id: n.repository_id for n in store.list_notebooks()}
+    return success_rate_by_requirements(
+        store.list_executions(),
+        requirements_by_notebook(store.list_repositories(), notebook_repo))
+
+
 def test_success_rate_by_requirements_strata():
     with Store(":memory:") as store:
         _stratified_store(store)
-        rates = success_rate_by_requirements(store)
+        rates = _success_rates(store)
     assert rates["with_requirements"] == 100.0
     assert rates["without_requirements"] == 50.0
 
 
 def test_success_rate_empty_stratum_undefined():
     with Store(":memory:") as store:
-        rates = success_rate_by_requirements(store)
+        rates = _success_rates(store)
     assert rates == {"with_requirements": None, "without_requirements": None}
 
 
 def test_nondeterminism_prevalence():
     with Store(":memory:") as store:
         _stratified_store(store)
-        assert nondeterminism_prevalence(store) == 0.25
+        assert aggregate_corpus(store).nondeterminism_prevalence == 0.25
     with Store(":memory:") as store:
-        assert nondeterminism_prevalence(store) == 0.0
+        assert aggregate_corpus(store).nondeterminism_prevalence == 0.0
 
 
 # ---- emission -----------------------------------------------------------------------
@@ -230,6 +237,44 @@ def test_reports_deterministic_except_timestamp(tmp_path):
     assert first_json["generated_at"] != second_json["generated_at"]
     del first_json["generated_at"], second_json["generated_at"]
     assert first_json == second_json
+
+
+def _scored_store(store: Store, run_ids: list[str]) -> None:
+    """Three repositories scoring 0.1, 0.2 and 0.3 under the given run ids."""
+    for n, run_id in enumerate(run_ids, start=1):
+        repo_id, nb_id = f"repo{n}", f"nb{n}"
+        store.upsert_repository(Repository(
+            repository_id=repo_id, url=f"u/{repo_id}", accessible=True,
+            has_requirements_file=True))
+        store.insert_run(RunRecord(
+            run_id=run_id, repository_id=repo_id, invocation_id="i",
+            started_at="2026-08-08T00:00:00+00:00",
+            provisioning_status=ProvisioningStatus.ENVIRONMENT_BUILT))
+        store.upsert_notebook(NotebookDescriptor(
+            notebook_id=nb_id, repository_id=repo_id,
+            relative_path=f"{nb_id}.ipynb", code_cell_count=10))
+        store.insert_execution(ExecutionRecord(
+            notebook_id=nb_id, run_id=run_id, status=ExecutionStatus.SUCCESS,
+            duration_s=1.0, code_cell_count=10, markdown_code_ratio=0.0,
+            errors=(), executed_notebook_path="/tmp/x.ipynb"))
+        store.insert_metrics(metrics_from_partition(
+            range(n), range(n, 10), (), notebook_id=nb_id, run_id=run_id))
+
+
+def test_report_bytes_independent_of_run_id_order(tmp_path):
+    # Scores are summed in run-id order; 0.1 + 0.2 + 0.3 rounds differently
+    # forwards and backwards, so only an exact sum gives one set of bytes.
+    outputs = []
+    for label, run_ids in (("up", ["run-a", "run-b", "run-c"]),
+                           ("down", ["run-c", "run-b", "run-a"])):
+        with Store(":memory:") as store:
+            _scored_store(store, run_ids)
+            summary = aggregate_corpus(store)
+        emit_reports(summary, tmp_path / label,
+                     generated_at="2026-08-08T00:00:00+00:00")
+        outputs.append([(tmp_path / label / name).read_bytes()
+                        for name in ("report.json", "summary.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_empty_store_reports_valid(tmp_path):
