@@ -75,7 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="artifacts directory (clones, executed notebooks)")
         sub.add_argument("--report-dir", type=Path, dest="report_dir",
                          help="directory for emitted reports")
-        sub.add_argument("--jobs", type=int, help="worker pool size")
+        sub.add_argument("--jobs", type=int,
+                         help="work budget: at most this many repository "
+                              "stages and notebook runs at once (default 1, "
+                              "serial)")
         sub.add_argument("--build-timeout", type=float, dest="build_timeout",
                          help="image build timeout in seconds")
         sub.add_argument("--exec-timeout", type=float, dest="exec_timeout",

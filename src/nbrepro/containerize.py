@@ -60,7 +60,6 @@ class BuildFailure:
 class BuildRecipe:
     dockerfile_text: str
     context_dir: Path
-    image_tag: str
     manifest_text: str
     manifest_name: str = SYNTHESIZED_MANIFEST_NAME
 
@@ -140,7 +139,7 @@ def image_tag_for(repository_id: str, run_id: str) -> str:
     return f"{image_repository_for(repository_id)}:{run_id}"
 
 
-def generate_build_recipe(spec: DependencySpec, run_id: str, *,
+def generate_build_recipe(spec: DependencySpec, *,
                           context_dir: Path | str = ".",
                           base_image: str = DEFAULT_BASE_IMAGE) -> BuildRecipe:
     """Container recipe for one repository's synthesized environment.
@@ -180,7 +179,6 @@ def generate_build_recipe(spec: DependencySpec, run_id: str, *,
     return BuildRecipe(
         dockerfile_text="\n".join(lines) + "\n",
         context_dir=Path(context_dir),
-        image_tag=image_tag_for(spec.repository_id, run_id),
         manifest_text=spec.synthesized_manifest,
     )
 

@@ -153,10 +153,16 @@ def extract_errors(executed: ParsedNotebook) -> list[ExecutionError]:
 
 @dataclass
 class _ConvertAttempt:
+    command: list[str]
     exit_code: int
     stdout: str
     stderr: str
     timed_out: bool = False
+
+    def log_text(self) -> str:
+        return (f"$ {shlex.join(self.command)}\n"
+                f"exit={self.exit_code} timed_out={self.timed_out}\n"
+                f"--- stdout ---\n{self.stdout}\n--- stderr ---\n{self.stderr}\n")
 
 
 def _nbconvert_command(notebook_name: str, output_name: str,
@@ -189,7 +195,8 @@ def execute_notebook(
     The working directory is the notebook's own directory inside the image
     (the common relative-path assumption). A kernelspec missing in-image is
     retried once on the default kernel; failing again is KernelNotFound.
-    The executed artifact lands under ``artifacts_dir/<run_id>/<relative_path>``.
+    The executed artifact lands under ``artifacts_dir/<run_id>/<relative_path>``;
+    the log holds every attempt's command, exit status and output.
     """
     rel = PurePosixPath(descriptor.relative_path)
     in_container_dir = str(PurePosixPath(CONTAINER_WORKSPACE) / rel.parent)
@@ -202,6 +209,7 @@ def execute_notebook(
         kernel_name=None, timeout=timeout, repository_label=descriptor.repository_id,
         cpu_limit=cpu_limit, memory_limit=memory_limit,
     )
+    attempts = [attempt]
     if (attempt.exit_code != 0 and not attempt.timed_out
             and _KERNEL_NOT_FOUND_RE.search(attempt.stderr)):
         logger.info("kernel %r not in image for %s, retrying on %s",
@@ -213,16 +221,13 @@ def execute_notebook(
             repository_label=descriptor.repository_id,
             cpu_limit=cpu_limit, memory_limit=memory_limit,
         )
+        attempts.append(attempt)
     duration = time.monotonic() - started
 
     if log_path is not None:
         log_path.parent.mkdir(parents=True, exist_ok=True)
-        log_path.write_text(
-            f"$ {' '.join(shlex.quote(c) for c in _nbconvert_command(rel.name, executed_name, None))}\n"
-            f"exit={attempt.exit_code} timed_out={attempt.timed_out}\n"
-            f"--- stdout ---\n{attempt.stdout}\n--- stderr ---\n{attempt.stderr}\n",
-            encoding="utf-8",
-        )
+        log_path.write_text("".join(a.log_text() for a in attempts),
+                            encoding="utf-8")
 
     record = ExecutionRecord(
         notebook_id=descriptor.notebook_id,
@@ -288,9 +293,10 @@ def _run_convert(docker: "DockerCli", image: str, container_name: str,
     command = _nbconvert_command(notebook_name, output_name, kernel_name)
     result = docker.run_container(image, command, run_args, timeout=timeout)
     if result is None:
-        return _ConvertAttempt(exit_code=-1, stdout="", stderr="", timed_out=True)
-    return _ConvertAttempt(exit_code=result.returncode, stdout=result.stdout,
-                           stderr=result.stderr)
+        return _ConvertAttempt(command, exit_code=-1, stdout="", stderr="",
+                               timed_out=True)
+    return _ConvertAttempt(command, exit_code=result.returncode,
+                           stdout=result.stdout, stderr=result.stderr)
 
 
 def _failure_status(stderr: str) -> ExecutionStatus:

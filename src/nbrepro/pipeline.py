@@ -2,17 +2,23 @@
 
 Per repository: validate -> acquire -> discover -> infer -> recipe ->
 cleanup -> build -> execute -> compare. Repository failures become data,
-never corpus aborts; cross-repository parallelism lives here and nowhere
-else. Every stage appends machine-parseable events to the invocation's
-event log alongside the raw tool logs.
+never corpus aborts. All parallelism lives here and nowhere else: ``--jobs``
+is one budget of slots shared by repository stages and notebook runs, so a
+large repository's notebooks run side by side while the clean room holds
+(a repository's cleanup and no-cache build finish before any of its
+notebooks start, and each notebook gets its own fresh container). Every
+stage appends machine-parseable events to the invocation's event log
+alongside the raw tool logs.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +28,7 @@ from nbrepro.config import PipelineConfig
 from nbrepro.containerize import BuildFailure, DockerCli
 from nbrepro.executor import ExecutionStatus
 from nbrepro.store import (
+    NotebookDescriptor,
     ProvisioningStatus,
     Repository,
     RunRecord,
@@ -69,12 +76,97 @@ class EventLog:
                 fh.write(line + "\n")
 
 
+class WorkBudget:
+    """``jobs`` slots shared by every unit of work of one invocation.
+
+    A unit is a repository's serial stages or one notebook run; it holds one
+    slot while it runs, so at most ``jobs`` units are in flight. Notebook
+    runs go to one pool of ``jobs`` threads, opened on first use and closed
+    by ``close``, so the thread count stays O(jobs).
+    """
+
+    def __init__(self, jobs: int) -> None:
+        self.jobs = jobs
+        self._slots = threading.BoundedSemaphore(jobs)
+        self._held = threading.local()
+        self._pool_lock = threading.Lock()
+        self._pool: ThreadPoolExecutor | None = None
+
+    def _holding(self) -> bool:
+        return getattr(self._held, "slot", False)
+
+    @contextmanager
+    def slot(self):
+        """Hold one slot on the calling thread; nested use shares it."""
+        if self._holding():
+            yield
+            return
+        with self._slots:
+            self._held.slot = True
+            try:
+                yield
+            finally:
+                self._held.slot = False
+
+    @contextmanager
+    def _released(self):
+        holding = self._holding()
+        if holding:
+            self._held.slot = False
+            self._slots.release()
+        try:
+            yield
+        finally:
+            if holding:
+                self._slots.acquire()
+                self._held.slot = True
+
+    def map(self, fn, items: list) -> list:
+        """``[fn(item) for item in items]``, each call one unit of work.
+
+        With one slot or one item the calls run serially in the caller's
+        unit. Otherwise they run on the notebook pool, and the caller waits
+        for all of them without holding its slot. Once none of the calls is
+        running, the first exception in item order is raised and any later
+        ones are logged.
+        """
+        if self.jobs <= 1 or len(items) <= 1:
+            return [fn(item) for item in items]
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.jobs, thread_name_prefix="nbrepro-notebook")
+            pool = self._pool
+        with self._released():
+            futures = [pool.submit(self._in_slot, fn, item) for item in items]
+            wait(futures)
+        failures = [f.exception() for f in futures if f.exception() is not None]
+        for exc in failures[1:]:
+            logger.error("unit of work failed as well", exc_info=exc)
+        if failures:
+            raise failures[0]
+        return [future.result() for future in futures]
+
+    def _in_slot(self, fn, item):
+        with self.slot():
+            return fn(item)
+
+    def close(self) -> None:
+        """Drop the notebook runs not yet started and stop the notebook
+        pool's threads; a later ``map`` opens a new pool."""
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
 class Pipeline:
     def __init__(self, config: PipelineConfig, store: Store,
                  docker: DockerCli | None = None) -> None:
         self.config = config
         self.store = store
         self.docker = docker or DockerCli(config.docker_executable)
+        self.budget = WorkBudget(config.jobs)
         self.events = EventLog(Path(config.logdir) / "events.ndjson")
         self.invocation_id = new_invocation_id()
         self._aliases = depinfer.load_alias_table(config.alias_table_path)
@@ -156,7 +248,7 @@ class Pipeline:
             aliases=self._aliases,
         )
         recipe = containerize.generate_build_recipe(
-            spec, run.run_id, context_dir=tree, base_image=self.config.base_image)
+            spec, context_dir=tree, base_image=self.config.base_image)
         containerize.write_recipe(recipe, _dockerfile_for(tree))
         self.events.emit("infer", "synthesized", repository_id=repository_id,
                          requirements=len(spec.requirements))
@@ -217,27 +309,10 @@ class Pipeline:
                              phase=built.phase.value)
             return result
 
-        descriptors = self.store.list_notebooks(repo.repository_id)
-        statuses: list[ExecutionStatus] = []
-        for descriptor in descriptors:
-            self.events.emit("execute", "notebook_start",
-                             notebook_id=descriptor.notebook_id,
-                             relative_path=descriptor.relative_path)
-            record = executor.execute_notebook(
-                self.docker, built, descriptor,
-                run_id=run.run_id,
-                artifacts_dir=Path(self.config.artifacts_dir),
-                log_path=logdir / f"{descriptor.notebook_id}.execution.log",
-                timeout=self.config.exec_timeout,
-                cpu_limit=self.config.cpu_limit,
-                memory_limit=self.config.memory_limit,
-            )
-            self.store.insert_execution(record)
-            statuses.append(record.status)
-            self.events.emit("execute", "notebook_done",
-                             notebook_id=descriptor.notebook_id,
-                             status=record.status.value,
-                             duration_s=record.duration_s)
+        # The image is built: the notebooks fan out on the shared budget.
+        statuses = self.budget.map(
+            functools.partial(self._execute_notebook, run.run_id, built, logdir),
+            self.store.list_notebooks(repo.repository_id))
 
         # An environment in which no notebook ever found a usable kernel is
         # a provisioning-level kernel failure, not a built environment.
@@ -248,6 +323,28 @@ class Pipeline:
             self.store.finish_run(run, ProvisioningStatus.ENVIRONMENT_BUILT,
                                   image_reference=built)
         return result
+
+    def _execute_notebook(self, run_id: str, image: str, logdir: Path,
+                          descriptor: NotebookDescriptor) -> ExecutionStatus:
+        """One notebook in its own fresh container; the record is stored."""
+        self.events.emit("execute", "notebook_start",
+                         notebook_id=descriptor.notebook_id,
+                         relative_path=descriptor.relative_path)
+        record = executor.execute_notebook(
+            self.docker, image, descriptor,
+            run_id=run_id,
+            artifacts_dir=Path(self.config.artifacts_dir),
+            log_path=logdir / f"{descriptor.notebook_id}.execution.log",
+            timeout=self.config.exec_timeout,
+            cpu_limit=self.config.cpu_limit,
+            memory_limit=self.config.memory_limit,
+        )
+        self.store.insert_execution(record)
+        self.events.emit("execute", "notebook_done",
+                         notebook_id=descriptor.notebook_id,
+                         status=record.status.value,
+                         duration_s=record.duration_s)
+        return record.status
 
     # ---- stage 4: comparison -------------------------------------------------
 
@@ -356,17 +453,25 @@ class Pipeline:
         return results, exit_code_for(results)
 
     def map_repositories(self, items: list, fn) -> list[RepositoryResult]:
-        """Apply one per-repository stage across the corpus, bounded by the
-        worker pool; unexpected exceptions degrade that repository only."""
-        if self.config.jobs <= 1 or len(items) <= 1:
-            return [self._safe(fn, item) for item in items]
-        with ThreadPoolExecutor(max_workers=self.config.jobs) as pool:
-            return list(pool.map(lambda item: self._safe(fn, item), items))
+        """Apply one per-repository stage across the corpus on the shared
+        budget; unexpected exceptions degrade that repository only. Every
+        notebook run has finished, and the notebook pool is closed, when
+        this returns."""
+        try:
+            if self.config.jobs <= 1 or len(items) <= 1:
+                return [self._safe(fn, item) for item in items]
+            workers = min(self.config.jobs, len(items))
+            with ThreadPoolExecutor(max_workers=workers,
+                                    thread_name_prefix="nbrepro-repository") as pool:
+                return list(pool.map(lambda item: self._safe(fn, item), items))
+        finally:
+            self.budget.close()
 
     def _safe(self, fn, item) -> RepositoryResult:
         label = item if isinstance(item, str) else getattr(item, "run_id", str(item))
         try:
-            return fn(item)
+            with self.budget.slot():
+                return fn(item)
         except Exception as exc:  # noqa: BLE001 - corpus runs must not abort
             logger.exception("repository task %s failed unexpectedly", label)
             self.events.emit("pipeline", "unexpected_error", item=label,

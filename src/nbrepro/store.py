@@ -2,8 +2,9 @@
 
 One SQLite file holds the normalized schema linking repositories,
 notebooks, runs, executions, and reproducibility metrics through stable
-identifiers, so results stay joinable across invocations. Writes are
-serialized behind a single lock; rows are immutable dataclasses once read.
+identifiers, so results stay joinable across invocations. Reads and
+writes share the one connection and are serialized behind a single lock;
+rows are immutable dataclasses once read.
 """
 
 from __future__ import annotations
@@ -193,6 +194,10 @@ class Store:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    def _read(self, sql: str, params: tuple = ()) -> list[sqlite3.Row]:
+        with self._lock:
+            return self._conn.execute(sql, params).fetchall()
+
     def _write(self, sql: str, params: tuple = ()) -> None:
         with self._lock:
             try:
@@ -229,14 +234,12 @@ class Store:
                     (count, repository_id))
 
     def get_repository(self, repository_id: str) -> Repository | None:
-        row = self._conn.execute(
-            "SELECT * FROM repositories WHERE repository_id = ?",
-            (repository_id,)).fetchone()
-        return _repository_from_row(row) if row else None
+        rows = self._read("SELECT * FROM repositories WHERE repository_id = ?",
+                          (repository_id,))
+        return _repository_from_row(rows[0]) if rows else None
 
     def list_repositories(self) -> list[Repository]:
-        rows = self._conn.execute(
-            "SELECT * FROM repositories ORDER BY repository_id").fetchall()
+        rows = self._read("SELECT * FROM repositories ORDER BY repository_id")
         return [_repository_from_row(row) for row in rows]
 
     # ---- notebooks ----------------------------------------------------------
@@ -270,19 +273,18 @@ class Store:
 
     def list_notebooks(self, repository_id: str | None = None) -> list[NotebookDescriptor]:
         if repository_id is None:
-            rows = self._conn.execute(
-                "SELECT * FROM notebooks ORDER BY repository_id, relative_path"
-            ).fetchall()
+            rows = self._read(
+                "SELECT * FROM notebooks ORDER BY repository_id, relative_path")
         else:
-            rows = self._conn.execute(
+            rows = self._read(
                 "SELECT * FROM notebooks WHERE repository_id = ? ORDER BY relative_path",
-                (repository_id,)).fetchall()
+                (repository_id,))
         return [_notebook_from_row(row) for row in rows]
 
     def get_notebook(self, notebook_id: str) -> NotebookDescriptor | None:
-        row = self._conn.execute(
-            "SELECT * FROM notebooks WHERE notebook_id = ?", (notebook_id,)).fetchone()
-        return _notebook_from_row(row) if row else None
+        rows = self._read("SELECT * FROM notebooks WHERE notebook_id = ?",
+                          (notebook_id,))
+        return _notebook_from_row(rows[0]) if rows else None
 
     # ---- runs ---------------------------------------------------------------
 
@@ -326,18 +328,18 @@ class Store:
         return finished
 
     def get_run(self, run_id: str) -> RunRecord | None:
-        row = self._conn.execute(
-            "SELECT * FROM repository_runs WHERE run_id = ?", (run_id,)).fetchone()
-        return _run_from_row(row) if row else None
+        rows = self._read("SELECT * FROM repository_runs WHERE run_id = ?",
+                          (run_id,))
+        return _run_from_row(rows[0]) if rows else None
 
     def list_runs(self, repository_id: str | None = None) -> list[RunRecord]:
         if repository_id is None:
-            rows = self._conn.execute(
-                "SELECT * FROM repository_runs ORDER BY started_at, run_id").fetchall()
+            rows = self._read(
+                "SELECT * FROM repository_runs ORDER BY started_at, run_id")
         else:
-            rows = self._conn.execute(
+            rows = self._read(
                 "SELECT * FROM repository_runs WHERE repository_id = ?"
-                " ORDER BY started_at, run_id", (repository_id,)).fetchall()
+                " ORDER BY started_at, run_id", (repository_id,))
         return [_run_from_row(row) for row in rows]
 
     def latest_runs(self) -> dict[str, RunRecord]:
@@ -366,20 +368,19 @@ class Store:
 
     def list_executions(self, run_id: str | None = None) -> list[ExecutionRecord]:
         if run_id is None:
-            rows = self._conn.execute(
-                "SELECT * FROM notebook_executions ORDER BY run_id, notebook_id"
-            ).fetchall()
+            rows = self._read(
+                "SELECT * FROM notebook_executions ORDER BY run_id, notebook_id")
         else:
-            rows = self._conn.execute(
+            rows = self._read(
                 "SELECT * FROM notebook_executions WHERE run_id = ?"
-                " ORDER BY notebook_id", (run_id,)).fetchall()
+                " ORDER BY notebook_id", (run_id,))
         return [_execution_from_row(row) for row in rows]
 
     def get_execution(self, notebook_id: str, run_id: str) -> ExecutionRecord | None:
-        row = self._conn.execute(
+        rows = self._read(
             "SELECT * FROM notebook_executions WHERE notebook_id = ? AND run_id = ?",
-            (notebook_id, run_id)).fetchone()
-        return _execution_from_row(row) if row else None
+            (notebook_id, run_id))
+        return _execution_from_row(rows[0]) if rows else None
 
     # ---- metrics ------------------------------------------------------------
 
@@ -416,22 +417,21 @@ class Store:
                      ) -> list[tuple[ReproducibilityMetrics, bool]]:
         """Metrics rows paired with their structural-mismatch flag."""
         if run_id is None:
-            rows = self._conn.execute(
-                "SELECT * FROM reproducibility_metrics ORDER BY run_id, notebook_id"
-            ).fetchall()
+            rows = self._read(
+                "SELECT * FROM reproducibility_metrics ORDER BY run_id, notebook_id")
         else:
-            rows = self._conn.execute(
+            rows = self._read(
                 "SELECT * FROM reproducibility_metrics WHERE run_id = ?"
-                " ORDER BY notebook_id", (run_id,)).fetchall()
+                " ORDER BY notebook_id", (run_id,))
         return [_metrics_from_row(row) for row in rows]
 
     def get_metrics(self, notebook_id: str, run_id: str
                     ) -> tuple[ReproducibilityMetrics, bool] | None:
-        row = self._conn.execute(
+        rows = self._read(
             "SELECT * FROM reproducibility_metrics"
             " WHERE notebook_id = ? AND run_id = ?",
-            (notebook_id, run_id)).fetchone()
-        return _metrics_from_row(row) if row else None
+            (notebook_id, run_id))
+        return _metrics_from_row(rows[0]) if rows else None
 
 
 def _repository_from_row(row: sqlite3.Row) -> Repository:

@@ -45,8 +45,7 @@ def _spec(*names, repo_id="fixturerepo0001", verbatim_lines=()):
 
 
 def test_recipe_pins_base_and_references_manifest(tmp_path):
-    recipe = generate_build_recipe(_spec("numpy", "pandas"), "run1",
-                                   context_dir=tmp_path)
+    recipe = generate_build_recipe(_spec("numpy", "pandas"), context_dir=tmp_path)
     text = recipe.dockerfile_text
     assert text.startswith("FROM python:3.10-slim\n")
     assert "COPY requirements.synthesized.txt" in text
@@ -54,26 +53,24 @@ def test_recipe_pins_base_and_references_manifest(tmp_path):
     assert "nbconvert" in text and "ipykernel" in text
     assert "COPY . /workspace" in text
     assert "WORKDIR /workspace" in text
-    assert recipe.image_tag == "repro/fixturerepo0001:run1"
 
 
 def test_recipe_byte_identical_across_invocations(tmp_path):
     spec = _spec("numpy", "pandas")
-    texts = {generate_build_recipe(spec, "run1", context_dir=tmp_path).dockerfile_text
+    texts = {generate_build_recipe(spec, context_dir=tmp_path).dockerfile_text
              for _ in range(100)}
     assert len(texts) == 1
 
 
 def test_empty_spec_recipe_has_toolchain_only(tmp_path):
-    recipe = generate_build_recipe(_spec(), "run1", context_dir=tmp_path)
+    recipe = generate_build_recipe(_spec(), context_dir=tmp_path)
     assert "pip install --no-cache-dir -r" not in recipe.dockerfile_text
     assert "nbconvert" in recipe.dockerfile_text
 
 
 def test_opaque_vcs_line_passes_through(tmp_path):
     line = "git+https://github.com/user/proj.git#egg=proj"
-    recipe = generate_build_recipe(_spec(verbatim_lines=[line]), "run1",
-                                   context_dir=tmp_path)
+    recipe = generate_build_recipe(_spec(verbatim_lines=[line]), context_dir=tmp_path)
     assert line in recipe.manifest_text
     written = write_recipe(recipe, tmp_path / "Dockerfile")
     assert (tmp_path / "requirements.synthesized.txt").read_text() == recipe.manifest_text
@@ -86,7 +83,7 @@ def test_image_tag_unique_per_repo_and_run():
 
 
 def test_base_image_override(tmp_path):
-    recipe = generate_build_recipe(_spec("numpy"), "run1", context_dir=tmp_path,
+    recipe = generate_build_recipe(_spec("numpy"), context_dir=tmp_path,
                                    base_image="python:3.11-slim")
     assert recipe.dockerfile_text.startswith("FROM python:3.11-slim\n")
 
@@ -98,8 +95,8 @@ def test_recipe_text_is_pure_function_of_spec(tmp_path):
     nb = parse_notebook(notebook_bytes([code_cell("import requests")]))
     spec_a = synthesize_dependency_spec(repo, [nb])
     spec_b = synthesize_dependency_spec(repo, [nb])
-    text_a = generate_build_recipe(spec_a, "r", context_dir=tmp_path).dockerfile_text
-    text_b = generate_build_recipe(spec_b, "r", context_dir=tmp_path).dockerfile_text
+    text_a = generate_build_recipe(spec_a, context_dir=tmp_path).dockerfile_text
+    text_b = generate_build_recipe(spec_b, context_dir=tmp_path).dockerfile_text
     assert text_a == text_b
 
 
@@ -137,15 +134,15 @@ def test_cleanup_unreachable_runtime_raises():
 
 def test_build_success_returns_tag_and_logs(tmp_path):
     docker = FakeDocker()
-    recipe = generate_build_recipe(_spec("numpy"), "run1",
-                                   context_dir=tmp_path / "ctx")
+    recipe = generate_build_recipe(_spec("numpy"), context_dir=tmp_path / "ctx")
     (tmp_path / "ctx").mkdir()
     log_path = tmp_path / "logs" / "build.log"
     dockerfile = write_recipe(recipe, tmp_path / "Dockerfile")
-    result = build_image(recipe.image_tag, dockerfile, recipe.context_dir, docker,
+    tag = image_tag_for("fixturerepo0001", "run1")
+    result = build_image(tag, dockerfile, recipe.context_dir, docker,
                          log_path=log_path)
-    assert result == recipe.image_tag
-    assert ("build", recipe.image_tag) in docker.calls
+    assert result == tag
+    assert ("build", tag) in docker.calls
     assert log_path.exists()
 
 
@@ -174,10 +171,9 @@ class _FailingDocker(FakeDocker):
 def test_build_failure_phases(tmp_path, stderr, phase):
     docker = _FailingDocker(stderr)
     (tmp_path / "ctx").mkdir()
-    recipe = generate_build_recipe(_spec("numpy"), "run1",
-                                   context_dir=tmp_path / "ctx")
-    result = build_image(recipe.image_tag, tmp_path / "Dockerfile",
-                         recipe.context_dir, docker,
+    recipe = generate_build_recipe(_spec("numpy"), context_dir=tmp_path / "ctx")
+    result = build_image(image_tag_for("fixturerepo0001", "run1"),
+                         tmp_path / "Dockerfile", recipe.context_dir, docker,
                          log_path=tmp_path / "build.log")
     assert isinstance(result, BuildFailure)
     assert result.phase is phase
@@ -188,11 +184,10 @@ def test_build_failure_phases(tmp_path, stderr, phase):
 def test_build_timeout_phase(tmp_path):
     docker = _FailingDocker("", raise_timeout=True)
     (tmp_path / "ctx").mkdir()
-    recipe = generate_build_recipe(_spec("numpy"), "run1",
-                                   context_dir=tmp_path / "ctx")
-    result = build_image(recipe.image_tag, tmp_path / "Dockerfile",
-                         recipe.context_dir, docker, timeout=5.0,
-                         log_path=tmp_path / "build.log")
+    recipe = generate_build_recipe(_spec("numpy"), context_dir=tmp_path / "ctx")
+    result = build_image(image_tag_for("fixturerepo0001", "run1"),
+                         tmp_path / "Dockerfile", recipe.context_dir, docker,
+                         timeout=5.0, log_path=tmp_path / "build.log")
     assert isinstance(result, BuildFailure)
     assert result.phase is BuildPhase.TIMEOUT
 

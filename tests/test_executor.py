@@ -190,6 +190,33 @@ def test_kernel_fallback_recovers(tmp_path):
     assert record.status is ExecutionStatus.SUCCESS
 
 
+def test_log_holds_every_attempt(tmp_path):
+    docker = FakeDocker()
+    first_stderr = "jupyter_client.kernelspec.NoSuchKernel: No such kernel named conda-env"
+    docker.run_results = [
+        FakeCompleted(1, stdout="first stdout", stderr=first_stderr),
+        FakeCompleted(0, stdout="second stdout"),
+    ]
+    docker.copy_payloads["/workspace/analysis.executed.ipynb"] = _executed_payload([
+        code_cell("print(1)", [stream_output("1\n")], 1)])
+    log_path = tmp_path / "logs" / "nb0001.execution.log"
+    record = execute_notebook(docker, "img", _descriptor(), run_id="run1",
+                              artifacts_dir=tmp_path, log_path=log_path)
+    assert record.status is ExecutionStatus.SUCCESS
+
+    log = log_path.read_text("utf-8")
+    commands = [line for line in log.splitlines() if line.startswith("$ ")]
+    assert len(commands) == 2
+    assert "kernel_name" not in commands[0]
+    assert commands[1].endswith(
+        "--ExecutePreprocessor.kernel_name=python3 analysis.ipynb")
+    assert "exit=1 timed_out=False" in log
+    assert "exit=0 timed_out=False" in log
+    assert first_stderr in log
+    assert "first stdout" in log and "second stdout" in log
+    assert log.index(first_stderr) < log.index(commands[1])
+
+
 def test_notebook_missing_in_image(tmp_path):
     docker = FakeDocker()
     docker.run_results = [FakeCompleted(

@@ -4,11 +4,14 @@ artifact layout, and the log directory contract."""
 from __future__ import annotations
 
 import json
+import threading
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from nbrepro import containerize, depinfer, notebook
+from nbrepro import containerize, corpus, depinfer, notebook
 from nbrepro.config import PipelineConfig
 from nbrepro.executor import ExecutionStatus
 from nbrepro.pipeline import Pipeline
@@ -253,3 +256,180 @@ def test_execute_without_recipe_is_degraded(env):
     assert store.list_executions(result.run_id) == []
     assert (store.get_run(result.run_id).provisioning_status
             is ProvisioningStatus.PENDING)
+
+
+# ---- one --jobs budget over repository stages and notebook runs ------------
+
+class _SlowDocker(FakeDocker):
+    """Container runs take about 25 ms. Counts the runs in flight, the
+    peak thread count and the threads that ran containers; a notebook named
+    in ``fail_on`` raises instead of running."""
+
+    def __init__(self, fail_on: tuple[str, ...] = ()):
+        super().__init__()
+        self._lock = threading.Lock()
+        self.fail_on = fail_on
+        self.running = 0
+        self.peak_running = 0
+        self.peak_threads = 0
+        self.run_threads: set[int] = set()
+
+    def run_container(self, image, command, run_args, timeout=None):
+        with self._lock:
+            self.running += 1
+            self.peak_running = max(self.peak_running, self.running)
+            self.peak_threads = max(self.peak_threads, threading.active_count())
+            self.run_threads.add(threading.get_ident())
+        try:
+            time.sleep(0.025)
+            if command[-1] in self.fail_on:
+                raise RuntimeError(f"runtime crashed on {command[-1]}")
+            return super().run_container(image, command, run_args, timeout)
+        finally:
+            with self._lock:
+                self.running -= 1
+
+
+def _skewed_corpus(tmp_path) -> list[str]:
+    """One repository of six notebooks, then one of a single notebook."""
+    large = {f"a{i}.ipynb": _original(f"print({i})", f"{i}\n").decode()
+             for i in range(6)}
+    small = {"b0.ipynb": _original("print('b')", "b\n").decode()}
+    return [make_git_repo(tmp_path / "origin-large", large),
+            make_git_repo(tmp_path / "origin-small", small)]
+
+
+def _plant_artifacts(docker):
+    for i in range(6):
+        # odd notebooks drift, so scores differ between notebooks
+        output = f"{i}\n" if i % 2 == 0 else "drift\n"
+        docker.copy_payloads[f"/workspace/a{i}.executed.ipynb"] = _original(
+            f"print({i})", output)
+    docker.copy_payloads["/workspace/b0.executed.ipynb"] = _original(
+        "print('b')", "b\n")
+
+
+def _config(root: Path, jobs: int) -> PipelineConfig:
+    return PipelineConfig(store_path=root / "store.sqlite3", logdir=root / "logs",
+                          artifacts_dir=root / "artifacts",
+                          report_dir=root / "reports", jobs=jobs)
+
+
+def _run_corpus(root: Path, urls: list[str], jobs: int, docker):
+    _plant_artifacts(docker)
+    config = _config(root, jobs)
+    with Store(config.store_path) as store:
+        baseline_threads = threading.active_count()
+        results, _ = Pipeline(config, store, docker).run_corpus(urls)
+        rows = _comparable_rows(store, config.artifacts_dir)
+    return results, rows, baseline_threads
+
+
+def _comparable_rows(store, artifacts: Path) -> dict:
+    """Every store row without run ids, timestamps, durations and the
+    artifact root."""
+    def executed_path(record):
+        path = Path(record.executed_notebook_path)
+        return str(path.relative_to(artifacts / record.run_id))
+
+    return {
+        "repositories": [
+            replace(r, local_path=str(Path(r.local_path).relative_to(artifacts)))
+            for r in store.list_repositories()],
+        "notebooks": store.list_notebooks(),
+        "runs": sorted(
+            (replace(r, run_id="", invocation_id="", started_at="",
+                     finished_at=None, image_reference=None)
+             for r in store.list_runs()), key=lambda r: r.repository_id),
+        "executions": sorted(
+            (replace(e, run_id="", duration_s=None,
+                     executed_notebook_path=executed_path(e))
+             for e in store.list_executions()), key=lambda e: e.notebook_id),
+        "metrics": sorted(
+            ((replace(m, run_id=""), mismatch)
+             for m, mismatch in store.list_metrics()),
+            key=lambda row: row[0].notebook_id),
+    }
+
+
+def test_budget_bounds_container_runs_and_threads(tmp_path):
+    urls = _skewed_corpus(tmp_path)
+    docker = _SlowDocker()
+    results, rows, baseline = _run_corpus(tmp_path / "parallel", urls, 2, docker)
+
+    assert all(r.completed for r in results)
+    assert len(rows["executions"]) == 7
+    assert docker.peak_running == 2
+    # a repository pool and a notebook pool of at most jobs threads each
+    assert docker.peak_threads - baseline <= 2 * 2
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("nbrepro-")]
+
+
+def test_each_build_precedes_its_repository_runs(tmp_path):
+    urls = _skewed_corpus(tmp_path)
+    docker = _SlowDocker()
+    _run_corpus(tmp_path / "parallel", urls, 2, docker)
+
+    calls = list(docker.calls)
+    builds = {call[1]: index for index, call in enumerate(calls)
+              if call[0] == "build"}
+    assert len(builds) == 2
+    for tag, built_at in builds.items():
+        repository = tag.split(":", 1)[0]
+        cleaned_at = calls.index(("list_images", repository))
+        runs = [index for index, call in enumerate(calls)
+                if call[0] == "run_container" and call[1] == tag]
+        assert runs
+        assert cleaned_at < built_at < min(runs)
+
+
+def test_parallel_rows_equal_serial_rows(tmp_path):
+    urls = _skewed_corpus(tmp_path)
+    serial_docker = _SlowDocker()
+    _, serial, _ = _run_corpus(tmp_path / "serial", urls, 1, serial_docker)
+    _, parallel, _ = _run_corpus(tmp_path / "parallel", urls, 2, _SlowDocker())
+
+    # --jobs 1 keeps the serial path: every container ran on the caller
+    assert serial_docker.run_threads == {threading.get_ident()}
+    assert len(serial["executions"]) == 7
+    assert len(serial["metrics"]) == 7
+    assert parallel == serial
+
+
+def test_failing_notebook_degrades_only_its_repository(tmp_path, caplog):
+    urls = _skewed_corpus(tmp_path)
+    docker = _SlowDocker(fail_on=("a2.ipynb", "a4.ipynb"))
+    results, rows, _ = _run_corpus(tmp_path / "parallel", urls, 2, docker)
+
+    large, small = results
+    assert not large.completed
+    assert "runtime crashed on a2.ipynb" in large.degraded_reason
+    # the second failure is logged, not dropped
+    assert any(str(r.exc_info[1]) == "runtime crashed on a4.ipynb"
+               for r in caplog.records if r.exc_info)
+    assert small.completed
+    status = {r.repository_id: r.provisioning_status for r in rows["runs"]}
+    assert status == {
+        corpus.repository_id_for(urls[0]): ProvisioningStatus.PENDING,
+        corpus.repository_id_for(urls[1]): ProvisioningStatus.ENVIRONMENT_BUILT,
+    }
+    # nothing of the failed repository is still running afterwards
+    assert docker.running == 0
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("nbrepro-")]
+
+
+def test_single_repository_execute_runs_notebooks_side_by_side(tmp_path):
+    urls = _skewed_corpus(tmp_path)
+    docker = _SlowDocker()
+    _plant_artifacts(docker)
+    config = _config(tmp_path / "single", 2)
+    with Store(config.store_path) as store:
+        pipeline = Pipeline(config, store, docker)
+        inferred = pipeline.infer_repository(urls[0])
+        (result,) = pipeline.map_repositories(
+            [store.get_run(inferred.run_id)], pipeline.execute_run)
+        assert result.completed
+        assert len(store.list_executions(inferred.run_id)) == 6
+    assert docker.peak_running == 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -209,6 +210,44 @@ def test_concurrent_writes_serialized(tmp_path):
             t.join()
         assert not errors
         assert len(store.list_runs()) == 40
+
+
+def test_concurrent_reads_and_writes_serialized(tmp_path):
+    threads_n, per_thread = 4, 25
+    with Store(tmp_path / "store.sqlite3") as store:
+        store.upsert_repository(_repo())
+        for t in range(threads_n):
+            _run(store, run_id=f"run{t}", invocation=f"inv{t}")
+            for i in range(per_thread):
+                _notebook(store, nb_id=f"nb-{t}-{i}", rel=f"{t}/{i}.ipynb")
+        errors = []
+
+        def interleave(t):
+            try:
+                for i in range(per_thread):
+                    _execution(store, nb_id=f"nb-{t}-{i}", run_id=f"run{t}")
+                    assert len(store.list_executions(f"run{t}")) == i + 1
+                    store.list_executions()
+                    assert store.get_run(f"run{(t + 1) % threads_n}") is not None
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=interleave, args=(t,))
+                   for t in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(store.list_executions()) == threads_n * per_thread
+        for t in range(threads_n):
+            assert len(store.list_executions(f"run{t}")) == per_thread
 
 
 def test_persistence_across_reopen(tmp_path):
