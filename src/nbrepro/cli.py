@@ -22,11 +22,14 @@ import sys
 from pathlib import Path
 
 from nbrepro import __version__, report as reportmod
+from nbrepro.compare import ReproducibilityMetrics
 from nbrepro.config import ConfigError, PipelineConfig
 from nbrepro.containerize import DockerCli
+from nbrepro.executor import ExecutionRecord
 from nbrepro.outcomes import (
     BaselineRecord,
     CurrentOutcome,
+    OutcomeClass,
     assign_outcome_class,
     baseline_success_rate_by_requirements,
     match_baselines,
@@ -40,7 +43,7 @@ from nbrepro.pipeline import (
     PredecessorStateMissing,
     exit_code_for,
 )
-from nbrepro.store import ProvisioningStatus, Store
+from nbrepro.store import ProvisioningStatus, RunRecord, Store
 
 logger = logging.getLogger(__name__)
 
@@ -192,44 +195,9 @@ def cmd_classify(config: PipelineConfig, store: Store) -> int:
     if config.baseline_path is None:
         raise ConfigError(
             "outcome classification requires a baseline export; pass --baseline")
-    baselines = read_baseline_csv(config.baseline_path)
-    latest = store.latest_runs()
-    notebook_repo = {n.notebook_id: n.repository_id for n in store.list_notebooks()}
-    matched, unmatched = match_baselines(baselines, set(notebook_repo))
-
-    assignments: list[tuple[BaselineRecord, str]] = []
-    counts: dict[str, int] = {}
-    rate_inputs = []
-    for baseline in matched:
-        current = _current_outcome_for(store, latest,
-                                       notebook_repo[baseline.notebook_id],
-                                       baseline.notebook_id)
-        outcome = assign_outcome_class(baseline, current)
-        assignments.append((baseline, outcome.value))
-        counts[outcome.value] = counts.get(outcome.value, 0) + 1
-        rate_inputs.append((baseline, outcome))
-    rate = resolution_rate(rate_inputs)
-
-    notebook_has_req = reportmod.requirements_by_notebook(
-        store.list_repositories(), notebook_repo)
-    latest_run_ids = {run.run_id for run in latest.values()}
-    latest_executions = [record for record in store.list_executions()
-                         if record.run_id in latest_run_ids]
-    payload = {
-        "note": _INTERPRETATION_NOTE,
-        "resolution_rate": rate,
-        "counts": dict(sorted(counts.items())),
-        "baseline_success_rate_by_requirements":
-            baseline_success_rate_by_requirements(matched, notebook_has_req),
-        "containerized_success_rate_by_requirements":
-            reportmod.success_rate_by_requirements(latest_executions,
-                                                   notebook_has_req),
-        "unmatched_baseline_rows": sorted(b.notebook_id for b in unmatched),
-        "assignments": [
-            {"notebook_id": b.notebook_id, "outcome_class": cls}
-            for b, cls in assignments
-        ],
-    }
+    # The store rows stay inside _classification, so they are freed before
+    # the payload is rendered.
+    payload = _classification(read_baseline_csv(config.baseline_path), store)
     report_dir = Path(config.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
     out_path = report_dir / CLASSIFICATION_FILE
@@ -239,13 +207,49 @@ def cmd_classify(config: PipelineConfig, store: Store) -> int:
     return EXIT_COMPLETE
 
 
-def _current_outcome_for(store: Store, latest, repository_id: str,
-                         notebook_id: str) -> CurrentOutcome:
-    run = latest.get(repository_id)
+def _classification(baselines: list[BaselineRecord], store: Store) -> dict:
+    notebook_repo = {n.notebook_id: n.repository_id for n in store.list_notebooks()}
+    matched, unmatched = match_baselines(baselines, set(notebook_repo))
+    latest, executions, metric_rows = reportmod.latest_rows(store)
+    execution_by_notebook = {record.notebook_id: record for record in executions}
+    metrics_by_notebook = {metrics.notebook_id: metrics
+                           for metrics, _ in metric_rows}
+
+    assignments: list[tuple[BaselineRecord, OutcomeClass]] = []
+    counts: dict[str, int] = {}
+    for baseline in matched:
+        notebook_id = baseline.notebook_id
+        current = _current_outcome(latest.get(notebook_repo[notebook_id]),
+                                   execution_by_notebook.get(notebook_id),
+                                   metrics_by_notebook.get(notebook_id))
+        outcome = assign_outcome_class(baseline, current)
+        assignments.append((baseline, outcome))
+        counts[outcome.value] = counts.get(outcome.value, 0) + 1
+
+    notebook_has_req = reportmod.requirements_by_notebook(
+        store.list_repositories(), notebook_repo)
+    return {
+        "note": _INTERPRETATION_NOTE,
+        "resolution_rate": resolution_rate(assignments),
+        "counts": dict(sorted(counts.items())),
+        "baseline_success_rate_by_requirements":
+            baseline_success_rate_by_requirements(matched, notebook_has_req),
+        "containerized_success_rate_by_requirements":
+            reportmod.success_rate_by_requirements(executions, notebook_has_req),
+        "unmatched_baseline_rows": sorted(b.notebook_id for b in unmatched),
+        "assignments": [
+            {"notebook_id": b.notebook_id, "outcome_class": cls.value}
+            for b, cls in assignments
+        ],
+    }
+
+
+def _current_outcome(run: RunRecord | None, execution: ExecutionRecord | None,
+                     metrics: ReproducibilityMetrics | None) -> CurrentOutcome:
+    """One notebook's outcome in its repository's latest run; the rows are
+    that run's, or None where the run has none for the notebook."""
     if run is None:
         return CurrentOutcome(provisioning_status=ProvisioningStatus.PENDING)
-    execution = store.get_execution(notebook_id, run.run_id)
-    metrics_row = store.get_metrics(notebook_id, run.run_id)
     phase = None
     if (run.provisioning_status is ProvisioningStatus.BUILD_FAILED
             and run.status_reason):
@@ -253,7 +257,7 @@ def _current_outcome_for(store: Store, latest, repository_id: str,
     return CurrentOutcome(
         provisioning_status=run.provisioning_status,
         execution=execution,
-        metrics=metrics_row[0] if metrics_row else None,
+        metrics=metrics,
         build_failure_phase=phase,
     )
 

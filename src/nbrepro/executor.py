@@ -12,7 +12,7 @@ import logging
 import re
 import shlex
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path, PurePosixPath
 from typing import TYPE_CHECKING
@@ -130,13 +130,7 @@ def extract_errors(executed: ParsedNotebook) -> list[ExecutionError]:
             key = (output.error_name, ordinal)
             existing = aggregated.get(key)
             if existing is not None:
-                aggregated[key] = ExecutionError(
-                    error_type=existing.error_type,
-                    category=existing.category,
-                    message=existing.message,
-                    cell_index=existing.cell_index,
-                    count=existing.count + 1,
-                )
+                aggregated[key] = replace(existing, count=existing.count + 1)
                 continue
             if output.error_name not in KNOWN_ERROR_TYPES:
                 logger.warning("unrecognized error type %r in cell %d",

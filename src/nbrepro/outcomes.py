@@ -21,7 +21,7 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from nbrepro.compare import ReproducibilityMetrics
 from nbrepro.executor import ExecutionRecord, ExecutionStatus
@@ -237,8 +237,8 @@ def read_baseline_csv(path: Path | str) -> list[BaselineRecord]:
                 notebook_id=row["notebook_id"].strip(),
                 prev_dependency_install=row["prev_dependency_install"].strip(),
                 prev_execution_status=row["prev_execution_status"].strip(),
-                prev_diff_cells=_parse_optional_int(row["prev_diff_cells"]),
-                prev_duration_s=_parse_optional_float(row["prev_duration_s"]),
+                prev_diff_cells=_parse_optional(row["prev_diff_cells"], int),
+                prev_duration_s=_parse_optional(row["prev_duration_s"], float),
             ))
     return records
 
@@ -260,21 +260,12 @@ def match_baselines(records: Iterable[BaselineRecord],
     return matched, unmatched
 
 
-def _parse_optional_int(raw: str) -> int | None:
+def _parse_optional(raw: str, convert: Callable[[str], int | float]
+                    ) -> int | float | None:
     raw = raw.strip()
     if not raw or raw == "-":
         return None
     try:
-        return int(raw)
-    except ValueError:
-        return None
-
-
-def _parse_optional_float(raw: str) -> float | None:
-    raw = raw.strip()
-    if not raw or raw == "-":
-        return None
-    try:
-        return float(raw)
+        return convert(raw)
     except ValueError:
         return None

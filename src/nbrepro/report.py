@@ -17,10 +17,10 @@ from pathlib import Path
 from typing import Iterable
 
 from nbrepro import __version__
-from nbrepro.compare import ScoreCategory, categorize_score
+from nbrepro.compare import ReproducibilityMetrics, ScoreCategory, categorize_score
 from nbrepro.executor import ExecutionRecord, ExecutionStatus
 from nbrepro.outcomes import OutcomeClass, percentage
-from nbrepro.store import ProvisioningStatus, Repository, Store, utc_now_iso
+from nbrepro.store import ProvisioningStatus, Repository, RunRecord, Store, utc_now_iso
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -85,7 +85,7 @@ def aggregate_corpus(store: Store,
     baseline comparison was run.
     """
     repositories = store.list_repositories()
-    latest = store.latest_runs()
+    latest, executions, metric_rows = latest_rows(store)
 
     provisioning = {key: 0 for key in PROVISIONING_ORDER}
     with_req = without_req = 0
@@ -98,9 +98,6 @@ def aggregate_corpus(store: Store,
         else:
             without_req += 1
 
-    latest_run_ids = {run.run_id for run in latest.values()}
-    executions = [record for record in store.list_executions()
-                  if record.run_id in latest_run_ids]
     notebooks = store.list_notebooks()
     notebook_has_req = requirements_by_notebook(
         repositories, {n.notebook_id: n.repository_id for n in notebooks})
@@ -116,8 +113,6 @@ def aggregate_corpus(store: Store,
             error_categories[error.category.value] = (
                 error_categories.get(error.category.value, 0) + 1)
 
-    metric_rows = [(m, mismatch) for m, mismatch in store.list_metrics()
-                   if m.run_id in latest_run_ids]
     score_categories = {key: 0 for key in SCORE_CATEGORY_ORDER}
     scores: list[float] = []
     scores_by_stratum: dict[bool, list[float]] = {True: [], False: []}
@@ -167,6 +162,20 @@ def aggregate_corpus(store: Store,
         outcome_classes=outcome_classes,
         resolution_rate=resolution if classification else None,
     )
+
+
+def latest_rows(store: Store) -> tuple[
+        dict[str, RunRecord], list[ExecutionRecord],
+        list[tuple[ReproducibilityMetrics, bool]]]:
+    """The latest run of each repository (keyed by repository_id), and the
+    execution rows and (metrics, structural_mismatch) rows of those runs."""
+    latest = store.latest_runs()
+    run_ids = {run.run_id for run in latest.values()}
+    executions = [record for record in store.list_executions()
+                  if record.run_id in run_ids]
+    metric_rows = [(metrics, mismatch) for metrics, mismatch in store.list_metrics()
+                   if metrics.run_id in run_ids]
+    return latest, executions, metric_rows
 
 
 def requirements_by_notebook(repositories: Iterable[Repository],

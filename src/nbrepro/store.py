@@ -281,11 +281,6 @@ class Store:
                 (repository_id,))
         return [_notebook_from_row(row) for row in rows]
 
-    def get_notebook(self, notebook_id: str) -> NotebookDescriptor | None:
-        rows = self._read("SELECT * FROM notebooks WHERE notebook_id = ?",
-                          (notebook_id,))
-        return _notebook_from_row(rows[0]) if rows else None
-
     # ---- runs ---------------------------------------------------------------
 
     def insert_run(self, run: RunRecord) -> None:
@@ -375,12 +370,6 @@ class Store:
                 "SELECT * FROM notebook_executions WHERE run_id = ?"
                 " ORDER BY notebook_id", (run_id,))
         return [_execution_from_row(row) for row in rows]
-
-    def get_execution(self, notebook_id: str, run_id: str) -> ExecutionRecord | None:
-        rows = self._read(
-            "SELECT * FROM notebook_executions WHERE notebook_id = ? AND run_id = ?",
-            (notebook_id, run_id))
-        return _execution_from_row(rows[0]) if rows else None
 
     # ---- metrics ------------------------------------------------------------
 
