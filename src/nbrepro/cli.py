@@ -22,13 +22,13 @@ import sys
 from pathlib import Path
 
 from nbrepro import __version__, report as reportmod
-from nbrepro.compare import ReproducibilityMetrics
 from nbrepro.config import ConfigError, PipelineConfig
 from nbrepro.containerize import DockerCli
-from nbrepro.executor import ExecutionRecord
+from nbrepro.executor import ExecutionRecord, ExecutionStatus
 from nbrepro.outcomes import (
     BaselineRecord,
     CurrentOutcome,
+    DriftMetrics,
     OutcomeClass,
     assign_outcome_class,
     baseline_success_rate_by_requirements,
@@ -43,7 +43,7 @@ from nbrepro.pipeline import (
     PredecessorStateMissing,
     exit_code_for,
 )
-from nbrepro.store import ProvisioningStatus, RunRecord, Store
+from nbrepro.store import LatestNotebook, ProvisioningStatus, Store
 
 logger = logging.getLogger(__name__)
 
@@ -208,26 +208,19 @@ def cmd_classify(config: PipelineConfig, store: Store) -> int:
 
 
 def _classification(baselines: list[BaselineRecord], store: Store) -> dict:
-    notebook_repo = {n.notebook_id: n.repository_id for n in store.list_notebooks()}
-    matched, unmatched = match_baselines(baselines, set(notebook_repo))
-    latest, executions, metric_rows = reportmod.latest_rows(store)
-    execution_by_notebook = {record.notebook_id: record for record in executions}
-    metrics_by_notebook = {metrics.notebook_id: metrics
-                           for metrics, _ in metric_rows}
+    notebooks = {row.notebook_id: row for row in store.latest_notebooks()}
+    matched, unmatched = match_baselines(baselines, notebooks.keys())
 
     assignments: list[tuple[BaselineRecord, OutcomeClass]] = []
     counts: dict[str, int] = {}
     for baseline in matched:
-        notebook_id = baseline.notebook_id
-        current = _current_outcome(latest.get(notebook_repo[notebook_id]),
-                                   execution_by_notebook.get(notebook_id),
-                                   metrics_by_notebook.get(notebook_id))
-        outcome = assign_outcome_class(baseline, current)
+        outcome = assign_outcome_class(
+            baseline, _current_outcome(notebooks[baseline.notebook_id]))
         assignments.append((baseline, outcome))
         counts[outcome.value] = counts.get(outcome.value, 0) + 1
 
-    notebook_has_req = reportmod.requirements_by_notebook(
-        store.list_repositories(), notebook_repo)
+    notebook_has_req = {notebook_id: bool(row.has_requirements_file)
+                        for notebook_id, row in notebooks.items()}
     return {
         "note": _INTERPRETATION_NOTE,
         "resolution_rate": resolution_rate(assignments),
@@ -235,7 +228,7 @@ def _classification(baselines: list[BaselineRecord], store: Store) -> dict:
         "baseline_success_rate_by_requirements":
             baseline_success_rate_by_requirements(matched, notebook_has_req),
         "containerized_success_rate_by_requirements":
-            reportmod.success_rate_by_requirements(executions, notebook_has_req),
+            reportmod.success_rate_by_requirements(notebooks.values()),
         "unmatched_baseline_rows": sorted(b.notebook_id for b in unmatched),
         "assignments": [
             {"notebook_id": b.notebook_id, "outcome_class": cls.value}
@@ -244,18 +237,30 @@ def _classification(baselines: list[BaselineRecord], store: Store) -> dict:
     }
 
 
-def _current_outcome(run: RunRecord | None, execution: ExecutionRecord | None,
-                     metrics: ReproducibilityMetrics | None) -> CurrentOutcome:
-    """One notebook's outcome in its repository's latest run; the rows are
-    that run's, or None where the run has none for the notebook."""
-    if run is None:
+def _current_outcome(row: LatestNotebook) -> CurrentOutcome:
+    """One notebook's outcome in its repository's latest run."""
+    if row.provisioning_status is None:
         return CurrentOutcome(provisioning_status=ProvisioningStatus.PENDING)
+    status = ProvisioningStatus(row.provisioning_status)
     phase = None
-    if (run.provisioning_status is ProvisioningStatus.BUILD_FAILED
-            and run.status_reason):
-        phase = run.status_reason.split(":", 1)[0].strip()
+    if status is ProvisioningStatus.BUILD_FAILED and row.status_reason:
+        phase = row.status_reason.split(":", 1)[0].strip()
+    execution = None
+    if row.execution_status is not None:
+        execution = ExecutionRecord(
+            notebook_id=row.notebook_id, run_id=row.run_id,
+            status=ExecutionStatus(row.execution_status),
+            duration_s=row.duration_s, code_cell_count=row.code_cell_count,
+            markdown_code_ratio=row.markdown_code_ratio, errors=row.errors,
+            executed_notebook_path=row.executed_notebook_path)
+    metrics = None
+    if row.structural_mismatch is not None:
+        # An unscored row reads as an empty partition with no score.
+        metrics = (DriftMetrics(0, 0, None) if row.structural_mismatch else
+                   DriftMetrics(row.different_count, row.nondeterministic_count,
+                                row.score))
     return CurrentOutcome(
-        provisioning_status=run.provisioning_status,
+        provisioning_status=status,
         execution=execution,
         metrics=metrics,
         build_failure_phase=phase,

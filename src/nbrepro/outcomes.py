@@ -17,13 +17,13 @@ and return Unclassified, as do notebooks without a baseline row.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Container, Iterable, NamedTuple, Sequence
 
-from nbrepro.compare import ReproducibilityMetrics
 from nbrepro.executor import ExecutionRecord, ExecutionStatus
 from nbrepro.store import ProvisioningStatus
 
@@ -65,6 +65,15 @@ class BaselineRecord:
         return _token(self.prev_execution_status) in _SUCCESS_TOKENS
 
 
+class DriftMetrics(NamedTuple):
+    """The part of a notebook's reproducibility metrics that the drift
+    test reads; an unscored (structural-mismatch) row is (0, 0, None)."""
+
+    different_count: int
+    nondeterministic_count: int
+    score: float | None
+
+
 @dataclass(frozen=True)
 class CurrentOutcome:
     """Everything the classifier needs about the containerized run.
@@ -75,10 +84,12 @@ class CurrentOutcome:
 
     provisioning_status: ProvisioningStatus
     execution: ExecutionRecord | None = None
-    metrics: ReproducibilityMetrics | None = None
+    metrics: DriftMetrics | None = None
     build_failure_phase: str | None = None
 
 
+# Status and error-type spellings are few; a corpus repeats them per row.
+@functools.lru_cache(maxsize=1024)
 def _token(status: str) -> str:
     return status.strip().strip("<>").replace(" ", "").replace("_", "").lower()
 
@@ -152,7 +163,7 @@ def _current_succeeded(current: CurrentOutcome) -> bool:
             and current.execution.status is ExecutionStatus.SUCCESS)
 
 
-def _drifted(metrics: ReproducibilityMetrics | None) -> bool:
+def _drifted(metrics: DriftMetrics | None) -> bool:
     if metrics is None:
         return False
     if metrics.different_count > 0 or metrics.nondeterministic_count > 0:
@@ -244,7 +255,7 @@ def read_baseline_csv(path: Path | str) -> list[BaselineRecord]:
 
 
 def match_baselines(records: Iterable[BaselineRecord],
-                    known_notebook_ids: set[str]
+                    known_notebook_ids: Container[str]
                     ) -> tuple[list[BaselineRecord], list[BaselineRecord]]:
     """Split baseline rows into (matched, unmatched) against the corpus.
 

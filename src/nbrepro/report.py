@@ -2,8 +2,11 @@
 
 Aggregates the most recent run of every repository into one summary and
 writes it as versioned JSON, a delimited table, and a human-readable
-digest. Output bytes are deterministic for a fixed store snapshot; the
-generation timestamp is isolated in a single header field.
+digest. The summary is built from the store's latest-run projection (one
+tuple per notebook, filtered to the latest runs in SQL) plus the small
+repository and latest-run reads. Output bytes are deterministic for a
+fixed store snapshot; the generation timestamp is isolated in a single
+header field.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ from pathlib import Path
 from typing import Iterable
 
 from nbrepro import __version__
-from nbrepro.compare import ReproducibilityMetrics, ScoreCategory, categorize_score
-from nbrepro.executor import ExecutionRecord, ExecutionStatus
+from nbrepro.compare import ScoreCategory, categorize_score
+from nbrepro.executor import ExecutionStatus
 from nbrepro.outcomes import OutcomeClass, percentage
-from nbrepro.store import ProvisioningStatus, Repository, RunRecord, Store, utc_now_iso
+from nbrepro.store import LatestNotebook, ProvisioningStatus, Store, utc_now_iso
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -85,7 +88,7 @@ def aggregate_corpus(store: Store,
     baseline comparison was run.
     """
     repositories = store.list_repositories()
-    latest, executions, metric_rows = latest_rows(store)
+    latest = store.latest_runs()
 
     provisioning = {key: 0 for key in PROVISIONING_ORDER}
     with_req = without_req = 0
@@ -98,34 +101,35 @@ def aggregate_corpus(store: Store,
         else:
             without_req += 1
 
-    notebooks = store.list_notebooks()
-    notebook_has_req = requirements_by_notebook(
-        repositories, {n.notebook_id: n.repository_id for n in notebooks})
-
-    zero_errors = sum(1 for record in executions if not record.errors)
+    notebooks = store.latest_notebooks()
+    executed = [row for row in notebooks if row.execution_status is not None]
+    zero_errors = sum(1 for row in executed if not row.errors)
     error_types: dict[str, int] = {}
     error_categories: dict[str, int] = {}
     total_error_records = 0
-    for record in executions:
-        for error in record.errors:
+    for row in executed:
+        for error in row.errors:
             total_error_records += 1
             error_types[error.error_type] = error_types.get(error.error_type, 0) + 1
             error_categories[error.category.value] = (
                 error_categories.get(error.category.value, 0) + 1)
 
     score_categories = {key: 0 for key in SCORE_CATEGORY_ORDER}
+    scored = 0
     scores: list[float] = []
     scores_by_stratum: dict[bool, list[float]] = {True: [], False: []}
-    for metrics, mismatch in metric_rows:
-        category = (ScoreCategory.UNSCORED if mismatch
-                    else categorize_score(metrics.score))
+    for row in notebooks:
+        if row.structural_mismatch is None:
+            continue
+        scored += 1
+        category = (ScoreCategory.UNSCORED if row.structural_mismatch
+                    else categorize_score(row.score))
         score_categories[category.value] += 1
-        if metrics.score is not None and not mismatch:
-            scores.append(metrics.score)
-            stratum = notebook_has_req.get(metrics.notebook_id, False)
-            scores_by_stratum[stratum].append(metrics.score)
+        if row.score is not None and not row.structural_mismatch:
+            scores.append(row.score)
+            scores_by_stratum[bool(row.has_requirements_file)].append(row.score)
 
-    flagged = sum(1 for n in notebooks if (n.nondeterministic_pattern_cells or 0) > 0)
+    flagged = sum(1 for row in notebooks if (row.nondeterministic_pattern_cells or 0) > 0)
     prevalence = flagged / len(notebooks) if notebooks else 0.0
 
     outcome_classes = {key: 0 for key in OUTCOME_CLASS_ORDER}
@@ -141,19 +145,18 @@ def aggregate_corpus(store: Store,
         repositories_with_requirements=with_req,
         repositories_without_requirements=without_req,
         total_notebooks=len(notebooks),
-        executed_notebooks=len(executions),
+        executed_notebooks=len(executed),
         zero_error_notebooks=zero_errors,
-        notebooks_with_errors=len(executions) - zero_errors,
+        notebooks_with_errors=len(executed) - zero_errors,
         total_error_records=total_error_records,
         error_types=dict(sorted(error_types.items())),
         error_categories=dict(sorted(error_categories.items())),
-        success_rate_by_requirements=success_rate_by_requirements(
-            executions, notebook_has_req),
+        success_rate_by_requirements=success_rate_by_requirements(executed),
         mean_score_by_requirements={
             "with_requirements": _mean(scores_by_stratum[True]),
             "without_requirements": _mean(scores_by_stratum[False]),
         },
-        scored_notebooks=len(metric_rows),
+        scored_notebooks=scored,
         score_categories=score_categories,
         mean_score=_mean(scores),
         nondeterministic_notebooks=flagged,
@@ -164,42 +167,19 @@ def aggregate_corpus(store: Store,
     )
 
 
-def latest_rows(store: Store) -> tuple[
-        dict[str, RunRecord], list[ExecutionRecord],
-        list[tuple[ReproducibilityMetrics, bool]]]:
-    """The latest run of each repository (keyed by repository_id), and the
-    execution rows and (metrics, structural_mismatch) rows of those runs."""
-    latest = store.latest_runs()
-    run_ids = {run.run_id for run in latest.values()}
-    executions = [record for record in store.list_executions()
-                  if record.run_id in run_ids]
-    metric_rows = [(metrics, mismatch) for metrics, mismatch in store.list_metrics()
-                   if metrics.run_id in run_ids]
-    return latest, executions, metric_rows
-
-
-def requirements_by_notebook(repositories: Iterable[Repository],
-                             notebook_repo: dict[str, str]) -> dict[str, bool]:
-    """Whether each notebook's repository has a requirements file, from a
-    notebook_id -> repository_id map."""
-    has_req = {r.repository_id: r.has_requirements_file for r in repositories}
-    return {notebook_id: has_req.get(repository_id, False)
-            for notebook_id, repository_id in notebook_repo.items()}
-
-
-def success_rate_by_requirements(executions: Iterable[ExecutionRecord],
-                                 notebook_has_requirements: dict[str, bool]
+def success_rate_by_requirements(notebooks: Iterable[LatestNotebook]
                                  ) -> dict[str, float | None]:
-    """Notebook success rate split by the repository's requirements status;
-    executions of unknown notebooks are left out."""
+    """Success rate of the executed notebooks split by their repository's
+    requirements status."""
+    success = ExecutionStatus.SUCCESS.value
     totals = {True: 0, False: 0}
     successes = {True: 0, False: 0}
-    for record in executions:
-        stratum = notebook_has_requirements.get(record.notebook_id)
-        if stratum is None:
+    for row in notebooks:
+        if row.execution_status is None:
             continue
+        stratum = bool(row.has_requirements_file)
         totals[stratum] += 1
-        if record.status is ExecutionStatus.SUCCESS:
+        if row.execution_status == success:
             successes[stratum] += 1
     return {
         "with_requirements": percentage(successes[True], totals[True]),

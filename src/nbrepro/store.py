@@ -4,7 +4,8 @@ One SQLite file holds the normalized schema linking repositories,
 notebooks, runs, executions, and reproducibility metrics through stable
 identifiers, so results stay joinable across invocations. Reads and
 writes share the one connection and are serialized behind a single lock;
-rows are immutable dataclasses once read.
+rows are immutable dataclasses once read, apart from the latest-run
+projection, which stays a tuple per notebook.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from nbrepro.compare import ReproducibilityMetrics
 from nbrepro.executor import (
@@ -80,6 +82,32 @@ class NotebookDescriptor:
         if not self.code_cell_count:
             return None
         return (self.markdown_cell_count or 0) / self.code_cell_count
+
+
+class LatestNotebook(NamedTuple):
+    """One notebook with what its repository's latest run recorded for it.
+
+    The run fields are None when the repository has no run, the execution
+    fields when that run did not execute the notebook, and the metrics
+    fields when it was not compared. Cell-index lists are not read.
+    """
+
+    notebook_id: str
+    has_requirements_file: int
+    nondeterministic_pattern_cells: int | None
+    run_id: str | None
+    provisioning_status: str | None
+    status_reason: str | None
+    execution_status: str | None
+    duration_s: float | None
+    code_cell_count: int | None
+    markdown_code_ratio: float | None
+    executed_notebook_path: str | None
+    different_count: int | None
+    nondeterministic_count: int | None
+    score: float | None
+    structural_mismatch: int | None
+    errors: tuple[ExecutionError, ...]
 
 
 def utc_now_iso() -> str:
@@ -167,6 +195,34 @@ CREATE TABLE IF NOT EXISTS reproducibility_metrics (
            OR identical_count + different_count + nondeterministic_count
               = total_code_cells)
 );
+"""
+
+# The latest run of each repository: the greatest (started_at, run_id).
+_LATEST_RUNS = """
+    SELECT * FROM (
+        SELECT *, ROW_NUMBER() OVER (PARTITION BY repository_id
+                                     ORDER BY started_at DESC, run_id DESC) AS recency
+        FROM repository_runs)
+    WHERE recency = 1
+"""
+
+# Errors stay last: they are the one column decoded in Python.
+_LATEST_NOTEBOOKS = f"""
+    WITH latest AS ({_LATEST_RUNS})
+    SELECT n.notebook_id, r.has_requirements_file, n.nondeterministic_pattern_cells,
+           l.run_id, l.provisioning_status, l.status_reason,
+           e.status, e.duration_s, e.code_cell_count, e.markdown_code_ratio,
+           e.executed_notebook_path,
+           m.different_count, m.nondeterministic_count, m.score,
+           m.structural_mismatch,
+           e.errors
+    FROM notebooks AS n
+    JOIN repositories AS r ON r.repository_id = n.repository_id
+    LEFT JOIN latest AS l ON l.repository_id = n.repository_id
+    LEFT JOIN notebook_executions AS e
+        ON e.notebook_id = n.notebook_id AND e.run_id = l.run_id
+    LEFT JOIN reproducibility_metrics AS m
+        ON m.notebook_id = n.notebook_id AND m.run_id = l.run_id
 """
 
 
@@ -338,11 +394,19 @@ class Store:
         return [_run_from_row(row) for row in rows]
 
     def latest_runs(self) -> dict[str, RunRecord]:
-        """Most recent run per repository (by start time, then run_id)."""
-        latest: dict[str, RunRecord] = {}
-        for run in self.list_runs():
-            latest[run.repository_id] = run
-        return latest
+        """Most recent run per repository (by start time, then run_id),
+        ordered by that run's start time and run_id."""
+        rows = self._read(f"SELECT * FROM ({_LATEST_RUNS}) ORDER BY started_at, run_id")
+        return {row["repository_id"]: _run_from_row(row) for row in rows}
+
+    def latest_notebooks(self) -> list[LatestNotebook]:
+        """Every notebook with its repository's latest run, and that run's
+        execution and metrics row for it, as plain tuples."""
+        with self._lock:
+            cursor = self._conn.cursor()
+            cursor.row_factory = None
+            rows = cursor.execute(_LATEST_NOTEBOOKS).fetchall()
+        return [LatestNotebook(*row[:-1], _errors_from_json(row[-1])) for row in rows]
 
     # ---- executions ---------------------------------------------------------
 
@@ -480,8 +544,10 @@ def _errors_to_json(errors: tuple[ExecutionError, ...]) -> str:
     ])
 
 
-def _execution_from_row(row: sqlite3.Row) -> ExecutionRecord:
-    errors = tuple(
+def _errors_from_json(text: str | None) -> tuple[ExecutionError, ...]:
+    if text is None or text == "[]":
+        return ()
+    return tuple(
         ExecutionError(
             error_type=e["error_type"],
             category=ErrorCategory(e["category"]),
@@ -489,8 +555,11 @@ def _execution_from_row(row: sqlite3.Row) -> ExecutionRecord:
             cell_index=e["cell_index"],
             count=e["count"],
         )
-        for e in json.loads(row["errors"])
+        for e in json.loads(text)
     )
+
+
+def _execution_from_row(row: sqlite3.Row) -> ExecutionRecord:
     return ExecutionRecord(
         notebook_id=row["notebook_id"],
         run_id=row["run_id"],
@@ -498,7 +567,7 @@ def _execution_from_row(row: sqlite3.Row) -> ExecutionRecord:
         duration_s=row["duration_s"],
         code_cell_count=row["code_cell_count"],
         markdown_code_ratio=row["markdown_code_ratio"],
-        errors=errors,
+        errors=_errors_from_json(row["errors"]),
         executed_notebook_path=row["executed_notebook_path"],
     )
 

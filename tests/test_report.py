@@ -19,8 +19,6 @@ from nbrepro.report import (
     aggregate_corpus,
     emit_reports,
     load_report,
-    requirements_by_notebook,
-    success_rate_by_requirements,
 )
 from nbrepro.store import (
     NotebookDescriptor,
@@ -184,10 +182,7 @@ def _stratified_store(store: Store) -> None:
 
 
 def _success_rates(store: Store) -> dict[str, float | None]:
-    notebook_repo = {n.notebook_id: n.repository_id for n in store.list_notebooks()}
-    return success_rate_by_requirements(
-        store.list_executions(),
-        requirements_by_notebook(store.list_repositories(), notebook_repo))
+    return aggregate_corpus(store).success_rate_by_requirements
 
 
 def test_success_rate_by_requirements_strata():
