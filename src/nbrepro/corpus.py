@@ -3,7 +3,8 @@
 Repositories are probed read-only over the standard git transport, cloned
 shallowly, and scanned for notebooks and dependency manifests. Identifiers
 are derived from content (URL hash, path hash) so the same repository maps
-to the same rows across invocations.
+to the same rows across invocations. Nothing here writes to the store: the
+pipeline records what these functions return.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from urllib.parse import urlparse, urlunparse
 
 from nbrepro import compare, notebook as nbmodel
 from nbrepro.notebook import NOTEBOOK_SUFFIX, CellKind
-from nbrepro.store import NotebookDescriptor, Repository, Store
+from nbrepro.store import NotebookDescriptor, Repository
 
 logger = logging.getLogger(__name__)
 
@@ -137,9 +138,9 @@ def current_revision(tree: Path) -> str | None:
     return result.stdout.strip() if result.returncode == 0 else None
 
 
-def acquire_repository(url: str, workdir: Path, store: Store,
+def acquire_repository(url: str, workdir: Path,
                        timeout: float | None = None) -> Repository:
-    """Shallow-clone the repository's default branch and persist its row.
+    """Shallow-clone the repository's default branch and describe it.
 
     The working tree lands under ``workdir/<repository_id>/tree``; an
     existing tree from a prior invocation is replaced so every run starts
@@ -162,28 +163,25 @@ def acquire_repository(url: str, workdir: Path, store: Store,
             f"clone of {url} failed: {result.stderr.strip()[:500]}")
 
     manifest_paths = find_manifest_paths(tree)
-    repo = Repository(
+    return Repository(
         repository_id=repository_id,
         url=normalize_url(url),
         local_path=str(tree),
         accessible=True,
         has_requirements_file=any(
             Path(p).name == "requirements.txt" for p in manifest_paths),
-        notebook_count=0,
         manifest_paths=tuple(manifest_paths),
     )
-    store.upsert_repository(repo)
-    return repo
 
 
-def discover_notebooks(repo: Repository, store: Store
+def discover_notebooks(repo: Repository
                        ) -> tuple[list[NotebookDescriptor],
                                   dict[str, nbmodel.ParsedNotebook]]:
     """One descriptor per notebook file, in deterministic path-sorted order,
     plus every notebook that parses, keyed by its relative path in the same
     order, so dependency inference need not parse the files again.
 
-    Unparseable notebooks are recorded with the parse-failure flag rather
+    Unparseable notebooks are described with the parse-failure flag rather
     than skipped. Each parsed notebook is also scanned for non-determinism
     patterns so corpus prevalence can be reported later without reopening
     files.
@@ -223,8 +221,4 @@ def discover_notebooks(repo: Repository, store: Store
             markdown_cell_count=markdown,
             nondeterministic_pattern_cells=compare.count_pattern_cells(nb),
         ))
-
-    for descriptor in descriptors:
-        store.upsert_notebook(descriptor)
-    store.set_notebook_count(repo.repository_id, len(descriptors))
     return descriptors, parsed

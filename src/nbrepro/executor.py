@@ -197,25 +197,26 @@ def execute_notebook(
     executed_name = f"{rel.stem}.executed.ipynb"
     container_name = f"nbrepro-{run_id}-{descriptor.notebook_id}"
 
+    run_args = ["--name", container_name, "--workdir", in_container_dir,
+                "--label", f"nbrepro.repository_id={descriptor.repository_id}"]
+    if cpu_limit:
+        run_args += ["--cpus", cpu_limit]
+    if memory_limit:
+        run_args += ["--memory", memory_limit]
+
     started = time.monotonic()
-    attempt = _run_convert(
-        docker, image, container_name, in_container_dir, rel.name, executed_name,
-        kernel_name=None, timeout=timeout, repository_label=descriptor.repository_id,
-        cpu_limit=cpu_limit, memory_limit=memory_limit,
-    )
-    attempts = [attempt]
-    if (attempt.exit_code != 0 and not attempt.timed_out
-            and _KERNEL_NOT_FOUND_RE.search(attempt.stderr)):
-        logger.info("kernel %r not in image for %s, retrying on %s",
-                    descriptor.kernel_name, descriptor.relative_path, FALLBACK_KERNEL)
-        docker.remove_container(container_name)
-        attempt = _run_convert(
-            docker, image, container_name, in_container_dir, rel.name, executed_name,
-            kernel_name=FALLBACK_KERNEL, timeout=timeout,
-            repository_label=descriptor.repository_id,
-            cpu_limit=cpu_limit, memory_limit=memory_limit,
-        )
+    attempts: list[_ConvertAttempt] = []
+    for kernel_name in (None, FALLBACK_KERNEL):
+        if attempts:
+            logger.info("kernel %r not in image for %s, retrying on %s",
+                        descriptor.kernel_name, descriptor.relative_path, FALLBACK_KERNEL)
+            docker.remove_container(container_name)
+        command = _nbconvert_command(rel.name, executed_name, kernel_name)
+        attempt = _run_convert(docker, image, command, run_args, timeout)
         attempts.append(attempt)
+        if (attempt.exit_code == 0 or attempt.timed_out
+                or not _KERNEL_NOT_FOUND_RE.search(attempt.stderr)):
+            break
     duration = time.monotonic() - started
 
     if log_path is not None:
@@ -241,12 +242,10 @@ def execute_notebook(
                 record.errors = (_error_from_stderr(attempt.stderr),)
             return record
 
-        artifact = _copy_out_artifact(
-            docker, container_name,
-            f"{in_container_dir}/{executed_name}",
-            artifacts_dir / run_id / descriptor.relative_path,
-        )
-        if artifact is None:
+        artifact = artifacts_dir / run_id / descriptor.relative_path
+        artifact.parent.mkdir(parents=True, exist_ok=True)
+        if not docker.copy_from_container(
+                container_name, f"{in_container_dir}/{executed_name}", artifact):
             record.status = ExecutionStatus.NOTEBOOK_NOT_FOUND
             return record
         record.executed_notebook_path = str(artifact)
@@ -274,17 +273,8 @@ def execute_notebook(
         docker.remove_container(container_name)
 
 
-def _run_convert(docker: "DockerCli", image: str, container_name: str,
-                 workdir: str, notebook_name: str, output_name: str, *,
-                 kernel_name: str | None, timeout: float, repository_label: str,
-                 cpu_limit: str | None, memory_limit: str | None) -> _ConvertAttempt:
-    run_args = ["--name", container_name, "--workdir", workdir,
-                "--label", f"nbrepro.repository_id={repository_label}"]
-    if cpu_limit:
-        run_args += ["--cpus", cpu_limit]
-    if memory_limit:
-        run_args += ["--memory", memory_limit]
-    command = _nbconvert_command(notebook_name, output_name, kernel_name)
+def _run_convert(docker: "DockerCli", image: str, command: list[str],
+                 run_args: list[str], timeout: float) -> _ConvertAttempt:
     result = docker.run_container(image, command, run_args, timeout=timeout)
     if result is None:
         return _ConvertAttempt(command, exit_code=-1, stdout="", stderr="",
@@ -313,11 +303,3 @@ def _error_from_stderr(stderr: str) -> ExecutionError:
         message=last_line[:500],
         cell_index=0,
     )
-
-
-def _copy_out_artifact(docker: "DockerCli", container_name: str,
-                       container_path: str, destination: Path) -> Path | None:
-    destination.parent.mkdir(parents=True, exist_ok=True)
-    if docker.copy_from_container(container_name, container_path, destination):
-        return destination
-    return None

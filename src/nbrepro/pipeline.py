@@ -6,9 +6,11 @@ never corpus aborts. All parallelism lives here and nowhere else: ``--jobs``
 is one budget of slots shared by repository stages and notebook runs, so a
 large repository's notebooks run side by side while the clean room holds
 (a repository's cleanup and no-cache build finish before any of its
-notebooks start, and each notebook gets its own fresh container). Every
-stage appends machine-parseable events to the invocation's event log
-alongside the raw tool logs.
+notebooks start, and each notebook gets its own fresh container). This
+module is the only writer of the store: a stage records each repository's
+outcome in one transaction on that repository's thread, never a partial
+one. Every stage appends machine-parseable events to the invocation's event
+log alongside the raw tool logs.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from nbrepro import compare as comparemod
 from nbrepro import containerize, corpus, depinfer, executor, notebook as nbmodel
 from nbrepro.config import PipelineConfig
 from nbrepro.containerize import BuildFailure, DockerCli
-from nbrepro.executor import ExecutionStatus
+from nbrepro.executor import ExecutionRecord, ExecutionStatus
 from nbrepro.store import (
     NotebookDescriptor,
     ProvisioningStatus,
@@ -196,47 +198,36 @@ class Pipeline:
             started_at=utc_now_iso(),
         )
         result.run_id = run.run_id
+        known = Repository(repository_id=repository_id, url=corpus.normalize_url(url))
 
         if validation is not corpus.ValidationResult.ACCESSIBLE:
-            self.store.upsert_repository(Repository(
-                repository_id=repository_id, url=corpus.normalize_url(url),
-                accessible=False))
-            self.store.insert_run(run)
-            self.store.finish_run(run, ProvisioningStatus.INVALID_URL,
-                                  reason=validation.value)
+            self._record_inferred(known, run, ProvisioningStatus.INVALID_URL,
+                                  validation.value)
             self.events.emit("infer", "invalid_url", url=url,
                              repository_id=repository_id, reason=validation.value)
             return result
 
         try:
             repo = corpus.acquire_repository(
-                url, Path(self.config.artifacts_dir) / "repos", self.store)
+                url, Path(self.config.artifacts_dir) / "repos")
         except corpus.AcquisitionError as exc:
             # Transient: validation said accessible but the clone failed.
-            self.store.upsert_repository(Repository(
-                repository_id=repository_id, url=corpus.normalize_url(url),
-                accessible=True))
-            self.store.insert_run(run)
-            self.store.finish_run(run, ProvisioningStatus.PENDING,
-                                  reason=f"acquisition failed: {exc}")
+            self._record_inferred(replace(known, accessible=True), run,
+                                  ProvisioningStatus.PENDING,
+                                  f"acquisition failed: {exc}")
             self.events.emit("infer", "acquisition_failed", url=url, error=str(exc))
             result.completed = False
             result.degraded_reason = str(exc)
             return result
 
         tree = Path(repo.local_path or "")
-        run = RunRecord(
-            run_id=run.run_id, repository_id=repository_id,
-            invocation_id=self.invocation_id, started_at=run.started_at,
-            revision=corpus.current_revision(tree),
-        )
-        self.store.insert_run(run)
-
-        descriptors, parsed = corpus.discover_notebooks(repo, self.store)
+        run = replace(run, revision=corpus.current_revision(tree))
+        descriptors, parsed = corpus.discover_notebooks(repo)
+        repo = replace(repo, notebook_count=len(descriptors))
         self.events.emit("infer", "discovered", repository_id=repository_id,
                          notebooks=len(descriptors))
         if not descriptors:
-            self.store.finish_run(run, ProvisioningStatus.NO_PYTHON_NOTEBOOKS)
+            self._record_inferred(repo, run, ProvisioningStatus.NO_PYTHON_NOTEBOOKS)
             return result
 
         spec = depinfer.synthesize_dependency_spec(
@@ -250,9 +241,25 @@ class Pipeline:
         recipe = containerize.generate_build_recipe(
             spec, context_dir=tree, base_image=self.config.base_image)
         containerize.write_recipe(recipe, _dockerfile_for(tree))
+        # The run is Pending, i.e. ready to execute, only once its recipe is
+        # on disk.
+        self._record_inferred(repo, run, notebooks=descriptors)
         self.events.emit("infer", "synthesized", repository_id=repository_id,
                          requirements=len(spec.requirements))
         return result
+
+    def _record_inferred(self, repo: Repository, run: RunRecord,
+                         status: ProvisioningStatus | None = None, reason: str | None = None,
+                         notebooks: list[NotebookDescriptor] | tuple = ()) -> None:
+        """One infer outcome in one transaction: the repository row, its
+        notebooks and its run, finished with ``status`` unless that is None."""
+        with self.store.transaction():
+            self.store.upsert_repository(repo)
+            for descriptor in notebooks:
+                self.store.upsert_notebook(descriptor)
+            self.store.insert_run(run)
+            if status is not None:
+                self.store.finish_run(run, status, reason=reason)
 
     def _canonical_input(self, raw_input: str) -> str:
         candidate = Path(raw_input)
@@ -310,23 +317,26 @@ class Pipeline:
             return result
 
         # The image is built: the notebooks fan out on the shared budget.
-        statuses = self.budget.map(
+        # Their rows commit with the run's outcome: an interrupted execute
+        # leaves the run Pending with no rows, and the next one repeats it.
+        records = self.budget.map(
             functools.partial(self._execute_notebook, run.run_id, built, logdir),
             self.store.list_notebooks(repo.repository_id))
 
         # An environment in which no notebook ever found a usable kernel is
         # a provisioning-level kernel failure, not a built environment.
-        if statuses and all(s is ExecutionStatus.KERNEL_NOT_FOUND for s in statuses):
-            self.store.finish_run(run, ProvisioningStatus.KERNEL_NOT_FOUND,
-                                  image_reference=built)
-        else:
-            self.store.finish_run(run, ProvisioningStatus.ENVIRONMENT_BUILT,
-                                  image_reference=built)
+        status = ProvisioningStatus.ENVIRONMENT_BUILT
+        if records and all(r.status is ExecutionStatus.KERNEL_NOT_FOUND for r in records):
+            status = ProvisioningStatus.KERNEL_NOT_FOUND
+        with self.store.transaction():
+            for record in records:
+                self.store.insert_execution(record)
+            self.store.finish_run(run, status, image_reference=built)
         return result
 
     def _execute_notebook(self, run_id: str, image: str, logdir: Path,
-                          descriptor: NotebookDescriptor) -> ExecutionStatus:
-        """One notebook in its own fresh container; the record is stored."""
+                          descriptor: NotebookDescriptor) -> ExecutionRecord:
+        """One notebook in its own fresh container; returns its record."""
         self.events.emit("execute", "notebook_start",
                          notebook_id=descriptor.notebook_id,
                          relative_path=descriptor.relative_path)
@@ -339,12 +349,11 @@ class Pipeline:
             cpu_limit=self.config.cpu_limit,
             memory_limit=self.config.memory_limit,
         )
-        self.store.insert_execution(record)
         self.events.emit("execute", "notebook_done",
                          notebook_id=descriptor.notebook_id,
                          status=record.status.value,
                          duration_s=record.duration_s)
-        return record.status
+        return record
 
     # ---- stage 4: comparison -------------------------------------------------
 

@@ -3,9 +3,10 @@
 One SQLite file holds the normalized schema linking repositories,
 notebooks, runs, executions, and reproducibility metrics through stable
 identifiers, so results stay joinable across invocations. Reads and
-writes share the one connection and are serialized behind a single lock;
-rows are immutable dataclasses once read, apart from the latest-run
-projection, which stays a tuple per notebook.
+writes share the one connection and are serialized behind one re-entrant
+lock. Every write runs inside ``Store.transaction()``, so the writes of one
+block are recorded whole or not at all. Rows are immutable dataclasses once
+read, apart from the latest-run projection, which stays a tuple per notebook.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import sqlite3
 import threading
 import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
@@ -235,7 +237,8 @@ class Store:
             Path(self.path).parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(self.path, check_same_thread=False)
         self._conn.row_factory = sqlite3.Row
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
+        self._depth = 0  # open transaction() levels, guarded by _lock
         with self._lock:
             self._conn.execute("PRAGMA foreign_keys = ON")
             self._conn.executescript(_SCHEMA)
@@ -254,13 +257,27 @@ class Store:
         with self._lock:
             return self._conn.execute(sql, params).fetchall()
 
-    def _write(self, sql: str, params: tuple = ()) -> None:
+    @contextmanager
+    def transaction(self):
+        """Hold the store for a block of writes: they commit together when
+        the outermost block exits and roll back if it raises. Other threads
+        wait for the block, so keep slow work outside it."""
         with self._lock:
+            self._depth += 1
+            try:
+                if self._depth > 1:
+                    yield
+                else:
+                    with self._conn:  # commits, or rolls back on any failure
+                        yield
+            finally:
+                self._depth -= 1
+
+    def _write(self, sql: str, params: tuple = ()) -> None:
+        with self.transaction():
             try:
                 self._conn.execute(sql, params)
-                self._conn.commit()
             except sqlite3.IntegrityError as exc:
-                self._conn.rollback()
                 raise StoreError(str(exc)) from exc
 
     # ---- repositories -----------------------------------------------------
@@ -284,10 +301,6 @@ class Store:
              int(repo.has_requirements_file), repo.notebook_count,
              json.dumps(list(repo.manifest_paths))),
         )
-
-    def set_notebook_count(self, repository_id: str, count: int) -> None:
-        self._write("UPDATE repositories SET notebook_count = ? WHERE repository_id = ?",
-                    (count, repository_id))
 
     def get_repository(self, repository_id: str) -> Repository | None:
         rows = self._read("SELECT * FROM repositories WHERE repository_id = ?",

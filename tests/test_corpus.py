@@ -18,8 +18,6 @@ from nbrepro.corpus import (
     repository_id_for,
     validate_repository,
 )
-from nbrepro.store import Store
-
 from conftest import (
     code_cell,
     make_git_repo,
@@ -29,12 +27,6 @@ from conftest import (
 )
 
 pytestmark = requires_git
-
-
-@pytest.fixture()
-def store():
-    with Store(":memory:") as s:
-        yield s
 
 
 def _notebook_file(*cells, kernel="python3"):
@@ -85,89 +77,95 @@ def test_missing_repo_removed_or_private(tmp_path):
 
 # ---- acquire_repository ----------------------------------------------------------
 
-def test_acquire_sets_requirements_probe(tmp_path, store):
+def test_acquire_sets_requirements_probe(tmp_path):
     url = make_git_repo(tmp_path / "proj", {
         "requirements.txt": "numpy\n",
         "nb.ipynb": _notebook_file(code_cell("print(1)")),
     })
-    repo = acquire_repository(url, tmp_path / "work", store)
+    repo = acquire_repository(url, tmp_path / "work")
     assert repo.has_requirements_file
     assert repo.accessible
     assert "requirements.txt" in repo.manifest_paths
-    assert store.get_repository(repo.repository_id) == repo
+    # the row infer persists (tests/test_pipeline.py checks that it does)
+    assert repo.repository_id == repository_id_for(url)
+    assert repo.url == normalize_url(url)
+    assert repo.local_path == str(tmp_path / "work" / repo.repository_id / "tree")
+    assert repo.notebook_count == 0
 
 
-def test_acquire_without_requirements(tmp_path, store):
+def test_acquire_without_requirements(tmp_path):
     url = make_git_repo(tmp_path / "proj", {"main.py": "print(1)\n"})
-    repo = acquire_repository(url, tmp_path / "work", store)
+    repo = acquire_repository(url, tmp_path / "work")
     assert not repo.has_requirements_file
 
 
-def test_nested_manifests_all_recorded(tmp_path, store):
+def test_nested_manifests_all_recorded(tmp_path):
     url = make_git_repo(tmp_path / "proj", {
         "env/requirements.txt": "a\n",
         "requirements.txt": "b\n",
         "setup.py": "from setuptools import setup\nsetup()\n",
     })
-    repo = acquire_repository(url, tmp_path / "work", store)
+    repo = acquire_repository(url, tmp_path / "work")
     assert repo.manifest_paths == ("env/requirements.txt", "requirements.txt",
                                    "setup.py")
 
 
-def test_same_url_same_repository_id(tmp_path, store):
+def test_same_url_same_repository_id(tmp_path):
     url = make_git_repo(tmp_path / "proj", {"x.py": ""})
-    first = acquire_repository(url, tmp_path / "work", store)
-    second = acquire_repository(url, tmp_path / "work", store)
+    first = acquire_repository(url, tmp_path / "work")
+    second = acquire_repository(url, tmp_path / "work")
     assert first.repository_id == second.repository_id
-    assert len(store.list_repositories()) == 1
+    # one repository row per URL is checked at infer level
+    assert first == second
 
 
-def test_acquire_failure_raises_transient(tmp_path, store):
+def test_acquire_failure_raises_transient(tmp_path):
     with pytest.raises(AcquisitionError):
         acquire_repository((tmp_path / "missing").resolve().as_uri(),
-                           tmp_path / "work", store)
+                           tmp_path / "work")
 
 
 # ---- discover_notebooks -----------------------------------------------------------
 
-def test_discovery_order_and_persistence(tmp_path, store):
+def test_discovery_order_and_persistence(tmp_path):
     url = make_git_repo(tmp_path / "proj", {
         "a.ipynb": _notebook_file(code_cell("1")),
         "sub/b.ipynb": _notebook_file(code_cell("2")),
     })
-    repo = acquire_repository(url, tmp_path / "work", store)
-    descriptors, parsed = discover_notebooks(repo, store)
+    repo = acquire_repository(url, tmp_path / "work")
+    descriptors, parsed = discover_notebooks(repo)
     assert [d.relative_path for d in descriptors] == ["a.ipynb", "sub/b.ipynb"]
     assert list(parsed) == ["a.ipynb", "sub/b.ipynb"]
-    assert store.get_repository(repo.repository_id).notebook_count == 2
-    assert {d.notebook_id for d in store.list_notebooks(repo.repository_id)} == {
-        d.notebook_id for d in descriptors}
+    # infer persists these descriptors and their count (tests/test_pipeline.py)
+    assert [d.notebook_id for d in descriptors] == [
+        notebook_id_for(repo.repository_id, d.relative_path) for d in descriptors]
+    assert {d.repository_id for d in descriptors} == {repo.repository_id}
 
 
-def test_tree_without_notebooks(tmp_path, store):
+def test_tree_without_notebooks(tmp_path):
     url = make_git_repo(tmp_path / "proj", {"only.py": "pass\n"})
-    repo = acquire_repository(url, tmp_path / "work", store)
-    assert discover_notebooks(repo, store) == ([], {})
-    assert store.get_repository(repo.repository_id).notebook_count == 0
+    repo = acquire_repository(url, tmp_path / "work")
+    # the persisted notebook_count of 0 is checked at infer level
+    assert discover_notebooks(repo) == ([], {})
 
 
-def test_non_default_kernel_carried_verbatim(tmp_path, store):
+def test_non_default_kernel_carried_verbatim(tmp_path):
     url = make_git_repo(tmp_path / "proj", {
         "r_analysis.ipynb": _notebook_file(code_cell("plot(1)"), kernel="ir42"),
     })
-    repo = acquire_repository(url, tmp_path / "work", store)
-    (descriptor,), _ = discover_notebooks(repo, store)
+    repo = acquire_repository(url, tmp_path / "work")
+    (descriptor,), _ = discover_notebooks(repo)
     assert descriptor.kernel_name == "ir42"
     assert descriptor.nbformat_version == (4, 5)
 
 
-def test_unreadable_notebook_recorded_not_skipped(tmp_path, store):
+def test_unreadable_notebook_recorded_not_skipped(tmp_path):
     url = make_git_repo(tmp_path / "proj", {
         "broken.ipynb": "{not json",
         "fine.ipynb": _notebook_file(code_cell("1")),
     })
-    repo = acquire_repository(url, tmp_path / "work", store)
-    descriptors, parsed = discover_notebooks(repo, store)
+    repo = acquire_repository(url, tmp_path / "work")
+    descriptors, parsed = discover_notebooks(repo)
     assert [d.relative_path for d in descriptors] == ["broken.ipynb", "fine.ipynb"]
     assert list(parsed) == ["fine.ipynb"]
     broken = descriptors[0]
@@ -176,24 +174,25 @@ def test_unreadable_notebook_recorded_not_skipped(tmp_path, store):
     assert not descriptors[1].parse_failed
 
 
-def test_rediscovery_is_deterministic(tmp_path, store):
+def test_rediscovery_is_deterministic(tmp_path):
     url = make_git_repo(tmp_path / "proj", {
         "z.ipynb": _notebook_file(code_cell("print('z')"), markdown_cell("m")),
         "a/n.ipynb": _notebook_file(code_cell("import random\nrandom.random()")),
     })
-    repo = acquire_repository(url, tmp_path / "work", store)
-    first = discover_notebooks(repo, store)
-    second = discover_notebooks(repo, store)
+    repo = acquire_repository(url, tmp_path / "work")
+    first = discover_notebooks(repo)
+    second = discover_notebooks(repo)
+    # stable notebook rows across infer invocations: tests/test_pipeline.py
     assert first == second
 
 
-def test_pattern_scan_recorded_on_descriptor(tmp_path, store):
+def test_pattern_scan_recorded_on_descriptor(tmp_path):
     url = make_git_repo(tmp_path / "proj", {
         "nd.ipynb": _notebook_file(code_cell("import time\nt = time.time()"),
                                    code_cell("print('stable')")),
     })
-    repo = acquire_repository(url, tmp_path / "work", store)
-    (descriptor,), _ = discover_notebooks(repo, store)
+    repo = acquire_repository(url, tmp_path / "work")
+    (descriptor,), _ = discover_notebooks(repo)
     assert descriptor.nondeterministic_pattern_cells == 1
     assert descriptor.code_cell_count == 2
 

@@ -433,3 +433,124 @@ def test_single_repository_execute_runs_notebooks_side_by_side(tmp_path):
         assert result.completed
         assert len(store.list_executions(inferred.run_id)) == 6
     assert docker.peak_running == 2
+
+
+# ---- each stage records a repository's outcome in one transaction ----------
+
+def test_infer_persists_repository_and_notebooks(env):
+    """The rows infer writes equal what acquisition and discovery return,
+    with the notebook count; a later invocation keeps one repository row
+    and the same notebook rows."""
+    config, store, tmp_path = env
+    url = make_git_repo(tmp_path / "origin", {
+        "requirements.txt": "numpy\n",
+        "a.ipynb": _original("print(1)", "1\n").decode(),
+        "sub/b.ipynb": _original("print(2)", "2\n").decode(),
+    })
+    first = Pipeline(config, store, FakeDocker()).infer_repository(url)
+    repo = store.get_repository(first.repository_id)
+    notebooks = store.list_notebooks(first.repository_id)
+    assert repo.notebook_count == 2
+    assert repo == replace(corpus.acquire_repository(
+        url, Path(config.artifacts_dir) / "repos"), notebook_count=2)
+    assert notebooks == corpus.discover_notebooks(repo)[0]
+
+    second = Pipeline(config, store, FakeDocker()).infer_repository(url)
+    assert second.run_id != first.run_id
+    assert store.list_repositories() == [repo]
+    assert store.list_notebooks() == notebooks
+
+
+def test_infer_without_notebooks_records_count_zero(env):
+    config, store, tmp_path = env
+    url = make_git_repo(tmp_path / "origin", {"only.py": "pass\n"})
+    result = Pipeline(config, store, FakeDocker()).infer_repository(url)
+    assert store.get_repository(result.repository_id).notebook_count == 0
+    assert store.list_notebooks() == []
+    assert (store.get_run(result.run_id).provisioning_status
+            is ProvisioningStatus.NO_PYTHON_NOTEBOOKS)
+
+
+def test_failed_recipe_write_records_nothing(env, monkeypatch):
+    config, store, tmp_path = env
+    docker = FakeDocker()
+    url = _two_notebook_repo(tmp_path, docker)
+
+    def no_space(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(containerize, "write_recipe", no_space)
+    with pytest.raises(OSError):
+        Pipeline(config, store, docker).infer_repository(url)
+    assert store.list_repositories() == []
+    assert store.list_runs() == []
+    assert store.list_notebooks() == []
+
+
+class _InterruptedDocker(FakeDocker):
+    """Raises KeyboardInterrupt, as Ctrl-C would, in place of container run
+    number ``interrupt_at`` (counting from 0); every other run succeeds."""
+
+    def __init__(self, interrupt_at: int):
+        super().__init__()
+        self._lock = threading.Lock()
+        self.interrupt_at = interrupt_at
+        self.runs = 0
+
+    def run_container(self, image, command, run_args, timeout=None):
+        with self._lock:
+            index, self.runs = self.runs, self.runs + 1
+        if index == self.interrupt_at:
+            raise KeyboardInterrupt
+        return super().run_container(image, command, run_args, timeout)
+
+
+def _execute_and_compare(pipeline, run_id):
+    store = pipeline.store
+    (result,) = pipeline.map_repositories([store.get_run(run_id)],
+                                          pipeline.execute_run)
+    pipeline.compare_run(store.get_run(run_id))
+    return result
+
+
+def _four_notebook_repo(tmp_path) -> str:
+    return make_git_repo(tmp_path / "origin", {
+        f"a{i}.ipynb": _original(f"print({i})", f"{i}\n").decode()
+        for i in range(4)})
+
+
+@pytest.mark.parametrize("interrupt_at", range(4))
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_interrupted_execute_leaves_no_rows_and_reruns_whole(
+        tmp_path, jobs, interrupt_at):
+    url = _four_notebook_repo(tmp_path)
+    clean = FakeDocker()
+    _plant_artifacts(clean)
+    config = _config(tmp_path / "clean", jobs)
+    with Store(config.store_path) as store:
+        pipeline = Pipeline(config, store, clean)
+        assert _execute_and_compare(
+            pipeline, pipeline.infer_repository(url).run_id).completed
+        expected = _comparable_rows(store, config.artifacts_dir)
+
+    docker = _InterruptedDocker(interrupt_at)
+    _plant_artifacts(docker)
+    config = _config(tmp_path / "interrupted", jobs)
+    with Store(config.store_path) as store:
+        pipeline = Pipeline(config, store, docker)
+        run_id = pipeline.infer_repository(url).run_id
+        with pytest.raises(KeyboardInterrupt):
+            pipeline.map_repositories([store.get_run(run_id)],
+                                      pipeline.execute_run)
+        left = (store.get_run(run_id).provisioning_status,
+                store.list_executions())
+
+        # partial rows would make the rerun fail on the executions' key
+        assert _execute_and_compare(pipeline, run_id).degraded_reason is None
+        assert left == (ProvisioningStatus.PENDING, [])
+        assert _comparable_rows(store, config.artifacts_dir) == expected
+    # the rerun repeated the clean room and every notebook
+    builds = [i for i, call in enumerate(docker.calls) if call[0] == "build"]
+    assert len(builds) == 2
+    assert sum(1 for call in docker.calls[builds[1]:]
+               if call[0] == "run_container") == 4

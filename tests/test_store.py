@@ -80,6 +80,29 @@ def test_duplicate_run_id_rejected(store):
         _run(store, invocation="inv2")
 
 
+def test_failed_statement_rolls_back_its_transaction(store):
+    store.upsert_repository(_repo())
+    with pytest.raises(StoreError):
+        with store.transaction():
+            _run(store)
+            _run(store, invocation="inv2")  # duplicate run_id
+    assert store.list_runs() == []
+    assert store.get_repository("repo1") is not None
+
+
+def test_outer_transaction_rolls_back_finished_nested_block(store):
+    store.upsert_repository(_repo())
+    with pytest.raises(RuntimeError):
+        with store.transaction():
+            with store.transaction():
+                _run(store)
+            assert store.get_run("run1") is not None
+            raise RuntimeError("interrupted after the nested block")
+    assert store.list_runs() == []
+    _run(store)
+    assert [run.run_id for run in store.list_runs()] == ["run1"]
+
+
 def test_one_run_per_repository_and_invocation(store):
     store.upsert_repository(_repo())
     _run(store, run_id="run1")
