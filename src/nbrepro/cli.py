@@ -24,23 +24,24 @@ from pathlib import Path
 from nbrepro import __version__, report as reportmod
 from nbrepro.config import ConfigError, PipelineConfig
 from nbrepro.containerize import DockerCli
-from nbrepro.executor import ExecutionRecord, ExecutionStatus
+from nbrepro.executor import ExecutionStatus
 from nbrepro.outcomes import (
     BaselineRecord,
     CurrentOutcome,
-    DriftMetrics,
     OutcomeClass,
     assign_outcome_class,
     baseline_success_rate_by_requirements,
     match_baselines,
     read_baseline_csv,
     resolution_rate,
+    shows_drift,
 )
 from nbrepro.pipeline import (
     EXIT_COMPLETE,
     EXIT_FATAL,
     Pipeline,
     PredecessorStateMissing,
+    RepositoryResult,
     exit_code_for,
 )
 from nbrepro.store import LatestNotebook, ProvisioningStatus, Store
@@ -136,10 +137,14 @@ def cmd_run(config: PipelineConfig, store: Store) -> int:
     if config.baseline_path is not None:
         cmd_classify(config, store)
     _emit_report(config, store)
+    _log_results(results)
+    return code
+
+
+def _log_results(results: list[RepositoryResult]) -> None:
     for result in results:
         state = "ok" if result.completed else f"degraded: {result.degraded_reason}"
         logger.info("%s -> %s", result.url, state)
-    return code
 
 
 def cmd_infer(config: PipelineConfig, store: Store) -> int:
@@ -170,6 +175,7 @@ def cmd_execute(config: PipelineConfig, store: Store) -> int:
             "no inferred runs are awaiting execution; run the infer "
             "subcommand first")
     results = pipeline.map_repositories(runs, pipeline.execute_run)
+    _log_results(results)
     return exit_code_for(results)
 
 
@@ -201,8 +207,7 @@ def cmd_classify(config: PipelineConfig, store: Store) -> int:
     report_dir = Path(config.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
     out_path = report_dir / CLASSIFICATION_FILE
-    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+    out_path.write_text(_render_classification(payload), encoding="utf-8")
     logger.info("classification written to %s", out_path)
     return EXIT_COMPLETE
 
@@ -211,20 +216,27 @@ def _classification(baselines: list[BaselineRecord], store: Store) -> dict:
     notebooks = {row.notebook_id: row for row in store.latest_notebooks()}
     matched, unmatched = match_baselines(baselines, notebooks.keys())
 
+    # A class depends only on the baseline's two statuses and the notebook's
+    # signature, and a corpus repeats few of them: classify each once.
+    classes: dict[tuple[str, str, CurrentOutcome], OutcomeClass] = {}
     assignments: list[tuple[BaselineRecord, OutcomeClass]] = []
-    counts: dict[str, int] = {}
+    counts: dict[OutcomeClass, int] = {}
     for baseline in matched:
-        outcome = assign_outcome_class(
-            baseline, _current_outcome(notebooks[baseline.notebook_id]))
+        current = _current_outcome(notebooks[baseline.notebook_id])
+        key = (baseline.prev_dependency_install, baseline.prev_execution_status,
+               current)
+        outcome = classes.get(key)
+        if outcome is None:
+            outcome = classes[key] = assign_outcome_class(baseline, current)
         assignments.append((baseline, outcome))
-        counts[outcome.value] = counts.get(outcome.value, 0) + 1
+        counts[outcome] = counts.get(outcome, 0) + 1
 
     notebook_has_req = {notebook_id: bool(row.has_requirements_file)
                         for notebook_id, row in notebooks.items()}
     return {
         "note": _INTERPRETATION_NOTE,
         "resolution_rate": resolution_rate(assignments),
-        "counts": dict(sorted(counts.items())),
+        "counts": dict(sorted((cls.value, n) for cls, n in counts.items())),
         "baseline_success_rate_by_requirements":
             baseline_success_rate_by_requirements(matched, notebook_has_req),
         "containerized_success_rate_by_requirements":
@@ -238,33 +250,41 @@ def _classification(baselines: list[BaselineRecord], store: Store) -> dict:
 
 
 def _current_outcome(row: LatestNotebook) -> CurrentOutcome:
-    """One notebook's outcome in its repository's latest run."""
+    """One notebook's signature in its repository's latest run."""
     if row.provisioning_status is None:
-        return CurrentOutcome(provisioning_status=ProvisioningStatus.PENDING)
+        return CurrentOutcome(ProvisioningStatus.PENDING)
     status = ProvisioningStatus(row.provisioning_status)
     phase = None
     if status is ProvisioningStatus.BUILD_FAILED and row.status_reason:
         phase = row.status_reason.split(":", 1)[0].strip()
     execution = None
     if row.execution_status is not None:
-        execution = ExecutionRecord(
-            notebook_id=row.notebook_id, run_id=row.run_id,
-            status=ExecutionStatus(row.execution_status),
-            duration_s=row.duration_s, code_cell_count=row.code_cell_count,
-            markdown_code_ratio=row.markdown_code_ratio, errors=row.errors,
-            executed_notebook_path=row.executed_notebook_path)
-    metrics = None
-    if row.structural_mismatch is not None:
-        # An unscored row reads as an empty partition with no score.
-        metrics = (DriftMetrics(0, 0, None) if row.structural_mismatch else
-                   DriftMetrics(row.different_count, row.nondeterministic_count,
-                                row.score))
-    return CurrentOutcome(
-        provisioning_status=status,
-        execution=execution,
-        metrics=metrics,
-        build_failure_phase=phase,
-    )
+        execution = ExecutionStatus(row.execution_status)
+    # An unscored (structural-mismatch) or uncompared row shows no drift.
+    drifted = row.structural_mismatch == 0 and shows_drift(
+        row.different_count, row.nondeterministic_count, row.score)
+    return CurrentOutcome(status, phase, execution,
+                          frozenset(error_type for error_type, _ in row.errors),
+                          drifted)
+
+
+# One assignment as json.dumps(..., indent=2) lays it out inside the payload.
+_ASSIGNMENT = '    {\n      "notebook_id": %s,\n      "outcome_class": %s\n    }'
+
+
+def _render_classification(payload: dict) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for
+    byte. The indenting encoder is pure Python, so the assignments, one per
+    notebook, are written from a template with C-encoded strings instead."""
+    quote = json.encoder.encode_basestring_ascii
+    rows = ",\n".join(
+        _ASSIGNMENT % (quote(a["notebook_id"]), quote(a["outcome_class"]))
+        for a in payload["assignments"])
+    head = json.dumps({k: v for k, v in payload.items() if k != "assignments"},
+                      indent=2, sort_keys=True)
+    # "assignments" sorts before every other key, so it opens the object.
+    return ('{\n  "assignments": ' + (f"[\n{rows}\n  ]" if rows else "[]")
+            + ",\n" + head[len("{\n"):] + "\n")
 
 
 def _emit_report(config: PipelineConfig, store: Store) -> None:

@@ -12,6 +12,11 @@ Precedence: a regression in pipeline progress is checked first, then A,
 then B, then C; a remaining current-side failure is a regression. Pairs
 where both sides fully succeeded with zero drift match no class definition
 and return Unclassified, as do notebooks without a baseline row.
+
+``CurrentOutcome`` is a notebook's signature: exactly the facts about its
+containerized run that the rules read, as a hashable value. Notebooks with
+equal signatures and equal baseline statuses land in the same class, so a
+corpus costs one ``assign_outcome_class`` call per distinct signature.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Container, Iterable, NamedTuple, Sequence
 
-from nbrepro.executor import ExecutionRecord, ExecutionStatus
+from nbrepro.executor import ExecutionStatus
 from nbrepro.store import ProvisioningStatus
 
 logger = logging.getLogger(__name__)
@@ -65,27 +70,22 @@ class BaselineRecord:
         return _token(self.prev_execution_status) in _SUCCESS_TOKENS
 
 
-class DriftMetrics(NamedTuple):
-    """The part of a notebook's reproducibility metrics that the drift
-    test reads; an unscored (structural-mismatch) row is (0, 0, None)."""
-
-    different_count: int
-    nondeterministic_count: int
-    score: float | None
-
-
-@dataclass(frozen=True)
-class CurrentOutcome:
-    """Everything the classifier needs about the containerized run.
+class CurrentOutcome(NamedTuple):
+    """A notebook's signature: exactly the facts about its containerized
+    run that the classifier reads.
 
     ``build_failure_phase`` is the failing build phase name when
-    provisioning ended in BuildFailed (e.g. "DependencyInstall").
+    provisioning ended in BuildFailed (e.g. "DependencyInstall");
+    ``execution_status`` is None when the notebook was not executed;
+    ``drifted`` is ``shows_drift`` of its metrics, False when it was not
+    scored.
     """
 
     provisioning_status: ProvisioningStatus
-    execution: ExecutionRecord | None = None
-    metrics: DriftMetrics | None = None
     build_failure_phase: str | None = None
+    execution_status: ExecutionStatus | None = None
+    error_types: frozenset[str] = frozenset()
+    drifted: bool = False
 
 
 # Status and error-type spellings are few; a corpus repeats them per row.
@@ -121,14 +121,11 @@ def _current_progress(current: CurrentOutcome) -> float:
                   ProvisioningStatus.KERNEL_NOT_FOUND,
                   ProvisioningStatus.PENDING):
         return 1.0
-    execution = current.execution
-    if execution is None:
+    execution = current.execution_status
+    if execution in (None, ExecutionStatus.KERNEL_NOT_FOUND,
+                     ExecutionStatus.NOTEBOOK_NOT_FOUND, ExecutionStatus.SKIPPED):
         return 1.5
-    if execution.status in (ExecutionStatus.KERNEL_NOT_FOUND,
-                            ExecutionStatus.NOTEBOOK_NOT_FOUND,
-                            ExecutionStatus.SKIPPED):
-        return 1.5
-    if execution.status is ExecutionStatus.SUCCESS:
+    if execution is ExecutionStatus.SUCCESS:
         return 3.0
     return 2.0
 
@@ -144,31 +141,28 @@ def _current_error_tokens(current: CurrentOutcome) -> set[str]:
             tokens.add(_token(current.build_failure_phase))
     if current.provisioning_status is ProvisioningStatus.KERNEL_NOT_FOUND:
         tokens.add("kernelnotfound")
-    execution = current.execution
-    if execution is not None:
-        for error in execution.errors:
-            tokens.add(_token(error.error_type))
-        if execution.status is ExecutionStatus.KERNEL_NOT_FOUND:
-            tokens.add("kernelnotfound")
-        elif execution.status is ExecutionStatus.NOTEBOOK_NOT_FOUND:
-            tokens.add("notebooknotfound")
-        elif execution.status is ExecutionStatus.TIMEOUT:
-            tokens.add("timeout")
+    tokens.update(_token(error_type) for error_type in current.error_types)
+    execution = current.execution_status
+    if execution is ExecutionStatus.KERNEL_NOT_FOUND:
+        tokens.add("kernelnotfound")
+    elif execution is ExecutionStatus.NOTEBOOK_NOT_FOUND:
+        tokens.add("notebooknotfound")
+    elif execution is ExecutionStatus.TIMEOUT:
+        tokens.add("timeout")
     return tokens
 
 
 def _current_succeeded(current: CurrentOutcome) -> bool:
     return (current.provisioning_status is ProvisioningStatus.ENVIRONMENT_BUILT
-            and current.execution is not None
-            and current.execution.status is ExecutionStatus.SUCCESS)
+            and current.execution_status is ExecutionStatus.SUCCESS)
 
 
-def _drifted(metrics: DriftMetrics | None) -> bool:
-    if metrics is None:
-        return False
-    if metrics.different_count > 0 or metrics.nondeterministic_count > 0:
+def shows_drift(different_count: int, nondeterministic_count: int,
+                score: float | None) -> bool:
+    """Whether a scored notebook's outputs drifted from the committed ones."""
+    if different_count > 0 or nondeterministic_count > 0:
         return True
-    return metrics.score is not None and metrics.score < 1.0
+    return score is not None and score < 1.0
 
 
 def assign_outcome_class(baseline: BaselineRecord | None,
@@ -192,7 +186,7 @@ def assign_outcome_class(baseline: BaselineRecord | None,
         return OutcomeClass.B_PERSISTENT_ERROR
 
     if _current_succeeded(current):
-        if baseline.execution_succeeded and _drifted(current.metrics):
+        if baseline.execution_succeeded and current.drifted:
             return OutcomeClass.C_REPRODUCIBILITY_DRIFT
         # Stable pair (no drift) or an improvement over a non-install
         # baseline failure; no class definition covers either.

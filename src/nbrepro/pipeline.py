@@ -171,6 +171,8 @@ class Pipeline:
         self.budget = WorkBudget(config.jobs)
         self.events = EventLog(Path(config.logdir) / "events.ndjson")
         self.invocation_id = new_invocation_id()
+        # Set when the caller of map_repositories was interrupted.
+        self.interrupted = threading.Event()
         self._aliases = depinfer.load_alias_table(config.alias_table_path)
 
     # ---- stage 1 + 2: discovery, validation, inference ----------------------
@@ -271,9 +273,7 @@ class Pipeline:
 
     def execute_run(self, run: RunRecord) -> RepositoryResult:
         repo = self.store.get_repository(run.repository_id)
-        result = RepositoryResult(url=repo.url if repo else "",
-                                  repository_id=run.repository_id,
-                                  run_id=run.run_id)
+        result = self._result_for(run)
         if repo is None or not repo.local_path:
             result.completed = False
             result.degraded_reason = "repository tree missing; rerun the infer stage"
@@ -293,13 +293,13 @@ class Pipeline:
         try:
             containerize.cleanup_previous(repo.repository_id, self.docker)
         except containerize.ContainerRuntimeUnavailable as exc:
-            self.store.finish_run(run, ProvisioningStatus.BUILD_FAILED,
-                                  reason=f"container runtime unavailable: {exc}")
             self.events.emit("execute", "runtime_unavailable",
                              repository_id=repo.repository_id)
             result.completed = False
             result.degraded_reason = "container runtime unavailable"
-            return result
+            return self._record_executed(
+                result, run, ProvisioningStatus.BUILD_FAILED,
+                reason=f"container runtime unavailable: {exc}")
 
         tag = containerize.image_tag_for(repo.repository_id, run.run_id)
         self.events.emit("execute", "build_start",
@@ -308,13 +308,12 @@ class Pipeline:
             tag, dockerfile, tree, self.docker,
             timeout=self.config.build_timeout, log_path=logdir / "build.log")
         if isinstance(built, BuildFailure):
-            self.store.finish_run(
-                run, ProvisioningStatus.BUILD_FAILED,
-                reason=f"{built.phase.value}: {built.log_excerpt.splitlines()[-1] if built.log_excerpt else ''}")
             self.events.emit("execute", "build_failed",
                              repository_id=repo.repository_id,
                              phase=built.phase.value)
-            return result
+            return self._record_executed(
+                result, run, ProvisioningStatus.BUILD_FAILED,
+                reason=f"{built.phase.value}: {built.log_excerpt.splitlines()[-1] if built.log_excerpt else ''}")
 
         # The image is built: the notebooks fan out on the shared budget.
         # Their rows commit with the run's outcome: an interrupted execute
@@ -328,10 +327,27 @@ class Pipeline:
         status = ProvisioningStatus.ENVIRONMENT_BUILT
         if records and all(r.status is ExecutionStatus.KERNEL_NOT_FOUND for r in records):
             status = ProvisioningStatus.KERNEL_NOT_FOUND
+        return self._record_executed(result, run, status, records,
+                                     image_reference=built)
+
+    def _record_executed(self, result: RepositoryResult, run: RunRecord,
+                         status: ProvisioningStatus,
+                         records: list[ExecutionRecord] | tuple = (),
+                         **finish) -> RepositoryResult:
+        """One execute outcome in one transaction: the run's execution rows
+        and its finish. Rows of this run already in the store go first; only
+        a store written before outcomes were committed whole holds any. After
+        the invocation was interrupted nothing is recorded, and the run stays
+        Pending for the next execute."""
+        if self.interrupted.is_set():
+            result.completed = False
+            result.degraded_reason = "interrupted; the run stays pending"
+            return result
         with self.store.transaction():
+            self.store.delete_run_results(run)
             for record in records:
                 self.store.insert_execution(record)
-            self.store.finish_run(run, status, image_reference=built)
+            self.store.finish_run(run, status, **finish)
         return result
 
     def _execute_notebook(self, run_id: str, image: str, logdir: Path,
@@ -465,28 +481,47 @@ class Pipeline:
         """Apply one per-repository stage across the corpus on the shared
         budget; unexpected exceptions degrade that repository only. Every
         notebook run has finished, and the notebook pool is closed, when
-        this returns."""
+        this returns. After a KeyboardInterrupt, no repository still running
+        records an execute outcome."""
+        self.interrupted.clear()
         try:
             if self.config.jobs <= 1 or len(items) <= 1:
                 return [self._safe(fn, item) for item in items]
             workers = min(self.config.jobs, len(items))
             with ThreadPoolExecutor(max_workers=workers,
                                     thread_name_prefix="nbrepro-repository") as pool:
-                return list(pool.map(lambda item: self._safe(fn, item), items))
+                try:
+                    return list(pool.map(lambda item: self._safe(fn, item), items))
+                except BaseException:
+                    # Leaving the block waits for the repository threads; the
+                    # runtime calls the interrupt killed must not commit.
+                    self.interrupted.set()
+                    raise
         finally:
             self.budget.close()
 
     def _safe(self, fn, item) -> RepositoryResult:
-        label = item if isinstance(item, str) else getattr(item, "run_id", str(item))
         try:
             with self.budget.slot():
                 return fn(item)
         except Exception as exc:  # noqa: BLE001 - corpus runs must not abort
-            logger.exception("repository task %s failed unexpectedly", label)
-            self.events.emit("pipeline", "unexpected_error", item=label,
-                             error=str(exc))
-            return RepositoryResult(url=label, completed=False,
-                                    degraded_reason=f"unexpected error: {exc}")
+            result = self._result_for(item)
+            logger.exception("repository task %s failed unexpectedly", result.url)
+            self.events.emit("pipeline", "unexpected_error", url=result.url,
+                             repository_id=result.repository_id,
+                             run_id=result.run_id, error=str(exc))
+            result.completed = False
+            result.degraded_reason = f"unexpected error: {exc}"
+            return result
+
+    def _result_for(self, item: str | RunRecord) -> RepositoryResult:
+        """The result of a repository task on a raw input or on a run."""
+        if isinstance(item, str):
+            return RepositoryResult(url=item)
+        repo = self.store.get_repository(item.repository_id)
+        return RepositoryResult(url=repo.url if repo else "",
+                                repository_id=item.repository_id,
+                                run_id=item.run_id)
 
 
 def _dockerfile_for(tree: Path) -> Path:

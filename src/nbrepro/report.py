@@ -108,11 +108,10 @@ def aggregate_corpus(store: Store,
     error_categories: dict[str, int] = {}
     total_error_records = 0
     for row in executed:
-        for error in row.errors:
+        for error_type, category in row.errors:
             total_error_records += 1
-            error_types[error.error_type] = error_types.get(error.error_type, 0) + 1
-            error_categories[error.category.value] = (
-                error_categories.get(error.category.value, 0) + 1)
+            error_types[error_type] = error_types.get(error_type, 0) + 1
+            error_categories[category] = error_categories.get(category, 0) + 1
 
     score_categories = {key: 0 for key in SCORE_CATEGORY_ORDER}
     scored = 0

@@ -91,25 +91,22 @@ class LatestNotebook(NamedTuple):
 
     The run fields are None when the repository has no run, the execution
     fields when that run did not execute the notebook, and the metrics
-    fields when it was not compared. Cell-index lists are not read.
+    fields when it was not compared. ``errors`` holds one
+    ``(error_type, category)`` pair per error record. Cell-index lists and
+    error messages are not read.
     """
 
     notebook_id: str
     has_requirements_file: int
     nondeterministic_pattern_cells: int | None
-    run_id: str | None
     provisioning_status: str | None
     status_reason: str | None
     execution_status: str | None
-    duration_s: float | None
-    code_cell_count: int | None
-    markdown_code_ratio: float | None
-    executed_notebook_path: str | None
     different_count: int | None
     nondeterministic_count: int | None
     score: float | None
     structural_mismatch: int | None
-    errors: tuple[ExecutionError, ...]
+    errors: tuple[tuple[str, str], ...]
 
 
 def utc_now_iso() -> str:
@@ -212,9 +209,7 @@ _LATEST_RUNS = """
 _LATEST_NOTEBOOKS = f"""
     WITH latest AS ({_LATEST_RUNS})
     SELECT n.notebook_id, r.has_requirements_file, n.nondeterministic_pattern_cells,
-           l.run_id, l.provisioning_status, l.status_reason,
-           e.status, e.duration_s, e.code_cell_count, e.markdown_code_ratio,
-           e.executed_notebook_path,
+           l.provisioning_status, l.status_reason, e.status,
            m.different_count, m.nondeterministic_count, m.score,
            m.structural_mismatch,
            e.errors
@@ -419,7 +414,7 @@ class Store:
             cursor = self._conn.cursor()
             cursor.row_factory = None
             rows = cursor.execute(_LATEST_NOTEBOOKS).fetchall()
-        return [LatestNotebook(*row[:-1], _errors_from_json(row[-1])) for row in rows]
+        return [LatestNotebook(*row[:-1], _error_pairs(row[-1])) for row in rows]
 
     # ---- executions ---------------------------------------------------------
 
@@ -437,6 +432,19 @@ class Store:
              record.markdown_code_ratio, _errors_to_json(record.errors),
              record.executed_notebook_path),
         )
+
+    def delete_run_results(self, run: RunRecord) -> None:
+        """Drop a run's metrics rows, then the execution rows they reference.
+
+        A run's rows are about its repository's notebooks; naming them lets
+        both deletes search the primary keys instead of scanning the tables.
+        """
+        own = ("run_id = ? AND notebook_id IN"
+               " (SELECT notebook_id FROM notebooks WHERE repository_id = ?)")
+        with self.transaction():
+            for table in ("reproducibility_metrics", "notebook_executions"):
+                self._write(f"DELETE FROM {table} WHERE {own}",
+                            (run.run_id, run.repository_id))
 
     def list_executions(self, run_id: str | None = None) -> list[ExecutionRecord]:
         if run_id is None:
@@ -570,6 +578,12 @@ def _errors_from_json(text: str | None) -> tuple[ExecutionError, ...]:
         )
         for e in json.loads(text)
     )
+
+
+def _error_pairs(text: str | None) -> tuple[tuple[str, str], ...]:
+    if text is None or text == "[]":
+        return ()
+    return tuple((e["error_type"], e["category"]) for e in json.loads(text))
 
 
 def _execution_from_row(row: sqlite3.Row) -> ExecutionRecord:

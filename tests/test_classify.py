@@ -7,9 +7,19 @@ neither git nor a container runtime.
 from __future__ import annotations
 
 import json
+import random
 
+import pytest
+
+import nbrepro.cli
 import nbrepro.store
-from nbrepro.cli import _classification, cmd_classify, cmd_report
+from nbrepro.cli import (
+    _classification,
+    _current_outcome,
+    _render_classification,
+    cmd_classify,
+    cmd_report,
+)
 from nbrepro.compare import metrics_from_partition
 from nbrepro.config import PipelineConfig
 from nbrepro.executor import (
@@ -18,7 +28,7 @@ from nbrepro.executor import (
     ExecutionRecord,
     ExecutionStatus,
 )
-from nbrepro.outcomes import BaselineRecord
+from nbrepro.outcomes import BaselineRecord, assign_outcome_class
 from nbrepro.report import CorpusSummary, aggregate_corpus, emit_reports, load_report
 from nbrepro.store import (
     NotebookDescriptor,
@@ -306,3 +316,178 @@ def test_classify_and_report_decode_no_rows(tmp_path, monkeypatch):
     for name in ("report.json", "summary.csv", "summary.md"):
         assert ((reports / name).read_bytes()
                 == (tmp_path / "expected" / name).read_bytes())
+
+
+# ---- classification.json rendering --------------------------------------------------
+
+def _payload(assignments, rate=50.0, unmatched=("nbX",)):
+    return {
+        "note": "a note",
+        "resolution_rate": rate,
+        "counts": {"D_Regression": len(assignments)} if assignments else {},
+        "baseline_success_rate_by_requirements": {
+            "with_requirements": rate, "without_requirements": None},
+        "containerized_success_rate_by_requirements": {
+            "with_requirements": None, "without_requirements": 12.5},
+        "unmatched_baseline_rows": list(unmatched),
+        "assignments": [{"notebook_id": notebook_id, "outcome_class": cls}
+                        for notebook_id, cls in assignments],
+    }
+
+
+@pytest.mark.parametrize("payload", [
+    _payload([]),
+    _payload([], rate=None, unmatched=()),
+    _payload([("nb1", "D_Regression")]),
+    _payload([('say "hi"', "A_EnvironmentResolved"),
+              ("back\\slash\\", "B_PersistentError"),
+              ("caf\u00e9-\u6f22\u5b57-\U0001f600", "Unclassified"),
+              ("tab\tnew\nline\x01", "C_ReproducibilityDrift")],
+             rate=None, unmatched=()),
+    _payload([(f"nb{n}", "D_Regression") for n in range(5)],
+             unmatched=('q"uote', "\u00fc")),
+], ids=["empty", "empty-none-rates", "one", "escaped-ids", "several"])
+def test_rendered_classification_equals_indented_json(payload):
+    assert (_render_classification(payload)
+            == json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+# ---- one classifier call per distinct signature ----------------------------------
+
+_STATUS_PAIRS = [("Success", "Success"), ("Fail", "Install Dependency Error"),
+                 ("Fail", "Fail"), ("Fail", "ModuleNotFoundError"),
+                 ("Success", "ModuleNotFoundError"),
+                 ("Success", "NameError"), ("Sucess", "<Skipping notebook>"),
+                 ("Success", "Timeout")]
+_BUILT = ProvisioningStatus.ENVIRONMENT_BUILT
+_RUN_STATUSES = [_BUILT] * 5 + list(ProvisioningStatus)
+_EXECUTION_STATUSES = ([ExecutionStatus.SUCCESS, ExecutionStatus.ERRORED_BUT_COMPLETED] * 3
+                       + list(ExecutionStatus))
+
+
+def _random_store(store: Store, rng: random.Random) -> list[BaselineRecord]:
+    """A few repositories whose latest runs, often tied on start time, end
+    in every provisioning status and different build-failure phases, with
+    executions of every status and up to three errors, scored, unscored
+    and uncompared rows, and one baseline row per notebook. Signatures
+    repeat within a store under different baseline statuses."""
+    baselines = []
+    for r in range(rng.randint(1, 4)):
+        repo_id = f"repo{r}"
+        store.upsert_repository(Repository(
+            repository_id=repo_id, url=f"https://example.org/{repo_id}",
+            accessible=True, has_requirements_file=rng.random() < 0.5))
+        notebook_ids = [f"{repo_id}-nb{n}" for n in range(rng.randint(1, 12))]
+        for notebook_id in notebook_ids:
+            store.upsert_notebook(NotebookDescriptor(
+                notebook_id=notebook_id, repository_id=repo_id,
+                relative_path=f"{notebook_id}.ipynb"))
+            install, status = rng.choice(_STATUS_PAIRS)
+            baselines.append(BaselineRecord(
+                notebook_id, install, status,
+                prev_diff_cells=rng.choice((None, 0, 3)),
+                prev_duration_s=rng.choice((None, 1.5))))
+        for k in range(rng.randint(0, 3)):
+            run_id = f"{repo_id}-run{k}"
+            status = rng.choice(_RUN_STATUSES)
+            reason = None
+            if status is ProvisioningStatus.BUILD_FAILED:
+                reason = rng.choice(("DependencyInstall: no matching distribution",
+                                     "BaseImage: pull failed", "Other: x", ""))
+            store.insert_run(RunRecord(
+                run_id=run_id, repository_id=repo_id, invocation_id=run_id,
+                started_at=rng.choice(("2026-01-01T00:00:00+00:00",
+                                       "2026-01-02T00:00:00+00:00")),
+                provisioning_status=status, status_reason=reason))
+            for notebook_id in notebook_ids:
+                if rng.random() < 0.1:
+                    continue
+                execution = rng.choice(_EXECUTION_STATUSES)
+                errors = ()
+                if execution is not ExecutionStatus.SUCCESS:
+                    errors = tuple(
+                        ExecutionError(rng.choice(("NameError", "ModuleNotFoundError")),
+                                       ErrorCategory.LOGIC, f"message {n}", n)
+                        for n in range(rng.randint(0, 3)))
+                store.insert_execution(ExecutionRecord(
+                    notebook_id=notebook_id, run_id=run_id, status=execution,
+                    duration_s=1.0, code_cell_count=4, markdown_code_ratio=0.0,
+                    errors=errors, executed_notebook_path="/tmp/out.ipynb"))
+                roll = rng.random()
+                if roll < 0.2:
+                    store.insert_unscored_metrics(notebook_id, run_id, 4)
+                elif roll < 0.8:
+                    cut = rng.choice((1, 4))
+                    pattern = rng.randint(cut, 4)
+                    store.insert_metrics(metrics_from_partition(
+                        range(cut), range(cut, pattern), range(pattern, 4),
+                        notebook_id=notebook_id, run_id=run_id))
+    baselines.append(BaselineRecord("ghost", "Success", "Success"))
+    rng.shuffle(baselines)
+    return baselines
+
+
+def test_memoised_classification_equals_per_row_classification():
+    rng = random.Random(7)
+    for _ in range(200):
+        with Store() as store:
+            baselines = _random_store(store, rng)
+            payload = _classification(baselines, store)
+            rows = {row.notebook_id: row for row in store.latest_notebooks()}
+        per_row = [
+            {"notebook_id": b.notebook_id,
+             "outcome_class": assign_outcome_class(
+                 b, _current_outcome(rows[b.notebook_id])).value}
+            for b in baselines if b.notebook_id in rows]
+        assert payload["assignments"] == per_row
+        counts: dict[str, int] = {}
+        for assignment in per_row:
+            counts[assignment["outcome_class"]] = (
+                counts.get(assignment["outcome_class"], 0) + 1)
+        assert payload["counts"] == dict(sorted(counts.items()))
+
+
+def test_classify_calls_the_classifier_once_per_signature(monkeypatch):
+    calls = []
+
+    def counting(baseline, current):
+        calls.append(current)
+        return assign_outcome_class(baseline, current)
+
+    monkeypatch.setattr(nbrepro.cli, "assign_outcome_class", counting)
+    with Store() as store:
+        store.upsert_repository(Repository(
+            repository_id="repo1", url="https://example.org/repo1",
+            accessible=True, notebook_count=40))
+        _add_run(store, "run1", "2026-01-01T00:00:00+00:00",
+                 ProvisioningStatus.ENVIRONMENT_BUILT)
+        # Three signatures: 20 drifted successes, 10 perfect successes, and
+        # 10 completed runs with two NameErrors each.
+        for n in range(40):
+            notebook_id = f"nb{n:03d}"
+            store.upsert_notebook(NotebookDescriptor(
+                notebook_id=notebook_id, repository_id="repo1",
+                relative_path=f"{notebook_id}.ipynb"))
+            if n < 20:
+                _add_scored_execution(store, notebook_id, "run1")
+                continue
+            errors = () if n < 30 else tuple(
+                ExecutionError("NameError", ErrorCategory.LOGIC, f"cell {c}", c)
+                for c in range(2))
+            store.insert_execution(ExecutionRecord(
+                notebook_id=notebook_id, run_id="run1",
+                status=(ExecutionStatus.ERRORED_BUT_COMPLETED if errors
+                        else ExecutionStatus.SUCCESS),
+                duration_s=float(n), code_cell_count=2, markdown_code_ratio=0.0,
+                errors=errors, executed_notebook_path=f"/tmp/{notebook_id}.ipynb"))
+            if not errors:
+                store.insert_metrics(metrics_from_partition(
+                    [0, 1], [], [], notebook_id=notebook_id, run_id="run1"))
+        payload = _classification([
+            BaselineRecord(f"nb{n:03d}", "Success", "Success", prev_diff_cells=n)
+            for n in range(40)], store)
+
+    assert len(calls) == 3
+    assert len(set(calls)) == 3
+    assert payload["counts"] == {"C_ReproducibilityDrift": 20, "D_Regression": 10,
+                                 "Unclassified": 10}

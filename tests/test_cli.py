@@ -311,6 +311,34 @@ def test_subcommand_chain_with_stubbed_runtime(workspace, monkeypatch):
     assert ops.index("list_containers") < ops.index("build")
 
 
+def test_execute_logs_each_repository_outcome(workspace, monkeypatch, caplog):
+    from conftest import FakeDocker
+    from nbrepro import cli as climod
+
+    class CrashingDocker(FakeDocker):
+        def run_container(self, image, command, run_args, timeout=None):
+            if command[-1] == "bad.ipynb":
+                raise RuntimeError("runtime client crashed")
+            return super().run_container(image, command, run_args, timeout)
+
+    for name in ("good", "bad"):
+        url = _fixture_repo(workspace, name, {
+            f"{name}.ipynb": _notebook_file(code_cell("print(1)"))})
+        assert main(["infer", "--input", url, *_common_flags(workspace)]) == 0
+    with Store(workspace["store"]) as store:
+        urls = {repo.url.rsplit("/", 1)[-1]: repo.url
+                for repo in store.list_repositories()}
+    monkeypatch.setattr(climod, "DockerCli", lambda executable: CrashingDocker())
+
+    with caplog.at_level("INFO", logger="nbrepro.cli"):
+        assert main(["execute", *_common_flags(workspace)]) == 2
+    lines = {record.getMessage() for record in caplog.records
+             if record.name == "nbrepro.cli"}
+    assert f"{urls['good']} -> ok" in lines
+    assert (f"{urls['bad']} -> degraded: unexpected error: "
+            "runtime client crashed") in lines
+
+
 def test_run_matches_subcommand_chain_on_deterministic_state(workspace, tmp_path):
     # Same corpus through `run` and through the subcommand chain must agree
     # on every deterministic field (ids, counts, synthesized manifests);

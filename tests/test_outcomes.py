@@ -6,12 +6,7 @@ from __future__ import annotations
 import pytest
 
 from nbrepro.compare import metrics_from_partition
-from nbrepro.executor import (
-    ErrorCategory,
-    ExecutionError,
-    ExecutionRecord,
-    ExecutionStatus,
-)
+from nbrepro.executor import ExecutionStatus
 from nbrepro.outcomes import (
     BaselineRecord,
     CurrentOutcome,
@@ -20,6 +15,7 @@ from nbrepro.outcomes import (
     match_baselines,
     read_baseline_csv,
     resolution_rate,
+    shows_drift,
 )
 from nbrepro.store import ProvisioningStatus
 
@@ -30,35 +26,25 @@ def _baseline(install, status, diff=None, duration=None, nb="nb"):
                           prev_duration_s=duration)
 
 
-def _execution(status, error_types=(), nb="nb", run="run"):
-    errors = tuple(
-        ExecutionError(error_type=t, category=ErrorCategory.LOGIC,
-                       message="", cell_index=i)
-        for i, t in enumerate(error_types))
-    path = "/tmp/out.ipynb" if status in (
-        ExecutionStatus.SUCCESS, ExecutionStatus.ERRORED_BUT_COMPLETED) else None
-    return ExecutionRecord(notebook_id=nb, run_id=run, status=status,
-                           duration_s=1.0, code_cell_count=max(5, len(error_types)),
-                           markdown_code_ratio=0.0, errors=errors,
-                           executed_notebook_path=path)
-
-
 def _metrics(diff=0, total=10, nb="nb", run="run"):
     return metrics_from_partition(range(total - diff), range(total - diff, total),
                                   [], notebook_id=nb, run_id=run)
 
 
 def _success_current(diff=0):
+    metrics = _metrics(diff=diff)
     return CurrentOutcome(
         provisioning_status=ProvisioningStatus.ENVIRONMENT_BUILT,
-        execution=_execution(ExecutionStatus.SUCCESS),
-        metrics=_metrics(diff=diff))
+        execution_status=ExecutionStatus.SUCCESS,
+        drifted=shows_drift(metrics.different_count,
+                            metrics.nondeterministic_count, metrics.score))
 
 
 def _errored_current(*error_types):
     return CurrentOutcome(
         provisioning_status=ProvisioningStatus.ENVIRONMENT_BUILT,
-        execution=_execution(ExecutionStatus.ERRORED_BUT_COMPLETED, error_types))
+        execution_status=ExecutionStatus.ERRORED_BUT_COMPLETED,
+        error_types=frozenset(error_types))
 
 
 # Published example rows: (baseline record, reconstructed current outcome,
@@ -108,7 +94,7 @@ TABLE_ROWS = [
      OutcomeClass.D_REGRESSION),
     (_baseline("Success", "ModuleNotFoundError", diff=1),
      CurrentOutcome(provisioning_status=ProvisioningStatus.ENVIRONMENT_BUILT,
-                    execution=_execution(ExecutionStatus.NOTEBOOK_NOT_FOUND)),
+                    execution_status=ExecutionStatus.NOTEBOOK_NOT_FOUND),
      OutcomeClass.D_REGRESSION),
 ]
 
@@ -150,7 +136,7 @@ def test_timeout_after_baseline_success_is_regression():
     baseline = _baseline("Success", "Success", diff=0)
     current = CurrentOutcome(
         provisioning_status=ProvisioningStatus.ENVIRONMENT_BUILT,
-        execution=_execution(ExecutionStatus.TIMEOUT))
+        execution_status=ExecutionStatus.TIMEOUT)
     assert assign_outcome_class(baseline, current) is OutcomeClass.D_REGRESSION
 
 

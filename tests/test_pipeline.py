@@ -4,6 +4,7 @@ artifact layout, and the log directory contract."""
 from __future__ import annotations
 
 import json
+import signal
 import threading
 import time
 from dataclasses import replace
@@ -12,12 +13,19 @@ from pathlib import Path
 import pytest
 
 from nbrepro import containerize, corpus, depinfer, notebook
+from nbrepro.compare import metrics_from_partition
 from nbrepro.config import PipelineConfig
-from nbrepro.executor import ExecutionStatus
+from nbrepro.executor import (
+    ErrorCategory,
+    ExecutionError,
+    ExecutionRecord,
+    ExecutionStatus,
+)
 from nbrepro.pipeline import Pipeline
 from nbrepro.store import ProvisioningStatus, Store
 
 from conftest import (
+    FakeCompleted,
     FakeDocker,
     code_cell,
     make_git_repo,
@@ -519,11 +527,7 @@ def _four_notebook_repo(tmp_path) -> str:
         for i in range(4)})
 
 
-@pytest.mark.parametrize("interrupt_at", range(4))
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_interrupted_execute_leaves_no_rows_and_reruns_whole(
-        tmp_path, jobs, interrupt_at):
-    url = _four_notebook_repo(tmp_path)
+def _uninterrupted_rows(tmp_path, url: str, jobs: int) -> dict:
     clean = FakeDocker()
     _plant_artifacts(clean)
     config = _config(tmp_path / "clean", jobs)
@@ -531,7 +535,15 @@ def test_interrupted_execute_leaves_no_rows_and_reruns_whole(
         pipeline = Pipeline(config, store, clean)
         assert _execute_and_compare(
             pipeline, pipeline.infer_repository(url).run_id).completed
-        expected = _comparable_rows(store, config.artifacts_dir)
+        return _comparable_rows(store, config.artifacts_dir)
+
+
+@pytest.mark.parametrize("interrupt_at", range(4))
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_interrupted_execute_leaves_no_rows_and_reruns_whole(
+        tmp_path, jobs, interrupt_at):
+    url = _four_notebook_repo(tmp_path)
+    expected = _uninterrupted_rows(tmp_path, url, jobs)
 
     docker = _InterruptedDocker(interrupt_at)
     _plant_artifacts(docker)
@@ -554,3 +566,93 @@ def test_interrupted_execute_leaves_no_rows_and_reruns_whole(
     assert len(builds) == 2
     assert sum(1 for call in docker.calls[builds[1]:]
                if call[0] == "run_container") == 4
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_execute_replaces_partial_rows_of_an_old_store(tmp_path, jobs):
+    url = _four_notebook_repo(tmp_path)
+    expected = _uninterrupted_rows(tmp_path, url, jobs)
+
+    docker = FakeDocker()
+    _plant_artifacts(docker)
+    config = _config(tmp_path / "old", jobs)
+    with Store(config.store_path) as store:
+        pipeline = Pipeline(config, store, docker)
+        run_id = pipeline.infer_repository(url).run_id
+        # A Pending run as an execute interrupted after two of its four
+        # notebooks left it, before each outcome was committed whole.
+        stale = config.artifacts_dir / run_id / "stale.ipynb"
+        first, second = store.list_notebooks()[:2]
+        for descriptor in (first, second):
+            store.insert_execution(ExecutionRecord(
+                notebook_id=descriptor.notebook_id, run_id=run_id,
+                status=ExecutionStatus.ERRORED_BUT_COMPLETED, duration_s=1.0,
+                code_cell_count=1, markdown_code_ratio=0.0,
+                errors=(ExecutionError("RuntimeError", ErrorCategory.LOGIC,
+                                       "stale", 0),),
+                executed_notebook_path=str(stale)))
+        store.insert_metrics(metrics_from_partition(
+            [], [0], [], notebook_id=first.notebook_id, run_id=run_id))
+
+        result = _execute_and_compare(pipeline, run_id)
+        assert (result.completed, result.degraded_reason) == (True, None)
+        assert _comparable_rows(store, config.artifacts_dir) == expected
+
+
+def test_unexpected_execute_error_names_the_repository(env):
+    config, store, tmp_path = env
+    url = _four_notebook_repo(tmp_path)
+    pipeline = Pipeline(config, store, FakeDocker())
+    inferred = pipeline.infer_repository(url)
+
+    def crash(run):
+        raise RuntimeError("runtime client crashed")
+
+    (result,) = pipeline.map_repositories([store.get_run(inferred.run_id)], crash)
+    (repo,) = store.list_repositories()
+    assert (result.url, result.repository_id, result.run_id) == (
+        repo.url, inferred.repository_id, inferred.run_id)
+    assert not result.completed
+    assert result.degraded_reason == "unexpected error: runtime client crashed"
+
+
+class _CtrlCDocker(FakeDocker):
+    """Ctrl-C during the notebook runs: the first container run sends
+    SIGINT to the main thread, as a terminal does, and every run's client
+    exits 130 once ``seen`` is set."""
+
+    def __init__(self, seen: threading.Event):
+        super().__init__()
+        self._lock = threading.Lock()
+        self.seen = seen
+        self.sent = False
+
+    def run_container(self, image, command, run_args, timeout=None):
+        super().run_container(image, command, run_args, timeout)
+        with self._lock:
+            send, self.sent = not self.sent, True
+        if send:
+            # A real signal: it wakes a main thread that is blocked on a
+            # future, which _thread.interrupt_main() does not.
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        # Without the interrupt seen, the run completes and commits.
+        self.seen.wait(timeout=10)
+        return FakeCompleted(130, stderr="KeyboardInterrupt")
+
+
+def test_ctrl_c_under_parallel_execute_commits_no_run(tmp_path):
+    urls = [make_git_repo(tmp_path / name, {
+        f"{name}{i}.ipynb": _original(f"print({i})", f"{i}\n").decode()
+        for i in range(2)}) for name in ("a", "b")]
+    config = _config(tmp_path / "store", 2)
+    with Store(config.store_path) as store:
+        pipeline = Pipeline(config, store, FakeDocker())
+        runs = [store.get_run(pipeline.infer_repository(url).run_id)
+                for url in urls]
+        pipeline.docker = _CtrlCDocker(pipeline.interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            pipeline.map_repositories(runs, pipeline.execute_run)
+
+        assert [store.get_run(run.run_id).provisioning_status for run in runs] == [
+            ProvisioningStatus.PENDING, ProvisioningStatus.PENDING]
+        assert store.list_executions() == []
