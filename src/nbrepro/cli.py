@@ -16,6 +16,7 @@ Exit codes: 0 complete, 2 partial (some repositories not fully assessed),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -30,11 +31,11 @@ from nbrepro.outcomes import (
     CurrentOutcome,
     OutcomeClass,
     assign_outcome_class,
-    baseline_success_rate_by_requirements,
     match_baselines,
     read_baseline_csv,
     resolution_rate,
     shows_drift,
+    success_rate_by_requirements,
 )
 from nbrepro.pipeline import (
     EXIT_COMPLETE,
@@ -117,13 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> PipelineConfig:
     config = (PipelineConfig.from_file(args.config)
               if args.config else PipelineConfig())
-    for name in ("inputs", "store_path", "logdir", "artifacts_dir", "report_dir",
-                 "jobs", "build_timeout", "exec_timeout", "base_image",
-                 "alias_table_path", "baseline_path", "scan_magic_installs",
-                 "docker_executable"):
-        value = getattr(args, name, None)
+    # A field without a flag is absent from args; an unset flag is None.
+    for field in dataclasses.fields(PipelineConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            setattr(config, name, value)
+            setattr(config, field.name, value)
     config.normalized()
     config.validate()
     return config
@@ -181,9 +180,10 @@ def cmd_execute(config: PipelineConfig, store: Store) -> int:
 
 def cmd_compare(config: PipelineConfig, store: Store) -> int:
     pipeline = Pipeline(config, store)
-    latest = store.latest_runs()
-    candidates = [run for run in latest.values()
-                  if store.list_executions(run.run_id)]
+    # Only runs that execute finished so hold execution rows.
+    executed = (ProvisioningStatus.ENVIRONMENT_BUILT, ProvisioningStatus.KERNEL_NOT_FOUND)
+    candidates = [run for run in store.latest_runs().values()
+                  if run.provisioning_status in executed]
     if not candidates:
         raise PredecessorStateMissing(
             "no executed artifacts for run; run the execute subcommand first")
@@ -231,16 +231,15 @@ def _classification(baselines: list[BaselineRecord], store: Store) -> dict:
         assignments.append((baseline, outcome))
         counts[outcome] = counts.get(outcome, 0) + 1
 
-    notebook_has_req = {notebook_id: bool(row.has_requirements_file)
-                        for notebook_id, row in notebooks.items()}
     return {
         "note": _INTERPRETATION_NOTE,
         "resolution_rate": resolution_rate(assignments),
         "counts": dict(sorted((cls.value, n) for cls, n in counts.items())),
-        "baseline_success_rate_by_requirements":
-            baseline_success_rate_by_requirements(matched, notebook_has_req),
+        "baseline_success_rate_by_requirements": success_rate_by_requirements(
+            (bool(notebooks[b.notebook_id].has_requirements_file),
+             not b.install_failed and b.execution_succeeded) for b in matched),
         "containerized_success_rate_by_requirements":
-            reportmod.success_rate_by_requirements(notebooks.values()),
+            reportmod.containerized_success_rate(notebooks.values()),
         "unmatched_baseline_rows": sorted(b.notebook_id for b in unmatched),
         "assignments": [
             {"notebook_id": b.notebook_id, "outcome_class": cls.value}

@@ -20,7 +20,7 @@ from pathlib import Path
 from urllib.parse import urlparse, urlunparse
 
 from nbrepro import compare, notebook as nbmodel
-from nbrepro.notebook import NOTEBOOK_SUFFIX, CellKind
+from nbrepro.notebook import NOTEBOOK_SUFFIX
 from nbrepro.store import NotebookDescriptor, Repository
 
 logger = logging.getLogger(__name__)
@@ -209,8 +209,7 @@ def discover_notebooks(repo: Repository
             ))
             continue
         parsed[relative_path] = nb
-        code = sum(1 for c in nb.cells if c.kind is CellKind.CODE)
-        markdown = sum(1 for c in nb.cells if c.kind is CellKind.MARKDOWN)
+        code, markdown = nbmodel.cell_counts(nb)
         descriptors.append(NotebookDescriptor(
             notebook_id=notebook_id,
             repository_id=repo.repository_id,

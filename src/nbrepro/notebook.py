@@ -237,10 +237,16 @@ def code_cells(nb: ParsedNotebook) -> list[Cell]:
     return [cell for cell in nb.cells if cell.kind is CellKind.CODE]
 
 
-def markdown_code_ratio(nb: ParsedNotebook) -> float | None:
+def cell_counts(nb: ParsedNotebook) -> tuple[int, int]:
+    """``(code, markdown)`` cell counts."""
+    kinds = [cell.kind for cell in nb.cells]
+    return kinds.count(CellKind.CODE), kinds.count(CellKind.MARKDOWN)
+
+
+def markdown_code_ratio_of(code: int | None, markdown: int | None) -> float | None:
     """markdown/code cell count ratio, or None when there are no code cells."""
-    code = sum(1 for c in nb.cells if c.kind is CellKind.CODE)
-    if code == 0:
-        return None
-    markdown = sum(1 for c in nb.cells if c.kind is CellKind.MARKDOWN)
-    return markdown / code
+    return (markdown or 0) / code if code else None
+
+
+def markdown_code_ratio(nb: ParsedNotebook) -> float | None:
+    return markdown_code_ratio_of(*cell_counts(nb))

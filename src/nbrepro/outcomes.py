@@ -208,20 +208,15 @@ def resolution_rate(assignments: Sequence[tuple[BaselineRecord, OutcomeClass]]
     return percentage(resolved, len(failed))
 
 
-def baseline_success_rate_by_requirements(
-        records: Iterable[BaselineRecord],
-        notebook_has_requirements: dict[str, bool]) -> dict[str, float | None]:
-    """Baseline pipeline success rate per requirements stratum, so reports
-    can put the prior study's rates next to the containerized ones."""
+def success_rate_by_requirements(outcomes: Iterable[tuple[bool, bool]]
+                                 ) -> dict[str, float | None]:
+    """Success rate per requirements stratum over ``(has_requirements,
+    succeeded)`` pairs, one per notebook, for the baseline and for nbrepro."""
     totals = {True: 0, False: 0}
     successes = {True: 0, False: 0}
-    for record in records:
-        stratum = notebook_has_requirements.get(record.notebook_id)
-        if stratum is None:
-            continue
-        totals[stratum] += 1
-        if not record.install_failed and record.execution_succeeded:
-            successes[stratum] += 1
+    for has_requirements, succeeded in outcomes:
+        totals[has_requirements] += 1
+        successes[has_requirements] += succeeded
     return {
         "with_requirements": percentage(successes[True], totals[True]),
         "without_requirements": percentage(successes[False], totals[False]),

@@ -9,8 +9,10 @@ large repository's notebooks run side by side while the clean room holds
 notebooks start, and each notebook gets its own fresh container). This
 module is the only writer of the store: a stage records each repository's
 outcome in one transaction on that repository's thread, never a partial
-one. Every stage appends machine-parseable events to the invocation's event
-log alongside the raw tool logs.
+one, and compare finds its work with one query. After Ctrl-C under
+``--jobs`` above 1, no further container starts and nothing is recorded.
+Every stage appends machine-parseable events to the invocation's event log
+alongside the raw tool logs.
 """
 
 from __future__ import annotations
@@ -288,6 +290,9 @@ class Pipeline:
             result.degraded_reason = "build recipe missing; rerun the infer stage"
             return result
 
+        # After Ctrl-C no clean room starts: the run stays Pending.
+        if self._interrupted(result):
+            return result
         logdir = Path(self.config.logdir) / run.run_id
         self.events.emit("execute", "cleanup", repository_id=repo.repository_id)
         try:
@@ -301,6 +306,8 @@ class Pipeline:
                 result, run, ProvisioningStatus.BUILD_FAILED,
                 reason=f"container runtime unavailable: {exc}")
 
+        if self._interrupted(result):
+            return result
         tag = containerize.image_tag_for(repo.repository_id, run.run_id)
         self.events.emit("execute", "build_start",
                          repository_id=repo.repository_id, tag=tag)
@@ -321,6 +328,8 @@ class Pipeline:
         records = self.budget.map(
             functools.partial(self._execute_notebook, run.run_id, built, logdir),
             self.store.list_notebooks(repo.repository_id))
+        if self._interrupted(result):  # notebooks not started returned None
+            return result
 
         # An environment in which no notebook ever found a usable kernel is
         # a provisioning-level kernel failure, not a built environment.
@@ -339,9 +348,7 @@ class Pipeline:
         a store written before outcomes were committed whole holds any. After
         the invocation was interrupted nothing is recorded, and the run stays
         Pending for the next execute."""
-        if self.interrupted.is_set():
-            result.completed = False
-            result.degraded_reason = "interrupted; the run stays pending"
+        if self._interrupted(result):
             return result
         with self.store.transaction():
             self.store.delete_run_results(run)
@@ -350,9 +357,20 @@ class Pipeline:
             self.store.finish_run(run, status, **finish)
         return result
 
+    def _interrupted(self, result: RepositoryResult) -> bool:
+        """Whether Ctrl-C was seen; if so, ``result`` says the run stays Pending."""
+        if not self.interrupted.is_set():
+            return False
+        result.completed = False
+        result.degraded_reason = "interrupted; the run stays pending"
+        return True
+
     def _execute_notebook(self, run_id: str, image: str, logdir: Path,
-                          descriptor: NotebookDescriptor) -> ExecutionRecord:
-        """One notebook in its own fresh container; returns its record."""
+                          descriptor: NotebookDescriptor) -> ExecutionRecord | None:
+        """One notebook in its own fresh container; returns its record, or
+        None without starting one once the invocation was interrupted."""
+        if self.interrupted.is_set():
+            return None
         self.events.emit("execute", "notebook_start",
                          notebook_id=descriptor.notebook_id,
                          relative_path=descriptor.relative_path)
@@ -374,70 +392,51 @@ class Pipeline:
     # ---- stage 4: comparison -------------------------------------------------
 
     def compare_run(self, run: RunRecord) -> int:
-        """Compare all executed artifacts of a run; returns rows written."""
+        """Compare what is due in the run, commit in one transaction, return the row count."""
         repo = self.store.get_repository(run.repository_id)
         if repo is None or not repo.local_path:
             return 0
         tree = Path(repo.local_path)
         logdir = Path(self.config.logdir) / run.run_id
-        notebooks = {d.notebook_id: d
-                     for d in self.store.list_notebooks(run.repository_id)}
-        compared = {m.notebook_id for m, _ in self.store.list_metrics(run.run_id)}
-        written = 0
-        for record in self.store.list_executions(run.run_id):
-            if record.executed_notebook_path is None:
-                continue
-            if record.notebook_id in compared:
-                continue
-            descriptor = notebooks.get(record.notebook_id)
-            if descriptor is None or descriptor.parse_failed:
-                continue
+        writes = []
+        for notebook_id, relative_path, executed_path in self.store.comparisons_due(run):
             try:
-                original = nbmodel.parse_notebook(
-                    (tree / descriptor.relative_path).read_bytes())
-                executed = nbmodel.parse_notebook(
-                    Path(record.executed_notebook_path).read_bytes())
+                original = nbmodel.parse_notebook((tree / relative_path).read_bytes())
+                executed = nbmodel.parse_notebook(Path(executed_path).read_bytes())
             except (nbmodel.ParseError, OSError) as exc:
-                logger.warning("cannot compare %s: %s",
-                               descriptor.relative_path, exc)
+                logger.warning("cannot compare %s: %s", relative_path, exc)
                 continue
             try:
                 metrics, comparisons = comparemod.compare_notebooks(
-                    original, executed,
-                    notebook_id=record.notebook_id, run_id=run.run_id)
+                    original, executed, notebook_id=notebook_id, run_id=run.run_id)
             except comparemod.StructuralMismatchError as exc:
-                self.store.insert_unscored_metrics(
-                    record.notebook_id, run.run_id, exc.original_count)
-                self._write_comparison_json(
-                    logdir, record.notebook_id,
-                    {"structural_mismatch": True,
-                     "original_code_cells": exc.original_count,
-                     "executed_code_cells": exc.executed_count})
-                written += 1
-                continue
-            self.store.insert_metrics(metrics)
-            self._write_comparison_json(logdir, record.notebook_id, {
-                "structural_mismatch": False,
-                "score": metrics.score,
-                "total_code_cells": metrics.total_code_cells,
-                "cells": [
-                    {"cell_index": c.cell_index, "verdict": c.verdict.value,
-                     "matched_patterns": list(c.matched_patterns)}
-                    for c in comparisons
-                ],
-            })
-            written += 1
-            self.events.emit("compare", "notebook_compared",
-                             notebook_id=record.notebook_id,
-                             score=metrics.score)
-        return written
-
-    def _write_comparison_json(self, logdir: Path, notebook_id: str,
-                               payload: dict) -> None:
-        logdir.mkdir(parents=True, exist_ok=True)
-        path = logdir / f"{notebook_id}.comparison.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+                writes.append(functools.partial(
+                    self.store.insert_unscored_metrics,
+                    notebook_id, run.run_id, exc.original_count))
+                payload = {"structural_mismatch": True,
+                           "original_code_cells": exc.original_count,
+                           "executed_code_cells": exc.executed_count}
+            else:
+                writes.append(functools.partial(self.store.insert_metrics, metrics))
+                payload = {
+                    "structural_mismatch": False,
+                    "score": metrics.score,
+                    "total_code_cells": metrics.total_code_cells,
+                    "cells": [
+                        {"cell_index": c.cell_index, "verdict": c.verdict.value,
+                         "matched_patterns": list(c.matched_patterns)}
+                        for c in comparisons
+                    ],
+                }
+                self.events.emit("compare", "notebook_compared",
+                                 notebook_id=notebook_id, score=metrics.score)
+            logdir.mkdir(parents=True, exist_ok=True)
+            (logdir / f"{notebook_id}.comparison.json").write_text(
+                json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        with self.store.transaction():
+            for write in writes:
+                write()
+        return len(writes)
 
     # ---- full pipeline --------------------------------------------------------
 
@@ -451,20 +450,16 @@ class Pipeline:
             return result
 
         if not runtime_available:
-            self.store.finish_run(
-                run, ProvisioningStatus.BUILD_FAILED,
-                reason="container runtime unavailable: execution stages skipped")
             result.completed = False
             result.degraded_reason = "container runtime unavailable"
-            return result
+            return self._record_executed(
+                result, run, ProvisioningStatus.BUILD_FAILED,
+                reason="container runtime unavailable: execution stages skipped")
 
         execute_result = self.execute_run(run)
         if not execute_result.completed:
             return execute_result
-        finished = self.store.get_run(run.run_id)
-        if (finished is not None
-                and finished.provisioning_status is ProvisioningStatus.ENVIRONMENT_BUILT):
-            self.compare_run(finished)
+        self.compare_run(run)  # a run without artifacts has nothing due
         return result
 
     def run_corpus(self, inputs: list[str]) -> tuple[list[RepositoryResult], int]:

@@ -22,7 +22,7 @@ from typing import Iterable
 from nbrepro import __version__
 from nbrepro.compare import ScoreCategory, categorize_score
 from nbrepro.executor import ExecutionStatus
-from nbrepro.outcomes import OutcomeClass, percentage
+from nbrepro.outcomes import OutcomeClass, success_rate_by_requirements
 from nbrepro.store import LatestNotebook, ProvisioningStatus, Store, utc_now_iso
 
 REPORT_SCHEMA_VERSION = 1
@@ -91,15 +91,11 @@ def aggregate_corpus(store: Store,
     latest = store.latest_runs()
 
     provisioning = {key: 0 for key in PROVISIONING_ORDER}
-    with_req = without_req = 0
     for repo in repositories:
         run = latest.get(repo.repository_id)
         status = run.provisioning_status.value if run else ProvisioningStatus.PENDING.value
         provisioning[status] = provisioning.get(status, 0) + 1
-        if repo.has_requirements_file:
-            with_req += 1
-        else:
-            without_req += 1
+    with_req = sum(1 for repo in repositories if repo.has_requirements_file)
 
     notebooks = store.latest_notebooks()
     executed = [row for row in notebooks if row.execution_status is not None]
@@ -142,7 +138,7 @@ def aggregate_corpus(store: Store,
         total_repositories=len(repositories),
         provisioning=provisioning,
         repositories_with_requirements=with_req,
-        repositories_without_requirements=without_req,
+        repositories_without_requirements=len(repositories) - with_req,
         total_notebooks=len(notebooks),
         executed_notebooks=len(executed),
         zero_error_notebooks=zero_errors,
@@ -150,7 +146,7 @@ def aggregate_corpus(store: Store,
         total_error_records=total_error_records,
         error_types=dict(sorted(error_types.items())),
         error_categories=dict(sorted(error_categories.items())),
-        success_rate_by_requirements=success_rate_by_requirements(executed),
+        success_rate_by_requirements=containerized_success_rate(executed),
         mean_score_by_requirements={
             "with_requirements": _mean(scores_by_stratum[True]),
             "without_requirements": _mean(scores_by_stratum[False]),
@@ -166,24 +162,14 @@ def aggregate_corpus(store: Store,
     )
 
 
-def success_rate_by_requirements(notebooks: Iterable[LatestNotebook]
-                                 ) -> dict[str, float | None]:
+def containerized_success_rate(notebooks: Iterable[LatestNotebook]
+                               ) -> dict[str, float | None]:
     """Success rate of the executed notebooks split by their repository's
     requirements status."""
     success = ExecutionStatus.SUCCESS.value
-    totals = {True: 0, False: 0}
-    successes = {True: 0, False: 0}
-    for row in notebooks:
-        if row.execution_status is None:
-            continue
-        stratum = bool(row.has_requirements_file)
-        totals[stratum] += 1
-        if row.execution_status == success:
-            successes[stratum] += 1
-    return {
-        "with_requirements": percentage(successes[True], totals[True]),
-        "without_requirements": percentage(successes[False], totals[False]),
-    }
+    return success_rate_by_requirements(
+        (bool(row.has_requirements_file), row.execution_status == success)
+        for row in notebooks if row.execution_status is not None)
 
 
 def _mean(values: list[float]) -> float | None:

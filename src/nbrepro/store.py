@@ -6,7 +6,8 @@ identifiers, so results stay joinable across invocations. Reads and
 writes share the one connection and are serialized behind one re-entrant
 lock. Every write runs inside ``Store.transaction()``, so the writes of one
 block are recorded whole or not at all. Rows are immutable dataclasses once
-read, apart from the latest-run projection, which stays a tuple per notebook.
+read, apart from the latest-run projection and compare's due work. Compare's
+work and a run's deletes search the per-run tables by their primary keys.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from nbrepro.executor import (
     ExecutionRecord,
     ExecutionStatus,
 )
+from nbrepro.notebook import markdown_code_ratio_of
 
 
 class ProvisioningStatus(Enum):
@@ -81,9 +83,7 @@ class NotebookDescriptor:
 
     @property
     def markdown_code_ratio(self) -> float | None:
-        if not self.code_cell_count:
-            return None
-        return (self.markdown_cell_count or 0) / self.code_cell_count
+        return markdown_code_ratio_of(self.code_cell_count, self.markdown_cell_count)
 
 
 class LatestNotebook(NamedTuple):
@@ -445,6 +445,23 @@ class Store:
             for table in ("reproducibility_metrics", "notebook_executions"):
                 self._write(f"DELETE FROM {table} WHERE {own}",
                             (run.run_id, run.repository_id))
+
+    def comparisons_due(self, run: RunRecord) -> list[sqlite3.Row]:
+        """``(notebook_id, relative_path, executed_notebook_path)``, ordered
+        by ``notebook_id``, of each parsed notebook of the run's repository
+        that the run executed to an artifact and has not compared yet."""
+        return self._read(
+            """
+            SELECT n.notebook_id, n.relative_path, e.executed_notebook_path
+            FROM notebooks AS n
+            JOIN notebook_executions AS e
+                ON e.notebook_id = n.notebook_id AND e.run_id = ?
+            LEFT JOIN reproducibility_metrics AS m
+                ON m.notebook_id = n.notebook_id AND m.run_id = e.run_id
+            WHERE n.repository_id = ? AND n.parse_failed = 0
+              AND e.executed_notebook_path IS NOT NULL AND m.notebook_id IS NULL
+            ORDER BY n.notebook_id
+            """, (run.run_id, run.repository_id))
 
     def list_executions(self, run_id: str | None = None) -> list[ExecutionRecord]:
         if run_id is None:

@@ -399,3 +399,34 @@ def test_classify_with_baseline_emits_classification(workspace):
     assert main(["report", *_common_flags(workspace)]) == 0
     report = json.loads((workspace["reports"] / "report.json").read_text())
     assert report["summary"]["classified_notebooks"] == 1
+
+
+@pytest.mark.parametrize(("status", "execution", "code"), [
+    (ProvisioningStatus.PENDING, None, 1),
+    (ProvisioningStatus.BUILD_FAILED, None, 1),
+    (ProvisioningStatus.KERNEL_NOT_FOUND, "KernelNotFound", 0),
+    (ProvisioningStatus.ENVIRONMENT_BUILT, "ErroredButCompleted", 0),
+])
+def test_compare_exit_code_follows_the_latest_run(workspace, caplog,
+                                                   status, execution, code):
+    # A latest run holds execution rows exactly when execute finished it as
+    # EnvironmentBuilt or KernelNotFound; only those have work to compare.
+    from nbrepro.executor import ExecutionRecord, ExecutionStatus
+    from nbrepro.store import NotebookDescriptor, Repository, RunRecord
+
+    with Store(workspace["store"]) as store:
+        store.upsert_repository(Repository("r1", "file:///r1", notebook_count=1))
+        store.upsert_notebook(NotebookDescriptor("n1", "r1", "nb.ipynb"))
+        run = RunRecord("run1", "r1", "inv1", "2026-01-01T00:00:00+00:00")
+        store.insert_run(run)
+        if status is not ProvisioningStatus.PENDING:
+            store.finish_run(run, status, reason="built")
+        if execution is not None:
+            store.insert_execution(ExecutionRecord(
+                notebook_id="n1", run_id="run1",
+                status=ExecutionStatus(execution), duration_s=1.0,
+                code_cell_count=1, markdown_code_ratio=0.0, errors=()))
+
+    assert main(["compare", *_common_flags(workspace)]) == code
+    assert any("no executed artifacts for run" in record.message
+               for record in caplog.records) == (code == 1)

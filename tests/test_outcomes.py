@@ -207,7 +207,7 @@ def test_baseline_csv_missing_columns_rejected(tmp_path):
 
 
 def test_baseline_success_rate_by_requirements():
-    from nbrepro.outcomes import baseline_success_rate_by_requirements
+    from nbrepro.outcomes import success_rate_by_requirements
     records = [
         _baseline("Success", "Success", nb="w1"),
         _baseline("Success", "FileNotFoundError", nb="w2"),
@@ -216,13 +216,16 @@ def test_baseline_success_rate_by_requirements():
         _baseline("Fail", "Install Dependency Error", nb="ghost"),
     ]
     strata = {"w1": True, "w2": True, "wo1": False, "wo2": False}
-    rates = baseline_success_rate_by_requirements(records, strata)
+    matched, _ = match_baselines(records, strata)
+    rates = success_rate_by_requirements(
+        (strata[r.notebook_id], not r.install_failed and r.execution_succeeded)
+        for r in matched)
     assert rates == {"with_requirements": 50.0, "without_requirements": 50.0}
 
 
 def test_baseline_success_rate_empty_stratum_undefined():
-    from nbrepro.outcomes import baseline_success_rate_by_requirements
-    rates = baseline_success_rate_by_requirements([], {})
+    from nbrepro.outcomes import success_rate_by_requirements
+    rates = success_rate_by_requirements([])
     assert rates == {"with_requirements": None, "without_requirements": None}
 
 

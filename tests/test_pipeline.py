@@ -619,18 +619,18 @@ def test_unexpected_execute_error_names_the_repository(env):
 class _CtrlCDocker(FakeDocker):
     """Ctrl-C during the notebook runs: the first container run sends
     SIGINT to the main thread, as a terminal does, and every run's client
-    exits 130 once ``seen`` is set."""
+    exits 130 once ``seen`` is set. ``runs`` counts the container runs."""
 
     def __init__(self, seen: threading.Event):
         super().__init__()
         self._lock = threading.Lock()
         self.seen = seen
-        self.sent = False
+        self.runs = 0
 
     def run_container(self, image, command, run_args, timeout=None):
         super().run_container(image, command, run_args, timeout)
         with self._lock:
-            send, self.sent = not self.sent, True
+            send, self.runs = self.runs == 0, self.runs + 1
         if send:
             # A real signal: it wakes a main thread that is blocked on a
             # future, which _thread.interrupt_main() does not.
@@ -643,16 +643,75 @@ class _CtrlCDocker(FakeDocker):
 def test_ctrl_c_under_parallel_execute_commits_no_run(tmp_path):
     urls = [make_git_repo(tmp_path / name, {
         f"{name}{i}.ipynb": _original(f"print({i})", f"{i}\n").decode()
-        for i in range(2)}) for name in ("a", "b")]
+        for i in range(8)}) for name in ("a", "b")]
     config = _config(tmp_path / "store", 2)
     with Store(config.store_path) as store:
         pipeline = Pipeline(config, store, FakeDocker())
         runs = [store.get_run(pipeline.infer_repository(url).run_id)
                 for url in urls]
-        pipeline.docker = _CtrlCDocker(pipeline.interrupted)
+        docker = pipeline.docker = _CtrlCDocker(pipeline.interrupted)
         with pytest.raises(KeyboardInterrupt):
             pipeline.map_repositories(runs, pipeline.execute_run)
 
+        # only the runs in flight at Ctrl-C started; no notebook after them
+        assert 1 <= docker.runs <= config.jobs
         assert [store.get_run(run.run_id).provisioning_status for run in runs] == [
             ProvisioningStatus.PENDING, ProvisioningStatus.PENDING]
         assert store.list_executions() == []
+
+
+# ---- compare reads its work once and commits a repository once --------------
+
+def _executed_pipeline(config, store, tmp_path, names=("origin",)):
+    """Infer and execute one two-notebook repository per name; returns the
+    pipeline and the finished runs."""
+    docker = FakeDocker()
+    pipeline = Pipeline(config, store, docker)
+    runs = []
+    for name in names:
+        url = _two_notebook_repo(tmp_path / name, docker)
+        run_id = pipeline.infer_repository(url).run_id
+        assert pipeline.execute_run(store.get_run(run_id)).completed
+        runs.append(store.get_run(run_id))
+    return pipeline, runs
+
+
+def test_compare_commits_a_repository_once(env, monkeypatch):
+    config, store, tmp_path = env
+    pipeline, (run,) = _executed_pipeline(config, store, tmp_path)
+    insert = store.insert_metrics
+    inserted = []
+
+    def second_fails(metrics):
+        inserted.append(metrics.notebook_id)
+        if len(inserted) == 2:
+            raise OSError("disk full")
+        insert(metrics)
+
+    monkeypatch.setattr(store, "insert_metrics", second_fails)
+    with pytest.raises(OSError):
+        pipeline.compare_run(run)
+    assert store.list_metrics(run.run_id) == []
+
+    monkeypatch.undo()
+    assert pipeline.compare_run(run) == 2
+    assert pipeline.compare_run(run) == 0
+
+
+def test_compare_decodes_no_rows(env, monkeypatch):
+    from nbrepro import cli, store as storemod
+
+    config, store, tmp_path = env
+    pipeline, runs = _executed_pipeline(config, store, tmp_path, ("a", "b"))
+
+    def no_decoding(row):
+        raise AssertionError("compare decoded a store row")
+
+    with monkeypatch.context() as patched:
+        for name in ("_metrics_from_row", "_execution_from_row"):
+            patched.setattr(storemod, name, no_decoding)
+        assert pipeline.compare_run(runs[0]) == 2
+        assert cli.cmd_compare(config, store) == 0
+    scores = {run.run_id: sorted(m.score for m, _ in store.list_metrics(run.run_id))
+              for run in runs}
+    assert scores == {run.run_id: [1.0, 1.0] for run in runs}
