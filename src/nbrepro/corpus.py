@@ -44,8 +44,8 @@ class ValidationResult(Enum):
 
 
 class TransientNetworkError(Exception):
-    """Probe or clone interrupted by the network, worth retrying; distinct
-    from a repository that answered and said no."""
+    """Probe or clone cut short by the network, a timeout or a signal, worth
+    retrying; distinct from a repository that answered and said no."""
 
 
 class AcquisitionError(Exception):
@@ -92,8 +92,9 @@ def validate_repository(url: str,
 
     Syntactically broken inputs are malformed; a remote that answers the
     unauthenticated refs listing is accessible; one that refuses is removed
-    or private. A timed-out probe raises TransientNetworkError instead of
-    being misreported as removed.
+    or private. A probe that timed out or died by a signal (a Ctrl-C reaches
+    the whole process group) raises TransientNetworkError instead of being
+    misreported as removed.
     """
     try:
         parsed = urlparse(url.strip())
@@ -114,6 +115,9 @@ def validate_repository(url: str,
         )
     except subprocess.TimeoutExpired as exc:
         raise TransientNetworkError(f"existence probe timed out for {url}") from exc
+    if result.returncode < 0:
+        raise TransientNetworkError(
+            f"existence probe killed by signal {-result.returncode} for {url}")
     if result.returncode == 0:
         return ValidationResult.ACCESSIBLE
     logger.debug("probe of %s failed: %s", url, result.stderr.strip())

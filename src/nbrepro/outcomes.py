@@ -27,7 +27,7 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Container, Iterable, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, Mapping, NamedTuple, Sequence
 
 from nbrepro.executor import ExecutionStatus
 from nbrepro.store import ProvisioningStatus
@@ -208,37 +208,48 @@ def resolution_rate(assignments: Sequence[tuple[BaselineRecord, OutcomeClass]]
     return percentage(resolved, len(failed))
 
 
-def success_rate_by_requirements(outcomes: Iterable[tuple[bool, bool]]
+def success_rate_by_requirements(counts: Mapping[tuple[bool, bool], int]
                                  ) -> dict[str, float | None]:
-    """Success rate per requirements stratum over ``(has_requirements,
-    succeeded)`` pairs, one per notebook, for the baseline and for nbrepro."""
-    totals = {True: 0, False: 0}
-    successes = {True: 0, False: 0}
-    for has_requirements, succeeded in outcomes:
-        totals[has_requirements] += 1
-        successes[has_requirements] += succeeded
-    return {
-        "with_requirements": percentage(successes[True], totals[True]),
-        "without_requirements": percentage(successes[False], totals[False]),
-    }
+    """Success rate per requirements stratum, from the number of notebooks
+    per ``(has_requirements, succeeded)`` pair, for the baseline and for
+    nbrepro."""
+    def rate(has_requirements: bool) -> float | None:
+        hits = counts.get((has_requirements, True), 0)
+        return percentage(hits, hits + counts.get((has_requirements, False), 0))
+
+    return {"with_requirements": rate(True), "without_requirements": rate(False)}
 
 
 def read_baseline_csv(path: Path | str) -> list[BaselineRecord]:
-    """Load baseline records from the flat comma-delimited export."""
+    """Load baseline records from the flat comma-delimited export.
+
+    Columns are found by name in the header; blank lines are skipped. A
+    missing column or a row too short to hold every column is an error."""
     records: list[BaselineRecord] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(BASELINE_CSV_COLUMNS) - set(reader.fieldnames or ())
+        reader = csv.reader(fh)
+        # A repeated name means its last column, as csv.DictReader reads it.
+        header = {name: i for i, name in enumerate(next(reader, ()))}
+        missing = set(BASELINE_CSV_COLUMNS) - header.keys()
         if missing:
             raise ValueError(
                 f"baseline file missing columns: {', '.join(sorted(missing))}")
+        positions = [header[name] for name in BASELINE_CSV_COLUMNS]
+        notebook, install, status, diff_cells, duration = positions
+        width = max(positions) + 1
         for row in reader:
+            if len(row) < width:
+                if not row:
+                    continue
+                raise ValueError(
+                    f"baseline file line {reader.line_num} is short: "
+                    f"{len(row)} fields, the baseline columns need {width}")
             records.append(BaselineRecord(
-                notebook_id=row["notebook_id"].strip(),
-                prev_dependency_install=row["prev_dependency_install"].strip(),
-                prev_execution_status=row["prev_execution_status"].strip(),
-                prev_diff_cells=_parse_optional(row["prev_diff_cells"], int),
-                prev_duration_s=_parse_optional(row["prev_duration_s"], float),
+                notebook_id=row[notebook].strip(),
+                prev_dependency_install=row[install].strip(),
+                prev_execution_status=row[status].strip(),
+                prev_diff_cells=_parse_optional(row[diff_cells], int),
+                prev_duration_s=_parse_optional(row[duration], float),
             ))
     return records
 
@@ -254,9 +265,10 @@ def match_baselines(records: Iterable[BaselineRecord],
     for record in records:
         (matched if record.notebook_id in known_notebook_ids else unmatched
          ).append(record)
-    for record in unmatched:
-        logger.warning("baseline row %s matches no known notebook",
-                       record.notebook_id)
+    if unmatched:
+        logger.warning("%d baseline rows match no known notebook, first: %s",
+                       len(unmatched),
+                       ", ".join(r.notebook_id for r in unmatched[:5]))
     return matched, unmatched
 
 

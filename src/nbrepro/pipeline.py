@@ -188,9 +188,10 @@ class Pipeline:
             validation = corpus.validate_repository(
                 url, timeout=self.config.validation_timeout)
         except corpus.TransientNetworkError as exc:
-            self.events.emit("infer", "validation_timeout", url=url, error=str(exc))
+            # Timed out, or killed by the signal of a Ctrl-C: worth a retry.
+            self.events.emit("infer", "validation_unfinished", url=url, error=str(exc))
             result.completed = False
-            result.degraded_reason = f"validation timed out: {exc}"
+            result.degraded_reason = f"validation did not finish: {exc}"
             return result
 
         repository_id = corpus.repository_id_for(url)
@@ -205,7 +206,7 @@ class Pipeline:
         known = Repository(repository_id=repository_id, url=corpus.normalize_url(url))
 
         if validation is not corpus.ValidationResult.ACCESSIBLE:
-            self._record_inferred(known, run, ProvisioningStatus.INVALID_URL,
+            self._record_inferred(result, known, run, ProvisioningStatus.INVALID_URL,
                                   validation.value)
             self.events.emit("infer", "invalid_url", url=url,
                              repository_id=repository_id, reason=validation.value)
@@ -216,13 +217,12 @@ class Pipeline:
                 url, Path(self.config.artifacts_dir) / "repos")
         except corpus.AcquisitionError as exc:
             # Transient: validation said accessible but the clone failed.
-            self._record_inferred(replace(known, accessible=True), run,
-                                  ProvisioningStatus.PENDING,
-                                  f"acquisition failed: {exc}")
             self.events.emit("infer", "acquisition_failed", url=url, error=str(exc))
             result.completed = False
             result.degraded_reason = str(exc)
-            return result
+            return self._record_inferred(result, replace(known, accessible=True), run,
+                                         ProvisioningStatus.PENDING,
+                                         f"acquisition failed: {exc}")
 
         tree = Path(repo.local_path or "")
         run = replace(run, revision=corpus.current_revision(tree))
@@ -231,8 +231,8 @@ class Pipeline:
         self.events.emit("infer", "discovered", repository_id=repository_id,
                          notebooks=len(descriptors))
         if not descriptors:
-            self._record_inferred(repo, run, ProvisioningStatus.NO_PYTHON_NOTEBOOKS)
-            return result
+            return self._record_inferred(result, repo, run,
+                                         ProvisioningStatus.NO_PYTHON_NOTEBOOKS)
 
         spec = depinfer.synthesize_dependency_spec(
             repo,
@@ -247,16 +247,22 @@ class Pipeline:
         containerize.write_recipe(recipe, _dockerfile_for(tree))
         # The run is Pending, i.e. ready to execute, only once its recipe is
         # on disk.
-        self._record_inferred(repo, run, notebooks=descriptors)
+        self._record_inferred(result, repo, run, notebooks=descriptors)
         self.events.emit("infer", "synthesized", repository_id=repository_id,
                          requirements=len(spec.requirements))
         return result
 
-    def _record_inferred(self, repo: Repository, run: RunRecord,
-                         status: ProvisioningStatus | None = None, reason: str | None = None,
-                         notebooks: list[NotebookDescriptor] | tuple = ()) -> None:
+    def _record_inferred(self, result: RepositoryResult, repo: Repository,
+                         run: RunRecord, status: ProvisioningStatus | None = None,
+                         reason: str | None = None,
+                         notebooks: list[NotebookDescriptor] | tuple = ()
+                         ) -> RepositoryResult:
         """One infer outcome in one transaction: the repository row, its
-        notebooks and its run, finished with ``status`` unless that is None."""
+        notebooks and its run, finished with ``status`` unless that is None.
+        After the invocation was interrupted nothing is recorded, so the
+        next infer starts the repository afresh."""
+        if self._interrupted(result):
+            return result
         with self.store.transaction():
             self.store.upsert_repository(repo)
             for descriptor in notebooks:
@@ -264,6 +270,7 @@ class Pipeline:
             self.store.insert_run(run)
             if status is not None:
                 self.store.finish_run(run, status, reason=reason)
+        return result
 
     def _canonical_input(self, raw_input: str) -> str:
         candidate = Path(raw_input)
@@ -358,11 +365,11 @@ class Pipeline:
         return result
 
     def _interrupted(self, result: RepositoryResult) -> bool:
-        """Whether Ctrl-C was seen; if so, ``result`` says the run stays Pending."""
+        """Whether Ctrl-C was seen; if so, ``result`` says nothing was recorded."""
         if not self.interrupted.is_set():
             return False
         result.completed = False
-        result.degraded_reason = "interrupted; the run stays pending"
+        result.degraded_reason = "interrupted; nothing was recorded"
         return True
 
     def _execute_notebook(self, run_id: str, image: str, logdir: Path,

@@ -2,11 +2,12 @@
 
 Aggregates the most recent run of every repository into one summary and
 writes it as versioned JSON, a delimited table, and a human-readable
-digest. The summary is built from the store's latest-run projection (one
-tuple per notebook, filtered to the latest runs in SQL) plus the small
-repository and latest-run reads. Output bytes are deterministic for a
-fixed store snapshot; the generation timestamp is isolated in a single
-header field.
+digest. The summary is folded from the store's grouped latest-run read:
+one counted row per distinct combination of the columns it sums, so the
+Python work grows with the distinct outcomes, not with the notebooks. The
+small repository and latest-run reads add the provisioning counts. Output
+bytes are deterministic for a fixed store snapshot; the generation
+timestamp is isolated in a single header field.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable
 
 from nbrepro import __version__
 from nbrepro.compare import ScoreCategory, categorize_score
 from nbrepro.executor import ExecutionStatus
 from nbrepro.outcomes import OutcomeClass, success_rate_by_requirements
-from nbrepro.store import LatestNotebook, ProvisioningStatus, Store, utc_now_iso
+from nbrepro.store import ProvisioningStatus, Store, error_pairs, utc_now_iso
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -97,35 +98,48 @@ def aggregate_corpus(store: Store,
         provisioning[status] = provisioning.get(status, 0) + 1
     with_req = sum(1 for repo in repositories if repo.has_requirements_file)
 
-    notebooks = store.latest_notebooks()
-    executed = [row for row in notebooks if row.execution_status is not None]
-    zero_errors = sum(1 for row in executed if not row.errors)
+    # One group per combination of the folded columns; each counts its
+    # notebooks, and each distinct error list is decoded once.
+    success = ExecutionStatus.SUCCESS.value
+    total = executed = zero_errors = flagged = scored = 0
     error_types: dict[str, int] = {}
     error_categories: dict[str, int] = {}
     total_error_records = 0
-    for row in executed:
-        for error_type, category in row.errors:
-            total_error_records += 1
-            error_types[error_type] = error_types.get(error_type, 0) + 1
-            error_categories[category] = error_categories.get(category, 0) + 1
-
+    runs: dict[tuple[bool, bool], int] = {}
     score_categories = {key: 0 for key in SCORE_CATEGORY_ORDER}
-    scored = 0
-    scores: list[float] = []
-    scores_by_stratum: dict[bool, list[float]] = {True: [], False: []}
-    for row in notebooks:
-        if row.structural_mismatch is None:
+    scores: list[tuple[float, int]] = []
+    scores_by_stratum: dict[bool, list[tuple[float, int]]] = {True: [], False: []}
+    decoded: dict[str, tuple[tuple[str, str], ...]] = {}
+    for (has_requirements, has_patterns, status, errors, mismatch, score,
+         count) in store.latest_outcome_groups():
+        has_requirements = bool(has_requirements)
+        total += count
+        if has_patterns:
+            flagged += count
+        if status is not None:
+            executed += count
+            pairs = decoded.get(errors)
+            if pairs is None:
+                pairs = decoded[errors] = error_pairs(errors)
+            if not pairs:
+                zero_errors += count
+            for error_type, category in pairs:
+                total_error_records += count
+                error_types[error_type] = error_types.get(error_type, 0) + count
+                error_categories[category] = error_categories.get(category, 0) + count
+            outcome = (has_requirements, status == success)
+            runs[outcome] = runs.get(outcome, 0) + count
+        if mismatch is None:
             continue
-        scored += 1
-        category = (ScoreCategory.UNSCORED if row.structural_mismatch
-                    else categorize_score(row.score))
-        score_categories[category.value] += 1
-        if row.score is not None and not row.structural_mismatch:
-            scores.append(row.score)
-            scores_by_stratum[bool(row.has_requirements_file)].append(row.score)
+        scored += count
+        category = (ScoreCategory.UNSCORED if mismatch
+                    else categorize_score(score))
+        score_categories[category.value] += count
+        if score is not None and not mismatch:
+            scores.append((score, count))
+            scores_by_stratum[has_requirements].append((score, count))
 
-    flagged = sum(1 for row in notebooks if (row.nondeterministic_pattern_cells or 0) > 0)
-    prevalence = flagged / len(notebooks) if notebooks else 0.0
+    prevalence = flagged / total if total else 0.0
 
     outcome_classes = {key: 0 for key in OUTCOME_CLASS_ORDER}
     classified = 0
@@ -139,14 +153,14 @@ def aggregate_corpus(store: Store,
         provisioning=provisioning,
         repositories_with_requirements=with_req,
         repositories_without_requirements=len(repositories) - with_req,
-        total_notebooks=len(notebooks),
-        executed_notebooks=len(executed),
+        total_notebooks=total,
+        executed_notebooks=executed,
         zero_error_notebooks=zero_errors,
-        notebooks_with_errors=len(executed) - zero_errors,
+        notebooks_with_errors=executed - zero_errors,
         total_error_records=total_error_records,
         error_types=dict(sorted(error_types.items())),
         error_categories=dict(sorted(error_categories.items())),
-        success_rate_by_requirements=containerized_success_rate(executed),
+        success_rate_by_requirements=success_rate_by_requirements(runs),
         mean_score_by_requirements={
             "with_requirements": _mean(scores_by_stratum[True]),
             "without_requirements": _mean(scores_by_stratum[False]),
@@ -162,19 +176,13 @@ def aggregate_corpus(store: Store,
     )
 
 
-def containerized_success_rate(notebooks: Iterable[LatestNotebook]
-                               ) -> dict[str, float | None]:
-    """Success rate of the executed notebooks split by their repository's
-    requirements status."""
-    success = ExecutionStatus.SUCCESS.value
-    return success_rate_by_requirements(
-        (bool(row.has_requirements_file), row.execution_status == success)
-        for row in notebooks if row.execution_status is not None)
-
-
-def _mean(values: list[float]) -> float | None:
-    # fsum rounds once, so the mean does not depend on the order of the rows.
-    return math.fsum(values) / len(values) if values else None
+def _mean(groups: list[tuple[float, int]]) -> float | None:
+    """Mean of the scores, each repeated by its count. fsum rounds once, so
+    the result has the bits of the mean over the notebooks, in any order."""
+    count = sum(n for _, n in groups)
+    if not count:
+        return None
+    return math.fsum(chain.from_iterable(repeat(score, n) for score, n in groups)) / count
 
 
 def emit_reports(summary: CorpusSummary, report_dir: Path,

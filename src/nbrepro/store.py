@@ -6,8 +6,12 @@ identifiers, so results stay joinable across invocations. Reads and
 writes share the one connection and are serialized behind one re-entrant
 lock. Every write runs inside ``Store.transaction()``, so the writes of one
 block are recorded whole or not at all. Rows are immutable dataclasses once
-read, apart from the latest-run projection and compare's due work. Compare's
-work and a run's deletes search the per-run tables by their primary keys.
+read, apart from compare's due work and the two latest-run reads. Those join
+every notebook to its repository's latest run: ``latest_outcomes`` gives
+classify one plain tuple per notebook, ``latest_outcome_groups`` gives report
+one counted tuple per distinct combination of the columns it folds, and
+both leave the stored error JSON undecoded. These reads, compare's work and
+a run's deletes search the per-run tables by their primary keys.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
 
 from nbrepro.compare import ReproducibilityMetrics
 from nbrepro.executor import (
@@ -84,29 +87,6 @@ class NotebookDescriptor:
     @property
     def markdown_code_ratio(self) -> float | None:
         return markdown_code_ratio_of(self.code_cell_count, self.markdown_cell_count)
-
-
-class LatestNotebook(NamedTuple):
-    """One notebook with what its repository's latest run recorded for it.
-
-    The run fields are None when the repository has no run, the execution
-    fields when that run did not execute the notebook, and the metrics
-    fields when it was not compared. ``errors`` holds one
-    ``(error_type, category)`` pair per error record. Cell-index lists and
-    error messages are not read.
-    """
-
-    notebook_id: str
-    has_requirements_file: int
-    nondeterministic_pattern_cells: int | None
-    provisioning_status: str | None
-    status_reason: str | None
-    execution_status: str | None
-    different_count: int | None
-    nondeterministic_count: int | None
-    score: float | None
-    structural_mismatch: int | None
-    errors: tuple[tuple[str, str], ...]
 
 
 def utc_now_iso() -> str:
@@ -205,21 +185,36 @@ _LATEST_RUNS = """
     WHERE recency = 1
 """
 
-# Errors stay last: they are the one column decoded in Python.
-_LATEST_NOTEBOOKS = f"""
-    WITH latest AS ({_LATEST_RUNS})
-    SELECT n.notebook_id, r.has_requirements_file, n.nondeterministic_pattern_cells,
-           l.provisioning_status, l.status_reason, e.status,
-           m.different_count, m.nondeterministic_count, m.score,
-           m.structural_mismatch,
-           e.errors
+# Every notebook joined to its repository's latest run and to that run's
+# execution and metrics row for it. The classify and report reads select
+# from these joins, which search the per-run tables by their primary keys.
+_LATEST_NOTEBOOK_JOINS = f"""
     FROM notebooks AS n
     JOIN repositories AS r ON r.repository_id = n.repository_id
-    LEFT JOIN latest AS l ON l.repository_id = n.repository_id
+    LEFT JOIN ({_LATEST_RUNS}) AS l ON l.repository_id = n.repository_id
     LEFT JOIN notebook_executions AS e
         ON e.notebook_id = n.notebook_id AND e.run_id = l.run_id
     LEFT JOIN reproducibility_metrics AS m
         ON m.notebook_id = n.notebook_id AND m.run_id = l.run_id
+"""
+
+# Classify's read: one row per notebook, the outcome columns raw.
+_LATEST_OUTCOMES = f"""
+    SELECT n.notebook_id, r.has_requirements_file,
+           l.provisioning_status, l.status_reason, e.status, e.errors,
+           m.different_count, m.nondeterministic_count, m.score,
+           m.structural_mismatch
+    {_LATEST_NOTEBOOK_JOINS}
+"""
+
+# Report's read: how many notebooks share each combination of the columns
+# the corpus summary folds.
+_LATEST_OUTCOME_GROUPS = f"""
+    SELECT r.has_requirements_file,
+           coalesce(n.nondeterministic_pattern_cells, 0) > 0,
+           e.status, e.errors, m.structural_mismatch, m.score, count(*)
+    {_LATEST_NOTEBOOK_JOINS}
+    GROUP BY 1, 2, 3, 4, 5, 6
 """
 
 
@@ -407,14 +402,29 @@ class Store:
         rows = self._read(f"SELECT * FROM ({_LATEST_RUNS}) ORDER BY started_at, run_id")
         return {row["repository_id"]: _run_from_row(row) for row in rows}
 
-    def latest_notebooks(self) -> list[LatestNotebook]:
-        """Every notebook with its repository's latest run, and that run's
-        execution and metrics row for it, as plain tuples."""
+    def latest_outcomes(self) -> list[tuple]:
+        """One plain tuple per notebook: ``(notebook_id,
+        has_requirements_file, provisioning_status, status_reason,
+        execution_status, errors, different_count, nondeterministic_count,
+        score, structural_mismatch)`` from its repository's latest run. The
+        run columns are None when the repository has no run, the execution
+        columns when that run did not execute the notebook, and the metrics
+        columns when it was not compared. ``errors`` is the stored JSON
+        text; ``error_pairs`` decodes it."""
+        return self._tuples(_LATEST_OUTCOMES)
+
+    def latest_outcome_groups(self) -> list[tuple]:
+        """``(has_requirements_file, has_pattern_cells, execution_status,
+        errors, structural_mismatch, score, count)``: how many notebooks
+        share each combination of those columns in their repository's
+        latest run, with None as in ``latest_outcomes``."""
+        return self._tuples(_LATEST_OUTCOME_GROUPS)
+
+    def _tuples(self, sql: str) -> list[tuple]:
         with self._lock:
             cursor = self._conn.cursor()
             cursor.row_factory = None
-            rows = cursor.execute(_LATEST_NOTEBOOKS).fetchall()
-        return [LatestNotebook(*row[:-1], _error_pairs(row[-1])) for row in rows]
+            return cursor.execute(sql).fetchall()
 
     # ---- executions ---------------------------------------------------------
 
@@ -597,7 +607,9 @@ def _errors_from_json(text: str | None) -> tuple[ExecutionError, ...]:
     )
 
 
-def _error_pairs(text: str | None) -> tuple[tuple[str, str], ...]:
+def error_pairs(text: str | None) -> tuple[tuple[str, str], ...]:
+    """``(error_type, category)`` of each error record in a stored
+    ``errors`` column; empty for None (not executed)."""
     if text is None or text == "[]":
         return ()
     return tuple((e["error_type"], e["category"]) for e in json.loads(text))

@@ -7,7 +7,9 @@ neither git nor a container runtime.
 from __future__ import annotations
 
 import json
+import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +22,7 @@ from nbrepro.cli import (
     cmd_classify,
     cmd_report,
 )
-from nbrepro.compare import metrics_from_partition
+from nbrepro.compare import ScoreCategory, categorize_score, metrics_from_partition
 from nbrepro.config import PipelineConfig
 from nbrepro.executor import (
     ErrorCategory,
@@ -29,7 +31,15 @@ from nbrepro.executor import (
     ExecutionStatus,
 )
 from nbrepro.outcomes import BaselineRecord, assign_outcome_class
-from nbrepro.report import CorpusSummary, aggregate_corpus, emit_reports, load_report
+from nbrepro.report import (
+    OUTCOME_CLASS_ORDER,
+    PROVISIONING_ORDER,
+    SCORE_CATEGORY_ORDER,
+    CorpusSummary,
+    aggregate_corpus,
+    emit_reports,
+    load_report,
+)
 from nbrepro.store import (
     NotebookDescriptor,
     ProvisioningStatus,
@@ -433,18 +443,50 @@ def test_memoised_classification_equals_per_row_classification():
         with Store() as store:
             baselines = _random_store(store, rng)
             payload = _classification(baselines, store)
-            rows = {row.notebook_id: row for row in store.latest_notebooks()}
+            currents = {row[0]: _current_outcome(*row[2:])
+                        for row in store.latest_outcomes()}
         per_row = [
             {"notebook_id": b.notebook_id,
-             "outcome_class": assign_outcome_class(
-                 b, _current_outcome(rows[b.notebook_id])).value}
-            for b in baselines if b.notebook_id in rows]
+             "outcome_class": assign_outcome_class(b, currents[b.notebook_id]).value}
+            for b in baselines if b.notebook_id in currents]
         assert payload["assignments"] == per_row
         counts: dict[str, int] = {}
         for assignment in per_row:
             counts[assignment["outcome_class"]] = (
                 counts.get(assignment["outcome_class"], 0) + 1)
         assert payload["counts"] == dict(sorted(counts.items()))
+
+
+def _forty_notebook_store(store: Store) -> list[BaselineRecord]:
+    """Three signatures: 20 drifted successes, 10 perfect successes, and 10
+    completed runs with two NameErrors each; one baseline row each."""
+    store.upsert_repository(Repository(
+        repository_id="repo1", url="https://example.org/repo1",
+        accessible=True, notebook_count=40))
+    _add_run(store, "run1", "2026-01-01T00:00:00+00:00",
+             ProvisioningStatus.ENVIRONMENT_BUILT)
+    for n in range(40):
+        notebook_id = f"nb{n:03d}"
+        store.upsert_notebook(NotebookDescriptor(
+            notebook_id=notebook_id, repository_id="repo1",
+            relative_path=f"{notebook_id}.ipynb"))
+        if n < 20:
+            _add_scored_execution(store, notebook_id, "run1")
+            continue
+        errors = () if n < 30 else tuple(
+            ExecutionError("NameError", ErrorCategory.LOGIC, f"cell {c}", c)
+            for c in range(2))
+        store.insert_execution(ExecutionRecord(
+            notebook_id=notebook_id, run_id="run1",
+            status=(ExecutionStatus.ERRORED_BUT_COMPLETED if errors
+                    else ExecutionStatus.SUCCESS),
+            duration_s=float(n), code_cell_count=2, markdown_code_ratio=0.0,
+            errors=errors, executed_notebook_path=f"/tmp/{notebook_id}.ipynb"))
+        if not errors:
+            store.insert_metrics(metrics_from_partition(
+                [0, 1], [], [], notebook_id=notebook_id, run_id="run1"))
+    return [BaselineRecord(f"nb{n:03d}", "Success", "Success", prev_diff_cells=n)
+            for n in range(40)]
 
 
 def test_classify_calls_the_classifier_once_per_signature(monkeypatch):
@@ -456,38 +498,156 @@ def test_classify_calls_the_classifier_once_per_signature(monkeypatch):
 
     monkeypatch.setattr(nbrepro.cli, "assign_outcome_class", counting)
     with Store() as store:
-        store.upsert_repository(Repository(
-            repository_id="repo1", url="https://example.org/repo1",
-            accessible=True, notebook_count=40))
-        _add_run(store, "run1", "2026-01-01T00:00:00+00:00",
-                 ProvisioningStatus.ENVIRONMENT_BUILT)
-        # Three signatures: 20 drifted successes, 10 perfect successes, and
-        # 10 completed runs with two NameErrors each.
-        for n in range(40):
-            notebook_id = f"nb{n:03d}"
-            store.upsert_notebook(NotebookDescriptor(
-                notebook_id=notebook_id, repository_id="repo1",
-                relative_path=f"{notebook_id}.ipynb"))
-            if n < 20:
-                _add_scored_execution(store, notebook_id, "run1")
-                continue
-            errors = () if n < 30 else tuple(
-                ExecutionError("NameError", ErrorCategory.LOGIC, f"cell {c}", c)
-                for c in range(2))
-            store.insert_execution(ExecutionRecord(
-                notebook_id=notebook_id, run_id="run1",
-                status=(ExecutionStatus.ERRORED_BUT_COMPLETED if errors
-                        else ExecutionStatus.SUCCESS),
-                duration_s=float(n), code_cell_count=2, markdown_code_ratio=0.0,
-                errors=errors, executed_notebook_path=f"/tmp/{notebook_id}.ipynb"))
-            if not errors:
-                store.insert_metrics(metrics_from_partition(
-                    [0, 1], [], [], notebook_id=notebook_id, run_id="run1"))
-        payload = _classification([
-            BaselineRecord(f"nb{n:03d}", "Success", "Success", prev_diff_cells=n)
-            for n in range(40)], store)
+        payload = _classification(_forty_notebook_store(store), store)
 
     assert len(calls) == 3
     assert len(set(calls)) == 3
     assert payload["counts"] == {"C_ReproducibilityDrift": 20, "D_Regression": 10,
                                  "Unclassified": 10}
+
+
+def test_classify_builds_each_signature_once_per_distinct_outcome(monkeypatch):
+    outcomes = []
+
+    def counting(*columns):
+        outcomes.append(columns)
+        return _current_outcome(*columns)
+
+    monkeypatch.setattr(nbrepro.cli, "_current_outcome", counting)
+    with Store() as store:
+        _classification(_forty_notebook_store(store), store)
+        distinct = {row[2:] for row in store.latest_outcomes()}
+
+    assert len(distinct) == 3
+    assert sorted(outcomes, key=repr) == sorted(distinct, key=repr)
+
+
+# ---- report folds distinct outcomes, weighted by their notebooks ------------------
+
+def _reference_summary(store: Store) -> CorpusSummary:
+    """The corpus summary folded one notebook at a time from decoded rows,
+    with the latest run of each repository picked in Python."""
+    latest: dict[str, RunRecord] = {}
+    for run in store.list_runs():
+        best = latest.get(run.repository_id)
+        if best is None or (run.started_at, run.run_id) > (best.started_at, best.run_id):
+            latest[run.repository_id] = run
+    repositories = {repo.repository_id: repo for repo in store.list_repositories()}
+    executions = {(e.notebook_id, e.run_id): e for e in store.list_executions()}
+    metrics = {(m.notebook_id, m.run_id): (m, mismatch)
+               for m, mismatch in store.list_metrics()}
+
+    provisioning = {key: 0 for key in PROVISIONING_ORDER}
+    for repo_id in repositories:
+        run = latest.get(repo_id)
+        provisioning[(run.provisioning_status if run
+                      else ProvisioningStatus.PENDING).value] += 1
+    executed = zero_errors = records = scored = flagged = 0
+    error_types: dict[str, int] = {}
+    error_categories: dict[str, int] = {}
+    runs = {True: [0, 0], False: [0, 0]}
+    categories = {key: 0 for key in SCORE_CATEGORY_ORDER}
+    scores: list[float] = []
+    by_stratum: dict[bool, list[float]] = {True: [], False: []}
+    notebooks = store.list_notebooks()
+    for nb in notebooks:
+        has_requirements = repositories[nb.repository_id].has_requirements_file
+        flagged += (nb.nondeterministic_pattern_cells or 0) > 0
+        run = latest.get(nb.repository_id)
+        key = (nb.notebook_id, run.run_id if run else None)
+        execution = executions.get(key)
+        if execution is not None:
+            executed += 1
+            zero_errors += not execution.errors
+            for error in execution.errors:
+                records += 1
+                error_types[error.error_type] = error_types.get(error.error_type, 0) + 1
+                category = error.category.value
+                error_categories[category] = error_categories.get(category, 0) + 1
+            runs[has_requirements][0] += 1
+            runs[has_requirements][1] += execution.status is ExecutionStatus.SUCCESS
+        if key in metrics:
+            row, mismatch = metrics[key]
+            scored += 1
+            categories[(ScoreCategory.UNSCORED if mismatch
+                        else categorize_score(row.score)).value] += 1
+            if not mismatch and row.score is not None:
+                scores.append(row.score)
+                by_stratum[has_requirements].append(row.score)
+
+    def mean(values):
+        return math.fsum(values) / len(values) if values else None
+
+    def rate(stratum):
+        total, hits = runs[stratum]
+        return 100.0 * hits / total if total else None
+
+    with_requirements = sum(repo.has_requirements_file for repo in repositories.values())
+    return CorpusSummary(
+        total_repositories=len(repositories), provisioning=provisioning,
+        repositories_with_requirements=with_requirements,
+        repositories_without_requirements=len(repositories) - with_requirements,
+        total_notebooks=len(notebooks), executed_notebooks=executed,
+        zero_error_notebooks=zero_errors, notebooks_with_errors=executed - zero_errors,
+        total_error_records=records, error_types=dict(sorted(error_types.items())),
+        error_categories=dict(sorted(error_categories.items())),
+        success_rate_by_requirements={"with_requirements": rate(True),
+                                      "without_requirements": rate(False)},
+        mean_score_by_requirements={"with_requirements": mean(by_stratum[True]),
+                                    "without_requirements": mean(by_stratum[False])},
+        scored_notebooks=scored, score_categories=categories, mean_score=mean(scores),
+        nondeterministic_notebooks=flagged,
+        nondeterminism_prevalence=flagged / len(notebooks) if notebooks else 0.0,
+        outcome_classes={key: 0 for key in OUTCOME_CLASS_ORDER})
+
+
+def _random_report_store(store: Store, rng: random.Random) -> None:
+    """``_random_store`` with NULL, zero and positive pattern counts, plus a
+    repository whose tied and superseded runs score notebooks of up to nine
+    cells, so that the scores' sum depends on how it is rounded."""
+    _random_store(store, rng)
+    for nb in store.list_notebooks():
+        store.upsert_notebook(replace(
+            nb, nondeterministic_pattern_cells=rng.choice((None, 0, 1, 3))))
+    store.upsert_repository(Repository(
+        repository_id="varied", url="https://example.org/varied",
+        accessible=True, has_requirements_file=rng.random() < 0.5))
+    notebook_ids = [f"varied-nb{n}" for n in range(rng.randint(0, 8))]
+    for notebook_id in notebook_ids:
+        store.upsert_notebook(NotebookDescriptor(
+            notebook_id=notebook_id, repository_id="varied",
+            relative_path=f"{notebook_id}.ipynb",
+            nondeterministic_pattern_cells=rng.choice((None, 0, 2))))
+    for k in range(rng.randint(1, 3)):
+        run_id = f"varied-run{k}"
+        store.insert_run(RunRecord(
+            run_id=run_id, repository_id="varied", invocation_id=run_id,
+            started_at=rng.choice(("2026-01-01T00:00:00+00:00",
+                                   "2026-01-02T00:00:00+00:00")),
+            provisioning_status=_BUILT))
+        for notebook_id in notebook_ids:
+            total = rng.randint(1, 9)
+            store.insert_execution(ExecutionRecord(
+                notebook_id=notebook_id, run_id=run_id, status=ExecutionStatus.SUCCESS,
+                duration_s=1.0, code_cell_count=total, markdown_code_ratio=0.0,
+                errors=(), executed_notebook_path="/tmp/out.ipynb"))
+            same, drift = sorted(rng.randint(0, total) for _ in range(2))
+            store.insert_metrics(metrics_from_partition(
+                range(same), range(same, drift), range(drift, total),
+                notebook_id=notebook_id, run_id=run_id))
+
+
+def test_aggregate_corpus_equals_a_per_notebook_fold(tmp_path):
+    rng = random.Random(11)
+    stamp = "2026-01-01T00:00:00+00:00"
+    for n in range(200):
+        with Store() as store:
+            _random_report_store(store, rng)
+            summary = aggregate_corpus(store)
+            reference = _reference_summary(store)
+        assert summary == reference
+        for side, value in (("grouped", summary), ("reference", reference)):
+            emit_reports(value, tmp_path / side / str(n), generated_at=stamp)
+        for name in ("report.json", "summary.csv", "summary.md"):
+            assert ((tmp_path / "grouped" / str(n) / name).read_bytes()
+                    == (tmp_path / "reference" / str(n) / name).read_bytes())

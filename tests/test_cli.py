@@ -121,6 +121,15 @@ def test_classify_malformed_baseline_is_fatal(workspace, caplog):
     assert any("missing columns" in rec.message for rec in caplog.records)
 
 
+def test_classify_short_baseline_row_is_fatal(workspace, caplog):
+    bad = workspace["root"] / "short.csv"
+    bad.write_text("notebook_id,prev_dependency_install,prev_execution_status,"
+                   "prev_diff_cells,prev_duration_s\nabc,Success\n")
+    code = main(["classify", "--baseline", str(bad), *_common_flags(workspace)])
+    assert code == 1
+    assert any("line 2" in rec.message for rec in caplog.records)
+
+
 def test_report_on_empty_store_exits_zero(workspace):
     assert main(["report", *_common_flags(workspace)]) == 0
     report = json.loads((workspace["reports"] / "report.json").read_text())

@@ -4,11 +4,13 @@ local git fixtures."""
 from __future__ import annotations
 
 import json
+import subprocess
 
 import pytest
 
 from nbrepro.corpus import (
     AcquisitionError,
+    TransientNetworkError,
     ValidationResult,
     acquire_repository,
     discover_notebooks,
@@ -117,6 +119,14 @@ def test_same_url_same_repository_id(tmp_path):
     assert first.repository_id == second.repository_id
     # one repository row per URL is checked at infer level
     assert first == second
+
+
+def test_probe_killed_by_a_signal_is_transient(monkeypatch):
+    # A Ctrl-C reaches git too; its exit by SIGINT is not an answer.
+    monkeypatch.setattr(subprocess, "run", lambda argv, **kwargs:
+                        subprocess.CompletedProcess(argv, -2, "", ""))
+    with pytest.raises(TransientNetworkError, match="killed by signal 2"):
+        validate_repository("https://example.org/owner/repo.git")
 
 
 def test_acquire_failure_raises_transient(tmp_path):

@@ -3,6 +3,8 @@ example rows of the prior-vs-containerized comparison table."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from nbrepro.compare import metrics_from_partition
@@ -206,6 +208,34 @@ def test_baseline_csv_missing_columns_rejected(tmp_path):
         read_baseline_csv(path)
 
 
+def test_baseline_csv_short_row_names_its_line(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text(
+        "notebook_id,prev_dependency_install,prev_execution_status,"
+        "prev_diff_cells,prev_duration_s\n"
+        "nb1,Fail,Install Dependency Error,-,-\n"
+        "\n"
+        "abc,Success\n",
+        encoding="utf-8")
+    with pytest.raises(ValueError, match="line 4 is short: 2 fields"):
+        read_baseline_csv(path)
+
+
+def test_baseline_csv_reads_columns_by_header_name(tmp_path):
+    path = tmp_path / "reordered.csv"
+    path.write_text(
+        "prev_duration_s,notebook_id,extra,prev_execution_status,"
+        "prev_dependency_install,prev_diff_cells,notes\n"
+        "1.5, nb1 ,x,Success,Fail,3\n"
+        "\n"
+        "-,nb2,y,<Skipping notebook>,Success,,a note\n",
+        encoding="utf-8")
+    assert read_baseline_csv(path) == [
+        BaselineRecord("nb1", "Fail", "Success", 3, 1.5),
+        BaselineRecord("nb2", "Success", "<Skipping notebook>", None, None),
+    ]
+
+
 def test_baseline_success_rate_by_requirements():
     from nbrepro.outcomes import success_rate_by_requirements
     records = [
@@ -217,15 +247,22 @@ def test_baseline_success_rate_by_requirements():
     ]
     strata = {"w1": True, "w2": True, "wo1": False, "wo2": False}
     matched, _ = match_baselines(records, strata)
-    rates = success_rate_by_requirements(
+    rates = success_rate_by_requirements(Counter(
         (strata[r.notebook_id], not r.install_failed and r.execution_succeeded)
-        for r in matched)
+        for r in matched))
     assert rates == {"with_requirements": 50.0, "without_requirements": 50.0}
+
+
+def test_success_rate_counts_each_pair_by_its_count():
+    from nbrepro.outcomes import success_rate_by_requirements
+    rates = success_rate_by_requirements(
+        {(True, True): 3, (True, False): 1, (False, False): 2})
+    assert rates == {"with_requirements": 75.0, "without_requirements": 0.0}
 
 
 def test_baseline_success_rate_empty_stratum_undefined():
     from nbrepro.outcomes import success_rate_by_requirements
-    rates = success_rate_by_requirements([])
+    rates = success_rate_by_requirements(Counter())
     assert rates == {"with_requirements": None, "without_requirements": None}
 
 
@@ -238,3 +275,15 @@ def test_unmatched_baseline_rows_reported(caplog):
     assert [r.notebook_id for r in matched] == ["known"]
     assert [r.notebook_id for r in unmatched] == ["ghost"]
     assert any("ghost" in rec.message for rec in caplog.records)
+
+
+def test_unmatched_baseline_rows_logged_once(caplog):
+    import logging
+    records = [_baseline("Fail", "X", nb=f"ghost{n}") for n in range(7)]
+    with caplog.at_level(logging.WARNING, logger="nbrepro.outcomes"):
+        _, unmatched = match_baselines(records, set())
+    assert len(unmatched) == 7
+    (record,) = caplog.records
+    assert record.getMessage() == (
+        "7 baseline rows match no known notebook, first: "
+        "ghost0, ghost1, ghost2, ghost3, ghost4")

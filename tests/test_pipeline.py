@@ -660,6 +660,37 @@ def test_ctrl_c_under_parallel_execute_commits_no_run(tmp_path):
         assert store.list_executions() == []
 
 
+def test_ctrl_c_under_parallel_infer_records_no_run(tmp_path, monkeypatch):
+    urls = [make_git_repo(tmp_path / name, {
+        f"{name}.ipynb": _original("print(1)", "1\n").decode()})
+        for name in ("a", "b", "c", "d")]
+    config = _config(tmp_path / "store", 2)
+    validate = corpus.validate_repository
+    lock = threading.Lock()
+    probes = []
+    with Store(config.store_path) as store:
+        pipeline = Pipeline(config, store, FakeDocker())
+
+        def interrupting_validate(url, timeout):
+            with lock:
+                first = not probes
+                probes.append(url)
+            if first:
+                # What a terminal's Ctrl-C does to the main thread.
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            # Without the interrupt seen, the repository records its outcome.
+            pipeline.interrupted.wait(timeout=10)
+            return validate(url, timeout=timeout)
+
+        monkeypatch.setattr(corpus, "validate_repository", interrupting_validate)
+        with pytest.raises(KeyboardInterrupt):
+            pipeline.map_repositories(urls, pipeline.infer_repository)
+
+        assert probes
+        assert store.list_runs() == []
+        assert store.list_repositories() == []
+
+
 # ---- compare reads its work once and commits a repository once --------------
 
 def _executed_pipeline(config, store, tmp_path, names=("origin",)):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 import random
+from itertools import chain, repeat
 
 import pytest
 
@@ -16,6 +18,7 @@ from nbrepro.executor import (
 )
 from nbrepro.report import (
     CorpusSummary,
+    _mean,
     aggregate_corpus,
     emit_reports,
     load_report,
@@ -312,3 +315,16 @@ def test_classification_counts_included():
     assert summary.classified_notebooks == 4
     assert summary.resolution_rate == 75.0
     assert_sum_invariants(summary)
+
+
+def test_fsum_over_grouped_scores_equals_fsum_over_the_flat_list():
+    rng = random.Random(9)
+    for _ in range(300):
+        groups = [(rng.choice((rng.random(), 0.1, 1 / 3, 0.7, 1.0)), rng.randint(1, 40))
+                  for _ in range(rng.randint(1, 25))]
+        flat = [score for score, count in groups for _ in range(count)]
+        rng.shuffle(flat)
+        grouped = chain.from_iterable(repeat(score, count) for score, count in groups)
+        assert math.fsum(grouped) == math.fsum(flat)
+        assert _mean(groups) == math.fsum(flat) / len(flat)
+    assert _mean([]) is None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import sys
 import threading
 
@@ -281,3 +282,21 @@ def test_persistence_across_reopen(tmp_path):
     with Store(path) as reopened:
         assert reopened.get_repository("repo1") is not None
         assert reopened.get_run("run1") is not None
+
+
+@pytest.mark.parametrize("read", ["latest_outcomes", "latest_outcome_groups"])
+def test_latest_reads_search_the_per_run_tables_by_primary_key(store, read):
+    statements = []
+    store._conn.set_trace_callback(statements.append)
+    getattr(store, read)()
+    store._conn.set_trace_callback(None)
+    (sql,) = [statement for statement in statements if "SELECT" in statement]
+    plan = [row[3] for row in store._conn.execute("EXPLAIN QUERY PLAN " + sql)]
+    for table in ("notebook_executions", "reproducibility_metrics"):
+        alias = re.search(rf"\b{table} AS (\w+)", sql).group(1)
+        searches = [step for step in plan if re.fullmatch(
+            rf"SEARCH {alias} USING INDEX sqlite_autoindex_{table}_1"
+            r" \(notebook_id=\? AND run_id=\?\).*", step)]
+        assert len(searches) == 1, plan
+        assert not [step for step in plan
+                    if re.match(rf"SCAN ({alias}|{table})\b", step)], plan
