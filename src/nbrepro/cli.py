@@ -46,7 +46,7 @@ from nbrepro.pipeline import (
     RepositoryResult,
     exit_code_for,
 )
-from nbrepro.store import ProvisioningStatus, Store, error_pairs
+from nbrepro.store import LatestOutcome, ProvisioningStatus, Store
 
 logger = logging.getLogger(__name__)
 
@@ -214,24 +214,22 @@ def cmd_classify(config: PipelineConfig, store: Store) -> int:
 
 
 def _classification(baselines: list[BaselineRecord], store: Store) -> dict:
-    # One plain tuple per notebook: its id, its requirements flag, then the
-    # raw outcome columns _current_outcome reads, the execution status
-    # third among them (row[4]).
-    notebooks = {row[0]: row for row in store.latest_outcomes()}
+    notebooks = {row.notebook_id: row for row in store.latest_outcomes()}
     matched, unmatched = match_baselines(baselines, notebooks.keys())
 
-    # A corpus repeats few outcomes: build each one's signature once. A
-    # class depends only on the baseline's two statuses and the signature,
-    # so classify each such triple once.
+    # A corpus repeats few outcomes, even where its error messages vary:
+    # build each one's signature once. A class depends only on the
+    # baseline's two statuses and the signature, so classify each such
+    # triple once.
     signatures: dict[tuple, CurrentOutcome] = {}
     classes: dict[tuple[str, str, CurrentOutcome], OutcomeClass] = {}
     assignments: list[tuple[BaselineRecord, OutcomeClass]] = []
     counts: dict[OutcomeClass, int] = {}
     for baseline in matched:
-        outcome = notebooks[baseline.notebook_id][2:]
-        current = signatures.get(outcome)
+        row = notebooks[baseline.notebook_id]
+        current = signatures.get(row.outcome)
         if current is None:
-            current = signatures[outcome] = _current_outcome(*outcome)
+            current = signatures[row.outcome] = _current_outcome(row)
         key = (baseline.prev_dependency_install, baseline.prev_execution_status,
                current)
         cls = classes.get(key)
@@ -246,12 +244,13 @@ def _classification(baselines: list[BaselineRecord], store: Store) -> dict:
         "resolution_rate": resolution_rate(assignments),
         "counts": dict(sorted((cls.value, n) for cls, n in counts.items())),
         "baseline_success_rate_by_requirements": success_rate_by_requirements(
-            Counter((bool(notebooks[b.notebook_id][1]),
+            Counter((bool(notebooks[b.notebook_id].has_requirements_file),
                      not b.install_failed and b.execution_succeeded)
                     for b in matched)),
         "containerized_success_rate_by_requirements": success_rate_by_requirements(
-            Counter((bool(row[1]), row[4] == success)
-                    for row in notebooks.values() if row[4] is not None)),
+            Counter((bool(row.has_requirements_file), row.execution_status == success)
+                    for row in notebooks.values()
+                    if row.execution_status is not None)),
         "unmatched_baseline_rows": sorted(b.notebook_id for b in unmatched),
         "assignments": [
             {"notebook_id": b.notebook_id, "outcome_class": cls.value}
@@ -260,28 +259,23 @@ def _classification(baselines: list[BaselineRecord], store: Store) -> dict:
     }
 
 
-def _current_outcome(provisioning_status: str | None, status_reason: str | None,
-                     execution_status: str | None, errors: str | None,
-                     different_count: int | None,
-                     nondeterministic_count: int | None, score: float | None,
-                     structural_mismatch: int | None) -> CurrentOutcome:
-    """The signature of one notebook's raw outcome columns in its
-    repository's latest run, as ``Store.latest_outcomes`` reads them."""
-    if provisioning_status is None:
+def _current_outcome(row: LatestOutcome) -> CurrentOutcome:
+    """The signature of one notebook's outcome in its repository's latest
+    run; it reads only ``row.outcome``."""
+    if row.provisioning_status is None:
         return CurrentOutcome(ProvisioningStatus.PENDING)
-    status = ProvisioningStatus(provisioning_status)
+    status = ProvisioningStatus(row.provisioning_status)
     phase = None
-    if status is ProvisioningStatus.BUILD_FAILED and status_reason:
-        phase = status_reason.split(":", 1)[0].strip()
+    if status is ProvisioningStatus.BUILD_FAILED and row.status_reason:
+        phase = row.status_reason.split(":", 1)[0].strip()
     execution = None
-    if execution_status is not None:
-        execution = ExecutionStatus(execution_status)
+    if row.execution_status is not None:
+        execution = ExecutionStatus(row.execution_status)
     # An unscored (structural-mismatch) or uncompared row shows no drift.
-    drifted = structural_mismatch == 0 and shows_drift(
-        different_count, nondeterministic_count, score)
+    drifted = row.structural_mismatch == 0 and shows_drift(
+        row.different_count, row.nondeterministic_count, row.score)
     return CurrentOutcome(status, phase, execution,
-                          frozenset(error_type for error_type, _ in error_pairs(errors)),
-                          drifted)
+                          frozenset(json.loads(row.error_types)), drifted)
 
 
 # One assignment as json.dumps(..., indent=2) lays it out inside the payload.

@@ -189,7 +189,8 @@ class Pipeline:
                 url, timeout=self.config.validation_timeout)
         except corpus.TransientNetworkError as exc:
             # Timed out, or killed by the signal of a Ctrl-C: worth a retry.
-            self.events.emit("infer", "validation_unfinished", url=url, error=str(exc))
+            # The event keeps its name for both.
+            self.events.emit("infer", "validation_timeout", url=url, error=str(exc))
             result.completed = False
             result.degraded_reason = f"validation did not finish: {exc}"
             return result
@@ -484,7 +485,7 @@ class Pipeline:
         budget; unexpected exceptions degrade that repository only. Every
         notebook run has finished, and the notebook pool is closed, when
         this returns. After a KeyboardInterrupt, no repository still running
-        records an execute outcome."""
+        records an infer or execute outcome."""
         self.interrupted.clear()
         try:
             if self.config.jobs <= 1 or len(items) <= 1:

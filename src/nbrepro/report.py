@@ -3,8 +3,9 @@
 Aggregates the most recent run of every repository into one summary and
 writes it as versioned JSON, a delimited table, and a human-readable
 digest. The summary is folded from the store's grouped latest-run read:
-one counted row per distinct combination of the columns it sums, so the
-Python work grows with the distinct outcomes, not with the notebooks. The
+one counted row per distinct combination of the columns it sums, each
+error list reduced to its (type, category) pairs, so the Python work grows
+with the distinct outcomes, not with the notebooks. The
 small repository and latest-run reads add the provisioning counts. Output
 bytes are deterministic for a fixed store snapshot; the generation
 timestamp is isolated in a single header field.
@@ -24,7 +25,7 @@ from nbrepro import __version__
 from nbrepro.compare import ScoreCategory, categorize_score
 from nbrepro.executor import ExecutionStatus
 from nbrepro.outcomes import OutcomeClass, success_rate_by_requirements
-from nbrepro.store import ProvisioningStatus, Store, error_pairs, utc_now_iso
+from nbrepro.store import ProvisioningStatus, Store, utc_now_iso
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -109,26 +110,27 @@ def aggregate_corpus(store: Store,
     score_categories = {key: 0 for key in SCORE_CATEGORY_ORDER}
     scores: list[tuple[float, int]] = []
     scores_by_stratum: dict[bool, list[tuple[float, int]]] = {True: [], False: []}
-    decoded: dict[str, tuple[tuple[str, str], ...]] = {}
-    for (has_requirements, has_patterns, status, errors, mismatch, score,
-         count) in store.latest_outcome_groups():
-        has_requirements = bool(has_requirements)
+    decoded: dict[str, list[list[str]]] = {}
+    for group in store.latest_outcome_groups():
+        count = group.notebooks
+        has_requirements = bool(group.has_requirements_file)
         total += count
-        if has_patterns:
+        if group.has_pattern_cells:
             flagged += count
-        if status is not None:
+        if group.execution_status is not None:
             executed += count
-            pairs = decoded.get(errors)
+            pairs = decoded.get(group.error_pairs)
             if pairs is None:
-                pairs = decoded[errors] = error_pairs(errors)
+                pairs = decoded[group.error_pairs] = json.loads(group.error_pairs)
             if not pairs:
                 zero_errors += count
             for error_type, category in pairs:
                 total_error_records += count
                 error_types[error_type] = error_types.get(error_type, 0) + count
                 error_categories[category] = error_categories.get(category, 0) + count
-            outcome = (has_requirements, status == success)
+            outcome = (has_requirements, group.execution_status == success)
             runs[outcome] = runs.get(outcome, 0) + count
+        mismatch, score = group.structural_mismatch, group.score
         if mismatch is None:
             continue
         scored += count

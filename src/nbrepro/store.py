@@ -6,12 +6,15 @@ identifiers, so results stay joinable across invocations. Reads and
 writes share the one connection and are serialized behind one re-entrant
 lock. Every write runs inside ``Store.transaction()``, so the writes of one
 block are recorded whole or not at all. Rows are immutable dataclasses once
-read, apart from compare's due work and the two latest-run reads. Those join
-every notebook to its repository's latest run: ``latest_outcomes`` gives
-classify one plain tuple per notebook, ``latest_outcome_groups`` gives report
-one counted tuple per distinct combination of the columns it folds, and
-both leave the stored error JSON undecoded. These reads, compare's work and
-a run's deletes search the per-run tables by their primary keys.
+read, apart from compare's due work and the two latest-run reads, which
+are named tuples. Those join every notebook to its repository's latest
+run: ``latest_outcomes`` gives classify one row per notebook, and
+``latest_outcome_groups`` gives report one counted row per distinct
+combination of the columns it folds. Both reduce each stored error list in
+SQL to the error types, or the (type, category) pairs, that classify and
+report read, so notebooks whose error messages differ still share a
+signature or a group. These reads, compare's work and a run's deletes
+search the per-run tables by their primary keys.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from nbrepro.compare import ReproducibilityMetrics
 from nbrepro.executor import (
@@ -198,21 +202,79 @@ _LATEST_NOTEBOOK_JOINS = f"""
         ON m.notebook_id = n.notebook_id AND m.run_id = l.run_id
 """
 
-# Classify's read: one row per notebook, the outcome columns raw.
+
+class LatestOutcome(NamedTuple):
+    """Classify's read: one notebook in its repository's latest run. The run
+    columns are None when the repository has no run, the execution columns
+    when that run did not execute the notebook, and the metrics columns
+    when it was not compared."""
+
+    notebook_id: str
+    has_requirements_file: int
+    provisioning_status: str | None
+    status_reason: str | None
+    execution_status: str | None
+    error_types: str  # JSON list of the error records' types, in stored order
+    different_count: int | None
+    nondeterministic_count: int | None
+    score: float | None
+    structural_mismatch: int | None
+
+    @property
+    def outcome(self) -> tuple:
+        """Every column but the notebook's id and requirements flag: all
+        that its signature is built from."""
+        return self[2:]
+
+
+class OutcomeGroup(NamedTuple):
+    """Report's read: how many notebooks share one combination of the
+    columns the corpus summary folds, with None as in ``LatestOutcome``."""
+
+    has_requirements_file: int
+    has_pattern_cells: int
+    execution_status: str | None
+    error_pairs: str  # JSON list of [error_type, category], in stored order
+    structural_mismatch: int | None
+    score: float | None
+    notebooks: int
+
+
+# The columns of both reads are named as the fields of their row types. The
+# error lists are reduced in SQL to what classify and report read of them,
+# so notebooks whose messages differ still share a signature or a group.
+# An empty list, the common case, skips the JSON table.
+_ERROR_TYPES = """CASE e.errors WHEN '[]' THEN '[]' ELSE
+        (SELECT json_group_array(value ->> 'error_type') FROM json_each(e.errors))
+    END"""
+_ERROR_PAIRS = """CASE e.errors WHEN '[]' THEN '[]' ELSE
+        (SELECT json_group_array(json_array(value ->> 'error_type',
+                                            value ->> 'category'))
+         FROM json_each(e.errors))
+    END"""
+
 _LATEST_OUTCOMES = f"""
-    SELECT n.notebook_id, r.has_requirements_file,
-           l.provisioning_status, l.status_reason, e.status, e.errors,
-           m.different_count, m.nondeterministic_count, m.score,
-           m.structural_mismatch
+    SELECT n.notebook_id AS notebook_id,
+           r.has_requirements_file AS has_requirements_file,
+           l.provisioning_status AS provisioning_status,
+           l.status_reason AS status_reason,
+           e.status AS execution_status,
+           {_ERROR_TYPES} AS error_types,
+           m.different_count AS different_count,
+           m.nondeterministic_count AS nondeterministic_count,
+           m.score AS score,
+           m.structural_mismatch AS structural_mismatch
     {_LATEST_NOTEBOOK_JOINS}
 """
 
-# Report's read: how many notebooks share each combination of the columns
-# the corpus summary folds.
 _LATEST_OUTCOME_GROUPS = f"""
-    SELECT r.has_requirements_file,
-           coalesce(n.nondeterministic_pattern_cells, 0) > 0,
-           e.status, e.errors, m.structural_mismatch, m.score, count(*)
+    SELECT r.has_requirements_file AS has_requirements_file,
+           coalesce(n.nondeterministic_pattern_cells, 0) > 0 AS has_pattern_cells,
+           e.status AS execution_status,
+           {_ERROR_PAIRS} AS error_pairs,
+           m.structural_mismatch AS structural_mismatch,
+           m.score AS score,
+           count(*) AS notebooks
     {_LATEST_NOTEBOOK_JOINS}
     GROUP BY 1, 2, 3, 4, 5, 6
 """
@@ -402,29 +464,20 @@ class Store:
         rows = self._read(f"SELECT * FROM ({_LATEST_RUNS}) ORDER BY started_at, run_id")
         return {row["repository_id"]: _run_from_row(row) for row in rows}
 
-    def latest_outcomes(self) -> list[tuple]:
-        """One plain tuple per notebook: ``(notebook_id,
-        has_requirements_file, provisioning_status, status_reason,
-        execution_status, errors, different_count, nondeterministic_count,
-        score, structural_mismatch)`` from its repository's latest run. The
-        run columns are None when the repository has no run, the execution
-        columns when that run did not execute the notebook, and the metrics
-        columns when it was not compared. ``errors`` is the stored JSON
-        text; ``error_pairs`` decodes it."""
-        return self._tuples(_LATEST_OUTCOMES)
+    def latest_outcomes(self) -> list[LatestOutcome]:
+        """One row per notebook, from its repository's latest run."""
+        return self._named(_LATEST_OUTCOMES, LatestOutcome)
 
-    def latest_outcome_groups(self) -> list[tuple]:
-        """``(has_requirements_file, has_pattern_cells, execution_status,
-        errors, structural_mismatch, score, count)``: how many notebooks
-        share each combination of those columns in their repository's
-        latest run, with None as in ``latest_outcomes``."""
-        return self._tuples(_LATEST_OUTCOME_GROUPS)
+    def latest_outcome_groups(self) -> list[OutcomeGroup]:
+        """The notebooks grouped by the columns the corpus summary folds,
+        in their repositories' latest runs."""
+        return self._named(_LATEST_OUTCOME_GROUPS, OutcomeGroup)
 
-    def _tuples(self, sql: str) -> list[tuple]:
+    def _named(self, sql: str, row_type) -> list:
         with self._lock:
             cursor = self._conn.cursor()
             cursor.row_factory = None
-            return cursor.execute(sql).fetchall()
+            return list(map(row_type._make, cursor.execute(sql)))
 
     # ---- executions ---------------------------------------------------------
 
@@ -605,14 +658,6 @@ def _errors_from_json(text: str | None) -> tuple[ExecutionError, ...]:
         )
         for e in json.loads(text)
     )
-
-
-def error_pairs(text: str | None) -> tuple[tuple[str, str], ...]:
-    """``(error_type, category)`` of each error record in a stored
-    ``errors`` column; empty for None (not executed)."""
-    if text is None or text == "[]":
-        return ()
-    return tuple((e["error_type"], e["category"]) for e in json.loads(text))
 
 
 def _execution_from_row(row: sqlite3.Row) -> ExecutionRecord:

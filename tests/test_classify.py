@@ -29,8 +29,14 @@ from nbrepro.executor import (
     ExecutionError,
     ExecutionRecord,
     ExecutionStatus,
+    classify_error,
 )
-from nbrepro.outcomes import BaselineRecord, assign_outcome_class
+from nbrepro.outcomes import (
+    BaselineRecord,
+    CurrentOutcome,
+    assign_outcome_class,
+    shows_drift,
+)
 from nbrepro.report import (
     OUTCOME_CLASS_ORDER,
     PROVISIONING_ORDER,
@@ -415,10 +421,12 @@ def _random_store(store: Store, rng: random.Random) -> list[BaselineRecord]:
                 execution = rng.choice(_EXECUTION_STATUSES)
                 errors = ()
                 if execution is not ExecutionStatus.SUCCESS:
+                    types = [rng.choice(("NameError", "ModuleNotFoundError"))
+                             for _ in range(rng.randint(0, 3))]
                     errors = tuple(
-                        ExecutionError(rng.choice(("NameError", "ModuleNotFoundError")),
-                                       ErrorCategory.LOGIC, f"message {n}", n)
-                        for n in range(rng.randint(0, 3)))
+                        ExecutionError(error_type, classify_error(error_type),
+                                       f"{error_type} in {notebook_id}", n)
+                        for n, error_type in enumerate(types))
                 store.insert_execution(ExecutionRecord(
                     notebook_id=notebook_id, run_id=run_id, status=execution,
                     duration_s=1.0, code_cell_count=4, markdown_code_ratio=0.0,
@@ -437,13 +445,27 @@ def _random_store(store: Store, rng: random.Random) -> list[BaselineRecord]:
     return baselines
 
 
+def _decoded_latest(store: Store) -> tuple[dict, dict, dict]:
+    """The latest run of each repository, picked in Python, and every
+    execution and metrics row decoded, keyed by (notebook_id, run_id)."""
+    latest: dict[str, RunRecord] = {}
+    for run in store.list_runs():
+        best = latest.get(run.repository_id)
+        if best is None or (run.started_at, run.run_id) > (best.started_at, best.run_id):
+            latest[run.repository_id] = run
+    executions = {(e.notebook_id, e.run_id): e for e in store.list_executions()}
+    metrics = {(m.notebook_id, m.run_id): (m, mismatch)
+               for m, mismatch in store.list_metrics()}
+    return latest, executions, metrics
+
+
 def test_memoised_classification_equals_per_row_classification():
     rng = random.Random(7)
     for _ in range(200):
         with Store() as store:
             baselines = _random_store(store, rng)
             payload = _classification(baselines, store)
-            currents = {row[0]: _current_outcome(*row[2:])
+            currents = {row.notebook_id: _current_outcome(row)
                         for row in store.latest_outcomes()}
         per_row = [
             {"notebook_id": b.notebook_id,
@@ -457,9 +479,41 @@ def test_memoised_classification_equals_per_row_classification():
         assert payload["counts"] == dict(sorted(counts.items()))
 
 
+def test_each_signature_equals_one_built_from_decoded_rows():
+    rng = random.Random(13)
+    for _ in range(200):
+        with Store() as store:
+            _random_store(store, rng)
+            rows = store.latest_outcomes()
+            latest, executions, metrics = _decoded_latest(store)
+            repositories = {nb.notebook_id: nb.repository_id
+                            for nb in store.list_notebooks()}
+        for row in rows:
+            run = latest.get(repositories[row.notebook_id])
+            expected = CurrentOutcome(ProvisioningStatus.PENDING)
+            if run is not None:
+                key = (row.notebook_id, run.run_id)
+                execution = executions.get(key)
+                metric, mismatch = metrics.get(key, (None, True))
+                phase = None
+                if (run.provisioning_status is ProvisioningStatus.BUILD_FAILED
+                        and run.status_reason):
+                    phase = run.status_reason.split(":", 1)[0].strip()
+                expected = CurrentOutcome(
+                    run.provisioning_status, phase,
+                    execution.status if execution else None,
+                    frozenset(e.error_type for e in execution.errors)
+                    if execution else frozenset(),
+                    not mismatch and shows_drift(metric.different_count,
+                                                 metric.nondeterministic_count,
+                                                 metric.score))
+            assert _current_outcome(row) == expected
+
+
 def _forty_notebook_store(store: Store) -> list[BaselineRecord]:
-    """Three signatures: 20 drifted successes, 10 perfect successes, and 10
-    completed runs with two NameErrors each; one baseline row each."""
+    """Three signatures: 20 drifted successes of five different scores, 10
+    perfect successes, and 10 completed runs with two NameErrors each, whose
+    messages differ from notebook to notebook; one baseline row each."""
     store.upsert_repository(Repository(
         repository_id="repo1", url="https://example.org/repo1",
         accessible=True, notebook_count=40))
@@ -471,10 +525,17 @@ def _forty_notebook_store(store: Store) -> list[BaselineRecord]:
             notebook_id=notebook_id, repository_id="repo1",
             relative_path=f"{notebook_id}.ipynb"))
         if n < 20:
-            _add_scored_execution(store, notebook_id, "run1")
+            cells = 2 + n % 5
+            store.insert_execution(ExecutionRecord(
+                notebook_id=notebook_id, run_id="run1", status=ExecutionStatus.SUCCESS,
+                duration_s=1.0, code_cell_count=cells, markdown_code_ratio=0.0,
+                errors=(), executed_notebook_path=f"/tmp/{notebook_id}.ipynb"))
+            store.insert_metrics(metrics_from_partition(
+                [0], range(1, cells), [], notebook_id=notebook_id, run_id="run1"))
             continue
         errors = () if n < 30 else tuple(
-            ExecutionError("NameError", ErrorCategory.LOGIC, f"cell {c}", c)
+            ExecutionError("NameError", ErrorCategory.LOGIC,
+                           f"name 'x{n}_{c}' is not defined", c)
             for c in range(2))
         store.insert_execution(ExecutionRecord(
             notebook_id=notebook_id, run_id="run1",
@@ -509,17 +570,34 @@ def test_classify_calls_the_classifier_once_per_signature(monkeypatch):
 def test_classify_builds_each_signature_once_per_distinct_outcome(monkeypatch):
     outcomes = []
 
-    def counting(*columns):
-        outcomes.append(columns)
-        return _current_outcome(*columns)
+    def counting(row):
+        outcomes.append(row.outcome)
+        return _current_outcome(row)
 
     monkeypatch.setattr(nbrepro.cli, "_current_outcome", counting)
     with Store() as store:
         _classification(_forty_notebook_store(store), store)
-        distinct = {row[2:] for row in store.latest_outcomes()}
+        distinct = {row.outcome for row in store.latest_outcomes()}
 
-    assert len(distinct) == 3
+    # Five drifted scores, one perfect score, and one error list: the ten
+    # NameError messages differ but their types do not.
+    assert len(distinct) == 7
     assert sorted(outcomes, key=repr) == sorted(distinct, key=repr)
+
+
+def test_report_groups_notebooks_whose_error_messages_differ():
+    with Store() as store:
+        _forty_notebook_store(store)
+        groups = store.latest_outcome_groups()
+
+    # Five drifted scores, one perfect score, one error list; the ten
+    # NameError messages differ but their (type, category) pairs do not.
+    assert len(groups) == 7
+    assert sum(group.notebooks for group in groups) == 40
+    (errored,) = [group for group in groups if group.execution_status
+                  == ExecutionStatus.ERRORED_BUT_COMPLETED.value]
+    assert errored.notebooks == 10
+    assert json.loads(errored.error_pairs) == [["NameError", "Logic"]] * 2
 
 
 # ---- report folds distinct outcomes, weighted by their notebooks ------------------
@@ -527,15 +605,8 @@ def test_classify_builds_each_signature_once_per_distinct_outcome(monkeypatch):
 def _reference_summary(store: Store) -> CorpusSummary:
     """The corpus summary folded one notebook at a time from decoded rows,
     with the latest run of each repository picked in Python."""
-    latest: dict[str, RunRecord] = {}
-    for run in store.list_runs():
-        best = latest.get(run.repository_id)
-        if best is None or (run.started_at, run.run_id) > (best.started_at, best.run_id):
-            latest[run.repository_id] = run
+    latest, executions, metrics = _decoded_latest(store)
     repositories = {repo.repository_id: repo for repo in store.list_repositories()}
-    executions = {(e.notebook_id, e.run_id): e for e in store.list_executions()}
-    metrics = {(m.notebook_id, m.run_id): (m, mismatch)
-               for m, mismatch in store.list_metrics()}
 
     provisioning = {key: 0 for key in PROVISIONING_ORDER}
     for repo_id in repositories:

@@ -11,7 +11,11 @@ import pytest
 from nbrepro.compare import metrics_from_partition
 from nbrepro.executor import ExecutionRecord, ExecutionStatus
 from nbrepro.store import (
+    _LATEST_OUTCOME_GROUPS,
+    _LATEST_OUTCOMES,
+    LatestOutcome,
     NotebookDescriptor,
+    OutcomeGroup,
     ProvisioningStatus,
     Repository,
     RunRecord,
@@ -282,6 +286,14 @@ def test_persistence_across_reopen(tmp_path):
     with Store(path) as reopened:
         assert reopened.get_repository("repo1") is not None
         assert reopened.get_run("run1") is not None
+
+
+@pytest.mark.parametrize("sql, row_type", [(_LATEST_OUTCOMES, LatestOutcome),
+                                           (_LATEST_OUTCOME_GROUPS, OutcomeGroup)],
+                         ids=["latest_outcomes", "latest_outcome_groups"])
+def test_latest_reads_name_their_columns_as_their_row_fields(store, sql, row_type):
+    columns = [column[0] for column in store._conn.execute(sql).description]
+    assert columns == list(row_type._fields)
 
 
 @pytest.mark.parametrize("read", ["latest_outcomes", "latest_outcome_groups"])
