@@ -188,9 +188,9 @@ def cmd_compare(config: PipelineConfig, store: Store) -> int:
     if not candidates:
         raise PredecessorStateMissing(
             "no executed artifacts for run; run the execute subcommand first")
-    for run in candidates:
-        pipeline.compare_run(run)
-    return EXIT_COMPLETE
+    results = pipeline.map_repositories(candidates, pipeline.compare_run)
+    _log_results(results)
+    return exit_code_for(results)
 
 
 def cmd_report(config: PipelineConfig, store: Store) -> int:
@@ -302,7 +302,10 @@ def _emit_report(config: PipelineConfig, store: Store) -> None:
     rate = None
     classification_path = Path(config.report_dir) / CLASSIFICATION_FILE
     if classification_path.exists():
-        data = json.loads(classification_path.read_text("utf-8"))
+        try:
+            data = json.loads(classification_path.read_text("utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"cannot read {classification_path}: {exc}") from exc
         classification = data.get("counts")
         rate = data.get("resolution_rate")
     summary = reportmod.aggregate_corpus(store, classification, rate)

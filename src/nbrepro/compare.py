@@ -285,12 +285,6 @@ def compute_metrics(original: ParsedNotebook, executed: ParsedNotebook, *,
     return metrics
 
 
-def count_pattern_cells(nb: ParsedNotebook) -> int:
-    """Code cells whose source matches any variability pattern, independent
-    of output verdicts; feeds the corpus-level prevalence metric."""
-    return sum(1 for cell in code_cells(nb) if detect_nondeterminism(cell.source)[0])
-
-
 def categorize_score(score: float | None) -> ScoreCategory:
     """Bin a score into the reporting categories.
 

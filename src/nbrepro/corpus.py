@@ -1,10 +1,12 @@
 """Repository discovery, validation, and acquisition.
 
 Repositories are probed read-only over the standard git transport, cloned
-shallowly, and scanned for notebooks and dependency manifests. Identifiers
-are derived from content (URL hash, path hash) so the same repository maps
-to the same rows across invocations. Nothing here writes to the store: the
-pipeline records what these functions return.
+shallowly, and scanned for notebooks and dependency manifests. Discovery is
+the one reader of the committed notebooks at infer: it keeps each one's
+facts, not the parsed notebook. Identifiers are derived from content (URL
+hash, path hash) so the same repository maps to the same rows across
+invocations. Nothing here writes to the store: the pipeline records what
+these functions return.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from enum import Enum
 from pathlib import Path
 from urllib.parse import urlparse, urlunparse
 
-from nbrepro import compare, notebook as nbmodel
+from nbrepro import compare, depinfer, notebook as nbmodel
 from nbrepro.notebook import NOTEBOOK_SUFFIX
 from nbrepro.store import NotebookDescriptor, Repository
 
@@ -179,20 +181,21 @@ def acquire_repository(url: str, workdir: Path,
 
 
 def discover_notebooks(repo: Repository
-                       ) -> tuple[list[NotebookDescriptor],
-                                  dict[str, nbmodel.ParsedNotebook]]:
+                       ) -> tuple[list[NotebookDescriptor], set[str],
+                                  list[depinfer.PackageRequirement]]:
     """One descriptor per notebook file, in deterministic path-sorted order,
-    plus every notebook that parses, keyed by its relative path in the same
-    order, so dependency inference need not parse the files again.
+    plus the module names the code cells import and the requirements their
+    pip-install lines name, in path-then-cell order.
 
     Unparseable notebooks are described with the parse-failure flag rather
-    than skipped. Each parsed notebook is also scanned for non-determinism
-    patterns so corpus prevalence can be reported later without reopening
-    files.
+    than skipped. Each code cell is read once, for those facts and for the
+    descriptor's pattern-cell count; a parsed notebook is dropped before
+    the next one is read.
     """
     tree = Path(repo.local_path or "")
     descriptors: list[NotebookDescriptor] = []
-    parsed: dict[str, nbmodel.ParsedNotebook] = {}
+    imported: set[str] = set()
+    magic: list[depinfer.PackageRequirement] = []
     paths = sorted(
         p for p in tree.rglob(f"*{NOTEBOOK_SUFFIX}")
         if ".git" not in p.relative_to(tree).parts
@@ -212,7 +215,11 @@ def discover_notebooks(repo: Repository
                 parse_error=str(exc)[:500],
             ))
             continue
-        parsed[relative_path] = nb
+        pattern_cells = 0
+        for cell in nbmodel.code_cells(nb):
+            imported |= depinfer.extract_imports(cell.source)
+            magic.extend(depinfer.extract_magic_installs(cell.source))
+            pattern_cells += compare.detect_nondeterminism(cell.source)[0]
         code, markdown = nbmodel.cell_counts(nb)
         descriptors.append(NotebookDescriptor(
             notebook_id=notebook_id,
@@ -222,6 +229,6 @@ def discover_notebooks(repo: Repository
             nbformat_version=nb.nbformat_version,
             code_cell_count=code,
             markdown_cell_count=markdown,
-            nondeterministic_pattern_cells=compare.count_pattern_cells(nb),
+            nondeterministic_pattern_cells=pattern_cells,
         ))
-    return descriptors, parsed
+    return descriptors, imported, magic

@@ -1,10 +1,11 @@
 """Dependency synthesis from declared manifests and notebook imports.
 
 Declared requirements (requirements.txt, setup.py install lists, and pip
-install lines in notebook cells) are merged with imports statically
-extracted from notebook code; standard-library and repository-internal
-names are filtered out, import names are mapped to distribution names, and
-the result is materialized as a deterministic requirements manifest.
+install lines) are merged with imports statically extracted from code cells
+(the per-cell extractors run at discovery; synthesis never sees a notebook);
+standard-library and repository-internal names are filtered out, import
+names are mapped to distribution names, and the result is materialized as a
+deterministic requirements manifest.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
-
-from nbrepro.notebook import CellKind, ParsedNotebook
 
 if TYPE_CHECKING:
     from nbrepro.store import Repository
@@ -327,11 +326,11 @@ def find_internal_module_names(tree: Path,
 
 def synthesize_dependency_spec(
     repo: "Repository",
-    notebooks: Sequence[ParsedNotebook],
+    imported: Iterable[str],
+    magic: Sequence[PackageRequirement] = (),
     *,
     notebook_paths: Sequence[str] = (),
     tree: Path | None = None,
-    scan_magic_installs: bool = True,
     aliases: dict[str, str] | None = None,
     stdlib: frozenset[str] | None = None,
 ) -> DependencySpec:
@@ -339,12 +338,13 @@ def synthesize_dependency_spec(
 
     Declared sources win name collisions against inferred imports (they
     carry the author's version constraints); among declared sources the
-    repository's requirements manifest beats the setup script beats magic
-    install lines. The synthesized manifest is sorted by distribution name
-    and LF-terminated, so identical trees synthesize identical bytes.
+    repository's requirements manifest beats the setup script beats
+    ``magic`` install lines. The synthesized manifest is sorted by
+    distribution name and LF-terminated, so identical trees synthesize
+    identical bytes.
 
-    ``notebook_paths`` are the notebooks' repo-relative paths; modules
-    living next to a notebook count as repository-internal.
+    ``imported``, ``magic`` and ``notebook_paths`` are as discovery returns
+    them; modules living next to a notebook count as repository-internal.
     """
     if tree is None:
         tree = Path(repo.local_path) if repo.local_path else None
@@ -354,21 +354,9 @@ def synthesize_dependency_spec(
         stdlib = load_stdlib_modules()
 
     declared: list[PackageRequirement] = []
-    if tree is not None:
-        declared.extend(_declared_from_tree(tree, repo.manifest_paths))
-
-    magic: list[PackageRequirement] = []
-    imported: set[str] = set()
-    for nb in notebooks:
-        for cell in nb.cells:
-            if cell.kind is not CellKind.CODE:
-                continue
-            imported |= extract_imports(cell.source)
-            if scan_magic_installs:
-                magic.extend(extract_magic_installs(cell.source))
-
     internal: set[str] = set()
     if tree is not None:
+        declared = _declared_from_tree(tree, repo.manifest_paths)
         notebook_dirs = sorted({(tree / rel).parent for rel in notebook_paths})
         internal = find_internal_module_names(tree, notebook_dirs)
 

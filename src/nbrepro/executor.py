@@ -101,7 +101,7 @@ class ExecutionRecord:
     executed_notebook_path: str | None = None
 
 
-def classify_error(error_type: str, message: str = "") -> ErrorCategory:
+def classify_error(error_type: str) -> ErrorCategory:
     """Map a runtime exception name onto the failure taxonomy.
 
     Unknown names land in Logic; callers that care can consult
@@ -138,7 +138,7 @@ def extract_errors(executed: ParsedNotebook) -> list[ExecutionError]:
             message = output.error_value.split("\n", 1)[0]
             aggregated[key] = ExecutionError(
                 error_type=output.error_name,
-                category=classify_error(output.error_name, message),
+                category=classify_error(output.error_name),
                 message=message,
                 cell_index=ordinal,
             )

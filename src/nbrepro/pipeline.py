@@ -1,18 +1,18 @@
 """Four-stage orchestration over a repository corpus.
 
 Per repository: validate -> acquire -> discover -> infer -> recipe ->
-cleanup -> build -> execute -> compare. Repository failures become data,
-never corpus aborts. All parallelism lives here and nowhere else: ``--jobs``
-is one budget of slots shared by repository stages and notebook runs, so a
-large repository's notebooks run side by side while the clean room holds
-(a repository's cleanup and no-cache build finish before any of its
-notebooks start, and each notebook gets its own fresh container). This
-module is the only writer of the store: a stage records each repository's
-outcome in one transaction on that repository's thread, never a partial
-one, and compare finds its work with one query. After Ctrl-C under
-``--jobs`` above 1, no further container starts and nothing is recorded.
-Every stage appends machine-parseable events to the invocation's event log
-alongside the raw tool logs.
+cleanup -> build -> execute -> compare. Each stage maps over the corpus on
+one ``--jobs`` budget of slots, shared by repository stages and notebook
+runs; a failing repository becomes data, never a corpus abort. Infer holds
+facts, not parsed notebooks. A large repository's notebooks run side by
+side while the clean room holds (its cleanup and no-cache build finish
+before any of its notebooks start, and each notebook gets its own fresh
+container). This module is the only writer of the store: a stage records
+each repository's outcome in one transaction on that repository's thread,
+never a partial one, and compare finds its work with one query. After
+Ctrl-C under ``--jobs`` above 1, no further container starts and nothing is
+recorded. Every stage appends machine-parseable events to the invocation's
+event log alongside the raw tool logs. All parallelism lives here.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ class Pipeline:
 
         tree = Path(repo.local_path or "")
         run = replace(run, revision=corpus.current_revision(tree))
-        descriptors, parsed = corpus.discover_notebooks(repo)
+        descriptors, imported, magic = corpus.discover_notebooks(repo)
         repo = replace(repo, notebook_count=len(descriptors))
         self.events.emit("infer", "discovered", repository_id=repository_id,
                          notebooks=len(descriptors))
@@ -237,10 +237,11 @@ class Pipeline:
 
         spec = depinfer.synthesize_dependency_spec(
             repo,
-            list(parsed.values()),
-            notebook_paths=list(parsed),
+            imported,
+            magic if self.config.scan_magic_installs else (),
+            notebook_paths=[d.relative_path for d in descriptors
+                            if not d.parse_failed],
             tree=tree,
-            scan_magic_installs=self.config.scan_magic_installs,
             aliases=self._aliases,
         )
         recipe = containerize.generate_build_recipe(
@@ -283,7 +284,7 @@ class Pipeline:
 
     def execute_run(self, run: RunRecord) -> RepositoryResult:
         repo = self.store.get_repository(run.repository_id)
-        result = self._result_for(run)
+        result = self._result_for(run, repo)
         if repo is None or not repo.local_path:
             result.completed = False
             result.degraded_reason = "repository tree missing; rerun the infer stage"
@@ -399,11 +400,13 @@ class Pipeline:
 
     # ---- stage 4: comparison -------------------------------------------------
 
-    def compare_run(self, run: RunRecord) -> int:
-        """Compare what is due in the run, commit in one transaction, return the row count."""
+    def compare_run(self, run: RunRecord) -> RepositoryResult:
+        """Compare what is due in the run and commit it in one transaction;
+        after the invocation was interrupted nothing is recorded."""
         repo = self.store.get_repository(run.repository_id)
+        result = self._result_for(run, repo)
         if repo is None or not repo.local_path:
-            return 0
+            return result
         tree = Path(repo.local_path)
         logdir = Path(self.config.logdir) / run.run_id
         writes = []
@@ -441,10 +444,12 @@ class Pipeline:
             logdir.mkdir(parents=True, exist_ok=True)
             (logdir / f"{notebook_id}.comparison.json").write_text(
                 json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        if self._interrupted(result):
+            return result
         with self.store.transaction():
             for write in writes:
                 write()
-        return len(writes)
+        return result
 
     # ---- full pipeline --------------------------------------------------------
 
@@ -467,8 +472,8 @@ class Pipeline:
         execute_result = self.execute_run(run)
         if not execute_result.completed:
             return execute_result
-        self.compare_run(run)  # a run without artifacts has nothing due
-        return result
+        compared = self.compare_run(run)  # a run without artifacts has nothing due
+        return result if compared.completed else compared
 
     def run_corpus(self, inputs: list[str]) -> tuple[list[RepositoryResult], int]:
         runtime_available = self.docker.available()
@@ -517,11 +522,12 @@ class Pipeline:
             result.degraded_reason = f"unexpected error: {exc}"
             return result
 
-    def _result_for(self, item: str | RunRecord) -> RepositoryResult:
+    def _result_for(self, item: str | RunRecord,
+                    repo: Repository | None = None) -> RepositoryResult:
         """The result of a repository task on a raw input or on a run."""
         if isinstance(item, str):
             return RepositoryResult(url=item)
-        repo = self.store.get_repository(item.repository_id)
+        repo = repo or self.store.get_repository(item.repository_id)
         return RepositoryResult(url=repo.url if repo else "",
                                 repository_id=item.repository_id,
                                 run_id=item.run_id)

@@ -115,7 +115,7 @@ def test_criterion_3_import_inference_oracle_equivalence(tmp_path):
             mismatches.append((name, expected, got))
         repo = Repository(repository_id=f"accept{name[3:5]}", url="file:///f",
                           local_path=str(tmp_path), accessible=True)
-        spec = synthesize_dependency_spec(repo, [nb], tree=tmp_path)
+        spec = synthesize_dependency_spec(repo, found, tree=tmp_path)
         all_manifest_lines += spec.synthesized_manifest.splitlines()
     assert not mismatches, f"label mismatches: {mismatches}"
     assert not set(all_manifest_lines) & stdlib

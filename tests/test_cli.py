@@ -8,6 +8,7 @@ contract under test.
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -346,6 +347,86 @@ def test_execute_logs_each_repository_outcome(workspace, monkeypatch, caplog):
     assert f"{urls['good']} -> ok" in lines
     assert (f"{urls['bad']} -> degraded: unexpected error: "
             "runtime client crashed") in lines
+
+
+def _executed_corpus(workspace, monkeypatch, names):
+    """Infer and execute one single-notebook repository per name on a fake
+    runtime whose artifacts reproduce the committed outputs."""
+    from conftest import FakeDocker
+    from nbrepro import cli as climod
+
+    docker = FakeDocker()
+    for name in names:
+        notebook = _notebook_file(code_cell("print(1)", [
+            {"output_type": "stream", "name": "stdout", "text": ["1\n"]}], 1))
+        docker.copy_payloads[f"/workspace/{name}.executed.ipynb"] = notebook.encode()
+        url = _fixture_repo(workspace, name, {f"{name}.ipynb": notebook})
+        assert main(["infer", "--input", url, *_common_flags(workspace)]) == 0
+    monkeypatch.setattr(climod, "DockerCli", lambda executable: docker)
+    assert main(["execute", *_common_flags(workspace)]) == 0
+
+
+def test_compare_degrades_one_repository_not_the_corpus(workspace, monkeypatch,
+                                                        caplog):
+    _executed_corpus(workspace, monkeypatch, ("blocked", "fine"))
+    with Store(workspace["store"]) as store:
+        runs = {Path(repo.url).name: store.latest_runs()[repo.repository_id]
+                for repo in store.list_repositories()}
+        urls = {Path(repo.url).name: repo.url for repo in store.list_repositories()}
+    # The blocked run's log directory path is taken by a file.
+    blocked = workspace["logdir"] / runs["blocked"].run_id
+    shutil.rmtree(blocked)
+    blocked.write_text("not a directory\n")
+
+    with caplog.at_level("INFO", logger="nbrepro.cli"):
+        assert main(["compare", *_common_flags(workspace)]) == 2
+    with Store(workspace["store"]) as store:
+        assert store.list_metrics(runs["blocked"].run_id) == []
+        ((metrics, _),) = store.list_metrics(runs["fine"].run_id)
+    assert metrics.score == 1.0
+    lines = {record.getMessage() for record in caplog.records
+             if record.name == "nbrepro.cli"}
+    assert f"{urls['fine']} -> ok" in lines
+    assert any(line.startswith(f"{urls['blocked']} -> degraded: unexpected error: ")
+               for line in lines)
+
+
+def test_resource_limits_from_config_reach_the_runtime(workspace, monkeypatch,
+                                                       tmp_path):
+    from conftest import FakeDocker
+    from nbrepro import cli as climod
+
+    class RecordingDocker(FakeDocker):
+        def __init__(self):
+            super().__init__()
+            self.run_args = []
+
+        def run_container(self, image, command, run_args, timeout=None):
+            self.run_args.append(list(run_args))
+            return super().run_container(image, command, run_args, timeout)
+
+    config_file = tmp_path / "limits.json"
+    config_file.write_text(json.dumps({"cpu_limit": "1.5", "memory_limit": "2g"}))
+    docker = RecordingDocker()
+    url = _fixture_repo(workspace, "limited", {
+        "nb.ipynb": _notebook_file(code_cell("print(1)"))})
+    common = [*_common_flags(workspace), "--config", str(config_file)]
+    assert main(["infer", "--input", url, *common]) == 0
+    monkeypatch.setattr(climod, "DockerCli", lambda executable: docker)
+    assert main(["execute", *common]) == 0
+
+    (run_args,) = docker.run_args
+    assert run_args[run_args.index("--cpus") + 1] == "1.5"
+    assert run_args[run_args.index("--memory") + 1] == "2g"
+
+
+def test_report_names_an_unreadable_classification_file(workspace, caplog):
+    workspace["reports"].mkdir()
+    classification = workspace["reports"] / "classification.json"
+    classification.write_text('{"counts": {"A": 1')
+    assert main(["report", *_common_flags(workspace)]) == 1
+    assert any(str(classification) in record.getMessage()
+               for record in caplog.records)
 
 
 def test_run_matches_subcommand_chain_on_deterministic_state(workspace, tmp_path):

@@ -16,7 +16,6 @@ from nbrepro.compare import (
     compare_cell,
     compare_notebooks,
     compute_metrics,
-    count_pattern_cells,
     detect_nondeterminism,
     metrics_from_partition,
     normalize_output,
@@ -249,16 +248,6 @@ def test_score_monotonicity_moving_different_to_identical():
         after = metrics_from_partition(range(identical + 1),
                                        range(identical + 1, total), [])
         assert after.score >= before.score
-
-
-def test_count_pattern_cells():
-    nb = parse_notebook(notebook_bytes([
-        code_cell("import random\nrandom.random()"),
-        code_cell("print('hi')"),
-        markdown_cell("random.random() in prose"),
-        code_cell("t = time.time()"),
-    ]))
-    assert count_pattern_cells(nb) == 2
 
 
 # ---- categorize_score ----------------------------------------------------------------

@@ -23,10 +23,9 @@ from nbrepro.depinfer import (
     RequirementOrigin,
     synthesize_dependency_spec,
 )
-from nbrepro.notebook import parse_notebook
 from nbrepro.store import Repository
 
-from conftest import FakeCompleted, FakeDocker, code_cell, notebook_bytes
+from conftest import FakeCompleted, FakeDocker
 
 
 def _spec(*names, repo_id="fixturerepo0001", verbatim_lines=()):
@@ -92,9 +91,8 @@ def test_recipe_text_is_pure_function_of_spec(tmp_path):
     # Same spec from a fresh synthesis path must give identical bytes.
     repo = Repository(repository_id="fixturerepo0001", url="file:///x",
                       local_path=str(tmp_path), accessible=True)
-    nb = parse_notebook(notebook_bytes([code_cell("import requests")]))
-    spec_a = synthesize_dependency_spec(repo, [nb])
-    spec_b = synthesize_dependency_spec(repo, [nb])
+    spec_a = synthesize_dependency_spec(repo, {"requests"})
+    spec_b = synthesize_dependency_spec(repo, {"requests"})
     text_a = generate_build_recipe(spec_a, context_dir=tmp_path).dockerfile_text
     text_b = generate_build_recipe(spec_b, context_dir=tmp_path).dockerfile_text
     assert text_a == text_b

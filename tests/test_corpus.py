@@ -143,9 +143,8 @@ def test_discovery_order_and_persistence(tmp_path):
         "sub/b.ipynb": _notebook_file(code_cell("2")),
     })
     repo = acquire_repository(url, tmp_path / "work")
-    descriptors, parsed = discover_notebooks(repo)
+    descriptors, _, _ = discover_notebooks(repo)
     assert [d.relative_path for d in descriptors] == ["a.ipynb", "sub/b.ipynb"]
-    assert list(parsed) == ["a.ipynb", "sub/b.ipynb"]
     # infer persists these descriptors and their count (tests/test_pipeline.py)
     assert [d.notebook_id for d in descriptors] == [
         notebook_id_for(repo.repository_id, d.relative_path) for d in descriptors]
@@ -156,7 +155,7 @@ def test_tree_without_notebooks(tmp_path):
     url = make_git_repo(tmp_path / "proj", {"only.py": "pass\n"})
     repo = acquire_repository(url, tmp_path / "work")
     # the persisted notebook_count of 0 is checked at infer level
-    assert discover_notebooks(repo) == ([], {})
+    assert discover_notebooks(repo) == ([], set(), [])
 
 
 def test_non_default_kernel_carried_verbatim(tmp_path):
@@ -164,7 +163,7 @@ def test_non_default_kernel_carried_verbatim(tmp_path):
         "r_analysis.ipynb": _notebook_file(code_cell("plot(1)"), kernel="ir42"),
     })
     repo = acquire_repository(url, tmp_path / "work")
-    (descriptor,), _ = discover_notebooks(repo)
+    (descriptor,), _, _ = discover_notebooks(repo)
     assert descriptor.kernel_name == "ir42"
     assert descriptor.nbformat_version == (4, 5)
 
@@ -172,12 +171,12 @@ def test_non_default_kernel_carried_verbatim(tmp_path):
 def test_unreadable_notebook_recorded_not_skipped(tmp_path):
     url = make_git_repo(tmp_path / "proj", {
         "broken.ipynb": "{not json",
-        "fine.ipynb": _notebook_file(code_cell("1")),
+        "fine.ipynb": _notebook_file(code_cell("import yaml")),
     })
     repo = acquire_repository(url, tmp_path / "work")
-    descriptors, parsed = discover_notebooks(repo)
+    descriptors, imported, _ = discover_notebooks(repo)
     assert [d.relative_path for d in descriptors] == ["broken.ipynb", "fine.ipynb"]
-    assert list(parsed) == ["fine.ipynb"]
+    assert imported == {"yaml"}
     broken = descriptors[0]
     assert broken.parse_failed
     assert broken.parse_error
@@ -202,9 +201,35 @@ def test_pattern_scan_recorded_on_descriptor(tmp_path):
                                    code_cell("print('stable')")),
     })
     repo = acquire_repository(url, tmp_path / "work")
-    (descriptor,), _ = discover_notebooks(repo)
+    (descriptor,), _, _ = discover_notebooks(repo)
     assert descriptor.nondeterministic_pattern_cells == 1
     assert descriptor.code_cell_count == 2
+
+
+def test_pattern_cells_counted_at_discovery(tmp_path):
+    url = make_git_repo(tmp_path / "proj", {
+        "nd.ipynb": _notebook_file(code_cell("import random\nrandom.random()"),
+                                   code_cell("print('hi')"),
+                                   markdown_cell("random.random() in prose"),
+                                   code_cell("t = time.time()")),
+    })
+    repo = acquire_repository(url, tmp_path / "work")
+    (descriptor,), _, _ = discover_notebooks(repo)
+    assert descriptor.nondeterministic_pattern_cells == 2
+
+
+def test_discovery_collects_imports_and_installs_in_path_then_cell_order(tmp_path):
+    url = make_git_repo(tmp_path / "proj", {
+        "b.ipynb": _notebook_file(code_cell("!pip install rich\nimport yaml")),
+        "a.ipynb": _notebook_file(code_cell("%pip install attrs==23.1"),
+                                  markdown_cell("import prose\n!pip install no"),
+                                  code_cell("import numpy as np\n!pip install tqdm")),
+    })
+    repo = acquire_repository(url, tmp_path / "work")
+    _, imported, magic = discover_notebooks(repo)
+    assert imported == {"numpy", "yaml"}
+    assert [(r.distribution_name, r.version_constraint) for r in magic] == [
+        ("attrs", "==23.1"), ("tqdm", None), ("rich", None)]
 
 
 def test_find_manifest_paths_ignores_git_dir(tmp_path):

@@ -28,7 +28,7 @@ from nbrepro.depinfer import (
 from nbrepro.notebook import parse_notebook
 from nbrepro.store import Repository
 
-from conftest import FIXTURES, code_cell, notebook_bytes
+from conftest import FIXTURES
 
 
 # ---- requirements manifest -----------------------------------------------------
@@ -241,16 +241,16 @@ def _repo(tmp_path, manifest_paths=()):
                       manifest_paths=tuple(manifest_paths))
 
 
-def _nb(*cell_sources):
-    return parse_notebook(notebook_bytes(
-        [code_cell(source) for source in cell_sources]))
+def _imports(*cell_sources):
+    """The imported names discovery collects from these code cells."""
+    return set().union(*(extract_imports(source) for source in cell_sources))
 
 
 def test_declared_wins_name_collision(tmp_path):
     (tmp_path / "requirements.txt").write_text("numpy==1.21\n")
     spec = synthesize_dependency_spec(
         _repo(tmp_path, ["requirements.txt"]),
-        [_nb("import numpy\nimport pandas")])
+        _imports("import numpy\nimport pandas"))
     by_name = {r.distribution_name: r for r in spec.requirements}
     assert by_name["numpy"].version_constraint == "==1.21"
     assert by_name["numpy"].origin is RequirementOrigin.DECLARED_REQUIREMENTS
@@ -259,13 +259,13 @@ def test_declared_wins_name_collision(tmp_path):
 
 
 def test_no_manifest_inferred_only(tmp_path):
-    spec = synthesize_dependency_spec(_repo(tmp_path), [_nb("import requests")])
+    spec = synthesize_dependency_spec(_repo(tmp_path), _imports("import requests"))
     assert [r.distribution_name for r in spec.requirements] == ["requests"]
     assert spec.requirements[0].origin is RequirementOrigin.INFERRED_IMPORT
 
 
 def test_no_thirdparty_imports_empty_spec(tmp_path):
-    spec = synthesize_dependency_spec(_repo(tmp_path), [_nb("import os\nimport json")])
+    spec = synthesize_dependency_spec(_repo(tmp_path), _imports("import os\nimport json"))
     assert spec.requirements == ()
     assert spec.synthesized_manifest == ""
 
@@ -277,16 +277,16 @@ def test_repo_internal_modules_excluded(tmp_path):
     (tmp_path / "nbdir" / "sibling.py").write_text("y = 2\n")
     spec = synthesize_dependency_spec(
         _repo(tmp_path),
-        [_nb("import helpers\nimport mypkg\nimport sibling\nimport requests")],
+        _imports("import helpers\nimport mypkg\nimport sibling\nimport requests"),
         notebook_paths=["nbdir/analysis.ipynb"])
     assert [r.distribution_name for r in spec.requirements] == ["requests"]
 
 
 def test_magic_installs_toggle(tmp_path):
-    nb = _nb("!pip install rich\nprint(1)")
-    on = synthesize_dependency_spec(_repo(tmp_path), [nb])
-    off = synthesize_dependency_spec(_repo(tmp_path), [nb],
-                                     scan_magic_installs=False)
+    source = "!pip install rich\nprint(1)"
+    on = synthesize_dependency_spec(_repo(tmp_path), _imports(source),
+                                    extract_magic_installs(source))
+    off = synthesize_dependency_spec(_repo(tmp_path), _imports(source))
     assert [r.distribution_name for r in on.requirements] == ["rich"]
     assert off.requirements == ()
 
@@ -304,9 +304,9 @@ def test_lexicographically_first_manifest_authoritative(tmp_path):
 def test_synthesis_deterministic_and_sorted(tmp_path):
     (tmp_path / "requirements.txt").write_text("zeta\nalpha==2\n")
     repo = _repo(tmp_path, ["requirements.txt"])
-    notebooks = [_nb("import yaml\nimport bs4")]
-    first = synthesize_dependency_spec(repo, notebooks)
-    second = synthesize_dependency_spec(repo, notebooks)
+    imported = _imports("import yaml\nimport bs4")
+    first = synthesize_dependency_spec(repo, imported)
+    second = synthesize_dependency_spec(repo, imported)
     assert first.synthesized_manifest == second.synthesized_manifest
     names = [r.distribution_name for r in first.requirements]
     assert names == sorted(names)
@@ -314,7 +314,7 @@ def test_synthesis_deterministic_and_sorted(tmp_path):
 
 
 def test_alias_applied_to_inferred(tmp_path):
-    spec = synthesize_dependency_spec(_repo(tmp_path), [_nb("import sklearn\nimport cv2")])
+    spec = synthesize_dependency_spec(_repo(tmp_path), _imports("import sklearn\nimport cv2"))
     assert [r.distribution_name for r in spec.requirements] == [
         "opencv-python", "scikit-learn"]
 
@@ -326,7 +326,7 @@ def test_no_stdlib_in_synthesized_manifest_randomized(tmp_path):
         chosen = rng.sample(stdlib, 5)
         third_party = rng.choice(["flask", "attrs", "pydantic"])
         source = "\n".join(f"import {name}" for name in [*chosen, third_party])
-        spec = synthesize_dependency_spec(_repo(tmp_path), [_nb(source)])
+        spec = synthesize_dependency_spec(_repo(tmp_path), _imports(source))
         manifest_names = {line.strip() for line in
                           spec.synthesized_manifest.splitlines()}
         assert not manifest_names & set(chosen)

@@ -7,6 +7,7 @@ import json
 import signal
 import threading
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -91,11 +92,10 @@ def test_execute_and_compare_full_wiring(env):
         assert str(Path(config.artifacts_dir) / run.run_id) in (
             record.executed_notebook_path)
 
-    written = pipeline.compare_run(finished)
-    assert written == 2
-    rows = {m.notebook_id: (m, mismatch)
-            for m, mismatch in store.list_metrics(run.run_id)}
-    scores = sorted(m.score for m, _ in rows.values())
+    assert pipeline.compare_run(finished).completed
+    rows = store.list_metrics(run.run_id)
+    assert len(rows) == 2
+    scores = sorted(m.score for m, _ in rows)
     assert scores == [0.0, 1.0]
 
     # log directory contract: build log, per-notebook execution logs,
@@ -111,7 +111,8 @@ def test_execute_and_compare_full_wiring(env):
         assert len(comparison["cells"]) == 1
 
     # rerunning the comparison stage is a no-op for already-compared rows
-    assert pipeline.compare_run(finished) == 0
+    assert pipeline.compare_run(finished).completed
+    assert store.list_metrics(run.run_id) == rows
 
     events = [json.loads(line) for line in
               (Path(config.logdir) / "events.ndjson").read_text().splitlines()]
@@ -216,6 +217,39 @@ def test_run_computes_each_fact_once(env, monkeypatch):
     assert len(syntheses) == 1
     assert len(recipe_writes) == 1
     assert len(import_scans) == 3  # one per code cell
+
+
+def test_infer_holds_at_most_one_parsed_notebook(env, monkeypatch):
+    config, store, tmp_path = env
+    url = make_git_repo(tmp_path / "origin", {
+        f"n{i}.ipynb": _original(f"import mod{i}", f"{i}\n").decode()
+        for i in range(5)})
+    parse = notebook.parse_notebook
+    models = []
+    alive_at_parse = []
+
+    def tracking(data):
+        alive_at_parse.append(sum(ref() is not None for ref in models))
+        model = parse(data)
+        models.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr(notebook, "parse_notebook", tracking)
+    result = Pipeline(config, store, FakeDocker()).infer_repository(url)
+
+    assert result.completed
+    assert len(alive_at_parse) == 5
+    assert max(alive_at_parse) <= 1
+
+
+def test_infer_without_magic_scan_leaves_pip_installs_out(env):
+    config, store, tmp_path = env
+    docker = FakeDocker()
+    url = _two_notebook_repo(tmp_path, docker)
+    config.scan_magic_installs = False
+    result = Pipeline(config, store, docker).infer_repository(url)
+    # the first notebook's "!pip install requests" is not a requirement
+    assert _recipe_bytes(store, result.repository_id)[1] == b"numpy\npandas\n"
 
 
 def _recipe_bytes(store, repository_id):
@@ -725,8 +759,11 @@ def test_compare_commits_a_repository_once(env, monkeypatch):
     assert store.list_metrics(run.run_id) == []
 
     monkeypatch.undo()
-    assert pipeline.compare_run(run) == 2
-    assert pipeline.compare_run(run) == 0
+    assert pipeline.compare_run(run).completed
+    rows = store.list_metrics(run.run_id)
+    assert len(rows) == 2
+    assert pipeline.compare_run(run).completed
+    assert store.list_metrics(run.run_id) == rows
 
 
 def test_compare_decodes_no_rows(env, monkeypatch):
@@ -741,7 +778,7 @@ def test_compare_decodes_no_rows(env, monkeypatch):
     with monkeypatch.context() as patched:
         for name in ("_metrics_from_row", "_execution_from_row"):
             patched.setattr(storemod, name, no_decoding)
-        assert pipeline.compare_run(runs[0]) == 2
+        assert pipeline.compare_run(runs[0]).completed
         assert cli.cmd_compare(config, store) == 0
     scores = {run.run_id: sorted(m.score for m, _ in store.list_metrics(run.run_id))
               for run in runs}
