@@ -23,7 +23,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from nbrepro import __version__, report as reportmod
+from nbrepro import __version__, atomic, corpus, report as reportmod
 from nbrepro.config import ConfigError, PipelineConfig
 from nbrepro.containerize import DockerCli
 from nbrepro.executor import ExecutionStatus
@@ -157,8 +157,17 @@ def cmd_infer(config: PipelineConfig, store: Store) -> int:
 
 
 def _unique(inputs: list[str]) -> list[str]:
-    """Order-preserving dedup; one run per repository per invocation."""
-    return list(dict.fromkeys(inputs))
+    """One input per repository, the first spelling kept: one run per
+    repository per invocation. An input that does not normalize is keyed
+    by its own spelling."""
+    first: dict[str, str] = {}
+    for raw in inputs:
+        try:
+            key = corpus.repository_id_for(corpus.canonical_input(raw))
+        except ValueError:
+            key = raw
+        first.setdefault(key, raw)
+    return list(first.values())
 
 
 def cmd_execute(config: PipelineConfig, store: Store) -> int:
@@ -208,7 +217,7 @@ def cmd_classify(config: PipelineConfig, store: Store) -> int:
     report_dir = Path(config.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
     out_path = report_dir / CLASSIFICATION_FILE
-    out_path.write_text(_render_classification(payload), encoding="utf-8")
+    atomic.write_text(out_path, _render_classification(payload))
     logger.info("classification written to %s", out_path)
     return EXIT_COMPLETE
 

@@ -7,14 +7,15 @@ residual). The reproducibility score is identical cells over total code
 cells. Equal outputs always win: a cell full of random calls that happens
 to reproduce byte-identically is Identical, which keeps self-comparison at
 score 1.0.
+
+Variability patterns are matched after one left-to-right regex pass blanks
+comments and strings, so verdicts do not depend on the Python version.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import re
-import tokenize
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -151,45 +152,20 @@ def normalize_output(out: CellOutput) -> str:
     return "\x00".join(parts)
 
 
-def strip_comments_and_strings(source: str) -> str:
-    """Blank out comments and string literals, preserving line structure.
-
-    Tokenizer-based; when the source does not tokenize (broken cells), a
-    line-oriented fallback removes quoted spans and # comments instead.
-    """
-    spans: list[tuple[int, int, int, int]] = []
-    drop_types = {tokenize.STRING, tokenize.COMMENT}
-    fstring_middle = getattr(tokenize, "FSTRING_MIDDLE", None)
-    if fstring_middle is not None:
-        drop_types.add(fstring_middle)
-    try:
-        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-            if tok.type in drop_types:
-                spans.append((*tok.start, *tok.end))
-    except (tokenize.TokenError, IndentationError, SyntaxError, ValueError):
-        return _strip_literals_fallback(source)
-
-    if not spans:
-        return source
-    lines = source.split("\n")
-    for srow, scol, erow, ecol in spans:
-        for row in range(srow - 1, min(erow, len(lines))):
-            line = lines[row]
-            start = scol if row == srow - 1 else 0
-            end = ecol if row == erow - 1 else len(line)
-            lines[row] = line[:start] + " " * (end - start) + line[end:]
-    return "\n".join(lines)
-
-
-_FALLBACK_STRING_RE = re.compile(
-    r"'''.*?'''|\"\"\".*?\"\"\"|'(?:[^'\\\n]|\\.)*'|\"(?:[^\"\\\n]|\\.)*\"",
+# Comments and strings in one alternation, scanned left to right: whichever
+# opens first owns what follows. An unterminated quote matches nothing.
+_LITERAL_RE = re.compile(
+    r"#[^\n]*|'''.*?'''|\"\"\".*?\"\"\"|'(?:[^'\\\n]|\\.)*'|\"(?:[^\"\\\n]|\\.)*\"",
     re.DOTALL,
 )
+_NOT_NEWLINE_RE = re.compile(r"[^\n]")
 
 
-def _strip_literals_fallback(source: str) -> str:
-    without_strings = _FALLBACK_STRING_RE.sub(" ", source)
-    return "\n".join(line.split("#", 1)[0] for line in without_strings.split("\n"))
+def strip_comments_and_strings(source: str) -> str:
+    """Blank out comments and string literals, keeping every newline so line
+    structure holds. String prefixes (``f``, ``rb``) stay; f-string fields
+    are part of the literal on every Python version."""
+    return _LITERAL_RE.sub(lambda m: _NOT_NEWLINE_RE.sub(" ", m.group()), source)
 
 
 def detect_nondeterminism(source: str) -> tuple[bool, list[str]]:

@@ -19,6 +19,21 @@ class ConfigError(Exception):
     pass
 
 
+# What a config-file value must be, by the annotation of its field.
+_FILE_VALUE_CHECKS = {
+    "list[str]": ("a list of strings", lambda v: isinstance(v, list)
+                  and all(isinstance(item, str) for item in v)),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a positive number", lambda v: isinstance(v, (int, float))
+              and not isinstance(v, bool) and v > 0),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "Path": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "Path | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+}
+
+
 @dataclass
 class PipelineConfig:
     inputs: list[str] = field(default_factory=list)
@@ -53,11 +68,16 @@ class PipelineConfig:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        annotations = {f.name: f.type for f in fields(cls)}
+        unknown = set(data) - set(annotations)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        config = cls(**{key: data[key] for key in data})
+        for key, value in data.items():
+            expected, check = _FILE_VALUE_CHECKS[annotations[key]]
+            if not check(value):
+                raise ConfigError(
+                    f"config key {key!r} must be {expected}, not {json.dumps(value)}")
+        config = cls(**data)
         return config.normalized()
 
     def normalized(self) -> "PipelineConfig":

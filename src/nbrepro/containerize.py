@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from nbrepro import __version__
+from nbrepro import __version__, atomic
 from nbrepro.depinfer import DependencySpec
 
 logger = logging.getLogger(__name__)
@@ -187,9 +187,9 @@ def write_recipe(recipe: BuildRecipe, dockerfile_path: Path) -> Path:
     """Materialize the manifest into the build context and the Dockerfile
     next to it (the Dockerfile itself stays outside the tree)."""
     manifest_path = recipe.context_dir / recipe.manifest_name
-    manifest_path.write_text(recipe.manifest_text, encoding="utf-8")
+    atomic.write_text(manifest_path, recipe.manifest_text)
     dockerfile_path.parent.mkdir(parents=True, exist_ok=True)
-    dockerfile_path.write_text(recipe.dockerfile_text, encoding="utf-8")
+    atomic.write_text(dockerfile_path, recipe.dockerfile_text)
     return dockerfile_path
 
 

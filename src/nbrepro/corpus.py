@@ -74,6 +74,15 @@ def local_path_to_url(path: str | Path) -> str:
     return Path(path).resolve().as_uri()
 
 
+def canonical_input(raw_input: str) -> str:
+    """The URL an input names: an existing local path becomes its file URL,
+    anything else is taken as a URL."""
+    candidate = Path(raw_input)
+    if "://" not in raw_input and candidate.exists():
+        return local_path_to_url(candidate)
+    return raw_input.strip()
+
+
 def repository_id_for(url: str) -> str:
     digest = hashlib.sha256(normalize_url(url).encode("utf-8")).hexdigest()
     return digest[:16]

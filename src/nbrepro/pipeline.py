@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from nbrepro import compare as comparemod
+from nbrepro import atomic, compare as comparemod
 from nbrepro import containerize, corpus, depinfer, executor, notebook as nbmodel
 from nbrepro.config import PipelineConfig
 from nbrepro.containerize import BuildFailure, DockerCli
@@ -180,7 +180,7 @@ class Pipeline:
     # ---- stage 1 + 2: discovery, validation, inference ----------------------
 
     def infer_repository(self, raw_input: str) -> RepositoryResult:
-        url = self._canonical_input(raw_input)
+        url = corpus.canonical_input(raw_input)
         result = RepositoryResult(url=url)
         self.events.emit("infer", "start", url=url)
 
@@ -273,12 +273,6 @@ class Pipeline:
             if status is not None:
                 self.store.finish_run(run, status, reason=reason)
         return result
-
-    def _canonical_input(self, raw_input: str) -> str:
-        candidate = Path(raw_input)
-        if "://" not in raw_input and candidate.exists():
-            return corpus.local_path_to_url(candidate)
-        return raw_input.strip()
 
     # ---- stage 3: clean-room build + execution ------------------------------
 
@@ -442,8 +436,8 @@ class Pipeline:
                 self.events.emit("compare", "notebook_compared",
                                  notebook_id=notebook_id, score=metrics.score)
             logdir.mkdir(parents=True, exist_ok=True)
-            (logdir / f"{notebook_id}.comparison.json").write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            atomic.write_text(logdir / f"{notebook_id}.comparison.json",
+                              json.dumps(payload, indent=2, sort_keys=True) + "\n")
         if self._interrupted(result):
             return result
         with self.store.transaction():

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
 
-from nbrepro import __version__
+from nbrepro import __version__, atomic
 from nbrepro.compare import ScoreCategory, categorize_score
 from nbrepro.executor import ExecutionStatus
 from nbrepro.outcomes import OutcomeClass, success_rate_by_requirements
@@ -189,7 +189,7 @@ def _mean(groups: list[tuple[float, int]]) -> float | None:
 
 def emit_reports(summary: CorpusSummary, report_dir: Path,
                  generated_at: str | None = None) -> list[Path]:
-    """Write report.json, summary.csv, and summary.md.
+    """Write report.json, summary.csv, and summary.md, each replaced atomically.
 
     Raises OSError when the target directory cannot be written; callers
     translate that into a fatal exit.
@@ -205,15 +205,14 @@ def emit_reports(summary: CorpusSummary, report_dir: Path,
         "summary": summary.to_dict(),
     }
     json_path = report_dir / "report.json"
-    json_path.write_text(
-        json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8")
+    atomic.write_text(json_path, json.dumps(
+        document, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
     csv_path = report_dir / "summary.csv"
-    csv_path.write_text(_render_csv(summary), encoding="utf-8")
+    atomic.write_text(csv_path, _render_csv(summary))
 
     md_path = report_dir / "summary.md"
-    md_path.write_text(_render_markdown(summary, stamp), encoding="utf-8")
+    atomic.write_text(md_path, _render_markdown(summary, stamp))
     return [json_path, csv_path, md_path]
 
 

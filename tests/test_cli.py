@@ -7,6 +7,7 @@ contract under test.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from nbrepro.cli import main
+from nbrepro.config import PipelineConfig
 from nbrepro.store import ProvisioningStatus, Store
 
 from conftest import (
@@ -205,6 +207,46 @@ def test_invalid_config_is_fatal(workspace, caplog):
     assert any("worker pool" in rec.message for rec in caplog.records)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("inputs", "file:///nonexistent/u/p"),
+    ("inputs", ["file:///nonexistent/u/p", 3]),
+    ("jobs", "2"),
+    ("jobs", True),
+    ("exec_timeout", "10"),
+    ("build_timeout", 0),
+    ("store_path", None),
+    ("cpu_limit", 2),
+    ("scan_magic_installs", "no"),
+])
+def test_config_file_value_of_wrong_type_is_fatal(workspace, tmp_path, caplog,
+                                                  key, value):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({key: value}))
+    code = main(["infer", "--input", str(tmp_path / "missing"),
+                 "--config", str(config_file), *_common_flags(workspace)])
+    assert code == 1
+    assert any(f"config key {key!r}" in rec.message for rec in caplog.records)
+    assert not workspace["store"].exists()
+
+
+def test_config_file_accepts_every_field(tmp_path):
+    values = {
+        "inputs": ["file:///nonexistent/u/p"], "store_path": "s.sqlite3",
+        "logdir": "logs", "artifacts_dir": "artifacts", "report_dir": "reports",
+        "jobs": 2, "build_timeout": 10, "exec_timeout": 2.5,
+        "validation_timeout": 1, "base_image": "python:3.11-slim",
+        "alias_table_path": None, "baseline_path": "baseline.csv",
+        "scan_magic_installs": False, "docker_executable": "podman",
+        "cpu_limit": "2", "memory_limit": None,
+    }
+    assert set(values) == {f.name for f in dataclasses.fields(PipelineConfig)}
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(values))
+    config = PipelineConfig.from_file(config_file)
+    assert config.jobs == 2 and config.baseline_path == Path("baseline.csv")
+    assert config.scan_magic_installs is False
+
+
 def test_structured_event_log_lines_parse(workspace):
     url = _fixture_repo(workspace, "repo", {
         "nb.ipynb": _notebook_file(code_cell("print(1)"))})
@@ -220,10 +262,14 @@ def test_structured_event_log_lines_parse(workspace):
 def test_duplicate_inputs_deduplicated(workspace):
     url = _fixture_repo(workspace, "dup", {
         "nb.ipynb": _notebook_file(code_cell("print(1)"))})
-    assert main(["infer", "--input", url, "--input", url,
-                 *_common_flags(workspace)]) == 0
+    path = str(workspace["root"] / "origins" / "dup")
+    # Five spellings of one repository give one run.
+    spellings = [url, url, url + "/", path, path + "/"]
+    flags = [arg for spelling in spellings for arg in ("--input", spelling)]
+    assert main(["infer", *flags, "--jobs", "2", *_common_flags(workspace)]) == 0
     with Store(workspace["store"]) as store:
         assert len(store.list_runs()) == 1
+        assert [r.url for r in store.list_repositories()] == [url]
 
 
 def test_infer_parallel_jobs(workspace):

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
 import random
+import re
+import sysconfig
+import time
+import tokenize
+from pathlib import Path
 
 import pytest
 
@@ -16,11 +22,14 @@ from nbrepro.compare import (
     compare_cell,
     compare_notebooks,
     compute_metrics,
+    NONDETERMINISM_PATTERNS,
     detect_nondeterminism,
     metrics_from_partition,
     normalize_output,
+    strip_comments_and_strings,
 )
-from nbrepro.notebook import CellOutput, OutputKind, parse_notebook
+from nbrepro.depinfer import extract_imports
+from nbrepro.notebook import CellOutput, OutputKind, code_cells, parse_notebook
 
 from conftest import (
     FIXTURES,
@@ -100,6 +109,134 @@ def test_nondeterminism_fixture_covers_every_pattern():
         covered.update(case["patterns"])
     assert covered == {"random.*", "uuid.*", "np.random", "time.time",
                        "datetime.now", "os.environ"}
+
+
+# ---- strip_comments_and_strings -------------------------------------------------
+
+def _reference_strip(source):
+    """The tokenizer stripper, with its regex fallback for sources that do
+    not tokenize, that the one-pass scan replaced. The one-pass scan must
+    give the same pattern names. Python 3.12+ tokenizes f-string fields
+    (PEP 701); the reference joins an f-string back into one span, as
+    earlier tokenizers report it, so it reads alike on every interpreter."""
+    spans = []
+    fstring_start = getattr(tokenize, "FSTRING_START", None)
+    fstring_end = getattr(tokenize, "FSTRING_END", None)
+    depth = 0
+    try:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == fstring_start:
+                if depth == 0:
+                    opened = tok.start
+                depth += 1
+            elif tok.type == fstring_end:
+                depth -= 1
+                if depth == 0:
+                    spans.append((*opened, *tok.end))
+            elif depth == 0 and tok.type in (tokenize.STRING, tokenize.COMMENT):
+                spans.append((*tok.start, *tok.end))
+    except (tokenize.TokenError, IndentationError, SyntaxError, ValueError):
+        return _reference_strip_fallback(source)
+    lines = source.split("\n")
+    for srow, scol, erow, ecol in spans:
+        for row in range(srow - 1, min(erow, len(lines))):
+            line = lines[row]
+            start = scol if row == srow - 1 else 0
+            end = ecol if row == erow - 1 else len(line)
+            lines[row] = line[:start] + " " * (end - start) + line[end:]
+    return "\n".join(lines)
+
+
+_REFERENCE_STRING_RE = re.compile(
+    r"'''.*?'''|\"\"\".*?\"\"\"|'(?:[^'\\\n]|\\.)*'|\"(?:[^\"\\\n]|\\.)*\"",
+    re.DOTALL,
+)
+
+
+def _reference_strip_fallback(source):
+    without_strings = _REFERENCE_STRING_RE.sub(" ", source)
+    return "\n".join(line.split("#", 1)[0] for line in without_strings.split("\n"))
+
+
+def _pattern_names(stripped):
+    return [name for name, pattern in NONDETERMINISM_PATTERNS
+            if pattern.search(stripped)]
+
+
+def _fixture_cell_sources():
+    sources = [case["source"] for case in _load_nd_cells()]
+    for path in sorted(FIXTURES.glob("**/*.ipynb")):
+        notebook = parse_notebook(path.read_bytes())
+        sources.extend(cell.source for cell in code_cells(notebook))
+    return sources
+
+
+def test_stripper_matches_reference_on_fixture_cells():
+    sources = _fixture_cell_sources()
+    assert len(sources) > 50
+    for source in sources:
+        assert (detect_nondeterminism(source)[1]
+                == _pattern_names(_reference_strip(source))), source
+
+
+_TOP_LEVEL_DEFINITION_RE = re.compile(r"\n(?=(?:@|def |async def |class ))")
+
+
+def test_stripper_matches_reference_on_stdlib_sample():
+    # Every fourth top-level module of the running interpreter's stdlib,
+    # cut before each top-level definition, until the time budget is spent.
+    modules = sorted(Path(sysconfig.get_paths()["stdlib"]).glob("*.py"))[::4]
+    deadline = time.monotonic() + 1.5
+    units = flagged = 0
+    for module in modules:
+        if time.monotonic() > deadline:
+            break
+        text = module.read_text("utf-8", errors="replace")
+        for unit in _TOP_LEVEL_DEFINITION_RE.split(text):
+            names = detect_nondeterminism(unit)[1]
+            assert names == _pattern_names(_reference_strip(unit)), \
+                f"{module.name}: {unit[:200]!r}"
+            units += 1
+            flagged += bool(names)
+    assert units > 100 and flagged > 0
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("s = '#'; x = random.random()", ["random.*"]),
+    ("s = \"it's # random.random()\"", []),
+    ("s = 'don\\'t' + random.random()", ["random.*"]),
+    ("s = \"a \\\" random.seed(1)\"", []),
+    ("p = r'\\d+' # random.seed()\nos.environ['A']", ["os.environ"]),
+    ("b = rb'uuid.uuid4()' + br\"time.time\"", []),
+    ("s = 'unterminated random.random()", ["random.*"]),
+    ("x = f\"{random.random()}\"", []),
+    ("x = f'{time.time()}' + f\"{os.environ}\"", []),
+], ids=["hash_in_string", "quote_and_hash_in_string", "escaped_single_quote",
+        "escaped_double_quote", "raw_string", "byte_strings", "unterminated",
+        "fstring_field", "fstring_fields"])
+def test_stripper_edge_cases(source, expected):
+    assert detect_nondeterminism(source)[1] == expected
+
+
+def test_stripper_keeps_line_structure():
+    source = "a = '#'  # note\nb = '''x\ny''' + \"\\\"\"\nimport os"
+    stripped = strip_comments_and_strings(source)
+    assert [len(line) for line in stripped.split("\n")] == \
+        [len(line) for line in source.split("\n")]
+    assert stripped.split() == ["a", "=", "b", "=", "+", "import", "os"]
+
+
+def test_import_after_multiline_string_found_on_its_own_line():
+    # The cell does not parse, so the import comes from the line scan.
+    assert extract_imports("s = '''a\nb'''\nimport yaml\ndef broken(:") == {"yaml"}
+
+
+def test_triple_quote_inside_comment_of_broken_cell_hides_no_code():
+    source = ("# docstrings use ''' quotes\nx = random.random()\n"
+              "s = '''doc'''\ny = (")
+    assert detect_nondeterminism(source) == (True, ["random.*"])
+    assert extract_imports(source.replace("x = random.random()",
+                                          "import numpy")) == {"numpy"}
 
 
 # ---- compare_cell ----------------------------------------------------------------
