@@ -46,7 +46,7 @@ from nbrepro.pipeline import (
     RepositoryResult,
     exit_code_for,
 )
-from nbrepro.store import LatestOutcome, ProvisioningStatus, Store
+from nbrepro.store import LatestOutcome, ProvisioningStatus, Store, StoreError
 
 logger = logging.getLogger(__name__)
 
@@ -158,15 +158,10 @@ def cmd_infer(config: PipelineConfig, store: Store) -> int:
 
 def _unique(inputs: list[str]) -> list[str]:
     """One input per repository, the first spelling kept: one run per
-    repository per invocation. An input that does not normalize is keyed
-    by its own spelling."""
+    repository per invocation."""
     first: dict[str, str] = {}
     for raw in inputs:
-        try:
-            key = corpus.repository_id_for(corpus.canonical_input(raw))
-        except ValueError:
-            key = raw
-        first.setdefault(key, raw)
+        first.setdefault(corpus.repository_id_for(corpus.canonical_input(raw)), raw)
     return list(first.values())
 
 
@@ -223,68 +218,82 @@ def cmd_classify(config: PipelineConfig, store: Store) -> int:
 
 
 def _classification(baselines: list[BaselineRecord], store: Store) -> dict:
-    notebooks = {row.notebook_id: row for row in store.latest_outcomes()}
-    matched, unmatched = match_baselines(baselines, notebooks.keys())
+    groups = store.latest_outcomes()
+    group_of: dict[str, int] = {}
+    for index, group in enumerate(groups):
+        group_of.update(dict.fromkeys(group.notebook_ids, index))
+    matched, unmatched = match_baselines(baselines, group_of.keys())
 
-    # A corpus repeats few outcomes, even where its error messages vary:
-    # build each one's signature once. A class depends only on the
-    # baseline's two statuses and the signature, so classify each such
-    # triple once.
+    # Baseline rows repeat few pairs of statuses, and a corpus few outcomes
+    # even where its error messages vary. So the matched rows are counted
+    # per (pair, group), one row standing for the rest, as the classifier
+    # reads only a row's statuses. Each signature is built once, and
+    # classified once per pair.
+    keys = [(b.prev_dependency_install, b.prev_execution_status,
+             group_of[b.notebook_id]) for b in matched]
+    tally = Counter(keys)
     signatures: dict[tuple, CurrentOutcome] = {}
-    classes: dict[tuple[str, str, CurrentOutcome], OutcomeClass] = {}
-    assignments: list[tuple[BaselineRecord, OutcomeClass]] = []
-    counts: dict[OutcomeClass, int] = {}
-    for baseline in matched:
-        row = notebooks[baseline.notebook_id]
-        current = signatures.get(row.outcome)
+    signature_classes: dict[tuple[str, str, CurrentOutcome], OutcomeClass] = {}
+    class_values: dict[tuple[str, str, int], str] = {}
+    counts: Counter[str] = Counter()
+    baseline_classes: Counter[tuple[BaselineRecord, OutcomeClass]] = Counter()
+    baseline_runs: Counter[tuple[bool, bool]] = Counter()
+    for key, baseline in dict(zip(keys, matched)).items():
+        install, status, index = key
+        group = groups[index]
+        current = signatures.get(group.outcome)
         if current is None:
-            current = signatures[row.outcome] = _current_outcome(row)
-        key = (baseline.prev_dependency_install, baseline.prev_execution_status,
-               current)
-        cls = classes.get(key)
+            current = signatures[group.outcome] = _current_outcome(group)
+        classified = (install, status, current)
+        cls = signature_classes.get(classified)
         if cls is None:
-            cls = classes[key] = assign_outcome_class(baseline, current)
-        assignments.append((baseline, cls))
-        counts[cls] = counts.get(cls, 0) + 1
+            cls = signature_classes[classified] = assign_outcome_class(baseline, current)
+        class_values[key] = cls.value
+        notebooks = tally[key]
+        counts[cls.value] += notebooks
+        baseline_classes[baseline, cls] += notebooks
+        baseline_runs[bool(group.has_requirements_file),
+                      not baseline.install_failed
+                      and baseline.execution_succeeded] += notebooks
 
     success = ExecutionStatus.SUCCESS.value
+    current_runs: Counter[tuple[bool, bool]] = Counter()
+    for group in groups:
+        if group.execution_status is not None:
+            current_runs[bool(group.has_requirements_file),
+                         group.execution_status == success] += len(group.notebook_ids)
     return {
         "note": _INTERPRETATION_NOTE,
-        "resolution_rate": resolution_rate(assignments),
-        "counts": dict(sorted((cls.value, n) for cls, n in counts.items())),
-        "baseline_success_rate_by_requirements": success_rate_by_requirements(
-            Counter((bool(notebooks[b.notebook_id].has_requirements_file),
-                     not b.install_failed and b.execution_succeeded)
-                    for b in matched)),
-        "containerized_success_rate_by_requirements": success_rate_by_requirements(
-            Counter((bool(row.has_requirements_file), row.execution_status == success)
-                    for row in notebooks.values()
-                    if row.execution_status is not None)),
+        "resolution_rate": resolution_rate(baseline_classes),
+        "counts": dict(sorted(counts.items())),
+        "baseline_success_rate_by_requirements":
+            success_rate_by_requirements(baseline_runs),
+        "containerized_success_rate_by_requirements":
+            success_rate_by_requirements(current_runs),
         "unmatched_baseline_rows": sorted(b.notebook_id for b in unmatched),
         "assignments": [
-            {"notebook_id": b.notebook_id, "outcome_class": cls.value}
-            for b, cls in assignments
+            {"notebook_id": b.notebook_id, "outcome_class": class_values[key]}
+            for b, key in zip(matched, keys)
         ],
     }
 
 
-def _current_outcome(row: LatestOutcome) -> CurrentOutcome:
-    """The signature of one notebook's outcome in its repository's latest
-    run; it reads only ``row.outcome``."""
-    if row.provisioning_status is None:
+def _current_outcome(group: LatestOutcome) -> CurrentOutcome:
+    """The signature of an outcome in a repository's latest run; it reads
+    only ``group.outcome``."""
+    if group.provisioning_status is None:
         return CurrentOutcome(ProvisioningStatus.PENDING)
-    status = ProvisioningStatus(row.provisioning_status)
-    phase = None
-    if status is ProvisioningStatus.BUILD_FAILED and row.status_reason:
-        phase = row.status_reason.split(":", 1)[0].strip()
     execution = None
-    if row.execution_status is not None:
-        execution = ExecutionStatus(row.execution_status)
-    # An unscored (structural-mismatch) or uncompared row shows no drift.
-    drifted = row.structural_mismatch == 0 and shows_drift(
-        row.different_count, row.nondeterministic_count, row.score)
-    return CurrentOutcome(status, phase, execution,
-                          frozenset(json.loads(row.error_types)), drifted)
+    if group.execution_status is not None:
+        execution = ExecutionStatus(group.execution_status)
+    # An unscored (structural-mismatch) or uncompared outcome shows no drift.
+    drifted = group.structural_mismatch == 0 and shows_drift(
+        group.different_count, group.nondeterministic_count, group.score)
+    return CurrentOutcome(ProvisioningStatus(group.provisioning_status),
+                          group.build_phase, execution,
+                          frozenset(error_type for error_type, _
+                                    in json.loads(group.error_pairs)),
+                          drifted)
 
 
 # One assignment as json.dumps(..., indent=2) lays it out inside the payload.
@@ -342,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
         config = config_from_args(args)
         with Store(config.store_path) as store:
             return args.handler(config, store)
-    except (ConfigError, PredecessorStateMissing, ValueError) as exc:
+    except (ConfigError, PredecessorStateMissing, StoreError, ValueError) as exc:
         logger.error("%s", exc)
         return EXIT_FATAL
     except OSError as exc:

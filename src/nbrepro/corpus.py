@@ -61,8 +61,13 @@ def _git_env() -> dict[str, str]:
 
 
 def normalize_url(url: str) -> str:
-    """Canonical URL form feeding the repository identifier."""
-    parsed = urlparse(url.strip())
+    """Canonical URL form feeding the repository identifier. An input that
+    does not parse as a URL, such as ``http://[::1``, is kept as spelled:
+    it is still recorded, as an invalid URL."""
+    try:
+        parsed = urlparse(url.strip())
+    except ValueError:
+        return url.strip()
     path = parsed.path.rstrip("/")
     if path.endswith(".git"):
         path = path[:-4]

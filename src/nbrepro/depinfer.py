@@ -211,8 +211,16 @@ def extract_imports(source: str) -> set[str]:
     Parses the cell as Python when possible (comments and strings are then
     ignored for free) and falls back to an anchored line scan for broken
     cells. Relative imports are repository-internal and excluded. Only the
-    first dotted component of each name is returned.
+    first dotted component of each name is returned. A cell without the
+    ``import`` keyword, which both import statements and both line patterns
+    need, is not parsed: most cells import nothing.
     """
+    if "import" not in source:
+        return set()
+    return _parse_imports(source)
+
+
+def _parse_imports(source: str) -> set[str]:
     cleaned = _blank_cell_magics(source)
     try:
         tree = ast.parse(cleaned)

@@ -24,10 +24,9 @@ from __future__ import annotations
 import csv
 import functools
 import logging
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Container, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, Mapping, NamedTuple
 
 from nbrepro.executor import ExecutionStatus
 from nbrepro.store import ProvisioningStatus
@@ -53,8 +52,10 @@ class OutcomeClass(Enum):
     UNCLASSIFIED = "Unclassified"
 
 
-@dataclass(frozen=True)
-class BaselineRecord:
+class BaselineRecord(NamedTuple):
+    """One row of the baseline export. A named tuple, as a corpus loads one
+    per notebook."""
+
     notebook_id: str
     prev_dependency_install: str
     prev_execution_status: str
@@ -197,15 +198,20 @@ def assign_outcome_class(baseline: BaselineRecord | None,
     return OutcomeClass.D_REGRESSION
 
 
-def resolution_rate(assignments: Sequence[tuple[BaselineRecord, OutcomeClass]]
+def resolution_rate(counts: Mapping[tuple[BaselineRecord, OutcomeClass], int]
                     ) -> float | None:
-    """Percentage of baseline dependency-install failures now in class A.
+    """Percentage of baseline dependency-install failures now in class A,
+    from the number of notebooks per (baseline row, class) pair.
 
     Undefined (None) when no baseline record failed on dependency install.
     """
-    failed = [cls for b, cls in assignments if b.install_failed]
-    resolved = sum(1 for cls in failed if cls is OutcomeClass.A_ENVIRONMENT_RESOLVED)
-    return percentage(resolved, len(failed))
+    failed = resolved = 0
+    for (baseline, cls), notebooks in counts.items():
+        if baseline.install_failed:
+            failed += notebooks
+            if cls is OutcomeClass.A_ENVIRONMENT_RESOLVED:
+                resolved += notebooks
+    return percentage(resolved, failed)
 
 
 def success_rate_by_requirements(counts: Mapping[tuple[bool, bool], int]
@@ -245,12 +251,9 @@ def read_baseline_csv(path: Path | str) -> list[BaselineRecord]:
                     f"baseline file line {reader.line_num} is short: "
                     f"{len(row)} fields, the baseline columns need {width}")
             records.append(BaselineRecord(
-                notebook_id=row[notebook].strip(),
-                prev_dependency_install=row[install].strip(),
-                prev_execution_status=row[status].strip(),
-                prev_diff_cells=_parse_optional(row[diff_cells], int),
-                prev_duration_s=_parse_optional(row[duration], float),
-            ))
+                row[notebook].strip(), row[install].strip(), row[status].strip(),
+                _parse_optional(row[diff_cells], int),
+                _parse_optional(row[duration], float)))
     return records
 
 

@@ -21,6 +21,7 @@ import functools
 import json
 import logging
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -314,16 +315,19 @@ class Pipeline:
         tag = containerize.image_tag_for(repo.repository_id, run.run_id)
         self.events.emit("execute", "build_start",
                          repository_id=repo.repository_id, tag=tag)
+        started = time.monotonic()
         built = containerize.build_image(
             tag, dockerfile, tree, self.docker,
             timeout=self.config.build_timeout, log_path=logdir / "build.log")
+        build_duration_s = time.monotonic() - started
         if isinstance(built, BuildFailure):
             self.events.emit("execute", "build_failed",
                              repository_id=repo.repository_id,
                              phase=built.phase.value)
             return self._record_executed(
                 result, run, ProvisioningStatus.BUILD_FAILED,
-                reason=f"{built.phase.value}: {built.log_excerpt.splitlines()[-1] if built.log_excerpt else ''}")
+                reason=f"{built.phase.value}: {built.log_excerpt.splitlines()[-1] if built.log_excerpt else ''}",
+                build_duration_s=build_duration_s)
 
         # The image is built: the notebooks fan out on the shared budget.
         # Their rows commit with the run's outcome: an interrupted execute
@@ -340,7 +344,8 @@ class Pipeline:
         if records and all(r.status is ExecutionStatus.KERNEL_NOT_FOUND for r in records):
             status = ProvisioningStatus.KERNEL_NOT_FOUND
         return self._record_executed(result, run, status, records,
-                                     image_reference=built)
+                                     image_reference=built,
+                                     build_duration_s=build_duration_s)
 
     def _record_executed(self, result: RepositoryResult, run: RunRecord,
                          status: ProvisioningStatus,

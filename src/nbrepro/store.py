@@ -8,13 +8,17 @@ lock. Every write runs inside ``Store.transaction()``, so the writes of one
 block are recorded whole or not at all. Rows are immutable dataclasses once
 read, apart from compare's due work and the two latest-run reads, which
 are named tuples. Those join every notebook to its repository's latest
-run: ``latest_outcomes`` gives classify one row per notebook, and
-``latest_outcome_groups`` gives report one counted row per distinct
-combination of the columns it folds. Both reduce each stored error list in
-SQL to the error types, or the (type, category) pairs, that classify and
-report read, so notebooks whose error messages differ still share a
-signature or a group. These reads, compare's work and a run's deletes
-search the per-run tables by their primary keys.
+run: ``latest_outcomes`` gives classify the notebooks' ids per distinct
+outcome, and ``latest_outcome_groups`` gives report one counted row per
+distinct combination of the columns it folds. Both read facts stored once,
+in the transaction of the row they belong to: a failed build's phase on its
+run, and an execution's (type, category) error pairs on its row, so
+notebooks whose error messages differ still share a signature or a group.
+These reads, compare's work and a run's deletes search the per-run tables
+by their primary keys.
+
+The schema carries its version in ``PRAGMA user_version``. Opening an
+older store migrates it in one transaction; a newer one is refused.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from nbrepro.compare import ReproducibilityMetrics
 from nbrepro.executor import (
@@ -73,6 +77,7 @@ class RunRecord:
     status_reason: str | None = None
     image_reference: str | None = None
     revision: str | None = None
+    build_duration_s: float | None = None
 
 
 @dataclass(frozen=True)
@@ -105,8 +110,56 @@ class StoreError(Exception):
     pass
 
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS repositories (
+SCHEMA_VERSION = 1
+
+
+def _one_of(column: str, enum: type[Enum]) -> str:
+    values = ", ".join(f"'{member.value}'" for member in enum)
+    return f"CHECK ({column} IN ({values}))"
+
+
+# The run and execution tables as version 1 defines them. The migration from
+# version 0 rebuilds both from these statements, so a migrated store's DDL
+# equals a new one's.
+_RUNS_DDL = f"""
+CREATE TABLE repository_runs (
+    run_id TEXT PRIMARY KEY,
+    repository_id TEXT NOT NULL REFERENCES repositories(repository_id),
+    invocation_id TEXT NOT NULL,
+    started_at TEXT NOT NULL,
+    finished_at TEXT CHECK (finished_at IS NULL OR finished_at >= started_at),
+    provisioning_status TEXT NOT NULL
+        {_one_of("provisioning_status", ProvisioningStatus)},
+    status_reason TEXT,
+    image_reference TEXT,
+    revision TEXT,
+    build_phase TEXT
+        CHECK (build_phase IS NULL OR provisioning_status = 'BuildFailed'),
+    build_duration_s REAL
+        CHECK (build_duration_s IS NULL OR build_duration_s >= 0),
+    UNIQUE (repository_id, invocation_id)
+)"""
+
+_EXECUTIONS_DDL = f"""
+CREATE TABLE notebook_executions (
+    notebook_id TEXT NOT NULL REFERENCES notebooks(notebook_id),
+    run_id TEXT NOT NULL REFERENCES repository_runs(run_id),
+    status TEXT NOT NULL {_one_of("status", ExecutionStatus)},
+    duration_s REAL CHECK (duration_s IS NULL OR duration_s >= 0),
+    code_cell_count INTEGER NOT NULL DEFAULT 0,
+    markdown_code_ratio REAL,
+    errors TEXT NOT NULL DEFAULT '[]',
+    error_pairs TEXT NOT NULL DEFAULT '[]',
+    executed_notebook_path TEXT,
+    PRIMARY KEY (notebook_id, run_id),
+    CHECK (status != 'Success'
+           OR (errors = '[]' AND executed_notebook_path IS NOT NULL)),
+    CHECK (status = 'Skipped' OR duration_s IS NOT NULL),
+    CHECK ((errors = '[]') = (error_pairs = '[]'))
+)"""
+
+_SCHEMA = ["""
+CREATE TABLE repositories (
     repository_id TEXT PRIMARY KEY,
     url TEXT NOT NULL,
     local_path TEXT,
@@ -114,9 +167,8 @@ CREATE TABLE IF NOT EXISTS repositories (
     has_requirements_file INTEGER NOT NULL DEFAULT 0,
     notebook_count INTEGER NOT NULL DEFAULT 0 CHECK (notebook_count >= 0),
     manifest_paths TEXT NOT NULL DEFAULT '[]'
-);
-
-CREATE TABLE IF NOT EXISTS notebooks (
+)""", """
+CREATE TABLE notebooks (
     notebook_id TEXT PRIMARY KEY,
     repository_id TEXT NOT NULL REFERENCES repositories(repository_id),
     relative_path TEXT NOT NULL,
@@ -129,37 +181,8 @@ CREATE TABLE IF NOT EXISTS notebooks (
     parse_failed INTEGER NOT NULL DEFAULT 0,
     parse_error TEXT,
     UNIQUE (repository_id, relative_path)
-);
-
-CREATE TABLE IF NOT EXISTS repository_runs (
-    run_id TEXT PRIMARY KEY,
-    repository_id TEXT NOT NULL REFERENCES repositories(repository_id),
-    invocation_id TEXT NOT NULL,
-    started_at TEXT NOT NULL,
-    finished_at TEXT CHECK (finished_at IS NULL OR finished_at >= started_at),
-    provisioning_status TEXT NOT NULL,
-    status_reason TEXT,
-    image_reference TEXT,
-    revision TEXT,
-    UNIQUE (repository_id, invocation_id)
-);
-
-CREATE TABLE IF NOT EXISTS notebook_executions (
-    notebook_id TEXT NOT NULL REFERENCES notebooks(notebook_id),
-    run_id TEXT NOT NULL REFERENCES repository_runs(run_id),
-    status TEXT NOT NULL,
-    duration_s REAL CHECK (duration_s IS NULL OR duration_s >= 0),
-    code_cell_count INTEGER NOT NULL DEFAULT 0,
-    markdown_code_ratio REAL,
-    errors TEXT NOT NULL DEFAULT '[]',
-    executed_notebook_path TEXT,
-    PRIMARY KEY (notebook_id, run_id),
-    CHECK (status != 'Success'
-           OR (errors = '[]' AND executed_notebook_path IS NOT NULL)),
-    CHECK (status = 'Skipped' OR duration_s IS NOT NULL)
-);
-
-CREATE TABLE IF NOT EXISTS reproducibility_metrics (
+)""", _RUNS_DDL, _EXECUTIONS_DDL, """
+CREATE TABLE reproducibility_metrics (
     notebook_id TEXT NOT NULL,
     run_id TEXT NOT NULL,
     identical_count INTEGER NOT NULL DEFAULT 0,
@@ -177,8 +200,7 @@ CREATE TABLE IF NOT EXISTS reproducibility_metrics (
     CHECK (structural_mismatch = 1
            OR identical_count + different_count + nondeterministic_count
               = total_code_cells)
-);
-"""
+)"""]
 
 # The latest run of each repository: the greatest (started_at, run_id).
 _LATEST_RUNS = """
@@ -204,27 +226,28 @@ _LATEST_NOTEBOOK_JOINS = f"""
 
 
 class LatestOutcome(NamedTuple):
-    """Classify's read: one notebook in its repository's latest run. The run
-    columns are None when the repository has no run, the execution columns
-    when that run did not execute the notebook, and the metrics columns
-    when it was not compared."""
+    """Classify's read: the notebooks that share one outcome and one
+    requirements flag in their repositories' latest runs. The run columns
+    are None when a repository has no run, the execution columns when its
+    run did not execute the notebooks, and the metrics columns when they
+    were not compared."""
 
-    notebook_id: str
     has_requirements_file: int
     provisioning_status: str | None
-    status_reason: str | None
+    build_phase: str | None
     execution_status: str | None
-    error_types: str  # JSON list of the error records' types, in stored order
+    error_pairs: str  # JSON list of [error_type, category], in stored order
     different_count: int | None
     nondeterministic_count: int | None
     score: float | None
     structural_mismatch: int | None
+    notebook_ids: list[str]
 
     @property
     def outcome(self) -> tuple:
-        """Every column but the notebook's id and requirements flag: all
-        that its signature is built from."""
-        return self[2:]
+        """Every column but the requirements flag and the notebooks' ids:
+        all that their signature is built from."""
+        return self[1:-1]
 
 
 class OutcomeGroup(NamedTuple):
@@ -240,44 +263,48 @@ class OutcomeGroup(NamedTuple):
     notebooks: int
 
 
-# The columns of both reads are named as the fields of their row types. The
-# error lists are reduced in SQL to what classify and report read of them,
-# so notebooks whose messages differ still share a signature or a group.
-# An empty list, the common case, skips the JSON table.
-_ERROR_TYPES = """CASE e.errors WHEN '[]' THEN '[]' ELSE
-        (SELECT json_group_array(value ->> 'error_type') FROM json_each(e.errors))
-    END"""
-_ERROR_PAIRS = """CASE e.errors WHEN '[]' THEN '[]' ELSE
-        (SELECT json_group_array(json_array(value ->> 'error_type',
-                                            value ->> 'category'))
-         FROM json_each(e.errors))
-    END"""
-
+# The columns of both reads are named as the fields of their row types. An
+# unexecuted notebook's error list reads as empty.
 _LATEST_OUTCOMES = f"""
-    SELECT n.notebook_id AS notebook_id,
-           r.has_requirements_file AS has_requirements_file,
+    SELECT r.has_requirements_file AS has_requirements_file,
            l.provisioning_status AS provisioning_status,
-           l.status_reason AS status_reason,
+           l.build_phase AS build_phase,
            e.status AS execution_status,
-           {_ERROR_TYPES} AS error_types,
+           coalesce(e.error_pairs, '[]') AS error_pairs,
            m.different_count AS different_count,
            m.nondeterministic_count AS nondeterministic_count,
            m.score AS score,
-           m.structural_mismatch AS structural_mismatch
+           m.structural_mismatch AS structural_mismatch,
+           json_group_array(n.notebook_id) AS notebook_ids
     {_LATEST_NOTEBOOK_JOINS}
+    GROUP BY 1, 2, 3, 4, 5, 6, 7, 8, 9
 """
 
 _LATEST_OUTCOME_GROUPS = f"""
     SELECT r.has_requirements_file AS has_requirements_file,
            coalesce(n.nondeterministic_pattern_cells, 0) > 0 AS has_pattern_cells,
            e.status AS execution_status,
-           {_ERROR_PAIRS} AS error_pairs,
+           coalesce(e.error_pairs, '[]') AS error_pairs,
            m.structural_mismatch AS structural_mismatch,
            m.score AS score,
            count(*) AS notebooks
     {_LATEST_NOTEBOOK_JOINS}
     GROUP BY 1, 2, 3, 4, 5, 6
 """
+
+
+def _connect(path: str) -> sqlite3.Connection:
+    """A private in-memory store lives in SQLite's memdb VFS where SQLite
+    has one (3.36 and later): one growable image, freed whole on close. The
+    plain in-memory database holds every page in its own allocation, which
+    leaves a large store's pages scattered over the heap after it closes."""
+    if path == ":memory:":
+        try:
+            return sqlite3.connect(f"file:/nbrepro-{uuid.uuid4().hex}?vfs=memdb",
+                                   uri=True, check_same_thread=False)
+        except sqlite3.OperationalError:  # no memdb VFS
+            pass
+    return sqlite3.connect(path, check_same_thread=False)
 
 
 class Store:
@@ -287,14 +314,62 @@ class Store:
         self.path = str(path)
         if self.path != ":memory:":
             Path(self.path).parent.mkdir(parents=True, exist_ok=True)
-        self._conn = sqlite3.connect(self.path, check_same_thread=False)
+        self._conn = _connect(self.path)
         self._conn.row_factory = sqlite3.Row
         self._lock = threading.RLock()
         self._depth = 0  # open transaction() levels, guarded by _lock
-        with self._lock:
-            self._conn.execute("PRAGMA foreign_keys = ON")
-            self._conn.executescript(_SCHEMA)
-            self._conn.commit()
+        try:
+            self._open_schema()
+        except BaseException:
+            self._conn.close()
+            raise
+
+    def _open_schema(self) -> None:
+        """Create the schema in a new store or migrate an older one, in one
+        transaction. The version is read again under the write lock, so of
+        two processes opening one old store, one migrates it and the other
+        finds it migrated. A table rebuild needs the foreign keys off, and
+        renaming a table away must not rewrite the references to it."""
+        conn = self._conn
+        if self._check_version() < SCHEMA_VERSION:
+            conn.execute("PRAGMA foreign_keys = OFF")
+            conn.execute("PRAGMA legacy_alter_table = ON")
+            try:
+                conn.execute("BEGIN IMMEDIATE")
+                with conn:  # commits, or rolls back on any failure
+                    version = self._check_version()
+                    if version < SCHEMA_VERSION:
+                        if conn.execute("SELECT 1 FROM sqlite_master").fetchone():
+                            self._migrate(version)
+                        else:
+                            for statement in _SCHEMA:
+                                conn.execute(statement)
+                        conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+            finally:
+                conn.execute("PRAGMA legacy_alter_table = OFF")
+        conn.execute("PRAGMA foreign_keys = ON")
+
+    def _migrate(self, version: int) -> None:
+        try:
+            for migrate in _MIGRATIONS[version:]:
+                migrate(self._conn)
+        except sqlite3.IntegrityError as exc:
+            raise StoreError(f"cannot migrate store {self.path} from schema "
+                             f"version {version}: {exc}") from exc
+        broken = self._conn.execute("PRAGMA foreign_key_check").fetchall()
+        if broken:
+            raise StoreError(
+                f"cannot migrate store {self.path} from schema version "
+                f"{version}: {len(broken)} dangling references, the first "
+                f"in table {broken[0][0]}")
+
+    def _check_version(self) -> int:
+        version = self._conn.execute("PRAGMA user_version").fetchone()[0]
+        if version > SCHEMA_VERSION:
+            raise StoreError(
+                f"store {self.path} has schema version {version}; this nbrepro "
+                f"reads schema version {SCHEMA_VERSION} and older")
+        return version
 
     def close(self) -> None:
         self._conn.close()
@@ -410,12 +485,15 @@ class Store:
             INSERT INTO repository_runs (run_id, repository_id, invocation_id,
                                          started_at, finished_at,
                                          provisioning_status, status_reason,
-                                         image_reference, revision)
-            VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)
+                                         image_reference, revision,
+                                         build_phase, build_duration_s)
+            VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
             """,
             (run.run_id, run.repository_id, run.invocation_id, run.started_at,
              run.finished_at, run.provisioning_status.value, run.status_reason,
-             run.image_reference, run.revision),
+             run.image_reference, run.revision,
+             _build_phase(run.provisioning_status.value, run.status_reason),
+             run.build_duration_s),
         )
 
     def update_run(self, run: RunRecord) -> None:
@@ -423,22 +501,27 @@ class Store:
             """
             UPDATE repository_runs
             SET finished_at = ?, provisioning_status = ?, status_reason = ?,
-                image_reference = ?, revision = ?
+                image_reference = ?, revision = ?, build_phase = ?,
+                build_duration_s = ?
             WHERE run_id = ?
             """,
             (run.finished_at, run.provisioning_status.value, run.status_reason,
-             run.image_reference, run.revision, run.run_id),
+             run.image_reference, run.revision,
+             _build_phase(run.provisioning_status.value, run.status_reason),
+             run.build_duration_s, run.run_id),
         )
 
     def finish_run(self, run: RunRecord, status: ProvisioningStatus,
                    reason: str | None = None,
-                   image_reference: str | None = None) -> RunRecord:
+                   image_reference: str | None = None,
+                   build_duration_s: float | None = None) -> RunRecord:
         finished = replace(
             run,
             finished_at=max(utc_now_iso(), run.started_at),
             provisioning_status=status,
             status_reason=reason,
             image_reference=image_reference or run.image_reference,
+            build_duration_s=build_duration_s,
         )
         self.update_run(finished)
         return finished
@@ -465,8 +548,10 @@ class Store:
         return {row["repository_id"]: _run_from_row(row) for row in rows}
 
     def latest_outcomes(self) -> list[LatestOutcome]:
-        """One row per notebook, from its repository's latest run."""
-        return self._named(_LATEST_OUTCOMES, LatestOutcome)
+        """The notebooks grouped by their outcome and requirements flag in
+        their repositories' latest runs; each group lists its notebooks."""
+        return [group._replace(notebook_ids=json.loads(group.notebook_ids))
+                for group in self._named(_LATEST_OUTCOMES, LatestOutcome)]
 
     def latest_outcome_groups(self) -> list[OutcomeGroup]:
         """The notebooks grouped by the columns the corpus summary folds,
@@ -482,17 +567,21 @@ class Store:
     # ---- executions ---------------------------------------------------------
 
     def insert_execution(self, record: ExecutionRecord) -> None:
+        """The row holds the errors in full, as JSON, and their types and
+        (type, category) pairs, which classify and report read."""
         self._write(
             """
             INSERT INTO notebook_executions (notebook_id, run_id, status,
                                              duration_s, code_cell_count,
                                              markdown_code_ratio, errors,
+                                             error_pairs,
                                              executed_notebook_path)
-            VALUES (?, ?, ?, ?, ?, ?, ?, ?)
+            VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)
             """,
             (record.notebook_id, record.run_id, record.status.value,
              record.duration_s, record.code_cell_count,
              record.markdown_code_ratio, _errors_to_json(record.errors),
+             _error_pairs([e.error_type, e.category.value] for e in record.errors),
              record.executed_notebook_path),
         )
 
@@ -629,7 +718,16 @@ def _run_from_row(row: sqlite3.Row) -> RunRecord:
         status_reason=row["status_reason"],
         image_reference=row["image_reference"],
         revision=row["revision"],
+        build_duration_s=row["build_duration_s"],
     )
+
+
+def _build_phase(status: str, reason: str | None) -> str | None:
+    """The phase a failed build stopped in: its reason up to the first
+    colon. Other runs have none."""
+    if status == ProvisioningStatus.BUILD_FAILED.value and reason:
+        return reason.split(":", 1)[0].strip()
+    return None
 
 
 def _errors_to_json(errors: tuple[ExecutionError, ...]) -> str:
@@ -643,6 +741,46 @@ def _errors_to_json(errors: tuple[ExecutionError, ...]) -> str:
         }
         for e in errors
     ])
+
+
+def _error_pairs(pairs: Iterable[list[str]]) -> str:
+    """The stored (type, category) pairs of an error list, in its order."""
+    return json.dumps(list(pairs))
+
+
+def _migrate_0_to_1(conn: sqlite3.Connection) -> None:
+    """Version 1 adds enum checks on the run and execution statuses, and
+    stores a failed build's phase and an execution's error pairs. Both
+    tables are rebuilt and these facts backfilled from the version-0
+    columns, through the functions the writes use."""
+    def error_pairs(errors: str) -> str:
+        return _error_pairs([e["error_type"], e["category"]] for e in json.loads(errors))
+
+    conn.create_function("build_phase", 2, _build_phase, deterministic=True)
+    conn.create_function("error_pairs", 1, error_pairs, deterministic=True)
+    for table, ddl in (("repository_runs", _RUNS_DDL),
+                       ("notebook_executions", _EXECUTIONS_DDL)):
+        conn.execute(f"ALTER TABLE {table} RENAME TO {table}_v0")
+        conn.execute(ddl)
+    conn.execute("""
+        INSERT INTO repository_runs
+        SELECT run_id, repository_id, invocation_id, started_at, finished_at,
+               provisioning_status, status_reason, image_reference, revision,
+               build_phase(provisioning_status, status_reason), NULL
+        FROM repository_runs_v0""")
+    conn.execute("""
+        INSERT INTO notebook_executions
+        SELECT notebook_id, run_id, status, duration_s, code_cell_count,
+               markdown_code_ratio, errors,
+               CASE errors WHEN '[]' THEN '[]' ELSE error_pairs(errors) END,
+               executed_notebook_path
+        FROM notebook_executions_v0""")
+    for table in ("notebook_executions_v0", "repository_runs_v0"):
+        conn.execute(f"DROP TABLE {table}")
+
+
+# _MIGRATIONS[v] migrates a store of version v to version v + 1.
+_MIGRATIONS = [_migrate_0_to_1]
 
 
 def _errors_from_json(text: str | None) -> tuple[ExecutionError, ...]:

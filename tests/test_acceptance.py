@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -180,7 +181,7 @@ def test_criterion_7_outcome_classification_and_resolution_rate():
          else OutcomeClass.B_PERSISTENT_ERROR)
         for i in range(96)
     ]
-    rate = resolution_rate(assignments)
+    rate = resolution_rate(Counter(assignments))
     assert abs(rate - 66.7) <= 0.05
 
 

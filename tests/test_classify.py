@@ -465,8 +465,9 @@ def test_memoised_classification_equals_per_row_classification():
         with Store() as store:
             baselines = _random_store(store, rng)
             payload = _classification(baselines, store)
-            currents = {row.notebook_id: _current_outcome(row)
-                        for row in store.latest_outcomes()}
+            currents = {notebook_id: _current_outcome(group)
+                        for group in store.latest_outcomes()
+                        for notebook_id in group.notebook_ids}
         per_row = [
             {"notebook_id": b.notebook_id,
              "outcome_class": assign_outcome_class(b, currents[b.notebook_id]).value}
@@ -484,30 +485,37 @@ def test_each_signature_equals_one_built_from_decoded_rows():
     for _ in range(200):
         with Store() as store:
             _random_store(store, rng)
-            rows = store.latest_outcomes()
+            groups = store.latest_outcomes()
             latest, executions, metrics = _decoded_latest(store)
             repositories = {nb.notebook_id: nb.repository_id
                             for nb in store.list_notebooks()}
-        for row in rows:
-            run = latest.get(repositories[row.notebook_id])
-            expected = CurrentOutcome(ProvisioningStatus.PENDING)
-            if run is not None:
-                key = (row.notebook_id, run.run_id)
-                execution = executions.get(key)
-                metric, mismatch = metrics.get(key, (None, True))
-                phase = None
-                if (run.provisioning_status is ProvisioningStatus.BUILD_FAILED
-                        and run.status_reason):
-                    phase = run.status_reason.split(":", 1)[0].strip()
-                expected = CurrentOutcome(
-                    run.provisioning_status, phase,
-                    execution.status if execution else None,
-                    frozenset(e.error_type for e in execution.errors)
-                    if execution else frozenset(),
-                    not mismatch and shows_drift(metric.different_count,
-                                                 metric.nondeterministic_count,
-                                                 metric.score))
-            assert _current_outcome(row) == expected
+            requirements = {repo.repository_id: repo.has_requirements_file
+                            for repo in store.list_repositories()}
+        grouped = [notebook_id for group in groups for notebook_id in group.notebook_ids]
+        assert sorted(grouped) == sorted(repositories)
+        for group in groups:
+            for notebook_id in group.notebook_ids:
+                repository_id = repositories[notebook_id]
+                assert group.has_requirements_file == requirements[repository_id]
+                run = latest.get(repository_id)
+                expected = CurrentOutcome(ProvisioningStatus.PENDING)
+                if run is not None:
+                    key = (notebook_id, run.run_id)
+                    execution = executions.get(key)
+                    metric, mismatch = metrics.get(key, (None, True))
+                    phase = None
+                    if (run.provisioning_status is ProvisioningStatus.BUILD_FAILED
+                            and run.status_reason):
+                        phase = run.status_reason.split(":", 1)[0].strip()
+                    expected = CurrentOutcome(
+                        run.provisioning_status, phase,
+                        execution.status if execution else None,
+                        frozenset(e.error_type for e in execution.errors)
+                        if execution else frozenset(),
+                        not mismatch and shows_drift(metric.different_count,
+                                                     metric.nondeterministic_count,
+                                                     metric.score))
+                assert _current_outcome(group) == expected
 
 
 def _forty_notebook_store(store: Store) -> list[BaselineRecord]:

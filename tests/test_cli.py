@@ -10,13 +10,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import shutil
+import sqlite3
 from pathlib import Path
 
 import pytest
 
 from nbrepro.cli import main
 from nbrepro.config import PipelineConfig
-from nbrepro.store import ProvisioningStatus, Store
+from nbrepro.store import SCHEMA_VERSION, ProvisioningStatus, Store
 
 from conftest import (
     code_cell,
@@ -83,6 +84,35 @@ def test_infer_invalid_url_recorded_others_complete(workspace):
         statuses = {run.provisioning_status for run in store.list_runs()}
         assert ProvisioningStatus.INVALID_URL in statuses
         assert ProvisioningStatus.PENDING in statuses
+
+
+def test_infer_records_an_input_that_does_not_parse_as_a_url(workspace):
+    # urlparse raises on the unclosed bracket; validation calls it malformed.
+    code = main(["infer", "--input", "http://[::1", "--input", "http://[::1 ",
+                 *_common_flags(workspace)])
+    assert code == 0
+    with Store(workspace["store"]) as store:
+        (run,) = store.list_runs()
+        assert run.provisioning_status is ProvisioningStatus.INVALID_URL
+        assert run.status_reason == "malformed"
+        (repo,) = store.list_repositories()
+        assert repo.url == "http://[::1"
+        assert not repo.accessible
+
+
+@pytest.mark.parametrize("command", ["report", "infer"])
+def test_newer_store_is_fatal_and_names_both_versions(workspace, caplog, command):
+    with Store(workspace["store"]):
+        pass
+    conn = sqlite3.connect(workspace["store"])
+    conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION + 1}")
+    conn.close()
+    inputs = ["--input", "not a url"] if command == "infer" else []
+    assert main([command, *inputs, *_common_flags(workspace)]) == 1
+    (error,) = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
+    assert f"schema version {SCHEMA_VERSION + 1}" in error
+    assert f"schema version {SCHEMA_VERSION} and older" in error
+    assert not workspace["reports"].exists()
 
 
 def test_infer_repo_without_notebooks_terminates_run(workspace):

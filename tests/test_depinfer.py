@@ -6,12 +6,15 @@ import importlib.metadata
 import json
 import logging
 import random
+import sysconfig
+from pathlib import Path
 
 import pytest
 
 from nbrepro.depinfer import (
     DependencySpec,
     PackageRequirement,
+    _parse_imports,
     RequirementOrigin,
     extract_imports,
     extract_magic_installs,
@@ -29,6 +32,7 @@ from nbrepro.notebook import parse_notebook
 from nbrepro.store import Repository
 
 from conftest import FIXTURES
+from test_compare import _TOP_LEVEL_DEFINITION_RE, _fixture_cell_sources
 
 
 # ---- requirements manifest -----------------------------------------------------
@@ -169,6 +173,31 @@ def test_extract_imports_order_insensitive_and_idempotent():
         union = set().union(*(extract_imports(s) for s in shuffled))
         assert union == baseline
     assert extract_imports("import numpy") == extract_imports("import numpy")
+
+
+def _stdlib_sample_sources():
+    """Every fourth top-level module of the running interpreter's stdlib,
+    cut before each top-level definition and into five-line chunks, most
+    of which do not parse."""
+    for module in sorted(Path(sysconfig.get_paths()["stdlib"]).glob("*.py"))[::4]:
+        text = module.read_text("utf-8", errors="replace")
+        yield from _TOP_LEVEL_DEFINITION_RE.split(text)
+        lines = text.split("\n")
+        yield from ("\n".join(lines[i:i + 5]) for i in range(0, len(lines), 5))
+
+
+def test_cells_without_the_import_keyword_are_not_parsed():
+    # extract_imports skips the parse and the line scan where the keyword
+    # is absent; both must find nothing there.
+    skipped = parsed = 0
+    for source in [*_fixture_cell_sources(), *_stdlib_sample_sources()]:
+        if "import" in source:
+            parsed += 1
+            continue
+        assert _parse_imports(source) == set(), source[:200]
+        assert extract_imports(source) == set()
+        skipped += 1
+    assert skipped > 1000 and parsed > 100
 
 
 # ---- stdlib filtering ------------------------------------------------------------------

@@ -160,7 +160,7 @@ def test_resolution_rate_published_value():
         outcome = (OutcomeClass.A_ENVIRONMENT_RESOLVED if i < 64
                    else OutcomeClass.D_REGRESSION)
         assignments.append((baseline, outcome))
-    rate = resolution_rate(assignments)
+    rate = resolution_rate(Counter(assignments))
     assert rate == pytest.approx(66.7, abs=0.05)
 
 
@@ -172,13 +172,13 @@ def test_resolution_rate_bounds(resolved, failed, expected):
          else OutcomeClass.B_PERSISTENT_ERROR)
         for i in range(failed)
     ]
-    assert resolution_rate(assignments) == expected
+    assert resolution_rate(Counter(assignments)) == expected
 
 
 def test_resolution_rate_undefined_without_failures():
     assignments = [(_baseline("Success", "Success"),
                     OutcomeClass.C_REPRODUCIBILITY_DRIFT)]
-    assert resolution_rate(assignments) is None
+    assert resolution_rate(Counter(assignments)) is None
 
 
 # ---- baseline ingestion ------------------------------------------------------------

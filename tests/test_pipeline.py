@@ -381,7 +381,7 @@ def _comparable_rows(store, artifacts: Path) -> dict:
         "notebooks": store.list_notebooks(),
         "runs": sorted(
             (replace(r, run_id="", invocation_id="", started_at="",
-                     finished_at=None, image_reference=None)
+                     finished_at=None, image_reference=None, build_duration_s=None)
              for r in store.list_runs()), key=lambda r: r.repository_id),
         "executions": sorted(
             (replace(e, run_id="", duration_s=None,

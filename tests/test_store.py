@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
 import re
+import sqlite3
 import sys
 import threading
 
 import pytest
 
+import nbrepro.store
+from nbrepro.cli import _classification
 from nbrepro.compare import metrics_from_partition
-from nbrepro.executor import ExecutionRecord, ExecutionStatus
+from nbrepro.executor import ErrorCategory, ExecutionError, ExecutionRecord, ExecutionStatus
+from nbrepro.outcomes import BaselineRecord
+from nbrepro.report import aggregate_corpus
 from nbrepro.store import (
     _LATEST_OUTCOME_GROUPS,
     _LATEST_OUTCOMES,
+    SCHEMA_VERSION,
     LatestOutcome,
     NotebookDescriptor,
     OutcomeGroup,
@@ -23,6 +31,9 @@ from nbrepro.store import (
     StoreError,
     utc_now_iso,
 )
+
+from conftest import FIXTURES
+from test_classify import _STATUS_PAIRS, _random_report_store
 
 
 @pytest.fixture()
@@ -278,6 +289,29 @@ def test_concurrent_reads_and_writes_serialized(tmp_path):
             assert len(store.list_executions(f"run{t}")) == per_thread
 
 
+def test_in_memory_stores_are_private():
+    with Store() as first, Store(":memory:") as second:
+        first.upsert_repository(_repo())
+        assert second.list_repositories() == []
+        assert first.get_repository("repo1") is not None
+
+
+def test_in_memory_store_without_the_memdb_vfs(monkeypatch):
+    connect = sqlite3.connect
+
+    def without_memdb(database, *args, **kwargs):
+        if "vfs=memdb" in str(database):
+            raise sqlite3.OperationalError("no such vfs: memdb")
+        return connect(database, *args, **kwargs)
+
+    monkeypatch.setattr(nbrepro.store.sqlite3, "connect", without_memdb)
+    with Store() as store:
+        store.upsert_repository(_repo())
+        (name,) = [row[2] for row in store._conn.execute("PRAGMA database_list")]
+        assert name == ""  # SQLite's own in-memory database
+        assert store.get_repository("repo1") is not None
+
+
 def test_persistence_across_reopen(tmp_path):
     path = tmp_path / "store.sqlite3"
     with Store(path) as store:
@@ -312,3 +346,245 @@ def test_latest_reads_search_the_per_run_tables_by_primary_key(store, read):
         assert len(searches) == 1, plan
         assert not [step for step in plan
                     if re.match(rf"SCAN ({alias}|{table})\b", step)], plan
+    # The error facts are stored: no row is reduced in a subquery.
+    assert not [step for step in plan if "json_each" in step or "CORRELATED" in step], plan
+
+
+# ---- schema version, migration and enum checks ----------------------------------
+
+# The sqlite_master DDL of a new store, per schema version. A change to the
+# schema needs a new version, a migration to it, and a new entry here.
+_DDL_DIGESTS = {
+    1: "e02b8c9165182bfd61cbd0cc448e7c6113c5723c402dd9cef4f4931701beee85",
+}
+
+_V0_SCHEMA = (FIXTURES / "store_schema_v0.sql").read_text("utf-8")
+
+
+def _ddl(conn) -> list[tuple]:
+    return [tuple(row) for row in conn.execute(
+        "SELECT type, name, tbl_name, sql FROM sqlite_master ORDER BY name")]
+
+
+def _version(path) -> int:
+    conn = sqlite3.connect(path)
+    try:
+        return conn.execute("PRAGMA user_version").fetchone()[0]
+    finally:
+        conn.close()
+
+
+def test_new_store_ddl_is_pinned_per_schema_version(store):
+    ddl = _ddl(store._conn)
+    digest = hashlib.sha256(repr(ddl).encode("utf-8")).hexdigest()
+    assert digest == _DDL_DIGESTS[SCHEMA_VERSION], "\n".join(
+        str(sql) for *_, sql in ddl)
+    assert store._conn.execute("PRAGMA user_version").fetchone()[0] == SCHEMA_VERSION
+
+
+def _write_v0_copy(store: Store, path) -> None:
+    """Write the rows of a store to a new version-0 store, column for
+    column, as a version-0 writer wrote them."""
+    conn = sqlite3.connect(path)
+    conn.executescript(_V0_SCHEMA)
+    for (table,) in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'").fetchall():
+        columns = [row[1] for row in conn.execute(f"PRAGMA table_info({table})")]
+        rows = store._conn.execute(f"SELECT {', '.join(columns)} FROM {table}")
+        conn.executemany(f"INSERT INTO {table} VALUES ({', '.join('?' * len(columns))})",
+                         map(tuple, rows))
+    conn.commit()
+    conn.close()
+
+
+def _all_rows(store: Store) -> dict[str, list[tuple]]:
+    tables = [name for _, name, _, _ in _ddl(store._conn)
+              if not name.startswith("sqlite_")]
+    return {table: [tuple(row) for row in store._conn.execute(
+        f"SELECT * FROM {table} ORDER BY 1, 2")] for table in tables}
+
+
+def _populate(store: Store, rng: random.Random) -> list[BaselineRecord]:
+    """A random store of every run and execution status, and a baseline row
+    per notebook."""
+    _random_report_store(store, rng)
+    store.upsert_repository(_repo("unicode"))
+    _notebook(store, nb_id="nb-u", repo_id="unicode", rel="ü.ipynb")
+    _run(store, run_id="run-u", repo_id="unicode")
+    store.insert_execution(ExecutionRecord(
+        notebook_id="nb-u", run_id="run-u",
+        status=ExecutionStatus.ERRORED_BUT_COMPLETED, duration_s=1.0,
+        code_cell_count=1, markdown_code_ratio=None,
+        errors=(ExecutionError("FehlerÜ", ErrorCategory.CODE, "ü \"q\"", 0),
+                ExecutionError("KeyError", ErrorCategory.LOGIC, "'k'", 0)),
+        executed_notebook_path=None))
+    store.finish_run(store.get_run("run-u"), ProvisioningStatus.BUILD_FAILED,
+                     reason="container runtime unavailable: no daemon")
+    return [BaselineRecord(nb.notebook_id, *rng.choice(_STATUS_PAIRS))
+            for nb in store.list_notebooks()]
+
+
+def test_version_0_store_migrates_to_equal_rows(tmp_path):
+    rng = random.Random(5)
+    for n in range(20):
+        old = tmp_path / f"old{n}.sqlite3"
+        with Store() as store:
+            baselines = _populate(store, rng)
+            expected = _all_rows(store)
+            outcomes = sorted(map(repr, store.latest_outcomes()))
+            groups = sorted(map(repr, store.latest_outcome_groups()))
+            payload = _classification(baselines, store)
+            summary = aggregate_corpus(store)
+            _write_v0_copy(store, old)
+        assert _version(old) == 0
+        with Store(old) as migrated:
+            assert _all_rows(migrated) == expected
+            assert sorted(map(repr, migrated.latest_outcomes())) == outcomes
+            assert sorted(map(repr, migrated.latest_outcome_groups())) == groups
+            assert _classification(baselines, migrated) == payload
+            assert aggregate_corpus(migrated) == summary
+        assert _version(old) == SCHEMA_VERSION
+
+
+def test_migrated_store_ddl_equals_a_new_ones(tmp_path):
+    path = tmp_path / "old.sqlite3"
+    conn = sqlite3.connect(path)
+    conn.executescript(_V0_SCHEMA)
+    conn.close()
+    with Store(path) as migrated, Store() as new:
+        assert sorted(_ddl(migrated._conn)) == sorted(_ddl(new._conn))
+        # The references of the tables left in place still name the rebuilt ones.
+        assert not migrated._conn.execute("PRAGMA foreign_key_check").fetchall()
+        assert "REFERENCES notebook_executions(" in dict(
+            (name, sql) for _, name, _, sql in _ddl(migrated._conn)
+        )["reproducibility_metrics"]
+
+
+def test_newer_store_is_refused_and_left_as_is(tmp_path):
+    path = tmp_path / "store.sqlite3"
+    with Store(path) as store:
+        store.upsert_repository(_repo())
+    conn = sqlite3.connect(path)
+    conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION + 1}")
+    conn.close()
+    before = path.read_bytes()
+    with pytest.raises(StoreError) as refused:
+        Store(path)
+    message = str(refused.value)
+    assert f"schema version {SCHEMA_VERSION + 1}" in message
+    assert f"reads schema version {SCHEMA_VERSION}" in message
+    assert path.read_bytes() == before
+
+
+def test_failed_migration_leaves_the_version_0_store(tmp_path):
+    path = tmp_path / "old.sqlite3"
+    conn = sqlite3.connect(path)
+    conn.executescript(_V0_SCHEMA)
+    conn.execute("INSERT INTO repositories (repository_id, url) VALUES ('r', 'u')")
+    conn.execute("INSERT INTO repository_runs (run_id, repository_id, invocation_id,"
+                 " started_at, provisioning_status) VALUES ('x', 'r', 'i', 't', 'Lost')")
+    conn.commit()
+    conn.close()
+    before = path.read_bytes()
+    with pytest.raises(StoreError, match="cannot migrate .* from schema version 0"):
+        Store(path)
+    assert path.read_bytes() == before
+
+
+def test_two_stores_opening_one_version_0_store_migrate_it_once(tmp_path, monkeypatch):
+    path = tmp_path / "old.sqlite3"
+    with Store() as store:
+        _populate(store, random.Random(3))
+        expected = _all_rows(store)
+        _write_v0_copy(store, path)
+    migrations = []
+    inside = threading.Event()
+    (migrate,) = nbrepro.store._MIGRATIONS
+
+    def slow_migration(conn):
+        migrations.append(threading.current_thread().name)
+        inside.set()
+        threading.Event().wait(0.3)  # the second opener reads version 0 meanwhile
+        migrate(conn)
+
+    monkeypatch.setattr(nbrepro.store, "_MIGRATIONS", [slow_migration])
+    opened, errors = [], []
+
+    def open_store():
+        try:
+            with Store(path) as store:
+                opened.append(_all_rows(store))
+        except Exception as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    first = threading.Thread(target=open_store)
+    first.start()
+    assert inside.wait(timeout=30)
+    second = threading.Thread(target=open_store)
+    second.start()
+    for thread in (first, second):
+        thread.join(timeout=60)
+    assert not errors
+    assert len(migrations) == 1
+    assert opened == [expected, expected]
+
+
+@pytest.mark.parametrize("table, column, enum", [
+    ("repository_runs", "provisioning_status", ProvisioningStatus),
+    ("notebook_executions", "status", ExecutionStatus),
+])
+def test_enum_columns_refuse_values_outside_their_enum(store, table, column, enum):
+    store.upsert_repository(_repo())
+    _run(store)
+    _notebook(store)
+    _execution(store)
+    with store.transaction():
+        for member in enum:
+            store._conn.execute(f"UPDATE {table} SET {column} = ?", (member.value,))
+    for value in ("Sucess", "success", "", None):
+        with pytest.raises(sqlite3.IntegrityError):
+            store._conn.execute(f"UPDATE {table} SET {column} = ?", (value,))
+
+
+@pytest.mark.parametrize("status, reason, phase", [
+    (ProvisioningStatus.BUILD_FAILED, "DependencyInstall: ERROR: no match", "DependencyInstall"),
+    (ProvisioningStatus.BUILD_FAILED, "Timeout: ", "Timeout"),
+    (ProvisioningStatus.BUILD_FAILED,
+     "container runtime unavailable: docker: not found", "container runtime unavailable"),
+    (ProvisioningStatus.BUILD_FAILED, " Other : x: y", "Other"),
+    (ProvisioningStatus.BUILD_FAILED, "no colon", "no colon"),
+    (ProvisioningStatus.BUILD_FAILED, "", None),
+    (ProvisioningStatus.BUILD_FAILED, None, None),
+    (ProvisioningStatus.ENVIRONMENT_BUILT, "built: ok", None),
+    (ProvisioningStatus.INVALID_URL, "malformed", None),
+])
+def test_finish_run_stores_the_build_phase_of_its_reason(store, status, reason, phase):
+    store.upsert_repository(_repo())
+    run = _run(store)
+    finished = store.finish_run(run, status, reason=reason, build_duration_s=1.25)
+    assert store.get_run("run1") == finished
+    assert finished.build_duration_s == 1.25
+    (stored,) = store._conn.execute(
+        "SELECT build_phase FROM repository_runs WHERE run_id = 'run1'").fetchone()
+    assert stored == phase
+    if status is ProvisioningStatus.BUILD_FAILED and reason:
+        assert stored == reason.split(":", 1)[0].strip()
+
+
+def test_execution_stores_its_error_pairs(store):
+    store.upsert_repository(_repo())
+    _run(store)
+    _notebook(store)
+    _notebook(store, nb_id="nb2", rel="b.ipynb")
+    _execution(store, status=ExecutionStatus.ERRORED_BUT_COMPLETED, errors=[
+        ExecutionError("KeyError", ErrorCategory.LOGIC, "'x'", 2, 2),
+        ExecutionError("ModuleNotFoundError", ErrorCategory.DEPENDENCY, "no numpy", 0),
+        ExecutionError("KeyError", ErrorCategory.LOGIC, "'y'", 3)])
+    _execution(store, nb_id="nb2")
+    rows = store._conn.execute("SELECT notebook_id, error_pairs"
+                               " FROM notebook_executions ORDER BY 1").fetchall()
+    assert [tuple(row) for row in rows] == [
+        ("nb1", '[["KeyError", "Logic"], ["ModuleNotFoundError", "Dependency"],'
+                ' ["KeyError", "Logic"]]'),
+        ("nb2", "[]"),
+    ]
