@@ -293,20 +293,6 @@ _LATEST_OUTCOME_GROUPS = f"""
 """
 
 
-def _connect(path: str) -> sqlite3.Connection:
-    """A private in-memory store lives in SQLite's memdb VFS where SQLite
-    has one (3.36 and later): one growable image, freed whole on close. The
-    plain in-memory database holds every page in its own allocation, which
-    leaves a large store's pages scattered over the heap after it closes."""
-    if path == ":memory:":
-        try:
-            return sqlite3.connect(f"file:/nbrepro-{uuid.uuid4().hex}?vfs=memdb",
-                                   uri=True, check_same_thread=False)
-        except sqlite3.OperationalError:  # no memdb VFS
-            pass
-    return sqlite3.connect(path, check_same_thread=False)
-
-
 class Store:
     """Thread-safe facade over the SQLite file."""
 
@@ -314,7 +300,7 @@ class Store:
         self.path = str(path)
         if self.path != ":memory:":
             Path(self.path).parent.mkdir(parents=True, exist_ok=True)
-        self._conn = _connect(self.path)
+        self._conn = sqlite3.connect(self.path, check_same_thread=False)
         self._conn.row_factory = sqlite3.Row
         self._lock = threading.RLock()
         self._depth = 0  # open transaction() levels, guarded by _lock
@@ -331,7 +317,8 @@ class Store:
         finds it migrated. A table rebuild needs the foreign keys off, and
         renaming a table away must not rewrite the references to it."""
         conn = self._conn
-        if self._check_version() < SCHEMA_VERSION:
+        found = self._check_version()
+        if found < SCHEMA_VERSION:
             conn.execute("PRAGMA foreign_keys = OFF")
             conn.execute("PRAGMA legacy_alter_table = ON")
             try:
@@ -345,6 +332,10 @@ class Store:
                             for statement in _SCHEMA:
                                 conn.execute(statement)
                         conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+            except sqlite3.OperationalError as exc:  # locked, or not writable
+                raise StoreError(
+                    f"cannot bring store {self.path} from schema version "
+                    f"{found} to {SCHEMA_VERSION}: {exc}") from exc
             finally:
                 conn.execute("PRAGMA legacy_alter_table = OFF")
         conn.execute("PRAGMA foreign_keys = ON")

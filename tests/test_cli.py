@@ -20,6 +20,7 @@ from nbrepro.config import PipelineConfig
 from nbrepro.store import SCHEMA_VERSION, ProvisioningStatus, Store
 
 from conftest import (
+    FIXTURES,
     code_cell,
     docker_available,
     make_git_repo,
@@ -112,6 +113,26 @@ def test_newer_store_is_fatal_and_names_both_versions(workspace, caplog, command
     (error,) = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
     assert f"schema version {SCHEMA_VERSION + 1}" in error
     assert f"schema version {SCHEMA_VERSION} and older" in error
+    assert not workspace["reports"].exists()
+
+
+def test_locked_version_0_store_is_fatal_and_left_as_is(workspace, caplog, monkeypatch):
+    holder = sqlite3.connect(workspace["store"], isolation_level=None)
+    holder.executescript((FIXTURES / "store_schema_v0.sql").read_text("utf-8"))
+    holder.execute("BEGIN IMMEDIATE")  # another process writing to the store
+    connect = sqlite3.connect
+    monkeypatch.setattr(sqlite3, "connect",
+                        lambda *args, **kwargs: connect(*args, **kwargs, timeout=0.05))
+    try:
+        assert main(["report", *_common_flags(workspace)]) == 1
+    finally:
+        holder.rollback()
+    (error,) = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
+    assert str(workspace["store"]) in error
+    assert f"from schema version 0 to {SCHEMA_VERSION}" in error
+    assert "locked" in error
+    assert holder.execute("PRAGMA user_version").fetchone()[0] == 0
+    holder.close()
     assert not workspace["reports"].exists()
 
 

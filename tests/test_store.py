@@ -289,29 +289,6 @@ def test_concurrent_reads_and_writes_serialized(tmp_path):
             assert len(store.list_executions(f"run{t}")) == per_thread
 
 
-def test_in_memory_stores_are_private():
-    with Store() as first, Store(":memory:") as second:
-        first.upsert_repository(_repo())
-        assert second.list_repositories() == []
-        assert first.get_repository("repo1") is not None
-
-
-def test_in_memory_store_without_the_memdb_vfs(monkeypatch):
-    connect = sqlite3.connect
-
-    def without_memdb(database, *args, **kwargs):
-        if "vfs=memdb" in str(database):
-            raise sqlite3.OperationalError("no such vfs: memdb")
-        return connect(database, *args, **kwargs)
-
-    monkeypatch.setattr(nbrepro.store.sqlite3, "connect", without_memdb)
-    with Store() as store:
-        store.upsert_repository(_repo())
-        (name,) = [row[2] for row in store._conn.execute("PRAGMA database_list")]
-        assert name == ""  # SQLite's own in-memory database
-        assert store.get_repository("repo1") is not None
-
-
 def test_persistence_across_reopen(tmp_path):
     path = tmp_path / "store.sqlite3"
     with Store(path) as store:
