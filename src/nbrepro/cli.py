@@ -226,30 +226,21 @@ def _classification(baselines: list[BaselineRecord], store: Store) -> dict:
 
     # Baseline rows repeat few pairs of statuses, and a corpus few outcomes
     # even where its error messages vary. So the matched rows are counted
-    # per (pair, group), one row standing for the rest, as the classifier
-    # reads only a row's statuses. Each signature is built once, and
-    # classified once per pair.
+    # per (pair, group) and each key is classified once: the classifier
+    # reads only a row's two statuses, so a record of the pair stands for
+    # every row of the key.
     keys = [(b.prev_dependency_install, b.prev_execution_status,
              group_of[b.notebook_id]) for b in matched]
-    tally = Counter(keys)
-    signatures: dict[tuple, CurrentOutcome] = {}
-    signature_classes: dict[tuple[str, str, CurrentOutcome], OutcomeClass] = {}
     class_values: dict[tuple[str, str, int], str] = {}
     counts: Counter[str] = Counter()
     baseline_classes: Counter[tuple[BaselineRecord, OutcomeClass]] = Counter()
     baseline_runs: Counter[tuple[bool, bool]] = Counter()
-    for key, baseline in dict(zip(keys, matched)).items():
+    for key, notebooks in Counter(keys).items():
         install, status, index = key
         group = groups[index]
-        current = signatures.get(group.outcome)
-        if current is None:
-            current = signatures[group.outcome] = _current_outcome(group)
-        classified = (install, status, current)
-        cls = signature_classes.get(classified)
-        if cls is None:
-            cls = signature_classes[classified] = assign_outcome_class(baseline, current)
+        baseline = BaselineRecord("", install, status)
+        cls = assign_outcome_class(baseline, _current_outcome(group))
         class_values[key] = cls.value
-        notebooks = tally[key]
         counts[cls.value] += notebooks
         baseline_classes[baseline, cls] += notebooks
         baseline_runs[bool(group.has_requirements_file),
@@ -280,7 +271,8 @@ def _classification(baselines: list[BaselineRecord], store: Store) -> dict:
 
 def _current_outcome(group: LatestOutcome) -> CurrentOutcome:
     """The signature of an outcome in a repository's latest run; it reads
-    only ``group.outcome``."""
+    every column of ``group`` but the requirements flag and the notebooks'
+    ids."""
     if group.provisioning_status is None:
         return CurrentOutcome(ProvisioningStatus.PENDING)
     execution = None

@@ -140,16 +140,28 @@ def validate_repository(url: str,
     return ValidationResult.REMOVED_OR_PRIVATE
 
 
+def _tree_files(tree: Path, pattern: str) -> list[Path]:
+    """The files under ``tree`` (any depth, outside ``.git``) whose names
+    match ``pattern``. A symlink that resolves outside the tree is skipped
+    with a warning, so no host file is read as part of the repository."""
+    root = tree.resolve()
+    found: list[Path] = []
+    for path in tree.rglob(pattern):
+        if ".git" in path.relative_to(tree).parts:
+            continue
+        if not path.resolve().is_relative_to(root):
+            logger.warning("skipping %s: it resolves outside the repository",
+                           path.relative_to(tree).as_posix())
+            continue
+        found.append(path)
+    return found
+
+
 def find_manifest_paths(tree: Path) -> list[str]:
     """Candidate dependency manifests (any depth), repo-relative, sorted."""
-    candidates: list[str] = []
-    for name in ("requirements.txt", "setup.py"):
-        for found in tree.rglob(name):
-            rel = found.relative_to(tree)
-            if ".git" in rel.parts:
-                continue
-            candidates.append(rel.as_posix())
-    return sorted(candidates)
+    return sorted(found.relative_to(tree).as_posix()
+                  for name in ("requirements.txt", "setup.py")
+                  for found in _tree_files(tree, name))
 
 
 def current_revision(tree: Path) -> str | None:
@@ -210,11 +222,7 @@ def discover_notebooks(repo: Repository
     descriptors: list[NotebookDescriptor] = []
     imported: set[str] = set()
     magic: list[depinfer.PackageRequirement] = []
-    paths = sorted(
-        p for p in tree.rglob(f"*{NOTEBOOK_SUFFIX}")
-        if ".git" not in p.relative_to(tree).parts
-    )
-    for path in paths:
+    for path in sorted(_tree_files(tree, f"*{NOTEBOOK_SUFFIX}")):
         relative_path = path.relative_to(tree).as_posix()
         notebook_id = notebook_id_for(repo.repository_id, relative_path)
         try:

@@ -14,9 +14,11 @@ where both sides fully succeeded with zero drift match no class definition
 and return Unclassified, as do notebooks without a baseline row.
 
 ``CurrentOutcome`` is a notebook's signature: exactly the facts about its
-containerized run that the rules read, as a hashable value. Notebooks with
-equal signatures and equal baseline statuses land in the same class, so a
-corpus costs one ``assign_outcome_class`` call per distinct signature.
+containerized run that the rules read, as a hashable value. Of a baseline
+row the rules read only its two statuses, so the notebooks that share those
+statuses and one stored outcome group land in the same class: a corpus
+costs one ``assign_outcome_class`` call per distinct (baseline statuses,
+outcome group).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import functools
 import logging
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Container, Iterable, Mapping, NamedTuple
+from typing import Container, Iterable, Mapping, NamedTuple
 
 from nbrepro.executor import ExecutionStatus
 from nbrepro.store import ProvisioningStatus
@@ -53,14 +55,12 @@ class OutcomeClass(Enum):
 
 
 class BaselineRecord(NamedTuple):
-    """One row of the baseline export. A named tuple, as a corpus loads one
-    per notebook."""
+    """One row of the baseline export: the columns the classifier reads. A
+    named tuple, as a corpus loads one per notebook."""
 
     notebook_id: str
     prev_dependency_install: str
     prev_execution_status: str
-    prev_diff_cells: int | None = None
-    prev_duration_s: float | None = None
 
     @property
     def install_failed(self) -> bool:
@@ -230,7 +230,9 @@ def read_baseline_csv(path: Path | str) -> list[BaselineRecord]:
     """Load baseline records from the flat comma-delimited export.
 
     Columns are found by name in the header; blank lines are skipped. A
-    missing column or a row too short to hold every column is an error."""
+    missing column or a row too short to hold every column is an error.
+    ``prev_diff_cells`` and ``prev_duration_s`` must be present but are not
+    read."""
     records: list[BaselineRecord] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -241,7 +243,7 @@ def read_baseline_csv(path: Path | str) -> list[BaselineRecord]:
             raise ValueError(
                 f"baseline file missing columns: {', '.join(sorted(missing))}")
         positions = [header[name] for name in BASELINE_CSV_COLUMNS]
-        notebook, install, status, diff_cells, duration = positions
+        notebook, install, status = positions[:3]
         width = max(positions) + 1
         for row in reader:
             if len(row) < width:
@@ -251,9 +253,7 @@ def read_baseline_csv(path: Path | str) -> list[BaselineRecord]:
                     f"baseline file line {reader.line_num} is short: "
                     f"{len(row)} fields, the baseline columns need {width}")
             records.append(BaselineRecord(
-                row[notebook].strip(), row[install].strip(), row[status].strip(),
-                _parse_optional(row[diff_cells], int),
-                _parse_optional(row[duration], float)))
+                row[notebook].strip(), row[install].strip(), row[status].strip()))
     return records
 
 
@@ -273,14 +273,3 @@ def match_baselines(records: Iterable[BaselineRecord],
                        len(unmatched),
                        ", ".join(r.notebook_id for r in unmatched[:5]))
     return matched, unmatched
-
-
-def _parse_optional(raw: str, convert: Callable[[str], int | float]
-                    ) -> int | float | None:
-    raw = raw.strip()
-    if not raw or raw == "-":
-        return None
-    try:
-        return convert(raw)
-    except ValueError:
-        return None

@@ -177,6 +177,7 @@ class Pipeline:
         # Set when the caller of map_repositories was interrupted.
         self.interrupted = threading.Event()
         self._aliases = depinfer.load_alias_table(config.alias_table_path)
+        self._stdlib = depinfer.load_stdlib_modules()
 
     # ---- stage 1 + 2: discovery, validation, inference ----------------------
 
@@ -244,6 +245,7 @@ class Pipeline:
                             if not d.parse_failed],
             tree=tree,
             aliases=self._aliases,
+            stdlib=self._stdlib,
         )
         recipe = containerize.generate_build_recipe(
             spec, context_dir=tree, base_image=self.config.base_image)
@@ -323,11 +325,13 @@ class Pipeline:
         if isinstance(built, BuildFailure):
             self.events.emit("execute", "build_failed",
                              repository_id=repo.repository_id,
-                             phase=built.phase.value)
+                             phase=built.phase.value, duration_s=build_duration_s)
             return self._record_executed(
                 result, run, ProvisioningStatus.BUILD_FAILED,
                 reason=f"{built.phase.value}: {built.log_excerpt.splitlines()[-1] if built.log_excerpt else ''}",
                 build_duration_s=build_duration_s)
+        self.events.emit("execute", "build_done", repository_id=repo.repository_id,
+                         tag=tag, duration_s=build_duration_s)
 
         # The image is built: the notebooks fan out on the shared budget.
         # Their rows commit with the run's outcome: an interrupted execute

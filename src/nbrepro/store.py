@@ -243,12 +243,6 @@ class LatestOutcome(NamedTuple):
     structural_mismatch: int | None
     notebook_ids: list[str]
 
-    @property
-    def outcome(self) -> tuple:
-        """Every column but the requirements flag and the notebooks' ids:
-        all that their signature is built from."""
-        return self[1:-1]
-
 
 class OutcomeGroup(NamedTuple):
     """Report's read: how many notebooks share one combination of the

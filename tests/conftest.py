@@ -87,8 +87,10 @@ def git_available() -> bool:
     return shutil.which("git") is not None
 
 
-def make_git_repo(path: Path, files: dict[str, str | bytes]) -> str:
-    """Create a committed git repository from a file map; returns its file URL."""
+def make_git_repo(path: Path, files: dict[str, str | bytes],
+                  links: dict[str, str] | None = None) -> str:
+    """Create a committed git repository from a file map and a map of
+    symlinks to their targets; returns its file URL."""
     path.mkdir(parents=True, exist_ok=True)
     for rel, content in files.items():
         target = path / rel
@@ -97,6 +99,9 @@ def make_git_repo(path: Path, files: dict[str, str | bytes]) -> str:
             target.write_bytes(content)
         else:
             target.write_text(content, encoding="utf-8")
+    for rel, target in (links or {}).items():
+        (path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (path / rel).symlink_to(target)
     def git(*args):
         subprocess.run(["git", "-C", str(path), *args], check=True,
                        capture_output=True)

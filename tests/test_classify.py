@@ -368,7 +368,7 @@ def test_rendered_classification_equals_indented_json(payload):
             == json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-# ---- one classifier call per distinct signature ----------------------------------
+# ---- one classifier call per (baseline statuses, outcome group) ------------------
 
 _STATUS_PAIRS = [("Success", "Success"), ("Fail", "Install Dependency Error"),
                  ("Fail", "Fail"), ("Fail", "ModuleNotFoundError"),
@@ -399,10 +399,7 @@ def _random_store(store: Store, rng: random.Random) -> list[BaselineRecord]:
                 notebook_id=notebook_id, repository_id=repo_id,
                 relative_path=f"{notebook_id}.ipynb"))
             install, status = rng.choice(_STATUS_PAIRS)
-            baselines.append(BaselineRecord(
-                notebook_id, install, status,
-                prev_diff_cells=rng.choice((None, 0, 3)),
-                prev_duration_s=rng.choice((None, 1.5))))
+            baselines.append(BaselineRecord(notebook_id, install, status))
         for k in range(rng.randint(0, 3)):
             run_id = f"{repo_id}-run{k}"
             status = rng.choice(_RUN_STATUSES)
@@ -554,43 +551,39 @@ def _forty_notebook_store(store: Store) -> list[BaselineRecord]:
         if not errors:
             store.insert_metrics(metrics_from_partition(
                 [0, 1], [], [], notebook_id=notebook_id, run_id="run1"))
-    return [BaselineRecord(f"nb{n:03d}", "Success", "Success", prev_diff_cells=n)
-            for n in range(40)]
+    return [BaselineRecord(f"nb{n:03d}", "Success", "Success") for n in range(40)]
 
 
-def test_classify_calls_the_classifier_once_per_signature(monkeypatch):
+def test_classify_calls_the_classifier_once_per_statuses_and_group(monkeypatch):
     calls = []
 
     def counting(baseline, current):
-        calls.append(current)
+        calls.append((baseline.prev_dependency_install,
+                      baseline.prev_execution_status, current))
         return assign_outcome_class(baseline, current)
 
     monkeypatch.setattr(nbrepro.cli, "assign_outcome_class", counting)
     with Store() as store:
-        payload = _classification(_forty_notebook_store(store), store)
-
-    assert len(calls) == 3
-    assert len(set(calls)) == 3
-    assert payload["counts"] == {"C_ReproducibilityDrift": 20, "D_Regression": 10,
-                                 "Unclassified": 10}
-
-
-def test_classify_builds_each_signature_once_per_distinct_outcome(monkeypatch):
-    outcomes = []
-
-    def counting(row):
-        outcomes.append(row.outcome)
-        return _current_outcome(row)
-
-    monkeypatch.setattr(nbrepro.cli, "_current_outcome", counting)
-    with Store() as store:
-        _classification(_forty_notebook_store(store), store)
-        distinct = {row.outcome for row in store.latest_outcomes()}
+        # Even notebooks failed on dependency install in the baseline, so
+        # every outcome group holds rows of both status pairs.
+        baselines = [
+            b._replace(prev_dependency_install="Fail",
+                       prev_execution_status="Install Dependency Error")
+            if n % 2 == 0 else b
+            for n, b in enumerate(_forty_notebook_store(store))]
+        payload = _classification(baselines, store)
+        groups = store.latest_outcomes()
 
     # Five drifted scores, one perfect score, and one error list: the ten
-    # NameError messages differ but their types do not.
-    assert len(distinct) == 7
-    assert sorted(outcomes, key=repr) == sorted(distinct, key=repr)
+    # NameError messages differ but their types do not. The five drifted
+    # groups share one signature, yet each is classified per status pair.
+    assert len(groups) == 7
+    assert len(calls) == 2 * len(groups)
+    assert len({(install, status) for install, status, _ in calls}) == 2
+    assert len({current for _, _, current in calls}) == 3
+    assert payload["counts"] == {"A_EnvironmentResolved": 20,
+                                 "C_ReproducibilityDrift": 10,
+                                 "D_Regression": 5, "Unclassified": 5}
 
 
 def test_report_groups_notebooks_whose_error_messages_differ():

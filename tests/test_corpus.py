@@ -237,3 +237,31 @@ def test_find_manifest_paths_ignores_git_dir(tmp_path):
     (tmp_path / ".git" / "sub" / "requirements.txt").write_text("x\n")
     (tmp_path / "requirements.txt").write_text("y\n")
     assert find_manifest_paths(tmp_path) == ["requirements.txt"]
+
+
+def test_symlinks_out_of_the_clone_are_never_read(tmp_path, caplog):
+    host = tmp_path / "host"
+    host.mkdir()
+    (host / "hostfile.txt").write_text("host-only-secret-pkg\n")
+    (host / "host.ipynb").write_text(
+        _notebook_file(code_cell("import host_only_module")))
+    url = make_git_repo(tmp_path / "proj", {
+        "nb.ipynb": _notebook_file(code_cell("import numpy")),
+        "env/setup.py": "from setuptools import setup\nsetup()\n",
+    }, links={
+        "requirements.txt": str(host / "hostfile.txt"),
+        "leak.ipynb": str(host / "host.ipynb"),
+        # Links that stay inside the tree are still followed.
+        "alias.ipynb": "nb.ipynb",
+        "setup.py": "env/setup.py",
+    })
+    with caplog.at_level("WARNING", logger="nbrepro.corpus"):
+        repo = acquire_repository(url, tmp_path / "work")
+        descriptors, imported, _ = discover_notebooks(repo)
+
+    assert repo.manifest_paths == ("env/setup.py", "setup.py")
+    assert not repo.has_requirements_file
+    assert [d.relative_path for d in descriptors] == ["alias.ipynb", "nb.ipynb"]
+    assert imported == {"numpy"}
+    assert "skipping requirements.txt" in caplog.text
+    assert "skipping leak.ipynb" in caplog.text

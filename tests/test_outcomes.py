@@ -22,10 +22,9 @@ from nbrepro.outcomes import (
 from nbrepro.store import ProvisioningStatus
 
 
-def _baseline(install, status, diff=None, duration=None, nb="nb"):
+def _baseline(install, status, nb="nb"):
     return BaselineRecord(notebook_id=nb, prev_dependency_install=install,
-                          prev_execution_status=status, prev_diff_cells=diff,
-                          prev_duration_s=duration)
+                          prev_execution_status=status)
 
 
 def _metrics(diff=0, total=10, nb="nb", run="run"):
@@ -76,12 +75,12 @@ TABLE_ROWS = [
      _errored_current("FileNotFoundError"),
      OutcomeClass.B_PERSISTENT_ERROR),
     # C. reproducibility drift
-    (_baseline("Success", "Success", diff=0), _success_current(diff=3),
+    (_baseline("Success", "Success"), _success_current(diff=3),
      OutcomeClass.C_REPRODUCIBILITY_DRIFT),
-    (_baseline("Success", "Success", diff=1), _success_current(diff=1),
+    (_baseline("Success", "Success"), _success_current(diff=1),
      OutcomeClass.C_REPRODUCIBILITY_DRIFT),
     # D. regressions
-    (_baseline("Success", "ModuleNotFoundError", diff=0),
+    (_baseline("Success", "ModuleNotFoundError"),
      CurrentOutcome(provisioning_status=ProvisioningStatus.INVALID_URL),
      OutcomeClass.D_REGRESSION),
     (_baseline("Fail", "Install Dependency Error"),
@@ -94,7 +93,7 @@ TABLE_ROWS = [
      CurrentOutcome(provisioning_status=ProvisioningStatus.BUILD_FAILED,
                     build_failure_phase="Other"),
      OutcomeClass.D_REGRESSION),
-    (_baseline("Success", "ModuleNotFoundError", diff=1),
+    (_baseline("Success", "ModuleNotFoundError"),
      CurrentOutcome(provisioning_status=ProvisioningStatus.ENVIRONMENT_BUILT,
                     execution_status=ExecutionStatus.NOTEBOOK_NOT_FOUND),
      OutcomeClass.D_REGRESSION),
@@ -111,7 +110,7 @@ def test_published_rows_reproduce_printed_classes(baseline, current, expected):
 def test_success_success_drift_row_classifies_as_drift():
     # Printed under D in the original table, but carries exactly the same
     # column signals as the C rows; the per-notebook rule yields C.
-    baseline = _baseline("Sucess", "Sucess", diff=0)
+    baseline = _baseline("Sucess", "Sucess")
     assert assign_outcome_class(baseline, _success_current(diff=5)) is (
         OutcomeClass.C_REPRODUCIBILITY_DRIFT)
 
@@ -121,7 +120,7 @@ def test_missing_baseline_unclassified():
 
 
 def test_stable_pair_unclassified():
-    baseline = _baseline("Success", "Success", diff=0)
+    baseline = _baseline("Success", "Success")
     assert assign_outcome_class(baseline, _success_current(diff=0)) is (
         OutcomeClass.UNCLASSIFIED)
 
@@ -135,7 +134,7 @@ def test_persistent_dependency_install_failure_is_b():
 
 
 def test_timeout_after_baseline_success_is_regression():
-    baseline = _baseline("Success", "Success", diff=0)
+    baseline = _baseline("Success", "Success")
     current = CurrentOutcome(
         provisioning_status=ProvisioningStatus.ENVIRONMENT_BUILT,
         execution_status=ExecutionStatus.TIMEOUT)
@@ -195,9 +194,6 @@ def test_baseline_csv_round_trip(tmp_path):
     records = read_baseline_csv(path)
     assert [r.notebook_id for r in records] == ["nb1", "nb2", "nb3"]
     assert records[0].install_failed
-    assert records[0].prev_diff_cells is None
-    assert records[1].prev_diff_cells == 0
-    assert records[1].prev_duration_s == 80.4
     assert not records[2].install_failed
 
 
@@ -231,8 +227,8 @@ def test_baseline_csv_reads_columns_by_header_name(tmp_path):
         "-,nb2,y,<Skipping notebook>,Success,,a note\n",
         encoding="utf-8")
     assert read_baseline_csv(path) == [
-        BaselineRecord("nb1", "Fail", "Success", 3, 1.5),
-        BaselineRecord("nb2", "Success", "<Skipping notebook>", None, None),
+        BaselineRecord("nb1", "Fail", "Success"),
+        BaselineRecord("nb2", "Success", "<Skipping notebook>"),
     ]
 
 

@@ -219,6 +219,20 @@ def test_run_computes_each_fact_once(env, monkeypatch):
     assert len(import_scans) == 3  # one per code cell
 
 
+def test_infer_loads_the_package_data_once_per_pipeline(env, monkeypatch):
+    config, store, tmp_path = env
+    stdlib_loads = _count_calls(monkeypatch, depinfer, "load_stdlib_modules")
+    alias_loads = _count_calls(monkeypatch, depinfer, "load_alias_table")
+    pipeline = Pipeline(config, store, FakeDocker())
+    for name in ("one", "two"):
+        url = make_git_repo(tmp_path / name, {
+            "nb.ipynb": _original("import os, numpy", "x\n").decode()})
+        assert pipeline.infer_repository(url).completed
+
+    assert len(stdlib_loads) == 1
+    assert len(alias_loads) == 1
+
+
 def test_infer_holds_at_most_one_parsed_notebook(env, monkeypatch):
     config, store, tmp_path = env
     url = make_git_repo(tmp_path / "origin", {
@@ -281,14 +295,19 @@ def test_execute_builds_the_recipe_infer_wrote(env):
     assert store.get_run(result.run_id).image_reference == tag
 
 
-def test_execute_without_recipe_is_degraded(env):
+# A re-infer killed after acquire_repository re-cloned the tree leaves the
+# Dockerfile next to a tree without the synthesized manifest.
+@pytest.mark.parametrize("removed", [
+    "../Dockerfile", containerize.SYNTHESIZED_MANIFEST_NAME],
+    ids=["dockerfile", "manifest"])
+def test_execute_without_recipe_is_degraded(env, removed):
     config, store, tmp_path = env
     docker = FakeDocker()
     url = _two_notebook_repo(tmp_path, docker)
     pipeline = Pipeline(config, store, docker)
     result = pipeline.infer_repository(url)
     tree = Path(store.get_repository(result.repository_id).local_path)
-    (tree.parent / "Dockerfile").unlink()
+    (tree / removed).unlink()
 
     outcome = pipeline.execute_run(store.get_run(result.run_id))
 
@@ -298,6 +317,29 @@ def test_execute_without_recipe_is_degraded(env):
     assert store.list_executions(result.run_id) == []
     assert (store.get_run(result.run_id).provisioning_status
             is ProvisioningStatus.PENDING)
+
+
+@pytest.mark.parametrize("build_fails", [False, True])
+def test_build_events_carry_the_stored_build_duration(env, build_fails):
+    config, store, tmp_path = env
+    docker = FakeDocker()
+    url = _two_notebook_repo(tmp_path, docker)
+    pipeline = Pipeline(config, store, docker)
+    result = pipeline.infer_repository(url)
+    if build_fails:
+        docker.build = lambda *args, **kwargs: FakeCompleted(1, stderr="no space")
+
+    pipeline.execute_run(store.get_run(result.run_id))
+
+    run = store.get_run(result.run_id)
+    events = [json.loads(line) for line in
+              (Path(config.logdir) / "events.ndjson").read_text().splitlines()]
+    (built,) = [e for e in events if e["event"] in ("build_done", "build_failed")]
+    assert built["event"] == ("build_failed" if build_fails else "build_done")
+    assert run.build_duration_s is not None
+    assert built["duration_s"] == run.build_duration_s
+    if not build_fails:
+        assert built["tag"] == run.image_reference
 
 
 # ---- one --jobs budget over repository stages and notebook runs ------------
