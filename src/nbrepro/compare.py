@@ -134,8 +134,9 @@ def normalize_output(out: CellOutput) -> str:
 
     Text-like payloads lose trailing whitespace, terminal escape sequences,
     and line-ending differences; binary payloads (base64 images etc.) are
-    kept exact; error outputs reduce to name + value because tracebacks
-    embed machine-specific paths. Execution counts never participate.
+    kept exact; error outputs reduce to name + value. The notebook model
+    keeps no tracebacks, which embed machine-specific paths, and no
+    execution counts, so neither participates.
     """
     if out.kind is OutputKind.ERROR:
         return f"error\n{out.error_name}\n{_normalize_text(out.error_value)}"

@@ -86,11 +86,6 @@ class DockerCli:
         except (OSError, subprocess.TimeoutExpired):
             return False
 
-    def ensure_available(self) -> None:
-        if not self.available():
-            raise ContainerRuntimeUnavailable(
-                f"container runtime {self.executable!r} is not reachable")
-
     def build(self, tag: str, dockerfile: Path, context: Path,
               timeout: float | None = None) -> subprocess.CompletedProcess:
         return self._run(
@@ -105,10 +100,23 @@ class DockerCli:
         return [line for line in result.stdout.splitlines() if line.strip()]
 
     def list_containers(self, label: str) -> list[str]:
-        result = self._run(["ps", "-aq", "--filter", f"label={label}"])
-        if result.returncode != 0:
-            return []
-        return [line for line in result.stdout.splitlines() if line.strip()]
+        """The containers carrying ``label``. This is a clean room's first
+        runtime call, so it is also its reachability check: it raises
+        ContainerRuntimeUnavailable when ``ps`` cannot start or does not
+        finish in 30 s. A nonzero exit alone does not prove the runtime
+        unreachable, so then the version probe decides; on a reachable
+        runtime the listing is empty."""
+        try:
+            result = self._run(["ps", "-aq", "--filter", f"label={label}"],
+                               timeout=30)
+        except (OSError, subprocess.TimeoutExpired):
+            result = None
+        if result is not None and result.returncode == 0:
+            return [line for line in result.stdout.splitlines() if line.strip()]
+        if result is None or not self.available():
+            raise ContainerRuntimeUnavailable(
+                f"container runtime {self.executable!r} is not reachable")
+        return []
 
     def remove_container(self, name_or_id: str) -> None:
         self._run(["rm", "-f", name_or_id])
@@ -197,9 +205,9 @@ def cleanup_previous(repository_id: str, docker: DockerCli) -> None:
     """Remove every container and image tagged for this repository.
 
     Idempotent: a second call finds nothing and is a no-op. An unreachable
-    runtime raises, which callers record as a failed build.
+    runtime raises from the container listing, which callers record as a
+    failed build.
     """
-    docker.ensure_available()
     label = f"nbrepro.repository_id={repository_id}"
     for container in docker.list_containers(label):
         logger.info("removing stale container %s", container)
@@ -233,7 +241,7 @@ def build_image(tag: str, dockerfile_path: Path, context_dir: Path,
 
     if log_path is not None:
         log_path.parent.mkdir(parents=True, exist_ok=True)
-        log_path.write_text(log_text, encoding="utf-8")
+        atomic.write_text(log_path, log_text)
 
     if timed_out:
         return BuildFailure(BuildPhase.TIMEOUT,

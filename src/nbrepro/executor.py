@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path, PurePosixPath
 from typing import TYPE_CHECKING
 
-from nbrepro import notebook as nbmodel
+from nbrepro import atomic, notebook as nbmodel
 from nbrepro.notebook import OutputKind, ParsedNotebook
 
 if TYPE_CHECKING:
@@ -221,8 +221,7 @@ def execute_notebook(
 
     if log_path is not None:
         log_path.parent.mkdir(parents=True, exist_ok=True)
-        log_path.write_text("".join(a.log_text() for a in attempts),
-                            encoding="utf-8")
+        atomic.write_text(log_path, "".join(a.log_text() for a in attempts))
 
     record = ExecutionRecord(
         notebook_id=descriptor.notebook_id,

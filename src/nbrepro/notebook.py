@@ -1,9 +1,10 @@
 """Structural model of notebook files.
 
-Parses the v4 JSON document format into typed cells and outputs without
-normalizing or dropping anything: the raw document is kept alongside the
-model so a parse -> serialize -> parse round trip is lossless, including
-fields the model does not interpret.
+Parses the v4 JSON document format into typed cells and outputs, keeping
+only what the pipeline reads: each cell's kind, source and outputs, and
+the notebook's kernel name and format version. Output payloads and error
+names and values are kept as written; tracebacks, execution counts and
+metadata are not modeled, and nothing is serialized back.
 """
 
 from __future__ import annotations
@@ -65,8 +66,6 @@ class CellOutput:
     payload: dict[str, Any] = field(default_factory=dict)
     error_name: str = ""
     error_value: str = ""
-    traceback: tuple[str, ...] = ()
-    execution_count: int | None = None
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,6 @@ class Cell:
     kind: CellKind
     source: str
     outputs: tuple[CellOutput, ...] = ()
-    execution_count: int | None = None
 
 
 @dataclass(frozen=True)
@@ -83,7 +81,6 @@ class ParsedNotebook:
     cells: tuple[Cell, ...]
     kernel_name: str | None
     nbformat_version: tuple[int, int]
-    raw: dict = field(compare=False, repr=False, default_factory=dict)
 
 
 def _join_source(value: Any, path: str) -> str:
@@ -121,12 +118,7 @@ def _parse_output(data: Any, path: str) -> CellOutput:
             raise ParseError("error output without a non-empty ename",
                              field_path=f"{path}.ename")
         evalue = data.get("evalue", "")
-        tb = data.get("traceback", [])
-        if not isinstance(tb, list):
-            tb = [str(tb)]
-        return CellOutput(kind=kind, error_name=ename,
-                          error_value=str(evalue),
-                          traceback=tuple(str(line) for line in tb))
+        return CellOutput(kind=kind, error_name=ename, error_value=str(evalue))
 
     # execute_result / display_data
     payload: dict[str, Any] = {}
@@ -139,10 +131,7 @@ def _parse_output(data: Any, path: str) -> CellOutput:
             payload[mime] = "".join(content)
         else:
             payload[mime] = content
-    execution_count = data.get("execution_count")
-    if execution_count is not None and not isinstance(execution_count, int):
-        execution_count = None
-    return CellOutput(kind=kind, payload=payload, execution_count=execution_count)
+    return CellOutput(kind=kind, payload=payload)
 
 
 def _parse_cell(data: Any, index: int) -> Cell:
@@ -160,7 +149,6 @@ def _parse_cell(data: Any, index: int) -> Cell:
     source = _join_source(data["source"], f"{path}.source")
 
     outputs: tuple[CellOutput, ...] = ()
-    execution_count: int | None = None
     if kind is CellKind.CODE:
         raw_outputs = data.get("outputs", [])
         if not isinstance(raw_outputs, list):
@@ -170,11 +158,7 @@ def _parse_cell(data: Any, index: int) -> Cell:
             _parse_output(out, f"{path}.outputs[{i}]")
             for i, out in enumerate(raw_outputs)
         )
-        ec = data.get("execution_count")
-        if isinstance(ec, int):
-            execution_count = ec
-    return Cell(index=index, kind=kind, source=source, outputs=outputs,
-                execution_count=execution_count)
+    return Cell(index=index, kind=kind, source=source, outputs=outputs)
 
 
 def parse_notebook(data: bytes | str) -> ParsedNotebook:
@@ -223,12 +207,7 @@ def parse_notebook(data: bytes | str) -> ParsedNotebook:
                 kernel_name = name
 
     return ParsedNotebook(cells=cells, kernel_name=kernel_name,
-                          nbformat_version=(major, minor), raw=doc)
-
-
-def serialize_notebook(nb: ParsedNotebook) -> bytes:
-    """Serialize back to notebook JSON, preserving unmodeled fields."""
-    return json.dumps(nb.raw, ensure_ascii=False, indent=1).encode("utf-8")
+                          nbformat_version=(major, minor))
 
 
 def code_cells(nb: ParsedNotebook) -> list[Cell]:

@@ -405,14 +405,16 @@ class Pipeline:
 
     def compare_run(self, run: RunRecord) -> RepositoryResult:
         """Compare what is due in the run and commit it in one transaction;
-        after the invocation was interrupted nothing is recorded."""
+        after the invocation was interrupted nothing is recorded. Each
+        compared notebook's event follows the commit, so every event names
+        a stored row."""
         repo = self.store.get_repository(run.repository_id)
         result = self._result_for(run, repo)
         if repo is None or not repo.local_path:
             return result
         tree = Path(repo.local_path)
         logdir = Path(self.config.logdir) / run.run_id
-        writes = []
+        writes, compared = [], []
         for notebook_id, relative_path, executed_path in self.store.comparisons_due(run):
             try:
                 original = nbmodel.parse_notebook((tree / relative_path).read_bytes())
@@ -442,8 +444,9 @@ class Pipeline:
                         for c in comparisons
                     ],
                 }
-                self.events.emit("compare", "notebook_compared",
-                                 notebook_id=notebook_id, score=metrics.score)
+            compared.append({"notebook_id": notebook_id,
+                             "structural_mismatch": payload["structural_mismatch"],
+                             "score": payload.get("score")})
             logdir.mkdir(parents=True, exist_ok=True)
             atomic.write_text(logdir / f"{notebook_id}.comparison.json",
                               json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -452,6 +455,8 @@ class Pipeline:
         with self.store.transaction():
             for write in writes:
                 write()
+        for details in compared:
+            self.events.emit("compare", "notebook_compared", **details)
         return result
 
     # ---- full pipeline --------------------------------------------------------

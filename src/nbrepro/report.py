@@ -75,10 +75,6 @@ class CorpusSummary:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CorpusSummary":
-        return cls(**data)
-
 
 def aggregate_corpus(store: Store,
                      classification: dict[str, int] | None = None,
@@ -214,14 +210,6 @@ def emit_reports(summary: CorpusSummary, report_dir: Path,
     md_path = report_dir / "summary.md"
     atomic.write_text(md_path, _render_markdown(summary, stamp))
     return [json_path, csv_path, md_path]
-
-
-def load_report(path: Path) -> CorpusSummary:
-    document = json.loads(Path(path).read_text("utf-8"))
-    version = document.get("schema_version")
-    if version != REPORT_SCHEMA_VERSION:
-        raise ValueError(f"unsupported report schema version: {version!r}")
-    return CorpusSummary.from_dict(document["summary"])
 
 
 def _format_value(value) -> str:

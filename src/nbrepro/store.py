@@ -5,14 +5,16 @@ notebooks, runs, executions, and reproducibility metrics through stable
 identifiers, so results stay joinable across invocations. Reads and
 writes share the one connection and are serialized behind one re-entrant
 lock. Every write runs inside ``Store.transaction()``, so the writes of one
-block are recorded whole or not at all. Rows are immutable dataclasses once
-read, apart from compare's due work and the two latest-run reads, which
-are named tuples. Those join every notebook to its repository's latest
-run: ``latest_outcomes`` gives classify the notebooks' ids per distinct
-outcome, and ``latest_outcome_groups`` gives report one counted row per
-distinct combination of the columns it folds. Both read facts stored once,
-in the transaction of the row they belong to: a failed build's phase on its
-run, and an execution's (type, category) error pairs on its row, so
+block are recorded whole or not at all. The store reads only what the
+commands read: repository, notebook and run rows come back as frozen
+dataclasses, compare's due work as plain rows, and the two latest-run
+reads as named tuples. Execution and metrics rows are never decoded one
+by one; they are read only through those joins. The latest-run reads join
+every notebook to its repository's latest run: ``latest_outcomes`` gives
+classify the notebooks' ids per distinct outcome, and
+``latest_outcome_groups`` gives report one counted row per distinct
+combination of the columns it folds. Both read facts stored once, in the
+transaction of the row they belong to: a failed build's phase on its run, and an execution's (type, category) error pairs on its row, so
 notebooks whose error messages differ still share a signature or a group.
 These reads, compare's work and a run's deletes search the per-run tables
 by their primary keys.
@@ -35,12 +37,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from nbrepro.compare import ReproducibilityMetrics
-from nbrepro.executor import (
-    ErrorCategory,
-    ExecutionError,
-    ExecutionRecord,
-    ExecutionStatus,
-)
+from nbrepro.executor import ExecutionError, ExecutionRecord, ExecutionStatus
 from nbrepro.notebook import markdown_code_ratio_of
 
 
@@ -516,16 +513,6 @@ class Store:
                           (run_id,))
         return _run_from_row(rows[0]) if rows else None
 
-    def list_runs(self, repository_id: str | None = None) -> list[RunRecord]:
-        if repository_id is None:
-            rows = self._read(
-                "SELECT * FROM repository_runs ORDER BY started_at, run_id")
-        else:
-            rows = self._read(
-                "SELECT * FROM repository_runs WHERE repository_id = ?"
-                " ORDER BY started_at, run_id", (repository_id,))
-        return [_run_from_row(row) for row in rows]
-
     def latest_runs(self) -> dict[str, RunRecord]:
         """Most recent run per repository (by start time, then run_id),
         ordered by that run's start time and run_id."""
@@ -600,16 +587,6 @@ class Store:
             ORDER BY n.notebook_id
             """, (run.run_id, run.repository_id))
 
-    def list_executions(self, run_id: str | None = None) -> list[ExecutionRecord]:
-        if run_id is None:
-            rows = self._read(
-                "SELECT * FROM notebook_executions ORDER BY run_id, notebook_id")
-        else:
-            rows = self._read(
-                "SELECT * FROM notebook_executions WHERE run_id = ?"
-                " ORDER BY notebook_id", (run_id,))
-        return [_execution_from_row(row) for row in rows]
-
     # ---- metrics ------------------------------------------------------------
 
     def insert_metrics(self, metrics: ReproducibilityMetrics) -> None:
@@ -640,26 +617,6 @@ class Store:
             """,
             (notebook_id, run_id, total_code_cells),
         )
-
-    def list_metrics(self, run_id: str | None = None
-                     ) -> list[tuple[ReproducibilityMetrics, bool]]:
-        """Metrics rows paired with their structural-mismatch flag."""
-        if run_id is None:
-            rows = self._read(
-                "SELECT * FROM reproducibility_metrics ORDER BY run_id, notebook_id")
-        else:
-            rows = self._read(
-                "SELECT * FROM reproducibility_metrics WHERE run_id = ?"
-                " ORDER BY notebook_id", (run_id,))
-        return [_metrics_from_row(row) for row in rows]
-
-    def get_metrics(self, notebook_id: str, run_id: str
-                    ) -> tuple[ReproducibilityMetrics, bool] | None:
-        rows = self._read(
-            "SELECT * FROM reproducibility_metrics"
-            " WHERE notebook_id = ? AND run_id = ?",
-            (notebook_id, run_id))
-        return _metrics_from_row(rows[0]) if rows else None
 
 
 def _repository_from_row(row: sqlite3.Row) -> Repository:
@@ -767,57 +724,3 @@ def _migrate_0_to_1(conn: sqlite3.Connection) -> None:
 # _MIGRATIONS[v] migrates a store of version v to version v + 1.
 _MIGRATIONS = [_migrate_0_to_1]
 
-
-def _errors_from_json(text: str | None) -> tuple[ExecutionError, ...]:
-    if text is None or text == "[]":
-        return ()
-    return tuple(
-        ExecutionError(
-            error_type=e["error_type"],
-            category=ErrorCategory(e["category"]),
-            message=e["message"],
-            cell_index=e["cell_index"],
-            count=e["count"],
-        )
-        for e in json.loads(text)
-    )
-
-
-def _execution_from_row(row: sqlite3.Row) -> ExecutionRecord:
-    return ExecutionRecord(
-        notebook_id=row["notebook_id"],
-        run_id=row["run_id"],
-        status=ExecutionStatus(row["status"]),
-        duration_s=row["duration_s"],
-        code_cell_count=row["code_cell_count"],
-        markdown_code_ratio=row["markdown_code_ratio"],
-        errors=_errors_from_json(row["errors"]),
-        executed_notebook_path=row["executed_notebook_path"],
-    )
-
-
-def _metrics_from_row(row: sqlite3.Row) -> tuple[ReproducibilityMetrics, bool]:
-    mismatch = bool(row["structural_mismatch"])
-    if mismatch:
-        # The partition invariant cannot hold for an unscored row; it reads
-        # back as an empty partition with an undefined score.
-        empty = ReproducibilityMetrics(
-            notebook_id=row["notebook_id"], run_id=row["run_id"],
-            identical_count=0, different_count=0, nondeterministic_count=0,
-            identical_indices=(), different_indices=(),
-            nondeterministic_indices=(), total_code_cells=0, score=None,
-        )
-        return empty, True
-    metrics = ReproducibilityMetrics(
-        notebook_id=row["notebook_id"],
-        run_id=row["run_id"],
-        identical_count=row["identical_count"],
-        different_count=row["different_count"],
-        nondeterministic_count=row["nondeterministic_count"],
-        identical_indices=tuple(json.loads(row["identical_indices"])),
-        different_indices=tuple(json.loads(row["different_indices"])),
-        nondeterministic_indices=tuple(json.loads(row["nondeterministic_indices"])),
-        total_code_cells=row["total_code_cells"],
-        score=row["score"],
-    )
-    return metrics, False

@@ -1,5 +1,5 @@
 """Shared builders for notebook documents, git fixture repos, and a fake
-container runtime."""
+container runtime, and a plain-SQL reader of store rows."""
 
 from __future__ import annotations
 
@@ -81,6 +81,19 @@ def notebook_bytes(cells: list, **kwargs) -> bytes:
     return json.dumps(notebook_doc(cells, **kwargs)).encode("utf-8")
 
 
+# ---- store rows ------------------------------------------------------------------
+
+def store_rows(store, table: str, **equal) -> list[dict]:
+    """The rows of one store table as column -> value dicts, in the order
+    they were first written, read with plain SQL, as bench/oracle.py reads
+    them, on the store's own connection; the keyword arguments keep the
+    rows whose columns equal them. JSON columns stay text."""
+    where = " AND ".join(f"{column} = ?" for column in equal) or "1"
+    sql = f"SELECT * FROM {table} WHERE {where} ORDER BY rowid"
+    with store._lock:
+        return [dict(row) for row in store._conn.execute(sql, tuple(equal.values()))]
+
+
 # ---- git fixture repositories --------------------------------------------------
 
 def git_available() -> bool:
@@ -136,6 +149,21 @@ requires_docker = pytest.mark.skipif(
 
 # ---- fake container runtime -----------------------------------------------------
 
+def logging_runtime(directory: Path, exits: dict[str, int] | None = None
+                    ) -> tuple[Path, Path]:
+    """A runtime executable for ``DockerCli`` that appends each call's verb
+    to a log and exits with ``exits[verb]``, 0 by default, printing nothing;
+    returns the executable and the log."""
+    log = directory / "runtime.calls"
+    cases = "".join(f"    {verb}) exit {code} ;;\n"
+                    for verb, code in (exits or {}).items())
+    executable = directory / "runtime"
+    executable.write_text(f'#!/bin/sh\necho "$1" >> "{log}"\n'
+                          f'case $1 in\n{cases}esac\n')
+    executable.chmod(0o755)
+    return executable, log
+
+
 class FakeCompleted:
     def __init__(self, returncode: int = 0, stdout: str = "", stderr: str = ""):
         self.returncode = returncode
@@ -162,11 +190,6 @@ class FakeDocker:
         self.calls.append(("available",))
         return self._available
 
-    def ensure_available(self) -> None:
-        from nbrepro.containerize import ContainerRuntimeUnavailable
-        if not self._available:
-            raise ContainerRuntimeUnavailable("fake runtime is down")
-
     def build(self, tag, dockerfile, context, timeout=None):
         self.calls.append(("build", tag))
         self.images.add(tag)
@@ -179,6 +202,9 @@ class FakeDocker:
 
     def list_containers(self, label):
         self.calls.append(("list_containers", label))
+        if not self._available:
+            from nbrepro.containerize import ContainerRuntimeUnavailable
+            raise ContainerRuntimeUnavailable("fake runtime is down")
         value = label.split("=", 1)[1]
         return [name for name, lab in sorted(self.containers.items())
                 if lab == value]

@@ -44,6 +44,7 @@ from conftest import (
     notebook_bytes,
     requires_docker,
     requires_git,
+    store_rows,
     stream_output,
 )
 from test_outcomes import TABLE_ROWS, OutcomeClass, _baseline, assign_outcome_class
@@ -269,54 +270,53 @@ def test_criterion_6_end_to_end_fixture_corpus(tmp_path):
             repo = next(r for r in store.list_repositories()
                         if r.url.endswith("/" + dirname))
             run = runs[repo.repository_id]
-            executions = store.list_executions(run.run_id)
-            metrics = [store.get_metrics(e.notebook_id, run.run_id)
-                       for e in executions]
+            executions = store_rows(store, "notebook_executions", run_id=run.run_id)
+            metrics = store_rows(store, "reproducibility_metrics", run_id=run.run_id)
             outcomes[name] = (repo, run, executions, metrics)
 
         # F1: complete manifest, deterministic outputs -> built, score 1.0
         _, run, executions, metrics = outcomes["f1_complete_manifest"]
         assert run.provisioning_status is ProvisioningStatus.ENVIRONMENT_BUILT
         (execution,) = executions
-        assert execution.status is ExecutionStatus.SUCCESS
-        ((m, mismatch),) = metrics
-        assert not mismatch and m.score == 1.0
+        assert execution["status"] == ExecutionStatus.SUCCESS.value
+        (m,) = metrics
+        assert not m["structural_mismatch"] and m["score"] == 1.0
 
         # F2: dynamically imported missing module at code cell 3
         _, run, executions, _ = outcomes["f2_missing_module"]
         assert run.provisioning_status is ProvisioningStatus.ENVIRONMENT_BUILT
         (execution,) = executions
-        assert execution.status is ExecutionStatus.ERRORED_BUT_COMPLETED
-        (err,) = execution.errors
-        assert err.error_type == "ModuleNotFoundError"
-        assert err.category is ErrorCategory.DEPENDENCY
-        assert err.cell_index == 3
+        assert execution["status"] == ExecutionStatus.ERRORED_BUT_COMPLETED.value
+        (err,) = json.loads(execution["errors"])
+        assert err["error_type"] == "ModuleNotFoundError"
+        assert err["category"] == ErrorCategory.DEPENDENCY.value
+        assert err["cell_index"] == 3
 
         # F3: hardcoded absolute path -> FileNotFoundError / Data
         _, run, executions, _ = outcomes["f3_hardcoded_path"]
         (execution,) = executions
-        assert execution.status is ExecutionStatus.ERRORED_BUT_COMPLETED
-        (err,) = execution.errors
-        assert err.error_type == "FileNotFoundError"
-        assert err.category is ErrorCategory.DATA
+        assert execution["status"] == ExecutionStatus.ERRORED_BUT_COMPLETED.value
+        (err,) = json.loads(execution["errors"])
+        assert err["error_type"] == "FileNotFoundError"
+        assert err["category"] == ErrorCategory.DATA.value
 
         # F4: unseeded randomness -> >= 1 NonDeterministic cell, score < 1
         _, run, executions, metrics = outcomes["f4_unseeded_randomness"]
         (execution,) = executions
-        assert execution.status is ExecutionStatus.SUCCESS
-        ((m, mismatch),) = metrics
-        assert not mismatch
-        assert m.nondeterministic_count >= 1
-        assert m.score < 1.0
+        assert execution["status"] == ExecutionStatus.SUCCESS.value
+        (m,) = metrics
+        assert not m["structural_mismatch"]
+        assert m["nondeterministic_count"] >= 1
+        assert m["score"] < 1.0
 
         # F5: no manifest, third-party import -> synthesized manifest installs
         repo, run, executions, metrics = outcomes["f5_no_manifest_thirdparty"]
         assert not repo.has_requirements_file
         assert run.provisioning_status is ProvisioningStatus.ENVIRONMENT_BUILT
         (execution,) = executions
-        assert execution.status is ExecutionStatus.SUCCESS
-        ((m, mismatch),) = metrics
-        assert not mismatch and m.score == 1.0
+        assert execution["status"] == ExecutionStatus.SUCCESS.value
+        (m,) = metrics
+        assert not m["structural_mismatch"] and m["score"] == 1.0
 
         # F6: fabricated package -> dependency-install build failure
         _, run, executions, _ = outcomes["f6_fabricated_package"]

@@ -1,4 +1,4 @@
-"""Atomic replacement of product outputs."""
+"""Atomic replacement of product outputs and tool logs."""
 
 from __future__ import annotations
 
@@ -7,6 +7,11 @@ import os
 import pytest
 
 from nbrepro import atomic
+from nbrepro.containerize import build_image
+from nbrepro.executor import execute_notebook
+from nbrepro.store import NotebookDescriptor
+
+from conftest import FakeCompleted, FakeDocker
 
 
 def test_write_replaces_the_file_with_write_text_permissions(tmp_path):
@@ -41,3 +46,32 @@ def test_failed_write_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch,
         atomic.write_text(target, text)
     assert target.read_bytes() == b'{"counts": {}}\n'
     assert os.listdir(tmp_path) == ["classification.json"]
+
+
+def _build_log(tmp_path, log, output):
+    docker = FakeDocker()
+    docker.build = lambda *args, **kwargs: FakeCompleted(0, stdout=output)
+    build_image("repro/repo1:run1", tmp_path / "Dockerfile", tmp_path, docker,
+                log_path=log)
+
+
+def _execution_log(tmp_path, log, output):
+    docker = FakeDocker()
+    docker.run_results = [FakeCompleted(0, stdout=output)]
+    execute_notebook(docker, "repro/repo1:run1", NotebookDescriptor(
+        notebook_id="nb1", repository_id="repo1", relative_path="a.ipynb"),
+        run_id="run1", artifacts_dir=tmp_path / "artifacts", log_path=log)
+
+
+@pytest.mark.parametrize("write_log", [_build_log, _execution_log],
+                         ids=["build", "execution"])
+def test_tool_logs_are_replaced_atomically(tmp_path, monkeypatch, write_log):
+    log = tmp_path / "logs" / "tool.log"
+    write_log(tmp_path, log, "first attempt")
+    before = log.read_bytes()
+    assert b"first attempt" in before
+    _fail_on_replace(monkeypatch)
+    with pytest.raises(OSError, match="disk went away"):
+        write_log(tmp_path, log, "second attempt")
+    assert log.read_bytes() == before
+    assert os.listdir(log.parent) == ["tool.log"]

@@ -44,7 +44,6 @@ from nbrepro.report import (
     CorpusSummary,
     aggregate_corpus,
     emit_reports,
-    load_report,
 )
 from nbrepro.store import (
     NotebookDescriptor,
@@ -53,6 +52,8 @@ from nbrepro.store import (
     RunRecord,
     Store,
 )
+
+from conftest import store_rows
 
 _BASELINE_HEADER = ("notebook_id,prev_dependency_install,prev_execution_status,"
                     "prev_diff_cells,prev_duration_s\n")
@@ -303,8 +304,8 @@ def test_classify_and_report_decode_no_rows(tmp_path, monkeypatch):
     def refuse(row):
         raise AssertionError("a store row was decoded into a record")
 
-    for name in ("_metrics_from_row", "_execution_from_row", "_notebook_from_row"):
-        monkeypatch.setattr(nbrepro.store, name, refuse)
+    # Execution and metrics rows have no decoder; notebook rows are not read.
+    monkeypatch.setattr(nbrepro.store, "_notebook_from_row", refuse)
     baseline = tmp_path / "baseline.csv"
     baseline.write_text(_BASELINE_HEADER + "".join(
         f"{b.notebook_id},{b.prev_dependency_install},{b.prev_execution_status},-,-\n"
@@ -326,7 +327,8 @@ def test_classify_and_report_decode_no_rows(tmp_path, monkeypatch):
                             **_MIXED_PAYLOAD["counts"]},
         "resolution_rate": 0.0,
     })
-    assert load_report(reports / "report.json") == expected
+    assert json.loads((reports / "report.json").read_text())["summary"] == (
+        expected.to_dict())
     stamp = json.loads((reports / "report.json").read_text())["generated_at"]
     emit_reports(expected, tmp_path / "expected", generated_at=stamp)
     for name in ("report.json", "summary.csv", "summary.md"):
@@ -442,17 +444,19 @@ def _random_store(store: Store, rng: random.Random) -> list[BaselineRecord]:
     return baselines
 
 
-def _decoded_latest(store: Store) -> tuple[dict, dict, dict]:
-    """The latest run of each repository, picked in Python, and every
-    execution and metrics row decoded, keyed by (notebook_id, run_id)."""
-    latest: dict[str, RunRecord] = {}
-    for run in store.list_runs():
-        best = latest.get(run.repository_id)
-        if best is None or (run.started_at, run.run_id) > (best.started_at, best.run_id):
-            latest[run.repository_id] = run
-    executions = {(e.notebook_id, e.run_id): e for e in store.list_executions()}
-    metrics = {(m.notebook_id, m.run_id): (m, mismatch)
-               for m, mismatch in store.list_metrics()}
+def _latest_rows(store: Store) -> tuple[dict, dict, dict]:
+    """The latest run row of each repository, picked in Python, and every
+    execution and metrics row, keyed by (notebook_id, run_id)."""
+    latest: dict[str, dict] = {}
+    for run in store_rows(store, "repository_runs"):
+        best = latest.get(run["repository_id"])
+        if best is None or ((run["started_at"], run["run_id"])
+                            > (best["started_at"], best["run_id"])):
+            latest[run["repository_id"]] = run
+    executions = {(e["notebook_id"], e["run_id"]): e
+                  for e in store_rows(store, "notebook_executions")}
+    metrics = {(m["notebook_id"], m["run_id"]): m
+               for m in store_rows(store, "reproducibility_metrics")}
     return latest, executions, metrics
 
 
@@ -483,7 +487,7 @@ def test_each_signature_equals_one_built_from_decoded_rows():
         with Store() as store:
             _random_store(store, rng)
             groups = store.latest_outcomes()
-            latest, executions, metrics = _decoded_latest(store)
+            latest, executions, metrics = _latest_rows(store)
             repositories = {nb.notebook_id: nb.repository_id
                             for nb in store.list_notebooks()}
             requirements = {repo.repository_id: repo.has_requirements_file
@@ -497,21 +501,22 @@ def test_each_signature_equals_one_built_from_decoded_rows():
                 run = latest.get(repository_id)
                 expected = CurrentOutcome(ProvisioningStatus.PENDING)
                 if run is not None:
-                    key = (notebook_id, run.run_id)
+                    key = (notebook_id, run["run_id"])
                     execution = executions.get(key)
-                    metric, mismatch = metrics.get(key, (None, True))
+                    metric = metrics.get(key)
+                    status = ProvisioningStatus(run["provisioning_status"])
                     phase = None
-                    if (run.provisioning_status is ProvisioningStatus.BUILD_FAILED
-                            and run.status_reason):
-                        phase = run.status_reason.split(":", 1)[0].strip()
+                    if status is ProvisioningStatus.BUILD_FAILED and run["status_reason"]:
+                        phase = run["status_reason"].split(":", 1)[0].strip()
                     expected = CurrentOutcome(
-                        run.provisioning_status, phase,
-                        execution.status if execution else None,
-                        frozenset(e.error_type for e in execution.errors)
+                        status, phase,
+                        ExecutionStatus(execution["status"]) if execution else None,
+                        frozenset(e["error_type"] for e in json.loads(execution["errors"]))
                         if execution else frozenset(),
-                        not mismatch and shows_drift(metric.different_count,
-                                                     metric.nondeterministic_count,
-                                                     metric.score))
+                        metric is not None and not metric["structural_mismatch"]
+                        and shows_drift(metric["different_count"],
+                                        metric["nondeterministic_count"],
+                                        metric["score"]))
                 assert _current_outcome(group) == expected
 
 
@@ -604,16 +609,16 @@ def test_report_groups_notebooks_whose_error_messages_differ():
 # ---- report folds distinct outcomes, weighted by their notebooks ------------------
 
 def _reference_summary(store: Store) -> CorpusSummary:
-    """The corpus summary folded one notebook at a time from decoded rows,
-    with the latest run of each repository picked in Python."""
-    latest, executions, metrics = _decoded_latest(store)
+    """The corpus summary folded one notebook at a time from the rows, with
+    the latest run of each repository picked in Python."""
+    latest, executions, metrics = _latest_rows(store)
     repositories = {repo.repository_id: repo for repo in store.list_repositories()}
 
     provisioning = {key: 0 for key in PROVISIONING_ORDER}
     for repo_id in repositories:
         run = latest.get(repo_id)
-        provisioning[(run.provisioning_status if run
-                      else ProvisioningStatus.PENDING).value] += 1
+        provisioning[run["provisioning_status"] if run
+                     else ProvisioningStatus.PENDING.value] += 1
     executed = zero_errors = records = scored = flagged = 0
     error_types: dict[str, int] = {}
     error_categories: dict[str, int] = {}
@@ -626,26 +631,28 @@ def _reference_summary(store: Store) -> CorpusSummary:
         has_requirements = repositories[nb.repository_id].has_requirements_file
         flagged += (nb.nondeterministic_pattern_cells or 0) > 0
         run = latest.get(nb.repository_id)
-        key = (nb.notebook_id, run.run_id if run else None)
+        key = (nb.notebook_id, run["run_id"] if run else None)
         execution = executions.get(key)
         if execution is not None:
+            errors = json.loads(execution["errors"])
             executed += 1
-            zero_errors += not execution.errors
-            for error in execution.errors:
+            zero_errors += not errors
+            for error in errors:
                 records += 1
-                error_types[error.error_type] = error_types.get(error.error_type, 0) + 1
-                category = error.category.value
+                error_types[error["error_type"]] = error_types.get(error["error_type"], 0) + 1
+                category = error["category"]
                 error_categories[category] = error_categories.get(category, 0) + 1
             runs[has_requirements][0] += 1
-            runs[has_requirements][1] += execution.status is ExecutionStatus.SUCCESS
+            runs[has_requirements][1] += execution["status"] == ExecutionStatus.SUCCESS.value
         if key in metrics:
-            row, mismatch = metrics[key]
+            row = metrics[key]
+            mismatch = row["structural_mismatch"]
             scored += 1
             categories[(ScoreCategory.UNSCORED if mismatch
-                        else categorize_score(row.score)).value] += 1
-            if not mismatch and row.score is not None:
-                scores.append(row.score)
-                by_stratum[has_requirements].append(row.score)
+                        else categorize_score(row["score"])).value] += 1
+            if not mismatch and row["score"] is not None:
+                scores.append(row["score"])
+                by_stratum[has_requirements].append(row["score"])
 
     def mean(values):
         return math.fsum(values) / len(values) if values else None

@@ -27,6 +27,7 @@ from conftest import (
     markdown_cell,
     notebook_bytes,
     requires_git,
+    store_rows,
 )
 
 pytestmark = requires_git
@@ -67,8 +68,8 @@ def test_infer_writes_synthesized_manifest_without_container(workspace):
     with Store(workspace["store"]) as store:
         (repo,) = store.list_repositories()
         assert repo.notebook_count == 1
-        (run,) = store.list_runs()
-        assert run.provisioning_status is ProvisioningStatus.PENDING
+        (run,) = store_rows(store, "repository_runs")
+        assert run["provisioning_status"] == ProvisioningStatus.PENDING.value
         tree = Path(repo.local_path)
     manifest = tree / "requirements.synthesized.txt"
     assert manifest.read_text() == "requests\n"
@@ -82,9 +83,10 @@ def test_infer_invalid_url_recorded_others_complete(workspace):
                  *_common_flags(workspace)])
     assert code == 0  # invalid URL is a data outcome, not a machinery failure
     with Store(workspace["store"]) as store:
-        statuses = {run.provisioning_status for run in store.list_runs()}
-        assert ProvisioningStatus.INVALID_URL in statuses
-        assert ProvisioningStatus.PENDING in statuses
+        statuses = {run["provisioning_status"]
+                    for run in store_rows(store, "repository_runs")}
+        assert ProvisioningStatus.INVALID_URL.value in statuses
+        assert ProvisioningStatus.PENDING.value in statuses
 
 
 def test_infer_records_an_input_that_does_not_parse_as_a_url(workspace):
@@ -93,9 +95,9 @@ def test_infer_records_an_input_that_does_not_parse_as_a_url(workspace):
                  *_common_flags(workspace)])
     assert code == 0
     with Store(workspace["store"]) as store:
-        (run,) = store.list_runs()
-        assert run.provisioning_status is ProvisioningStatus.INVALID_URL
-        assert run.status_reason == "malformed"
+        (run,) = store_rows(store, "repository_runs")
+        assert run["provisioning_status"] == ProvisioningStatus.INVALID_URL.value
+        assert run["status_reason"] == "malformed"
         (repo,) = store.list_repositories()
         assert repo.url == "http://[::1"
         assert not repo.accessible
@@ -140,8 +142,8 @@ def test_infer_repo_without_notebooks_terminates_run(workspace):
     url = _fixture_repo(workspace, "nonotebooks", {"script.py": "print(1)\n"})
     assert main(["infer", "--input", url, *_common_flags(workspace)]) == 0
     with Store(workspace["store"]) as store:
-        (run,) = store.list_runs()
-        assert run.provisioning_status is ProvisioningStatus.NO_PYTHON_NOTEBOOKS
+        (run,) = store_rows(store, "repository_runs")
+        assert run["provisioning_status"] == ProvisioningStatus.NO_PYTHON_NOTEBOOKS.value
 
 
 def test_compare_before_execute_is_actionable_error(workspace, capsys, caplog):
@@ -198,9 +200,9 @@ def test_run_without_runtime_skips_stages_3_4_with_status(workspace):
     code = main(["run", "--input", url, *_common_flags(workspace)])
     assert code == 2  # partial: stages 1-2 done, 3-4 skipped
     with Store(workspace["store"]) as store:
-        (run,) = store.list_runs()
-        assert run.provisioning_status is ProvisioningStatus.BUILD_FAILED
-        assert "container runtime unavailable" in (run.status_reason or "")
+        (run,) = store_rows(store, "repository_runs")
+        assert run["provisioning_status"] == ProvisioningStatus.BUILD_FAILED.value
+        assert "container runtime unavailable" in (run["status_reason"] or "")
         (repo,) = store.list_repositories()
         manifest = Path(repo.local_path) / "requirements.synthesized.txt"
         assert manifest.exists()  # stage-2 artifacts still produced
@@ -223,13 +225,13 @@ def test_rerun_creates_new_run_ids_same_deterministic_fields(workspace):
         (repo_first,) = store.list_repositories()
         manifest_first = (Path(repo_first.local_path)
                           / "requirements.synthesized.txt").read_text()
-        run_ids_first = {r.run_id for r in store.list_runs()}
+        run_ids_first = {r["run_id"] for r in store_rows(store, "repository_runs")}
     assert main(["infer", "--input", url, *_common_flags(workspace)]) == 0
     with Store(workspace["store"]) as store:
         (repo_second,) = store.list_repositories()
         manifest_second = (Path(repo_second.local_path)
                            / "requirements.synthesized.txt").read_text()
-        run_ids = {r.run_id for r in store.list_runs()}
+        run_ids = {r["run_id"] for r in store_rows(store, "repository_runs")}
     assert repo_first.repository_id == repo_second.repository_id
     assert manifest_first == manifest_second == "packaging==21.0\npyyaml\n"
     assert len(run_ids) == 2 and run_ids_first < run_ids
@@ -319,7 +321,7 @@ def test_duplicate_inputs_deduplicated(workspace):
     flags = [arg for spelling in spellings for arg in ("--input", spelling)]
     assert main(["infer", *flags, "--jobs", "2", *_common_flags(workspace)]) == 0
     with Store(workspace["store"]) as store:
-        assert len(store.list_runs()) == 1
+        assert len(store_rows(store, "repository_runs")) == 1
         assert [r.url for r in store.list_repositories()] == [url]
 
 
@@ -333,7 +335,7 @@ def test_infer_parallel_jobs(workspace):
     assert main(["infer", *flags, "--jobs", "3", *_common_flags(workspace)]) == 0
     with Store(workspace["store"]) as store:
         assert len(store.list_repositories()) == 4
-        assert len(store.list_runs()) == 4
+        assert len(store_rows(store, "repository_runs")) == 4
 
 
 def test_classification_reports_rescue_direction(workspace):
@@ -349,7 +351,7 @@ def test_classification_reports_rescue_direction(workspace):
     with Store(workspace["store"]) as store:
         (repo,) = store.list_repositories()
         assert not repo.has_requirements_file
-        (run,) = store.list_runs()
+        (run,) = store.latest_runs().values()
         (descriptor,) = store.list_notebooks()
         store.finish_run(run, ProvisioningStatus.ENVIRONMENT_BUILT,
                          image_reference="repro/x:y")
@@ -406,10 +408,10 @@ def test_subcommand_chain_with_stubbed_runtime(workspace, monkeypatch):
     assert main(["report", *_common_flags(workspace)]) == 0
 
     with Store(workspace["store"]) as store:
-        (run,) = store.list_runs()
-        assert run.provisioning_status is ProvisioningStatus.ENVIRONMENT_BUILT
-        ((metrics, mismatch),) = store.list_metrics(run.run_id)
-        assert not mismatch and metrics.score == 1.0
+        (run,) = store_rows(store, "repository_runs")
+        assert run["provisioning_status"] == ProvisioningStatus.ENVIRONMENT_BUILT.value
+        (metrics,) = store_rows(store, "reproducibility_metrics", run_id=run["run_id"])
+        assert metrics["structural_mismatch"] == 0 and metrics["score"] == 1.0
     report = json.loads((workspace["reports"] / "report.json").read_text())
     assert report["summary"]["score_categories"]["Perfect"] == 1
     assert report["summary"]["zero_error_notebooks"] == 1
@@ -478,9 +480,11 @@ def test_compare_degrades_one_repository_not_the_corpus(workspace, monkeypatch,
     with caplog.at_level("INFO", logger="nbrepro.cli"):
         assert main(["compare", *_common_flags(workspace)]) == 2
     with Store(workspace["store"]) as store:
-        assert store.list_metrics(runs["blocked"].run_id) == []
-        ((metrics, _),) = store.list_metrics(runs["fine"].run_id)
-    assert metrics.score == 1.0
+        assert store_rows(store, "reproducibility_metrics",
+                          run_id=runs["blocked"].run_id) == []
+        (metrics,) = store_rows(store, "reproducibility_metrics",
+                                run_id=runs["fine"].run_id)
+    assert metrics["score"] == 1.0
     lines = {record.getMessage() for record in caplog.records
              if record.name == "nbrepro.cli"}
     assert f"{urls['fine']} -> ok" in lines

@@ -68,10 +68,13 @@ def test_identical_binary_payloads_equal_and_exact():
 
 
 def test_error_outputs_ignore_tracebacks():
-    first = CellOutput(kind=OutputKind.ERROR, error_name="KeyError",
-                       error_value="'x'", traceback=("/home/a/nb.py",))
-    second = CellOutput(kind=OutputKind.ERROR, error_name="KeyError",
-                        error_value="'x'", traceback=("/mnt/other/nb.py", "more"))
+    def error_cell_output(traceback):
+        nb = parse_notebook(notebook_bytes([code_cell("x[1]", [
+            error_output("KeyError", "'x'", traceback)])]))
+        return nb.cells[0].outputs[0]
+
+    first = error_cell_output(["/home/a/nb.py"])
+    second = error_cell_output(["/mnt/other/nb.py", "more"])
     assert normalize_output(first) == normalize_output(second)
     different_name = CellOutput(kind=OutputKind.ERROR, error_name="IndexError",
                                 error_value="'x'")

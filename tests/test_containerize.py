@@ -25,7 +25,7 @@ from nbrepro.depinfer import (
 )
 from nbrepro.store import Repository
 
-from conftest import FakeCompleted, FakeDocker
+from conftest import FakeCompleted, FakeDocker, logging_runtime
 
 
 def _spec(*names, repo_id="fixturerepo0001", verbatim_lines=()):
@@ -193,5 +193,20 @@ def test_build_timeout_phase(tmp_path):
 def test_real_cli_wrapper_reports_unavailable_for_bogus_executable():
     docker = DockerCli(executable="definitely-not-a-container-runtime")
     assert not docker.available()
-    with pytest.raises(ContainerRuntimeUnavailable):
-        docker.ensure_available()
+    with pytest.raises(ContainerRuntimeUnavailable, match=(
+            "container runtime 'definitely-not-a-container-runtime' "
+            "is not reachable")):
+        cleanup_previous("abc123", docker)
+
+
+@pytest.mark.parametrize("reachable", [True, False])
+def test_failed_listing_is_checked_by_the_version_probe(tmp_path, reachable):
+    executable, calls = logging_runtime(
+        tmp_path, {"ps": 1, "version": 0 if reachable else 1})
+    docker = DockerCli(str(executable))
+    if reachable:
+        assert docker.list_containers("nbrepro.repository_id=abc123") == []
+    else:
+        with pytest.raises(ContainerRuntimeUnavailable, match="is not reachable"):
+            docker.list_containers("nbrepro.repository_id=abc123")
+    assert calls.read_text().split() == ["ps", "version"]

@@ -3,6 +3,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from nbrepro.executor import (
@@ -12,7 +14,7 @@ from nbrepro.executor import (
     execute_notebook,
     extract_errors,
 )
-from nbrepro.notebook import parse_notebook, serialize_notebook
+from nbrepro.notebook import parse_notebook
 from nbrepro.store import NotebookDescriptor
 
 from conftest import (
@@ -100,10 +102,12 @@ def test_duplicate_error_type_in_cell_sums_count():
 
 
 def test_extract_errors_round_trip_stable():
-    nb = parse_notebook(notebook_bytes([
+    document = notebook_bytes([
         code_cell("x", [error_output("KeyError", "'k'", ["tb"])]),
-    ]))
-    assert extract_errors(parse_notebook(serialize_notebook(nb))) == extract_errors(nb)
+    ])
+    rewritten = json.dumps(json.loads(document), indent=1).encode("utf-8")
+    assert (extract_errors(parse_notebook(rewritten))
+            == extract_errors(parse_notebook(document)))
 
 
 # ---- execute_notebook (fake runtime) --------------------------------------------------

@@ -16,6 +16,7 @@ import pytest
 from nbrepro import containerize, corpus, depinfer, notebook
 from nbrepro.compare import metrics_from_partition
 from nbrepro.config import PipelineConfig
+from nbrepro.containerize import DockerCli
 from nbrepro.executor import (
     ErrorCategory,
     ExecutionError,
@@ -29,10 +30,12 @@ from conftest import (
     FakeCompleted,
     FakeDocker,
     code_cell,
+    logging_runtime,
     make_git_repo,
     markdown_cell,
     notebook_bytes,
     requires_git,
+    store_rows,
     stream_output,
 )
 
@@ -53,6 +56,13 @@ def env(tmp_path):
 
 def _original(source, output_text):
     return notebook_bytes([code_cell(source, [stream_output(output_text)], 1)])
+
+
+def _events(config, event=None) -> list[dict]:
+    """The invocation's event records, or those named ``event``."""
+    records = [json.loads(line) for line in
+               (Path(config.logdir) / "events.ndjson").read_text().splitlines()]
+    return [r for r in records if event in (None, r["event"])]
 
 
 def test_execute_and_compare_full_wiring(env):
@@ -84,19 +94,21 @@ def test_execute_and_compare_full_wiring(env):
     assert finished.image_reference == f"repro/{result.repository_id}:{run.run_id}"
     assert finished.finished_at is not None
 
-    executions = store.list_executions(run.run_id)
+    executions = store_rows(store, "notebook_executions", run_id=run.run_id)
     assert len(executions) == 2
-    assert all(e.status is ExecutionStatus.SUCCESS for e in executions)
+    assert all(e["status"] == ExecutionStatus.SUCCESS.value for e in executions)
     for record in executions:
-        assert Path(record.executed_notebook_path).exists()
+        assert Path(record["executed_notebook_path"]).exists()
         assert str(Path(config.artifacts_dir) / run.run_id) in (
-            record.executed_notebook_path)
+            record["executed_notebook_path"])
 
     assert pipeline.compare_run(finished).completed
-    rows = store.list_metrics(run.run_id)
+    rows = store_rows(store, "reproducibility_metrics", run_id=run.run_id)
     assert len(rows) == 2
-    scores = sorted(m.score for m, _ in rows)
-    assert scores == [0.0, 1.0]
+    assert sorted(m["score"] for m in rows) == [0.0, 1.0]
+    assert sorted((e["notebook_id"], e["structural_mismatch"], e["score"])
+                  for e in _events(config, "notebook_compared")) == sorted(
+        (m["notebook_id"], False, m["score"]) for m in rows)
 
     # log directory contract: build log, per-notebook execution logs,
     # per-notebook comparison JSON
@@ -112,11 +124,10 @@ def test_execute_and_compare_full_wiring(env):
 
     # rerunning the comparison stage is a no-op for already-compared rows
     assert pipeline.compare_run(finished).completed
-    assert store.list_metrics(run.run_id) == rows
+    assert store_rows(store, "reproducibility_metrics", run_id=run.run_id) == rows
+    assert len(_events(config, "notebook_compared")) == 2
 
-    events = [json.loads(line) for line in
-              (Path(config.logdir) / "events.ndjson").read_text().splitlines()]
-    stages = {e["stage"] for e in events}
+    stages = {e["stage"] for e in _events(config)}
     assert {"infer", "execute", "compare"} <= stages
 
 
@@ -137,10 +148,13 @@ def test_structural_mismatch_persists_unscored(env):
         code_cell("a", [stream_output("1\n")], 1)])
     pipeline.execute_run(run)
     pipeline.compare_run(store.get_run(run.run_id))
-    ((metrics, mismatch),) = store.list_metrics(run.run_id)
-    assert mismatch
-    assert metrics.score is None
+    (metrics,) = store_rows(store, "reproducibility_metrics", run_id=run.run_id)
+    assert metrics["structural_mismatch"] == 1
+    assert metrics["score"] is None
     descriptor = store.list_notebooks(result.repository_id)[0]
+    (event,) = _events(config, "notebook_compared")
+    assert (event["notebook_id"], event["structural_mismatch"], event["score"]) == (
+        descriptor.notebook_id, True, None)
     comparison = json.loads(
         (Path(config.logdir) / run.run_id /
          f"{descriptor.notebook_id}.comparison.json").read_text())
@@ -165,8 +179,8 @@ def test_all_kernels_missing_marks_run_kernel_not_found(env):
     pipeline.execute_run(store.get_run(result.run_id))
     finished = store.get_run(result.run_id)
     assert finished.provisioning_status is ProvisioningStatus.KERNEL_NOT_FOUND
-    (record,) = store.list_executions(result.run_id)
-    assert record.status is ExecutionStatus.KERNEL_NOT_FOUND
+    (record,) = store_rows(store, "notebook_executions", run_id=result.run_id)
+    assert record["status"] == ExecutionStatus.KERNEL_NOT_FOUND.value
 
 
 # ---- each fact computed once -------------------------------------------------
@@ -209,9 +223,9 @@ def test_run_computes_each_fact_once(env, monkeypatch):
         url, runtime_available=True)
 
     assert result.completed
-    executed = store.list_executions(result.run_id)
+    executed = store_rows(store, "notebook_executions", run_id=result.run_id)
     assert len(executed) == 2
-    assert len(store.list_metrics(result.run_id)) == 2
+    assert len(store_rows(store, "reproducibility_metrics", run_id=result.run_id)) == 2
     # discover, the executed artifact, and compare's original and executed
     assert len(parses) <= 4 * len(executed)
     assert len(syntheses) == 1
@@ -314,7 +328,7 @@ def test_execute_without_recipe_is_degraded(env, removed):
     assert not outcome.completed
     assert outcome.degraded_reason == "build recipe missing; rerun the infer stage"
     assert not any(call[0] == "build" for call in docker.calls)
-    assert store.list_executions(result.run_id) == []
+    assert store_rows(store, "notebook_executions", run_id=result.run_id) == []
     assert (store.get_run(result.run_id).provisioning_status
             is ProvisioningStatus.PENDING)
 
@@ -332,14 +346,29 @@ def test_build_events_carry_the_stored_build_duration(env, build_fails):
     pipeline.execute_run(store.get_run(result.run_id))
 
     run = store.get_run(result.run_id)
-    events = [json.loads(line) for line in
-              (Path(config.logdir) / "events.ndjson").read_text().splitlines()]
-    (built,) = [e for e in events if e["event"] in ("build_done", "build_failed")]
+    (built,) = [e for e in _events(config)
+                if e["event"] in ("build_done", "build_failed")]
     assert built["event"] == ("build_failed" if build_fails else "build_done")
     assert run.build_duration_s is not None
     assert built["duration_s"] == run.build_duration_s
     if not build_fails:
         assert built["tag"] == run.image_reference
+
+
+def test_cleanup_learns_reachability_from_its_own_listing(env):
+    config, store, tmp_path = env
+    docker = FakeDocker()
+    pipeline = Pipeline(config, store, docker)
+    run_id = pipeline.infer_repository(_two_notebook_repo(tmp_path, docker)).run_id
+    executable, calls = logging_runtime(tmp_path, {"build": 1})
+    pipeline.docker = DockerCli(str(executable))
+
+    pipeline.execute_run(store.get_run(run_id))
+
+    # no version probe repeats the one the command made before the stage
+    assert calls.read_text().split() == ["ps", "images", "build"]
+    assert (store.get_run(run_id).provisioning_status
+            is ProvisioningStatus.BUILD_FAILED)
 
 
 # ---- one --jobs budget over repository stages and notebook runs ------------
@@ -409,31 +438,28 @@ def _run_corpus(root: Path, urls: list[str], jobs: int, docker):
     return results, rows, baseline_threads
 
 
+# Columns that differ between runs of the same inputs.
+_VOLATILE = {"run_id", "invocation_id", "started_at", "finished_at",
+             "image_reference", "build_duration_s", "duration_s"}
+
+
 def _comparable_rows(store, artifacts: Path) -> dict:
     """Every store row without run ids, timestamps, durations and the
-    artifact root."""
-    def executed_path(record):
-        path = Path(record.executed_notebook_path)
-        return str(path.relative_to(artifacts / record.run_id))
+    artifact root, keyed by table."""
+    def comparable(row: dict) -> dict:
+        kept = {column: value for column, value in row.items()
+                if column not in _VOLATILE}
+        if row.get("local_path"):
+            kept["local_path"] = str(Path(row["local_path"]).relative_to(artifacts))
+        if row.get("executed_notebook_path"):
+            kept["executed_notebook_path"] = str(Path(
+                row["executed_notebook_path"]).relative_to(artifacts / row["run_id"]))
+        return kept
 
-    return {
-        "repositories": [
-            replace(r, local_path=str(Path(r.local_path).relative_to(artifacts)))
-            for r in store.list_repositories()],
-        "notebooks": store.list_notebooks(),
-        "runs": sorted(
-            (replace(r, run_id="", invocation_id="", started_at="",
-                     finished_at=None, image_reference=None, build_duration_s=None)
-             for r in store.list_runs()), key=lambda r: r.repository_id),
-        "executions": sorted(
-            (replace(e, run_id="", duration_s=None,
-                     executed_notebook_path=executed_path(e))
-             for e in store.list_executions()), key=lambda e: e.notebook_id),
-        "metrics": sorted(
-            ((replace(m, run_id=""), mismatch)
-             for m, mismatch in store.list_metrics()),
-            key=lambda row: row[0].notebook_id),
-    }
+    return {table: sorted((comparable(row) for row in store_rows(store, table)),
+                          key=lambda row: json.dumps(row, sort_keys=True))
+            for table in ("repositories", "notebooks", "repository_runs",
+                          "notebook_executions", "reproducibility_metrics")}
 
 
 def test_budget_bounds_container_runs_and_threads(tmp_path):
@@ -442,7 +468,7 @@ def test_budget_bounds_container_runs_and_threads(tmp_path):
     results, rows, baseline = _run_corpus(tmp_path / "parallel", urls, 2, docker)
 
     assert all(r.completed for r in results)
-    assert len(rows["executions"]) == 7
+    assert len(rows["notebook_executions"]) == 7
     assert docker.peak_running == 2
     # a repository pool and a notebook pool of at most jobs threads each
     assert docker.peak_threads - baseline <= 2 * 2
@@ -476,8 +502,8 @@ def test_parallel_rows_equal_serial_rows(tmp_path):
 
     # --jobs 1 keeps the serial path: every container ran on the caller
     assert serial_docker.run_threads == {threading.get_ident()}
-    assert len(serial["executions"]) == 7
-    assert len(serial["metrics"]) == 7
+    assert len(serial["notebook_executions"]) == 7
+    assert len(serial["reproducibility_metrics"]) == 7
     assert parallel == serial
 
 
@@ -493,10 +519,11 @@ def test_failing_notebook_degrades_only_its_repository(tmp_path, caplog):
     assert any(str(r.exc_info[1]) == "runtime crashed on a4.ipynb"
                for r in caplog.records if r.exc_info)
     assert small.completed
-    status = {r.repository_id: r.provisioning_status for r in rows["runs"]}
+    status = {r["repository_id"]: r["provisioning_status"]
+              for r in rows["repository_runs"]}
     assert status == {
-        corpus.repository_id_for(urls[0]): ProvisioningStatus.PENDING,
-        corpus.repository_id_for(urls[1]): ProvisioningStatus.ENVIRONMENT_BUILT,
+        corpus.repository_id_for(urls[0]): ProvisioningStatus.PENDING.value,
+        corpus.repository_id_for(urls[1]): ProvisioningStatus.ENVIRONMENT_BUILT.value,
     }
     # nothing of the failed repository is still running afterwards
     assert docker.running == 0
@@ -515,7 +542,8 @@ def test_single_repository_execute_runs_notebooks_side_by_side(tmp_path):
         (result,) = pipeline.map_repositories(
             [store.get_run(inferred.run_id)], pipeline.execute_run)
         assert result.completed
-        assert len(store.list_executions(inferred.run_id)) == 6
+        assert len(store_rows(store, "notebook_executions",
+                              run_id=inferred.run_id)) == 6
     assert docker.peak_running == 2
 
 
@@ -567,7 +595,7 @@ def test_failed_recipe_write_records_nothing(env, monkeypatch):
     with pytest.raises(OSError):
         Pipeline(config, store, docker).infer_repository(url)
     assert store.list_repositories() == []
-    assert store.list_runs() == []
+    assert store_rows(store, "repository_runs") == []
     assert store.list_notebooks() == []
 
 
@@ -631,7 +659,7 @@ def test_interrupted_execute_leaves_no_rows_and_reruns_whole(
             pipeline.map_repositories([store.get_run(run_id)],
                                       pipeline.execute_run)
         left = (store.get_run(run_id).provisioning_status,
-                store.list_executions())
+                store_rows(store, "notebook_executions"))
 
         # partial rows would make the rerun fail on the executions' key
         assert _execute_and_compare(pipeline, run_id).degraded_reason is None
@@ -733,7 +761,7 @@ def test_ctrl_c_under_parallel_execute_commits_no_run(tmp_path):
         assert 1 <= docker.runs <= config.jobs
         assert [store.get_run(run.run_id).provisioning_status for run in runs] == [
             ProvisioningStatus.PENDING, ProvisioningStatus.PENDING]
-        assert store.list_executions() == []
+        assert store_rows(store, "notebook_executions") == []
 
 
 def test_ctrl_c_under_parallel_infer_records_no_run(tmp_path, monkeypatch):
@@ -763,7 +791,7 @@ def test_ctrl_c_under_parallel_infer_records_no_run(tmp_path, monkeypatch):
             pipeline.map_repositories(urls, pipeline.infer_repository)
 
         assert probes
-        assert store.list_runs() == []
+        assert store_rows(store, "repository_runs") == []
         assert store.list_repositories() == []
 
 
@@ -798,14 +826,17 @@ def test_compare_commits_a_repository_once(env, monkeypatch):
     monkeypatch.setattr(store, "insert_metrics", second_fails)
     with pytest.raises(OSError):
         pipeline.compare_run(run)
-    assert store.list_metrics(run.run_id) == []
+    assert store_rows(store, "reproducibility_metrics", run_id=run.run_id) == []
+    # no event names a row that the failed commit left out
+    assert _events(config, "notebook_compared") == []
 
     monkeypatch.undo()
     assert pipeline.compare_run(run).completed
-    rows = store.list_metrics(run.run_id)
+    rows = store_rows(store, "reproducibility_metrics", run_id=run.run_id)
     assert len(rows) == 2
     assert pipeline.compare_run(run).completed
-    assert store.list_metrics(run.run_id) == rows
+    assert store_rows(store, "reproducibility_metrics", run_id=run.run_id) == rows
+    assert len(_events(config, "notebook_compared")) == 2
 
 
 def test_compare_decodes_no_rows(env, monkeypatch):
@@ -815,13 +846,14 @@ def test_compare_decodes_no_rows(env, monkeypatch):
     pipeline, runs = _executed_pipeline(config, store, tmp_path, ("a", "b"))
 
     def no_decoding(row):
-        raise AssertionError("compare decoded a store row")
+        raise AssertionError("compare decoded a notebook row")
 
+    # compare finds its work in one query, not in the notebook list
     with monkeypatch.context() as patched:
-        for name in ("_metrics_from_row", "_execution_from_row"):
-            patched.setattr(storemod, name, no_decoding)
+        patched.setattr(storemod, "_notebook_from_row", no_decoding)
         assert pipeline.compare_run(runs[0]).completed
         assert cli.cmd_compare(config, store) == 0
-    scores = {run.run_id: sorted(m.score for m, _ in store.list_metrics(run.run_id))
+    scores = {run.run_id: sorted(m["score"] for m in store_rows(
+                  store, "reproducibility_metrics", run_id=run.run_id))
               for run in runs}
     assert scores == {run.run_id: [1.0, 1.0] for run in runs}

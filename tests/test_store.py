@@ -32,7 +32,7 @@ from nbrepro.store import (
     utc_now_iso,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, store_rows
 from test_classify import _STATUS_PAIRS, _random_report_store
 
 
@@ -102,7 +102,7 @@ def test_failed_statement_rolls_back_its_transaction(store):
         with store.transaction():
             _run(store)
             _run(store, invocation="inv2")  # duplicate run_id
-    assert store.list_runs() == []
+    assert store_rows(store, "repository_runs") == []
     assert store.get_repository("repo1") is not None
 
 
@@ -114,9 +114,9 @@ def test_outer_transaction_rolls_back_finished_nested_block(store):
                 _run(store)
             assert store.get_run("run1") is not None
             raise RuntimeError("interrupted after the nested block")
-    assert store.list_runs() == []
+    assert store_rows(store, "repository_runs") == []
     _run(store)
-    assert [run.run_id for run in store.list_runs()] == ["run1"]
+    assert [run["run_id"] for run in store_rows(store, "repository_runs")] == ["run1"]
 
 
 def test_one_run_per_repository_and_invocation(store):
@@ -173,10 +173,10 @@ def test_metrics_require_existing_execution(store):
     _execution(store)
     store.insert_metrics(metrics_from_partition(
         [0, 1], [2], [], notebook_id="nb1", run_id="run1"))
-    loaded, mismatch = store.get_metrics("nb1", "run1")
-    assert not mismatch
-    assert loaded.score == 2 / 3
-    assert loaded.identical_indices == (0, 1)
+    (loaded,) = store_rows(store, "reproducibility_metrics", notebook_id="nb1")
+    assert loaded["structural_mismatch"] == 0
+    assert loaded["score"] == 2 / 3
+    assert loaded["identical_indices"] == "[0, 1]"
 
 
 def test_success_status_requires_artifact_and_empty_errors(store):
@@ -193,9 +193,10 @@ def test_unscored_metrics_row(store):
     _notebook(store)
     _execution(store)
     store.insert_unscored_metrics("nb1", "run1", total_code_cells=7)
-    loaded, mismatch = store.get_metrics("nb1", "run1")
-    assert mismatch
-    assert loaded.score is None
+    (loaded,) = store_rows(store, "reproducibility_metrics", notebook_id="nb1")
+    assert loaded["structural_mismatch"] == 1
+    assert loaded["score"] is None
+    assert loaded["total_code_cells"] == 7
 
 
 def test_latest_runs_picks_most_recent(store):
@@ -221,8 +222,14 @@ def test_execution_round_trip_with_errors(store):
         errors=(ExecutionError("KeyError", ErrorCategory.LOGIC, "'x'", 2, 2),),
         executed_notebook_path="/tmp/out.ipynb")
     store.insert_execution(record)
-    (loaded,) = store.list_executions("run1")
-    assert loaded == record
+    (loaded,) = store_rows(store, "notebook_executions", run_id="run1")
+    assert loaded == {
+        "notebook_id": "nb1", "run_id": "run1", "status": "ErroredButCompleted",
+        "duration_s": 2.0, "code_cell_count": 3, "markdown_code_ratio": None,
+        "errors": '[{"error_type": "KeyError", "category": "Logic", '
+                  '"message": "\'x\'", "cell_index": 2, "count": 2}]',
+        "error_pairs": '[["KeyError", "Logic"]]',
+        "executed_notebook_path": "/tmp/out.ipynb"}
 
 
 def test_concurrent_writes_serialized(tmp_path):
@@ -248,15 +255,16 @@ def test_concurrent_writes_serialized(tmp_path):
         for t in threads:
             t.join()
         assert not errors
-        assert len(store.list_runs()) == 40
+        assert len(store_rows(store, "repository_runs")) == 40
 
 
 def test_concurrent_reads_and_writes_serialized(tmp_path):
     threads_n, per_thread = 4, 25
     with Store(tmp_path / "store.sqlite3") as store:
         store.upsert_repository(_repo())
+        runs = [_run(store, run_id=f"run{t}", invocation=f"inv{t}")
+                for t in range(threads_n)]
         for t in range(threads_n):
-            _run(store, run_id=f"run{t}", invocation=f"inv{t}")
             for i in range(per_thread):
                 _notebook(store, nb_id=f"nb-{t}-{i}", rel=f"{t}/{i}.ipynb")
         errors = []
@@ -265,8 +273,8 @@ def test_concurrent_reads_and_writes_serialized(tmp_path):
             try:
                 for i in range(per_thread):
                     _execution(store, nb_id=f"nb-{t}-{i}", run_id=f"run{t}")
-                    assert len(store.list_executions(f"run{t}")) == i + 1
-                    store.list_executions()
+                    assert len(store.comparisons_due(runs[t])) == i + 1
+                    store.latest_outcomes()
                     assert store.get_run(f"run{(t + 1) % threads_n}") is not None
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
@@ -284,9 +292,9 @@ def test_concurrent_reads_and_writes_serialized(tmp_path):
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not errors
-        assert len(store.list_executions()) == threads_n * per_thread
+        assert len(store_rows(store, "notebook_executions")) == threads_n * per_thread
         for t in range(threads_n):
-            assert len(store.list_executions(f"run{t}")) == per_thread
+            assert len(store.comparisons_due(runs[t])) == per_thread
 
 
 def test_persistence_across_reopen(tmp_path):
