@@ -181,24 +181,19 @@ def detect_nondeterminism(source: str) -> tuple[bool, list[str]]:
     return bool(matched), matched
 
 
-def compare_cell(original: Cell, executed: Cell,
-                 cell_index: int | None = None) -> CellComparison:
-    """Verdict for one aligned code-cell pair.
-
-    ``cell_index`` defaults to the original cell's document index; metric
-    computation passes the code-cell ordinal instead.
-    """
-    index = original.index if cell_index is None else cell_index
+def compare_cell(original: Cell, executed: Cell, cell_index: int) -> CellComparison:
+    """Verdict for one aligned code-cell pair; ``cell_index`` is the pair's
+    position among the code cells."""
     original_norm = [normalize_output(out) for out in original.outputs]
     executed_norm = [normalize_output(out) for out in executed.outputs]
     if original_norm == executed_norm:
-        return CellComparison(cell_index=index, verdict=Verdict.IDENTICAL)
+        return CellComparison(cell_index=cell_index, verdict=Verdict.IDENTICAL)
     flagged, patterns = detect_nondeterminism(original.source)
     if flagged:
-        return CellComparison(cell_index=index,
+        return CellComparison(cell_index=cell_index,
                               verdict=Verdict.NON_DETERMINISTIC,
                               matched_patterns=tuple(patterns))
-    return CellComparison(cell_index=index, verdict=Verdict.DIFFERENT)
+    return CellComparison(cell_index=cell_index, verdict=Verdict.DIFFERENT)
 
 
 def metrics_from_partition(identical: Iterable[int], different: Iterable[int],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import re
+import shlex
 import subprocess
 from dataclasses import dataclass
 from enum import Enum
@@ -53,7 +54,7 @@ class BuildPhase(Enum):
 @dataclass(frozen=True)
 class BuildFailure:
     phase: BuildPhase
-    log_excerpt: str
+    last_line: str
 
 
 @dataclass(frozen=True)
@@ -125,13 +126,10 @@ class DockerCli:
         self._run(["rmi", "-f", reference])
 
     def run_container(self, image: str, command: list[str], run_args: list[str],
-                      timeout: float | None = None
-                      ) -> subprocess.CompletedProcess | None:
-        """Run to completion; None signals the wall-clock bound was hit."""
-        try:
-            return self._run(["run", *run_args, image, *command], timeout=timeout)
-        except subprocess.TimeoutExpired:
-            return None
+                      timeout: float | None = None) -> subprocess.CompletedProcess:
+        """Run to completion; raises subprocess.TimeoutExpired when the
+        wall-clock bound is hit. Either one carries the argv that ran."""
+        return self._run(["run", *run_args, image, *command], timeout=timeout)
 
     def copy_from_container(self, container: str, source: str,
                             destination: Path) -> bool:
@@ -220,35 +218,35 @@ def cleanup_previous(repository_id: str, docker: DockerCli) -> None:
 def build_image(tag: str, dockerfile_path: Path, context_dir: Path,
                 docker: DockerCli, *,
                 timeout: float = DEFAULT_BUILD_TIMEOUT,
-                log_path: Path | None = None) -> str | BuildFailure:
+                log_path: Path) -> str | BuildFailure:
     """Build a written recipe as is; returns the tag, or a classified
     BuildFailure.
 
-    The full build log is persisted for every attempt, success or failure.
+    The build log, persisted for every attempt, success or failure, starts
+    with the argv that ran, followed by the build's output.
     """
     timed_out = False
     try:
         result = docker.build(tag, dockerfile_path, context_dir, timeout=timeout)
-        log_text = f"{result.stdout}\n{result.stderr}"
+        argv, output = result.args, f"{result.stdout}\n{result.stderr}"
         exit_code = result.returncode
     except subprocess.TimeoutExpired as exc:
         timed_out = True
         captured = [part for part in (exc.stdout, exc.stderr) if part]
-        log_text = "\n".join(
+        argv, output = exc.cmd, "\n".join(
             p.decode("utf-8", "replace") if isinstance(p, bytes) else p
             for p in captured)
         exit_code = -1
 
-    if log_path is not None:
-        log_path.parent.mkdir(parents=True, exist_ok=True)
-        atomic.write_text(log_path, log_text)
+    log_path.parent.mkdir(parents=True, exist_ok=True)
+    atomic.write_text(log_path, f"$ {shlex.join(argv)}\n{output}")
 
     if timed_out:
         return BuildFailure(BuildPhase.TIMEOUT,
-                            _log_excerpt(log_text) or f"build exceeded {timeout}s")
+                            _last_line(output) or f"build exceeded {timeout}s")
     if exit_code == 0:
         return tag
-    return BuildFailure(_classify_build_failure(log_text), _log_excerpt(log_text))
+    return BuildFailure(_classify_build_failure(output), _last_line(output))
 
 
 def _classify_build_failure(log_text: str) -> BuildPhase:
@@ -259,6 +257,6 @@ def _classify_build_failure(log_text: str) -> BuildPhase:
     return BuildPhase.OTHER
 
 
-def _log_excerpt(log_text: str, max_lines: int = 30) -> str:
-    lines = [line for line in log_text.splitlines() if line.strip()]
-    return "\n".join(lines[-max_lines:])
+def _last_line(output: str) -> str:
+    """The build output's last non-blank line, or an empty string."""
+    return next((line for line in reversed(output.splitlines()) if line.strip()), "")

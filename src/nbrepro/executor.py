@@ -1,9 +1,11 @@
-"""Notebook execution inside the repository's container image.
+"""Notebook execution inside the repository's container image, in two halves.
 
-Runs each notebook through the in-image converter in execute mode with
-error tolerance, so failing cells still yield an output artifact; the
-artifact is copied out of the container, parsed, and mined for structured
-per-cell error records.
+``execute_notebook`` makes the runtime calls: it runs the in-image converter
+in execute mode with error tolerance, so failing cells still yield an
+artifact, writes the log, copies the artifact out and removes the container.
+``execution_record`` derives the status, the per-cell error records and the
+cell counts from the last attempt and the artifact's bytes, with no runtime
+call and no file I/O.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import logging
 import re
 import shlex
+import subprocess
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -89,7 +92,7 @@ class ExecutionError:
     count: int = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExecutionRecord:
     notebook_id: str
     run_id: str
@@ -145,16 +148,18 @@ def extract_errors(executed: ParsedNotebook) -> list[ExecutionError]:
     return sorted(aggregated.values(), key=lambda e: (e.cell_index, e.error_type))
 
 
-@dataclass
-class _ConvertAttempt:
-    command: list[str]
+@dataclass(frozen=True)
+class ConvertAttempt:
+    """One converter run: the runtime argv that ran and what it returned."""
+
+    argv: list[str]
     exit_code: int
     stdout: str
     stderr: str
     timed_out: bool = False
 
     def log_text(self) -> str:
-        return (f"$ {shlex.join(self.command)}\n"
+        return (f"$ {shlex.join(self.argv)}\n"
                 f"exit={self.exit_code} timed_out={self.timed_out}\n"
                 f"--- stdout ---\n{self.stdout}\n--- stderr ---\n{self.stderr}\n")
 
@@ -179,7 +184,7 @@ def execute_notebook(
     *,
     run_id: str,
     artifacts_dir: Path,
-    log_path: Path | None = None,
+    log_path: Path,
     timeout: float = DEFAULT_EXECUTION_TIMEOUT,
     cpu_limit: str | None = None,
     memory_limit: str | None = None,
@@ -189,8 +194,9 @@ def execute_notebook(
     The working directory is the notebook's own directory inside the image
     (the common relative-path assumption). A kernelspec missing in-image is
     retried once on the default kernel; failing again is KernelNotFound.
-    The executed artifact lands under ``artifacts_dir/<run_id>/<relative_path>``;
-    the log holds every attempt's command, exit status and output.
+    After a clean exit the executed artifact is copied out to
+    ``artifacts_dir/<run_id>/<relative_path>``; the log holds every
+    attempt's runtime argv, exit status and output.
     """
     rel = PurePosixPath(descriptor.relative_path)
     in_container_dir = str(PurePosixPath(CONTAINER_WORKSPACE) / rel.parent)
@@ -205,87 +211,93 @@ def execute_notebook(
         run_args += ["--memory", memory_limit]
 
     started = time.monotonic()
-    attempts: list[_ConvertAttempt] = []
+    attempts: list[ConvertAttempt] = []
     for kernel_name in (None, FALLBACK_KERNEL):
         if attempts:
             logger.info("kernel %r not in image for %s, retrying on %s",
                         descriptor.kernel_name, descriptor.relative_path, FALLBACK_KERNEL)
             docker.remove_container(container_name)
         command = _nbconvert_command(rel.name, executed_name, kernel_name)
-        attempt = _run_convert(docker, image, command, run_args, timeout)
+        try:
+            result = docker.run_container(image, command, run_args, timeout=timeout)
+            attempt = ConvertAttempt(result.args, result.returncode,
+                                     result.stdout, result.stderr)
+        except subprocess.TimeoutExpired as exc:
+            attempt = ConvertAttempt(exc.cmd, -1, "", "", timed_out=True)
         attempts.append(attempt)
-        if (attempt.exit_code == 0 or attempt.timed_out
-                or not _KERNEL_NOT_FOUND_RE.search(attempt.stderr)):
+        status = _failure_status(attempt)
+        if status is not ExecutionStatus.KERNEL_NOT_FOUND:
             break
     duration = time.monotonic() - started
 
-    if log_path is not None:
-        log_path.parent.mkdir(parents=True, exist_ok=True)
-        atomic.write_text(log_path, "".join(a.log_text() for a in attempts))
+    log_path.parent.mkdir(parents=True, exist_ok=True)
+    atomic.write_text(log_path, "".join(a.log_text() for a in attempts))
 
-    record = ExecutionRecord(
-        notebook_id=descriptor.notebook_id,
-        run_id=run_id,
-        status=ExecutionStatus.SUCCESS,
-        duration_s=round(duration, 3),
-        code_cell_count=descriptor.code_cell_count or 0,
-        markdown_code_ratio=descriptor.markdown_code_ratio,
-    )
+    copied: Path | None = None
     try:
-        if attempt.timed_out:
-            record.status = ExecutionStatus.TIMEOUT
-            return record
-        if attempt.exit_code != 0:
-            record.status = _failure_status(attempt.stderr)
-            if record.status is ExecutionStatus.ERRORED_BUT_COMPLETED:
-                record.errors = (_error_from_stderr(attempt.stderr),)
-            return record
+        if status is ExecutionStatus.SUCCESS:
+            artifact = artifacts_dir / run_id / descriptor.relative_path
+            artifact.parent.mkdir(parents=True, exist_ok=True)
+            if docker.copy_from_container(
+                    container_name, f"{in_container_dir}/{executed_name}", artifact):
+                copied = artifact
+    finally:
+        docker.remove_container(container_name)
+    return execution_record(descriptor, run_id, attempt, duration, copied,
+                            None if copied is None else copied.read_bytes())
 
-        artifact = artifacts_dir / run_id / descriptor.relative_path
-        artifact.parent.mkdir(parents=True, exist_ok=True)
-        if not docker.copy_from_container(
-                container_name, f"{in_container_dir}/{executed_name}", artifact):
-            record.status = ExecutionStatus.NOTEBOOK_NOT_FOUND
-            return record
-        record.executed_notebook_path = str(artifact)
+
+def execution_record(descriptor: "NotebookDescriptor", run_id: str,
+                     attempt: ConvertAttempt, duration: float,
+                     artifact_path: Path | None,
+                     artifact_bytes: bytes | None) -> ExecutionRecord:
+    """One notebook's record from its last attempt and its copied-out
+    artifact (None when there is none). After a clean exit the artifact
+    decides: none is NotebookNotFound, bytes that do not parse are an
+    ArtifactParseError, cell errors make it ErroredButCompleted. Cell counts
+    come from the parsed artifact, else from the descriptor."""
+    status = _failure_status(attempt)
+    errors: tuple[ExecutionError, ...] = ()
+    counts = (descriptor.code_cell_count, descriptor.markdown_cell_count)
+    if status is ExecutionStatus.ERRORED_BUT_COMPLETED:
+        errors = (_error_from_stderr(attempt.stderr),)
+    elif status is ExecutionStatus.SUCCESS and artifact_bytes is None:
+        status = ExecutionStatus.NOTEBOOK_NOT_FOUND
+    elif status is ExecutionStatus.SUCCESS:
         try:
-            executed = nbmodel.parse_notebook(artifact.read_bytes())
+            executed = nbmodel.parse_notebook(artifact_bytes)
         except nbmodel.ParseError as exc:
             # Converter exited cleanly but its artifact does not model;
             # record the anomaly instead of failing the repository.
             logger.warning("executed artifact for %s does not parse: %s",
                            descriptor.relative_path, exc)
-            record.status = ExecutionStatus.ERRORED_BUT_COMPLETED
-            record.errors = (ExecutionError(
+            errors = (ExecutionError(
                 error_type="ArtifactParseError",
                 category=classify_error("ArtifactParseError"),
                 message=str(exc)[:500], cell_index=0),)
-            return record
-        errors = extract_errors(executed)
-        record.code_cell_count = len(nbmodel.code_cells(executed))
-        record.markdown_code_ratio = nbmodel.markdown_code_ratio(executed)
-        record.errors = tuple(errors)
-        record.status = (ExecutionStatus.SUCCESS if not errors
-                         else ExecutionStatus.ERRORED_BUT_COMPLETED)
-        return record
-    finally:
-        docker.remove_container(container_name)
+        else:
+            errors = tuple(extract_errors(executed))
+            counts = nbmodel.cell_counts(executed)
+        if errors:
+            status = ExecutionStatus.ERRORED_BUT_COMPLETED
+    code, markdown = counts
+    return ExecutionRecord(
+        notebook_id=descriptor.notebook_id, run_id=run_id, status=status,
+        duration_s=round(duration, 3), code_cell_count=code or 0,
+        markdown_code_ratio=nbmodel.markdown_code_ratio_of(code, markdown),
+        errors=errors,
+        executed_notebook_path=None if artifact_path is None else str(artifact_path))
 
 
-def _run_convert(docker: "DockerCli", image: str, command: list[str],
-                 run_args: list[str], timeout: float) -> _ConvertAttempt:
-    result = docker.run_container(image, command, run_args, timeout=timeout)
-    if result is None:
-        return _ConvertAttempt(command, exit_code=-1, stdout="", stderr="",
-                               timed_out=True)
-    return _ConvertAttempt(command, exit_code=result.returncode,
-                           stdout=result.stdout, stderr=result.stderr)
-
-
-def _failure_status(stderr: str) -> ExecutionStatus:
-    if _KERNEL_NOT_FOUND_RE.search(stderr):
+def _failure_status(attempt: ConvertAttempt) -> ExecutionStatus:
+    # KernelNotFound is also the cue to retry on the default kernel.
+    if attempt.timed_out:
+        return ExecutionStatus.TIMEOUT
+    if attempt.exit_code == 0:
+        return ExecutionStatus.SUCCESS
+    if _KERNEL_NOT_FOUND_RE.search(attempt.stderr):
         return ExecutionStatus.KERNEL_NOT_FOUND
-    if _NOTEBOOK_NOT_FOUND_RE.search(stderr):
+    if _NOTEBOOK_NOT_FOUND_RE.search(attempt.stderr):
         return ExecutionStatus.NOTEBOOK_NOT_FOUND
     return ExecutionStatus.ERRORED_BUT_COMPLETED
 

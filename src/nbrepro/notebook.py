@@ -70,7 +70,6 @@ class CellOutput:
 
 @dataclass(frozen=True)
 class Cell:
-    index: int
     kind: CellKind
     source: str
     outputs: tuple[CellOutput, ...] = ()
@@ -158,7 +157,7 @@ def _parse_cell(data: Any, index: int) -> Cell:
             _parse_output(out, f"{path}.outputs[{i}]")
             for i, out in enumerate(raw_outputs)
         )
-    return Cell(index=index, kind=kind, source=source, outputs=outputs)
+    return Cell(kind=kind, source=source, outputs=outputs)
 
 
 def parse_notebook(data: bytes | str) -> ParsedNotebook:
@@ -225,7 +224,3 @@ def cell_counts(nb: ParsedNotebook) -> tuple[int, int]:
 def markdown_code_ratio_of(code: int | None, markdown: int | None) -> float | None:
     """markdown/code cell count ratio, or None when there are no code cells."""
     return (markdown or 0) / code if code else None
-
-
-def markdown_code_ratio(nb: ParsedNotebook) -> float | None:
-    return markdown_code_ratio_of(*cell_counts(nb))

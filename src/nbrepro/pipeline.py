@@ -328,7 +328,7 @@ class Pipeline:
                              phase=built.phase.value, duration_s=build_duration_s)
             return self._record_executed(
                 result, run, ProvisioningStatus.BUILD_FAILED,
-                reason=f"{built.phase.value}: {built.log_excerpt.splitlines()[-1] if built.log_excerpt else ''}",
+                reason=f"{built.phase.value}: {built.last_line}",
                 build_duration_s=build_duration_s)
         self.events.emit("execute", "build_done", repository_id=repo.repository_id,
                          tag=tag, duration_s=build_duration_s)

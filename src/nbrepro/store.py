@@ -38,7 +38,6 @@ from typing import Iterable, NamedTuple
 
 from nbrepro.compare import ReproducibilityMetrics
 from nbrepro.executor import ExecutionError, ExecutionRecord, ExecutionStatus
-from nbrepro.notebook import markdown_code_ratio_of
 
 
 class ProvisioningStatus(Enum):
@@ -89,10 +88,6 @@ class NotebookDescriptor:
     nondeterministic_pattern_cells: int | None = None
     parse_failed: bool = False
     parse_error: str | None = None
-
-    @property
-    def markdown_code_ratio(self) -> float | None:
-        return markdown_code_ratio_of(self.code_cell_count, self.markdown_cell_count)
 
 
 def utc_now_iso() -> str:
@@ -449,14 +444,10 @@ class Store:
              int(descriptor.parse_failed), descriptor.parse_error),
         )
 
-    def list_notebooks(self, repository_id: str | None = None) -> list[NotebookDescriptor]:
-        if repository_id is None:
-            rows = self._read(
-                "SELECT * FROM notebooks ORDER BY repository_id, relative_path")
-        else:
-            rows = self._read(
-                "SELECT * FROM notebooks WHERE repository_id = ? ORDER BY relative_path",
-                (repository_id,))
+    def list_notebooks(self, repository_id: str) -> list[NotebookDescriptor]:
+        rows = self._read(
+            "SELECT * FROM notebooks WHERE repository_id = ? ORDER BY relative_path",
+            (repository_id,))
         return [_notebook_from_row(row) for row in rows]
 
     # ---- runs ---------------------------------------------------------------

@@ -165,10 +165,12 @@ def logging_runtime(directory: Path, exits: dict[str, int] | None = None
 
 
 class FakeCompleted:
-    def __init__(self, returncode: int = 0, stdout: str = "", stderr: str = ""):
+    def __init__(self, returncode: int = 0, stdout: str = "", stderr: str = "",
+                 args: list[str] | None = None):
         self.returncode = returncode
         self.stdout = stdout
         self.stderr = stderr
+        self.args = args or ["docker"]
 
 
 class FakeDocker:
@@ -193,7 +195,9 @@ class FakeDocker:
     def build(self, tag, dockerfile, context, timeout=None):
         self.calls.append(("build", tag))
         self.images.add(tag)
-        return FakeCompleted(0, stdout=f"built {tag}")
+        return FakeCompleted(0, stdout=f"built {tag}", args=[
+            "docker", "build", "--no-cache", "-t", tag, "-f", str(dockerfile),
+            str(context)])
 
     def list_images(self, repository):
         self.calls.append(("list_images", repository))
@@ -218,14 +222,19 @@ class FakeDocker:
         self.images.discard(reference)
 
     def run_container(self, image, command, run_args, timeout=None):
+        """Pops the next of ``run_results``, FakeCompleted(0) when none is
+        left; a None there hits the wall-clock bound."""
         self.calls.append(("run_container", image, tuple(command)))
         name = run_args[run_args.index("--name") + 1]
         label = next((a.split("=", 1)[1] for a in run_args
                       if a.startswith("nbrepro.repository_id=")), "")
         self.containers[name] = label
-        if self.run_results:
-            return self.run_results.pop(0)
-        return FakeCompleted(0)
+        argv = ["docker", "run", *run_args, image, *command]
+        result = self.run_results.pop(0) if self.run_results else FakeCompleted(0)
+        if result is None:
+            raise subprocess.TimeoutExpired(argv, timeout)
+        result.args = argv
+        return result
 
     def copy_from_container(self, container, source, destination):
         self.calls.append(("copy_from_container", container, source))

@@ -488,8 +488,8 @@ def test_each_signature_equals_one_built_from_decoded_rows():
             _random_store(store, rng)
             groups = store.latest_outcomes()
             latest, executions, metrics = _latest_rows(store)
-            repositories = {nb.notebook_id: nb.repository_id
-                            for nb in store.list_notebooks()}
+            repositories = {nb["notebook_id"]: nb["repository_id"]
+                            for nb in store_rows(store, "notebooks")}
             requirements = {repo.repository_id: repo.has_requirements_file
                             for repo in store.list_repositories()}
         grouped = [notebook_id for group in groups for notebook_id in group.notebook_ids]
@@ -626,12 +626,12 @@ def _reference_summary(store: Store) -> CorpusSummary:
     categories = {key: 0 for key in SCORE_CATEGORY_ORDER}
     scores: list[float] = []
     by_stratum: dict[bool, list[float]] = {True: [], False: []}
-    notebooks = store.list_notebooks()
+    notebooks = store_rows(store, "notebooks")
     for nb in notebooks:
-        has_requirements = repositories[nb.repository_id].has_requirements_file
-        flagged += (nb.nondeterministic_pattern_cells or 0) > 0
-        run = latest.get(nb.repository_id)
-        key = (nb.notebook_id, run["run_id"] if run else None)
+        has_requirements = repositories[nb["repository_id"]].has_requirements_file
+        flagged += (nb["nondeterministic_pattern_cells"] or 0) > 0
+        run = latest.get(nb["repository_id"])
+        key = (nb["notebook_id"], run["run_id"] if run else None)
         execution = executions.get(key)
         if execution is not None:
             errors = json.loads(execution["errors"])
@@ -685,9 +685,10 @@ def _random_report_store(store: Store, rng: random.Random) -> None:
     repository whose tied and superseded runs score notebooks of up to nine
     cells, so that the scores' sum depends on how it is rounded."""
     _random_store(store, rng)
-    for nb in store.list_notebooks():
-        store.upsert_notebook(replace(
-            nb, nondeterministic_pattern_cells=rng.choice((None, 0, 1, 3))))
+    for repo in store.list_repositories():
+        for nb in store.list_notebooks(repo.repository_id):
+            store.upsert_notebook(replace(
+                nb, nondeterministic_pattern_cells=rng.choice((None, 0, 1, 3))))
     store.upsert_repository(Repository(
         repository_id="varied", url="https://example.org/varied",
         accessible=True, has_requirements_file=rng.random() < 0.5))

@@ -352,17 +352,17 @@ def test_classification_reports_rescue_direction(workspace):
         (repo,) = store.list_repositories()
         assert not repo.has_requirements_file
         (run,) = store.latest_runs().values()
-        (descriptor,) = store.list_notebooks()
+        (descriptor,) = store_rows(store, "notebooks")
         store.finish_run(run, ProvisioningStatus.ENVIRONMENT_BUILT,
                          image_reference="repro/x:y")
         store.insert_execution(ExecutionRecord(
-            notebook_id=descriptor.notebook_id, run_id=run.run_id,
+            notebook_id=descriptor["notebook_id"], run_id=run.run_id,
             status=ExecutionStatus.SUCCESS, duration_s=1.0, code_cell_count=1,
             markdown_code_ratio=0.0, errors=(),
             executed_notebook_path="/tmp/x.ipynb"))
         store.insert_metrics(metrics_from_partition(
-            [0], [], [], notebook_id=descriptor.notebook_id, run_id=run.run_id))
-        notebook_id = descriptor.notebook_id
+            [0], [], [], notebook_id=descriptor["notebook_id"], run_id=run.run_id))
+        notebook_id = descriptor["notebook_id"]
 
     baseline = workspace["root"] / "baseline.csv"
     baseline.write_text(
@@ -556,9 +556,9 @@ def test_run_matches_subcommand_chain_on_deterministic_state(workspace, tmp_path
         with Store(store_path) as store:
             repos = [(r.repository_id, r.has_requirements_file, r.notebook_count,
                       r.manifest_paths) for r in store.list_repositories()]
-            notebooks = [(n.notebook_id, n.relative_path, n.code_cell_count,
-                          n.nondeterministic_pattern_cells)
-                         for n in store.list_notebooks()]
+            notebooks = [(n["notebook_id"], n["relative_path"], n["code_cell_count"],
+                          n["nondeterministic_pattern_cells"])
+                         for n in store_rows(store, "notebooks")]
             manifests = [
                 (Path(r.local_path) / "requirements.synthesized.txt").read_text()
                 for r in store.list_repositories()]
@@ -572,8 +572,8 @@ def test_classify_with_baseline_emits_classification(workspace):
         "nb.ipynb": _notebook_file(code_cell("print(1)"))})
     main(["infer", "--input", url, *_common_flags(workspace)])
     with Store(workspace["store"]) as store:
-        (descriptor,) = store.list_notebooks()
-        notebook_id = descriptor.notebook_id
+        (descriptor,) = store_rows(store, "notebooks")
+        notebook_id = descriptor["notebook_id"]
     baseline = workspace["root"] / "baseline.csv"
     baseline.write_text(
         "notebook_id,prev_dependency_install,prev_execution_status,"

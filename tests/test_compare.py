@@ -252,14 +252,14 @@ def _cells(source, original_outputs, executed_outputs):
 
 def test_equal_outputs_identical():
     orig, executed = _cells("print(1)", [stream_output("1\n")], [stream_output("1\n")])
-    assert compare_cell(orig, executed).verdict is Verdict.IDENTICAL
+    assert compare_cell(orig, executed, 0).verdict is Verdict.IDENTICAL
 
 
 def test_unequal_outputs_with_pattern_nondeterministic():
     orig, executed = _cells("from datetime import datetime\nprint(datetime.now())",
                             [stream_output("2020-01-01\n")],
                             [stream_output("2026-08-08\n")])
-    comparison = compare_cell(orig, executed)
+    comparison = compare_cell(orig, executed, 0)
     assert comparison.verdict is Verdict.NON_DETERMINISTIC
     assert "datetime.now" in comparison.matched_patterns
 
@@ -267,7 +267,7 @@ def test_unequal_outputs_with_pattern_nondeterministic():
 def test_unequal_outputs_without_pattern_different():
     orig, executed = _cells("print(version)", [stream_output("1.0\n")],
                             [stream_output("2.0\n")])
-    comparison = compare_cell(orig, executed)
+    comparison = compare_cell(orig, executed, 0)
     assert comparison.verdict is Verdict.DIFFERENT
     assert comparison.matched_patterns == ()
 
@@ -276,7 +276,7 @@ def test_equal_outputs_win_over_patterns():
     orig, executed = _cells("np.random.seed(0); np.random.rand()",
                             [execute_result("0.5488135039273248")],
                             [execute_result("0.5488135039273248")])
-    assert compare_cell(orig, executed).verdict is Verdict.IDENTICAL
+    assert compare_cell(orig, executed, 0).verdict is Verdict.IDENTICAL
 
 
 def test_comparison_invariant_enforced():
@@ -289,7 +289,7 @@ def test_comparison_invariant_enforced():
 
 def test_output_count_mismatch_not_identical():
     orig, executed = _cells("f()", [stream_output("a\n")], [])
-    assert compare_cell(orig, executed).verdict is Verdict.DIFFERENT
+    assert compare_cell(orig, executed, 0).verdict is Verdict.DIFFERENT
 
 
 # ---- compute_metrics ---------------------------------------------------------------

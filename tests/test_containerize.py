@@ -153,7 +153,8 @@ class _FailingDocker(FakeDocker):
 
     def build(self, tag, dockerfile, context, timeout=None):
         if self._raise_timeout:
-            raise subprocess.TimeoutExpired(cmd="docker build", timeout=timeout or 0)
+            raise subprocess.TimeoutExpired(cmd=["docker", "build", "--no-cache"],
+                                            timeout=timeout or 0)
         return FakeCompleted(self._returncode, stderr=self._stderr)
 
 
@@ -175,7 +176,7 @@ def test_build_failure_phases(tmp_path, stderr, phase):
                          log_path=tmp_path / "build.log")
     assert isinstance(result, BuildFailure)
     assert result.phase is phase
-    assert result.log_excerpt
+    assert result.last_line == stderr
     assert (tmp_path / "build.log").exists()
 
 
@@ -188,6 +189,21 @@ def test_build_timeout_phase(tmp_path):
                          timeout=5.0, log_path=tmp_path / "build.log")
     assert isinstance(result, BuildFailure)
     assert result.phase is BuildPhase.TIMEOUT
+    assert result.last_line == "build exceeded 5.0s"
+    assert (tmp_path / "build.log").read_text() == "$ docker build --no-cache\n"
+
+
+def test_build_log_starts_with_the_argv_that_ran(tmp_path):
+    executable, _ = logging_runtime(tmp_path)
+    (tmp_path / "ctx").mkdir()
+    recipe = generate_build_recipe(_spec("numpy"), context_dir=tmp_path / "ctx")
+    dockerfile = write_recipe(recipe, tmp_path / "Dockerfile")
+    tag = image_tag_for("fixturerepo0001", "run1")
+    log_path = tmp_path / "build.log"
+    assert build_image(tag, dockerfile, recipe.context_dir, DockerCli(str(executable)),
+                       log_path=log_path) == tag
+    first_line = log_path.read_text().splitlines()[0]
+    assert first_line == f"$ {executable} build --no-cache -t {tag} -f {dockerfile} {tmp_path / 'ctx'}"
 
 
 def test_real_cli_wrapper_reports_unavailable_for_bogus_executable():

@@ -1,17 +1,23 @@
-"""Error extraction, failure classification, and containerized execution
-(driven through a fake runtime)."""
+"""Error extraction, failure classification, the execution record derived
+without a runtime, and containerized execution (driven through a fake
+runtime)."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
+from nbrepro.containerize import DockerCli
 from nbrepro.executor import (
+    ConvertAttempt,
     ErrorCategory,
     ExecutionStatus,
     classify_error,
     execute_notebook,
+    execution_record,
     extract_errors,
 )
 from nbrepro.notebook import parse_notebook
@@ -156,7 +162,8 @@ def test_errored_cell_still_produces_record(tmp_path):
                                 "No module named 'missing_pkg'")], 2),
     ])
     record = execute_notebook(docker, "img", _descriptor(),
-                              run_id="run1", artifacts_dir=tmp_path)
+                              run_id="run1", artifacts_dir=tmp_path,
+                              log_path=tmp_path / "execution.log")
     assert record.status is ExecutionStatus.ERRORED_BUT_COMPLETED
     (err,) = record.errors
     assert err.error_type == "ModuleNotFoundError"
@@ -173,7 +180,8 @@ def test_kernel_not_found_retries_then_reports(tmp_path):
                                 "No such kernel named python3"),
     ]
     record = execute_notebook(docker, "img", _descriptor(),
-                              run_id="run1", artifacts_dir=tmp_path)
+                              run_id="run1", artifacts_dir=tmp_path,
+                              log_path=tmp_path / "execution.log")
     assert record.status is ExecutionStatus.KERNEL_NOT_FOUND
     run_calls = [c for c in docker.calls if c[0] == "run_container"]
     assert len(run_calls) == 2
@@ -190,7 +198,8 @@ def test_kernel_fallback_recovers(tmp_path):
     docker.copy_payloads["/workspace/analysis.executed.ipynb"] = _executed_payload([
         code_cell("print(1)", [stream_output("1\n")], 1)])
     record = execute_notebook(docker, "img", _descriptor(),
-                              run_id="run1", artifacts_dir=tmp_path)
+                              run_id="run1", artifacts_dir=tmp_path,
+                              log_path=tmp_path / "execution.log")
     assert record.status is ExecutionStatus.SUCCESS
 
 
@@ -226,15 +235,17 @@ def test_notebook_missing_in_image(tmp_path):
     docker.run_results = [FakeCompleted(
         255, stderr="[NbConvertApp] WARNING | pattern matched no files")]
     record = execute_notebook(docker, "img", _descriptor("gone.ipynb"),
-                              run_id="run1", artifacts_dir=tmp_path)
+                              run_id="run1", artifacts_dir=tmp_path,
+                              log_path=tmp_path / "execution.log")
     assert record.status is ExecutionStatus.NOTEBOOK_NOT_FOUND
 
 
 def test_timeout_reported(tmp_path):
     docker = FakeDocker()
-    docker.run_results = [None]  # run_container returns None on wall-clock bound
+    docker.run_results = [None]  # the run hits the wall-clock bound
     record = execute_notebook(docker, "img", _descriptor(),
-                              run_id="run1", artifacts_dir=tmp_path, timeout=1.0)
+                              run_id="run1", artifacts_dir=tmp_path, timeout=1.0,
+                              log_path=tmp_path / "execution.log")
     assert record.status is ExecutionStatus.TIMEOUT
     assert record.duration_s is not None
 
@@ -243,7 +254,8 @@ def test_unparseable_artifact_recorded_not_raised(tmp_path):
     docker = FakeDocker()
     docker.copy_payloads["/workspace/analysis.executed.ipynb"] = b"{corrupt"
     record = execute_notebook(docker, "img", _descriptor(),
-                              run_id="run1", artifacts_dir=tmp_path)
+                              run_id="run1", artifacts_dir=tmp_path,
+                              log_path=tmp_path / "execution.log")
     assert record.status is ExecutionStatus.ERRORED_BUT_COMPLETED
     (err,) = record.errors
     assert err.error_type == "ArtifactParseError"
@@ -255,7 +267,8 @@ def test_artifact_copied_out_before_removal(tmp_path):
     docker.copy_payloads["/workspace/sub/deep.executed.ipynb"] = _executed_payload([
         code_cell("print(9)", [stream_output("9\n")], 1)])
     record = execute_notebook(docker, "img", _descriptor("sub/deep.ipynb"),
-                              run_id="runZ", artifacts_dir=tmp_path)
+                              run_id="runZ", artifacts_dir=tmp_path,
+                              log_path=tmp_path / "execution.log")
     assert record.status is ExecutionStatus.SUCCESS
     assert (tmp_path / "runZ" / "sub" / "deep.ipynb").exists()
     ops = [c[0] for c in docker.calls]
@@ -267,7 +280,106 @@ def test_executed_artifact_feeds_workdir(tmp_path):
     docker.copy_payloads["/workspace/sub/deep.executed.ipynb"] = _executed_payload([
         code_cell("print(9)", [stream_output("9\n")], 1)])
     execute_notebook(docker, "img", _descriptor("sub/deep.ipynb"),
-                     run_id="runZ", artifacts_dir=tmp_path)
+                     run_id="runZ", artifacts_dir=tmp_path,
+                     log_path=tmp_path / "execution.log")
     # executed in the notebook's own directory inside the image
     run_call = next(c for c in docker.calls if c[0] == "run_container")
     assert run_call[1] == "img"
+
+
+# ---- execution_record (no runtime) -------------------------------------------------
+
+def _attempt(exit_code=0, stderr="", timed_out=False):
+    return ConvertAttempt(["docker", "run"], exit_code, "", stderr, timed_out)
+
+
+_THREE_CODE_CELLS = notebook_bytes([
+    markdown_cell("title"),
+    code_cell("a = 1"), code_cell("b = 2"), code_cell("print(a + b)"),
+])
+_CELL_ERROR = notebook_bytes([
+    code_cell("ok()"),
+    code_cell("import missing_pkg",
+              [error_output("ModuleNotFoundError", "No module named 'missing_pkg'")]),
+])
+_FROM_DESCRIPTOR = (2, 0.5)
+
+
+@pytest.mark.parametrize("attempt,artifact,status,error_types,counts", [
+    pytest.param(_attempt(), _THREE_CODE_CELLS, ExecutionStatus.SUCCESS, (),
+                 (3, 1 / 3), id="success"),
+    pytest.param(_attempt(), _CELL_ERROR, ExecutionStatus.ERRORED_BUT_COMPLETED,
+                 ("ModuleNotFoundError",), (2, 0.0), id="cell-errors"),
+    pytest.param(_attempt(1, "Traceback:\nValueError: bad kernel state"), None,
+                 ExecutionStatus.ERRORED_BUT_COMPLETED, ("ValueError",),
+                 _FROM_DESCRIPTOR, id="stderr-exception"),
+    pytest.param(_attempt(), b"{corrupt", ExecutionStatus.ERRORED_BUT_COMPLETED,
+                 ("ArtifactParseError",), _FROM_DESCRIPTOR, id="artifact-parse-error"),
+    pytest.param(_attempt(1, "jupyter_client.kernelspec.NoSuchKernel"), None,
+                 ExecutionStatus.KERNEL_NOT_FOUND, (), _FROM_DESCRIPTOR,
+                 id="kernel-not-found"),
+    pytest.param(_attempt(255, "pattern matched no files"), None,
+                 ExecutionStatus.NOTEBOOK_NOT_FOUND, (), _FROM_DESCRIPTOR,
+                 id="notebook-not-found-stderr"),
+    pytest.param(_attempt(), None, ExecutionStatus.NOTEBOOK_NOT_FOUND, (),
+                 _FROM_DESCRIPTOR, id="notebook-not-found-no-artifact"),
+    pytest.param(_attempt(-1, timed_out=True), None, ExecutionStatus.TIMEOUT, (),
+                 _FROM_DESCRIPTOR, id="timeout"),
+])
+def test_execution_record_without_a_runtime(attempt, artifact, status, error_types,
+                                            counts):
+    path = None if artifact is None else Path("artifacts/run1/analysis.ipynb")
+    record = execution_record(_descriptor(), "run1", attempt, 1.23456, path, artifact)
+    assert record.status is status
+    assert tuple(error.error_type for error in record.errors) == error_types
+    assert (record.code_cell_count, record.markdown_code_ratio) == counts
+    assert record.executed_notebook_path == (None if path is None else str(path))
+    assert (record.notebook_id, record.run_id, record.duration_s) == (
+        "nb0001", "run1", 1.235)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.status = ExecutionStatus.SUCCESS
+
+
+# ---- runtime calls and logs ------------------------------------------------------
+
+_VERBS = {"run_container": "run", "copy_from_container": "cp",
+          "remove_container": "rm"}
+
+
+@pytest.mark.parametrize("run_results,artifact,verbs", [
+    pytest.param([], _THREE_CODE_CELLS, "run cp rm", id="success"),
+    pytest.param([FakeCompleted(1, stderr="No such kernel named custom"),
+                  FakeCompleted(0)], _THREE_CODE_CELLS, "run rm run cp rm",
+                 id="fallback"),
+    pytest.param([None], _THREE_CODE_CELLS, "run rm", id="timeout"),
+    pytest.param([FakeCompleted(1, stderr="ValueError: bad")], _THREE_CODE_CELLS,
+                 "run rm", id="nonzero-exit"),
+    pytest.param([], None, "run cp rm", id="failed-copy"),
+])
+def test_runtime_calls_on_each_path(tmp_path, run_results, artifact, verbs):
+    docker = FakeDocker()
+    docker.run_results = list(run_results)
+    if artifact is not None:
+        docker.copy_payloads["/workspace/analysis.executed.ipynb"] = artifact
+    execute_notebook(docker, "img", _descriptor(), run_id="run1",
+                     artifacts_dir=tmp_path, log_path=tmp_path / "execution.log")
+    assert [_VERBS[call[0]] for call in docker.calls] == verbs.split()
+
+
+@pytest.mark.parametrize("on_run,status", [
+    ("exit 0", ExecutionStatus.NOTEBOOK_NOT_FOUND),
+    ("exec sleep 5", ExecutionStatus.TIMEOUT),
+], ids=["exited", "timed-out"])
+def test_execution_log_shows_the_run_argv(tmp_path, on_run, status):
+    runtime = tmp_path / "runtime"
+    runtime.write_text(f'#!/bin/sh\nif [ "$1" = run ]; then {on_run}; fi\n')
+    runtime.chmod(0o755)
+    log_path = tmp_path / "execution.log"
+    record = execute_notebook(DockerCli(str(runtime)), "img", _descriptor(),
+                              run_id="run1", artifacts_dir=tmp_path / "artifacts",
+                              log_path=log_path, timeout=0.5)
+    assert record.status is status
+    (command,) = [line for line in log_path.read_text("utf-8").splitlines()
+                  if line.startswith("$ ")]
+    assert command.startswith(f"$ {runtime} run --name nbrepro-run1-nb0001 ")
+    assert " img jupyter nbconvert " in command

@@ -10,8 +10,9 @@ from nbrepro.notebook import (
     CellKind,
     OutputKind,
     ParseError,
+    cell_counts,
     code_cells,
-    markdown_code_ratio,
+    markdown_code_ratio_of,
     parse_notebook,
 )
 
@@ -43,7 +44,7 @@ def test_cell_kinds_preserve_document_order():
     kinds = [c.kind for c in nb.cells]
     assert kinds == [CellKind.MARKDOWN, CellKind.MARKDOWN,
                      CellKind.CODE, CellKind.CODE, CellKind.CODE]
-    assert [c.index for c in nb.cells] == [0, 1, 2, 3, 4]
+    assert [c.source for c in nb.cells] == ["a", "b", "1", "2", "3"]
 
 
 def test_truncated_file_raises_parse_error_with_offset():
@@ -137,20 +138,20 @@ def test_markdown_code_ratio(markdown, code, expected):
     cells = [markdown_cell(f"m{i}") for i in range(markdown)]
     cells += [code_cell(f"x{i} = {i}") for i in range(code)]
     nb = parse_notebook(notebook_bytes(cells))
-    assert markdown_code_ratio(nb) == expected
+    assert markdown_code_ratio_of(*cell_counts(nb)) == expected
 
 
 def test_markdown_code_ratio_undefined_without_code():
     nb = parse_notebook(notebook_bytes([markdown_cell("m")] * 3))
-    assert markdown_code_ratio(nb) is None
+    assert markdown_code_ratio_of(*cell_counts(nb)) is None
 
 
 def test_code_cells_indices():
     nb = parse_notebook(notebook_bytes([
         markdown_cell("m"), code_cell("a"), markdown_cell("m"), code_cell("b"),
     ]))
-    assert [c.index for c in code_cells(nb)] == [1, 3]
+    assert [c.source for c in code_cells(nb)] == ["a", "b"]
     only_markdown = parse_notebook(notebook_bytes([markdown_cell("m")]))
     assert code_cells(only_markdown) == []
     single = parse_notebook(notebook_bytes([code_cell("x")]))
-    assert [c.index for c in code_cells(single)] == [0]
+    assert [c.source for c in code_cells(single)] == ["x"]

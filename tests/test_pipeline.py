@@ -570,7 +570,8 @@ def test_infer_persists_repository_and_notebooks(env):
     second = Pipeline(config, store, FakeDocker()).infer_repository(url)
     assert second.run_id != first.run_id
     assert store.list_repositories() == [repo]
-    assert store.list_notebooks() == notebooks
+    assert store.list_notebooks(first.repository_id) == notebooks
+    assert len(store_rows(store, "notebooks")) == 2
 
 
 def test_infer_without_notebooks_records_count_zero(env):
@@ -578,7 +579,7 @@ def test_infer_without_notebooks_records_count_zero(env):
     url = make_git_repo(tmp_path / "origin", {"only.py": "pass\n"})
     result = Pipeline(config, store, FakeDocker()).infer_repository(url)
     assert store.get_repository(result.repository_id).notebook_count == 0
-    assert store.list_notebooks() == []
+    assert store_rows(store, "notebooks") == []
     assert (store.get_run(result.run_id).provisioning_status
             is ProvisioningStatus.NO_PYTHON_NOTEBOOKS)
 
@@ -596,7 +597,7 @@ def test_failed_recipe_write_records_nothing(env, monkeypatch):
         Pipeline(config, store, docker).infer_repository(url)
     assert store.list_repositories() == []
     assert store_rows(store, "repository_runs") == []
-    assert store.list_notebooks() == []
+    assert store_rows(store, "notebooks") == []
 
 
 class _InterruptedDocker(FakeDocker):
@@ -682,11 +683,12 @@ def test_execute_replaces_partial_rows_of_an_old_store(tmp_path, jobs):
     config = _config(tmp_path / "old", jobs)
     with Store(config.store_path) as store:
         pipeline = Pipeline(config, store, docker)
-        run_id = pipeline.infer_repository(url).run_id
+        inferred = pipeline.infer_repository(url)
+        run_id = inferred.run_id
         # A Pending run as an execute interrupted after two of its four
         # notebooks left it, before each outcome was committed whole.
         stale = config.artifacts_dir / run_id / "stale.ipynb"
-        first, second = store.list_notebooks()[:2]
+        first, second = store.list_notebooks(inferred.repository_id)[:2]
         for descriptor in (first, second):
             store.insert_execution(ExecutionRecord(
                 notebook_id=descriptor.notebook_id, run_id=run_id,

@@ -406,7 +406,8 @@ def _populate(store: Store, rng: random.Random) -> list[BaselineRecord]:
     store.finish_run(store.get_run("run-u"), ProvisioningStatus.BUILD_FAILED,
                      reason="container runtime unavailable: no daemon")
     return [BaselineRecord(nb.notebook_id, *rng.choice(_STATUS_PAIRS))
-            for nb in store.list_notebooks()]
+            for repo in store.list_repositories()
+            for nb in store.list_notebooks(repo.repository_id)]
 
 
 def test_version_0_store_migrates_to_equal_rows(tmp_path):
