@@ -14,7 +14,9 @@ from pathlib import Path
 
 
 def write_text(path: Path, text: str) -> None:
-    """``path.write_text(text, encoding="utf-8")``, atomically."""
+    """``path.write_text(text, encoding="utf-8")``, atomically, in a
+    directory made first if it is missing."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     # A unique name, so concurrent writers never share a temp file; "x"
     # mode creates it with the umask's permissions, as write_text would.
     temp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")

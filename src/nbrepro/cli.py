@@ -209,9 +209,7 @@ def cmd_classify(config: PipelineConfig, store: Store) -> int:
     # The store rows stay inside _classification, so they are freed before
     # the payload is rendered.
     payload = _classification(read_baseline_csv(config.baseline_path), store)
-    report_dir = Path(config.report_dir)
-    report_dir.mkdir(parents=True, exist_ok=True)
-    out_path = report_dir / CLASSIFICATION_FILE
+    out_path = Path(config.report_dir) / CLASSIFICATION_FILE
     atomic.write_text(out_path, _render_classification(payload))
     logger.info("classification written to %s", out_path)
     return EXIT_COMPLETE

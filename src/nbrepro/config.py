@@ -10,9 +10,9 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from nbrepro.containerize import DEFAULT_BASE_IMAGE, DEFAULT_BUILD_TIMEOUT
+from nbrepro.containerize import (
+    DEFAULT_BASE_IMAGE, DEFAULT_BUILD_TIMEOUT, DEFAULT_EXECUTION_TIMEOUT)
 from nbrepro.corpus import DEFAULT_VALIDATION_TIMEOUT
-from nbrepro.executor import DEFAULT_EXECUTION_TIMEOUT
 
 
 class ConfigError(Exception):

@@ -4,29 +4,32 @@ The recipe text is a pure function of the dependency specification and the
 pipeline version: same inputs, same bytes, on any host. Before a build,
 every container and image previously tagged for the repository is removed
 so no cached layer can mask a dependency conflict. The container runtime is
-driven exclusively through its command-line interface.
+driven exclusively through its command-line interface, by ``tool.run_tool``:
+the build, ``run`` and ``cp`` have their stage's bound, the rest 30 s.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-import shlex
-import subprocess
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 from nbrepro import __version__, atomic
 from nbrepro.depinfer import DependencySpec
+from nbrepro.tool import QUICK_CALL_TIMEOUT, ToolRun, run_tool
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_BASE_IMAGE = "python:3.10-slim"
 DEFAULT_BUILD_TIMEOUT = 1200.0
+DEFAULT_EXECUTION_TIMEOUT = 600.0
 IMAGE_REPOSITORY_PREFIX = "repro"
 SYNTHESIZED_MANIFEST_NAME = "requirements.synthesized.txt"
 MANIFEST_IMAGE_PATH = "/opt/nbrepro/requirements.synthesized.txt"
+# Names the repository of a container or image; cleanup filters on it.
+REPOSITORY_LABEL = "nbrepro.repository_id"
 
 # Minimal fixed utility layer: enough native toolchain for common source
 # distributions to compile, nothing repository-specific.
@@ -70,32 +73,30 @@ class ContainerRuntimeUnavailable(Exception):
 
 
 class DockerCli:
-    """Thin subprocess wrapper around the container runtime CLI."""
+    """Thin wrapper around the container runtime CLI; every call is bounded."""
 
     def __init__(self, executable: str = "docker") -> None:
         self.executable = executable
 
-    def _run(self, args: list[str], timeout: float | None = None
-             ) -> subprocess.CompletedProcess:
-        return subprocess.run([self.executable, *args], capture_output=True,
-                              text=True, timeout=timeout)
+    def _run(self, args: list[str], timeout: float) -> ToolRun:
+        return run_tool([self.executable, *args], timeout)
 
     def available(self) -> bool:
         try:
             return self._run(["version", "--format", "{{.Server.Version}}"],
-                             timeout=30).returncode == 0
-        except (OSError, subprocess.TimeoutExpired):
+                             timeout=QUICK_CALL_TIMEOUT).returncode == 0
+        except OSError:
             return False
 
     def build(self, tag: str, dockerfile: Path, context: Path,
-              timeout: float | None = None) -> subprocess.CompletedProcess:
+              timeout: float = DEFAULT_BUILD_TIMEOUT) -> ToolRun:
         return self._run(
             ["build", "--no-cache", "-t", tag, "-f", str(dockerfile), str(context)],
             timeout=timeout)
 
     def list_images(self, repository: str) -> list[str]:
         result = self._run(["images", "--format", "{{.Repository}}:{{.Tag}}",
-                            repository])
+                            repository], timeout=QUICK_CALL_TIMEOUT)
         if result.returncode != 0:
             return []
         return [line for line in result.stdout.splitlines() if line.strip()]
@@ -109,31 +110,30 @@ class DockerCli:
         runtime the listing is empty."""
         try:
             result = self._run(["ps", "-aq", "--filter", f"label={label}"],
-                               timeout=30)
-        except (OSError, subprocess.TimeoutExpired):
+                               timeout=QUICK_CALL_TIMEOUT)
+        except OSError:
             result = None
         if result is not None and result.returncode == 0:
             return [line for line in result.stdout.splitlines() if line.strip()]
-        if result is None or not self.available():
+        if result is None or result.timed_out or not self.available():
             raise ContainerRuntimeUnavailable(
                 f"container runtime {self.executable!r} is not reachable")
         return []
 
     def remove_container(self, name_or_id: str) -> None:
-        self._run(["rm", "-f", name_or_id])
+        self._run(["rm", "-f", name_or_id], timeout=QUICK_CALL_TIMEOUT)
 
     def remove_image(self, reference: str) -> None:
-        self._run(["rmi", "-f", reference])
+        self._run(["rmi", "-f", reference], timeout=QUICK_CALL_TIMEOUT)
 
     def run_container(self, image: str, command: list[str], run_args: list[str],
-                      timeout: float | None = None) -> subprocess.CompletedProcess:
-        """Run to completion; raises subprocess.TimeoutExpired when the
-        wall-clock bound is hit. Either one carries the argv that ran."""
+                      timeout: float = DEFAULT_EXECUTION_TIMEOUT) -> ToolRun:
         return self._run(["run", *run_args, image, *command], timeout=timeout)
 
-    def copy_from_container(self, container: str, source: str,
-                            destination: Path) -> bool:
-        result = self._run(["cp", f"{container}:{source}", str(destination)])
+    def copy_from_container(self, container: str, source: str, destination: Path,
+                            timeout: float = DEFAULT_EXECUTION_TIMEOUT) -> bool:
+        result = self._run(["cp", f"{container}:{source}", str(destination)],
+                           timeout=timeout)
         return result.returncode == 0 and destination.exists()
 
 
@@ -159,7 +159,7 @@ def generate_build_recipe(spec: DependencySpec, *,
         f"FROM {base_image}",
         "",
         f'LABEL nbrepro.version="{__version__}"',
-        f'LABEL nbrepro.repository_id="{spec.repository_id}"',
+        f'LABEL {REPOSITORY_LABEL}="{spec.repository_id}"',
         "",
         "ENV DEBIAN_FRONTEND=noninteractive \\",
         "    PIP_DISABLE_PIP_VERSION_CHECK=1 \\",
@@ -194,7 +194,6 @@ def write_recipe(recipe: BuildRecipe, dockerfile_path: Path) -> Path:
     next to it (the Dockerfile itself stays outside the tree)."""
     manifest_path = recipe.context_dir / recipe.manifest_name
     atomic.write_text(manifest_path, recipe.manifest_text)
-    dockerfile_path.parent.mkdir(parents=True, exist_ok=True)
     atomic.write_text(dockerfile_path, recipe.dockerfile_text)
     return dockerfile_path
 
@@ -206,8 +205,7 @@ def cleanup_previous(repository_id: str, docker: DockerCli) -> None:
     runtime raises from the container listing, which callers record as a
     failed build.
     """
-    label = f"nbrepro.repository_id={repository_id}"
-    for container in docker.list_containers(label):
+    for container in docker.list_containers(f"{REPOSITORY_LABEL}={repository_id}"):
         logger.info("removing stale container %s", container)
         docker.remove_container(container)
     for image in docker.list_images(image_repository_for(repository_id)):
@@ -222,29 +220,18 @@ def build_image(tag: str, dockerfile_path: Path, context_dir: Path,
     """Build a written recipe as is; returns the tag, or a classified
     BuildFailure.
 
-    The build log, persisted for every attempt, success or failure, starts
-    with the argv that ran, followed by the build's output.
+    The build log, persisted for every attempt, success or failure, holds
+    the argv that ran, its exit status and its output, a timed-out build's
+    output up to the kill included.
     """
-    timed_out = False
-    try:
-        result = docker.build(tag, dockerfile_path, context_dir, timeout=timeout)
-        argv, output = result.args, f"{result.stdout}\n{result.stderr}"
-        exit_code = result.returncode
-    except subprocess.TimeoutExpired as exc:
-        timed_out = True
-        captured = [part for part in (exc.stdout, exc.stderr) if part]
-        argv, output = exc.cmd, "\n".join(
-            p.decode("utf-8", "replace") if isinstance(p, bytes) else p
-            for p in captured)
-        exit_code = -1
+    result = docker.build(tag, dockerfile_path, context_dir, timeout=timeout)
+    atomic.write_text(log_path, result.log_text())
 
-    log_path.parent.mkdir(parents=True, exist_ok=True)
-    atomic.write_text(log_path, f"$ {shlex.join(argv)}\n{output}")
-
-    if timed_out:
+    output = f"{result.stdout}\n{result.stderr}"
+    if result.timed_out:
         return BuildFailure(BuildPhase.TIMEOUT,
                             _last_line(output) or f"build exceeded {timeout}s")
-    if exit_code == 0:
+    if result.returncode == 0:
         return tag
     return BuildFailure(_classify_build_failure(output), _last_line(output))
 

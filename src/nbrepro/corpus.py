@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import os
 import shutil
-import subprocess
 import uuid
 from enum import Enum
 from pathlib import Path
@@ -24,10 +22,13 @@ from urllib.parse import urlparse, urlunparse
 from nbrepro import compare, depinfer, notebook as nbmodel
 from nbrepro.notebook import NOTEBOOK_SUFFIX
 from nbrepro.store import NotebookDescriptor, Repository
+from nbrepro.tool import QUICK_CALL_TIMEOUT, run_tool
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_VALIDATION_TIMEOUT = 30.0
+# A slower clone is a failed acquisition; the repository stays Pending.
+CLONE_TIMEOUT = 600.0
 _ALLOWED_SCHEMES = frozenset({"http", "https", "file"})
 
 # Never let git fall back to interactive credential prompts; the probe must
@@ -52,12 +53,6 @@ class TransientNetworkError(Exception):
 
 class AcquisitionError(Exception):
     """Clone failed after a successful validation."""
-
-
-def _git_env() -> dict[str, str]:
-    env = dict(os.environ)
-    env.update(_GIT_ENV_OVERRIDES)
-    return env
 
 
 def normalize_url(url: str) -> str:
@@ -124,13 +119,10 @@ def validate_repository(url: str,
     elif not parsed.netloc or " " in url.strip():
         return ValidationResult.MALFORMED
 
-    try:
-        result = subprocess.run(
-            ["git", "ls-remote", "--heads", "--", url.strip()],
-            capture_output=True, text=True, timeout=timeout, env=_git_env(),
-        )
-    except subprocess.TimeoutExpired as exc:
-        raise TransientNetworkError(f"existence probe timed out for {url}") from exc
+    result = run_tool(["git", "ls-remote", "--heads", "--", url.strip()],
+                      timeout, env=_GIT_ENV_OVERRIDES)
+    if result.timed_out:
+        raise TransientNetworkError(f"existence probe timed out for {url}")
     if result.returncode < 0:
         raise TransientNetworkError(
             f"existence probe killed by signal {-result.returncode} for {url}")
@@ -165,18 +157,18 @@ def find_manifest_paths(tree: Path) -> list[str]:
 
 
 def current_revision(tree: Path) -> str | None:
-    result = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"],
-                            capture_output=True, text=True, env=_git_env())
+    result = run_tool(["git", "-C", str(tree), "rev-parse", "HEAD"],
+                      QUICK_CALL_TIMEOUT, env=_GIT_ENV_OVERRIDES)
     return result.stdout.strip() if result.returncode == 0 else None
 
 
-def acquire_repository(url: str, workdir: Path,
-                       timeout: float | None = None) -> Repository:
+def acquire_repository(url: str, workdir: Path) -> Repository:
     """Shallow-clone the repository's default branch and describe it.
 
     The working tree lands under ``workdir/<repository_id>/tree``; an
     existing tree from a prior invocation is replaced so every run starts
-    from a fresh checkout.
+    from a fresh checkout. A clone not done in CLONE_TIMEOUT seconds raises
+    AcquisitionError.
     """
     repository_id = repository_id_for(url)
     tree = Path(workdir) / repository_id / "tree"
@@ -184,12 +176,10 @@ def acquire_repository(url: str, workdir: Path,
         shutil.rmtree(tree)
     tree.parent.mkdir(parents=True, exist_ok=True)
 
-    command = ["git", "clone", "--depth", "1", "--quiet", "--", url.strip(), str(tree)]
-    try:
-        result = subprocess.run(command, capture_output=True, text=True,
-                                timeout=timeout, env=_git_env())
-    except subprocess.TimeoutExpired as exc:
-        raise AcquisitionError(f"clone of {url} timed out") from exc
+    result = run_tool(["git", "clone", "--depth", "1", "--quiet", "--", url.strip(),
+                       str(tree)], CLONE_TIMEOUT, env=_GIT_ENV_OVERRIDES)
+    if result.timed_out:
+        raise AcquisitionError(f"clone of {url} timed out")
     if result.returncode != 0:
         raise AcquisitionError(
             f"clone of {url} failed: {result.stderr.strip()[:500]}")

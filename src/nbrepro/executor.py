@@ -3,17 +3,16 @@
 ``execute_notebook`` makes the runtime calls: it runs the in-image converter
 in execute mode with error tolerance, so failing cells still yield an
 artifact, writes the log, copies the artifact out and removes the container.
-``execution_record`` derives the status, the per-cell error records and the
-cell counts from the last attempt and the artifact's bytes, with no runtime
-call and no file I/O.
+The run and the copy share the notebook's bound; a timed-out run is logged
+with what it printed. ``execution_record`` derives the status, the per-cell
+error records and the cell counts from the last attempt and the artifact's
+bytes, with no runtime call and no file I/O.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-import shlex
-import subprocess
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -21,15 +20,15 @@ from pathlib import Path, PurePosixPath
 from typing import TYPE_CHECKING
 
 from nbrepro import atomic, notebook as nbmodel
+from nbrepro.containerize import DEFAULT_EXECUTION_TIMEOUT, REPOSITORY_LABEL, DockerCli
 from nbrepro.notebook import OutputKind, ParsedNotebook
+from nbrepro.tool import ToolRun
 
 if TYPE_CHECKING:
-    from nbrepro.containerize import DockerCli
     from nbrepro.store import NotebookDescriptor
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_EXECUTION_TIMEOUT = 600.0
 FALLBACK_KERNEL = "python3"
 CONTAINER_WORKSPACE = "/workspace"
 
@@ -148,22 +147,6 @@ def extract_errors(executed: ParsedNotebook) -> list[ExecutionError]:
     return sorted(aggregated.values(), key=lambda e: (e.cell_index, e.error_type))
 
 
-@dataclass(frozen=True)
-class ConvertAttempt:
-    """One converter run: the runtime argv that ran and what it returned."""
-
-    argv: list[str]
-    exit_code: int
-    stdout: str
-    stderr: str
-    timed_out: bool = False
-
-    def log_text(self) -> str:
-        return (f"$ {shlex.join(self.argv)}\n"
-                f"exit={self.exit_code} timed_out={self.timed_out}\n"
-                f"--- stdout ---\n{self.stdout}\n--- stderr ---\n{self.stderr}\n")
-
-
 def _nbconvert_command(notebook_name: str, output_name: str,
                        kernel_name: str | None) -> list[str]:
     command = [
@@ -178,7 +161,7 @@ def _nbconvert_command(notebook_name: str, output_name: str,
 
 
 def execute_notebook(
-    docker: "DockerCli",
+    docker: DockerCli,
     image: str,
     descriptor: "NotebookDescriptor",
     *,
@@ -195,8 +178,8 @@ def execute_notebook(
     (the common relative-path assumption). A kernelspec missing in-image is
     retried once on the default kernel; failing again is KernelNotFound.
     After a clean exit the executed artifact is copied out to
-    ``artifacts_dir/<run_id>/<relative_path>``; the log holds every
-    attempt's runtime argv, exit status and output.
+    ``artifacts_dir/<run_id>/<relative_path>`` under the same ``timeout``;
+    the log holds every attempt's runtime argv, exit status and output.
     """
     rel = PurePosixPath(descriptor.relative_path)
     in_container_dir = str(PurePosixPath(CONTAINER_WORKSPACE) / rel.parent)
@@ -204,33 +187,27 @@ def execute_notebook(
     container_name = f"nbrepro-{run_id}-{descriptor.notebook_id}"
 
     run_args = ["--name", container_name, "--workdir", in_container_dir,
-                "--label", f"nbrepro.repository_id={descriptor.repository_id}"]
+                "--label", f"{REPOSITORY_LABEL}={descriptor.repository_id}"]
     if cpu_limit:
         run_args += ["--cpus", cpu_limit]
     if memory_limit:
         run_args += ["--memory", memory_limit]
 
     started = time.monotonic()
-    attempts: list[ConvertAttempt] = []
+    attempts: list[ToolRun] = []
     for kernel_name in (None, FALLBACK_KERNEL):
         if attempts:
             logger.info("kernel %r not in image for %s, retrying on %s",
                         descriptor.kernel_name, descriptor.relative_path, FALLBACK_KERNEL)
             docker.remove_container(container_name)
         command = _nbconvert_command(rel.name, executed_name, kernel_name)
-        try:
-            result = docker.run_container(image, command, run_args, timeout=timeout)
-            attempt = ConvertAttempt(result.args, result.returncode,
-                                     result.stdout, result.stderr)
-        except subprocess.TimeoutExpired as exc:
-            attempt = ConvertAttempt(exc.cmd, -1, "", "", timed_out=True)
+        attempt = docker.run_container(image, command, run_args, timeout=timeout)
         attempts.append(attempt)
         status = _failure_status(attempt)
         if status is not ExecutionStatus.KERNEL_NOT_FOUND:
             break
     duration = time.monotonic() - started
 
-    log_path.parent.mkdir(parents=True, exist_ok=True)
     atomic.write_text(log_path, "".join(a.log_text() for a in attempts))
 
     copied: Path | None = None
@@ -239,7 +216,8 @@ def execute_notebook(
             artifact = artifacts_dir / run_id / descriptor.relative_path
             artifact.parent.mkdir(parents=True, exist_ok=True)
             if docker.copy_from_container(
-                    container_name, f"{in_container_dir}/{executed_name}", artifact):
+                    container_name, f"{in_container_dir}/{executed_name}", artifact,
+                    timeout=timeout):
                 copied = artifact
     finally:
         docker.remove_container(container_name)
@@ -248,7 +226,7 @@ def execute_notebook(
 
 
 def execution_record(descriptor: "NotebookDescriptor", run_id: str,
-                     attempt: ConvertAttempt, duration: float,
+                     attempt: ToolRun, duration: float,
                      artifact_path: Path | None,
                      artifact_bytes: bytes | None) -> ExecutionRecord:
     """One notebook's record from its last attempt and its copied-out
@@ -289,11 +267,11 @@ def execution_record(descriptor: "NotebookDescriptor", run_id: str,
         executed_notebook_path=None if artifact_path is None else str(artifact_path))
 
 
-def _failure_status(attempt: ConvertAttempt) -> ExecutionStatus:
+def _failure_status(attempt: ToolRun) -> ExecutionStatus:
     # KernelNotFound is also the cue to retry on the default kernel.
     if attempt.timed_out:
         return ExecutionStatus.TIMEOUT
-    if attempt.exit_code == 0:
+    if attempt.returncode == 0:
         return ExecutionStatus.SUCCESS
     if _KERNEL_NOT_FOUND_RE.search(attempt.stderr):
         return ExecutionStatus.KERNEL_NOT_FOUND

@@ -183,8 +183,9 @@ class Pipeline:
 
     def infer_repository(self, raw_input: str) -> RepositoryResult:
         url = corpus.canonical_input(raw_input)
+        repository_id = corpus.repository_id_for(url)
         result = RepositoryResult(url=url)
-        self.events.emit("infer", "start", url=url)
+        self.events.emit("infer", "start", url=url, repository_id=repository_id)
 
         try:
             validation = corpus.validate_repository(
@@ -192,12 +193,12 @@ class Pipeline:
         except corpus.TransientNetworkError as exc:
             # Timed out, or killed by the signal of a Ctrl-C: worth a retry.
             # The event keeps its name for both.
-            self.events.emit("infer", "validation_timeout", url=url, error=str(exc))
+            self.events.emit("infer", "validation_timeout", url=url,
+                             repository_id=repository_id, error=str(exc))
             result.completed = False
             result.degraded_reason = f"validation did not finish: {exc}"
             return result
 
-        repository_id = corpus.repository_id_for(url)
         result.repository_id = repository_id
         run = RunRecord(
             run_id=corpus.new_run_id(),
@@ -211,8 +212,8 @@ class Pipeline:
         if validation is not corpus.ValidationResult.ACCESSIBLE:
             self._record_inferred(result, known, run, ProvisioningStatus.INVALID_URL,
                                   validation.value)
-            self.events.emit("infer", "invalid_url", url=url,
-                             repository_id=repository_id, reason=validation.value)
+            self.events.emit("infer", "invalid_url", url=url, reason=validation.value,
+                             repository_id=repository_id, run_id=run.run_id)
             return result
 
         try:
@@ -220,7 +221,8 @@ class Pipeline:
                 url, Path(self.config.artifacts_dir) / "repos")
         except corpus.AcquisitionError as exc:
             # Transient: validation said accessible but the clone failed.
-            self.events.emit("infer", "acquisition_failed", url=url, error=str(exc))
+            self.events.emit("infer", "acquisition_failed", url=url, error=str(exc),
+                             repository_id=repository_id, run_id=run.run_id)
             result.completed = False
             result.degraded_reason = str(exc)
             return self._record_inferred(result, replace(known, accessible=True), run,
@@ -232,7 +234,7 @@ class Pipeline:
         descriptors, imported, magic = corpus.discover_notebooks(repo)
         repo = replace(repo, notebook_count=len(descriptors))
         self.events.emit("infer", "discovered", repository_id=repository_id,
-                         notebooks=len(descriptors))
+                         run_id=run.run_id, notebooks=len(descriptors))
         if not descriptors:
             return self._record_inferred(result, repo, run,
                                          ProvisioningStatus.NO_PYTHON_NOTEBOOKS)
@@ -254,7 +256,7 @@ class Pipeline:
         # on disk.
         self._record_inferred(result, repo, run, notebooks=descriptors)
         self.events.emit("infer", "synthesized", repository_id=repository_id,
-                         requirements=len(spec.requirements))
+                         run_id=run.run_id, requirements=len(spec.requirements))
         return result
 
     def _record_inferred(self, result: RepositoryResult, repo: Repository,
@@ -300,12 +302,12 @@ class Pipeline:
         if self._interrupted(result):
             return result
         logdir = Path(self.config.logdir) / run.run_id
-        self.events.emit("execute", "cleanup", repository_id=repo.repository_id)
+        ids = {"repository_id": repo.repository_id, "run_id": run.run_id}
+        self.events.emit("execute", "cleanup", **ids)
         try:
             containerize.cleanup_previous(repo.repository_id, self.docker)
         except containerize.ContainerRuntimeUnavailable as exc:
-            self.events.emit("execute", "runtime_unavailable",
-                             repository_id=repo.repository_id)
+            self.events.emit("execute", "runtime_unavailable", **ids)
             result.completed = False
             result.degraded_reason = "container runtime unavailable"
             return self._record_executed(
@@ -315,23 +317,21 @@ class Pipeline:
         if self._interrupted(result):
             return result
         tag = containerize.image_tag_for(repo.repository_id, run.run_id)
-        self.events.emit("execute", "build_start",
-                         repository_id=repo.repository_id, tag=tag)
+        self.events.emit("execute", "build_start", tag=tag, **ids)
         started = time.monotonic()
         built = containerize.build_image(
             tag, dockerfile, tree, self.docker,
             timeout=self.config.build_timeout, log_path=logdir / "build.log")
         build_duration_s = time.monotonic() - started
         if isinstance(built, BuildFailure):
-            self.events.emit("execute", "build_failed",
-                             repository_id=repo.repository_id,
-                             phase=built.phase.value, duration_s=build_duration_s)
+            self.events.emit("execute", "build_failed", phase=built.phase.value,
+                             duration_s=build_duration_s, **ids)
             return self._record_executed(
                 result, run, ProvisioningStatus.BUILD_FAILED,
                 reason=f"{built.phase.value}: {built.last_line}",
                 build_duration_s=build_duration_s)
-        self.events.emit("execute", "build_done", repository_id=repo.repository_id,
-                         tag=tag, duration_s=build_duration_s)
+        self.events.emit("execute", "build_done", tag=tag,
+                         duration_s=build_duration_s, **ids)
 
         # The image is built: the notebooks fan out on the shared budget.
         # Their rows commit with the run's outcome: an interrupted execute
@@ -383,9 +383,10 @@ class Pipeline:
         None without starting one once the invocation was interrupted."""
         if self.interrupted.is_set():
             return None
+        ids = {"repository_id": descriptor.repository_id, "run_id": run_id,
+               "notebook_id": descriptor.notebook_id}
         self.events.emit("execute", "notebook_start",
-                         notebook_id=descriptor.notebook_id,
-                         relative_path=descriptor.relative_path)
+                         relative_path=descriptor.relative_path, **ids)
         record = executor.execute_notebook(
             self.docker, image, descriptor,
             run_id=run_id,
@@ -395,10 +396,8 @@ class Pipeline:
             cpu_limit=self.config.cpu_limit,
             memory_limit=self.config.memory_limit,
         )
-        self.events.emit("execute", "notebook_done",
-                         notebook_id=descriptor.notebook_id,
-                         status=record.status.value,
-                         duration_s=record.duration_s)
+        self.events.emit("execute", "notebook_done", status=record.status.value,
+                         duration_s=record.duration_s, **ids)
         return record
 
     # ---- stage 4: comparison -------------------------------------------------
@@ -444,10 +443,10 @@ class Pipeline:
                         for c in comparisons
                     ],
                 }
-            compared.append({"notebook_id": notebook_id,
+            compared.append({"notebook_id": notebook_id, "run_id": run.run_id,
+                             "repository_id": run.repository_id,
                              "structural_mismatch": payload["structural_mismatch"],
                              "score": payload.get("score")})
-            logdir.mkdir(parents=True, exist_ok=True)
             atomic.write_text(logdir / f"{notebook_id}.comparison.json",
                               json.dumps(payload, indent=2, sort_keys=True) + "\n")
         if self._interrupted(result):

@@ -191,7 +191,6 @@ def emit_reports(summary: CorpusSummary, report_dir: Path,
     translate that into a fatal exit.
     """
     report_dir = Path(report_dir)
-    report_dir.mkdir(parents=True, exist_ok=True)
     stamp = generated_at or utc_now_iso()
 
     document = {

@@ -3,12 +3,15 @@ container runtime, and a plain-SQL reader of store rows."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
 import subprocess
 from pathlib import Path
 
 import pytest
+
+from nbrepro.tool import ToolRun
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -164,13 +167,10 @@ def logging_runtime(directory: Path, exits: dict[str, int] | None = None
     return executable, log
 
 
-class FakeCompleted:
-    def __init__(self, returncode: int = 0, stdout: str = "", stderr: str = "",
-                 args: list[str] | None = None):
-        self.returncode = returncode
-        self.stdout = stdout
-        self.stderr = stderr
-        self.args = args or ["docker"]
+def FakeCompleted(returncode: int = 0, stdout: str = "", stderr: str = "",
+                  args: list[str] | None = None) -> ToolRun:
+    """A runtime call that finished with ``returncode``."""
+    return ToolRun(args or ["docker"], returncode, stdout, stderr)
 
 
 class FakeDocker:
@@ -223,7 +223,7 @@ class FakeDocker:
 
     def run_container(self, image, command, run_args, timeout=None):
         """Pops the next of ``run_results``, FakeCompleted(0) when none is
-        left; a None there hits the wall-clock bound."""
+        left; a None there hits the wall-clock bound, as a timed-out run."""
         self.calls.append(("run_container", image, tuple(command)))
         name = run_args[run_args.index("--name") + 1]
         label = next((a.split("=", 1)[1] for a in run_args
@@ -232,11 +232,10 @@ class FakeDocker:
         argv = ["docker", "run", *run_args, image, *command]
         result = self.run_results.pop(0) if self.run_results else FakeCompleted(0)
         if result is None:
-            raise subprocess.TimeoutExpired(argv, timeout)
-        result.args = argv
-        return result
+            return ToolRun(argv, -1, "", "", timed_out=True)
+        return dataclasses.replace(result, args=argv)
 
-    def copy_from_container(self, container, source, destination):
+    def copy_from_container(self, container, source, destination, timeout=None):
         self.calls.append(("copy_from_container", container, source))
         payload = self.copy_payloads.get(source)
         if payload is None:

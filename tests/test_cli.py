@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import shutil
 import sqlite3
 from pathlib import Path
 
 import pytest
 
+from nbrepro import tool
 from nbrepro.cli import main
 from nbrepro.config import PipelineConfig
 from nbrepro.store import SCHEMA_VERSION, ProvisioningStatus, Store
@@ -23,6 +25,7 @@ from conftest import (
     FIXTURES,
     code_cell,
     docker_available,
+    logging_runtime,
     make_git_repo,
     markdown_cell,
     notebook_bytes,
@@ -208,6 +211,31 @@ def test_run_without_runtime_skips_stages_3_4_with_status(workspace):
         assert manifest.exists()  # stage-2 artifacts still produced
     assert (workspace["reports"] / "report.json").exists()
     assert (workspace["logdir"] / "events.ndjson").exists()
+
+
+def test_every_tool_call_of_a_run_has_a_finite_bound(workspace, monkeypatch):
+    url = _fixture_repo(workspace, "repo", {
+        "nb.ipynb": _notebook_file(code_cell("print(1)"))})
+    executable, _ = logging_runtime(workspace["root"])
+    bounds = []
+    run = tool.subprocess.run
+
+    def recording_run(argv, **kwargs):
+        # git -C <tree> rev-parse names its verb after the tree
+        args = argv[3:] if argv[1:2] == ["-C"] else argv[1:]
+        bounds.append((f"{Path(argv[0]).name} {args[0]}", kwargs.get("timeout")))
+        return run(argv, **kwargs)
+
+    monkeypatch.setattr(tool.subprocess, "run", recording_run)
+    main(["run", "--input", url, "--docker", str(executable),
+          *_common_flags(workspace)])
+
+    assert {verb for verb, _ in bounds} == {
+        "git ls-remote", "git clone", "git rev-parse", "runtime version",
+        "runtime ps", "runtime images", "runtime build", "runtime run",
+        "runtime cp", "runtime rm"}
+    assert [(verb, bound) for verb, bound in bounds
+            if bound is None or not 0 < bound < math.inf] == []
 
 
 def test_run_requires_inputs(workspace, caplog):

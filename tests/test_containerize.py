@@ -3,10 +3,9 @@ classification (fake runtime)."""
 
 from __future__ import annotations
 
-import subprocess
-
 import pytest
 
+from nbrepro import containerize
 from nbrepro.containerize import (
     BuildFailure,
     BuildPhase,
@@ -24,6 +23,7 @@ from nbrepro.depinfer import (
     synthesize_dependency_spec,
 )
 from nbrepro.store import Repository
+from nbrepro.tool import ToolRun
 
 from conftest import FakeCompleted, FakeDocker, logging_runtime
 
@@ -145,16 +145,16 @@ def test_build_success_returns_tag_and_logs(tmp_path):
 
 
 class _FailingDocker(FakeDocker):
-    def __init__(self, stderr, returncode=1, raise_timeout=False):
+    def __init__(self, stderr, returncode=1, timed_out=False):
         super().__init__()
         self._stderr = stderr
         self._returncode = returncode
-        self._raise_timeout = raise_timeout
+        self._timed_out = timed_out
 
     def build(self, tag, dockerfile, context, timeout=None):
-        if self._raise_timeout:
-            raise subprocess.TimeoutExpired(cmd=["docker", "build", "--no-cache"],
-                                            timeout=timeout or 0)
+        if self._timed_out:
+            return ToolRun(["docker", "build", "--no-cache"], -1, "", "",
+                           timed_out=True)
         return FakeCompleted(self._returncode, stderr=self._stderr)
 
 
@@ -181,7 +181,7 @@ def test_build_failure_phases(tmp_path, stderr, phase):
 
 
 def test_build_timeout_phase(tmp_path):
-    docker = _FailingDocker("", raise_timeout=True)
+    docker = _FailingDocker("", timed_out=True)
     (tmp_path / "ctx").mkdir()
     recipe = generate_build_recipe(_spec("numpy"), context_dir=tmp_path / "ctx")
     result = build_image(image_tag_for("fixturerepo0001", "run1"),
@@ -190,7 +190,9 @@ def test_build_timeout_phase(tmp_path):
     assert isinstance(result, BuildFailure)
     assert result.phase is BuildPhase.TIMEOUT
     assert result.last_line == "build exceeded 5.0s"
-    assert (tmp_path / "build.log").read_text() == "$ docker build --no-cache\n"
+    assert (tmp_path / "build.log").read_text() == (
+        "$ docker build --no-cache\nexit=-1 timed_out=True\n"
+        "--- stdout ---\n\n--- stderr ---\n\n")
 
 
 def test_build_log_starts_with_the_argv_that_ran(tmp_path):
@@ -226,3 +228,15 @@ def test_failed_listing_is_checked_by_the_version_probe(tmp_path, reachable):
         with pytest.raises(ContainerRuntimeUnavailable, match="is not reachable"):
             docker.list_containers("nbrepro.repository_id=abc123")
     assert calls.read_text().split() == ["ps", "version"]
+
+
+def test_listing_that_hits_its_bound_means_unreachable(tmp_path, monkeypatch):
+    # A hung daemon may still answer the version probe; it is not asked.
+    runtime = tmp_path / "runtime"
+    runtime.write_text(f'#!/bin/sh\necho "$1" >> "{tmp_path / "calls"}"\n'
+                       'if [ "$1" = ps ]; then exec sleep 5; fi\n')
+    runtime.chmod(0o755)
+    monkeypatch.setattr(containerize, "QUICK_CALL_TIMEOUT", 0.3)
+    with pytest.raises(ContainerRuntimeUnavailable, match="is not reachable"):
+        DockerCli(str(runtime)).list_containers("nbrepro.repository_id=abc123")
+    assert (tmp_path / "calls").read_text().split() == ["ps"]

@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from nbrepro.containerize import DockerCli
 from nbrepro.executor import (
-    ConvertAttempt,
     ErrorCategory,
     ExecutionStatus,
     classify_error,
@@ -22,6 +22,7 @@ from nbrepro.executor import (
 )
 from nbrepro.notebook import parse_notebook
 from nbrepro.store import NotebookDescriptor
+from nbrepro.tool import ToolRun
 
 from conftest import (
     FakeCompleted,
@@ -290,7 +291,7 @@ def test_executed_artifact_feeds_workdir(tmp_path):
 # ---- execution_record (no runtime) -------------------------------------------------
 
 def _attempt(exit_code=0, stderr="", timed_out=False):
-    return ConvertAttempt(["docker", "run"], exit_code, "", stderr, timed_out)
+    return ToolRun(["docker", "run"], exit_code, "", stderr, timed_out)
 
 
 _THREE_CODE_CELLS = notebook_bytes([
@@ -383,3 +384,22 @@ def test_execution_log_shows_the_run_argv(tmp_path, on_run, status):
                   if line.startswith("$ ")]
     assert command.startswith(f"$ {runtime} run --name nbrepro-run1-nb0001 ")
     assert " img jupyter nbconvert " in command
+
+
+def test_timed_out_run_keeps_what_it_printed(tmp_path):
+    # exec: the kill at the bound reaches the sleeper, so nothing outlives it
+    runtime = tmp_path / "runtime"
+    runtime.write_text('#!/bin/sh\nif [ "$1" = run ]; then '
+                       'echo partial-output; exec sleep 5; fi\n')
+    runtime.chmod(0o755)
+    log_path = tmp_path / "execution.log"
+    started = time.monotonic()
+    record = execute_notebook(DockerCli(str(runtime)), "img", _descriptor(),
+                              run_id="run1", artifacts_dir=tmp_path / "artifacts",
+                              log_path=log_path, timeout=0.5)
+    assert time.monotonic() - started < 2.0
+    assert record.status is ExecutionStatus.TIMEOUT
+    log = log_path.read_text("utf-8")
+    assert "exit=-1 timed_out=True" in log
+    stdout = log.split("--- stdout ---\n", 1)[1].split("--- stderr ---", 1)[0]
+    assert "partial-output" in stdout

@@ -8,6 +8,7 @@ import signal
 import threading
 import time
 import weakref
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from nbrepro.executor import (
 )
 from nbrepro.pipeline import Pipeline
 from nbrepro.store import ProvisioningStatus, Store
+from nbrepro.tool import ToolRun
 
 from conftest import (
     FakeCompleted,
@@ -545,6 +547,46 @@ def test_single_repository_execute_runs_notebooks_side_by_side(tmp_path):
         assert len(store_rows(store, "notebook_executions",
                               run_id=inferred.run_id)) == 6
     assert docker.peak_running == 2
+
+
+def test_timed_out_clone_degrades_only_its_repository(tmp_path, monkeypatch):
+    urls = _skewed_corpus(tmp_path)
+    run_tool = corpus.run_tool
+
+    def clone_times_out(argv, timeout, env=None):
+        if argv[:2] == ["git", "clone"] and urls[1] in argv:
+            return ToolRun(argv, -1, "", "Cloning into 'tree'...\n", timed_out=True)
+        return run_tool(argv, timeout, env)
+
+    monkeypatch.setattr(corpus, "run_tool", clone_times_out)
+    results, rows, _ = _run_corpus(tmp_path / "parallel", urls, 2, FakeDocker())
+
+    large, small = results
+    assert large.completed and not small.completed
+    runs = {run["repository_id"]: run for run in rows["repository_runs"]}
+    assert runs[small.repository_id]["provisioning_status"] == "Pending"
+    assert runs[small.repository_id]["status_reason"] == (
+        f"acquisition failed: clone of {urls[1]} timed out")
+    assert runs[large.repository_id]["provisioning_status"] == "EnvironmentBuilt"
+    assert len(rows["notebook_executions"]) == 6
+
+
+def test_every_event_names_its_repository_and_run(tmp_path):
+    urls = _skewed_corpus(tmp_path)
+    results, _, _ = _run_corpus(tmp_path / "run", urls, 2, FakeDocker())
+
+    run_of = {result.repository_id: result.run_id for result in results}
+    events = _events(_config(tmp_path / "run", 2))
+    pairs = Counter((event["stage"], event["event"]) for event in events)
+    assert pairs[("infer", "start")] == 2
+    for pair in (("execute", "notebook_start"), ("execute", "notebook_done"),
+                 ("compare", "notebook_compared")):
+        assert pairs[pair] == 7
+    for event in events:
+        assert event["repository_id"] in run_of
+        # the run exists once validation is done
+        if (event["stage"], event["event"]) != ("infer", "start"):
+            assert event["run_id"] == run_of[event["repository_id"]]
 
 
 # ---- each stage records a repository's outcome in one transaction ----------

@@ -1,5 +1,6 @@
 """Every public name in the package is used by the package itself, so no
-product code lives on for the tests alone."""
+product code lives on for the tests alone; only the tool runner starts a
+process."""
 
 from __future__ import annotations
 
@@ -55,3 +56,23 @@ def test_every_public_name_is_used_by_the_package():
                        for node, found in references):
                 unused.append(f"{module}.{qualified}")
     assert sorted(set(unused) - ALLOWED) == []
+
+
+def test_only_the_tool_runner_starts_processes():
+    """Every git and runtime call goes through ``tool.run_tool``: one
+    timeout path, and a bound on every call."""
+    importers, timeout_sites = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if any(module.split(".")[0] == "subprocess" for module in modules):
+                importers.add(path.name)
+            if _referenced_name(node) == "TimeoutExpired":
+                timeout_sites.add(path.name)
+    assert importers == {"tool.py"}
+    assert timeout_sites <= {"tool.py"}
