@@ -147,13 +147,19 @@ def _log_results(results: list[RepositoryResult]) -> None:
         logger.info("%s -> %s", result.url, state)
 
 
+def _run_stage(pipeline: Pipeline, items: list, stage) -> int:
+    """Map one stage over the corpus, log one line per repository and
+    return the exit code."""
+    results = pipeline.map_repositories(items, stage)
+    _log_results(results)
+    return exit_code_for(results)
+
+
 def cmd_infer(config: PipelineConfig, store: Store) -> int:
     if not config.inputs:
         raise ConfigError("no repositories given; pass --input")
     pipeline = Pipeline(config, store)
-    results = pipeline.map_repositories(_unique(config.inputs),
-                                        pipeline.infer_repository)
-    return exit_code_for(results)
+    return _run_stage(pipeline, _unique(config.inputs), pipeline.infer_repository)
 
 
 def _unique(inputs: list[str]) -> list[str]:
@@ -178,9 +184,7 @@ def cmd_execute(config: PipelineConfig, store: Store) -> int:
         raise PredecessorStateMissing(
             "no inferred runs are awaiting execution; run the infer "
             "subcommand first")
-    results = pipeline.map_repositories(runs, pipeline.execute_run)
-    _log_results(results)
-    return exit_code_for(results)
+    return _run_stage(pipeline, runs, pipeline.execute_run)
 
 
 def cmd_compare(config: PipelineConfig, store: Store) -> int:
@@ -192,9 +196,7 @@ def cmd_compare(config: PipelineConfig, store: Store) -> int:
     if not candidates:
         raise PredecessorStateMissing(
             "no executed artifacts for run; run the execute subcommand first")
-    results = pipeline.map_repositories(candidates, pipeline.compare_run)
-    _log_results(results)
-    return exit_code_for(results)
+    return _run_stage(pipeline, candidates, pipeline.compare_run)
 
 
 def cmd_report(config: PipelineConfig, store: Store) -> int:

@@ -3,16 +3,19 @@
 Per repository: validate -> acquire -> discover -> infer -> recipe ->
 cleanup -> build -> execute -> compare. Each stage maps over the corpus on
 one ``--jobs`` budget of slots, shared by repository stages and notebook
-runs; a failing repository becomes data, never a corpus abort. Infer holds
-facts, not parsed notebooks. A large repository's notebooks run side by
-side while the clean room holds (its cleanup and no-cache build finish
-before any of its notebooks start, and each notebook gets its own fresh
-container). This module is the only writer of the store: a stage records
-each repository's outcome in one transaction on that repository's thread,
-never a partial one, and compare finds its work with one query. After
-Ctrl-C under ``--jobs`` above 1, no further container starts and nothing is
-recorded. Every stage appends machine-parseable events to the invocation's
-event log alongside the raw tool logs. All parallelism lives here.
+runs; a failing repository becomes data, never a corpus abort. Every
+``--jobs`` value takes the same path: repositories run on a pool of worker
+threads and notebooks on a second one, so ``--jobs 1`` differs from
+``--jobs N`` only in its slot count. Infer holds facts, not parsed
+notebooks. A large repository's notebooks run side by side while the clean
+room holds (its cleanup and no-cache build finish before any of its
+notebooks start, and each notebook gets its own fresh container). This
+module is the only writer of the store: a stage records each repository's
+outcome in one transaction on that repository's thread, never a partial
+one, and compare finds its work with one query. After Ctrl-C, no further
+container starts and nothing is recorded. Every stage appends
+machine-parseable events, each naming the invocation, to the event log
+alongside the raw tool logs. All parallelism lives here.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -61,20 +63,26 @@ class RepositoryResult:
     url: str
     repository_id: str | None = None
     run_id: str | None = None
-    completed: bool = True
     degraded_reason: str | None = None
+
+    @property
+    def completed(self) -> bool:
+        return self.degraded_reason is None
 
 
 class EventLog:
-    """Line-delimited JSON event records, one file per store location."""
+    """Line-delimited JSON event records of one invocation, appended to one
+    file per store location."""
 
-    def __init__(self, path: Path) -> None:
+    def __init__(self, path: Path, invocation_id: str) -> None:
         self.path = path
+        self.invocation_id = invocation_id
         self._lock = threading.Lock()
         path.parent.mkdir(parents=True, exist_ok=True)
 
     def emit(self, stage: str, event: str, **details) -> None:
-        record = {"ts": utc_now_iso(), "stage": stage, "event": event, **details}
+        record = {"ts": utc_now_iso(), "invocation_id": self.invocation_id,
+                  "stage": stage, "event": event, **details}
         line = json.dumps(record, sort_keys=True, ensure_ascii=False)
         with self._lock:
             with open(self.path, "a", encoding="utf-8") as fh:
@@ -85,66 +93,37 @@ class WorkBudget:
     """``jobs`` slots shared by every unit of work of one invocation.
 
     A unit is a repository's serial stages or one notebook run; it holds one
-    slot while it runs, so at most ``jobs`` units are in flight. Notebook
-    runs go to one pool of ``jobs`` threads, opened on first use and closed
-    by ``close``, so the thread count stays O(jobs).
+    of ``slots`` while it runs, so at most ``jobs`` units are in flight.
+    Notebook runs go to one pool of ``jobs`` threads, opened on first use
+    and closed by ``close``, so the thread count stays O(jobs). Only a unit
+    calls ``map``: releasing a slot it does not hold overflows the bounded
+    semaphore, which raises.
     """
 
     def __init__(self, jobs: int) -> None:
         self.jobs = jobs
-        self._slots = threading.BoundedSemaphore(jobs)
-        self._held = threading.local()
+        self.slots = threading.BoundedSemaphore(jobs)
         self._pool_lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
 
-    def _holding(self) -> bool:
-        return getattr(self._held, "slot", False)
-
-    @contextmanager
-    def slot(self):
-        """Hold one slot on the calling thread; nested use shares it."""
-        if self._holding():
-            yield
-            return
-        with self._slots:
-            self._held.slot = True
-            try:
-                yield
-            finally:
-                self._held.slot = False
-
-    @contextmanager
-    def _released(self):
-        holding = self._holding()
-        if holding:
-            self._held.slot = False
-            self._slots.release()
-        try:
-            yield
-        finally:
-            if holding:
-                self._slots.acquire()
-                self._held.slot = True
-
     def map(self, fn, items: list) -> list:
-        """``[fn(item) for item in items]``, each call one unit of work.
-
-        With one slot or one item the calls run serially in the caller's
-        unit. Otherwise they run on the notebook pool, and the caller waits
-        for all of them without holding its slot. Once none of the calls is
-        running, the first exception in item order is raised and any later
-        ones are logged.
+        """``[fn(item) for item in items]``, each call one unit of work on
+        the notebook pool. The calling unit waits for all of them without
+        its slot and takes the slot back before it returns. Once none of the
+        calls is running, the first exception in item order is raised and
+        any later ones are logged.
         """
-        if self.jobs <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
         with self._pool_lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
                     max_workers=self.jobs, thread_name_prefix="nbrepro-notebook")
             pool = self._pool
-        with self._released():
+        self.slots.release()
+        try:
             futures = [pool.submit(self._in_slot, fn, item) for item in items]
             wait(futures)
+        finally:
+            self.slots.acquire()
         failures = [f.exception() for f in futures if f.exception() is not None]
         for exc in failures[1:]:
             logger.error("unit of work failed as well", exc_info=exc)
@@ -153,7 +132,7 @@ class WorkBudget:
         return [future.result() for future in futures]
 
     def _in_slot(self, fn, item):
-        with self.slot():
+        with self.slots:
             return fn(item)
 
     def close(self) -> None:
@@ -172,8 +151,9 @@ class Pipeline:
         self.store = store
         self.docker = docker or DockerCli(config.docker_executable)
         self.budget = WorkBudget(config.jobs)
-        self.events = EventLog(Path(config.logdir) / "events.ndjson")
         self.invocation_id = new_invocation_id()
+        self.events = EventLog(Path(config.logdir) / "events.ndjson",
+                               self.invocation_id)
         # Set when the caller of map_repositories was interrupted.
         self.interrupted = threading.Event()
         self._aliases = depinfer.load_alias_table(config.alias_table_path)
@@ -195,7 +175,6 @@ class Pipeline:
             # The event keeps its name for both.
             self.events.emit("infer", "validation_timeout", url=url,
                              repository_id=repository_id, error=str(exc))
-            result.completed = False
             result.degraded_reason = f"validation did not finish: {exc}"
             return result
 
@@ -223,7 +202,6 @@ class Pipeline:
             # Transient: validation said accessible but the clone failed.
             self.events.emit("infer", "acquisition_failed", url=url, error=str(exc),
                              repository_id=repository_id, run_id=run.run_id)
-            result.completed = False
             result.degraded_reason = str(exc)
             return self._record_inferred(result, replace(known, accessible=True), run,
                                          ProvisioningStatus.PENDING,
@@ -285,7 +263,6 @@ class Pipeline:
         repo = self.store.get_repository(run.repository_id)
         result = self._result_for(run, repo)
         if repo is None or not repo.local_path:
-            result.completed = False
             result.degraded_reason = "repository tree missing; rerun the infer stage"
             return result
 
@@ -294,7 +271,6 @@ class Pipeline:
         dockerfile = _dockerfile_for(tree)
         if not (dockerfile.is_file()
                 and (tree / containerize.SYNTHESIZED_MANIFEST_NAME).is_file()):
-            result.completed = False
             result.degraded_reason = "build recipe missing; rerun the infer stage"
             return result
 
@@ -308,7 +284,6 @@ class Pipeline:
             containerize.cleanup_previous(repo.repository_id, self.docker)
         except containerize.ContainerRuntimeUnavailable as exc:
             self.events.emit("execute", "runtime_unavailable", **ids)
-            result.completed = False
             result.degraded_reason = "container runtime unavailable"
             return self._record_executed(
                 result, run, ProvisioningStatus.BUILD_FAILED,
@@ -373,7 +348,6 @@ class Pipeline:
         """Whether Ctrl-C was seen; if so, ``result`` says nothing was recorded."""
         if not self.interrupted.is_set():
             return False
-        result.completed = False
         result.degraded_reason = "interrupted; nothing was recorded"
         return True
 
@@ -406,20 +380,23 @@ class Pipeline:
         """Compare what is due in the run and commit it in one transaction;
         after the invocation was interrupted nothing is recorded. Each
         compared notebook's event follows the commit, so every event names
-        a stored row."""
+        a stored row. A notebook or artifact that cannot be read degrades
+        the repository once the rest is committed; a rerun compares it."""
         repo = self.store.get_repository(run.repository_id)
         result = self._result_for(run, repo)
         if repo is None or not repo.local_path:
             return result
         tree = Path(repo.local_path)
         logdir = Path(self.config.logdir) / run.run_id
-        writes, compared = [], []
+        writes, compared, unread = [], [], []
         for notebook_id, relative_path, executed_path in self.store.comparisons_due(run):
             try:
                 original = nbmodel.parse_notebook((tree / relative_path).read_bytes())
                 executed = nbmodel.parse_notebook(Path(executed_path).read_bytes())
             except (nbmodel.ParseError, OSError) as exc:
                 logger.warning("cannot compare %s: %s", relative_path, exc)
+                if isinstance(exc, OSError):
+                    unread.append(exc)
                 continue
             try:
                 metrics, comparisons = comparemod.compare_notebooks(
@@ -456,26 +433,22 @@ class Pipeline:
                 write()
         for details in compared:
             self.events.emit("compare", "notebook_compared", **details)
+        if unread:
+            result.degraded_reason = (f"{len(unread)} notebook(s) not compared, "
+                                      f"the first: {unread[0]}")
         return result
 
     # ---- full pipeline --------------------------------------------------------
 
-    def run_repository(self, raw_input: str, runtime_available: bool
-                       ) -> RepositoryResult:
+    def run_repository(self, raw_input: str) -> RepositoryResult:
         result = self.infer_repository(raw_input)
         if result.run_id is None or not result.completed:
             return result
         run = self.store.get_run(result.run_id)
         if run is None or run.provisioning_status is not ProvisioningStatus.PENDING:
             return result
-
-        if not runtime_available:
-            result.completed = False
-            result.degraded_reason = "container runtime unavailable"
-            return self._record_executed(
-                result, run, ProvisioningStatus.BUILD_FAILED,
-                reason="container runtime unavailable: execution stages skipped")
-
+        # The clean room's listing is the runtime check: an unreachable
+        # runtime records the run BuildFailed.
         execute_result = self.execute_run(run)
         if not execute_result.completed:
             return execute_result
@@ -483,13 +456,7 @@ class Pipeline:
         return result if compared.completed else compared
 
     def run_corpus(self, inputs: list[str]) -> tuple[list[RepositoryResult], int]:
-        runtime_available = self.docker.available()
-        if not runtime_available:
-            logger.warning("container runtime %r unavailable; "
-                           "stages 3-4 will be skipped",
-                           self.config.docker_executable)
-        results = self.map_repositories(
-            inputs, lambda url: self.run_repository(url, runtime_available))
+        results = self.map_repositories(inputs, self.run_repository)
         return results, exit_code_for(results)
 
     def map_repositories(self, items: list, fn) -> list[RepositoryResult]:
@@ -497,12 +464,11 @@ class Pipeline:
         budget; unexpected exceptions degrade that repository only. Every
         notebook run has finished, and the notebook pool is closed, when
         this returns. After a KeyboardInterrupt, no repository still running
-        records an infer or execute outcome."""
+        records an infer or execute outcome, and none not yet started
+        starts."""
         self.interrupted.clear()
         try:
-            if self.config.jobs <= 1 or len(items) <= 1:
-                return [self._safe(fn, item) for item in items]
-            workers = min(self.config.jobs, len(items))
+            workers = max(1, min(self.config.jobs, len(items)))
             with ThreadPoolExecutor(max_workers=workers,
                                     thread_name_prefix="nbrepro-repository") as pool:
                 try:
@@ -517,7 +483,7 @@ class Pipeline:
 
     def _safe(self, fn, item) -> RepositoryResult:
         try:
-            with self.budget.slot():
+            with self.budget.slots:
                 return fn(item)
         except Exception as exc:  # noqa: BLE001 - corpus runs must not abort
             result = self._result_for(item)
@@ -525,7 +491,6 @@ class Pipeline:
             self.events.emit("pipeline", "unexpected_error", url=result.url,
                              repository_id=result.repository_id,
                              run_id=result.run_id, error=str(exc))
-            result.completed = False
             result.degraded_reason = f"unexpected error: {exc}"
             return result
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from nbrepro import tool
+from nbrepro import corpus, tool
 from nbrepro.cli import main
 from nbrepro.config import PipelineConfig
 from nbrepro.store import SCHEMA_VERSION, ProvisioningStatus, Store
@@ -90,6 +90,28 @@ def test_infer_invalid_url_recorded_others_complete(workspace):
                     for run in store_rows(store, "repository_runs")}
         assert ProvisioningStatus.INVALID_URL.value in statuses
         assert ProvisioningStatus.PENDING.value in statuses
+
+
+def test_infer_logs_each_repository_outcome(workspace, caplog, monkeypatch):
+    good = _fixture_repo(workspace, "good", {
+        "nb.ipynb": _notebook_file(code_cell("print(1)"))})
+    lost = _fixture_repo(workspace, "lost", {
+        "nb.ipynb": _notebook_file(code_cell("print(2)"))})
+    run_tool = corpus.run_tool
+
+    def clone_fails(argv, timeout, env=None):
+        if argv[:2] == ["git", "clone"] and lost in argv:
+            return tool.ToolRun(argv, 128, "", "fatal: early EOF\n")
+        return run_tool(argv, timeout, env)
+
+    monkeypatch.setattr(corpus, "run_tool", clone_fails)
+    caplog.set_level("INFO")
+    code = main(["infer", "--input", good, "--input", lost,
+                 *_common_flags(workspace)])
+    assert code == 2
+    lines = [rec.getMessage() for rec in caplog.records if " -> " in rec.getMessage()]
+    assert lines == [f"{good} -> ok",
+                     f"{lost} -> degraded: clone of {lost} failed: fatal: early EOF"]
 
 
 def test_infer_records_an_input_that_does_not_parse_as_a_url(workspace):
@@ -229,6 +251,9 @@ def test_every_tool_call_of_a_run_has_a_finite_bound(workspace, monkeypatch):
     monkeypatch.setattr(tool.subprocess, "run", recording_run)
     main(["run", "--input", url, "--docker", str(executable),
           *_common_flags(workspace)])
+    # run learns reachability from the cleanup listing; execute probes first
+    main(["infer", "--input", url, *_common_flags(workspace)])
+    main(["execute", "--docker", str(executable), *_common_flags(workspace)])
 
     assert {verb for verb, _ in bounds} == {
         "git ls-remote", "git clone", "git rev-parse", "runtime version",

@@ -89,7 +89,7 @@ def test_execute_and_compare_full_wiring(env):
     docker.copy_payloads["/workspace/drift.executed.ipynb"] = _original(
         "print(data)", "after\n")
 
-    execute_result = pipeline.execute_run(run)
+    (execute_result,) = pipeline.map_repositories([run], pipeline.execute_run)
     assert execute_result.completed
     finished = store.get_run(run.run_id)
     assert finished.provisioning_status is ProvisioningStatus.ENVIRONMENT_BUILT
@@ -148,7 +148,7 @@ def test_structural_mismatch_persists_unscored(env):
     # executed artifact lost a code cell
     docker.copy_payloads["/workspace/shrunk.executed.ipynb"] = notebook_bytes([
         code_cell("a", [stream_output("1\n")], 1)])
-    pipeline.execute_run(run)
+    pipeline.map_repositories([run], pipeline.execute_run)
     pipeline.compare_run(store.get_run(run.run_id))
     (metrics,) = store_rows(store, "reproducibility_metrics", run_id=run.run_id)
     assert metrics["structural_mismatch"] == 1
@@ -178,7 +178,7 @@ def test_all_kernels_missing_marks_run_kernel_not_found(env):
     ]
     pipeline = Pipeline(config, store, docker)
     result = pipeline.infer_repository(url)
-    pipeline.execute_run(store.get_run(result.run_id))
+    pipeline.map_repositories([store.get_run(result.run_id)], pipeline.execute_run)
     finished = store.get_run(result.run_id)
     assert finished.provisioning_status is ProvisioningStatus.KERNEL_NOT_FOUND
     (record,) = store_rows(store, "notebook_executions", run_id=result.run_id)
@@ -221,8 +221,8 @@ def test_run_computes_each_fact_once(env, monkeypatch):
     recipe_writes = _count_calls(monkeypatch, containerize, "write_recipe")
     import_scans = _count_calls(monkeypatch, depinfer, "extract_imports")
 
-    result = Pipeline(config, store, docker).run_repository(
-        url, runtime_available=True)
+    pipeline = Pipeline(config, store, docker)
+    (result,) = pipeline.map_repositories([url], pipeline.run_repository)
 
     assert result.completed
     executed = store_rows(store, "notebook_executions", run_id=result.run_id)
@@ -301,8 +301,9 @@ def test_execute_builds_the_recipe_infer_wrote(env):
         store_path=config.store_path, logdir=config.logdir,
         artifacts_dir=config.artifacts_dir, report_dir=config.report_dir,
         base_image="python:3.12-slim", scan_magic_installs=False)
-    outcome = Pipeline(later, store, docker).execute_run(
-        store.get_run(result.run_id))
+    pipeline = Pipeline(later, store, docker)
+    (outcome,) = pipeline.map_repositories([store.get_run(result.run_id)],
+                                           pipeline.execute_run)
 
     assert outcome.completed
     assert _recipe_bytes(store, result.repository_id) == written
@@ -325,7 +326,8 @@ def test_execute_without_recipe_is_degraded(env, removed):
     tree = Path(store.get_repository(result.repository_id).local_path)
     (tree / removed).unlink()
 
-    outcome = pipeline.execute_run(store.get_run(result.run_id))
+    (outcome,) = pipeline.map_repositories([store.get_run(result.run_id)],
+                                           pipeline.execute_run)
 
     assert not outcome.completed
     assert outcome.degraded_reason == "build recipe missing; rerun the infer stage"
@@ -345,7 +347,7 @@ def test_build_events_carry_the_stored_build_duration(env, build_fails):
     if build_fails:
         docker.build = lambda *args, **kwargs: FakeCompleted(1, stderr="no space")
 
-    pipeline.execute_run(store.get_run(result.run_id))
+    pipeline.map_repositories([store.get_run(result.run_id)], pipeline.execute_run)
 
     run = store.get_run(result.run_id)
     (built,) = [e for e in _events(config)
@@ -365,7 +367,7 @@ def test_cleanup_learns_reachability_from_its_own_listing(env):
     executable, calls = logging_runtime(tmp_path, {"build": 1})
     pipeline.docker = DockerCli(str(executable))
 
-    pipeline.execute_run(store.get_run(run_id))
+    pipeline.map_repositories([store.get_run(run_id)], pipeline.execute_run)
 
     # no version probe repeats the one the command made before the stage
     assert calls.read_text().split() == ["ps", "images", "build"]
@@ -376,9 +378,9 @@ def test_cleanup_learns_reachability_from_its_own_listing(env):
 # ---- one --jobs budget over repository stages and notebook runs ------------
 
 class _SlowDocker(FakeDocker):
-    """Container runs take about 25 ms. Counts the runs in flight, the
-    peak thread count and the threads that ran containers; a notebook named
-    in ``fail_on`` raises instead of running."""
+    """Container runs take about 25 ms. Counts the runs in flight and the
+    peak thread count; a notebook named in ``fail_on`` raises instead of
+    running."""
 
     def __init__(self, fail_on: tuple[str, ...] = ()):
         super().__init__()
@@ -387,14 +389,12 @@ class _SlowDocker(FakeDocker):
         self.running = 0
         self.peak_running = 0
         self.peak_threads = 0
-        self.run_threads: set[int] = set()
 
     def run_container(self, image, command, run_args, timeout=None):
         with self._lock:
             self.running += 1
             self.peak_running = max(self.peak_running, self.running)
             self.peak_threads = max(self.peak_threads, threading.active_count())
-            self.run_threads.add(threading.get_ident())
         try:
             time.sleep(0.025)
             if command[-1] in self.fail_on:
@@ -502,8 +502,11 @@ def test_parallel_rows_equal_serial_rows(tmp_path):
     _, serial, _ = _run_corpus(tmp_path / "serial", urls, 1, serial_docker)
     _, parallel, _ = _run_corpus(tmp_path / "parallel", urls, 2, _SlowDocker())
 
-    # --jobs 1 keeps the serial path: every container ran on the caller
-    assert serial_docker.run_threads == {threading.get_ident()}
+    # --jobs 1 takes the pooled path with one slot: one container at a time,
+    # and no worker thread outlives the invocation
+    assert serial_docker.peak_running == 1
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("nbrepro-")]
     assert len(serial["notebook_executions"]) == 7
     assert len(serial["reproducibility_metrics"]) == 7
     assert parallel == serial
@@ -587,6 +590,17 @@ def test_every_event_names_its_repository_and_run(tmp_path):
         # the run exists once validation is done
         if (event["stage"], event["event"]) != ("infer", "start"):
             assert event["run_id"] == run_of[event["repository_id"]]
+    (first,) = {event["invocation_id"] for event in events}
+
+    # a second invocation appends to the same log under its own id
+    _run_corpus(tmp_path / "run", urls, 2, FakeDocker())
+    later = _events(_config(tmp_path / "run", 2))[len(events):]
+    assert len(later) == len(events)
+    (second,) = {event["invocation_id"] for event in later}
+    assert second != first
+    with Store(_config(tmp_path / "run", 2).store_path) as store:
+        assert {run["invocation_id"] for run in store_rows(
+            store, "repository_runs")} == {first, second}
 
 
 # ---- each stage records a repository's outcome in one transaction ----------
@@ -788,11 +802,12 @@ class _CtrlCDocker(FakeDocker):
         return FakeCompleted(130, stderr="KeyboardInterrupt")
 
 
-def test_ctrl_c_under_parallel_execute_commits_no_run(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_ctrl_c_under_parallel_execute_commits_no_run(tmp_path, jobs):
     urls = [make_git_repo(tmp_path / name, {
         f"{name}{i}.ipynb": _original(f"print({i})", f"{i}\n").decode()
         for i in range(8)}) for name in ("a", "b")]
-    config = _config(tmp_path / "store", 2)
+    config = _config(tmp_path / "store", jobs)
     with Store(config.store_path) as store:
         pipeline = Pipeline(config, store, FakeDocker())
         runs = [store.get_run(pipeline.infer_repository(url).run_id)
@@ -808,11 +823,12 @@ def test_ctrl_c_under_parallel_execute_commits_no_run(tmp_path):
         assert store_rows(store, "notebook_executions") == []
 
 
-def test_ctrl_c_under_parallel_infer_records_no_run(tmp_path, monkeypatch):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_ctrl_c_under_parallel_infer_records_no_run(tmp_path, monkeypatch, jobs):
     urls = [make_git_repo(tmp_path / name, {
         f"{name}.ipynb": _original("print(1)", "1\n").decode()})
         for name in ("a", "b", "c", "d")]
-    config = _config(tmp_path / "store", 2)
+    config = _config(tmp_path / "store", jobs)
     validate = corpus.validate_repository
     lock = threading.Lock()
     probes = []
@@ -834,7 +850,8 @@ def test_ctrl_c_under_parallel_infer_records_no_run(tmp_path, monkeypatch):
         with pytest.raises(KeyboardInterrupt):
             pipeline.map_repositories(urls, pipeline.infer_repository)
 
-        assert probes
+        # the repositories not yet started were cancelled
+        assert 1 <= len(probes) <= jobs
         assert store_rows(store, "repository_runs") == []
         assert store.list_repositories() == []
 
@@ -850,7 +867,9 @@ def _executed_pipeline(config, store, tmp_path, names=("origin",)):
     for name in names:
         url = _two_notebook_repo(tmp_path / name, docker)
         run_id = pipeline.infer_repository(url).run_id
-        assert pipeline.execute_run(store.get_run(run_id)).completed
+        (result,) = pipeline.map_repositories([store.get_run(run_id)],
+                                              pipeline.execute_run)
+        assert result.completed
         runs.append(store.get_run(run_id))
     return pipeline, runs
 
@@ -901,3 +920,28 @@ def test_compare_decodes_no_rows(env, monkeypatch):
                   store, "reproducibility_metrics", run_id=run.run_id))
               for run in runs}
     assert scores == {run.run_id: [1.0, 1.0] for run in runs}
+
+
+def test_compare_degrades_a_repository_with_an_unreadable_artifact(env, caplog):
+    from nbrepro import cli
+
+    config, store, tmp_path = env
+    caplog.set_level("INFO")
+    _, (run,) = _executed_pipeline(config, store, tmp_path)
+    kept, lost = store_rows(store, "notebook_executions", run_id=run.run_id)
+    artifact = Path(lost["executed_notebook_path"])
+    saved = artifact.read_bytes()
+    artifact.unlink()
+
+    assert cli.cmd_compare(config, store) == 2
+    (row,) = store_rows(store, "reproducibility_metrics", run_id=run.run_id)
+    assert row["notebook_id"] == kept["notebook_id"]
+    assert any("degraded: 1 notebook(s) not compared, the first: " in r.getMessage()
+               and str(artifact) in r.getMessage() for r in caplog.records)
+
+    # once the artifact is back, a rerun compares only that notebook
+    artifact.write_bytes(saved)
+    assert cli.cmd_compare(config, store) == 0
+    assert [e["notebook_id"] for e in _events(config, "notebook_compared")] == [
+        kept["notebook_id"], lost["notebook_id"]]
+    assert len(store_rows(store, "reproducibility_metrics", run_id=run.run_id)) == 2

@@ -1,6 +1,6 @@
 """Every public name in the package is used by the package itself, so no
 product code lives on for the tests alone; only the tool runner starts a
-process."""
+process, and only the pipeline opens thread pools."""
 
 from __future__ import annotations
 
@@ -58,10 +58,9 @@ def test_every_public_name_is_used_by_the_package():
     assert sorted(set(unused) - ALLOWED) == []
 
 
-def test_only_the_tool_runner_starts_processes():
-    """Every git and runtime call goes through ``tool.run_tool``: one
-    timeout path, and a bound on every call."""
-    importers, timeout_sites = set(), set()
+def _importers(package: str) -> set[str]:
+    """The package's files that import ``package`` or one of its modules."""
+    importers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text("utf-8"))):
             if isinstance(node, ast.Import):
@@ -69,10 +68,22 @@ def test_only_the_tool_runner_starts_processes():
             elif isinstance(node, ast.ImportFrom):
                 modules = [node.module or ""]
             else:
-                modules = []
-            if any(module.split(".")[0] == "subprocess" for module in modules):
+                continue
+            if any(module.split(".")[0] == package for module in modules):
                 importers.add(path.name)
-            if _referenced_name(node) == "TimeoutExpired":
-                timeout_sites.add(path.name)
-    assert importers == {"tool.py"}
+    return importers
+
+
+def test_only_the_tool_runner_starts_processes():
+    """Every git and runtime call goes through ``tool.run_tool``: one
+    timeout path, and a bound on every call."""
+    timeout_sites = {path.name for path in sorted(PACKAGE.glob("*.py"))
+                     for node in ast.walk(ast.parse(path.read_text("utf-8")))
+                     if _referenced_name(node) == "TimeoutExpired"}
+    assert _importers("subprocess") == {"tool.py"}
     assert timeout_sites <= {"tool.py"}
+
+
+def test_only_the_pipeline_schedules_work():
+    """One scheduler: every thread pool of the package is the pipeline's."""
+    assert _importers("concurrent") == {"pipeline.py"}
