@@ -32,6 +32,7 @@ from nbrepro.outcomes import (
     CurrentOutcome,
     OutcomeClass,
     assign_outcome_class,
+    containerized_success_rate_by_requirements,
     match_baselines,
     read_baseline_csv,
     resolution_rate,
@@ -247,12 +248,6 @@ def _classification(baselines: list[BaselineRecord], store: Store) -> dict:
                       not baseline.install_failed
                       and baseline.execution_succeeded] += notebooks
 
-    success = ExecutionStatus.SUCCESS.value
-    current_runs: Counter[tuple[bool, bool]] = Counter()
-    for group in groups:
-        if group.execution_status is not None:
-            current_runs[bool(group.has_requirements_file),
-                         group.execution_status == success] += len(group.notebook_ids)
     return {
         "note": _INTERPRETATION_NOTE,
         "resolution_rate": resolution_rate(baseline_classes),
@@ -260,7 +255,7 @@ def _classification(baselines: list[BaselineRecord], store: Store) -> dict:
         "baseline_success_rate_by_requirements":
             success_rate_by_requirements(baseline_runs),
         "containerized_success_rate_by_requirements":
-            success_rate_by_requirements(current_runs),
+            containerized_success_rate_by_requirements(groups),
         "unmatched_baseline_rows": sorted(b.notebook_id for b in unmatched),
         "assignments": [
             {"notebook_id": b.notebook_id, "outcome_class": class_values[key]}
@@ -314,10 +309,17 @@ def _emit_report(config: PipelineConfig, store: Store) -> None:
     if classification_path.exists():
         try:
             data = json.loads(classification_path.read_text("utf-8"))
+            if not isinstance(data, dict):
+                raise ValueError("not a JSON object")
+            classification = data.get("counts", {})
+            rate = data.get("resolution_rate")
+            if not (isinstance(classification, dict)
+                    and all(type(count) is int for count in classification.values())
+                    and (rate is None or type(rate) in (int, float))):
+                raise ValueError("the counts must be whole numbers and the "
+                                 "resolution rate a number")
         except ValueError as exc:
             raise ValueError(f"cannot read {classification_path}: {exc}") from exc
-        classification = data.get("counts")
-        rate = data.get("resolution_rate")
     summary = reportmod.aggregate_corpus(store, classification, rate)
     paths = reportmod.emit_reports(summary, Path(config.report_dir))
     logger.info("reports written: %s", ", ".join(str(p) for p in paths))

@@ -77,6 +77,7 @@ class DockerCli:
 
     def __init__(self, executable: str = "docker") -> None:
         self.executable = executable
+        self._unreachable: str | None = None  # the verdict of a failed listing
 
     def _run(self, args: list[str], timeout: float) -> ToolRun:
         return run_tool([self.executable, *args], timeout)
@@ -107,7 +108,10 @@ class DockerCli:
         ContainerRuntimeUnavailable when ``ps`` cannot start or does not
         finish in 30 s. A nonzero exit alone does not prove the runtime
         unreachable, so then the version probe decides; on a reachable
-        runtime the listing is empty."""
+        runtime the listing is empty. Once the runtime was found
+        unreachable, every later listing raises the same at once."""
+        if self._unreachable is not None:
+            raise ContainerRuntimeUnavailable(self._unreachable)
         try:
             result = self._run(["ps", "-aq", "--filter", f"label={label}"],
                                timeout=QUICK_CALL_TIMEOUT)
@@ -116,8 +120,8 @@ class DockerCli:
         if result is not None and result.returncode == 0:
             return [line for line in result.stdout.splitlines() if line.strip()]
         if result is None or result.timed_out or not self.available():
-            raise ContainerRuntimeUnavailable(
-                f"container runtime {self.executable!r} is not reachable")
+            self._unreachable = f"container runtime {self.executable!r} is not reachable"
+            raise ContainerRuntimeUnavailable(self._unreachable)
         return []
 
     def remove_container(self, name_or_id: str) -> None:

@@ -24,14 +24,14 @@ outcome group).
 from __future__ import annotations
 
 import csv
-import functools
 import logging
+from collections import Counter
 from enum import Enum
 from pathlib import Path
 from typing import Container, Iterable, Mapping, NamedTuple
 
 from nbrepro.executor import ExecutionStatus
-from nbrepro.store import ProvisioningStatus
+from nbrepro.store import LatestOutcome, ProvisioningStatus
 
 logger = logging.getLogger(__name__)
 
@@ -89,8 +89,6 @@ class CurrentOutcome(NamedTuple):
     drifted: bool = False
 
 
-# Status and error-type spellings are few; a corpus repeats them per row.
-@functools.lru_cache(maxsize=1024)
 def _token(status: str) -> str:
     return status.strip().strip("<>").replace(" ", "").replace("_", "").lower()
 
@@ -224,6 +222,19 @@ def success_rate_by_requirements(counts: Mapping[tuple[bool, bool], int]
         return percentage(hits, hits + counts.get((has_requirements, False), 0))
 
     return {"with_requirements": rate(True), "without_requirements": rate(False)}
+
+
+def containerized_success_rate_by_requirements(groups: Iterable[LatestOutcome]
+                                               ) -> dict[str, float | None]:
+    """nbrepro's success rate per requirements stratum over the executed
+    notebooks of the store's latest-run groups."""
+    success = ExecutionStatus.SUCCESS.value
+    runs: Counter[tuple[bool, bool]] = Counter()
+    for group in groups:
+        if group.execution_status is not None:
+            runs[bool(group.has_requirements_file),
+                 group.execution_status == success] += len(group.notebook_ids)
+    return success_rate_by_requirements(runs)
 
 
 def read_baseline_csv(path: Path | str) -> list[BaselineRecord]:

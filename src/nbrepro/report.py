@@ -2,13 +2,13 @@
 
 Aggregates the most recent run of every repository into one summary and
 writes it as versioned JSON, a delimited table, and a human-readable
-digest. The summary is folded from the store's grouped latest-run read:
-one counted row per distinct combination of the columns it sums, each
+digest. The summary is folded from the latest-run read that classify
+folds too: one row per distinct outcome, weighted by its notebooks, each
 error list reduced to its (type, category) pairs, so the Python work grows
-with the distinct outcomes, not with the notebooks. The
-small repository and latest-run reads add the provisioning counts. Output
-bytes are deterministic for a fixed store snapshot; the generation
-timestamp is isolated in a single header field.
+with the distinct outcomes, not with the notebooks. The small repository
+and latest-run reads add the provisioning counts. Output bytes are
+deterministic for a fixed store snapshot; the generation timestamp is
+isolated in a single header field.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from pathlib import Path
 
 from nbrepro import __version__, atomic
 from nbrepro.compare import ScoreCategory, categorize_score
-from nbrepro.executor import ExecutionStatus
-from nbrepro.outcomes import OutcomeClass, success_rate_by_requirements
+from nbrepro.outcomes import OutcomeClass, containerized_success_rate_by_requirements
 from nbrepro.store import ProvisioningStatus, Store, utc_now_iso
 
 REPORT_SCHEMA_VERSION = 1
@@ -95,24 +94,21 @@ def aggregate_corpus(store: Store,
         provisioning[status] = provisioning.get(status, 0) + 1
     with_req = sum(1 for repo in repositories if repo.has_requirements_file)
 
-    # One group per combination of the folded columns; each counts its
-    # notebooks, and each distinct error list is decoded once.
-    success = ExecutionStatus.SUCCESS.value
+    # One group per distinct latest-run outcome, weighted by its notebooks;
+    # each distinct error list is decoded once.
     total = executed = zero_errors = flagged = scored = 0
     error_types: dict[str, int] = {}
     error_categories: dict[str, int] = {}
     total_error_records = 0
-    runs: dict[tuple[bool, bool], int] = {}
     score_categories = {key: 0 for key in SCORE_CATEGORY_ORDER}
     scores: list[tuple[float, int]] = []
     scores_by_stratum: dict[bool, list[tuple[float, int]]] = {True: [], False: []}
     decoded: dict[str, list[list[str]]] = {}
-    for group in store.latest_outcome_groups():
-        count = group.notebooks
-        has_requirements = bool(group.has_requirements_file)
+    groups = store.latest_outcomes()
+    for group in groups:
+        count = len(group.notebook_ids)
         total += count
-        if group.has_pattern_cells:
-            flagged += count
+        flagged += group.pattern_notebooks
         if group.execution_status is not None:
             executed += count
             pairs = decoded.get(group.error_pairs)
@@ -124,8 +120,6 @@ def aggregate_corpus(store: Store,
                 total_error_records += count
                 error_types[error_type] = error_types.get(error_type, 0) + count
                 error_categories[category] = error_categories.get(category, 0) + count
-            outcome = (has_requirements, group.execution_status == success)
-            runs[outcome] = runs.get(outcome, 0) + count
         mismatch, score = group.structural_mismatch, group.score
         if mismatch is None:
             continue
@@ -135,7 +129,7 @@ def aggregate_corpus(store: Store,
         score_categories[category.value] += count
         if score is not None and not mismatch:
             scores.append((score, count))
-            scores_by_stratum[has_requirements].append((score, count))
+            scores_by_stratum[bool(group.has_requirements_file)].append((score, count))
 
     prevalence = flagged / total if total else 0.0
 
@@ -158,7 +152,7 @@ def aggregate_corpus(store: Store,
         total_error_records=total_error_records,
         error_types=dict(sorted(error_types.items())),
         error_categories=dict(sorted(error_categories.items())),
-        success_rate_by_requirements=success_rate_by_requirements(runs),
+        success_rate_by_requirements=containerized_success_rate_by_requirements(groups),
         mean_score_by_requirements={
             "with_requirements": _mean(scores_by_stratum[True]),
             "without_requirements": _mean(scores_by_stratum[False]),

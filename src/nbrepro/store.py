@@ -7,17 +7,17 @@ writes share the one connection and are serialized behind one re-entrant
 lock. Every write runs inside ``Store.transaction()``, so the writes of one
 block are recorded whole or not at all. The store reads only what the
 commands read: repository, notebook and run rows come back as frozen
-dataclasses, compare's due work as plain rows, and the two latest-run
-reads as named tuples. Execution and metrics rows are never decoded one
-by one; they are read only through those joins. The latest-run reads join
-every notebook to its repository's latest run: ``latest_outcomes`` gives
-classify the notebooks' ids per distinct outcome, and
-``latest_outcome_groups`` gives report one counted row per distinct
-combination of the columns it folds. Both read facts stored once, in the
-transaction of the row they belong to: a failed build's phase on its run, and an execution's (type, category) error pairs on its row, so
-notebooks whose error messages differ still share a signature or a group.
-These reads, compare's work and a run's deletes search the per-run tables
-by their primary keys.
+dataclasses, compare's due work as plain rows, and the latest-run read as
+named tuples. Execution and metrics rows are never decoded one by one;
+they are read only through joins. The latest-run read, ``latest_outcomes``,
+joins every notebook to its repository's latest run and gives one row per
+distinct (requirements flag, outcome) with the ids of its notebooks and
+how many of them have pattern cells; classify and report both fold it. It
+reads facts stored once, in the transaction of the row they belong to: a
+failed build's phase on its run, and an execution's (type, category)
+error pairs on its row, so notebooks whose error messages differ still
+share a group. This read, compare's work and a run's deletes search the
+per-run tables by their primary keys.
 
 The schema carries its version in ``PRAGMA user_version``. Opening an
 older store migrates it in one transaction; a newer one is refused.
@@ -203,22 +203,8 @@ _LATEST_RUNS = """
     WHERE recency = 1
 """
 
-# Every notebook joined to its repository's latest run and to that run's
-# execution and metrics row for it. The classify and report reads select
-# from these joins, which search the per-run tables by their primary keys.
-_LATEST_NOTEBOOK_JOINS = f"""
-    FROM notebooks AS n
-    JOIN repositories AS r ON r.repository_id = n.repository_id
-    LEFT JOIN ({_LATEST_RUNS}) AS l ON l.repository_id = n.repository_id
-    LEFT JOIN notebook_executions AS e
-        ON e.notebook_id = n.notebook_id AND e.run_id = l.run_id
-    LEFT JOIN reproducibility_metrics AS m
-        ON m.notebook_id = n.notebook_id AND m.run_id = l.run_id
-"""
-
-
 class LatestOutcome(NamedTuple):
-    """Classify's read: the notebooks that share one outcome and one
+    """The one latest-run read: the notebooks that share one outcome and one
     requirements flag in their repositories' latest runs. The run columns
     are None when a repository has no run, the execution columns when its
     run did not execute the notebooks, and the metrics columns when they
@@ -233,24 +219,15 @@ class LatestOutcome(NamedTuple):
     nondeterministic_count: int | None
     score: float | None
     structural_mismatch: int | None
+    pattern_notebooks: int  # how many of the notebooks have pattern cells
     notebook_ids: list[str]
 
 
-class OutcomeGroup(NamedTuple):
-    """Report's read: how many notebooks share one combination of the
-    columns the corpus summary folds, with None as in ``LatestOutcome``."""
-
-    has_requirements_file: int
-    has_pattern_cells: int
-    execution_status: str | None
-    error_pairs: str  # JSON list of [error_type, category], in stored order
-    structural_mismatch: int | None
-    score: float | None
-    notebooks: int
-
-
-# The columns of both reads are named as the fields of their row types. An
-# unexecuted notebook's error list reads as empty.
+# Every notebook joined to its repository's latest run and to that run's
+# execution and metrics row for it, which are searched by their primary
+# keys; grouped by the columns before ``pattern_notebooks``. The columns are
+# named as the fields of ``LatestOutcome``. An unexecuted notebook's error
+# list reads as empty.
 _LATEST_OUTCOMES = f"""
     SELECT r.has_requirements_file AS has_requirements_file,
            l.provisioning_status AS provisioning_status,
@@ -261,21 +238,16 @@ _LATEST_OUTCOMES = f"""
            m.nondeterministic_count AS nondeterministic_count,
            m.score AS score,
            m.structural_mismatch AS structural_mismatch,
+           sum(coalesce(n.nondeterministic_pattern_cells, 0) > 0) AS pattern_notebooks,
            json_group_array(n.notebook_id) AS notebook_ids
-    {_LATEST_NOTEBOOK_JOINS}
+    FROM notebooks AS n
+    JOIN repositories AS r ON r.repository_id = n.repository_id
+    LEFT JOIN ({_LATEST_RUNS}) AS l ON l.repository_id = n.repository_id
+    LEFT JOIN notebook_executions AS e
+        ON e.notebook_id = n.notebook_id AND e.run_id = l.run_id
+    LEFT JOIN reproducibility_metrics AS m
+        ON m.notebook_id = n.notebook_id AND m.run_id = l.run_id
     GROUP BY 1, 2, 3, 4, 5, 6, 7, 8, 9
-"""
-
-_LATEST_OUTCOME_GROUPS = f"""
-    SELECT r.has_requirements_file AS has_requirements_file,
-           coalesce(n.nondeterministic_pattern_cells, 0) > 0 AS has_pattern_cells,
-           e.status AS execution_status,
-           coalesce(e.error_pairs, '[]') AS error_pairs,
-           m.structural_mismatch AS structural_mismatch,
-           m.score AS score,
-           count(*) AS notebooks
-    {_LATEST_NOTEBOOK_JOINS}
-    GROUP BY 1, 2, 3, 4, 5, 6
 """
 
 
@@ -513,19 +485,11 @@ class Store:
     def latest_outcomes(self) -> list[LatestOutcome]:
         """The notebooks grouped by their outcome and requirements flag in
         their repositories' latest runs; each group lists its notebooks."""
-        return [group._replace(notebook_ids=json.loads(group.notebook_ids))
-                for group in self._named(_LATEST_OUTCOMES, LatestOutcome)]
-
-    def latest_outcome_groups(self) -> list[OutcomeGroup]:
-        """The notebooks grouped by the columns the corpus summary folds,
-        in their repositories' latest runs."""
-        return self._named(_LATEST_OUTCOME_GROUPS, OutcomeGroup)
-
-    def _named(self, sql: str, row_type) -> list:
         with self._lock:
             cursor = self._conn.cursor()
             cursor.row_factory = None
-            return list(map(row_type._make, cursor.execute(sql)))
+            return [LatestOutcome(*row[:-1], json.loads(row[-1]))
+                    for row in cursor.execute(_LATEST_OUTCOMES)]
 
     # ---- executions ---------------------------------------------------------
 

@@ -594,16 +594,19 @@ def test_classify_calls_the_classifier_once_per_statuses_and_group(monkeypatch):
 def test_report_groups_notebooks_whose_error_messages_differ():
     with Store() as store:
         _forty_notebook_store(store)
-        groups = store.latest_outcome_groups()
+        groups = store.latest_outcomes()
+        summary = aggregate_corpus(store)
 
     # Five drifted scores, one perfect score, one error list; the ten
     # NameError messages differ but their (type, category) pairs do not.
     assert len(groups) == 7
-    assert sum(group.notebooks for group in groups) == 40
+    assert sum(len(group.notebook_ids) for group in groups) == 40
     (errored,) = [group for group in groups if group.execution_status
                   == ExecutionStatus.ERRORED_BUT_COMPLETED.value]
-    assert errored.notebooks == 10
+    assert len(errored.notebook_ids) == 10
     assert json.loads(errored.error_pairs) == [["NameError", "Logic"]] * 2
+    assert summary.error_types == {"NameError": 20}
+    assert summary.error_categories == {"Logic": 20}
 
 
 # ---- report folds distinct outcomes, weighted by their notebooks ------------------

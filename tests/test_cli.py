@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from nbrepro import corpus, tool
+from nbrepro import containerize, corpus, tool
 from nbrepro.cli import main
 from nbrepro.config import PipelineConfig
 from nbrepro.store import SCHEMA_VERSION, ProvisioningStatus, Store
@@ -261,6 +261,29 @@ def test_every_tool_call_of_a_run_has_a_finite_bound(workspace, monkeypatch):
         "runtime cp", "runtime rm"}
     assert [(verb, bound) for verb, bound in bounds
             if bound is None or not 0 < bound < math.inf] == []
+
+
+def test_a_hung_runtime_costs_one_bound_per_run(workspace, monkeypatch):
+    urls = [_fixture_repo(workspace, f"repo{n}", {
+        "nb.ipynb": _notebook_file(code_cell("print(1)"))}) for n in range(3)]
+    calls = workspace["root"] / "runtime.calls"
+    runtime = workspace["root"] / "runtime"
+    runtime.write_text(f'#!/bin/sh\necho "$1" >> "{calls}"\nexec sleep 5\n')
+    runtime.chmod(0o755)
+    monkeypatch.setattr(containerize, "QUICK_CALL_TIMEOUT", 0.5)
+
+    inputs = [arg for url in urls for arg in ("--input", url)]
+    assert main(["run", *inputs, "--jobs", "1", "--docker", str(runtime),
+                 *_common_flags(workspace)]) == 2
+    # The first listing times out; the other repositories reuse its verdict.
+    assert calls.read_text().split() == ["ps"]
+    with Store(workspace["store"]) as store:
+        runs = store_rows(store, "repository_runs")
+    assert len(runs) == 3
+    assert {(run["provisioning_status"], run["status_reason"]) for run in runs} == {
+        (ProvisioningStatus.BUILD_FAILED.value,
+         f"container runtime unavailable: container runtime {str(runtime)!r} "
+         "is not reachable")}
 
 
 def test_run_requires_inputs(workspace, caplog):
@@ -577,10 +600,15 @@ def test_resource_limits_from_config_reach_the_runtime(workspace, monkeypatch,
 def test_report_names_an_unreadable_classification_file(workspace, caplog):
     workspace["reports"].mkdir()
     classification = workspace["reports"] / "classification.json"
-    classification.write_text('{"counts": {"A": 1')
-    assert main(["report", *_common_flags(workspace)]) == 1
-    assert any(str(classification) in record.getMessage()
-               for record in caplog.records)
+    # Bad JSON, JSON that is not an object, counts that are not an object
+    # of whole numbers, and a resolution rate that is not a number.
+    for text in ('{"counts": {"A": 1', "[]", '{"counts": []}', '{"counts": {"A": "1"}}',
+                 '{"counts": {"A": 1}, "resolution_rate": "lots"}'):
+        classification.write_text(text)
+        caplog.clear()
+        assert main(["report", *_common_flags(workspace)]) == 1
+        assert any(str(classification) in record.getMessage()
+                   for record in caplog.records)
 
 
 def test_run_matches_subcommand_chain_on_deterministic_state(workspace, tmp_path):

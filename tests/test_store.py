@@ -18,12 +18,10 @@ from nbrepro.executor import ErrorCategory, ExecutionError, ExecutionRecord, Exe
 from nbrepro.outcomes import BaselineRecord
 from nbrepro.report import aggregate_corpus
 from nbrepro.store import (
-    _LATEST_OUTCOME_GROUPS,
     _LATEST_OUTCOMES,
     SCHEMA_VERSION,
     LatestOutcome,
     NotebookDescriptor,
-    OutcomeGroup,
     ProvisioningStatus,
     Repository,
     RunRecord,
@@ -307,19 +305,15 @@ def test_persistence_across_reopen(tmp_path):
         assert reopened.get_run("run1") is not None
 
 
-@pytest.mark.parametrize("sql, row_type", [(_LATEST_OUTCOMES, LatestOutcome),
-                                           (_LATEST_OUTCOME_GROUPS, OutcomeGroup)],
-                         ids=["latest_outcomes", "latest_outcome_groups"])
-def test_latest_reads_name_their_columns_as_their_row_fields(store, sql, row_type):
-    columns = [column[0] for column in store._conn.execute(sql).description]
-    assert columns == list(row_type._fields)
+def test_latest_read_names_its_columns_as_its_row_fields(store):
+    columns = [column[0] for column in store._conn.execute(_LATEST_OUTCOMES).description]
+    assert columns == list(LatestOutcome._fields)
 
 
-@pytest.mark.parametrize("read", ["latest_outcomes", "latest_outcome_groups"])
-def test_latest_reads_search_the_per_run_tables_by_primary_key(store, read):
+def test_latest_read_searches_the_per_run_tables_by_primary_key(store):
     statements = []
     store._conn.set_trace_callback(statements.append)
-    getattr(store, read)()
+    store.latest_outcomes()
     store._conn.set_trace_callback(None)
     (sql,) = [statement for statement in statements if "SELECT" in statement]
     plan = [row[3] for row in store._conn.execute("EXPLAIN QUERY PLAN " + sql)]
@@ -417,8 +411,8 @@ def test_version_0_store_migrates_to_equal_rows(tmp_path):
         with Store() as store:
             baselines = _populate(store, rng)
             expected = _all_rows(store)
-            outcomes = sorted(map(repr, store.latest_outcomes()))
-            groups = sorted(map(repr, store.latest_outcome_groups()))
+            groups = store.latest_outcomes()
+            outcomes = sorted(map(repr, groups))
             payload = _classification(baselines, store)
             summary = aggregate_corpus(store)
             _write_v0_copy(store, old)
@@ -426,10 +420,14 @@ def test_version_0_store_migrates_to_equal_rows(tmp_path):
         with Store(old) as migrated:
             assert _all_rows(migrated) == expected
             assert sorted(map(repr, migrated.latest_outcomes())) == outcomes
-            assert sorted(map(repr, migrated.latest_outcome_groups())) == groups
             assert _classification(baselines, migrated) == payload
             assert aggregate_corpus(migrated) == summary
         assert _version(old) == SCHEMA_VERSION
+        # Classify and report fold the same groups.
+        assert (payload["containerized_success_rate_by_requirements"]
+                == summary.success_rate_by_requirements)
+        assert (sum(group.pattern_notebooks for group in groups)
+                == summary.nondeterministic_notebooks)
 
 
 def test_migrated_store_ddl_equals_a_new_ones(tmp_path):
