@@ -10,7 +10,8 @@ Subcommands expose each pipeline stage independently; ``run`` chains them.
   classify  outcome classes A-D against a baseline export
 
 Exit codes: 0 complete, 2 partial (some repositories not fully assessed),
-1 fatal.
+1 fatal; this module owns them. Only the stage handlers import the pipeline,
+git and runtime modules, so ``report`` and ``classify`` never load them.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ import logging
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from nbrepro import __version__, atomic, corpus, report as reportmod
+from nbrepro import __version__, atomic, report as reportmod
 from nbrepro.config import ConfigError, PipelineConfig
-from nbrepro.containerize import DockerCli
-from nbrepro.executor import ExecutionStatus
 from nbrepro.outcomes import (
     BaselineRecord,
     CurrentOutcome,
@@ -39,17 +39,16 @@ from nbrepro.outcomes import (
     shows_drift,
     success_rate_by_requirements,
 )
-from nbrepro.pipeline import (
-    EXIT_COMPLETE,
-    EXIT_FATAL,
-    Pipeline,
-    PredecessorStateMissing,
-    RepositoryResult,
-    exit_code_for,
-)
-from nbrepro.store import LatestOutcome, ProvisioningStatus, Store, StoreError
+from nbrepro.store import ExecutionStatus, LatestOutcome, ProvisioningStatus, Store, StoreError
+
+if TYPE_CHECKING:
+    from nbrepro.pipeline import Pipeline, RepositoryResult
 
 logger = logging.getLogger(__name__)
+
+EXIT_COMPLETE = 0
+EXIT_FATAL = 1
+EXIT_PARTIAL = 2
 
 CLASSIFICATION_FILE = "classification.json"
 
@@ -130,16 +129,28 @@ def config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
+class PredecessorStateMissing(Exception):
+    """A subcommand was invoked before the stage it depends on."""
+
+
+def exit_code_for(results: list[RepositoryResult]) -> int:
+    """0 when every repository was fully assessed, 2 when any was not;
+    fatal corpus-level errors (exit 1) are raised, not returned."""
+    return EXIT_PARTIAL if any(not r.completed for r in results) else EXIT_COMPLETE
+
+
 def cmd_run(config: PipelineConfig, store: Store) -> int:
+    from nbrepro.pipeline import Pipeline
+
     if not config.inputs:
         raise ConfigError("no repositories given; pass --input")
     pipeline = Pipeline(config, store)
-    results, code = pipeline.run_corpus(_unique(config.inputs))
+    results = pipeline.map_repositories(_unique(config.inputs), pipeline.run_repository)
     if config.baseline_path is not None:
         cmd_classify(config, store)
     _emit_report(config, store)
     _log_results(results)
-    return code
+    return exit_code_for(results)
 
 
 def _log_results(results: list[RepositoryResult]) -> None:
@@ -157,6 +168,8 @@ def _run_stage(pipeline: Pipeline, items: list, stage) -> int:
 
 
 def cmd_infer(config: PipelineConfig, store: Store) -> int:
+    from nbrepro.pipeline import Pipeline
+
     if not config.inputs:
         raise ConfigError("no repositories given; pass --input")
     pipeline = Pipeline(config, store)
@@ -166,6 +179,8 @@ def cmd_infer(config: PipelineConfig, store: Store) -> int:
 def _unique(inputs: list[str]) -> list[str]:
     """One input per repository, the first spelling kept: one run per
     repository per invocation."""
+    from nbrepro import corpus
+
     first: dict[str, str] = {}
     for raw in inputs:
         first.setdefault(corpus.repository_id_for(corpus.canonical_input(raw)), raw)
@@ -173,6 +188,9 @@ def _unique(inputs: list[str]) -> list[str]:
 
 
 def cmd_execute(config: PipelineConfig, store: Store) -> int:
+    from nbrepro.containerize import DockerCli
+    from nbrepro.pipeline import Pipeline
+
     docker = DockerCli(config.docker_executable)
     if not docker.available():
         raise PredecessorStateMissing(
@@ -189,6 +207,8 @@ def cmd_execute(config: PipelineConfig, store: Store) -> int:
 
 
 def cmd_compare(config: PipelineConfig, store: Store) -> int:
+    from nbrepro.pipeline import Pipeline
+
     pipeline = Pipeline(config, store)
     # Only runs that execute finished so hold execution rows.
     executed = (ProvisioningStatus.ENVIRONMENT_BUILT, ProvisioningStatus.KERNEL_NOT_FOUND)
@@ -222,7 +242,7 @@ def _classification(baselines: list[BaselineRecord], store: Store) -> dict:
     groups = store.latest_outcomes()
     group_of: dict[str, int] = {}
     for index, group in enumerate(groups):
-        group_of.update(dict.fromkeys(group.notebook_ids, index))
+        group_of.update(dict.fromkeys(json.loads(group.notebook_ids), index))
     matched, unmatched = match_baselines(baselines, group_of.keys())
 
     # Baseline rows repeat few pairs of statuses, and a corpus few outcomes
@@ -266,8 +286,7 @@ def _classification(baselines: list[BaselineRecord], store: Store) -> dict:
 
 def _current_outcome(group: LatestOutcome) -> CurrentOutcome:
     """The signature of an outcome in a repository's latest run; it reads
-    every column of ``group`` but the requirements flag and the notebooks'
-    ids."""
+    the outcome columns of ``group``, not its flag or its notebooks."""
     if group.provisioning_status is None:
         return CurrentOutcome(ProvisioningStatus.PENDING)
     execution = None

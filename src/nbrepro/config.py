@@ -1,7 +1,9 @@
 """Pipeline configuration.
 
 Everything the orchestrator needs in one validated dataclass; values come
-from CLI flags, optionally seeded by a JSON config file (flags win).
+from CLI flags, optionally seeded by a JSON config file (flags win). The
+stage modules take their default base image and timeouts from here, so
+this module imports no other nbrepro module.
 """
 
 from __future__ import annotations
@@ -10,9 +12,10 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from nbrepro.containerize import (
-    DEFAULT_BASE_IMAGE, DEFAULT_BUILD_TIMEOUT, DEFAULT_EXECUTION_TIMEOUT)
-from nbrepro.corpus import DEFAULT_VALIDATION_TIMEOUT
+DEFAULT_BASE_IMAGE = "python:3.10-slim"
+DEFAULT_BUILD_TIMEOUT = 1200.0
+DEFAULT_EXECUTION_TIMEOUT = 600.0
+DEFAULT_VALIDATION_TIMEOUT = 30.0
 
 
 class ConfigError(Exception):

@@ -17,14 +17,12 @@ from enum import Enum
 from pathlib import Path
 
 from nbrepro import __version__, atomic
+from nbrepro.config import DEFAULT_BASE_IMAGE, DEFAULT_BUILD_TIMEOUT, DEFAULT_EXECUTION_TIMEOUT
 from nbrepro.depinfer import DependencySpec
 from nbrepro.tool import QUICK_CALL_TIMEOUT, ToolRun, run_tool
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_BASE_IMAGE = "python:3.10-slim"
-DEFAULT_BUILD_TIMEOUT = 1200.0
-DEFAULT_EXECUTION_TIMEOUT = 600.0
 IMAGE_REPOSITORY_PREFIX = "repro"
 SYNTHESIZED_MANIFEST_NAME = "requirements.synthesized.txt"
 MANIFEST_IMAGE_PATH = "/opt/nbrepro/requirements.synthesized.txt"

@@ -20,13 +20,13 @@ from pathlib import Path
 from urllib.parse import urlparse, urlunparse
 
 from nbrepro import compare, depinfer, notebook as nbmodel
+from nbrepro.config import DEFAULT_VALIDATION_TIMEOUT
 from nbrepro.notebook import NOTEBOOK_SUFFIX
 from nbrepro.store import NotebookDescriptor, Repository
 from nbrepro.tool import QUICK_CALL_TIMEOUT, run_tool
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_VALIDATION_TIMEOUT = 30.0
 # A slower clone is a failed acquisition; the repository stays Pending.
 CLONE_TIMEOUT = 600.0
 _ALLOWED_SCHEMES = frozenset({"http", "https", "file"})

@@ -14,18 +14,16 @@ from __future__ import annotations
 import logging
 import re
 import time
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import replace
 from pathlib import Path, PurePosixPath
-from typing import TYPE_CHECKING
 
 from nbrepro import atomic, notebook as nbmodel
-from nbrepro.containerize import DEFAULT_EXECUTION_TIMEOUT, REPOSITORY_LABEL, DockerCli
+from nbrepro.config import DEFAULT_EXECUTION_TIMEOUT
+from nbrepro.containerize import REPOSITORY_LABEL, DockerCli
 from nbrepro.notebook import OutputKind, ParsedNotebook
+from nbrepro.store import (
+    ErrorCategory, ExecutionError, ExecutionRecord, ExecutionStatus, NotebookDescriptor)
 from nbrepro.tool import ToolRun
-
-if TYPE_CHECKING:
-    from nbrepro.store import NotebookDescriptor
 
 logger = logging.getLogger(__name__)
 
@@ -39,22 +37,6 @@ _NOTEBOOK_NOT_FOUND_RE = re.compile(
     r"\.ipynb.*No such file or directory", re.IGNORECASE)
 _STDERR_EXCEPTION_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_.]*(?:Error|Exception))\b[:.]?",
                                   re.MULTILINE)
-
-
-class ExecutionStatus(Enum):
-    SUCCESS = "Success"
-    ERRORED_BUT_COMPLETED = "ErroredButCompleted"
-    KERNEL_NOT_FOUND = "KernelNotFound"
-    NOTEBOOK_NOT_FOUND = "NotebookNotFound"
-    TIMEOUT = "Timeout"
-    SKIPPED = "Skipped"
-
-
-class ErrorCategory(Enum):
-    DEPENDENCY = "Dependency"
-    DATA = "Data"
-    CODE = "Code"
-    LOGIC = "Logic"
 
 
 # Failure-mode table keyed on the exception name with spacing removed, so
@@ -74,33 +56,6 @@ _CATEGORY_TABLE: dict[str, ErrorCategory] = {
 }
 
 KNOWN_ERROR_TYPES = frozenset(_CATEGORY_TABLE)
-
-
-@dataclass(frozen=True)
-class ExecutionError:
-    """One distinct (exception type, cell) failure observed at runtime.
-
-    ``cell_index`` is the 0-based position among the notebook's code cells;
-    ``count`` accumulates repeats of the same exception type in that cell.
-    """
-
-    error_type: str
-    category: ErrorCategory
-    message: str
-    cell_index: int
-    count: int = 1
-
-
-@dataclass(frozen=True)
-class ExecutionRecord:
-    notebook_id: str
-    run_id: str
-    status: ExecutionStatus
-    duration_s: float | None
-    code_cell_count: int
-    markdown_code_ratio: float | None
-    errors: tuple[ExecutionError, ...] = ()
-    executed_notebook_path: str | None = None
 
 
 def classify_error(error_type: str) -> ErrorCategory:
@@ -163,7 +118,7 @@ def _nbconvert_command(notebook_name: str, output_name: str,
 def execute_notebook(
     docker: DockerCli,
     image: str,
-    descriptor: "NotebookDescriptor",
+    descriptor: NotebookDescriptor,
     *,
     run_id: str,
     artifacts_dir: Path,
@@ -225,7 +180,7 @@ def execute_notebook(
                             None if copied is None else copied.read_bytes())
 
 
-def execution_record(descriptor: "NotebookDescriptor", run_id: str,
+def execution_record(descriptor: NotebookDescriptor, run_id: str,
                      attempt: ToolRun, duration: float,
                      artifact_path: Path | None,
                      artifact_bytes: bytes | None) -> ExecutionRecord:

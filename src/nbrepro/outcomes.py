@@ -30,8 +30,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Container, Iterable, Mapping, NamedTuple
 
-from nbrepro.executor import ExecutionStatus
-from nbrepro.store import LatestOutcome, ProvisioningStatus
+from nbrepro.store import ExecutionStatus, LatestOutcome, ProvisioningStatus
 
 logger = logging.getLogger(__name__)
 
@@ -233,7 +232,7 @@ def containerized_success_rate_by_requirements(groups: Iterable[LatestOutcome]
     for group in groups:
         if group.execution_status is not None:
             runs[bool(group.has_requirements_file),
-                 group.execution_status == success] += len(group.notebook_ids)
+                 group.execution_status == success] += group.notebook_count
     return success_rate_by_requirements(runs)
 
 
@@ -245,7 +244,8 @@ def read_baseline_csv(path: Path | str) -> list[BaselineRecord]:
     ``prev_diff_cells`` and ``prev_duration_s`` must be present but are not
     read."""
     records: list[BaselineRecord] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    # Spreadsheet tools may open the export with a byte-order mark.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         # A repeated name means its last column, as csv.DictReader reads it.
         header = {name: i for i, name in enumerate(next(reader, ()))}

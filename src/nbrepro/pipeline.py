@@ -15,7 +15,9 @@ outcome in one transaction on that repository's thread, never a partial
 one, and compare finds its work with one query. After Ctrl-C, no further
 container starts and nothing is recorded. Every stage appends
 machine-parseable events, each naming the invocation, to the event log
-alongside the raw tool logs. All parallelism lives here.
+alongside the raw tool logs. All parallelism lives here. A stage returns
+one ``RepositoryResult`` per repository; the CLI turns them into an exit
+code, and the read-only commands never import this module.
 """
 
 from __future__ import annotations
@@ -33,27 +35,11 @@ from nbrepro import atomic, compare as comparemod
 from nbrepro import containerize, corpus, depinfer, executor, notebook as nbmodel
 from nbrepro.config import PipelineConfig
 from nbrepro.containerize import BuildFailure, DockerCli
-from nbrepro.executor import ExecutionRecord, ExecutionStatus
 from nbrepro.store import (
-    NotebookDescriptor,
-    ProvisioningStatus,
-    Repository,
-    RunRecord,
-    Store,
-    new_invocation_id,
-    utc_now_iso,
-)
+    ExecutionRecord, ExecutionStatus, NotebookDescriptor, ProvisioningStatus,
+    Repository, RunRecord, Store, new_invocation_id, utc_now_iso)
 
 logger = logging.getLogger(__name__)
-
-EXIT_COMPLETE = 0
-EXIT_FATAL = 1
-EXIT_PARTIAL = 2
-
-
-class PredecessorStateMissing(Exception):
-    """A subcommand was invoked before the stage it depends on."""
-
 
 @dataclass
 class RepositoryResult:
@@ -455,10 +441,6 @@ class Pipeline:
         compared = self.compare_run(run)  # a run without artifacts has nothing due
         return result if compared.completed else compared
 
-    def run_corpus(self, inputs: list[str]) -> tuple[list[RepositoryResult], int]:
-        results = self.map_repositories(inputs, self.run_repository)
-        return results, exit_code_for(results)
-
     def map_repositories(self, items: list, fn) -> list[RepositoryResult]:
         """Apply one per-repository stage across the corpus on the shared
         budget; unexpected exceptions degrade that repository only. Every
@@ -509,10 +491,3 @@ def _dockerfile_for(tree: Path) -> Path:
     """The recipe sits next to the build context, outside the cloned tree."""
     return tree.parent / "Dockerfile"
 
-
-def exit_code_for(results: list[RepositoryResult]) -> int:
-    """0 when every repository was fully assessed, 2 when any was not;
-    fatal corpus-level errors (exit 1) are raised, not returned."""
-    if any(not r.completed for r in results):
-        return EXIT_PARTIAL
-    return EXIT_COMPLETE

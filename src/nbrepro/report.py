@@ -106,7 +106,7 @@ def aggregate_corpus(store: Store,
     decoded: dict[str, list[list[str]]] = {}
     groups = store.latest_outcomes()
     for group in groups:
-        count = len(group.notebook_ids)
+        count = group.notebook_count
         total += count
         flagged += group.pattern_notebooks
         if group.execution_status is not None:

@@ -1,6 +1,8 @@
-"""Embedded relational tracking store.
+"""Embedded relational tracking store and the records it holds.
 
-One SQLite file holds the normalized schema linking repositories,
+The records of repositories, notebooks, runs and executions, with the
+execution statuses and error categories, are defined here; the stage
+modules import them, and this module imports no stage. One SQLite file holds the normalized schema linking repositories,
 notebooks, runs, executions, and reproducibility metrics through stable
 identifiers, so results stay joinable across invocations. Reads and
 writes share the one connection and are serialized behind one re-entrant
@@ -11,8 +13,9 @@ dataclasses, compare's due work as plain rows, and the latest-run read as
 named tuples. Execution and metrics rows are never decoded one by one;
 they are read only through joins. The latest-run read, ``latest_outcomes``,
 joins every notebook to its repository's latest run and gives one row per
-distinct (requirements flag, outcome) with the ids of its notebooks and
-how many of them have pattern cells; classify and report both fold it. It
+distinct (requirements flag, outcome) with how many notebooks it holds,
+their ids as JSON text and how many of them have pattern cells; classify
+and report both fold it, and only classify decodes the ids. It
 reads facts stored once, in the transaction of the row they belong to: a
 failed build's phase on its run, and an execution's (type, category)
 error pairs on its row, so notebooks whose error messages differ still
@@ -37,7 +40,6 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from nbrepro.compare import ReproducibilityMetrics
-from nbrepro.executor import ExecutionError, ExecutionRecord, ExecutionStatus
 
 
 class ProvisioningStatus(Enum):
@@ -88,6 +90,49 @@ class NotebookDescriptor:
     nondeterministic_pattern_cells: int | None = None
     parse_failed: bool = False
     parse_error: str | None = None
+
+
+class ExecutionStatus(Enum):
+    SUCCESS = "Success"
+    ERRORED_BUT_COMPLETED = "ErroredButCompleted"
+    KERNEL_NOT_FOUND = "KernelNotFound"
+    NOTEBOOK_NOT_FOUND = "NotebookNotFound"
+    TIMEOUT = "Timeout"
+    SKIPPED = "Skipped"
+
+
+class ErrorCategory(Enum):
+    DEPENDENCY = "Dependency"
+    DATA = "Data"
+    CODE = "Code"
+    LOGIC = "Logic"
+
+
+@dataclass(frozen=True)
+class ExecutionError:
+    """One distinct (exception type, cell) failure observed at runtime.
+
+    ``cell_index`` is the 0-based position among the notebook's code cells;
+    ``count`` accumulates repeats of the same exception type in that cell.
+    """
+
+    error_type: str
+    category: ErrorCategory
+    message: str
+    cell_index: int
+    count: int = 1
+
+
+@dataclass(frozen=True)
+class ExecutionRecord:
+    notebook_id: str
+    run_id: str
+    status: ExecutionStatus
+    duration_s: float | None
+    code_cell_count: int
+    markdown_code_ratio: float | None
+    errors: tuple[ExecutionError, ...] = ()
+    executed_notebook_path: str | None = None
 
 
 def utc_now_iso() -> str:
@@ -220,7 +265,8 @@ class LatestOutcome(NamedTuple):
     score: float | None
     structural_mismatch: int | None
     pattern_notebooks: int  # how many of the notebooks have pattern cells
-    notebook_ids: list[str]
+    notebook_count: int
+    notebook_ids: str  # JSON list of the notebooks' ids
 
 
 # Every notebook joined to its repository's latest run and to that run's
@@ -239,6 +285,7 @@ _LATEST_OUTCOMES = f"""
            m.score AS score,
            m.structural_mismatch AS structural_mismatch,
            sum(coalesce(n.nondeterministic_pattern_cells, 0) > 0) AS pattern_notebooks,
+           count(*) AS notebook_count,
            json_group_array(n.notebook_id) AS notebook_ids
     FROM notebooks AS n
     JOIN repositories AS r ON r.repository_id = n.repository_id
@@ -484,12 +531,12 @@ class Store:
 
     def latest_outcomes(self) -> list[LatestOutcome]:
         """The notebooks grouped by their outcome and requirements flag in
-        their repositories' latest runs; each group lists its notebooks."""
+        their repositories' latest runs; each group counts and lists its
+        notebooks."""
         with self._lock:
             cursor = self._conn.cursor()
             cursor.row_factory = None
-            return [LatestOutcome(*row[:-1], json.loads(row[-1]))
-                    for row in cursor.execute(_LATEST_OUTCOMES)]
+            return [LatestOutcome._make(row) for row in cursor.execute(_LATEST_OUTCOMES)]
 
     # ---- executions ---------------------------------------------------------
 

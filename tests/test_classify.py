@@ -468,7 +468,7 @@ def test_memoised_classification_equals_per_row_classification():
             payload = _classification(baselines, store)
             currents = {notebook_id: _current_outcome(group)
                         for group in store.latest_outcomes()
-                        for notebook_id in group.notebook_ids}
+                        for notebook_id in json.loads(group.notebook_ids)}
         per_row = [
             {"notebook_id": b.notebook_id,
              "outcome_class": assign_outcome_class(b, currents[b.notebook_id]).value}
@@ -492,10 +492,13 @@ def test_each_signature_equals_one_built_from_decoded_rows():
                             for nb in store_rows(store, "notebooks")}
             requirements = {repo.repository_id: repo.has_requirements_file
                             for repo in store.list_repositories()}
-        grouped = [notebook_id for group in groups for notebook_id in group.notebook_ids]
+        grouped = [notebook_id for group in groups
+                   for notebook_id in json.loads(group.notebook_ids)]
         assert sorted(grouped) == sorted(repositories)
         for group in groups:
-            for notebook_id in group.notebook_ids:
+            notebook_ids = json.loads(group.notebook_ids)
+            assert group.notebook_count == len(notebook_ids)
+            for notebook_id in notebook_ids:
                 repository_id = repositories[notebook_id]
                 assert group.has_requirements_file == requirements[repository_id]
                 run = latest.get(repository_id)
@@ -600,10 +603,10 @@ def test_report_groups_notebooks_whose_error_messages_differ():
     # Five drifted scores, one perfect score, one error list; the ten
     # NameError messages differ but their (type, category) pairs do not.
     assert len(groups) == 7
-    assert sum(len(group.notebook_ids) for group in groups) == 40
+    assert sum(group.notebook_count for group in groups) == 40
     (errored,) = [group for group in groups if group.execution_status
                   == ExecutionStatus.ERRORED_BUT_COMPLETED.value]
-    assert len(errored.notebook_ids) == 10
+    assert errored.notebook_count == len(json.loads(errored.notebook_ids)) == 10
     assert json.loads(errored.error_pairs) == [["NameError", "Logic"]] * 2
     assert summary.error_types == {"NameError": 20}
     assert summary.error_categories == {"Logic": 20}

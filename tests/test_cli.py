@@ -460,7 +460,6 @@ def test_classification_reports_rescue_direction(workspace):
 
 def test_subcommand_chain_with_stubbed_runtime(workspace, monkeypatch):
     from conftest import FakeDocker
-    from nbrepro import cli as climod
     from nbrepro.notebook import parse_notebook
 
     url = _fixture_repo(workspace, "chained", {
@@ -477,7 +476,7 @@ def test_subcommand_chain_with_stubbed_runtime(workspace, monkeypatch):
         original = (Path(repo.local_path) / "nb.ipynb").read_bytes()
     parse_notebook(original)  # sanity: fixture is a valid artifact
     docker.copy_payloads["/workspace/nb.executed.ipynb"] = original
-    monkeypatch.setattr(climod, "DockerCli", lambda executable: docker)
+    monkeypatch.setattr(containerize, "DockerCli", lambda executable: docker)
 
     assert main(["execute", *_common_flags(workspace)]) == 0
     assert main(["compare", *_common_flags(workspace)]) == 0
@@ -498,7 +497,6 @@ def test_subcommand_chain_with_stubbed_runtime(workspace, monkeypatch):
 
 def test_execute_logs_each_repository_outcome(workspace, monkeypatch, caplog):
     from conftest import FakeDocker
-    from nbrepro import cli as climod
 
     class CrashingDocker(FakeDocker):
         def run_container(self, image, command, run_args, timeout=None):
@@ -513,7 +511,7 @@ def test_execute_logs_each_repository_outcome(workspace, monkeypatch, caplog):
     with Store(workspace["store"]) as store:
         urls = {repo.url.rsplit("/", 1)[-1]: repo.url
                 for repo in store.list_repositories()}
-    monkeypatch.setattr(climod, "DockerCli", lambda executable: CrashingDocker())
+    monkeypatch.setattr(containerize, "DockerCli", lambda executable: CrashingDocker())
 
     with caplog.at_level("INFO", logger="nbrepro.cli"):
         assert main(["execute", *_common_flags(workspace)]) == 2
@@ -528,7 +526,6 @@ def _executed_corpus(workspace, monkeypatch, names):
     """Infer and execute one single-notebook repository per name on a fake
     runtime whose artifacts reproduce the committed outputs."""
     from conftest import FakeDocker
-    from nbrepro import cli as climod
 
     docker = FakeDocker()
     for name in names:
@@ -537,7 +534,7 @@ def _executed_corpus(workspace, monkeypatch, names):
         docker.copy_payloads[f"/workspace/{name}.executed.ipynb"] = notebook.encode()
         url = _fixture_repo(workspace, name, {f"{name}.ipynb": notebook})
         assert main(["infer", "--input", url, *_common_flags(workspace)]) == 0
-    monkeypatch.setattr(climod, "DockerCli", lambda executable: docker)
+    monkeypatch.setattr(containerize, "DockerCli", lambda executable: docker)
     assert main(["execute", *_common_flags(workspace)]) == 0
 
 
@@ -571,7 +568,6 @@ def test_compare_degrades_one_repository_not_the_corpus(workspace, monkeypatch,
 def test_resource_limits_from_config_reach_the_runtime(workspace, monkeypatch,
                                                        tmp_path):
     from conftest import FakeDocker
-    from nbrepro import cli as climod
 
     class RecordingDocker(FakeDocker):
         def __init__(self):
@@ -589,7 +585,7 @@ def test_resource_limits_from_config_reach_the_runtime(workspace, monkeypatch,
         "nb.ipynb": _notebook_file(code_cell("print(1)"))})
     common = [*_common_flags(workspace), "--config", str(config_file)]
     assert main(["infer", "--input", url, *common]) == 0
-    monkeypatch.setattr(climod, "DockerCli", lambda executable: docker)
+    monkeypatch.setattr(containerize, "DockerCli", lambda executable: docker)
     assert main(["execute", *common]) == 0
 
     (run_args,) = docker.run_args

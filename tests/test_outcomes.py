@@ -184,17 +184,19 @@ def test_resolution_rate_undefined_without_failures():
 
 def test_baseline_csv_round_trip(tmp_path):
     path = tmp_path / "baseline.csv"
-    path.write_text(
-        "notebook_id,prev_dependency_install,prev_execution_status,"
-        "prev_diff_cells,prev_duration_s\n"
-        "nb1,Fail,Install Dependency Error,-,-\n"
-        "nb2,Success,FileNotFoundError,0,80.4\n"
-        "nb3,Sucess,<Skipping notebook>,,\n",
-        encoding="utf-8")
-    records = read_baseline_csv(path)
-    assert [r.notebook_id for r in records] == ["nb1", "nb2", "nb3"]
-    assert records[0].install_failed
-    assert not records[2].install_failed
+    # Spreadsheet tools write a byte-order mark before the header.
+    for encoding in ("utf-8", "utf-8-sig"):
+        path.write_text(
+            "notebook_id,prev_dependency_install,prev_execution_status,"
+            "prev_diff_cells,prev_duration_s\n"
+            "nb1,Fail,Install Dependency Error,-,-\n"
+            "nb2,Success,FileNotFoundError,0,80.4\n"
+            "nb3,Sucess,<Skipping notebook>,,\n",
+            encoding=encoding)
+        records = read_baseline_csv(path)
+        assert [r.notebook_id for r in records] == ["nb1", "nb2", "nb3"]
+        assert records[0].install_failed
+        assert not records[2].install_failed
 
 
 def test_baseline_csv_missing_columns_rejected(tmp_path):

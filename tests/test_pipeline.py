@@ -435,7 +435,8 @@ def _run_corpus(root: Path, urls: list[str], jobs: int, docker):
     config = _config(root, jobs)
     with Store(config.store_path) as store:
         baseline_threads = threading.active_count()
-        results, _ = Pipeline(config, store, docker).run_corpus(urls)
+        pipeline = Pipeline(config, store, docker)
+        results = pipeline.map_repositories(urls, pipeline.run_repository)
         rows = _comparable_rows(store, config.artifacts_dir)
     return results, rows, baseline_threads
 

@@ -1,13 +1,18 @@
 """Every public name in the package is used by the package itself, so no
 product code lives on for the tests alone; only the tool runner starts a
-process, and only the pipeline opens thread pools."""
+process, only the pipeline opens thread pools, and the read-only commands
+load neither."""
 
 from __future__ import annotations
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import nbrepro
+from nbrepro.store import NotebookDescriptor, Repository, Store
 
 PACKAGE = Path(nbrepro.__file__).parent
 
@@ -87,3 +92,40 @@ def test_only_the_tool_runner_starts_processes():
 def test_only_the_pipeline_schedules_work():
     """One scheduler: every thread pool of the package is the pipeline's."""
     assert _importers("concurrent") == {"pipeline.py"}
+
+
+# What classify and report must not load: the stages, git and the runtime.
+_STAGE_MODULES = ["nbrepro.pipeline", "nbrepro.corpus", "nbrepro.depinfer",
+                  "nbrepro.containerize", "nbrepro.executor", "nbrepro.tool",
+                  "subprocess", "concurrent.futures"]
+
+_READ_ONLY_COMMANDS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from nbrepro import cli
+common = ["--store", sys.argv[2], "--report-dir", sys.argv[3]]
+codes = [cli.main(["classify", "--baseline", sys.argv[4], *common]),
+         cli.main(["report", *common])]
+print(json.dumps([codes, sorted(set(json.loads(sys.argv[5])) & set(sys.modules))]))
+"""
+
+
+def test_read_only_commands_load_no_stage_code(tmp_path):
+    """``classify`` and ``report`` read the store and write reports; a fresh
+    interpreter running both loads no pipeline, git or runtime module."""
+    store_path = tmp_path / "store.sqlite3"
+    with Store(store_path) as store:
+        store.upsert_repository(Repository("r1", "https://example.org/r1"))
+        store.upsert_notebook(NotebookDescriptor("nb1", "r1", "nb1.ipynb"))
+    baseline = tmp_path / "baseline.csv"
+    baseline.write_text("notebook_id,prev_dependency_install,prev_execution_status,"
+                        "prev_diff_cells,prev_duration_s\nnb1,Fail,Failed,0,1\n")
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", _READ_ONLY_COMMANDS, str(PACKAGE.parent),
+         str(store_path), str(tmp_path / "reports"), str(baseline),
+         json.dumps(_STAGE_MODULES)],
+        capture_output=True, text=True, timeout=60, check=True)
+    codes, loaded = json.loads(result.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert loaded == []
+    assert (tmp_path / "reports" / "report.json").is_file()
