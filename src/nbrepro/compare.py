@@ -10,13 +10,16 @@ score 1.0.
 
 Variability patterns are matched after one left-to-right regex pass blanks
 comments and strings, so verdicts do not depend on the Python version.
+
+Each compared notebook is one value: its metrics row, its verdicts and its
+``comparison.json`` text. A structural mismatch is such a value too.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable
 
@@ -62,18 +65,6 @@ class ScoreCategory(Enum):
     UNSCORED = "Unscored"
 
 
-class StructuralMismatchError(Exception):
-    """The two artifacts disagree on code-cell count; no alignment is guessed."""
-
-    def __init__(self, original_count: int, executed_count: int) -> None:
-        super().__init__(
-            f"code-cell count mismatch: original has {original_count}, "
-            f"executed has {executed_count}"
-        )
-        self.original_count = original_count
-        self.executed_count = executed_count
-
-
 @dataclass(frozen=True)
 class CellComparison:
     """Verdict for one code cell. ``cell_index`` is the position within the
@@ -106,6 +97,7 @@ class ReproducibilityMetrics:
     nondeterministic_indices: tuple[int, ...]
     total_code_cells: int
     score: float | None
+    structural_mismatch: bool = False  # then no verdicts and no score
 
     def __post_init__(self) -> None:
         counts = (self.identical_count, self.different_count,
@@ -113,8 +105,17 @@ class ReproducibilityMetrics:
         if counts != (len(self.identical_indices), len(self.different_indices),
                       len(self.nondeterministic_indices)):
             raise ValueError("counts must match index-list lengths")
-        if sum(counts) != self.total_code_cells:
+        if not self.structural_mismatch and sum(counts) != self.total_code_cells:
             raise ValueError("verdict counts must partition the code cells")
+
+
+@dataclass(frozen=True)
+class NotebookComparison:
+    """A compared notebook's row, verdicts and ``comparison.json`` text."""
+
+    metrics: ReproducibilityMetrics
+    cells: tuple[CellComparison, ...]
+    document: str
 
 
 def _normalize_text(text: str) -> str:
@@ -219,42 +220,44 @@ def metrics_from_partition(identical: Iterable[int], different: Iterable[int],
     )
 
 
+def unscored_metrics(total_code_cells: int, *, notebook_id: str = "",
+                     run_id: str = "") -> ReproducibilityMetrics:
+    """The row of a notebook whose artifacts disagree on code-cell count:
+    no verdicts, ``total_code_cells`` from the original, no score."""
+    return replace(metrics_from_partition((), (), (), notebook_id=notebook_id, run_id=run_id),
+                   total_code_cells=total_code_cells, structural_mismatch=True)
+
+
 def compare_notebooks(original: ParsedNotebook, executed: ParsedNotebook, *,
-                      notebook_id: str = "", run_id: str = ""
-                      ) -> tuple[ReproducibilityMetrics, list[CellComparison]]:
-    """Compare every code cell pair and compute the metrics row.
-
-    Raises StructuralMismatchError when the artifacts disagree on code-cell
-    count; alignment is positional only.
-    """
-    original_cells = code_cells(original)
-    executed_cells = code_cells(executed)
+                      notebook_id: str = "", run_id: str = "") -> NotebookComparison:
+    """Compare every code-cell pair by position into one value. Artifacts
+    that disagree on code-cell count are a structural mismatch: no
+    alignment is guessed, no cell gets a verdict, and the row is unscored."""
+    original_cells, executed_cells = code_cells(original), code_cells(executed)
     if len(original_cells) != len(executed_cells):
-        raise StructuralMismatchError(len(original_cells), len(executed_cells))
-
-    comparisons = [
-        compare_cell(orig, ex, ordinal)
-        for ordinal, (orig, ex) in enumerate(zip(original_cells, executed_cells))
-    ]
-    by_verdict: dict[Verdict, list[int]] = {v: [] for v in Verdict}
-    for comparison in comparisons:
-        by_verdict[comparison.verdict].append(comparison.cell_index)
-    metrics = metrics_from_partition(
-        by_verdict[Verdict.IDENTICAL],
-        by_verdict[Verdict.DIFFERENT],
-        by_verdict[Verdict.NON_DETERMINISTIC],
-        notebook_id=notebook_id,
-        run_id=run_id,
-    )
-    return metrics, comparisons
+        cells = ()
+        metrics = unscored_metrics(len(original_cells), notebook_id=notebook_id, run_id=run_id)
+        document = {"structural_mismatch": True, "original_code_cells": len(original_cells),
+                    "executed_code_cells": len(executed_cells)}
+    else:
+        cells = tuple(compare_cell(orig, ex, ordinal) for ordinal, (orig, ex)
+                      in enumerate(zip(original_cells, executed_cells)))
+        by_verdict = {v: [c.cell_index for c in cells if c.verdict is v] for v in Verdict}
+        metrics = metrics_from_partition(
+            by_verdict[Verdict.IDENTICAL], by_verdict[Verdict.DIFFERENT],
+            by_verdict[Verdict.NON_DETERMINISTIC], notebook_id=notebook_id, run_id=run_id)
+        document = {"structural_mismatch": False, "score": metrics.score,
+                    "total_code_cells": metrics.total_code_cells,
+                    "cells": [{"cell_index": c.cell_index, "verdict": c.verdict.value,
+                               "matched_patterns": list(c.matched_patterns)} for c in cells]}
+    return NotebookComparison(metrics, cells,
+                              json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def compute_metrics(original: ParsedNotebook, executed: ParsedNotebook, *,
                     notebook_id: str = "", run_id: str = "") -> ReproducibilityMetrics:
     """Partition every code cell by verdict and score the notebook."""
-    metrics, _ = compare_notebooks(original, executed,
-                                   notebook_id=notebook_id, run_id=run_id)
-    return metrics
+    return compare_notebooks(original, executed, notebook_id=notebook_id, run_id=run_id).metrics
 
 
 def categorize_score(score: float | None) -> ScoreCategory:

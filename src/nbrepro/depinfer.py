@@ -37,6 +37,12 @@ _COMMENT_RE = re.compile(r"(^|\s)#.*$")
 _IMPORT_LINE_RE = re.compile(r"^\s*import\s+(.+)$")
 _FROM_LINE_RE = re.compile(r"^\s*from\s+([.\w]+)\s+import\b")
 _MAGIC_INSTALL_RE = re.compile(r"^\s*[%!]\s*pip3?\s+install\s+(.+)$")
+# ``pip install`` options whose value is the next token (not ``--opt=value``).
+_PIP_OPTIONS_WITH_VALUE = frozenset({
+    "-r", "--requirement", "-c", "--constraint", "-e", "--editable", "-i",
+    "--index-url", "--extra-index-url", "-f", "--find-links", "-t", "--target",
+    "--prefix", "--root", "--src", "--trusted-host", "--upgrade-strategy",
+    "--no-binary", "--only-binary", "--platform", "--python-version"})
 
 
 class RequirementOrigin(Enum):
@@ -299,8 +305,9 @@ def extract_magic_installs(source: str) -> list[PackageRequirement]:
         match = _MAGIC_INSTALL_RE.match(line)
         if not match:
             continue
-        for token in match.group(1).split():
-            if token.startswith("-"):
+        tokens = match.group(1).split()
+        for option, token in zip([None, *tokens], tokens):
+            if token.startswith("-") or option in _PIP_OPTIONS_WITH_VALUE:
                 continue
             parsed = parse_requirement_line(
                 token, RequirementOrigin.DECLARED_REQUIREMENTS)
@@ -346,8 +353,9 @@ def synthesize_dependency_spec(
 
     Declared sources win name collisions against inferred imports (they
     carry the author's version constraints); among declared sources the
-    repository's requirements manifest beats the setup script beats
-    ``magic`` install lines. The synthesized manifest is sorted by
+    requirements manifest beats the setup script beats ``magic`` install
+    lines, and of several manifests of one kind the shallowest, then the
+    first in path order, is used. The synthesized manifest is sorted by
     distribution name and LF-terminated, so identical trees synthesize
     identical bytes.
 
@@ -393,9 +401,9 @@ def synthesize_dependency_spec(
 
 def _declared_from_tree(tree: Path,
                         manifest_paths: Sequence[str]) -> list[PackageRequirement]:
-    paths = [Path(p) for p in manifest_paths]
-    requirements_files = sorted(str(p) for p in paths if p.name == "requirements.txt")
-    setup_files = sorted(str(p) for p in paths if p.name == "setup.py")
+    paths = sorted(manifest_paths, key=lambda p: (len(Path(p).parts), p))
+    requirements_files = [p for p in paths if Path(p).name == "requirements.txt"]
+    setup_files = [p for p in paths if Path(p).name == "setup.py"]
 
     declared: list[PackageRequirement] = []
     if requirements_files:

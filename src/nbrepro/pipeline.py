@@ -374,7 +374,7 @@ class Pipeline:
             return result
         tree = Path(repo.local_path)
         logdir = Path(self.config.logdir) / run.run_id
-        writes, compared, unread = [], [], []
+        compared, unread = [], []
         for notebook_id, relative_path, executed_path in self.store.comparisons_due(run):
             try:
                 original = nbmodel.parse_notebook((tree / relative_path).read_bytes())
@@ -384,41 +384,21 @@ class Pipeline:
                 if isinstance(exc, OSError):
                     unread.append(exc)
                 continue
-            try:
-                metrics, comparisons = comparemod.compare_notebooks(
-                    original, executed, notebook_id=notebook_id, run_id=run.run_id)
-            except comparemod.StructuralMismatchError as exc:
-                writes.append(functools.partial(
-                    self.store.insert_unscored_metrics,
-                    notebook_id, run.run_id, exc.original_count))
-                payload = {"structural_mismatch": True,
-                           "original_code_cells": exc.original_count,
-                           "executed_code_cells": exc.executed_count}
-            else:
-                writes.append(functools.partial(self.store.insert_metrics, metrics))
-                payload = {
-                    "structural_mismatch": False,
-                    "score": metrics.score,
-                    "total_code_cells": metrics.total_code_cells,
-                    "cells": [
-                        {"cell_index": c.cell_index, "verdict": c.verdict.value,
-                         "matched_patterns": list(c.matched_patterns)}
-                        for c in comparisons
-                    ],
-                }
-            compared.append({"notebook_id": notebook_id, "run_id": run.run_id,
-                             "repository_id": run.repository_id,
-                             "structural_mismatch": payload["structural_mismatch"],
-                             "score": payload.get("score")})
-            atomic.write_text(logdir / f"{notebook_id}.comparison.json",
-                              json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            comparison = comparemod.compare_notebooks(
+                original, executed, notebook_id=notebook_id, run_id=run.run_id)
+            atomic.write_text(logdir / f"{notebook_id}.comparison.json", comparison.document)
+            compared.append(comparison.metrics)
         if self._interrupted(result):
             return result
         with self.store.transaction():
-            for write in writes:
-                write()
-        for details in compared:
-            self.events.emit("compare", "notebook_compared", **details)
+            for metrics in compared:
+                self.store.insert_metrics(metrics)
+        for metrics in compared:
+            self.events.emit("compare", "notebook_compared",
+                             notebook_id=metrics.notebook_id, run_id=metrics.run_id,
+                             repository_id=run.repository_id,
+                             structural_mismatch=metrics.structural_mismatch,
+                             score=metrics.score)
         if unread:
             result.degraded_reason = (f"{len(unread)} notebook(s) not compared, "
                                       f"the first: {unread[0]}")

@@ -20,7 +20,10 @@ reads facts stored once, in the transaction of the row they belong to: a
 failed build's phase on its run, and an execution's (type, category)
 error pairs on its row, so notebooks whose error messages differ still
 share a group. This read, compare's work and a run's deletes search the
-per-run tables by their primary keys.
+per-run tables by their primary keys. A metrics row, scored or left
+unscored by a structural mismatch, is written by the one
+``insert_metrics``. The latest run is the one with the greatest start
+time, stamped to the microsecond, then run id.
 
 The schema carries its version in ``PRAGMA user_version``. Opening an
 older store migrates it in one transaction; a newer one is refused.
@@ -136,7 +139,10 @@ class ExecutionRecord:
 
 
 def utc_now_iso() -> str:
-    return datetime.now(timezone.utc).replace(microsecond=0).isoformat()
+    """The current UTC time to the microsecond, fixed width, so two runs
+    started in one second still order by start time. A whole-second stamp
+    of an older store sorts before any fraction of its second."""
+    return datetime.now(timezone.utc).isoformat(timespec="microseconds")
 
 
 def new_invocation_id() -> str:
@@ -240,6 +246,7 @@ CREATE TABLE reproducibility_metrics (
 )"""]
 
 # The latest run of each repository: the greatest (started_at, run_id).
+# Start times carry microseconds, so the run id breaks only a true tie.
 _LATEST_RUNS = """
     SELECT * FROM (
         SELECT *, ROW_NUMBER() OVER (PARTITION BY repository_id
@@ -598,26 +605,14 @@ class Store:
                 identical_count, different_count, nondeterministic_count,
                 identical_indices, different_indices, nondeterministic_indices,
                 total_code_cells, score, structural_mismatch)
-            VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, 0)
+            VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
             """,
             (metrics.notebook_id, metrics.run_id, metrics.identical_count,
              metrics.different_count, metrics.nondeterministic_count,
              json.dumps(list(metrics.identical_indices)),
              json.dumps(list(metrics.different_indices)),
              json.dumps(list(metrics.nondeterministic_indices)),
-             metrics.total_code_cells, metrics.score),
-        )
-
-    def insert_unscored_metrics(self, notebook_id: str, run_id: str,
-                                total_code_cells: int) -> None:
-        """Row for a notebook that could not be scored (structural mismatch)."""
-        self._write(
-            """
-            INSERT INTO reproducibility_metrics (notebook_id, run_id,
-                total_code_cells, score, structural_mismatch)
-            VALUES (?, ?, ?, NULL, 1)
-            """,
-            (notebook_id, run_id, total_code_cells),
+             metrics.total_code_cells, metrics.score, metrics.structural_mismatch),
         )
 
 

@@ -22,7 +22,12 @@ from nbrepro.cli import (
     cmd_classify,
     cmd_report,
 )
-from nbrepro.compare import ScoreCategory, categorize_score, metrics_from_partition
+from nbrepro.compare import (
+    ScoreCategory,
+    categorize_score,
+    metrics_from_partition,
+    unscored_metrics,
+)
 from nbrepro.config import PipelineConfig
 from nbrepro.executor import (
     ErrorCategory,
@@ -224,7 +229,7 @@ def _mixed_store(store: Store) -> None:
         notebook_id="nbA2", run_id="alpha-2", status=ExecutionStatus.SUCCESS,
         duration_s=1.0, code_cell_count=4, markdown_code_ratio=0.0,
         errors=(), executed_notebook_path="/tmp/nbA2.ipynb"))
-    store.insert_unscored_metrics("nbA2", "alpha-2", total_code_cells=4)
+    store.insert_metrics(unscored_metrics(4, notebook_id="nbA2", run_id="alpha-2"))
 
     run("beta-2", "beta", "inv-2", _TIED, ProvisioningStatus.BUILD_FAILED,
         "DependencyInstall: ERROR: No matching distribution")
@@ -432,7 +437,8 @@ def _random_store(store: Store, rng: random.Random) -> list[BaselineRecord]:
                     errors=errors, executed_notebook_path="/tmp/out.ipynb"))
                 roll = rng.random()
                 if roll < 0.2:
-                    store.insert_unscored_metrics(notebook_id, run_id, 4)
+                    store.insert_metrics(unscored_metrics(
+                        4, notebook_id=notebook_id, run_id=run_id))
                 elif roll < 0.8:
                     cut = rng.choice((1, 4))
                     pattern = rng.randint(cut, 4)

@@ -16,7 +16,6 @@ import pytest
 from nbrepro.compare import (
     CellComparison,
     ScoreCategory,
-    StructuralMismatchError,
     Verdict,
     categorize_score,
     compare_cell,
@@ -25,6 +24,7 @@ from nbrepro.compare import (
     NONDETERMINISM_PATTERNS,
     detect_nondeterminism,
     metrics_from_partition,
+    unscored_metrics,
     normalize_output,
     strip_comments_and_strings,
 )
@@ -319,8 +319,8 @@ def test_hand_labeled_four_cell_notebook():
         code_cell("import random\nprint(random.random())",
                   [stream_output("0.97\n")]),
     ]))
-    metrics, comparisons = compare_notebooks(original, executed,
-                                             notebook_id="nb", run_id="run")
+    result = compare_notebooks(original, executed, notebook_id="nb", run_id="run")
+    metrics, comparisons = result.metrics, result.cells
     assert (metrics.identical_count, metrics.different_count,
             metrics.nondeterministic_count) == (2, 1, 1)
     assert metrics.score == 0.5
@@ -340,13 +340,20 @@ def test_self_comparison_identity_on_fixture_notebooks():
         assert metrics.score == 1.0, path.name
 
 
-def test_structural_mismatch_aborts():
+def test_structural_mismatch_is_an_unscored_value():
     original = parse_notebook(notebook_bytes([code_cell("a"), code_cell("b")]))
     executed = parse_notebook(notebook_bytes([code_cell("a")]))
-    with pytest.raises(StructuralMismatchError) as excinfo:
-        compute_metrics(original, executed)
-    assert excinfo.value.original_count == 2
-    assert excinfo.value.executed_count == 1
+    result = compare_notebooks(original, executed, notebook_id="nb", run_id="run")
+    assert result.metrics == unscored_metrics(2, notebook_id="nb", run_id="run")
+    assert (result.metrics.structural_mismatch, result.metrics.score,
+            result.metrics.total_code_cells) == (True, None, 2)
+    assert (result.metrics.identical_count, result.metrics.different_count,
+            result.metrics.nondeterministic_count) == (0, 0, 0)
+    assert result.cells == ()
+    assert json.loads(result.document) == {
+        "structural_mismatch": True, "original_code_cells": 2,
+        "executed_code_cells": 1}
+    assert compute_metrics(original, executed) == unscored_metrics(2)
 
 
 def test_zero_code_cells_score_undefined():

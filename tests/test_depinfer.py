@@ -262,6 +262,16 @@ def test_magic_install_lines():
         ("packaging", "==21.0"), ("tqdm", None), ("rich", None)]
 
 
+def test_magic_install_option_values_are_not_requirements():
+    source = ("!pip install -r requirements.txt\n"
+              "%pip install -c constraints.txt --index-url https://example.org/simple tqdm\n"
+              "!pip install --target=/opt/lib -t vendor --requirement=reqs.txt rich\n"
+              "!pip install -U --find-links wheels -e . packaging==21.0")
+    reqs = extract_magic_installs(source)
+    assert [(r.distribution_name, r.version_constraint) for r in reqs] == [
+        ("tqdm", None), ("rich", None), ("packaging", "==21.0")]
+
+
 # ---- synthesis --------------------------------------------------------------------------------
 
 def _repo(tmp_path, manifest_paths=()):
@@ -328,6 +338,20 @@ def test_lexicographically_first_manifest_authoritative(tmp_path):
     spec = synthesize_dependency_spec(
         _repo(tmp_path, ["a/requirements.txt", "b/requirements.txt"]), [])
     assert [r.distribution_name for r in spec.requirements] == ["alpha"]
+
+
+def test_root_manifest_beats_a_nested_one(tmp_path, caplog):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "requirements.txt").write_text("numpy==1.21\n")
+    (tmp_path / "docs" / "requirements.txt").write_text("sphinx\n")
+    (tmp_path / "setup.py").write_text('setup(install_requires=["scipy"])\n')
+    (tmp_path / "docs" / "setup.py").write_text('setup(install_requires=["furo"])\n')
+    caplog.set_level(logging.INFO, logger="nbrepro.depinfer")
+    spec = synthesize_dependency_spec(_repo(tmp_path, [
+        "docs/requirements.txt", "docs/setup.py", "requirements.txt", "setup.py"]), [])
+    assert spec.synthesized_manifest == "numpy==1.21\nscipy\n"
+    assert any("using requirements.txt (also saw docs/requirements.txt)"
+               in r.getMessage() for r in caplog.records)
 
 
 def test_synthesis_deterministic_and_sorted(tmp_path):

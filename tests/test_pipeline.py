@@ -117,12 +117,24 @@ def test_execute_and_compare_full_wiring(env):
     logdir = Path(config.logdir) / run.run_id
     assert (logdir / "build.log").exists()
     descriptors = store.list_notebooks(result.repository_id)
+    verdicts = {"stable.ipynb": ("Identical", "1.0"),
+                "drift.ipynb": ("Different", "0.0")}
     for descriptor in descriptors:
         assert (logdir / f"{descriptor.notebook_id}.execution.log").exists()
-        comparison = json.loads(
-            (logdir / f"{descriptor.notebook_id}.comparison.json").read_text())
-        assert comparison["structural_mismatch"] is False
-        assert len(comparison["cells"]) == 1
+        verdict, score = verdicts[descriptor.relative_path]
+        assert (logdir / f"{descriptor.notebook_id}.comparison.json").read_text() == (
+            '{\n'
+            '  "cells": [\n'
+            '    {\n'
+            '      "cell_index": 0,\n'
+            '      "matched_patterns": [],\n'
+            f'      "verdict": "{verdict}"\n'
+            '    }\n'
+            '  ],\n'
+            f'  "score": {score},\n'
+            '  "structural_mismatch": false,\n'
+            '  "total_code_cells": 1\n'
+            '}\n')
 
     # rerunning the comparison stage is a no-op for already-compared rows
     assert pipeline.compare_run(finished).completed
@@ -150,18 +162,27 @@ def test_structural_mismatch_persists_unscored(env):
         code_cell("a", [stream_output("1\n")], 1)])
     pipeline.map_repositories([run], pipeline.execute_run)
     pipeline.compare_run(store.get_run(run.run_id))
-    (metrics,) = store_rows(store, "reproducibility_metrics", run_id=run.run_id)
-    assert metrics["structural_mismatch"] == 1
-    assert metrics["score"] is None
     descriptor = store.list_notebooks(result.repository_id)[0]
+    (metrics,) = store_rows(store, "reproducibility_metrics", run_id=run.run_id)
+    assert metrics == {
+        "notebook_id": descriptor.notebook_id, "run_id": run.run_id,
+        "identical_count": 0, "different_count": 0, "nondeterministic_count": 0,
+        "identical_indices": "[]", "different_indices": "[]",
+        "nondeterministic_indices": "[]", "total_code_cells": 2, "score": None,
+        "structural_mismatch": 1}
     (event,) = _events(config, "notebook_compared")
-    assert (event["notebook_id"], event["structural_mismatch"], event["score"]) == (
-        descriptor.notebook_id, True, None)
-    comparison = json.loads(
-        (Path(config.logdir) / run.run_id /
-         f"{descriptor.notebook_id}.comparison.json").read_text())
-    assert comparison["structural_mismatch"] is True
-    assert comparison["original_code_cells"] == 2
+    assert {k: v for k, v in event.items() if k not in ("ts", "invocation_id")} == {
+        "stage": "compare", "event": "notebook_compared",
+        "notebook_id": descriptor.notebook_id, "run_id": run.run_id,
+        "repository_id": result.repository_id, "structural_mismatch": True,
+        "score": None}
+    assert (Path(config.logdir) / run.run_id /
+            f"{descriptor.notebook_id}.comparison.json").read_text() == (
+        '{\n'
+        '  "executed_code_cells": 1,\n'
+        '  "original_code_cells": 2,\n'
+        '  "structural_mismatch": true\n'
+        '}\n')
 
 
 def test_all_kernels_missing_marks_run_kernel_not_found(env):

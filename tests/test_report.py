@@ -9,7 +9,7 @@ from itertools import chain, repeat
 
 import pytest
 
-from nbrepro.compare import metrics_from_partition
+from nbrepro.compare import metrics_from_partition, unscored_metrics
 from nbrepro.executor import (
     ErrorCategory,
     ExecutionError,
@@ -82,7 +82,8 @@ def populate_random_store(store: Store, rng: random.Random) -> None:
                 markdown_code_ratio=None, errors=errors,
                 executed_notebook_path="/tmp/out.ipynb"))
             if rng.random() < 0.2:
-                store.insert_unscored_metrics(nb_id, run_id, total)
+                store.insert_metrics(unscored_metrics(
+                    total, notebook_id=nb_id, run_id=run_id))
             else:
                 indices = list(range(total))
                 rng.shuffle(indices)

@@ -13,7 +13,7 @@ import pytest
 
 import nbrepro.store
 from nbrepro.cli import _classification
-from nbrepro.compare import metrics_from_partition
+from nbrepro.compare import metrics_from_partition, unscored_metrics
 from nbrepro.executor import ErrorCategory, ExecutionError, ExecutionRecord, ExecutionStatus
 from nbrepro.outcomes import BaselineRecord
 from nbrepro.report import aggregate_corpus
@@ -190,7 +190,7 @@ def test_unscored_metrics_row(store):
     _run(store)
     _notebook(store)
     _execution(store)
-    store.insert_unscored_metrics("nb1", "run1", total_code_cells=7)
+    store.insert_metrics(unscored_metrics(7, notebook_id="nb1", run_id="run1"))
     (loaded,) = store_rows(store, "reproducibility_metrics", notebook_id="nb1")
     assert loaded["structural_mismatch"] == 1
     assert loaded["score"] is None
@@ -206,6 +206,30 @@ def test_latest_runs_picks_most_recent(store):
                                invocation_id="i2",
                                started_at="2026-08-02T00:00:00+00:00"))
     assert store.latest_runs()["repo1"].run_id == "new"
+
+
+def test_runs_started_in_one_second_order_by_start_time(store, monkeypatch):
+    """The later of two runs started within one second is the latest, even
+    when its random id sorts first; a whole-second stamp of an older store
+    sorts before every fraction of its second."""
+    from datetime import datetime, timezone
+
+    stamps = iter(datetime(2026, 8, 1, 12, 0, 0, micros, tzinfo=timezone.utc)
+                  for micros in (100_000, 900_000))
+
+    class Clock(datetime):
+        @classmethod
+        def now(cls, tz=None):
+            return next(stamps)
+
+    monkeypatch.setattr(nbrepro.store, "datetime", Clock)
+    store.upsert_repository(_repo())
+    store.insert_run(RunRecord(run_id="z" * 32, repository_id="repo1",
+                               invocation_id="i0",
+                               started_at="2026-08-01T12:00:00+00:00"))
+    _run(store, run_id="f" * 32, invocation="i1")
+    _run(store, run_id="0" * 32, invocation="i2")
+    assert store.latest_runs()["repo1"].run_id == "0" * 32
 
 
 def test_execution_round_trip_with_errors(store):
