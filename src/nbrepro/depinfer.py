@@ -14,6 +14,7 @@ import ast
 import json
 import logging
 import re
+import shlex
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -299,13 +300,21 @@ def map_import_to_distribution(module_name: str,
 
 
 def extract_magic_installs(source: str) -> list[PackageRequirement]:
-    """Requirements named by ``!pip install`` / ``%pip install`` cell lines."""
+    """Requirements named by ``!pip install`` / ``%pip install`` cell lines.
+
+    The arguments are split as the shell splits them: quotes are removed
+    and a trailing ``#`` comment is dropped. A line with an unclosed quote,
+    which the shell would refuse, names nothing.
+    """
     requirements: list[PackageRequirement] = []
     for line in source.split("\n"):
         match = _MAGIC_INSTALL_RE.match(line)
         if not match:
             continue
-        tokens = match.group(1).split()
+        try:
+            tokens = shlex.split(match.group(1), comments=True)
+        except ValueError:
+            continue
         for option, token in zip([None, *tokens], tokens):
             if token.startswith("-") or option in _PIP_OPTIONS_WITH_VALUE:
                 continue

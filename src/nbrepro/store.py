@@ -2,9 +2,10 @@
 
 The records of repositories, notebooks, runs and executions, with the
 execution statuses and error categories, are defined here; the stage
-modules import them, and this module imports no stage. One SQLite file holds the normalized schema linking repositories,
-notebooks, runs, executions, and reproducibility metrics through stable
-identifiers, so results stay joinable across invocations. Reads and
+modules import them, and this module imports no stage. One SQLite file
+holds the normalized schema linking repositories, notebooks, runs,
+executions, and reproducibility metrics through stable identifiers, so
+results stay joinable across invocations. Reads and
 writes share the one connection and are serialized behind one re-entrant
 lock. Every write runs inside ``Store.transaction()``, so the writes of one
 block are recorded whole or not at all. The store reads only what the
@@ -19,14 +20,16 @@ and report both fold it, and only classify decodes the ids. It
 reads facts stored once, in the transaction of the row they belong to: a
 failed build's phase on its run, and an execution's (type, category)
 error pairs on its row, so notebooks whose error messages differ still
-share a group. This read, compare's work and a run's deletes search the
-per-run tables by their primary keys. A metrics row, scored or left
-unscored by a structural mismatch, is written by the one
-``insert_metrics``. The latest run is the one with the greatest start
-time, stamped to the microsecond, then run id.
+share a group. The per-run tables, executions and metrics, are keyed by
+(run, notebook), so a run's rows sit together in their primary-key
+indexes; this read, compare's work and a run's deletes search those keys
+run first. A metrics row, scored or left unscored by a structural
+mismatch, is written by the one ``insert_metrics``. The latest run is the
+one with the greatest start time, stamped to the microsecond, then run id.
 
 The schema carries its version in ``PRAGMA user_version``. Opening an
-older store migrates it in one transaction; a newer one is refused.
+older store migrates it in one transaction, one version after another; a
+newer one is refused.
 """
 
 from __future__ import annotations
@@ -153,7 +156,7 @@ class StoreError(Exception):
     pass
 
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _one_of(column: str, enum: type[Enum]) -> str:
@@ -161,9 +164,10 @@ def _one_of(column: str, enum: type[Enum]) -> str:
     return f"CHECK ({column} IN ({values}))"
 
 
-# The run and execution tables as version 1 defines them. The migration from
-# version 0 rebuilds both from these statements, so a migrated store's DDL
-# equals a new one's.
+# The tables that migrations rebuild, as the current version defines them.
+# Every migration rebuilds from these statements, so a migrated store's DDL
+# equals a new one's. The per-run tables are keyed run first, so a run's
+# rows sit together in their primary-key indexes.
 _RUNS_DDL = f"""
 CREATE TABLE repository_runs (
     run_id TEXT PRIMARY KEY,
@@ -194,11 +198,32 @@ CREATE TABLE notebook_executions (
     errors TEXT NOT NULL DEFAULT '[]',
     error_pairs TEXT NOT NULL DEFAULT '[]',
     executed_notebook_path TEXT,
-    PRIMARY KEY (notebook_id, run_id),
+    PRIMARY KEY (run_id, notebook_id),
     CHECK (status != 'Success'
            OR (errors = '[]' AND executed_notebook_path IS NOT NULL)),
     CHECK (status = 'Skipped' OR duration_s IS NOT NULL),
     CHECK ((errors = '[]') = (error_pairs = '[]'))
+)"""
+
+_METRICS_DDL = """
+CREATE TABLE reproducibility_metrics (
+    notebook_id TEXT NOT NULL,
+    run_id TEXT NOT NULL,
+    identical_count INTEGER NOT NULL DEFAULT 0,
+    different_count INTEGER NOT NULL DEFAULT 0,
+    nondeterministic_count INTEGER NOT NULL DEFAULT 0,
+    identical_indices TEXT NOT NULL DEFAULT '[]',
+    different_indices TEXT NOT NULL DEFAULT '[]',
+    nondeterministic_indices TEXT NOT NULL DEFAULT '[]',
+    total_code_cells INTEGER NOT NULL DEFAULT 0,
+    score REAL CHECK (score IS NULL OR (score >= 0.0 AND score <= 1.0)),
+    structural_mismatch INTEGER NOT NULL DEFAULT 0,
+    PRIMARY KEY (run_id, notebook_id),
+    FOREIGN KEY (run_id, notebook_id)
+        REFERENCES notebook_executions(run_id, notebook_id),
+    CHECK (structural_mismatch = 1
+           OR identical_count + different_count + nondeterministic_count
+              = total_code_cells)
 )"""
 
 _SCHEMA = ["""
@@ -224,26 +249,7 @@ CREATE TABLE notebooks (
     parse_failed INTEGER NOT NULL DEFAULT 0,
     parse_error TEXT,
     UNIQUE (repository_id, relative_path)
-)""", _RUNS_DDL, _EXECUTIONS_DDL, """
-CREATE TABLE reproducibility_metrics (
-    notebook_id TEXT NOT NULL,
-    run_id TEXT NOT NULL,
-    identical_count INTEGER NOT NULL DEFAULT 0,
-    different_count INTEGER NOT NULL DEFAULT 0,
-    nondeterministic_count INTEGER NOT NULL DEFAULT 0,
-    identical_indices TEXT NOT NULL DEFAULT '[]',
-    different_indices TEXT NOT NULL DEFAULT '[]',
-    nondeterministic_indices TEXT NOT NULL DEFAULT '[]',
-    total_code_cells INTEGER NOT NULL DEFAULT 0,
-    score REAL CHECK (score IS NULL OR (score >= 0.0 AND score <= 1.0)),
-    structural_mismatch INTEGER NOT NULL DEFAULT 0,
-    PRIMARY KEY (notebook_id, run_id),
-    FOREIGN KEY (notebook_id, run_id)
-        REFERENCES notebook_executions(notebook_id, run_id),
-    CHECK (structural_mismatch = 1
-           OR identical_count + different_count + nondeterministic_count
-              = total_code_cells)
-)"""]
+)""", _RUNS_DDL, _EXECUTIONS_DDL, _METRICS_DDL]
 
 # The latest run of each repository: the greatest (started_at, run_id).
 # Start times carry microseconds, so the run id breaks only a true tie.
@@ -569,15 +575,12 @@ class Store:
     def delete_run_results(self, run: RunRecord) -> None:
         """Drop a run's metrics rows, then the execution rows they reference.
 
-        A run's rows are about its repository's notebooks; naming them lets
-        both deletes search the primary keys instead of scanning the tables.
+        Both tables are keyed run first, so each delete searches its primary
+        key for the run's rows instead of scanning the table.
         """
-        own = ("run_id = ? AND notebook_id IN"
-               " (SELECT notebook_id FROM notebooks WHERE repository_id = ?)")
         with self.transaction():
             for table in ("reproducibility_metrics", "notebook_executions"):
-                self._write(f"DELETE FROM {table} WHERE {own}",
-                            (run.run_id, run.repository_id))
+                self._write(f"DELETE FROM {table} WHERE run_id = ?", (run.run_id,))
 
     def comparisons_due(self, run: RunRecord) -> list[sqlite3.Row]:
         """``(notebook_id, relative_path, executed_notebook_path)``, ordered
@@ -687,6 +690,18 @@ def _error_pairs(pairs: Iterable[list[str]]) -> str:
     return json.dumps(list(pairs))
 
 
+def _rebuild(conn: sqlite3.Connection, table: str, ddl: str,
+             columns: str = "*") -> None:
+    """Rebuild ``table`` from ``ddl``, copying its rows in rowid order as
+    ``columns`` selects them from the old table. The caller has turned the
+    foreign keys off and ``legacy_alter_table`` on, so the references of
+    other tables keep naming ``table``."""
+    conn.execute(f"ALTER TABLE {table} RENAME TO {table}_old")
+    conn.execute(ddl)
+    conn.execute(f"INSERT INTO {table} SELECT {columns} FROM {table}_old ORDER BY rowid")
+    conn.execute(f"DROP TABLE {table}_old")
+
+
 def _migrate_0_to_1(conn: sqlite3.Connection) -> None:
     """Version 1 adds enum checks on the run and execution statuses, and
     stores a failed build's phase and an execution's error pairs. Both
@@ -697,27 +712,24 @@ def _migrate_0_to_1(conn: sqlite3.Connection) -> None:
 
     conn.create_function("build_phase", 2, _build_phase, deterministic=True)
     conn.create_function("error_pairs", 1, error_pairs, deterministic=True)
-    for table, ddl in (("repository_runs", _RUNS_DDL),
-                       ("notebook_executions", _EXECUTIONS_DDL)):
-        conn.execute(f"ALTER TABLE {table} RENAME TO {table}_v0")
-        conn.execute(ddl)
-    conn.execute("""
-        INSERT INTO repository_runs
-        SELECT run_id, repository_id, invocation_id, started_at, finished_at,
-               provisioning_status, status_reason, image_reference, revision,
-               build_phase(provisioning_status, status_reason), NULL
-        FROM repository_runs_v0""")
-    conn.execute("""
-        INSERT INTO notebook_executions
-        SELECT notebook_id, run_id, status, duration_s, code_cell_count,
-               markdown_code_ratio, errors,
-               CASE errors WHEN '[]' THEN '[]' ELSE error_pairs(errors) END,
-               executed_notebook_path
-        FROM notebook_executions_v0""")
-    for table in ("notebook_executions_v0", "repository_runs_v0"):
-        conn.execute(f"DROP TABLE {table}")
+    _rebuild(conn, "repository_runs", _RUNS_DDL, """
+        run_id, repository_id, invocation_id, started_at, finished_at,
+        provisioning_status, status_reason, image_reference, revision,
+        build_phase(provisioning_status, status_reason), NULL""")
+    _rebuild(conn, "notebook_executions", _EXECUTIONS_DDL, """
+        notebook_id, run_id, status, duration_s, code_cell_count,
+        markdown_code_ratio, errors,
+        CASE errors WHEN '[]' THEN '[]' ELSE error_pairs(errors) END,
+        executed_notebook_path""")
+
+
+def _migrate_1_to_2(conn: sqlite3.Connection) -> None:
+    """Version 2 keys the execution and metrics rows by (run, notebook).
+    Both tables are rebuilt with the same columns and rows."""
+    _rebuild(conn, "notebook_executions", _EXECUTIONS_DDL)
+    _rebuild(conn, "reproducibility_metrics", _METRICS_DDL)
 
 
 # _MIGRATIONS[v] migrates a store of version v to version v + 1.
-_MIGRATIONS = [_migrate_0_to_1]
+_MIGRATIONS = [_migrate_0_to_1, _migrate_1_to_2]
 

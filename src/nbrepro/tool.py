@@ -35,9 +35,11 @@ class ToolRun:
 def run_tool(argv: list[str], timeout: float,
              env: dict[str, str] | None = None) -> ToolRun:
     """Run ``argv`` with ``env`` set over the inherited environment, killed
-    after ``timeout`` seconds; raises OSError when it cannot start."""
+    after ``timeout`` seconds; raises OSError when it cannot start. Output
+    is decoded as UTF-8, and a byte that does not decode reads as U+FFFD."""
     try:
-        done = subprocess.run(argv, capture_output=True, text=True, timeout=timeout,
+        done = subprocess.run(argv, capture_output=True, encoding="utf-8",
+                              errors="replace", timeout=timeout,
                               env=None if env is None else {**os.environ, **env})
     except subprocess.TimeoutExpired as exc:
         # What was read before the kill is bytes, even in text mode.

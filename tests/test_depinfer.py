@@ -272,6 +272,16 @@ def test_magic_install_option_values_are_not_requirements():
         ("tqdm", None), ("rich", None), ("packaging", "==21.0")]
 
 
+@pytest.mark.parametrize("line, expected", [
+    ("!pip install numpy  # for arrays", [("numpy", None)]),
+    ('!pip install "numpy>=1.2" pandas', [("numpy", ">=1.2"), ("pandas", None)]),
+    ("%pip install 'scikit-learn==1.0'", [("scikit-learn", "==1.0")]),
+])
+def test_magic_install_lines_are_split_as_the_shell_splits_them(line, expected):
+    reqs = extract_magic_installs(line)
+    assert [(r.distribution_name, r.version_constraint) for r in reqs] == expected
+
+
 # ---- synthesis --------------------------------------------------------------------------------
 
 def _repo(tmp_path, manifest_paths=()):

@@ -396,6 +396,30 @@ def test_cleanup_learns_reachability_from_its_own_listing(env):
             is ProvisioningStatus.BUILD_FAILED)
 
 
+def test_build_printing_a_non_utf8_byte_fails_with_its_log(env):
+    config, store, tmp_path = env
+    docker = FakeDocker()
+    pipeline = Pipeline(config, store, docker)
+    run_id = pipeline.infer_repository(_two_notebook_repo(tmp_path, docker)).run_id
+    executable = tmp_path / "runtime"
+    executable.write_text("#!/bin/sh\n"
+                          "[ \"$1\" = build ] || exit 0\n"
+                          "printf 'step 1\\nbad byte \\377\\n' >&2\n"
+                          "exit 1\n")
+    executable.chmod(0o755)
+    pipeline.docker = DockerCli(str(executable))
+
+    (result,) = pipeline.map_repositories([store.get_run(run_id)], pipeline.execute_run)
+
+    assert not result.degraded_reason
+    run = store.get_run(run_id)
+    assert run.provisioning_status is ProvisioningStatus.BUILD_FAILED
+    assert run.status_reason == "Other: bad byte \ufffd"
+    log = (Path(config.logdir) / run_id / "build.log").read_text("utf-8")
+    assert log.endswith("exit=1 timed_out=False\n--- stdout ---\n\n"
+                        "--- stderr ---\nstep 1\nbad byte \ufffd\n\n")
+
+
 # ---- one --jobs budget over repository stages and notebook runs ------------
 
 class _SlowDocker(FakeDocker):

@@ -345,12 +345,29 @@ def test_latest_read_searches_the_per_run_tables_by_primary_key(store):
         alias = re.search(rf"\b{table} AS (\w+)", sql).group(1)
         searches = [step for step in plan if re.fullmatch(
             rf"SEARCH {alias} USING INDEX sqlite_autoindex_{table}_1"
-            r" \(notebook_id=\? AND run_id=\?\).*", step)]
+            r" \(run_id=\? AND notebook_id=\?\).*", step)]
         assert len(searches) == 1, plan
         assert not [step for step in plan
                     if re.match(rf"SCAN ({alias}|{table})\b", step)], plan
     # The error facts are stored: no row is reduced in a subquery.
     assert not [step for step in plan if "json_each" in step or "CORRELATED" in step], plan
+
+
+def test_run_deletes_search_the_per_run_tables_by_run(store):
+    store.upsert_repository(_repo())
+    run = _run(store)
+    statements = []
+    store._conn.set_trace_callback(statements.append)
+    store.delete_run_results(run)
+    store._conn.set_trace_callback(None)
+    deletes = [statement for statement in statements if "DELETE" in statement]
+    assert len(deletes) == 2
+    for sql, table in zip(deletes, ("reproducibility_metrics", "notebook_executions")):
+        assert "SELECT" not in sql and "notebooks" not in sql, sql
+        plan = [row[3] for row in store._conn.execute("EXPLAIN QUERY PLAN " + sql)]
+        assert plan[0] == (f"SEARCH {table} USING COVERING INDEX"
+                           f" sqlite_autoindex_{table}_1 (run_id=?)"), plan
+        assert not [step for step in plan if step.startswith("SCAN")], plan
 
 
 # ---- schema version, migration and enum checks ----------------------------------
@@ -359,9 +376,11 @@ def test_latest_read_searches_the_per_run_tables_by_primary_key(store):
 # schema needs a new version, a migration to it, and a new entry here.
 _DDL_DIGESTS = {
     1: "e02b8c9165182bfd61cbd0cc448e7c6113c5723c402dd9cef4f4931701beee85",
+    2: "21c44615ef15709b4f279c650a4566eef86f055878ae813548e847902a89c5cf",
 }
 
 _V0_SCHEMA = (FIXTURES / "store_schema_v0.sql").read_text("utf-8")
+_V1_SCHEMA = (FIXTURES / "store_schema_v1.sql").read_text("utf-8")
 
 
 def _ddl(conn) -> list[tuple]:
@@ -385,15 +404,16 @@ def test_new_store_ddl_is_pinned_per_schema_version(store):
     assert store._conn.execute("PRAGMA user_version").fetchone()[0] == SCHEMA_VERSION
 
 
-def _write_v0_copy(store: Store, path) -> None:
-    """Write the rows of a store to a new version-0 store, column for
-    column, as a version-0 writer wrote them."""
+def _write_old_copy(store: Store, path, schema: str) -> None:
+    """Write the rows of a store to a new store of an older ``schema``,
+    column for column and in rowid order, as that version's writer wrote
+    them."""
     conn = sqlite3.connect(path)
-    conn.executescript(_V0_SCHEMA)
+    conn.executescript(schema)
     for (table,) in conn.execute(
             "SELECT name FROM sqlite_master WHERE type = 'table'").fetchall():
         columns = [row[1] for row in conn.execute(f"PRAGMA table_info({table})")]
-        rows = store._conn.execute(f"SELECT {', '.join(columns)} FROM {table}")
+        rows = store._conn.execute(f"SELECT {', '.join(columns)} FROM {table} ORDER BY rowid")
         conn.executemany(f"INSERT INTO {table} VALUES ({', '.join('?' * len(columns))})",
                          map(tuple, rows))
     conn.commit()
@@ -439,7 +459,7 @@ def test_version_0_store_migrates_to_equal_rows(tmp_path):
             outcomes = sorted(map(repr, groups))
             payload = _classification(baselines, store)
             summary = aggregate_corpus(store)
-            _write_v0_copy(store, old)
+            _write_old_copy(store, old, _V0_SCHEMA)
         assert _version(old) == 0
         with Store(old) as migrated:
             assert _all_rows(migrated) == expected
@@ -466,6 +486,41 @@ def test_migrated_store_ddl_equals_a_new_ones(tmp_path):
         assert "REFERENCES notebook_executions(" in dict(
             (name, sql) for _, name, _, sql in _ddl(migrated._conn)
         )["reproducibility_metrics"]
+
+
+def test_version_1_store_migrates_once_to_equal_rows(tmp_path, monkeypatch):
+    path = tmp_path / "v1.sqlite3"
+    with Store() as store:
+        _populate(store, random.Random(7))
+        tables = [name for _, name, _, _ in _ddl(store._conn)
+                  if not name.startswith("sqlite_")]
+        expected = {table: store_rows(store, table) for table in tables}
+        outcomes = sorted(map(repr, store.latest_outcomes()))
+        _write_old_copy(store, path, _V1_SCHEMA)
+    conn = sqlite3.connect(path)
+    ddl = _ddl(conn)
+    conn.close()
+    assert hashlib.sha256(repr(ddl).encode("utf-8")).hexdigest() == _DDL_DIGESTS[1]
+    assert _version(path) == 1
+    migrated_from = []
+
+    def recorded(version, migrate):
+        def migration(conn):
+            migrated_from.append(version)
+            migrate(conn)
+        return migration
+
+    monkeypatch.setattr(nbrepro.store, "_MIGRATIONS", [
+        recorded(version, migrate)
+        for version, migrate in enumerate(nbrepro.store._MIGRATIONS)])
+    for _ in range(2):
+        with Store(path) as migrated, Store() as new:
+            assert {table: store_rows(migrated, table) for table in tables} == expected
+            assert sorted(map(repr, migrated.latest_outcomes())) == outcomes
+            assert not migrated._conn.execute("PRAGMA foreign_key_check").fetchall()
+            assert sorted(_ddl(migrated._conn)) == sorted(_ddl(new._conn))
+    assert migrated_from == [1]
+    assert _version(path) == SCHEMA_VERSION
 
 
 def test_newer_store_is_refused_and_left_as_is(tmp_path):
@@ -504,16 +559,17 @@ def test_two_stores_opening_one_version_0_store_migrate_it_once(tmp_path, monkey
     with Store() as store:
         _populate(store, random.Random(3))
         expected = _all_rows(store)
-        _write_v0_copy(store, path)
+        _write_old_copy(store, path, _V0_SCHEMA)
     migrations = []
     inside = threading.Event()
-    (migrate,) = nbrepro.store._MIGRATIONS
+    chain = list(nbrepro.store._MIGRATIONS)
 
     def slow_migration(conn):
         migrations.append(threading.current_thread().name)
         inside.set()
         threading.Event().wait(0.3)  # the second opener reads version 0 meanwhile
-        migrate(conn)
+        for migrate in chain:
+            migrate(conn)
 
     monkeypatch.setattr(nbrepro.store, "_MIGRATIONS", [slow_migration])
     opened, errors = [], []
