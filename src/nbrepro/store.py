@@ -13,12 +13,13 @@ commands read: repository, notebook and run rows come back as frozen
 dataclasses, compare's due work as plain rows, and the latest-run read as
 named tuples. Execution and metrics rows are never decoded one by one;
 they are read only through joins. The latest-run read, ``latest_outcomes``,
-joins every notebook to its repository's latest run and gives one row per
-distinct (requirements flag, outcome) with how many notebooks it holds,
-their ids as JSON text and how many of them have pattern cells; classify
-and report both fold it, and only classify decodes the ids. It
-reads facts stored once, in the transaction of the row they belong to: a
-failed build's phase on its run, and an execution's (type, category)
+walks the repositories, joins each once to its latest run and then each of
+its notebooks to that run's rows, and gives one row per distinct
+(requirements flag, outcome) with how many notebooks it holds, their ids as
+JSON text and how many of them have pattern cells. The rows come in no
+specified order; classify and report both fold them whole, and only
+classify decodes the ids. It reads facts stored once, in the transaction
+of the row they belong to: a failed build's phase on its run, and an execution's (type, category)
 error pairs on its row, so notebooks whose error messages differ still
 share a group. The per-run tables, executions and metrics, are keyed by
 (run, notebook), so a run's rows sit together in their primary-key
@@ -28,13 +29,15 @@ mismatch, is written by the one ``insert_metrics``. The latest run is the
 one with the greatest start time, stamped to the microsecond, then run id.
 
 The schema carries its version in ``PRAGMA user_version``. Opening an
-older store migrates it in one transaction, one version after another; a
+older store migrates it in one transaction, one version after another, and
+then vacuums it once to give back the pages the rebuilt tables left free; a
 newer one is refused.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import sqlite3
 import threading
 import uuid
@@ -46,6 +49,8 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from nbrepro.compare import ReproducibilityMetrics
+
+logger = logging.getLogger(__name__)
 
 
 class ProvisioningStatus(Enum):
@@ -282,11 +287,15 @@ class LatestOutcome(NamedTuple):
     notebook_ids: str  # JSON list of the notebooks' ids
 
 
-# Every notebook joined to its repository's latest run and to that run's
-# execution and metrics row for it, which are searched by their primary
-# keys; grouped by the columns before ``pattern_notebooks``. The columns are
-# named as the fields of ``LatestOutcome``. An unexecuted notebook's error
-# list reads as empty.
+# Each repository joined once to its latest run, then each of its notebooks,
+# searched by the (repository, path) key, to that run's execution and
+# metrics row for it, searched by their primary keys. CROSS JOIN keeps the
+# notebooks inside the repository loop, so the latest run is looked up once
+# per repository, not once per notebook. Grouped by the columns before
+# ``pattern_notebooks``, the many-valued ones first, so the sorter's
+# comparisons stop at an early column; the groups come back in no specified
+# order. The columns are named as the fields of ``LatestOutcome``. An
+# unexecuted notebook's error list reads as empty.
 _LATEST_OUTCOMES = f"""
     SELECT r.has_requirements_file AS has_requirements_file,
            l.provisioning_status AS provisioning_status,
@@ -300,14 +309,14 @@ _LATEST_OUTCOMES = f"""
            sum(coalesce(n.nondeterministic_pattern_cells, 0) > 0) AS pattern_notebooks,
            count(*) AS notebook_count,
            json_group_array(n.notebook_id) AS notebook_ids
-    FROM notebooks AS n
-    JOIN repositories AS r ON r.repository_id = n.repository_id
-    LEFT JOIN ({_LATEST_RUNS}) AS l ON l.repository_id = n.repository_id
+    FROM repositories AS r
+    LEFT JOIN ({_LATEST_RUNS}) AS l ON l.repository_id = r.repository_id
+    CROSS JOIN notebooks AS n ON n.repository_id = r.repository_id
     LEFT JOIN notebook_executions AS e
-        ON e.notebook_id = n.notebook_id AND e.run_id = l.run_id
+        ON e.run_id = l.run_id AND e.notebook_id = n.notebook_id
     LEFT JOIN reproducibility_metrics AS m
-        ON m.notebook_id = n.notebook_id AND m.run_id = l.run_id
-    GROUP BY 1, 2, 3, 4, 5, 6, 7, 8, 9
+        ON m.run_id = l.run_id AND m.notebook_id = n.notebook_id
+    GROUP BY 8, 5, 6, 7, 1, 2, 3, 4, 9
 """
 
 
@@ -336,6 +345,7 @@ class Store:
         renaming a table away must not rewrite the references to it."""
         conn = self._conn
         found = self._check_version()
+        migrated = False
         if found < SCHEMA_VERSION:
             conn.execute("PRAGMA foreign_keys = OFF")
             conn.execute("PRAGMA legacy_alter_table = ON")
@@ -346,6 +356,7 @@ class Store:
                     if version < SCHEMA_VERSION:
                         if conn.execute("SELECT 1 FROM sqlite_master").fetchone():
                             self._migrate(version)
+                            migrated = True
                         else:
                             for statement in _SCHEMA:
                                 conn.execute(statement)
@@ -357,6 +368,18 @@ class Store:
             finally:
                 conn.execute("PRAGMA legacy_alter_table = OFF")
         conn.execute("PRAGMA foreign_keys = ON")
+        if migrated:
+            self._vacuum()
+
+    def _vacuum(self) -> None:
+        """Give back the pages that a migration's table rebuilds left free.
+        The store is correct without it, so a store that another connection
+        keeps busy past the busy timeout keeps its free pages."""
+        try:
+            self._conn.execute("VACUUM")
+        except sqlite3.OperationalError as exc:
+            logger.warning("store %s keeps the free pages of its migration: %s",
+                           self.path, exc)
 
     def _migrate(self, version: int) -> None:
         try:

@@ -3,17 +3,23 @@
 from __future__ import annotations
 
 import hashlib
+import json
+import logging
 import random
 import re
 import sqlite3
 import sys
 import threading
+from collections import Counter
+from contextlib import closing
 
 import pytest
 
+import nbrepro.report
 import nbrepro.store
-from nbrepro.cli import _classification
+from nbrepro.cli import _classification, cmd_classify, cmd_report
 from nbrepro.compare import metrics_from_partition, unscored_metrics
+from nbrepro.config import PipelineConfig
 from nbrepro.executor import ErrorCategory, ExecutionError, ExecutionRecord, ExecutionStatus
 from nbrepro.outcomes import BaselineRecord
 from nbrepro.report import aggregate_corpus
@@ -31,7 +37,12 @@ from nbrepro.store import (
 )
 
 from conftest import FIXTURES, store_rows
-from test_classify import _STATUS_PAIRS, _random_report_store
+from test_classify import (
+    _BASELINE_HEADER,
+    _STATUS_PAIRS,
+    _latest_rows,
+    _random_report_store,
+)
 
 
 @pytest.fixture()
@@ -334,13 +345,21 @@ def test_latest_read_names_its_columns_as_its_row_fields(store):
     assert columns == list(LatestOutcome._fields)
 
 
-def test_latest_read_searches_the_per_run_tables_by_primary_key(store):
+def _plans_of(store: Store, call, verb: str) -> list[tuple[str, list[str]]]:
+    """The SQL text and query-plan steps, in plan order, of each statement
+    holding ``verb`` that ``call()`` runs on the store's connection."""
     statements = []
     store._conn.set_trace_callback(statements.append)
-    store.latest_outcomes()
-    store._conn.set_trace_callback(None)
-    (sql,) = [statement for statement in statements if "SELECT" in statement]
-    plan = [row[3] for row in store._conn.execute("EXPLAIN QUERY PLAN " + sql)]
+    try:
+        call()
+    finally:
+        store._conn.set_trace_callback(None)
+    return [(sql, [row[3] for row in store._conn.execute("EXPLAIN QUERY PLAN " + sql)])
+            for sql in statements if verb in sql]
+
+
+def test_latest_read_searches_the_per_run_tables_by_primary_key(store):
+    ((sql, plan),) = _plans_of(store, store.latest_outcomes, "SELECT")
     for table in ("notebook_executions", "reproducibility_metrics"):
         alias = re.search(rf"\b{table} AS (\w+)", sql).group(1)
         searches = [step for step in plan if re.fullmatch(
@@ -353,18 +372,28 @@ def test_latest_read_searches_the_per_run_tables_by_primary_key(store):
     assert not [step for step in plan if "json_each" in step or "CORRELATED" in step], plan
 
 
+def test_latest_read_walks_repositories_then_their_notebooks(store):
+    """The latest run is searched once per repository, outside the notebook
+    loop, and each repository's notebooks by its key."""
+    ((sql, plan),) = _plans_of(store, store.latest_outcomes, "SELECT")
+    repositories, notebooks = (re.search(rf"\b{table} AS (\w+)", sql).group(1)
+                               for table in ("repositories", "notebooks"))
+    outer = plan.index(f"SCAN {repositories}")
+    (latest,) = [index for index, step in enumerate(plan)
+                 if re.match(r"SEARCH \(subquery-\d+\) .*LEFT-JOIN", step)]
+    inner = plan.index(f"SEARCH {notebooks} USING INDEX"
+                       f" sqlite_autoindex_notebooks_2 (repository_id=?)")
+    assert outer < latest < inner, plan
+    assert not [step for step in plan if re.match(rf"SCAN ({notebooks}|notebooks)\b", step)], plan
+
+
 def test_run_deletes_search_the_per_run_tables_by_run(store):
     store.upsert_repository(_repo())
     run = _run(store)
-    statements = []
-    store._conn.set_trace_callback(statements.append)
-    store.delete_run_results(run)
-    store._conn.set_trace_callback(None)
-    deletes = [statement for statement in statements if "DELETE" in statement]
+    deletes = _plans_of(store, lambda: store.delete_run_results(run), "DELETE")
     assert len(deletes) == 2
-    for sql, table in zip(deletes, ("reproducibility_metrics", "notebook_executions")):
+    for (sql, plan), table in zip(deletes, ("reproducibility_metrics", "notebook_executions")):
         assert "SELECT" not in sql and "notebooks" not in sql, sql
-        plan = [row[3] for row in store._conn.execute("EXPLAIN QUERY PLAN " + sql)]
         assert plan[0] == (f"SEARCH {table} USING COVERING INDEX"
                            f" sqlite_autoindex_{table}_1 (run_id=?)"), plan
         assert not [step for step in plan if step.startswith("SCAN")], plan
@@ -519,6 +548,8 @@ def test_version_1_store_migrates_once_to_equal_rows(tmp_path, monkeypatch):
             assert sorted(map(repr, migrated.latest_outcomes())) == outcomes
             assert not migrated._conn.execute("PRAGMA foreign_key_check").fetchall()
             assert sorted(_ddl(migrated._conn)) == sorted(_ddl(new._conn))
+            # The migration vacuumed the pages of the tables it rebuilt.
+            assert migrated._conn.execute("PRAGMA freelist_count").fetchone()[0] == 0
     assert migrated_from == [1]
     assert _version(path) == SCHEMA_VERSION
 
@@ -652,3 +683,139 @@ def test_execution_stores_its_error_pairs(store):
                 ' ["KeyError", "Logic"]]'),
         ("nb2", "[]"),
     ]
+
+
+# ---- the latest-run read against a per-notebook fold -----------------------------
+
+def _add_edge_repositories(store: Store, rng: random.Random) -> None:
+    """A repository with no run, and one whose two runs started in the same
+    second: the later, with the smaller id, ended KernelNotFound with one
+    notebook unexecuted, one unscored by a structural mismatch and one
+    scored; the earlier ran every notebook to other outcomes."""
+    store.upsert_repository(_repo("no-run", has_requirements_file=True))
+    _notebook(store, nb_id="no-run-nb", repo_id="no-run")
+    store.upsert_repository(_repo("one-second"))
+    notebook_ids = [f"one-second-nb{n}" for n in range(3)]
+    for notebook_id in notebook_ids:
+        store.upsert_notebook(NotebookDescriptor(
+            notebook_id=notebook_id, repository_id="one-second",
+            relative_path=f"{notebook_id}.ipynb",
+            nondeterministic_pattern_cells=rng.choice((None, 0, 2))))
+    for run_id, stamp, executed in (("z-early", "00.100000", notebook_ids),
+                                    ("a-late", "00.900000", notebook_ids[:2])):
+        store.insert_run(RunRecord(
+            run_id=run_id, repository_id="one-second", invocation_id=run_id,
+            started_at=f"2026-01-03T00:00:{stamp}+00:00",
+            provisioning_status=(ProvisioningStatus.KERNEL_NOT_FOUND if run_id == "a-late"
+                                 else ProvisioningStatus.ENVIRONMENT_BUILT)))
+        for notebook_id in executed:
+            _execution(store, nb_id=notebook_id, run_id=run_id)
+        mismatch, scored = executed[0], executed[1]
+        store.insert_metrics(unscored_metrics(4, notebook_id=mismatch, run_id=run_id))
+        store.insert_metrics(metrics_from_partition(
+            [0], [1, 2] if run_id == "a-late" else [], [],
+            notebook_id=scored, run_id=run_id))
+
+
+def _reference_outcomes(store: Store) -> Counter:
+    """The latest-run groups folded in Python, one notebook at a time, from
+    the plain rows joined to the latest run of their repository."""
+    latest, executions, metrics = _latest_rows(store)
+    flags = {repo["repository_id"]: repo["has_requirements_file"]
+             for repo in store_rows(store, "repositories")}
+    groups: dict[tuple, list] = {}
+    for nb in store_rows(store, "notebooks"):
+        run = latest.get(nb["repository_id"], {})
+        key = (nb["notebook_id"], run.get("run_id"))
+        execution, scored = executions.get(key, {}), metrics.get(key, {})
+        outcome = (flags[nb["repository_id"]], run.get("provisioning_status"),
+                   run.get("build_phase"), execution.get("status"),
+                   execution.get("error_pairs", "[]"), scored.get("different_count"),
+                   scored.get("nondeterministic_count"), scored.get("score"),
+                   scored.get("structural_mismatch"))
+        group = groups.setdefault(outcome, [0, 0, set()])
+        group[0] += (nb["nondeterministic_pattern_cells"] or 0) > 0
+        group[1] += 1
+        group[2].add(nb["notebook_id"])
+    return Counter(outcome + (pattern, count, frozenset(ids))
+                   for outcome, (pattern, count, ids) in groups.items())
+
+
+def test_latest_read_equals_a_per_notebook_fold():
+    rng = random.Random(17)
+    covered = Counter()
+    for _ in range(30):
+        with Store() as store:
+            _populate(store, rng)
+            _add_edge_repositories(store, rng)
+            read = Counter(tuple(group[:-1]) + (frozenset(json.loads(group.notebook_ids)),)
+                           for group in store.latest_outcomes())
+            reference = _reference_outcomes(store)
+        assert read == reference
+        for group in map(LatestOutcome._make, reference):
+            covered["no run"] += group.provisioning_status is None
+            covered["build phase"] += group.build_phase is not None
+            covered["kernel not found"] += group.provisioning_status == "KernelNotFound"
+            covered["unexecuted"] += (group.provisioning_status is not None
+                                      and group.execution_status is None)
+            covered["mismatch"] += group.structural_mismatch == 1
+            covered["pattern cells"] += group.pattern_notebooks > 0
+    assert len(covered) == 6 and all(covered.values()), covered
+
+
+def test_reports_do_not_depend_on_the_order_of_the_groups(tmp_path, monkeypatch):
+    monkeypatch.setattr(nbrepro.report, "utc_now_iso", lambda: "2026-01-01T00:00:00+00:00")
+    read = Store.latest_outcomes
+    for n in range(3):
+        rng = random.Random(n)
+        path = tmp_path / f"store{n}.sqlite3"
+        with Store(path) as store:
+            baselines = _populate(store, rng)
+            _add_edge_repositories(store, rng)
+            assert len(store.latest_outcomes()) > 1
+        baseline = tmp_path / f"baseline{n}.csv"
+        baseline.write_text(_BASELINE_HEADER + "".join(
+            f"{b.notebook_id},{b.prev_dependency_install},{b.prev_execution_status},-,-\n"
+            for b in baselines))
+        outputs = []
+        for order in (list, lambda groups: groups[::-1]):
+            monkeypatch.setattr(Store, "latest_outcomes",
+                                lambda self, order=order: order(read(self)))
+            reports = tmp_path / f"reports{n}-{len(outputs)}"
+            config = PipelineConfig(baseline_path=baseline, report_dir=reports)
+            with Store(path) as store:
+                assert cmd_classify(config, store) == 0
+                assert cmd_report(config, store) == 0
+            outputs.append({name: (reports / name).read_bytes() for name in (
+                "classification.json", "report.json", "summary.csv", "summary.md")})
+        assert outputs[0] == outputs[1]
+
+
+# ---- vacuum after a migration ----------------------------------------------------
+
+def test_a_migrated_store_that_stays_busy_keeps_its_free_pages(tmp_path, monkeypatch,
+                                                               caplog):
+    """Another connection reading between the migration's commit and the
+    vacuum leaves the free pages in place; the store opens migrated."""
+    path = tmp_path / "v1.sqlite3"
+    with Store() as store:
+        _populate(store, random.Random(7))
+        expected = _all_rows(store)
+        _write_old_copy(store, path, _V1_SCHEMA)
+    vacuum = Store._vacuum
+
+    def vacuum_while_read(self):
+        reader.execute("BEGIN")
+        reader.execute("SELECT count(*) FROM notebooks").fetchone()
+        self._conn.execute("PRAGMA busy_timeout = 0")
+        vacuum(self)
+
+    monkeypatch.setattr(Store, "_vacuum", vacuum_while_read)
+    with closing(sqlite3.connect(path)) as reader, \
+            caplog.at_level(logging.WARNING, logger="nbrepro.store"):
+        with Store(path) as migrated:
+            reader.rollback()
+            assert _all_rows(migrated) == expected
+            assert migrated._conn.execute("PRAGMA freelist_count").fetchone()[0] > 0
+    assert "keeps the free pages of its migration" in caplog.text
+    assert _version(path) == SCHEMA_VERSION
