@@ -42,7 +42,7 @@ from nbrepro.outcomes import (
 from nbrepro.store import ExecutionStatus, LatestOutcome, ProvisioningStatus, Store, StoreError
 
 if TYPE_CHECKING:
-    from nbrepro.pipeline import Pipeline, RepositoryResult
+    from nbrepro.pipeline import Pipeline
 
 logger = logging.getLogger(__name__)
 
@@ -133,54 +133,47 @@ class PredecessorStateMissing(Exception):
     """A subcommand was invoked before the stage it depends on."""
 
 
-def exit_code_for(results: list[RepositoryResult]) -> int:
-    """0 when every repository was fully assessed, 2 when any was not;
-    fatal corpus-level errors (exit 1) are raised, not returned."""
-    return EXIT_PARTIAL if any(not r.completed for r in results) else EXIT_COMPLETE
-
-
 def cmd_run(config: PipelineConfig, store: Store) -> int:
     from nbrepro.pipeline import Pipeline
 
-    if not config.inputs:
-        raise ConfigError("no repositories given; pass --input")
+    inputs = _unique(config.inputs)
+    # A baseline that cannot be read stops the run before any repository.
+    baselines = (None if config.baseline_path is None
+                 else read_baseline_csv(config.baseline_path))
     pipeline = Pipeline(config, store)
-    results = pipeline.map_repositories(_unique(config.inputs), pipeline.run_repository)
-    if config.baseline_path is not None:
-        cmd_classify(config, store)
+    code = _run_stage(pipeline, inputs, pipeline.run_repository)
+    if baselines is not None:
+        _write_classification(config, baselines, store)
     _emit_report(config, store)
-    _log_results(results)
-    return exit_code_for(results)
-
-
-def _log_results(results: list[RepositoryResult]) -> None:
-    for result in results:
-        state = "ok" if result.completed else f"degraded: {result.degraded_reason}"
-        logger.info("%s -> %s", result.url, state)
+    return code
 
 
 def _run_stage(pipeline: Pipeline, items: list, stage) -> int:
-    """Map one stage over the corpus, log one line per repository and
-    return the exit code."""
+    """Map one stage over the corpus and log one line per repository. The
+    exit code is 0 when every repository was fully assessed and 2 when any
+    was not; fatal corpus-level errors (exit 1) are raised, not returned."""
     results = pipeline.map_repositories(items, stage)
-    _log_results(results)
-    return exit_code_for(results)
+    for result in results:
+        state = "ok" if result.completed else f"degraded: {result.degraded_reason}"
+        logger.info("%s -> %s", result.url, state)
+    return EXIT_PARTIAL if any(not r.completed for r in results) else EXIT_COMPLETE
 
 
 def cmd_infer(config: PipelineConfig, store: Store) -> int:
     from nbrepro.pipeline import Pipeline
 
-    if not config.inputs:
-        raise ConfigError("no repositories given; pass --input")
+    inputs = _unique(config.inputs)
     pipeline = Pipeline(config, store)
-    return _run_stage(pipeline, _unique(config.inputs), pipeline.infer_repository)
+    return _run_stage(pipeline, inputs, pipeline.infer_repository)
 
 
 def _unique(inputs: list[str]) -> list[str]:
     """One input per repository, the first spelling kept: one run per
-    repository per invocation."""
+    repository per invocation. No input at all is a fatal error."""
     from nbrepro import corpus
 
+    if not inputs:
+        raise ConfigError("no repositories given; pass --input")
     first: dict[str, str] = {}
     for raw in inputs:
         first.setdefault(corpus.repository_id_for(corpus.canonical_input(raw)), raw)
@@ -188,17 +181,14 @@ def _unique(inputs: list[str]) -> list[str]:
 
 
 def cmd_execute(config: PipelineConfig, store: Store) -> int:
-    from nbrepro.containerize import DockerCli
     from nbrepro.pipeline import Pipeline
 
-    docker = DockerCli(config.docker_executable)
-    if not docker.available():
+    pipeline = Pipeline(config, store)
+    if not pipeline.docker.available():
         raise PredecessorStateMissing(
             f"container runtime {config.docker_executable!r} is not reachable; "
             "the execute stage requires one")
-    pipeline = Pipeline(config, store, docker)
-    runs = [run for run in store.latest_runs().values()
-            if run.provisioning_status is ProvisioningStatus.PENDING]
+    runs = pipeline.runs_awaiting("execute")
     if not runs:
         raise PredecessorStateMissing(
             "no inferred runs are awaiting execution; run the infer "
@@ -210,14 +200,11 @@ def cmd_compare(config: PipelineConfig, store: Store) -> int:
     from nbrepro.pipeline import Pipeline
 
     pipeline = Pipeline(config, store)
-    # Only runs that execute finished so hold execution rows.
-    executed = (ProvisioningStatus.ENVIRONMENT_BUILT, ProvisioningStatus.KERNEL_NOT_FOUND)
-    candidates = [run for run in store.latest_runs().values()
-                  if run.provisioning_status in executed]
-    if not candidates:
+    runs = pipeline.runs_awaiting("compare")
+    if not runs:
         raise PredecessorStateMissing(
             "no executed artifacts for run; run the execute subcommand first")
-    return _run_stage(pipeline, candidates, pipeline.compare_run)
+    return _run_stage(pipeline, runs, pipeline.compare_run)
 
 
 def cmd_report(config: PipelineConfig, store: Store) -> int:
@@ -229,13 +216,18 @@ def cmd_classify(config: PipelineConfig, store: Store) -> int:
     if config.baseline_path is None:
         raise ConfigError(
             "outcome classification requires a baseline export; pass --baseline")
+    _write_classification(config, read_baseline_csv(config.baseline_path), store)
+    return EXIT_COMPLETE
+
+
+def _write_classification(config: PipelineConfig, baselines: list[BaselineRecord],
+                          store: Store) -> None:
     # The store rows stay inside _classification, so they are freed before
     # the payload is rendered.
-    payload = _classification(read_baseline_csv(config.baseline_path), store)
+    payload = _classification(baselines, store)
     out_path = Path(config.report_dir) / CLASSIFICATION_FILE
     atomic.write_text(out_path, _render_classification(payload))
     logger.info("classification written to %s", out_path)
-    return EXIT_COMPLETE
 
 
 def _classification(baselines: list[BaselineRecord], store: Store) -> dict:

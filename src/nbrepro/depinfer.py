@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     from nbrepro.store import Repository
@@ -35,6 +35,8 @@ _COMPARISON_OPS = ("===", "==", "~=", "!=", ">=", "<=", ">", "<")
 _OPAQUE_PREFIXES = ("git+", "hg+", "svn+", "bzr+")
 _REQUIREMENT_RE = re.compile(r"^([A-Za-z0-9][A-Za-z0-9._-]*)\s*(\[[^\]]*\])?\s*(.*)$")
 _COMMENT_RE = re.compile(r"(^|\s)#.*$")
+# Where a requirement's own options (``--hash=...``) begin.
+_REQUIREMENT_OPTIONS_RE = re.compile(r"\s+(?=-)")
 _IMPORT_LINE_RE = re.compile(r"^\s*import\s+(.+)$")
 _FROM_LINE_RE = re.compile(r"^\s*from\s+([.\w]+)\s+import\b")
 _MAGIC_INSTALL_RE = re.compile(r"^\s*[%!]\s*pip3?\s+install\s+(.+)$")
@@ -87,15 +89,19 @@ class DependencySpec:
 def parse_requirements_manifest(text: str) -> list[PackageRequirement]:
     """Parse requirements-file lines into requirements.
 
-    Comment and blank lines are dropped; option lines (-r, --index-url, ...)
-    are skipped with a warning; editable, VCS, and URL lines are preserved
-    verbatim as opaque requirements; everything else splits into name and
-    constraint at the first comparison operator. Unparseable lines warn and
-    are skipped, never fatal.
+    Lines are read as pip reads them: a line that ends in a backslash, and
+    is not a comment, continues on the next, and comments are stripped
+    after the join. Blank lines are dropped; option lines (-r,
+    --index-url, ...) are skipped with a warning; editable, VCS, and URL
+    lines are preserved verbatim as opaque requirements; a requirement's
+    own options (--hash, ...) are dropped with a warning, so the manifest
+    never puts pip in hash-checking mode; everything else splits into name
+    and constraint at the first comparison operator. Unparseable lines warn
+    and are skipped, never fatal.
     """
     requirements: list[PackageRequirement] = []
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = _COMMENT_RE.sub("", raw_line).strip()
+    for lineno, joined in _joined_lines(text):
+        line = _COMMENT_RE.sub("", joined).strip()
         if not line:
             continue
         if line.startswith(("-e ", "-e\t", "--editable")):
@@ -106,6 +112,10 @@ def parse_requirements_manifest(text: str) -> list[PackageRequirement]:
             logger.warning("requirements line %d is an option, skipped: %s",
                            lineno, line)
             continue
+        line, *options = _REQUIREMENT_OPTIONS_RE.split(line, maxsplit=1)
+        if options:
+            logger.warning("requirements line %d: options dropped: %s",
+                           lineno, " ".join(options[0].split()))
         if "://" in line or line.startswith(_OPAQUE_PREFIXES):
             requirements.append(_opaque_requirement(
                 line, RequirementOrigin.DECLARED_REQUIREMENTS))
@@ -117,6 +127,23 @@ def parse_requirements_manifest(text: str) -> list[PackageRequirement]:
             continue
         requirements.append(parsed)
     return requirements
+
+
+def _joined_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The logical lines of a requirements file with the number of each
+    one's first physical line, continuations joined as pip joins them."""
+    first, parts = None, []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        comment = line.lstrip().startswith("#")
+        if line.endswith("\\") and not comment:
+            first = first or lineno
+            parts.append(line[:-1])
+            continue
+        # A space keeps a comment that ends a continuation a comment.
+        yield first or lineno, "".join(parts) + (" " + line if comment else line)
+        first, parts = None, []
+    if parts:
+        yield first, "".join(parts)
 
 
 def parse_requirement_line(line: str, origin: RequirementOrigin
@@ -414,16 +441,17 @@ def _declared_from_tree(tree: Path,
     requirements_files = [p for p in paths if Path(p).name == "requirements.txt"]
     setup_files = [p for p in paths if Path(p).name == "setup.py"]
 
+    # Both are read past a byte-order mark, as some editors save one.
     declared: list[PackageRequirement] = []
     if requirements_files:
         if len(requirements_files) > 1:
             logger.info("multiple requirements manifests, using %s (also saw %s)",
                         requirements_files[0], ", ".join(requirements_files[1:]))
         declared.extend(parse_requirements_manifest(
-            (tree / requirements_files[0]).read_text("utf-8", errors="replace")))
+            (tree / requirements_files[0]).read_text("utf-8-sig", errors="replace")))
     if setup_files:
         if len(setup_files) > 1:
             logger.info("multiple setup scripts, using %s", setup_files[0])
         declared.extend(parse_setup_manifest(
-            (tree / setup_files[0]).read_text("utf-8", errors="replace")))
+            (tree / setup_files[0]).read_text("utf-8-sig", errors="replace")))
     return declared

@@ -240,10 +240,11 @@ def read_baseline_csv(path: Path | str) -> list[BaselineRecord]:
     """Load baseline records from the flat comma-delimited export.
 
     Columns are found by name in the header; blank lines are skipped. A
-    missing column or a row too short to hold every column is an error.
-    ``prev_diff_cells`` and ``prev_duration_s`` must be present but are not
-    read."""
+    missing column, a row too short to hold every column, or a notebook id
+    on two rows is an error. ``prev_diff_cells`` and ``prev_duration_s``
+    must be present but are not read."""
     records: list[BaselineRecord] = []
+    line_of: dict[str, int] = {}
     # Spreadsheet tools may open the export with a byte-order mark.
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -263,8 +264,14 @@ def read_baseline_csv(path: Path | str) -> list[BaselineRecord]:
                 raise ValueError(
                     f"baseline file line {reader.line_num} is short: "
                     f"{len(row)} fields, the baseline columns need {width}")
+            notebook_id = row[notebook].strip()
+            first = line_of.setdefault(notebook_id, reader.line_num)
+            if first != reader.line_num:
+                raise ValueError(
+                    f"baseline file repeats notebook {notebook_id!r} on lines "
+                    f"{first} and {reader.line_num}")
             records.append(BaselineRecord(
-                row[notebook].strip(), row[install].strip(), row[status].strip()))
+                notebook_id, row[install].strip(), row[status].strip()))
     return records
 
 

@@ -15,9 +15,13 @@ outcome in one transaction on that repository's thread, never a partial
 one, and compare finds its work with one query. After Ctrl-C, no further
 container starts and nothing is recorded. Every stage appends
 machine-parseable events, each naming the invocation, to the event log
-alongside the raw tool logs. All parallelism lives here. A stage returns
-one ``RepositoryResult`` per repository; the CLI turns them into an exit
-code, and the read-only commands never import this module.
+alongside the raw tool logs. All parallelism lives here. One table,
+``NEXT_STAGE``, sends a stored run to its next stage by its status: the
+execute and compare stages take the latest runs it sends them, and
+``run_repository`` follows it after infer. The pipeline builds the one
+runtime client. A stage returns one ``RepositoryResult`` per repository;
+the CLI turns them into an exit code, and the read-only commands never
+import this module.
 """
 
 from __future__ import annotations
@@ -34,12 +38,17 @@ from pathlib import Path
 from nbrepro import atomic, compare as comparemod
 from nbrepro import containerize, corpus, depinfer, executor, notebook as nbmodel
 from nbrepro.config import PipelineConfig
-from nbrepro.containerize import BuildFailure, DockerCli
+from nbrepro.containerize import BuildFailure
 from nbrepro.store import (
     ExecutionRecord, ExecutionStatus, NotebookDescriptor, ProvisioningStatus,
     Repository, RunRecord, Store, new_invocation_id, utc_now_iso)
 
 logger = logging.getLogger(__name__)
+
+# The stage a stored run goes to next, by its status; other statuses are final.
+NEXT_STAGE = {ProvisioningStatus.PENDING: "execute",
+              ProvisioningStatus.ENVIRONMENT_BUILT: "compare",
+              ProvisioningStatus.KERNEL_NOT_FOUND: "compare"}
 
 @dataclass
 class RepositoryResult:
@@ -132,10 +141,10 @@ class WorkBudget:
 
 class Pipeline:
     def __init__(self, config: PipelineConfig, store: Store,
-                 docker: DockerCli | None = None) -> None:
+                 docker: containerize.DockerCli | None = None) -> None:
         self.config = config
         self.store = store
-        self.docker = docker or DockerCli(config.docker_executable)
+        self.docker = docker or containerize.DockerCli(config.docker_executable)
         self.budget = WorkBudget(config.jobs)
         self.invocation_id = new_invocation_id()
         self.events = EventLog(Path(config.logdir) / "events.ndjson",
@@ -406,20 +415,24 @@ class Pipeline:
 
     # ---- full pipeline --------------------------------------------------------
 
+    def runs_awaiting(self, stage: str) -> list[RunRecord]:
+        """The latest runs, in start order, whose next stage is ``stage``."""
+        return [run for run in self.store.latest_runs().values()
+                if NEXT_STAGE.get(run.provisioning_status) == stage]
+
     def run_repository(self, raw_input: str) -> RepositoryResult:
+        """Infer, then each stage the stored run needs next. The clean room's
+        listing is the runtime check: an unreachable runtime records the run
+        BuildFailed."""
         result = self.infer_repository(raw_input)
         if result.run_id is None or not result.completed:
             return result
-        run = self.store.get_run(result.run_id)
-        if run is None or run.provisioning_status is not ProvisioningStatus.PENDING:
-            return result
-        # The clean room's listing is the runtime check: an unreachable
-        # runtime records the run BuildFailed.
-        execute_result = self.execute_run(run)
-        if not execute_result.completed:
-            return execute_result
-        compared = self.compare_run(run)  # a run without artifacts has nothing due
-        return result if compared.completed else compared
+        for stage, step in (("execute", self.execute_run), ("compare", self.compare_run)):
+            run = self.store.get_run(result.run_id)
+            if run and NEXT_STAGE.get(run.provisioning_status) == stage:
+                if not (staged := step(run)).completed:
+                    return staged
+        return result
 
     def map_repositories(self, items: list, fn) -> list[RepositoryResult]:
         """Apply one per-repository stage across the corpus on the shared

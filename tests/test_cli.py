@@ -7,6 +7,7 @@ contract under test.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 import math
@@ -209,6 +210,86 @@ def test_classify_short_baseline_row_is_fatal(workspace, caplog):
     code = main(["classify", "--baseline", str(bad), *_common_flags(workspace)])
     assert code == 1
     assert any("line 2" in rec.message for rec in caplog.records)
+
+
+_BASELINE_HEADER = ("notebook_id,prev_dependency_install,prev_execution_status,"
+                    "prev_diff_cells,prev_duration_s\n")
+
+
+def test_classify_repeated_baseline_notebook_is_fatal(workspace, caplog):
+    baseline = workspace["root"] / "baseline.csv"
+    baseline.write_text(_BASELINE_HEADER + "nb1,Fail,Install Dependency Error,-,-\n"
+                        "nb1,Success,Success,0,1\n")
+    code = main(["classify", "--baseline", str(baseline), *_common_flags(workspace)])
+    assert code == 1
+    assert any("repeats notebook 'nb1' on lines 2 and 3" in rec.message
+               for rec in caplog.records)
+    assert not (workspace["reports"] / "classification.json").exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    (None, "fatal i/o error: [Errno 2] No such file or directory"),
+    ("nb1,Success\n", "line 2 is short"),
+    ("nb1,Fail,Install Dependency Error,-,-\nnb1,Success,Success,0,1\n",
+     "repeats notebook 'nb1' on lines 2 and 3"),
+], ids=["missing", "short", "repeated"])
+def test_run_checks_its_baseline_before_any_repository(workspace, caplog, rows,
+                                                       message):
+    url = _fixture_repo(workspace, "repo", {
+        "nb.ipynb": _notebook_file(code_cell("print(1)"))})
+    baseline = workspace["root"] / "baseline.csv"
+    if rows is not None:
+        baseline.write_text(_BASELINE_HEADER + rows)
+    assert main(["run", "--input", url, "--baseline", str(baseline),
+                 *_common_flags(workspace)]) == 1
+    assert any(message in rec.getMessage() for rec in caplog.records)
+    with Store(workspace["store"]) as store:
+        assert store.list_repositories() == []
+        assert store_rows(store, "repository_runs") == []
+    assert not (workspace["artifacts"] / "repos").exists()
+    assert not workspace["reports"].exists()
+
+
+def test_run_with_a_baseline_writes_its_classes_into_the_report(workspace,
+                                                               monkeypatch):
+    from conftest import FakeDocker
+
+    notebook = _notebook_file(code_cell("print(1)", [
+        {"output_type": "stream", "name": "stdout", "text": ["1\n"]}], 1))
+    url = _fixture_repo(workspace, "classified", {"nb.ipynb": notebook})
+    docker = FakeDocker()
+    docker.copy_payloads["/workspace/nb.executed.ipynb"] = notebook.encode()
+    monkeypatch.setattr(containerize, "DockerCli", lambda executable: docker)
+    notebook_id = corpus.notebook_id_for(
+        corpus.repository_id_for(corpus.canonical_input(url)), "nb.ipynb")
+    baseline = workspace["root"] / "baseline.csv"
+    baseline.write_text(_BASELINE_HEADER
+                        + f"{notebook_id},Fail,Install Dependency Error,-,-\n")
+
+    assert main(["run", "--input", url, "--baseline", str(baseline),
+                 *_common_flags(workspace)]) == 0
+    payload = json.loads((workspace["reports"] / "classification.json").read_text())
+    assert payload["assignments"] == [
+        {"notebook_id": notebook_id, "outcome_class": "A_EnvironmentResolved"}]
+    summary = json.loads((workspace["reports"] / "report.json").read_text())["summary"]
+    assert summary["outcome_classes"]["A_EnvironmentResolved"] == 1
+    assert summary["resolution_rate"] == 100.0
+
+
+def test_cli_builds_no_runtime_client_of_its_own():
+    """The pipeline builds the one runtime client; the CLI asks it."""
+    from nbrepro import cli
+
+    modules = set()
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text("utf-8"))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # "from nbrepro import containerize" imports the module too.
+            modules.add(node.module)
+            modules.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert "nbrepro.pipeline" in modules
+    assert "nbrepro.containerize" not in modules
 
 
 def test_report_on_empty_store_exits_zero(workspace):

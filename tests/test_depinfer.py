@@ -86,6 +86,28 @@ def test_unparseable_line_warns_not_fatal(caplog):
     assert any("unparseable" in rec.message for rec in caplog.records)
 
 
+def test_hash_pinned_requirements_keep_their_pins_without_options(caplog):
+    # pip-compile --generate-hashes: each requirement continues over its
+    # hashes, and "# via" comments sit between the requirements.
+    text = ("numpy==1.21.0 \\\n"
+            "    --hash=sha256:abc \\\n"
+            "    --hash=sha256:def\n"
+            "    # via pandas\n"
+            "pandas==1.3.0 \\\n"
+            "    --hash=sha256:123\n")
+    with caplog.at_level(logging.WARNING, logger="nbrepro.depinfer"):
+        reqs = parse_requirements_manifest(text)
+    assert "".join(f"{r.manifest_line()}\n" for r in reqs) == "numpy==1.21.0\npandas==1.3.0\n"
+    assert [r.getMessage() for r in caplog.records] == [
+        "requirements line 1: options dropped: --hash=sha256:abc --hash=sha256:def",
+        "requirements line 5: options dropped: --hash=sha256:123"]
+
+
+def test_a_comment_line_ends_a_continuation():
+    reqs = parse_requirements_manifest("requests>=2\\\n# pinned by hand \\\nflask\n")
+    assert [r.manifest_line() for r in reqs] == ["requests>=2", "flask"]
+
+
 # ---- setup manifest --------------------------------------------------------------
 
 def test_setup_literal_install_requires():
@@ -305,6 +327,16 @@ def test_declared_wins_name_collision(tmp_path):
     assert by_name["numpy"].origin is RequirementOrigin.DECLARED_REQUIREMENTS
     assert by_name["pandas"].origin is RequirementOrigin.INFERRED_IMPORT
     assert spec.synthesized_manifest == "numpy==1.21\npandas\n"
+
+
+@pytest.mark.parametrize("name, text, manifest", [
+    ("requirements.txt", "numpy==1.21\n", "numpy==1.21\n"),
+    ("setup.py", 'setup(install_requires=["scipy>=1"])\n', "scipy>=1\n")])
+def test_a_manifest_with_a_byte_order_mark_keeps_its_requirements(
+        tmp_path, name, text, manifest):
+    (tmp_path / name).write_text(text, encoding="utf-8-sig")
+    spec = synthesize_dependency_spec(_repo(tmp_path, [name]), [])
+    assert spec.synthesized_manifest == manifest
 
 
 def test_no_manifest_inferred_only(tmp_path):

@@ -219,6 +219,20 @@ def test_baseline_csv_short_row_names_its_line(tmp_path):
         read_baseline_csv(path)
 
 
+def test_baseline_csv_repeated_notebook_names_both_lines(tmp_path):
+    path = tmp_path / "repeated.csv"
+    path.write_text(
+        "notebook_id,prev_dependency_install,prev_execution_status,"
+        "prev_diff_cells,prev_duration_s\n"
+        "nb1,Fail,Install Dependency Error,-,-\n"
+        "nb2,Success,Success,0,1\n"
+        "\n"
+        " nb1 ,Success,Success,0,1\n",
+        encoding="utf-8")
+    with pytest.raises(ValueError, match="repeats notebook 'nb1' on lines 2 and 5"):
+        read_baseline_csv(path)
+
+
 def test_baseline_csv_reads_columns_by_header_name(tmp_path):
     path = tmp_path / "reordered.csv"
     path.write_text(

@@ -24,8 +24,8 @@ from nbrepro.executor import (
     ExecutionRecord,
     ExecutionStatus,
 )
-from nbrepro.pipeline import Pipeline
-from nbrepro.store import ProvisioningStatus, Store
+from nbrepro.pipeline import Pipeline, RepositoryResult
+from nbrepro.store import ProvisioningStatus, Repository, RunRecord, Store
 from nbrepro.tool import ToolRun
 
 from conftest import (
@@ -991,3 +991,102 @@ def test_compare_degrades_a_repository_with_an_unreadable_artifact(env, caplog):
     assert [e["notebook_id"] for e in _events(config, "notebook_compared")] == [
         kept["notebook_id"], lost["notebook_id"]]
     assert len(store_rows(store, "reproducibility_metrics", run_id=run.run_id)) == 2
+
+
+# ---- one table picks each stage's runs ---------------------------------------
+
+_EXECUTED = {ProvisioningStatus.ENVIRONMENT_BUILT, ProvisioningStatus.KERNEL_NOT_FOUND}
+
+
+def _latest_runs_in(store, status) -> list[str]:
+    """Two repositories whose latest runs end in ``status``, each over an
+    older run in another status; returns the latest run ids in start order,
+    which is not their id order."""
+    older = (ProvisioningStatus.ENVIRONMENT_BUILT if status is ProvisioningStatus.PENDING
+             else ProvisioningStatus.PENDING)
+    latest = []
+    for repository_id, day in (("repo-b", 2), ("repo-a", 3)):
+        store.upsert_repository(Repository(repository_id, f"file:///{repository_id}"))
+        for run_id, started, finish in ((f"{repository_id}-old", 1, older),
+                                        (f"{repository_id}-new", day, status)):
+            run = RunRecord(run_id, repository_id, f"invocation-{started}",
+                            f"2026-08-0{started}T00:00:00+00:00")
+            store.insert_run(run)
+            if finish is not ProvisioningStatus.PENDING:
+                store.finish_run(run, finish)
+        latest.append(f"{repository_id}-new")
+    return latest
+
+
+@pytest.mark.parametrize("status", list(ProvisioningStatus))
+def test_execute_and_compare_take_the_runs_the_table_names(env, monkeypatch, status):
+    from nbrepro import cli
+
+    config, store, _ = env
+    latest = _latest_runs_in(store, status)
+    taken = []
+
+    def step(self, run):
+        taken.append(run.run_id)
+        return RepositoryResult(url=run.repository_id)
+
+    monkeypatch.setattr(Pipeline, "execute_run", step)
+    monkeypatch.setattr(Pipeline, "compare_run", step)
+    monkeypatch.setattr(containerize, "DockerCli", lambda executable: FakeDocker())
+    for handler, statuses in ((cli.cmd_execute, {ProvisioningStatus.PENDING}),
+                              (cli.cmd_compare, _EXECUTED)):
+        taken.clear()
+        if status in statuses:
+            assert handler(config, store) == 0
+            assert taken == latest
+        else:
+            with pytest.raises(cli.PredecessorStateMissing):
+                handler(config, store)
+            assert taken == []
+
+
+@pytest.mark.parametrize("status", list(ProvisioningStatus))
+def test_run_goes_on_to_compare_exactly_when_the_table_says(env, monkeypatch, status):
+    config, store, tmp_path = env
+    url = make_git_repo(tmp_path / "origin", {
+        "nb.ipynb": _original("print(1)", "1\n").decode()})
+    pipeline = Pipeline(config, store, FakeDocker())
+    steps = []
+
+    def execute(run):
+        steps.append("execute")
+        if status is not ProvisioningStatus.PENDING:
+            store.finish_run(run, status)
+        return pipeline._result_for(run)
+
+    def compare(run):
+        steps.append("compare")
+        return pipeline._result_for(run)
+
+    monkeypatch.setattr(pipeline, "execute_run", execute)
+    monkeypatch.setattr(pipeline, "compare_run", compare)
+    (result,) = pipeline.map_repositories([url], pipeline.run_repository)
+    assert result.completed
+    assert steps == (["execute", "compare"] if status in _EXECUTED else ["execute"])
+
+
+def test_a_validation_that_does_not_finish_degrades_without_rows(env, monkeypatch):
+    from nbrepro.tool import ToolRun
+
+    config, store, tmp_path = env
+    url = make_git_repo(tmp_path / "origin", {
+        "nb.ipynb": _original("print(1)", "1\n").decode()})
+    monkeypatch.setattr(corpus, "run_tool", lambda argv, timeout, env=None:
+                        ToolRun(list(argv), -1, "", "", timed_out=True))
+    pipeline = Pipeline(config, store, FakeDocker())
+    (result,) = pipeline.map_repositories([url], pipeline.infer_repository)
+
+    canonical = corpus.canonical_input(url)
+    assert result.degraded_reason == (
+        f"validation did not finish: existence probe timed out for {canonical}")
+    assert store.list_repositories() == []
+    assert store_rows(store, "repository_runs") == []
+    (event,) = _events(config, "validation_timeout")
+    assert event["invocation_id"] == pipeline.invocation_id
+    assert event["url"] == canonical
+    assert event["repository_id"] == corpus.repository_id_for(canonical)
