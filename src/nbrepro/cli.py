@@ -9,9 +9,11 @@ Subcommands expose each pipeline stage independently; ``run`` chains them.
   report    corpus aggregation into report.json / summary.csv / summary.md
   classify  outcome classes A-D against a baseline export
 
+``classify`` stores its classes and exports them; ``report`` reads the store.
 Exit codes: 0 complete, 2 partial (some repositories not fully assessed),
-1 fatal; this module owns them. Only the stage handlers import the pipeline,
-git and runtime modules, so ``report`` and ``classify`` never load them.
+1 fatal, also for a locked store; this module owns them. Only the stage
+handlers import the pipeline, git and runtime modules, so ``report`` and
+``classify`` never load them.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import sqlite3
 import sys
 from collections import Counter
 from pathlib import Path
@@ -137,10 +140,11 @@ def cmd_run(config: PipelineConfig, store: Store) -> int:
     from nbrepro.pipeline import Pipeline
 
     inputs = _unique(config.inputs)
-    # A baseline that cannot be read stops the run before any repository.
+    # A baseline or alias table that cannot be read stops the run first.
     baselines = (None if config.baseline_path is None
                  else read_baseline_csv(config.baseline_path))
     pipeline = Pipeline(config, store)
+    pipeline.synthesis_tables  # noqa: B018 - loads the alias table
     code = _run_stage(pipeline, inputs, pipeline.run_repository)
     if baselines is not None:
         _write_classification(config, baselines, store)
@@ -164,6 +168,7 @@ def cmd_infer(config: PipelineConfig, store: Store) -> int:
 
     inputs = _unique(config.inputs)
     pipeline = Pipeline(config, store)
+    pipeline.synthesis_tables  # noqa: B018 - unreadable: fatal before any repository
     return _run_stage(pipeline, inputs, pipeline.infer_repository)
 
 
@@ -222,9 +227,12 @@ def cmd_classify(config: PipelineConfig, store: Store) -> int:
 
 def _write_classification(config: PipelineConfig, baselines: list[BaselineRecord],
                           store: Store) -> None:
+    # The counts commit in the transaction of the read they are folded from.
     # The store rows stay inside _classification, so they are freed before
     # the payload is rendered.
-    payload = _classification(baselines, store)
+    with store.transaction():
+        payload = _classification(baselines, store)
+        store.record_classification(payload["counts"], payload["resolution_rate"])
     out_path = Path(config.report_dir) / CLASSIFICATION_FILE
     atomic.write_text(out_path, _render_classification(payload))
     logger.info("classification written to %s", out_path)
@@ -314,24 +322,11 @@ def _render_classification(payload: dict) -> str:
 
 
 def _emit_report(config: PipelineConfig, store: Store) -> None:
-    classification = None
-    rate = None
-    classification_path = Path(config.report_dir) / CLASSIFICATION_FILE
-    if classification_path.exists():
-        try:
-            data = json.loads(classification_path.read_text("utf-8"))
-            if not isinstance(data, dict):
-                raise ValueError("not a JSON object")
-            classification = data.get("counts", {})
-            rate = data.get("resolution_rate")
-            if not (isinstance(classification, dict)
-                    and all(type(count) is int for count in classification.values())
-                    and (rate is None or type(rate) in (int, float))):
-                raise ValueError("the counts must be whole numbers and the "
-                                 "resolution rate a number")
-        except ValueError as exc:
-            raise ValueError(f"cannot read {classification_path}: {exc}") from exc
-    summary = reportmod.aggregate_corpus(store, classification, rate)
+    summary = reportmod.aggregate_corpus(store)
+    export = Path(config.report_dir) / CLASSIFICATION_FILE
+    if export.exists() and store.classification() is None:
+        logger.warning("%s does not describe this store as it is: the report "
+                       "has no outcome classes until classify runs again", export)
     paths = reportmod.emit_reports(summary, Path(config.report_dir))
     logger.info("reports written: %s", ", ".join(str(p) for p in paths))
 
@@ -361,6 +356,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FATAL
     except OSError as exc:
         logger.error("fatal i/o error: %s", exc)
+        return EXIT_FATAL
+    except sqlite3.OperationalError as exc:  # locked, or not writable
+        logger.error("store %s: %s", config.store_path, exc)
         return EXIT_FATAL
 
 

@@ -26,11 +26,10 @@ from __future__ import annotations
 import csv
 import logging
 from collections import Counter
-from enum import Enum
 from pathlib import Path
 from typing import Container, Iterable, Mapping, NamedTuple
 
-from nbrepro.store import ExecutionStatus, LatestOutcome, ProvisioningStatus
+from nbrepro.store import ExecutionStatus, LatestOutcome, OutcomeClass, ProvisioningStatus
 
 logger = logging.getLogger(__name__)
 
@@ -43,14 +42,6 @@ BASELINE_CSV_COLUMNS = ("notebook_id", "prev_dependency_install",
 _SUCCESS_TOKENS = frozenset({"success", "sucess"})
 _FAIL_TOKENS = frozenset({"fail", "failed", "failure"})
 _SKIP_MARKERS = ("skip",)
-
-
-class OutcomeClass(Enum):
-    A_ENVIRONMENT_RESOLVED = "A_EnvironmentResolved"
-    B_PERSISTENT_ERROR = "B_PersistentError"
-    C_REPRODUCIBILITY_DRIFT = "C_ReproducibilityDrift"
-    D_REGRESSION = "D_Regression"
-    UNCLASSIFIED = "Unclassified"
 
 
 class BaselineRecord(NamedTuple):

@@ -151,15 +151,20 @@ class Pipeline:
                                self.invocation_id)
         # Set when the caller of map_repositories was interrupted.
         self.interrupted = threading.Event()
-        self._aliases = depinfer.load_alias_table(config.alias_table_path)
-        self._stdlib = depinfer.load_stdlib_modules()
+
+    @functools.cached_property
+    def synthesis_tables(self) -> tuple[dict[str, str], frozenset[str]]:
+        """The import alias table and the standard-library names, loaded on
+        first use: only the stages that infer read them."""
+        return (depinfer.load_alias_table(self.config.alias_table_path),
+                depinfer.load_stdlib_modules())
 
     # ---- stage 1 + 2: discovery, validation, inference ----------------------
 
     def infer_repository(self, raw_input: str) -> RepositoryResult:
         url = corpus.canonical_input(raw_input)
         repository_id = corpus.repository_id_for(url)
-        result = RepositoryResult(url=url)
+        result = self._result_for(raw_input)
         self.events.emit("infer", "start", url=url, repository_id=repository_id)
 
         try:
@@ -181,7 +186,7 @@ class Pipeline:
             started_at=utc_now_iso(),
         )
         result.run_id = run.run_id
-        known = Repository(repository_id=repository_id, url=corpus.normalize_url(url))
+        known = Repository(repository_id=repository_id, url=result.url)
 
         if validation is not corpus.ValidationResult.ACCESSIBLE:
             self._record_inferred(result, known, run, ProvisioningStatus.INVALID_URL,
@@ -212,6 +217,7 @@ class Pipeline:
             return self._record_inferred(result, repo, run,
                                          ProvisioningStatus.NO_PYTHON_NOTEBOOKS)
 
+        aliases, stdlib = self.synthesis_tables
         spec = depinfer.synthesize_dependency_spec(
             repo,
             imported,
@@ -219,8 +225,8 @@ class Pipeline:
             notebook_paths=[d.relative_path for d in descriptors
                             if not d.parse_failed],
             tree=tree,
-            aliases=self._aliases,
-            stdlib=self._stdlib,
+            aliases=aliases,
+            stdlib=stdlib,
         )
         recipe = containerize.generate_build_recipe(
             spec, context_dir=tree, base_image=self.config.base_image)
@@ -471,9 +477,10 @@ class Pipeline:
 
     def _result_for(self, item: str | RunRecord,
                     repo: Repository | None = None) -> RepositoryResult:
-        """The result of a repository task on a raw input or on a run."""
+        """The result of a repository task on a raw input or on a run, named
+        by the URL the store keys its repository by."""
         if isinstance(item, str):
-            return RepositoryResult(url=item)
+            return RepositoryResult(url=corpus.normalize_url(corpus.canonical_input(item)))
         repo = repo or self.store.get_repository(item.repository_id)
         return RepositoryResult(url=repo.url if repo else "",
                                 repository_id=item.repository_id,

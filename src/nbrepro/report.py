@@ -6,9 +6,9 @@ digest. The summary is folded from the latest-run read that classify
 folds too: one row per distinct outcome, weighted by its notebooks, each
 error list reduced to its (type, category) pairs, so the Python work grows
 with the distinct outcomes, not with the notebooks. The small repository
-and latest-run reads add the provisioning counts. Output bytes are
-deterministic for a fixed store snapshot; the generation timestamp is
-isolated in a single header field.
+and latest-run reads add the provisioning counts, and the store's
+classification row the classes. Output bytes are deterministic for a fixed
+store snapshot; the generation timestamp is isolated in one header field.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from pathlib import Path
 
 from nbrepro import __version__, atomic
 from nbrepro.compare import ScoreCategory, categorize_score
-from nbrepro.outcomes import OutcomeClass, containerized_success_rate_by_requirements
-from nbrepro.store import ProvisioningStatus, Store, utc_now_iso
+from nbrepro.outcomes import containerized_success_rate_by_requirements
+from nbrepro.store import OutcomeClass, ProvisioningStatus, Store, utc_now_iso
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -75,14 +75,12 @@ class CorpusSummary:
         return asdict(self)
 
 
-def aggregate_corpus(store: Store,
-                     classification: dict[str, int] | None = None,
-                     resolution: float | None = None) -> CorpusSummary:
+def aggregate_corpus(store: Store) -> CorpusSummary:
     """Deterministic aggregation over the latest run of each repository.
 
-    An empty store yields an all-zero summary rather than an error.
-    ``classification``/``resolution`` attach outcome-class results when a
-    baseline comparison was run.
+    An empty store yields an all-zero summary rather than an error. The
+    outcome classes and the resolution rate are classify's row, which the
+    store holds only while the rows classify read are unchanged.
     """
     repositories = store.list_repositories()
     latest = store.latest_runs()
@@ -133,12 +131,9 @@ def aggregate_corpus(store: Store,
 
     prevalence = flagged / total if total else 0.0
 
-    outcome_classes = {key: 0 for key in OUTCOME_CLASS_ORDER}
-    classified = 0
-    if classification:
-        for key, count in classification.items():
-            outcome_classes[key] = outcome_classes.get(key, 0) + count
-            classified += count
+    # Read last: a write that lands while the report reads deletes them.
+    outcome_classes, resolution = (store.classification()
+                                   or ({key: 0 for key in OUTCOME_CLASS_ORDER}, None))
 
     return CorpusSummary(
         total_repositories=len(repositories),
@@ -162,9 +157,9 @@ def aggregate_corpus(store: Store,
         mean_score=_mean(scores),
         nondeterministic_notebooks=flagged,
         nondeterminism_prevalence=prevalence,
-        classified_notebooks=classified,
+        classified_notebooks=sum(outcome_classes.values()),
         outcome_classes=outcome_classes,
-        resolution_rate=resolution if classification else None,
+        resolution_rate=resolution,
     )
 
 

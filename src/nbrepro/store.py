@@ -1,14 +1,16 @@
 """Embedded relational tracking store and the records it holds.
 
 The records of repositories, notebooks, runs and executions, with the
-execution statuses and error categories, are defined here; the stage
-modules import them, and this module imports no stage. One SQLite file
+execution statuses, error categories and outcome classes, are defined here;
+the stage modules import them, and this module imports no stage. One SQLite file
 holds the normalized schema linking repositories, notebooks, runs,
 executions, and reproducibility metrics through stable identifiers, so
 results stay joinable across invocations. Reads and
 writes share the one connection and are serialized behind one re-entrant
-lock. Every write runs inside ``Store.transaction()``, so the writes of one
-block are recorded whole or not at all. The store reads only what the
+lock. Every write runs inside ``Store.transaction()``, which takes SQLite's
+write lock as it opens, so the writes of one block are recorded whole or not
+at all and no other connection writes between what the block reads and what
+it writes. The store reads only what the
 commands read: repository, notebook and run rows come back as frozen
 dataclasses, compare's due work as plain rows, and the latest-run read as
 named tuples. Execution and metrics rows are never decoded one by one;
@@ -27,6 +29,12 @@ indexes; this read, compare's work and a run's deletes search those keys
 run first. A metrics row, scored or left unscored by a structural
 mismatch, is written by the one ``insert_metrics``. The latest run is the
 one with the greatest start time, stamped to the microsecond, then run id.
+
+Classify's class counts and resolution rate sit in the one-row
+``classification`` table, committed with the latest-run read they were
+folded from. A trigger on each table that read walks deletes the row on any
+write, through any connection, so it stands exactly while those rows are
+unchanged; report takes its classes from it alone.
 
 The schema carries its version in ``PRAGMA user_version``. Opening an
 older store migrates it in one transaction, one version after another, and
@@ -119,6 +127,14 @@ class ErrorCategory(Enum):
     LOGIC = "Logic"
 
 
+class OutcomeClass(Enum):
+    A_ENVIRONMENT_RESOLVED = "A_EnvironmentResolved"
+    B_PERSISTENT_ERROR = "B_PersistentError"
+    C_REPRODUCIBILITY_DRIFT = "C_ReproducibilityDrift"
+    D_REGRESSION = "D_Regression"
+    UNCLASSIFIED = "Unclassified"
+
+
 @dataclass(frozen=True)
 class ExecutionError:
     """One distinct (exception type, cell) failure observed at runtime.
@@ -161,7 +177,7 @@ class StoreError(Exception):
     pass
 
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _one_of(column: str, enum: type[Enum]) -> str:
@@ -231,6 +247,27 @@ CREATE TABLE reproducibility_metrics (
               = total_code_cells)
 )"""
 
+# Classify's class counts and resolution rate, in one row, one column per
+# class in the order of ``OutcomeClass``.
+_CLASS_COLUMNS = "".join(f"\n    {cls.value} INTEGER NOT NULL CHECK ({cls.value} >= 0),"
+                         for cls in OutcomeClass)
+_CLASSIFICATION_DDL = f"""
+CREATE TABLE classification (
+    only_row INTEGER PRIMARY KEY CHECK (only_row = 1),{_CLASS_COLUMNS}
+    resolution_rate REAL
+        CHECK (resolution_rate IS NULL OR resolution_rate BETWEEN 0 AND 100)
+)"""
+
+# The tables classify reads. Any write to them deletes classify's row, so the
+# row stands only while the rows it was folded from are unchanged, whoever
+# writes them.
+_CLASSIFIED_TABLES = ("repositories", "notebooks", "repository_runs",
+                      "notebook_executions", "reproducibility_metrics")
+_DECLASSIFY_TRIGGERS = [
+    f"CREATE TRIGGER {table}_{event.lower()}_declassifies AFTER {event} ON {table}"
+    " BEGIN DELETE FROM classification; END"
+    for table in _CLASSIFIED_TABLES for event in ("INSERT", "UPDATE", "DELETE")]
+
 _SCHEMA = ["""
 CREATE TABLE repositories (
     repository_id TEXT PRIMARY KEY,
@@ -254,7 +291,8 @@ CREATE TABLE notebooks (
     parse_failed INTEGER NOT NULL DEFAULT 0,
     parse_error TEXT,
     UNIQUE (repository_id, relative_path)
-)""", _RUNS_DDL, _EXECUTIONS_DDL, _METRICS_DDL]
+)""", _RUNS_DDL, _EXECUTIONS_DDL, _METRICS_DDL, _CLASSIFICATION_DDL,
+    *_DECLASSIFY_TRIGGERS]
 
 # The latest run of each repository: the greatest (started_at, run_id).
 # Start times carry microseconds, so the run id breaks only a true tie.
@@ -418,15 +456,18 @@ class Store:
 
     @contextmanager
     def transaction(self):
-        """Hold the store for a block of writes: they commit together when
-        the outermost block exits and roll back if it raises. Other threads
-        wait for the block, so keep slow work outside it."""
+        """Hold the store for a block of writes: the outermost block takes
+        SQLite's write lock as it opens, so no other connection writes
+        between what the block reads and what it writes. The writes commit
+        together when that block exits and roll back if it raises. Other
+        threads wait for the block, so keep slow work outside it."""
         with self._lock:
             self._depth += 1
             try:
                 if self._depth > 1:
                     yield
                 else:
+                    self._conn.execute("BEGIN IMMEDIATE")
                     with self._conn:  # commits, or rolls back on any failure
                         yield
             finally:
@@ -622,6 +663,27 @@ class Store:
             ORDER BY n.notebook_id
             """, (run.run_id, run.repository_id))
 
+    # ---- classification ----------------------------------------------------
+
+    def record_classification(self, counts: dict[str, int],
+                              resolution_rate: float | None) -> None:
+        """Store classify's notebooks per class and resolution rate. Call it
+        in the transaction of the latest-run read they were folded from."""
+        self._write(
+            f"INSERT OR REPLACE INTO classification VALUES "
+            f"(1, {', '.join('?' * len(OutcomeClass))}, ?)",
+            (*(counts.get(cls.value, 0) for cls in OutcomeClass), resolution_rate))
+
+    def classification(self) -> tuple[dict[str, int], float | None] | None:
+        """The notebooks per class, in class order, and the resolution rate
+        of the last classify, or None when a write has changed the rows
+        classify read since, or classify never ran."""
+        rows = self._read("SELECT * FROM classification")
+        if not rows:
+            return None
+        (row,) = rows
+        return {cls.value: row[cls.value] for cls in OutcomeClass}, row["resolution_rate"]
+
     # ---- metrics ------------------------------------------------------------
 
     def insert_metrics(self, metrics: ReproducibilityMetrics) -> None:
@@ -718,7 +780,9 @@ def _rebuild(conn: sqlite3.Connection, table: str, ddl: str,
     """Rebuild ``table`` from ``ddl``, copying its rows in rowid order as
     ``columns`` selects them from the old table. The caller has turned the
     foreign keys off and ``legacy_alter_table`` on, so the references of
-    other tables keep naming ``table``."""
+    other tables keep naming ``table``. The rename takes the table's
+    triggers along and the drop deletes them, so a migration from version 3
+    or later that rebuilds a table must create its triggers again."""
     conn.execute(f"ALTER TABLE {table} RENAME TO {table}_old")
     conn.execute(ddl)
     conn.execute(f"INSERT INTO {table} SELECT {columns} FROM {table}_old ORDER BY rowid")
@@ -753,6 +817,14 @@ def _migrate_1_to_2(conn: sqlite3.Connection) -> None:
     _rebuild(conn, "reproducibility_metrics", _METRICS_DDL)
 
 
+def _migrate_2_to_3(conn: sqlite3.Connection) -> None:
+    """Version 3 adds classify's row and the triggers that delete it. The
+    migrated store has no row, so it reports no classes until classify runs
+    again."""
+    for statement in (_CLASSIFICATION_DDL, *_DECLASSIFY_TRIGGERS):
+        conn.execute(statement)
+
+
 # _MIGRATIONS[v] migrates a store of version v to version v + 1.
-_MIGRATIONS = [_migrate_0_to_1, _migrate_1_to_2]
+_MIGRATIONS = [_migrate_0_to_1, _migrate_1_to_2, _migrate_2_to_3]
 

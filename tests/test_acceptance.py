@@ -33,8 +33,9 @@ from nbrepro.depinfer import (
 )
 from nbrepro.executor import ErrorCategory, ExecutionStatus
 from nbrepro.notebook import CellKind, parse_notebook
-from nbrepro.outcomes import resolution_rate
-from nbrepro.store import ProvisioningStatus, Repository, Store
+from nbrepro.config import PipelineConfig
+from nbrepro.outcomes import BaselineRecord, resolution_rate
+from nbrepro.store import ProvisioningStatus, Repository, RunRecord, Store, utc_now_iso
 
 from conftest import (
     FIXTURES,
@@ -47,6 +48,7 @@ from conftest import (
     store_rows,
     stream_output,
 )
+from test_classify import _STATUS_PAIRS
 from test_outcomes import TABLE_ROWS, OutcomeClass, _baseline, assign_outcome_class
 from test_report import assert_sum_invariants, populate_random_store
 from nbrepro.report import aggregate_corpus
@@ -194,6 +196,61 @@ def test_criterion_8_report_sum_invariants_on_randomized_stores():
         with Store(":memory:") as store:
             populate_random_store(store, rng)
             assert_sum_invariants(aggregate_corpus(store))
+
+
+def _random_write(store: Store, rng: random.Random) -> None:
+    """One write through the Store API that changes a row of a table that
+    classify reads, even if only to the value it held."""
+    repositories = store.list_repositories()
+    runs = list(store.latest_runs().values())
+    notebooks = [nb for repo in repositories
+                 for nb in store.list_notebooks(repo.repository_id)]
+    executed = [run for run in runs
+                if store_rows(store, "notebook_executions", run_id=run.run_id)]
+    writes = [lambda: store.upsert_repository(Repository(
+        repository_id=f"new{rng.getrandbits(32)}", url="https://example.org/new"))]
+    if repositories:
+        writes.append(lambda: store.upsert_repository(rng.choice(repositories)))
+        writes.append(lambda: store.insert_run(RunRecord(
+            run_id=f"rerun{rng.getrandbits(32)}", invocation_id="rerun",
+            repository_id=rng.choice(repositories).repository_id,
+            started_at=utc_now_iso())))
+    if runs:
+        writes.append(lambda: store.finish_run(
+            rng.choice(runs), ProvisioningStatus.BUILD_FAILED, reason="Timeout: build"))
+    if notebooks:
+        writes.append(lambda: store.upsert_notebook(rng.choice(notebooks)))
+    if executed:
+        writes.append(lambda: store.delete_run_results(rng.choice(executed)))
+    rng.choice(writes)()
+
+
+def test_criterion_8_classes_are_the_stores_own_on_randomized_stores(tmp_path):
+    """classified_notebooks never exceeds total_notebooks, and the report
+    has classify's classes exactly when no write followed classify."""
+    rng = random.Random(117)
+    config = PipelineConfig(report_dir=tmp_path)
+    seen = Counter()
+    for _ in range(300):
+        with Store(":memory:") as store:
+            populate_random_store(store, rng)
+            baselines = [BaselineRecord(row["notebook_id"], *rng.choice(_STATUS_PAIRS))
+                         for row in store_rows(store, "notebooks") if rng.random() < 0.8]
+            baselines += [BaselineRecord(f"unmatched{i}", "Fail", "Fail")
+                          for i in range(rng.randint(0, 2))]
+            cli._write_classification(config, baselines, store)
+            payload = json.loads((tmp_path / "classification.json").read_text("utf-8"))
+            wrote = rng.random() < 0.5
+            if wrote:
+                _random_write(store, rng)
+            summary = aggregate_corpus(store)
+        assert summary.classified_notebooks <= summary.total_notebooks
+        counts = {} if wrote else payload["counts"]
+        assert summary.outcome_classes == {cls.value: counts.get(cls.value, 0)
+                                           for cls in OutcomeClass}
+        assert summary.resolution_rate == (None if wrote else payload["resolution_rate"])
+        seen[wrote, bool(payload["counts"])] += 1
+    assert seen[False, True] and seen[True, True], seen
 
 
 # ---- criterion 6: end-to-end fixture corpus (container runtime required) -----

@@ -10,9 +10,11 @@ from __future__ import annotations
 import ast
 import dataclasses
 import json
+import logging
 import math
 import shutil
 import sqlite3
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -674,18 +676,145 @@ def test_resource_limits_from_config_reach_the_runtime(workspace, monkeypatch,
     assert run_args[run_args.index("--memory") + 1] == "2g"
 
 
-def test_report_names_an_unreadable_classification_file(workspace, caplog):
-    workspace["reports"].mkdir()
-    classification = workspace["reports"] / "classification.json"
-    # Bad JSON, JSON that is not an object, counts that are not an object
-    # of whole numbers, and a resolution rate that is not a number.
-    for text in ('{"counts": {"A": 1', "[]", '{"counts": []}', '{"counts": {"A": "1"}}',
-                 '{"counts": {"A": 1}, "resolution_rate": "lots"}'):
-        classification.write_text(text)
+def _classified_workspace(workspace, name):
+    """A store of one inferred repository whose one notebook classify has
+    classified, with its classification.json in the report directory."""
+    url = _fixture_repo(workspace, name, {
+        "nb.ipynb": _notebook_file(code_cell("print(1)"))})
+    assert main(["infer", "--input", url, *_common_flags(workspace)]) == 0
+    with Store(workspace["store"]) as store:
+        (descriptor,) = store_rows(store, "notebooks")
+    baseline = workspace["root"] / "baseline.csv"
+    baseline.write_text(_BASELINE_HEADER
+                        + f"{descriptor['notebook_id']},Fail,Install Dependency Error,-,-\n")
+    assert main(["classify", "--baseline", str(baseline), *_common_flags(workspace)]) == 0
+    return url
+
+
+def _report_without_classes(workspace, caplog, flags):
+    caplog.clear()
+    assert main(["report", *flags]) == 0
+    summary = json.loads((workspace["reports"] / "report.json").read_text())["summary"]
+    assert summary["classified_notebooks"] == 0
+    assert summary["resolution_rate"] is None
+    (warning,) = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert "classify" in warning and "classification.json" in warning
+    return summary
+
+
+def test_report_on_another_store_has_no_classes(workspace, caplog):
+    _classified_workspace(workspace, "first")
+    flags = _common_flags(workspace)
+    flags[flags.index("--store") + 1] = str(workspace["root"] / "other.sqlite3")
+    assert main(["report", *flags]) == 0
+    summary = json.loads((workspace["reports"] / "report.json").read_text())["summary"]
+    assert summary["total_notebooks"] == 0
+    _report_without_classes(workspace, caplog, flags)
+
+
+def test_report_after_compare_has_no_stale_classes(workspace, caplog, monkeypatch):
+    from conftest import FakeDocker
+
+    notebook = _notebook_file(code_cell("print(1)", [
+        {"output_type": "stream", "name": "stdout", "text": ["1\n"]}], 1))
+    url = _fixture_repo(workspace, "compared", {"nb.ipynb": notebook})
+    docker = FakeDocker()
+    docker.copy_payloads["/workspace/nb.executed.ipynb"] = notebook.encode()
+    monkeypatch.setattr(containerize, "DockerCli", lambda executable: docker)
+    assert main(["infer", "--input", url, *_common_flags(workspace)]) == 0
+    assert main(["execute", *_common_flags(workspace)]) == 0
+    with Store(workspace["store"]) as store:
+        (descriptor,) = store_rows(store, "notebooks")
+    baseline = workspace["root"] / "baseline.csv"
+    baseline.write_text(_BASELINE_HEADER
+                        + f"{descriptor['notebook_id']},Fail,Install Dependency Error,-,-\n")
+    assert main(["classify", "--baseline", str(baseline), *_common_flags(workspace)]) == 0
+    assert main(["report", *_common_flags(workspace)]) == 0
+    summary = json.loads((workspace["reports"] / "report.json").read_text())["summary"]
+    assert summary["classified_notebooks"] == 1
+
+    assert main(["compare", *_common_flags(workspace)]) == 0
+    with Store(workspace["store"]) as store:
+        assert store_rows(store, "reproducibility_metrics")
+    assert _report_without_classes(workspace, caplog, _common_flags(workspace))[
+        "scored_notebooks"] == 1
+
+
+def test_a_garbage_classification_file_changes_no_report_byte(workspace, monkeypatch,
+                                                               caplog):
+    monkeypatch.setattr("nbrepro.report.utc_now_iso", lambda: "2026-01-01T00:00:00+00:00")
+    url = _fixture_repo(workspace, "repo", {
+        "nb.ipynb": _notebook_file(code_cell("print(1)"))})
+    assert main(["infer", "--input", url, *_common_flags(workspace)]) == 0
+    names = ("report.json", "summary.csv", "summary.md")
+    assert main(["report", *_common_flags(workspace)]) == 0
+    clean = {name: (workspace["reports"] / name).read_bytes() for name in names}
+    (workspace["reports"] / "classification.json").write_text('{"counts": {"A": 1')
+    _report_without_classes(workspace, caplog, _common_flags(workspace))
+    assert {name: (workspace["reports"] / name).read_bytes() for name in names} == clean
+
+
+@pytest.mark.parametrize("command, lock", [("report", "EXCLUSIVE"), ("classify", "IMMEDIATE")])
+def test_a_locked_store_is_a_fatal_error_that_names_it(workspace, caplog, monkeypatch,
+                                                      command, lock):
+    """Another connection holds the store: report cannot read it, and
+    classify cannot write its classes."""
+    _classified_workspace(workspace, "locked")
+    (workspace["reports"] / "classification.json").unlink()
+    connect = sqlite3.connect
+    monkeypatch.setattr(sqlite3, "connect",
+                        lambda *args, **kwargs: connect(*args, **{**kwargs, "timeout": 0.05}))
+    flags = _common_flags(workspace)
+    if command == "classify":
+        flags += ["--baseline", str(workspace["root"] / "baseline.csv")]
+    with closing(connect(workspace["store"])) as holder:
+        holder.execute(f"BEGIN {lock}")
         caplog.clear()
-        assert main(["report", *_common_flags(workspace)]) == 1
-        assert any(str(classification) in record.getMessage()
-                   for record in caplog.records)
+        assert main([command, *flags]) == 1
+    (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error == f"store {workspace['store']}: database is locked"
+    assert not (workspace["reports"] / "classification.json").exists()
+    with Store(workspace["store"]) as store:  # classify's row stands
+        assert store.classification() is not None
+
+
+@pytest.mark.parametrize("command", ["execute", "compare"])
+def test_execute_and_compare_read_no_alias_table(workspace, caplog, command):
+    runtime, _ = logging_runtime(workspace["root"])
+    assert main([command, "--alias-table", str(workspace["root"] / "missing.json"),
+                 "--docker", str(runtime), *_common_flags(workspace)]) == 1
+    message = {"execute": "no inferred runs are awaiting execution",
+               "compare": "no executed artifacts for run"}[command]
+    assert any(message in r.getMessage() for r in caplog.records)
+
+
+@pytest.mark.parametrize("command", ["infer", "run"])
+def test_an_unreadable_alias_table_stops_infer_before_any_repository(workspace, caplog,
+                                                                     command):
+    url = _fixture_repo(workspace, "repo", {
+        "nb.ipynb": _notebook_file(code_cell("import yaml"))})
+    missing = workspace["root"] / "missing.json"
+    assert main([command, "--input", url, "--alias-table", str(missing),
+                 *_common_flags(workspace)]) == 1
+    assert any(str(missing) in r.getMessage() for r in caplog.records)
+    with Store(workspace["store"]) as store:
+        assert store.list_repositories() == []
+    assert not (workspace["artifacts"] / "repos").exists()
+
+
+def test_each_log_line_names_a_repository_by_its_store_url(workspace, caplog):
+    origin = workspace["root"] / "origins" / "Repo.git"
+    make_git_repo(origin, {"nb.ipynb": _notebook_file(code_cell("print(1)"))})
+    caplog.set_level(logging.INFO, logger="nbrepro.cli")
+    for command in ("infer", "run"):
+        caplog.clear()
+        main([command, "--input", str(origin), "--docker", "definitely-missing-runtime",
+              *_common_flags(workspace)])
+        with Store(workspace["store"]) as store:
+            (repo,) = store.list_repositories()
+        assert repo.url.endswith("/Repo")
+        (line,) = [r.getMessage() for r in caplog.records if " -> " in r.getMessage()]
+        assert line.startswith(f"{repo.url} -> "), line
 
 
 def test_run_matches_subcommand_chain_on_deterministic_state(workspace, tmp_path):

@@ -300,10 +300,9 @@ def test_unwritable_target_raises(tmp_path):
 
 def test_classification_counts_included():
     with Store(":memory:") as store:
-        summary = aggregate_corpus(
-            store, classification={"A_EnvironmentResolved": 3,
-                                   "B_PersistentError": 1},
-            resolution=75.0)
+        store.record_classification({"A_EnvironmentResolved": 3,
+                                     "B_PersistentError": 1}, 75.0)
+        summary = aggregate_corpus(store)
     assert summary.outcome_classes["A_EnvironmentResolved"] == 3
     assert summary.classified_notebooks == 4
     assert summary.resolution_rate == 75.0

@@ -406,10 +406,12 @@ def test_run_deletes_search_the_per_run_tables_by_run(store):
 _DDL_DIGESTS = {
     1: "e02b8c9165182bfd61cbd0cc448e7c6113c5723c402dd9cef4f4931701beee85",
     2: "21c44615ef15709b4f279c650a4566eef86f055878ae813548e847902a89c5cf",
+    3: "9b038f3a83b33a1064af42764a8a4412593ef124474fd351a4ab70ae96051e1a",
 }
 
 _V0_SCHEMA = (FIXTURES / "store_schema_v0.sql").read_text("utf-8")
 _V1_SCHEMA = (FIXTURES / "store_schema_v1.sql").read_text("utf-8")
+_V2_SCHEMA = (FIXTURES / "store_schema_v2.sql").read_text("utf-8")
 
 
 def _ddl(conn) -> list[tuple]:
@@ -449,9 +451,13 @@ def _write_old_copy(store: Store, path, schema: str) -> None:
     conn.close()
 
 
+def _tables(store: Store) -> list[str]:
+    return [name for kind, name, _, _ in _ddl(store._conn)
+            if kind == "table" and not name.startswith("sqlite_")]
+
+
 def _all_rows(store: Store) -> dict[str, list[tuple]]:
-    tables = [name for _, name, _, _ in _ddl(store._conn)
-              if not name.startswith("sqlite_")]
+    tables = _tables(store)
     return {table: [tuple(row) for row in store._conn.execute(
         f"SELECT * FROM {table} ORDER BY 1, 2")] for table in tables}
 
@@ -517,20 +523,8 @@ def test_migrated_store_ddl_equals_a_new_ones(tmp_path):
         )["reproducibility_metrics"]
 
 
-def test_version_1_store_migrates_once_to_equal_rows(tmp_path, monkeypatch):
-    path = tmp_path / "v1.sqlite3"
-    with Store() as store:
-        _populate(store, random.Random(7))
-        tables = [name for _, name, _, _ in _ddl(store._conn)
-                  if not name.startswith("sqlite_")]
-        expected = {table: store_rows(store, table) for table in tables}
-        outcomes = sorted(map(repr, store.latest_outcomes()))
-        _write_old_copy(store, path, _V1_SCHEMA)
-    conn = sqlite3.connect(path)
-    ddl = _ddl(conn)
-    conn.close()
-    assert hashlib.sha256(repr(ddl).encode("utf-8")).hexdigest() == _DDL_DIGESTS[1]
-    assert _version(path) == 1
+def _record_migrations(monkeypatch) -> list[int]:
+    """The versions that store openings migrate from, in order."""
     migrated_from = []
 
     def recorded(version, migrate):
@@ -542,6 +536,23 @@ def test_version_1_store_migrates_once_to_equal_rows(tmp_path, monkeypatch):
     monkeypatch.setattr(nbrepro.store, "_MIGRATIONS", [
         recorded(version, migrate)
         for version, migrate in enumerate(nbrepro.store._MIGRATIONS)])
+    return migrated_from
+
+
+def test_version_1_store_migrates_once_to_equal_rows(tmp_path, monkeypatch):
+    path = tmp_path / "v1.sqlite3"
+    with Store() as store:
+        _populate(store, random.Random(7))
+        tables = _tables(store)
+        expected = {table: store_rows(store, table) for table in tables}
+        outcomes = sorted(map(repr, store.latest_outcomes()))
+        _write_old_copy(store, path, _V1_SCHEMA)
+    conn = sqlite3.connect(path)
+    ddl = _ddl(conn)
+    conn.close()
+    assert hashlib.sha256(repr(ddl).encode("utf-8")).hexdigest() == _DDL_DIGESTS[1]
+    assert _version(path) == 1
+    migrated_from = _record_migrations(monkeypatch)
     for _ in range(2):
         with Store(path) as migrated, Store() as new:
             assert {table: store_rows(migrated, table) for table in tables} == expected
@@ -550,8 +561,96 @@ def test_version_1_store_migrates_once_to_equal_rows(tmp_path, monkeypatch):
             assert sorted(_ddl(migrated._conn)) == sorted(_ddl(new._conn))
             # The migration vacuumed the pages of the tables it rebuilt.
             assert migrated._conn.execute("PRAGMA freelist_count").fetchone()[0] == 0
-    assert migrated_from == [1]
+    assert migrated_from == [1, 2]
     assert _version(path) == SCHEMA_VERSION
+
+
+def test_version_2_store_migrates_once_to_equal_rows(tmp_path, monkeypatch):
+    path = tmp_path / "v2.sqlite3"
+    with Store() as store:
+        baselines = _populate(store, random.Random(11))
+        tables = _tables(store)
+        expected = {table: store_rows(store, table) for table in tables}
+        _write_old_copy(store, path, _V2_SCHEMA)
+    assert _version(path) == 2
+    migrated_from = _record_migrations(monkeypatch)
+    for _ in range(2):
+        with Store(path) as migrated, Store() as new:
+            assert {table: store_rows(migrated, table) for table in tables} == expected
+            assert sorted(_ddl(migrated._conn)) == sorted(_ddl(new._conn))
+    assert migrated_from == [2]
+    assert _version(path) == SCHEMA_VERSION
+
+    # The migrated store reports no classes until classify runs again.
+    baseline = tmp_path / "baseline.csv"
+    baseline.write_text(_BASELINE_HEADER + "".join(
+        f"{b.notebook_id},{b.prev_dependency_install},{b.prev_execution_status},-,-\n"
+        for b in baselines))
+    config = PipelineConfig(baseline_path=baseline, report_dir=tmp_path / "reports")
+    with Store(path) as migrated:
+        before = aggregate_corpus(migrated)
+        assert cmd_classify(config, migrated) == 0
+        after = aggregate_corpus(migrated)
+    assert (before.classified_notebooks, before.resolution_rate) == (0, None)
+    assert after.classified_notebooks == after.total_notebooks == len(baselines)
+
+
+@pytest.mark.parametrize("table", nbrepro.store._CLASSIFIED_TABLES)
+def test_any_write_to_a_classified_table_deletes_the_classes(tmp_path, table):
+    """The triggers hold the rule, so a write through another connection
+    deletes the classes too; one that touches no row leaves them."""
+    path = tmp_path / "store.sqlite3"
+    with Store(path) as store:
+        _populate(store, random.Random(2))
+    with Store(path) as store, closing(sqlite3.connect(path)) as other:
+        rowid, *values = other.execute(
+            f"SELECT rowid, * FROM {table} ORDER BY rowid LIMIT 1").fetchone()
+        for statement, params, deletes in (
+                (f"UPDATE {table} SET rowid = rowid WHERE rowid = ?", (rowid,), True),
+                (f"DELETE FROM {table} WHERE rowid = ?", (rowid,), True),
+                (f"DELETE FROM {table} WHERE rowid = ?", (rowid,), False),
+                (f"INSERT INTO {table} VALUES ({', '.join('?' * len(values))})",
+                 values, True)):
+            store.record_classification({"A_EnvironmentResolved": 2}, 50.0)
+            with other:
+                other.execute(statement, params)
+            assert (store.classification() is None) == deletes, statement
+    with Store(path) as store:
+        store.record_classification({"A_EnvironmentResolved": 2}, 50.0)
+        assert store.classification() == ({
+            "A_EnvironmentResolved": 2, "B_PersistentError": 0,
+            "C_ReproducibilityDrift": 0, "D_Regression": 0, "Unclassified": 0}, 50.0)
+
+
+def test_classify_holds_the_write_lock_from_its_read_to_its_row(tmp_path, monkeypatch):
+    path = tmp_path / "store.sqlite3"
+    with Store(path) as store:
+        baselines = _populate(store, random.Random(4))
+    baseline = tmp_path / "baseline.csv"
+    baseline.write_text(_BASELINE_HEADER + "".join(
+        f"{b.notebook_id},{b.prev_dependency_install},{b.prev_execution_status},-,-\n"
+        for b in baselines))
+    read = Store.latest_outcomes
+    refused = []
+
+    def read_then_write_elsewhere(self):
+        groups = read(self)
+        with closing(sqlite3.connect(path, timeout=0)) as other:
+            try:
+                with other:
+                    other.execute("DELETE FROM reproducibility_metrics")
+            except sqlite3.OperationalError as exc:
+                refused.append(str(exc))
+        return groups
+
+    monkeypatch.setattr(Store, "latest_outcomes", read_then_write_elsewhere)
+    config = PipelineConfig(baseline_path=baseline, report_dir=tmp_path / "reports")
+    with Store(path) as store:
+        assert cmd_classify(config, store) == 0
+        monkeypatch.setattr(Store, "latest_outcomes", read)
+        assert store_rows(store, "reproducibility_metrics")
+        assert aggregate_corpus(store).classified_notebooks == len(baselines)
+    assert refused == ["database is locked"]
 
 
 def test_newer_store_is_refused_and_left_as_is(tmp_path):
