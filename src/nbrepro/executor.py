@@ -3,6 +3,8 @@
 ``execute_notebook`` makes the runtime calls: it runs the in-image converter
 in execute mode with error tolerance, so failing cells still yield an
 artifact, writes the log, copies the artifact out and removes the container.
+Only the run, with its kernel-fallback retry, happens inside the caller's
+slot; the log, the copy-out and the removal come after the slot is left.
 The run and the copy share the notebook's bound; a timed-out run is logged
 with what it printed. ``execution_record`` derives the status, the per-cell
 error records and the cell counts from the last attempt and the artifact's
@@ -14,6 +16,7 @@ from __future__ import annotations
 import logging
 import re
 import time
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import replace
 from pathlib import Path, PurePosixPath
 
@@ -126,6 +129,7 @@ def execute_notebook(
     timeout: float = DEFAULT_EXECUTION_TIMEOUT,
     cpu_limit: str | None = None,
     memory_limit: str | None = None,
+    slot: AbstractContextManager = nullcontext(),
 ) -> ExecutionRecord:
     """Execute one notebook in the image and capture its outcome.
 
@@ -135,6 +139,10 @@ def execute_notebook(
     After a clean exit the executed artifact is copied out to
     ``artifacts_dir/<run_id>/<relative_path>`` under the same ``timeout``;
     the log holds every attempt's runtime argv, exit status and output.
+    The attempts, and the removal between them, run inside ``slot``; the
+    log, the copy-out and the removal of the last container follow it, and
+    that removal happens even when the log or the copy raises. The
+    recorded duration is the attempts' own.
     """
     rel = PurePosixPath(descriptor.relative_path)
     in_container_dir = str(PurePosixPath(CONTAINER_WORKSPACE) / rel.parent)
@@ -148,25 +156,26 @@ def execute_notebook(
     if memory_limit:
         run_args += ["--memory", memory_limit]
 
-    started = time.monotonic()
     attempts: list[ToolRun] = []
-    for kernel_name in (None, FALLBACK_KERNEL):
-        if attempts:
-            logger.info("kernel %r not in image for %s, retrying on %s",
-                        descriptor.kernel_name, descriptor.relative_path, FALLBACK_KERNEL)
-            docker.remove_container(container_name)
-        command = _nbconvert_command(rel.name, executed_name, kernel_name)
-        attempt = docker.run_container(image, command, run_args, timeout=timeout)
-        attempts.append(attempt)
-        status = _failure_status(attempt)
-        if status is not ExecutionStatus.KERNEL_NOT_FOUND:
-            break
-    duration = time.monotonic() - started
-
-    atomic.write_text(log_path, "".join(a.log_text() for a in attempts))
+    with slot:
+        started = time.monotonic()
+        for kernel_name in (None, FALLBACK_KERNEL):
+            if attempts:
+                logger.info("kernel %r not in image for %s, retrying on %s",
+                            descriptor.kernel_name, descriptor.relative_path,
+                            FALLBACK_KERNEL)
+                docker.remove_container(container_name)
+            command = _nbconvert_command(rel.name, executed_name, kernel_name)
+            attempt = docker.run_container(image, command, run_args, timeout=timeout)
+            attempts.append(attempt)
+            status = _failure_status(attempt)
+            if status is not ExecutionStatus.KERNEL_NOT_FOUND:
+                break
+        duration = time.monotonic() - started
 
     copied: Path | None = None
     try:
+        atomic.write_text(log_path, "".join(a.log_text() for a in attempts))
         if status is ExecutionStatus.SUCCESS:
             artifact = artifacts_dir / run_id / descriptor.relative_path
             artifact.parent.mkdir(parents=True, exist_ok=True)

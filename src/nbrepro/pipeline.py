@@ -2,14 +2,16 @@
 
 Per repository: validate -> acquire -> discover -> infer -> recipe ->
 cleanup -> build -> execute -> compare. Each stage maps over the corpus on
-one ``--jobs`` budget of slots, shared by repository stages and notebook
-runs; a failing repository becomes data, never a corpus abort. Every
-``--jobs`` value takes the same path: repositories run on a pool of worker
-threads and notebooks on a second one, so ``--jobs 1`` differs from
-``--jobs N`` only in its slot count. Infer holds facts, not parsed
-notebooks. A large repository's notebooks run side by side while the clean
-room holds (its cleanup and no-cache build finish before any of its
-notebooks start, and each notebook gets its own fresh container). This
+one ``--jobs`` budget of slots, shared by repository stages and container
+runs; a failing repository becomes data, never a corpus abort. A
+notebook's copy-out and container removal hold no slot. Every ``--jobs``
+value takes the same path: repositories run on a pool of worker threads
+and notebooks on a second one, where a repository waiting for its
+notebooks runs the ones not yet started on its own thread, so ``--jobs 1``
+differs from ``--jobs N`` only in its slot count. Infer holds facts, not
+parsed notebooks. A large repository's notebooks run side by side while
+the clean room holds (its cleanup and no-cache build finish before any of
+its notebooks start, and each notebook gets its own fresh container). This
 module is the only writer of the store: a stage records each repository's
 outcome in one transaction on that repository's thread, never a partial
 one, and compare finds its work with one query. After Ctrl-C, no further
@@ -26,12 +28,13 @@ import this module.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import logging
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -87,10 +90,12 @@ class EventLog:
 class WorkBudget:
     """``jobs`` slots shared by every unit of work of one invocation.
 
-    A unit is a repository's serial stages or one notebook run; it holds one
-    of ``slots`` while it runs, so at most ``jobs`` units are in flight.
-    Notebook runs go to one pool of ``jobs`` threads, opened on first use
-    and closed by ``close``, so the thread count stays O(jobs). Only a unit
+    A unit is a repository's serial stages or one notebook's container run;
+    it holds one of ``slots`` while it runs, so at most ``jobs`` units are
+    in flight. A notebook's copy-out and removal hold no slot. Notebooks go
+    to one pool of ``jobs`` threads, opened on first use and closed by
+    ``close``, and the unit that maps them runs its own not yet started
+    ones on its thread, so the thread count stays O(jobs). Only a unit
     calls ``map``: releasing a slot it does not hold overflows the bounded
     semaphore, which raises.
     """
@@ -102,11 +107,13 @@ class WorkBudget:
         self._pool: ThreadPoolExecutor | None = None
 
     def map(self, fn, items: list) -> list:
-        """``[fn(item) for item in items]``, each call one unit of work on
-        the notebook pool. The calling unit waits for all of them without
-        its slot and takes the slot back before it returns. Once none of the
-        calls is running, the first exception in item order is raised and
-        any later ones are logged.
+        """``[fn(item) for item in items]`` on the notebook pool; each call
+        takes ``slots`` itself for what needs one. The calling unit leaves
+        its slot, runs on its own thread each call the pool has not started
+        (a successful ``cancel`` claims it), waits for the rest and takes
+        the slot back before it returns. Once none of the calls is running,
+        the first exception in item order is raised and any later ones are
+        logged.
         """
         with self._pool_lock:
             if self._pool is None:
@@ -115,7 +122,9 @@ class WorkBudget:
             pool = self._pool
         self.slots.release()
         try:
-            futures = [pool.submit(self._in_slot, fn, item) for item in items]
+            futures = [pool.submit(fn, item) for item in items]
+            futures = [_run_here(fn, item) if future.cancel() else future
+                       for future, item in zip(futures, items)]
             wait(futures)
         finally:
             self.slots.acquire()
@@ -126,10 +135,6 @@ class WorkBudget:
             raise failures[0]
         return [future.result() for future in futures]
 
-    def _in_slot(self, fn, item):
-        with self.slots:
-            return fn(item)
-
     def close(self) -> None:
         """Drop the notebook runs not yet started and stop the notebook
         pool's threads; a later ``map`` opens a new pool."""
@@ -137,6 +142,21 @@ class WorkBudget:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
+
+
+class _NotStarted(Exception):
+    """A notebook's slot was taken after Ctrl-C; its container never ran."""
+
+
+def _run_here(fn, item) -> Future:
+    """``fn(item)`` run on the calling thread, as a finished future; an
+    exception, a KeyboardInterrupt too, is kept in it as a pool keeps it."""
+    future = Future()
+    try:
+        future.set_result(fn(item))
+    except BaseException as exc:  # noqa: BLE001 - map raises it
+        future.set_exception(exc)
+    return future
 
 
 class Pipeline:
@@ -162,10 +182,11 @@ class Pipeline:
     # ---- stage 1 + 2: discovery, validation, inference ----------------------
 
     def infer_repository(self, raw_input: str) -> RepositoryResult:
+        # git reads ``url``; events spell the URL as the store does.
         url = corpus.canonical_input(raw_input)
         repository_id = corpus.repository_id_for(url)
         result = self._result_for(raw_input)
-        self.events.emit("infer", "start", url=url, repository_id=repository_id)
+        self.events.emit("infer", "start", url=result.url, repository_id=repository_id)
 
         try:
             validation = corpus.validate_repository(
@@ -173,7 +194,7 @@ class Pipeline:
         except corpus.TransientNetworkError as exc:
             # Timed out, or killed by the signal of a Ctrl-C: worth a retry.
             # The event keeps its name for both.
-            self.events.emit("infer", "validation_timeout", url=url,
+            self.events.emit("infer", "validation_timeout", url=result.url,
                              repository_id=repository_id, error=str(exc))
             result.degraded_reason = f"validation did not finish: {exc}"
             return result
@@ -191,7 +212,8 @@ class Pipeline:
         if validation is not corpus.ValidationResult.ACCESSIBLE:
             self._record_inferred(result, known, run, ProvisioningStatus.INVALID_URL,
                                   validation.value)
-            self.events.emit("infer", "invalid_url", url=url, reason=validation.value,
+            self.events.emit("infer", "invalid_url", url=result.url,
+                             reason=validation.value,
                              repository_id=repository_id, run_id=run.run_id)
             return result
 
@@ -200,7 +222,8 @@ class Pipeline:
                 url, Path(self.config.artifacts_dir) / "repos")
         except corpus.AcquisitionError as exc:
             # Transient: validation said accessible but the clone failed.
-            self.events.emit("infer", "acquisition_failed", url=url, error=str(exc),
+            self.events.emit("infer", "acquisition_failed", url=result.url,
+                             error=str(exc),
                              repository_id=repository_id, run_id=run.run_id)
             result.degraded_reason = str(exc)
             return self._record_inferred(result, replace(known, accessible=True), run,
@@ -354,26 +377,39 @@ class Pipeline:
 
     def _execute_notebook(self, run_id: str, image: str, logdir: Path,
                           descriptor: NotebookDescriptor) -> ExecutionRecord | None:
-        """One notebook in its own fresh container; returns its record, or
-        None without starting one once the invocation was interrupted."""
-        if self.interrupted.is_set():
-            return None
+        """One notebook in its own fresh container, whose run holds a slot;
+        returns its record, or None without starting one once the
+        invocation was interrupted."""
         ids = {"repository_id": descriptor.repository_id, "run_id": run_id,
                "notebook_id": descriptor.notebook_id}
-        self.events.emit("execute", "notebook_start",
-                         relative_path=descriptor.relative_path, **ids)
-        record = executor.execute_notebook(
-            self.docker, image, descriptor,
-            run_id=run_id,
-            artifacts_dir=Path(self.config.artifacts_dir),
-            log_path=logdir / f"{descriptor.notebook_id}.execution.log",
-            timeout=self.config.exec_timeout,
-            cpu_limit=self.config.cpu_limit,
-            memory_limit=self.config.memory_limit,
-        )
+        try:
+            record = executor.execute_notebook(
+                self.docker, image, descriptor,
+                run_id=run_id,
+                artifacts_dir=Path(self.config.artifacts_dir),
+                log_path=logdir / f"{descriptor.notebook_id}.execution.log",
+                timeout=self.config.exec_timeout,
+                cpu_limit=self.config.cpu_limit,
+                memory_limit=self.config.memory_limit,
+                slot=self._container_slot(descriptor, ids),
+            )
+        except _NotStarted:
+            return None
         self.events.emit("execute", "notebook_done", status=record.status.value,
                          duration_s=record.duration_s, **ids)
         return record
+
+    @contextlib.contextmanager
+    def _container_slot(self, descriptor: NotebookDescriptor, ids: dict):
+        """A slot for one notebook's container run. Ctrl-C is checked once
+        the slot is held, right before the run: after it, ``_NotStarted``
+        is raised and no container starts."""
+        with self.budget.slots:
+            if self.interrupted.is_set():
+                raise _NotStarted
+            self.events.emit("execute", "notebook_start",
+                             relative_path=descriptor.relative_path, **ids)
+            yield
 
     # ---- stage 4: comparison -------------------------------------------------
 

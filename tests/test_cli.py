@@ -471,6 +471,29 @@ def test_structured_event_log_lines_parse(workspace):
         assert {"ts", "stage", "event"} <= set(event)
 
 
+def test_infer_events_spell_each_url_as_the_store_does(workspace):
+    # Typed as a local path ending in .git, which the store's URL drops; the
+    # second one is no git repository, so it is recorded as an invalid URL.
+    _fixture_repo(workspace, "Repo.git", {
+        "nb.ipynb": _notebook_file(code_cell("print(1)"))})
+    (workspace["root"] / "origins" / "Gone.git").mkdir()
+    inputs = [str(workspace["root"] / "origins" / name)
+              for name in ("Repo.git", "Gone.git")]
+    main(["infer", *[arg for raw in inputs for arg in ("--input", raw)],
+          *_common_flags(workspace)])
+    with Store(workspace["store"]) as store:
+        stored = {r.repository_id: r.url for r in store.list_repositories()}
+    events = [json.loads(line) for line in
+              (workspace["logdir"] / "events.ndjson").read_text().splitlines()]
+    spelled = {(e["event"], e["repository_id"]): e["url"]
+               for e in events if "url" in e}
+    assert sorted(event for event, _ in spelled) == ["invalid_url", "start", "start"]
+    assert len(stored) == 2
+    for (_, repository_id), url in spelled.items():
+        assert url == stored[repository_id]
+        assert not url.endswith(".git")
+
+
 def test_duplicate_inputs_deduplicated(workspace):
     url = _fixture_repo(workspace, "dup", {
         "nb.ipynb": _notebook_file(code_cell("print(1)"))})

@@ -4,6 +4,7 @@ runtime)."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import time
@@ -365,6 +366,48 @@ def test_runtime_calls_on_each_path(tmp_path, run_results, artifact, verbs):
     execute_notebook(docker, "img", _descriptor(), run_id="run1",
                      artifacts_dir=tmp_path, log_path=tmp_path / "execution.log")
     assert [_VERBS[call[0]] for call in docker.calls] == verbs.split()
+
+
+def test_only_the_container_runs_hold_the_slot(tmp_path):
+    docker = FakeDocker()
+    docker.run_results = [FakeCompleted(1, stderr="No such kernel named custom"),
+                          FakeCompleted(0)]
+    docker.copy_payloads["/workspace/analysis.executed.ipynb"] = _THREE_CODE_CELLS
+
+    @contextlib.contextmanager
+    def slot():
+        docker.calls.append(("take_slot",))
+        yield
+        docker.calls.append(("leave_slot",))
+
+    execute_notebook(docker, "img", _descriptor(), run_id="run1",
+                     artifacts_dir=tmp_path, log_path=tmp_path / "execution.log",
+                     slot=slot())
+    # the retry and the removal before it run in the slot; the copy-out and
+    # the last removal follow it
+    assert [_VERBS.get(call[0], call[0]) for call in docker.calls] == [
+        "take_slot", "run", "rm", "run", "leave_slot", "cp", "rm"]
+
+
+class _CopyFails(FakeDocker):
+    def copy_from_container(self, container, source, destination, timeout=None):
+        super().copy_from_container(container, source, destination, timeout)
+        raise OSError("copy-out interrupted")
+
+
+@pytest.mark.parametrize("failing", ["log", "copy"])
+def test_a_returned_run_is_removed_when_its_log_or_copy_raises(tmp_path, failing):
+    docker = _CopyFails() if failing == "copy" else FakeDocker()
+    docker.copy_payloads["/workspace/analysis.executed.ipynb"] = _THREE_CODE_CELLS
+    # a log directory that is a file makes the log write raise
+    (tmp_path / "logs").write_text("")
+    log_dir = tmp_path / ("logs" if failing == "log" else "fine")
+    with pytest.raises(OSError):
+        execute_notebook(docker, "img", _descriptor(), run_id="run1",
+                         artifacts_dir=tmp_path / "artifacts",
+                         log_path=log_dir / "execution.log")
+    assert docker.calls[-1] == ("remove_container", "nbrepro-run1-nb0001")
+    assert not docker.containers
 
 
 @pytest.mark.parametrize("on_run,status", [

@@ -4,13 +4,16 @@ artifact layout, and the log directory contract."""
 from __future__ import annotations
 
 import json
+import re
 import signal
+import sys
 import threading
 import time
 import weakref
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 
@@ -24,7 +27,7 @@ from nbrepro.executor import (
     ExecutionRecord,
     ExecutionStatus,
 )
-from nbrepro.pipeline import Pipeline, RepositoryResult
+from nbrepro.pipeline import Pipeline, RepositoryResult, WorkBudget
 from nbrepro.store import ProvisioningStatus, Repository, RunRecord, Store
 from nbrepro.tool import ToolRun
 
@@ -598,6 +601,216 @@ def test_single_repository_execute_runs_notebooks_side_by_side(tmp_path):
     assert docker.peak_running == 2
 
 
+class _Lifecycle:
+    """Mixed into a fake runtime: logs, in one order, each container run as
+    it starts, each copy-out as it returns and each removal, by container
+    name. Every copy-out takes ``copy_s``; a notebook named in ``errored``
+    exits 1, and one in ``kernelless`` needs the kernel fallback."""
+
+    copy_s = 0.0
+    errored: tuple[str, ...] = ()
+    kernelless: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._log_lock = threading.Lock()
+        self.lifecycle: list[tuple[str, str]] = []
+
+    def _log(self, verb: str, name: str) -> None:
+        with self._log_lock:
+            self.lifecycle.append((verb, name))
+
+    def run_container(self, image, command, run_args, timeout=None):
+        self._log("run", run_args[run_args.index("--name") + 1])
+        done = super().run_container(image, command, run_args, timeout)
+        if command[-1] in self.errored:
+            return FakeCompleted(1, stderr="RuntimeError: boom")
+        if command[-1] in self.kernelless and not any(
+                part.startswith("--ExecutePreprocessor.kernel_name=")
+                for part in command):
+            return FakeCompleted(1, stderr="NoSuchKernel: No such kernel named ir")
+        return done
+
+    def copy_from_container(self, container, source, destination, timeout=None):
+        time.sleep(self.copy_s)
+        copied = super().copy_from_container(container, source, destination, timeout)
+        self._log("cp", container)
+        return copied
+
+    def remove_container(self, name_or_id):
+        super().remove_container(name_or_id)
+        self._log("rm", name_or_id)
+
+
+class _LifecycleDocker(_Lifecycle, _SlowDocker):
+    pass
+
+
+def _removed_once_after_copy(lifecycle: list[tuple[str, str]]) -> bool:
+    """Whether each run of a container is followed by at most one copy-out
+    and then exactly one removal, before any next run of it."""
+    by_name: dict[str, list[str]] = {}
+    for verb, name in lifecycle:
+        by_name.setdefault(name, []).append(verb)
+    return bool(by_name) and all(
+        re.fullmatch(r"(run (cp )?rm ?)+", " ".join(verbs))
+        for verbs in by_name.values())
+
+
+def test_copy_out_and_removal_leave_the_slot(tmp_path):
+    urls = _skewed_corpus(tmp_path)
+    docker = _LifecycleDocker()
+    docker.copy_s = 0.2
+    results, rows, _ = _run_corpus(tmp_path / "serial", urls, 1, docker)
+
+    assert all(r.completed for r in results)
+    assert len(rows["notebook_executions"]) == 7
+    # one container at a time, yet the next run starts while the first
+    # notebook's artifact is still being copied out
+    assert docker.peak_running == 1
+    verb, first = docker.lifecycle[0]
+    assert verb == "run"
+    copied_at = docker.lifecycle.index(("cp", first))
+    assert any(verb == "run" and name != first
+               for verb, name in docker.lifecycle[1:copied_at])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_container_is_removed_once_after_its_copy(tmp_path, jobs):
+    urls = _skewed_corpus(tmp_path)
+    docker = _LifecycleDocker()
+    docker.errored, docker.kernelless = ("a1.ipynb",), ("a3.ipynb", "b0.ipynb")
+    results, rows, _ = _run_corpus(tmp_path / "run", urls, jobs, docker)
+
+    assert all(r.completed for r in results)
+    assert Counter(row["status"] for row in rows["notebook_executions"]) == {
+        "Success": 6, "ErroredButCompleted": 1}
+    assert _removed_once_after_copy(docker.lifecycle)
+    assert len({name for _, name in docker.lifecycle}) == 7
+    assert not docker.containers
+
+
+def test_map_runs_the_callers_unstarted_items_on_its_own_thread(caplog):
+    budget = WorkBudget(1)
+    held, release = threading.Barrier(3), threading.Event()
+
+    def blocked(item):
+        held.wait(timeout=10)
+        release.wait(timeout=10)
+        return item
+
+    def other_unit():
+        with budget.slots:
+            other.extend(budget.map(blocked, ["x", "y"]))
+
+    # Another unit's two blocked items take the pool's only thread and the
+    # other unit's own thread.
+    other: list = []
+    thread = threading.Thread(target=other_unit)
+    thread.start()
+    try:
+        held.wait(timeout=10)
+        ran_on = []
+
+        def own(item):
+            ran_on.append(threading.current_thread())
+            if isinstance(item, BaseException):
+                raise item
+            return item * 10
+
+        with budget.slots:
+            assert budget.map(own, [1, 2, 3]) == [10, 20, 30]
+            with pytest.raises(ValueError, match="first"):
+                budget.map(own, [1, ValueError("first"), 2, KeyError("second")])
+            with pytest.raises(KeyboardInterrupt):
+                budget.map(own, [KeyboardInterrupt(), 1])
+        # every call ran on the calling thread while the pool was held
+        assert set(ran_on) == {threading.current_thread()}
+        assert len(ran_on) == 9
+        assert any(isinstance(r.exc_info[1], KeyError)
+                   for r in caplog.records if r.exc_info)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+        budget.close()
+    assert not thread.is_alive()
+    assert other == ["x", "y"]
+
+
+def test_map_runs_each_item_once_under_contention():
+    # More units and slots than cores, switching threads as often as the
+    # interpreter allows: a call claimed by both the pool and its unit, or
+    # by neither, shows in the counts.
+    budget = WorkBudget(4)
+    lock = threading.Lock()
+    runs, in_slot, peak = Counter(), [0], [0]
+
+    def item(key):
+        with budget.slots:
+            with lock:
+                in_slot[0] += 1
+                peak[0] = max(peak[0], in_slot[0])
+            with lock:
+                in_slot[0] -= 1
+        with lock:
+            runs[key] += 1
+        return key
+
+    def unit(number):
+        with budget.slots:
+            return budget.map(item, [(number, i) for i in range(50)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as units:
+            results = list(units.map(unit, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+        budget.close()
+    assert results == [[(number, i) for i in range(50)] for number in range(8)]
+    assert runs == Counter({(number, i): 1 for number in range(8) for i in range(50)})
+    assert peak[0] <= 4
+
+
+STUB_RUNTIME = Path(__file__).resolve().parents[1] / "bench" / "stub_runtime.sh"
+
+
+def test_stub_runtime_rows_equal_fake_runtime_rows(tmp_path, monkeypatch):
+    """The pipeline through DockerCli and real subprocesses, against the
+    benchmark's POSIX sh stand-in for the runtime."""
+    urls = _skewed_corpus(tmp_path)
+    _, expected, _ = _run_corpus(tmp_path / "fake", urls, 2, FakeDocker())
+
+    # The stub hands back <executed>/<repository_id>/<notebook path>.
+    state, executed = tmp_path / "stub-state", tmp_path / "executed"
+    for kind in ("images", "containers"):
+        (state / kind).mkdir(parents=True)
+    planted = FakeDocker()
+    _plant_artifacts(planted)
+    for source, payload in planted.copy_payloads.items():
+        name = PurePosixPath(source).name.replace(".executed", "")
+        url = urls[0] if name.startswith("a") else urls[1]
+        target = executed / corpus.repository_id_for(url) / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(payload)
+    monkeypatch.setenv("BENCH_STUB_STATE", str(state))
+    monkeypatch.setenv("BENCH_STUB_EXECUTED", str(executed))
+
+    config = _config(tmp_path / "stub", 2)
+    with Store(config.store_path) as store:
+        pipeline = Pipeline(config, store, DockerCli(str(STUB_RUNTIME)))
+        results = pipeline.map_repositories(urls, pipeline.run_repository)
+        rows = _comparable_rows(store, config.artifacts_dir)
+
+    assert all(r.completed for r in results)
+    assert rows == expected
+    # the stub truncates a container's state file when it is removed
+    containers = sorted((state / "containers").iterdir())
+    assert len(containers) == 7
+    assert [path.stat().st_size for path in containers] == [0] * 7
+
+
 def test_timed_out_clone_degrades_only_its_repository(tmp_path, monkeypatch):
     urls = _skewed_corpus(tmp_path)
     run_tool = corpus.run_tool
@@ -867,6 +1080,29 @@ def test_ctrl_c_under_parallel_execute_commits_no_run(tmp_path, jobs):
         assert [store.get_run(run.run_id).provisioning_status for run in runs] == [
             ProvisioningStatus.PENDING, ProvisioningStatus.PENDING]
         assert store_rows(store, "notebook_executions") == []
+
+
+class _LifecycleCtrlCDocker(_Lifecycle, _CtrlCDocker):
+    pass
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_container_is_removed_once_after_ctrl_c(tmp_path, jobs):
+    urls = [make_git_repo(tmp_path / name, {
+        f"{name}{i}.ipynb": _original(f"print({i})", f"{i}\n").decode()
+        for i in range(4)}) for name in ("a", "b")]
+    config = _config(tmp_path / "store", jobs)
+    with Store(config.store_path) as store:
+        pipeline = Pipeline(config, store, FakeDocker())
+        runs = [store.get_run(pipeline.infer_repository(url).run_id)
+                for url in urls]
+        docker = pipeline.docker = _LifecycleCtrlCDocker(pipeline.interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            pipeline.map_repositories(runs, pipeline.execute_run)
+
+    assert 1 <= docker.runs <= jobs
+    assert _removed_once_after_copy(docker.lifecycle)
+    assert not docker.containers
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
