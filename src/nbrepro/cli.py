@@ -322,11 +322,16 @@ def _render_classification(payload: dict) -> str:
 
 
 def _emit_report(config: PipelineConfig, store: Store) -> None:
-    summary = reportmod.aggregate_corpus(store)
+    """Aggregate the store and write the reports. Every read is made in one
+    transaction, as classify's are, so the report shows one state of the
+    store; a write by another connection waits the read out."""
     export = Path(config.report_dir) / CLASSIFICATION_FILE
-    if export.exists() and store.classification() is None:
-        logger.warning("%s does not describe this store as it is: the report "
-                       "has no outcome classes until classify runs again", export)
+    with store.transaction():
+        summary = reportmod.aggregate_corpus(store)
+        if export.exists() and store.classification() is None:
+            logger.warning("%s does not describe this store as it is: the report "
+                           "has no outcome classes until classify runs again",
+                           export)
     paths = reportmod.emit_reports(summary, Path(config.report_dir))
     logger.info("reports written: %s", ", ".join(str(p) for p in paths))
 

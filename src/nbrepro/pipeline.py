@@ -6,12 +6,13 @@ one ``--jobs`` budget of slots, shared by repository stages and container
 runs; a failing repository becomes data, never a corpus abort. A
 notebook's copy-out and container removal hold no slot. Every ``--jobs``
 value takes the same path: repositories run on a pool of worker threads
-and notebooks on a second one, where a repository waiting for its
-notebooks runs the ones not yet started on its own thread, so ``--jobs 1``
-differs from ``--jobs N`` only in its slot count. Infer holds facts, not
-parsed notebooks. A large repository's notebooks run side by side while
-the clean room holds (its cleanup and no-cache build finish before any of
-its notebooks start, and each notebook gets its own fresh container). This
+and notebooks on a second one, both opened and closed around the stage,
+where a repository waiting for its notebooks runs the ones not yet started
+on its own thread, so ``--jobs 1`` differs from ``--jobs N`` only in its
+slot count. Infer holds facts, not parsed notebooks. A large repository's
+notebooks run side by side while the clean room holds (its cleanup and
+no-cache build finish before any of its notebooks start, and each notebook
+gets its own fresh container). This
 module is the only writer of the store: a stage records each repository's
 outcome in one transaction on that repository's thread, never a partial
 one, and compare finds its work with one query. After Ctrl-C, no further
@@ -88,23 +89,21 @@ class EventLog:
 
 
 class WorkBudget:
-    """``jobs`` slots shared by every unit of work of one invocation.
+    """``jobs`` slots shared by every unit of work of one stage, and the
+    pool that stage's notebooks run on.
 
     A unit is a repository's serial stages or one notebook's container run;
     it holds one of ``slots`` while it runs, so at most ``jobs`` units are
-    in flight. A notebook's copy-out and removal hold no slot. Notebooks go
-    to one pool of ``jobs`` threads, opened on first use and closed by
-    ``close``, and the unit that maps them runs its own not yet started
-    ones on its thread, so the thread count stays O(jobs). Only a unit
-    calls ``map``: releasing a slot it does not hold overflows the bounded
-    semaphore, which raises.
+    in flight. A notebook's copy-out and removal hold no slot. The unit
+    that maps notebooks runs its own not yet started ones on its thread, so
+    the thread count stays O(jobs). The caller owns the pool and shuts it
+    down once the stage is over. Only a unit calls ``map``: releasing a
+    slot it does not hold overflows the bounded semaphore, which raises.
     """
 
-    def __init__(self, jobs: int) -> None:
-        self.jobs = jobs
+    def __init__(self, jobs: int, pool: ThreadPoolExecutor) -> None:
         self.slots = threading.BoundedSemaphore(jobs)
-        self._pool_lock = threading.Lock()
-        self._pool: ThreadPoolExecutor | None = None
+        self.pool = pool
 
     def map(self, fn, items: list) -> list:
         """``[fn(item) for item in items]`` on the notebook pool; each call
@@ -115,14 +114,9 @@ class WorkBudget:
         the first exception in item order is raised and any later ones are
         logged.
         """
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.jobs, thread_name_prefix="nbrepro-notebook")
-            pool = self._pool
         self.slots.release()
         try:
-            futures = [pool.submit(fn, item) for item in items]
+            futures = [self.pool.submit(fn, item) for item in items]
             futures = [_run_here(fn, item) if future.cancel() else future
                        for future, item in zip(futures, items)]
             wait(futures)
@@ -134,14 +128,6 @@ class WorkBudget:
         if failures:
             raise failures[0]
         return [future.result() for future in futures]
-
-    def close(self) -> None:
-        """Drop the notebook runs not yet started and stop the notebook
-        pool's threads; a later ``map`` opens a new pool."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
 
 
 class _NotStarted(Exception):
@@ -165,7 +151,6 @@ class Pipeline:
         self.config = config
         self.store = store
         self.docker = docker or containerize.DockerCli(config.docker_executable)
-        self.budget = WorkBudget(config.jobs)
         self.invocation_id = new_invocation_id()
         self.events = EventLog(Path(config.logdir) / "events.ndjson",
                                self.invocation_id)
@@ -477,26 +462,27 @@ class Pipeline:
         return result
 
     def map_repositories(self, items: list, fn) -> list[RepositoryResult]:
-        """Apply one per-repository stage across the corpus on the shared
-        budget; unexpected exceptions degrade that repository only. Every
-        notebook run has finished, and the notebook pool is closed, when
-        this returns. After a KeyboardInterrupt, no repository still running
-        records an infer or execute outcome, and none not yet started
-        starts."""
+        """Apply one per-repository stage across the corpus on a budget of
+        ``jobs`` slots; unexpected exceptions degrade that repository only.
+        The repository and notebook pools, ``jobs`` threads each, live
+        exactly as long as this call; a pool starts a thread only for work
+        submitted to it, so a stage without notebooks starts no notebook
+        thread. Every notebook run has finished when this returns. After a
+        KeyboardInterrupt, no repository still running records an infer or
+        execute outcome, and none not yet started starts."""
         self.interrupted.clear()
-        try:
-            workers = max(1, min(self.config.jobs, len(items)))
-            with ThreadPoolExecutor(max_workers=workers,
-                                    thread_name_prefix="nbrepro-repository") as pool:
-                try:
-                    return list(pool.map(lambda item: self._safe(fn, item), items))
-                except BaseException:
-                    # Leaving the block waits for the repository threads; the
-                    # runtime calls the interrupt killed must not commit.
-                    self.interrupted.set()
-                    raise
-        finally:
-            self.budget.close()
+        jobs = self.config.jobs
+        # The repository pool closes first: its units wait for their notebooks.
+        with (ThreadPoolExecutor(jobs, thread_name_prefix="nbrepro-notebook") as notebooks,
+              ThreadPoolExecutor(jobs, thread_name_prefix="nbrepro-repository") as pool):
+            self.budget = WorkBudget(jobs, notebooks)
+            try:
+                return list(pool.map(lambda item: self._safe(fn, item), items))
+            except BaseException:
+                # Leaving the block waits for the repository threads; the
+                # runtime calls the interrupt killed must not commit.
+                self.interrupted.set()
+                raise
 
     def _safe(self, fn, item) -> RepositoryResult:
         try:

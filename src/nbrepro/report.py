@@ -7,8 +7,9 @@ folds too: one row per distinct outcome, weighted by its notebooks, each
 error list reduced to its (type, category) pairs, so the Python work grows
 with the distinct outcomes, not with the notebooks. The small repository
 and latest-run reads add the provisioning counts, and the store's
-classification row the classes. Output bytes are deterministic for a fixed
-store snapshot; the generation timestamp is isolated in one header field.
+classification row the classes. Output bytes are a function of the one
+store state that the caller's transaction reads; the generation timestamp
+is isolated in one header field.
 """
 
 from __future__ import annotations
@@ -78,12 +79,17 @@ class CorpusSummary:
 def aggregate_corpus(store: Store) -> CorpusSummary:
     """Deterministic aggregation over the latest run of each repository.
 
+    Call it inside ``store.transaction()``: its reads then see one state of
+    the store, and another connection's write waits until they are done.
     An empty store yields an all-zero summary rather than an error. The
     outcome classes and the resolution rate are classify's row, which the
     store holds only while the rows classify read are unchanged.
     """
     repositories = store.list_repositories()
     latest = store.latest_runs()
+    groups = store.latest_outcomes()
+    outcome_classes, resolution = (store.classification()
+                                   or ({key: 0 for key in OUTCOME_CLASS_ORDER}, None))
 
     provisioning = {key: 0 for key in PROVISIONING_ORDER}
     for repo in repositories:
@@ -92,8 +98,7 @@ def aggregate_corpus(store: Store) -> CorpusSummary:
         provisioning[status] = provisioning.get(status, 0) + 1
     with_req = sum(1 for repo in repositories if repo.has_requirements_file)
 
-    # One group per distinct latest-run outcome, weighted by its notebooks;
-    # each distinct error list is decoded once.
+    # One group per distinct latest-run outcome, weighted by its notebooks.
     total = executed = zero_errors = flagged = scored = 0
     error_types: dict[str, int] = {}
     error_categories: dict[str, int] = {}
@@ -101,17 +106,13 @@ def aggregate_corpus(store: Store) -> CorpusSummary:
     score_categories = {key: 0 for key in SCORE_CATEGORY_ORDER}
     scores: list[tuple[float, int]] = []
     scores_by_stratum: dict[bool, list[tuple[float, int]]] = {True: [], False: []}
-    decoded: dict[str, list[list[str]]] = {}
-    groups = store.latest_outcomes()
     for group in groups:
         count = group.notebook_count
         total += count
         flagged += group.pattern_notebooks
         if group.execution_status is not None:
             executed += count
-            pairs = decoded.get(group.error_pairs)
-            if pairs is None:
-                pairs = decoded[group.error_pairs] = json.loads(group.error_pairs)
+            pairs = json.loads(group.error_pairs)
             if not pairs:
                 zero_errors += count
             for error_type, category in pairs:
@@ -130,10 +131,6 @@ def aggregate_corpus(store: Store) -> CorpusSummary:
             scores_by_stratum[bool(group.has_requirements_file)].append((score, count))
 
     prevalence = flagged / total if total else 0.0
-
-    # Read last: a write that lands while the report reads deletes them.
-    outcome_classes, resolution = (store.classification()
-                                   or ({key: 0 for key in OUTCOME_CLASS_ORDER}, None))
 
     return CorpusSummary(
         total_repositories=len(repositories),

@@ -456,11 +456,12 @@ class Store:
 
     @contextmanager
     def transaction(self):
-        """Hold the store for a block of writes: the outermost block takes
-        SQLite's write lock as it opens, so no other connection writes
-        between what the block reads and what it writes. The writes commit
-        together when that block exits and roll back if it raises. Other
-        threads wait for the block, so keep slow work outside it."""
+        """Hold the store for a block of writes, or of reads that must see
+        one state: the outermost block takes SQLite's write lock as it
+        opens, so no other connection writes between what the block reads
+        and what it writes. The writes commit together when that block
+        exits and roll back if it raises. Other threads wait for the block,
+        so keep slow work outside it."""
         with self._lock:
             self._depth += 1
             try:

@@ -14,6 +14,7 @@ import logging
 import math
 import shutil
 import sqlite3
+import threading
 from contextlib import closing
 from pathlib import Path
 
@@ -518,6 +519,32 @@ def test_infer_parallel_jobs(workspace):
     with Store(workspace["store"]) as store:
         assert len(store.list_repositories()) == 4
         assert len(store_rows(store, "repository_runs")) == 4
+
+
+def test_only_a_stage_with_notebooks_starts_notebook_threads(workspace, monkeypatch):
+    """Both pools open with every stage, but a pool starts a thread only for
+    work submitted to it."""
+    from conftest import FakeDocker
+
+    started: list[str] = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    urls = [_fixture_repo(workspace, name, {
+        "nb.ipynb": _notebook_file(code_cell("print(1)"))}) for name in ("a", "b")]
+    flags = [arg for url in urls for arg in ("--input", url)]
+    assert main(["infer", *flags, "--jobs", "4", *_common_flags(workspace)]) == 0
+    assert started
+    assert not [name for name in started if name.startswith("nbrepro-notebook")]
+
+    monkeypatch.setattr(containerize, "DockerCli", lambda executable: FakeDocker())
+    started.clear()
+    assert main(["execute", "--jobs", "2", *_common_flags(workspace)]) == 0
+    assert 1 <= len([name for name in started if name.startswith("nbrepro-notebook")]) <= 2
 
 
 def test_classification_reports_rescue_direction(workspace):

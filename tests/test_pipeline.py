@@ -691,7 +691,8 @@ def test_each_container_is_removed_once_after_its_copy(tmp_path, jobs):
 
 
 def test_map_runs_the_callers_unstarted_items_on_its_own_thread(caplog):
-    budget = WorkBudget(1)
+    pool = ThreadPoolExecutor(max_workers=1)
+    budget = WorkBudget(1, pool)
     held, release = threading.Barrier(3), threading.Event()
 
     def blocked(item):
@@ -732,7 +733,7 @@ def test_map_runs_the_callers_unstarted_items_on_its_own_thread(caplog):
     finally:
         release.set()
         thread.join(timeout=10)
-        budget.close()
+        pool.shutdown()
     assert not thread.is_alive()
     assert other == ["x", "y"]
 
@@ -741,7 +742,8 @@ def test_map_runs_each_item_once_under_contention():
     # More units and slots than cores, switching threads as often as the
     # interpreter allows: a call claimed by both the pool and its unit, or
     # by neither, shows in the counts.
-    budget = WorkBudget(4)
+    pool = ThreadPoolExecutor(max_workers=4)
+    budget = WorkBudget(4, pool)
     lock = threading.Lock()
     runs, in_slot, peak = Counter(), [0], [0]
 
@@ -767,7 +769,7 @@ def test_map_runs_each_item_once_under_contention():
             results = list(units.map(unit, range(8), timeout=60))
     finally:
         sys.setswitchinterval(interval)
-        budget.close()
+        pool.shutdown()
     assert results == [[(number, i) for i in range(50)] for number in range(8)]
     assert runs == Counter({(number, i): 1 for number in range(8) for i in range(50)})
     assert peak[0] <= 4

@@ -121,7 +121,7 @@ def test_read_only_commands_load_no_stage_code(tmp_path):
     baseline.write_text("notebook_id,prev_dependency_install,prev_execution_status,"
                         "prev_diff_cells,prev_duration_s\nnb1,Fail,Failed,0,1\n")
     result = subprocess.run(
-        [sys.executable, "-I", "-c", _READ_ONLY_COMMANDS, str(PACKAGE.parent),
+        [sys.executable, "-I", "-B", "-c", _READ_ONLY_COMMANDS, str(PACKAGE.parent),
          str(store_path), str(tmp_path / "reports"), str(baseline),
          json.dumps(_STAGE_MODULES)],
         capture_output=True, text=True, timeout=60, check=True)

@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 import math
 import random
+import threading
 from itertools import chain, repeat
 
 import pytest
 
+from nbrepro.cli import main
 from nbrepro.compare import metrics_from_partition, unscored_metrics
 from nbrepro.executor import (
     ErrorCategory,
@@ -275,6 +277,68 @@ def test_report_bytes_independent_of_run_id_order(tmp_path):
         outputs.append([(tmp_path / label / name).read_bytes()
                         for name in ("report.json", "summary.csv")])
     assert outputs[0] == outputs[1]
+
+
+def _two_built_repositories(store: Store) -> None:
+    """Two built repositories of three executed, scored notebooks each."""
+    for repo_id in ("r1", "r2"):
+        run_id = f"run-{repo_id}"
+        store.upsert_repository(Repository(
+            repository_id=repo_id, url=f"u/{repo_id}", accessible=True))
+        store.insert_run(RunRecord(
+            run_id=run_id, repository_id=repo_id, invocation_id="i",
+            started_at="2026-08-08T00:00:00+00:00",
+            provisioning_status=ProvisioningStatus.ENVIRONMENT_BUILT))
+        for n in range(3):
+            nb_id = f"{repo_id}-nb{n}"
+            store.upsert_notebook(NotebookDescriptor(
+                notebook_id=nb_id, repository_id=repo_id,
+                relative_path=f"nb{n}.ipynb", code_cell_count=2))
+            store.insert_execution(ExecutionRecord(
+                notebook_id=nb_id, run_id=run_id, status=ExecutionStatus.SUCCESS,
+                duration_s=1.0, code_cell_count=2, markdown_code_ratio=0.0,
+                errors=(), executed_notebook_path="/tmp/x.ipynb"))
+            store.insert_metrics(metrics_from_partition(
+                [0, 1], [], [], notebook_id=nb_id, run_id=run_id))
+
+
+def test_report_reads_one_state_of_the_store(tmp_path, monkeypatch):
+    """Another connection starts r1's next run between two of the report's
+    reads; the report shows the store before that write or after it."""
+    store_path = tmp_path / "store.sqlite3"
+    with Store(store_path) as store:
+        _two_built_repositories(store)
+
+    def report() -> dict:
+        assert main(["report", "--store", str(store_path), "--logdir",
+                     str(tmp_path / "logs"), "--report-dir", str(tmp_path / "reports")]) == 0
+        return json.loads((tmp_path / "reports" / "report.json").read_text())["summary"]
+
+    def start_next_run():
+        with Store(store_path) as other:
+            other.insert_run(RunRecord(
+                run_id="run-r1-next", repository_id="r1", invocation_id="j",
+                started_at="2026-08-09T00:00:00+00:00"))
+
+    before = report()
+    writers: list[threading.Thread] = []
+    latest_runs = Store.latest_runs
+
+    def racing_latest_runs(store):
+        runs = latest_runs(store)
+        if not writers:
+            writers.append(threading.Thread(target=start_next_run))
+            writers[0].start()
+            writers[0].join(timeout=1)
+        return runs
+
+    monkeypatch.setattr(Store, "latest_runs", racing_latest_runs)
+    raced = report()
+    writers[0].join(timeout=10)
+    assert not writers[0].is_alive()
+    after = report()
+    assert (before["executed_notebooks"], after["executed_notebooks"]) == (6, 3)
+    assert raced in (before, after)
 
 
 def test_empty_store_reports_valid(tmp_path):
