@@ -13,13 +13,15 @@ Subcommands expose each pipeline stage independently; ``run`` chains them.
 Exit codes: 0 complete, 2 partial (some repositories not fully assessed),
 1 fatal, also for a locked store; this module owns them. Only the stage
 handlers import the pipeline, git and runtime modules, so ``report`` and
-``classify`` never load them.
+``classify`` never load them. The CLI makes no runtime call of its own:
+each clean room's first call is the pipeline's one reachability check.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import sqlite3
@@ -185,31 +187,28 @@ def _unique(inputs: list[str]) -> list[str]:
     return list(first.values())
 
 
-def cmd_execute(config: PipelineConfig, store: Store) -> int:
+# What the execute or compare stage says when no latest run awaits it.
+_NOTHING_AWAITING = {
+    "execute": "no inferred runs are awaiting execution; run the infer "
+               "subcommand first",
+    "compare": "no executed artifacts for run; run the execute subcommand first",
+}
+
+
+def cmd_stored_stage(stage: str, config: PipelineConfig, store: Store) -> int:
+    """The ``execute`` or ``compare`` stage over the latest runs awaiting it."""
     from nbrepro.pipeline import Pipeline
 
     pipeline = Pipeline(config, store)
-    if not pipeline.docker.available():
-        raise PredecessorStateMissing(
-            f"container runtime {config.docker_executable!r} is not reachable; "
-            "the execute stage requires one")
-    runs = pipeline.runs_awaiting("execute")
+    runs = pipeline.runs_awaiting(stage)
     if not runs:
-        raise PredecessorStateMissing(
-            "no inferred runs are awaiting execution; run the infer "
-            "subcommand first")
-    return _run_stage(pipeline, runs, pipeline.execute_run)
+        raise PredecessorStateMissing(_NOTHING_AWAITING[stage])
+    step = pipeline.execute_run if stage == "execute" else pipeline.compare_run
+    return _run_stage(pipeline, runs, step)
 
 
-def cmd_compare(config: PipelineConfig, store: Store) -> int:
-    from nbrepro.pipeline import Pipeline
-
-    pipeline = Pipeline(config, store)
-    runs = pipeline.runs_awaiting("compare")
-    if not runs:
-        raise PredecessorStateMissing(
-            "no executed artifacts for run; run the execute subcommand first")
-    return _run_stage(pipeline, runs, pipeline.compare_run)
+cmd_execute = functools.partial(cmd_stored_stage, "execute")
+cmd_compare = functools.partial(cmd_stored_stage, "compare")
 
 
 def cmd_report(config: PipelineConfig, store: Store) -> int:

@@ -102,12 +102,12 @@ class DockerCli:
 
     def list_containers(self, label: str) -> list[str]:
         """The containers carrying ``label``. This is a clean room's first
-        runtime call, so it is also its reachability check: it raises
-        ContainerRuntimeUnavailable when ``ps`` cannot start or does not
-        finish in 30 s. A nonzero exit alone does not prove the runtime
-        unreachable, so then the version probe decides; on a reachable
-        runtime the listing is empty. Once the runtime was found
-        unreachable, every later listing raises the same at once."""
+        runtime call, so it is the one reachability check of ``run`` and
+        ``execute``: it raises ContainerRuntimeUnavailable when ``ps``
+        cannot start or does not finish in 30 s, and every later listing
+        raises the same at once. On a nonzero exit the version probe
+        decides, and a reachable runtime lists nothing; that fallback is
+        there only for the benchmark stub's ``ps``, which can exit 1."""
         if self._unreachable is not None:
             raise ContainerRuntimeUnavailable(self._unreachable)
         try:

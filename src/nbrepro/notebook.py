@@ -160,21 +160,17 @@ def _parse_cell(data: Any, index: int) -> Cell:
     return Cell(kind=kind, source=source, outputs=outputs)
 
 
-def parse_notebook(data: bytes | str) -> ParsedNotebook:
+def parse_notebook(data: bytes) -> ParsedNotebook:
     """Parse raw notebook file content into the structural model.
 
-    Raises ParseError for malformed JSON (with the byte offset), for
-    documents missing required notebook fields (with the field path), and
-    for any nbformat major version other than 4.
+    Raises ParseError for content that is not UTF-8 or not JSON (with the
+    byte offset), for documents missing required notebook fields (with the
+    field path), and for any nbformat major version other than 4.
     """
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError("notebook is not valid UTF-8",
-                             byte_offset=exc.start) from exc
-    else:
-        text = data
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("notebook is not valid UTF-8", byte_offset=exc.start) from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

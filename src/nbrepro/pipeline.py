@@ -16,9 +16,10 @@ gets its own fresh container). This
 module is the only writer of the store: a stage records each repository's
 outcome in one transaction on that repository's thread, never a partial
 one, and compare finds its work with one query. After Ctrl-C, no further
-container starts and nothing is recorded. Every stage appends
-machine-parseable events, each naming the invocation, to the event log
-alongside the raw tool logs. All parallelism lives here. One table,
+container starts and nothing is recorded; an unreachable runtime records
+nothing either. Every stage appends machine-parseable events, each naming
+the invocation, to the event log beside the raw tool logs. All parallelism
+lives here. One table,
 ``NEXT_STAGE``, sends a stored run to its next stage by its status: the
 execute and compare stages take the latest runs it sends them, and
 ``run_repository`` follows it after infer. The pipeline builds the one
@@ -211,9 +212,11 @@ class Pipeline:
                              error=str(exc),
                              repository_id=repository_id, run_id=run.run_id)
             result.degraded_reason = str(exc)
-            return self._record_inferred(result, replace(known, accessible=True), run,
-                                         ProvisioningStatus.PENDING,
-                                         f"acquisition failed: {exc}")
+            # The failed clone deleted the tree; the stored facts stand.
+            known = self.store.get_repository(repository_id) or known
+            return self._record_inferred(
+                result, replace(known, local_path=None, accessible=True), run,
+                ProvisioningStatus.PENDING, f"acquisition failed: {exc}")
 
         tree = Path(repo.local_path or "")
         run = replace(run, revision=corpus.current_revision(tree))
@@ -292,11 +295,11 @@ class Pipeline:
         try:
             containerize.cleanup_previous(repo.repository_id, self.docker)
         except containerize.ContainerRuntimeUnavailable as exc:
+            # An outage is no outcome of the run: it stays Pending, and the
+            # next execute resumes it.
             self.events.emit("execute", "runtime_unavailable", **ids)
-            result.degraded_reason = "container runtime unavailable"
-            return self._record_executed(
-                result, run, ProvisioningStatus.BUILD_FAILED,
-                reason=f"container runtime unavailable: {exc}")
+            result.degraded_reason = f"container runtime unavailable: {exc}"
+            return result
 
         if self._interrupted(result):
             return result
@@ -449,8 +452,8 @@ class Pipeline:
 
     def run_repository(self, raw_input: str) -> RepositoryResult:
         """Infer, then each stage the stored run needs next. The clean room's
-        listing is the runtime check: an unreachable runtime records the run
-        BuildFailed."""
+        listing is the runtime check: an unreachable runtime leaves the run
+        Pending, for the next execute."""
         result = self.infer_repository(raw_input)
         if result.run_id is None or not result.completed:
             return result

@@ -188,10 +188,6 @@ class FakeDocker:
         self.run_results: list = []
         self.copy_payloads: dict[str, bytes] = {}
 
-    def available(self) -> bool:
-        self.calls.append(("available",))
-        return self._available
-
     def build(self, tag, dockerfile, context, timeout=None):
         self.calls.append(("build", tag))
         self.images.add(tag)

@@ -186,10 +186,23 @@ def test_compare_before_execute_is_actionable_error(workspace, capsys, caplog):
 
 
 def test_execute_without_runtime_or_state(workspace, caplog):
-    code = main(["execute", "--docker", "definitely-missing-runtime",
-                 *_common_flags(workspace)])
-    assert code == 1
-    assert any("not reachable" in rec.message for rec in caplog.records)
+    missing = ["--docker", "definitely-missing-runtime", *_common_flags(workspace)]
+    assert main(["execute", *missing]) == 1
+    assert any("no inferred runs are awaiting execution" in rec.getMessage()
+               for rec in caplog.records)
+
+    # Inferred runs on a missing runtime: nothing is recorded.
+    url = _fixture_repo(workspace, "repo", {
+        "nb.ipynb": _notebook_file(code_cell("print(1)"))})
+    assert main(["infer", "--input", url, *_common_flags(workspace)]) == 0
+    caplog.clear()
+    with caplog.at_level("INFO", logger="nbrepro.cli"):
+        assert main(["execute", *missing]) == 2
+    with Store(workspace["store"]) as store:
+        (run,) = store_rows(store, "repository_runs")
+        assert run["provisioning_status"] == ProvisioningStatus.PENDING.value
+        assert store_rows(store, "notebook_executions") == []
+    assert any("not reachable" in rec.getMessage() for rec in caplog.records)
 
 
 def test_classify_requires_baseline_flag(workspace, caplog):
@@ -280,7 +293,7 @@ def test_run_with_a_baseline_writes_its_classes_into_the_report(workspace,
 
 
 def test_cli_builds_no_runtime_client_of_its_own():
-    """The pipeline builds the one runtime client; the CLI asks it."""
+    """The pipeline builds the one runtime client."""
     from nbrepro import cli
 
     modules = set()
@@ -295,6 +308,26 @@ def test_cli_builds_no_runtime_client_of_its_own():
     assert "nbrepro.containerize" not in modules
 
 
+def test_cli_makes_no_runtime_call_and_the_listing_alone_probes():
+    """The runtime is checked in one place: each clean room's listing. The
+    CLI reads no runtime client, and only the listing's fallback calls the
+    version probe."""
+    from nbrepro import cli
+
+    sources = {path.stem: ast.parse(path.read_text("utf-8"))
+               for path in sorted(Path(cli.__file__).parent.glob("*.py"))}
+    assert [node.lineno for node in ast.walk(sources["cli"])
+            if isinstance(node, ast.Attribute) and node.attr == "docker"] == []
+    callers = [f"{module}.{function.name}"
+               for module, source in sources.items()
+               for function in ast.walk(source)
+               if isinstance(function, ast.FunctionDef)
+               for node in ast.walk(function)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "available"]
+    assert callers == ["containerize.list_containers"]
+
+
 def test_report_on_empty_store_exits_zero(workspace):
     assert main(["report", *_common_flags(workspace)]) == 0
     report = json.loads((workspace["reports"] / "report.json").read_text())
@@ -303,16 +336,20 @@ def test_report_on_empty_store_exits_zero(workspace):
 
 @pytest.mark.skipif(docker_available(),
                     reason="exercises the no-runtime degradation path")
-def test_run_without_runtime_skips_stages_3_4_with_status(workspace):
+def test_run_without_runtime_skips_stages_3_4_with_status(workspace, caplog):
     url = _fixture_repo(workspace, "repo", {
         "nb.ipynb": _notebook_file(code_cell("import requests"))})
-    code = main(["run", "--input", url, *_common_flags(workspace)])
+    with caplog.at_level("INFO", logger="nbrepro.cli"):
+        code = main(["run", "--input", url, *_common_flags(workspace)])
     assert code == 2  # partial: stages 1-2 done, 3-4 skipped
     with Store(workspace["store"]) as store:
         (run,) = store_rows(store, "repository_runs")
-        assert run["provisioning_status"] == ProvisioningStatus.BUILD_FAILED.value
-        assert "container runtime unavailable" in (run["status_reason"] or "")
+        assert run["provisioning_status"] == ProvisioningStatus.PENDING.value
+        assert store_rows(store, "notebook_executions") == []
         (repo,) = store.list_repositories()
+        assert any(rec.getMessage().startswith(
+                       f"{repo.url} -> degraded: container runtime unavailable: ")
+                   for rec in caplog.records)
         manifest = Path(repo.local_path) / "requirements.synthesized.txt"
         assert manifest.exists()  # stage-2 artifacts still produced
     assert (workspace["reports"] / "report.json").exists()
@@ -322,7 +359,8 @@ def test_run_without_runtime_skips_stages_3_4_with_status(workspace):
 def test_every_tool_call_of_a_run_has_a_finite_bound(workspace, monkeypatch):
     url = _fixture_repo(workspace, "repo", {
         "nb.ipynb": _notebook_file(code_cell("print(1)"))})
-    executable, _ = logging_runtime(workspace["root"])
+    # A listing that exits 1 leaves reachability to the version probe.
+    executable, _ = logging_runtime(workspace["root"], {"ps": 1})
     bounds = []
     run = tool.subprocess.run
 
@@ -335,9 +373,6 @@ def test_every_tool_call_of_a_run_has_a_finite_bound(workspace, monkeypatch):
     monkeypatch.setattr(tool.subprocess, "run", recording_run)
     main(["run", "--input", url, "--docker", str(executable),
           *_common_flags(workspace)])
-    # run learns reachability from the cleanup listing; execute probes first
-    main(["infer", "--input", url, *_common_flags(workspace)])
-    main(["execute", "--docker", str(executable), *_common_flags(workspace)])
 
     assert {verb for verb, _ in bounds} == {
         "git ls-remote", "git clone", "git rev-parse", "runtime version",
@@ -347,7 +382,7 @@ def test_every_tool_call_of_a_run_has_a_finite_bound(workspace, monkeypatch):
             if bound is None or not 0 < bound < math.inf] == []
 
 
-def test_a_hung_runtime_costs_one_bound_per_run(workspace, monkeypatch):
+def test_a_hung_runtime_costs_one_bound_per_run(workspace, monkeypatch, caplog):
     urls = [_fixture_repo(workspace, f"repo{n}", {
         "nb.ipynb": _notebook_file(code_cell("print(1)"))}) for n in range(3)]
     calls = workspace["root"] / "runtime.calls"
@@ -356,6 +391,13 @@ def test_a_hung_runtime_costs_one_bound_per_run(workspace, monkeypatch):
     runtime.chmod(0o755)
     monkeypatch.setattr(containerize, "QUICK_CALL_TIMEOUT", 0.5)
 
+    caplog.set_level("INFO", logger="nbrepro.cli")
+
+    def repository_lines():
+        lines = sorted(r.getMessage() for r in caplog.records if " -> " in r.getMessage())
+        caplog.clear()
+        return lines
+
     inputs = [arg for url in urls for arg in ("--input", url)]
     assert main(["run", *inputs, "--jobs", "1", "--docker", str(runtime),
                  *_common_flags(workspace)]) == 2
@@ -363,11 +405,59 @@ def test_a_hung_runtime_costs_one_bound_per_run(workspace, monkeypatch):
     assert calls.read_text().split() == ["ps"]
     with Store(workspace["store"]) as store:
         runs = store_rows(store, "repository_runs")
+        repo_urls = [repo.url for repo in store.list_repositories()]
     assert len(runs) == 3
     assert {(run["provisioning_status"], run["status_reason"]) for run in runs} == {
-        (ProvisioningStatus.BUILD_FAILED.value,
-         f"container runtime unavailable: container runtime {str(runtime)!r} "
-         "is not reachable")}
+        (ProvisioningStatus.PENDING.value, None)}
+    reason = (f"container runtime unavailable: container runtime {str(runtime)!r} "
+              "is not reachable")
+    degraded = sorted(f"{url} -> degraded: {reason}" for url in repo_urls)
+    assert repository_lines() == degraded
+
+    # execute takes up the runs and meets the same rule: one listing, no probe.
+    assert main(["execute", "--docker", str(runtime), *_common_flags(workspace)]) == 2
+    assert calls.read_text().split() == ["ps", "ps"]
+    assert repository_lines() == degraded
+    with Store(workspace["store"]) as store:
+        assert store_rows(store, "repository_runs") == runs
+
+
+def test_a_run_on_an_unreachable_runtime_is_resumed_by_execute(workspace, monkeypatch,
+                                                               caplog):
+    from conftest import FakeDocker
+
+    docker = FakeDocker()
+    urls = []
+    for name in ("a", "b"):
+        notebook = _notebook_file(code_cell("print(1)", [
+            {"output_type": "stream", "name": "stdout", "text": ["1\n"]}], 1))
+        docker.copy_payloads[f"/workspace/{name}.executed.ipynb"] = notebook.encode()
+        urls.append(_fixture_repo(workspace, name, {f"{name}.ipynb": notebook}))
+    inputs = [arg for url in urls for arg in ("--input", url)]
+
+    with caplog.at_level("INFO", logger="nbrepro.cli"):
+        assert main(["run", *inputs, "--docker", "definitely-missing-runtime",
+                     *_common_flags(workspace)]) == 2
+    with Store(workspace["store"]) as store:
+        latest = store.latest_runs()
+        repo_urls = {repo.url for repo in store.list_repositories()}
+        assert {run.provisioning_status for run in latest.values()} == {
+            ProvisioningStatus.PENDING}
+        assert store_rows(store, "notebook_executions") == []
+    assert {r.getMessage() for r in caplog.records if " -> " in r.getMessage()} == {
+        f"{url} -> degraded: container runtime unavailable: container runtime "
+        "'definitely-missing-runtime' is not reachable" for url in repo_urls}
+
+    # The outage recorded nothing, so the next execute resumes those runs.
+    monkeypatch.setattr(containerize, "DockerCli", lambda executable: docker)
+    assert main(["execute", *_common_flags(workspace)]) == 0
+    with Store(workspace["store"]) as store:
+        for run in latest.values():
+            assert (store.get_run(run.run_id).provisioning_status
+                    is ProvisioningStatus.ENVIRONMENT_BUILT)
+            assert len(store_rows(store, "notebook_executions",
+                                  run_id=run.run_id)) == 1
+    assert sum(1 for call in docker.calls if call[0] == "build") == 2
 
 
 def test_run_requires_inputs(workspace, caplog):

@@ -17,7 +17,7 @@ from pathlib import Path, PurePosixPath
 
 import pytest
 
-from nbrepro import containerize, corpus, depinfer, notebook
+from nbrepro import containerize, corpus, depinfer, notebook, report
 from nbrepro.compare import metrics_from_partition
 from nbrepro.config import PipelineConfig
 from nbrepro.containerize import DockerCli
@@ -393,7 +393,7 @@ def test_cleanup_learns_reachability_from_its_own_listing(env):
 
     pipeline.map_repositories([store.get_run(run_id)], pipeline.execute_run)
 
-    # no version probe repeats the one the command made before the stage
+    # the listing is the reachability check: no version probe
     assert calls.read_text().split() == ["ps", "images", "build"]
     assert (store.get_run(run_id).provisioning_status
             is ProvisioningStatus.BUILD_FAILED)
@@ -901,6 +901,63 @@ def test_infer_without_notebooks_records_count_zero(env):
             is ProvisioningStatus.NO_PYTHON_NOTEBOOKS)
 
 
+def _clones_fail(monkeypatch):
+    """Every later clone fails, as one after a successful validation can."""
+    run_tool = corpus.run_tool
+
+    def clone_fails(argv, timeout, env=None):
+        if argv[:2] == ["git", "clone"]:
+            return ToolRun(argv, 128, "", "fatal: early EOF\n")
+        return run_tool(argv, timeout, env)
+
+    monkeypatch.setattr(corpus, "run_tool", clone_fails)
+
+
+def test_a_failed_clone_keeps_the_stored_facts(env, monkeypatch):
+    config, store, tmp_path = env
+    url = make_git_repo(tmp_path / "origin", {
+        "requirements.txt": "numpy\n",
+        "a.ipynb": _original("print(1)", "1\n").decode(),
+        "b.ipynb": _original("print(2)", "2\n").decode(),
+    })
+    inferred = Pipeline(config, store, FakeDocker()).infer_repository(url)
+    repo = store.get_repository(inferred.repository_id)
+    assert (repo.has_requirements_file, repo.notebook_count) == (True, 2)
+
+    _clones_fail(monkeypatch)
+    failed = Pipeline(config, store, FakeDocker()).infer_repository(url)
+
+    assert failed.degraded_reason.startswith(f"clone of {url} failed: ")
+    # The failed clone deleted the tree; no other fact changed.
+    assert store.get_repository(inferred.repository_id) == replace(repo, local_path=None)
+    assert len(store.list_notebooks(inferred.repository_id)) == 2
+    run = store.get_run(failed.run_id)
+    assert run.provisioning_status is ProvisioningStatus.PENDING
+    assert run.status_reason == f"acquisition failed: {failed.degraded_reason}"
+    with store.transaction():
+        assert report.aggregate_corpus(store).repositories_with_requirements == 1
+
+
+def test_execute_of_a_run_whose_clone_failed_asks_for_infer(env, monkeypatch):
+    config, store, tmp_path = env
+    url = make_git_repo(tmp_path / "origin", {
+        "a.ipynb": _original("print(1)", "1\n").decode()})
+    docker = FakeDocker()
+    pipeline = Pipeline(config, store, docker)
+    _clones_fail(monkeypatch)
+    inferred = pipeline.infer_repository(url)
+    assert store.get_repository(inferred.repository_id).local_path is None
+
+    (result,) = pipeline.map_repositories([store.get_run(inferred.run_id)],
+                                          pipeline.execute_run)
+
+    assert result.degraded_reason == "repository tree missing; rerun the infer stage"
+    assert docker.calls == []
+    assert (store.get_run(inferred.run_id).provisioning_status
+            is ProvisioningStatus.PENDING)
+    assert store_rows(store, "notebook_executions") == []
+
+
 def test_failed_recipe_write_records_nothing(env, monkeypatch):
     config, store, tmp_path = env
     docker = FakeDocker()
@@ -1140,6 +1197,60 @@ def test_ctrl_c_under_parallel_infer_records_no_run(tmp_path, monkeypatch, jobs)
         assert store.list_repositories() == []
 
 
+def _interrupt_after(obj, name: str, interrupted: threading.Event) -> None:
+    """Ctrl-C as the pipeline sees it, once ``obj.name`` returns."""
+    call = getattr(obj, name)
+
+    def interrupting(*args, **kwargs):
+        try:
+            return call(*args, **kwargs)
+        finally:
+            interrupted.set()
+
+    setattr(obj, name, interrupting)
+
+
+def test_ctrl_c_in_a_clean_room_starts_no_later_runtime_call(tmp_path):
+    urls = [make_git_repo(tmp_path / name, {
+        f"{name}.ipynb": _original("print(1)", "1\n").decode()})
+        for name in ("a", "b")]
+    config = _config(tmp_path / "store", 1)
+    with Store(config.store_path) as store:
+        docker = FakeDocker()
+        pipeline = Pipeline(config, store, docker)
+        runs = [store.get_run(pipeline.infer_repository(url).run_id)
+                for url in urls]
+        _interrupt_after(docker, "list_containers", pipeline.interrupted)
+
+        results = pipeline.map_repositories(runs, pipeline.execute_run)
+
+        # The first repository stops before its build, the second before
+        # its cleanup's listing.
+        assert [call[0] for call in docker.calls] == ["list_containers", "list_images"]
+        assert [r.degraded_reason for r in results] == [
+            "interrupted; nothing was recorded"] * 2
+        assert [store.get_run(run.run_id).provisioning_status for run in runs] == [
+            ProvisioningStatus.PENDING] * 2
+        assert store_rows(store, "notebook_executions") == []
+
+
+def test_ctrl_c_during_compare_commits_no_metrics(env, monkeypatch):
+    from nbrepro import compare
+
+    config, store, tmp_path = env
+    pipeline, runs = _executed_pipeline(config, store, tmp_path, ("a", "b"))
+    _interrupt_after(compare, "compare_notebooks", pipeline.interrupted)
+
+    results = pipeline.map_repositories(runs, pipeline.compare_run)
+
+    assert [r.degraded_reason for r in results] == [
+        "interrupted; nothing was recorded"] * 2
+    assert store_rows(store, "reproducibility_metrics") == []
+    assert _events(config, "notebook_compared") == []
+    assert [store.get_run(run.run_id).provisioning_status for run in runs] == [
+        ProvisioningStatus.ENVIRONMENT_BUILT] * 2
+
+
 # ---- compare reads its work once and commits a repository once --------------
 
 def _executed_pipeline(config, store, tmp_path, names=("origin",)):
@@ -1270,7 +1381,6 @@ def test_execute_and_compare_take_the_runs_the_table_names(env, monkeypatch, sta
 
     monkeypatch.setattr(Pipeline, "execute_run", step)
     monkeypatch.setattr(Pipeline, "compare_run", step)
-    monkeypatch.setattr(containerize, "DockerCli", lambda executable: FakeDocker())
     for handler, statuses in ((cli.cmd_execute, {ProvisioningStatus.PENDING}),
                               (cli.cmd_compare, _EXECUTED)):
         taken.clear()
