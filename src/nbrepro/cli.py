@@ -9,7 +9,8 @@ Subcommands expose each pipeline stage independently; ``run`` chains them.
   report    corpus aggregation into report.json / summary.csv / summary.md
   classify  outcome classes A-D against a baseline export
 
-``classify`` stores its classes and exports them; ``report`` reads the store.
+``classify`` stores its classes, with the groups they were folded from, and
+exports them; ``report`` reads the store.
 Exit codes: 0 complete, 2 partial (some repositories not fully assessed),
 1 fatal, also for a locked store; this module owns them. Only the stage
 handlers import the pipeline, git and runtime modules, so ``report`` and
@@ -226,19 +227,20 @@ def cmd_classify(config: PipelineConfig, store: Store) -> int:
 
 def _write_classification(config: PipelineConfig, baselines: list[BaselineRecord],
                           store: Store) -> None:
-    # The counts commit in the transaction of the read they are folded from.
-    # The store rows stay inside _classification, so they are freed before
-    # the payload is rendered.
+    # The counts and the groups commit in the transaction of the read they
+    # are folded from. The groups' ids are freed before the payload is
+    # rendered.
     with store.transaction():
-        payload = _classification(baselines, store)
-        store.record_classification(payload["counts"], payload["resolution_rate"])
+        groups = store.latest_outcomes()
+        payload = _classification(baselines, groups)
+        store.record_classification(payload["counts"], payload["resolution_rate"], groups)
+        del groups
     out_path = Path(config.report_dir) / CLASSIFICATION_FILE
     atomic.write_text(out_path, _render_classification(payload))
     logger.info("classification written to %s", out_path)
 
 
-def _classification(baselines: list[BaselineRecord], store: Store) -> dict:
-    groups = store.latest_outcomes()
+def _classification(baselines: list[BaselineRecord], groups: list[LatestOutcome]) -> dict:
     group_of: dict[str, int] = {}
     for index, group in enumerate(groups):
         group_of.update(dict.fromkeys(json.loads(group.notebook_ids), index))
@@ -326,11 +328,12 @@ def _emit_report(config: PipelineConfig, store: Store) -> None:
     store; a write by another connection waits the read out."""
     export = Path(config.report_dir) / CLASSIFICATION_FILE
     with store.transaction():
-        summary = reportmod.aggregate_corpus(store)
-        if export.exists() and store.classification() is None:
-            logger.warning("%s does not describe this store as it is: the report "
-                           "has no outcome classes until classify runs again",
-                           export)
+        classification = store.classification()
+        summary = reportmod.aggregate_corpus(store, classification)
+    if classification is None and export.exists():
+        logger.warning("%s does not describe this store as it is: the report "
+                       "has no outcome classes until classify runs again",
+                       export)
     paths = reportmod.emit_reports(summary, Path(config.report_dir))
     logger.info("reports written: %s", ", ".join(str(p) for p in paths))
 

@@ -2,14 +2,16 @@
 
 Aggregates the most recent run of every repository into one summary and
 writes it as versioned JSON, a delimited table, and a human-readable
-digest. The summary is folded from the latest-run read that classify
+digest. The summary is folded from the latest-run groups that classify
 folds too: one row per distinct outcome, weighted by its notebooks, each
 error list reduced to its (type, category) pairs, so the Python work grows
-with the distinct outcomes, not with the notebooks. The small repository
-and latest-run reads add the provisioning counts, and the store's
-classification row the classes. Output bytes are a function of the one
-store state that the caller's transaction reads; the generation timestamp
-is isolated in one header field.
+with the distinct outcomes, not with the notebooks. While classify's row
+stands, the groups it stored beside it are folded; otherwise the latest-run
+read is made here. The small repository and latest-run reads add the
+provisioning counts, and the store's classification row the classes.
+Output bytes are a function of the one store state that the caller's
+transaction reads; the generation timestamp is isolated in one header
+field.
 """
 
 from __future__ import annotations
@@ -21,11 +23,18 @@ import math
 from dataclasses import asdict, dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
+from types import EllipsisType
 
 from nbrepro import __version__, atomic
 from nbrepro.compare import ScoreCategory, categorize_score
 from nbrepro.outcomes import containerized_success_rate_by_requirements
-from nbrepro.store import OutcomeClass, ProvisioningStatus, Store, utc_now_iso
+from nbrepro.store import (
+    Classification,
+    OutcomeClass,
+    ProvisioningStatus,
+    Store,
+    utc_now_iso,
+)
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -76,20 +85,26 @@ class CorpusSummary:
         return asdict(self)
 
 
-def aggregate_corpus(store: Store) -> CorpusSummary:
+def aggregate_corpus(store: Store, classification: Classification | None
+                     | EllipsisType = ...) -> CorpusSummary:
     """Deterministic aggregation over the latest run of each repository.
 
     Call it inside ``store.transaction()``: its reads then see one state of
     the store, and another connection's write waits until they are done.
     An empty store yields an all-zero summary rather than an error. The
     outcome classes and the resolution rate are classify's row, which the
-    store holds only while the rows classify read are unchanged.
+    store holds only while the rows classify read are unchanged; a caller
+    that has read it in the same transaction passes it. The row's groups
+    are folded when it has any, so only a store that changed since classify,
+    or was never classified, pays for the latest-run read.
     """
+    if classification is ...:
+        classification = store.classification()
+    outcome_classes, resolution, groups = (
+        classification or Classification({key: 0 for key in OUTCOME_CLASS_ORDER}, None, []))
     repositories = store.list_repositories()
     latest = store.latest_runs()
-    groups = store.latest_outcomes()
-    outcome_classes, resolution = (store.classification()
-                                   or ({key: 0 for key in OUTCOME_CLASS_ORDER}, None))
+    groups = groups or store.latest_outcomes()
 
     provisioning = {key: 0 for key in PROVISIONING_ORDER}
     for repo in repositories:

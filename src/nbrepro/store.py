@@ -32,9 +32,12 @@ one with the greatest start time, stamped to the microsecond, then run id.
 
 Classify's class counts and resolution rate sit in the one-row
 ``classification`` table, committed with the latest-run read they were
-folded from. A trigger on each table that read walks deletes the row on any
-write, through any connection, so it stands exactly while those rows are
-unchanged; report takes its classes from it alone.
+folded from, and that read's groups, without their notebook ids, beside it
+in ``classified_outcomes``. A trigger on each table that read walks deletes
+the row on any write, through any connection, and a trigger on the row
+deletes the groups with it, so both stand exactly while those rows are
+unchanged. Report takes its classes from the row alone, and folds the
+stored groups while they stand instead of reading the latest runs again.
 
 The schema carries its version in ``PRAGMA user_version``. Opening an
 older store migrates it in one transaction, one version after another, and
@@ -177,7 +180,7 @@ class StoreError(Exception):
     pass
 
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def _one_of(column: str, enum: type[Enum]) -> str:
@@ -258,6 +261,29 @@ CREATE TABLE classification (
         CHECK (resolution_rate IS NULL OR resolution_rate BETWEEN 0 AND 100)
 )"""
 
+# The latest-run groups that classify folded, one row per ``LatestOutcome``
+# without its notebook ids, which only classify reads. They are deleted with
+# the classification row by a trigger rather than a cascade, so that a
+# connection with the foreign keys off deletes them too.
+_CLASSIFIED_OUTCOMES_DDL = f"""
+CREATE TABLE classified_outcomes (
+    has_requirements_file INTEGER NOT NULL,
+    provisioning_status TEXT {_one_of("provisioning_status", ProvisioningStatus)},
+    build_phase TEXT,
+    execution_status TEXT {_one_of("execution_status", ExecutionStatus)},
+    error_pairs TEXT NOT NULL,
+    different_count INTEGER,
+    nondeterministic_count INTEGER,
+    score REAL,
+    structural_mismatch INTEGER,
+    pattern_notebooks INTEGER NOT NULL,
+    notebook_count INTEGER NOT NULL CHECK (notebook_count > 0),
+    CHECK (pattern_notebooks BETWEEN 0 AND notebook_count)
+)"""
+_OUTCOMES_GO_WITH_THE_CLASSES = (
+    "CREATE TRIGGER classification_delete_deletes_outcomes AFTER DELETE ON classification"
+    " BEGIN DELETE FROM classified_outcomes; END")
+
 # The tables classify reads. Any write to them deletes classify's row, so the
 # row stands only while the rows it was folded from are unchanged, whoever
 # writes them.
@@ -292,7 +318,7 @@ CREATE TABLE notebooks (
     parse_error TEXT,
     UNIQUE (repository_id, relative_path)
 )""", _RUNS_DDL, _EXECUTIONS_DDL, _METRICS_DDL, _CLASSIFICATION_DDL,
-    *_DECLASSIFY_TRIGGERS]
+    *_DECLASSIFY_TRIGGERS, _CLASSIFIED_OUTCOMES_DDL, _OUTCOMES_GO_WITH_THE_CLASSES]
 
 # The latest run of each repository: the greatest (started_at, run_id).
 # Start times carry microseconds, so the run id breaks only a true tie.
@@ -322,7 +348,23 @@ class LatestOutcome(NamedTuple):
     structural_mismatch: int | None
     pattern_notebooks: int  # how many of the notebooks have pattern cells
     notebook_count: int
-    notebook_ids: str  # JSON list of the notebooks' ids
+    notebook_ids: str | None  # JSON list of the notebooks' ids; None once stored
+
+
+class Classification(NamedTuple):
+    """Classify's row: the notebooks per class, in class order, the
+    resolution rate, and the latest-run groups they were folded from. A row
+    migrated from schema version 3 has no groups."""
+
+    counts: dict[str, int]
+    resolution_rate: float | None
+    outcomes: list[LatestOutcome]
+
+
+# The columns of a stored group, as named in ``classified_outcomes``.
+_STORED_OUTCOME = LatestOutcome._fields[:-1]
+_INSERT_OUTCOME = (f"INSERT INTO classified_outcomes ({', '.join(_STORED_OUTCOME)})"
+                   f" VALUES ({', '.join('?' * len(_STORED_OUTCOME))})")
 
 
 # Each repository joined once to its latest run, then each of its notebooks,
@@ -667,23 +709,35 @@ class Store:
     # ---- classification ----------------------------------------------------
 
     def record_classification(self, counts: dict[str, int],
-                              resolution_rate: float | None) -> None:
-        """Store classify's notebooks per class and resolution rate. Call it
-        in the transaction of the latest-run read they were folded from."""
-        self._write(
-            f"INSERT OR REPLACE INTO classification VALUES "
-            f"(1, {', '.join('?' * len(OutcomeClass))}, ?)",
-            (*(counts.get(cls.value, 0) for cls in OutcomeClass), resolution_rate))
+                              resolution_rate: float | None,
+                              outcomes: Iterable[LatestOutcome]) -> None:
+        """Store classify's notebooks per class, resolution rate, and the
+        latest-run groups they were folded from, in place of the last ones.
+        Call it in the transaction of that read."""
+        with self.transaction():
+            # Deleting the row deletes its groups; a REPLACE would not.
+            self._write("DELETE FROM classification")
+            self._write(
+                f"INSERT INTO classification VALUES "
+                f"(1, {', '.join('?' * len(OutcomeClass))}, ?)",
+                (*(counts.get(cls.value, 0) for cls in OutcomeClass), resolution_rate))
+            for group in outcomes:
+                self._write(_INSERT_OUTCOME, group[:-1])
 
-    def classification(self) -> tuple[dict[str, int], float | None] | None:
-        """The notebooks per class, in class order, and the resolution rate
-        of the last classify, or None when a write has changed the rows
-        classify read since, or classify never ran."""
-        rows = self._read("SELECT * FROM classification")
+    def classification(self) -> Classification | None:
+        """The last classify's row with its groups, or None when a write
+        has changed the rows classify read since, or classify never ran.
+        One statement reads both, so they are of one state of the store."""
+        rows = self._read(
+            f"SELECT c.*, {', '.join(f'o.{column}' for column in _STORED_OUTCOME)}"
+            " FROM classification AS c LEFT JOIN classified_outcomes AS o")
         if not rows:
             return None
-        (row,) = rows
-        return {cls.value: row[cls.value] for cls in OutcomeClass}, row["resolution_rate"]
+        first = rows[0]
+        return Classification(
+            {cls.value: first[cls.value] for cls in OutcomeClass}, first["resolution_rate"],
+            [LatestOutcome(*(row[column] for column in _STORED_OUTCOME), None)
+             for row in rows if row["notebook_count"] is not None])
 
     # ---- metrics ------------------------------------------------------------
 
@@ -826,6 +880,14 @@ def _migrate_2_to_3(conn: sqlite3.Connection) -> None:
         conn.execute(statement)
 
 
+def _migrate_3_to_4(conn: sqlite3.Connection) -> None:
+    """Version 4 stores classify's groups beside its row. A row that stands
+    keeps its classes and has no groups, so report reads the latest runs
+    until classify runs again."""
+    for statement in (_CLASSIFIED_OUTCOMES_DDL, _OUTCOMES_GO_WITH_THE_CLASSES):
+        conn.execute(statement)
+
+
 # _MIGRATIONS[v] migrates a store of version v to version v + 1.
-_MIGRATIONS = [_migrate_0_to_1, _migrate_1_to_2, _migrate_2_to_3]
+_MIGRATIONS = [_migrate_0_to_1, _migrate_1_to_2, _migrate_2_to_3, _migrate_3_to_4]
 

@@ -298,7 +298,7 @@ def test_latest_run_is_the_greatest_start_time_then_run_id(tmp_path):
         _mixed_store(store)
         assert {repo: run.run_id for repo, run in store.latest_runs().items()} == {
             "alpha": "alpha-2", "beta": "beta-2"}
-        payload = _classification(_MIXED_BASELINE, store)
+        payload = _classification(_MIXED_BASELINE, store.latest_outcomes())
         summary = aggregate_corpus(store)
     del payload["note"]
     assert payload == _MIXED_PAYLOAD
@@ -471,7 +471,7 @@ def test_memoised_classification_equals_per_row_classification():
     for _ in range(200):
         with Store() as store:
             baselines = _random_store(store, rng)
-            payload = _classification(baselines, store)
+            payload = _classification(baselines, store.latest_outcomes())
             currents = {notebook_id: _current_outcome(group)
                         for group in store.latest_outcomes()
                         for notebook_id in json.loads(group.notebook_ids)}
@@ -585,8 +585,8 @@ def test_classify_calls_the_classifier_once_per_statuses_and_group(monkeypatch):
                        prev_execution_status="Install Dependency Error")
             if n % 2 == 0 else b
             for n, b in enumerate(_forty_notebook_store(store))]
-        payload = _classification(baselines, store)
         groups = store.latest_outcomes()
+        payload = _classification(baselines, groups)
 
     # Five drifted scores, one perfect score, and one error list: the ten
     # NameError messages differ but their types do not. The five drifted

@@ -281,9 +281,14 @@ def test_run_with_a_baseline_writes_its_classes_into_the_report(workspace,
     baseline = workspace["root"] / "baseline.csv"
     baseline.write_text(_BASELINE_HEADER
                         + f"{notebook_id},Fail,Install Dependency Error,-,-\n")
+    reads = []
+    read = Store.latest_outcomes
+    monkeypatch.setattr(Store, "latest_outcomes", lambda self: reads.append(1) or read(self))
 
     assert main(["run", "--input", url, "--baseline", str(baseline),
                  *_common_flags(workspace)]) == 0
+    # classify's read serves the report too.
+    assert len(reads) == 1
     payload = json.loads((workspace["reports"] / "classification.json").read_text())
     assert payload["assignments"] == [
         {"notebook_id": notebook_id, "outcome_class": "A_EnvironmentResolved"}]

@@ -18,6 +18,7 @@ from nbrepro.executor import (
     ExecutionRecord,
     ExecutionStatus,
 )
+from nbrepro.outcomes import BaselineRecord
 from nbrepro.report import (
     REPORT_SCHEMA_VERSION,
     CorpusSummary,
@@ -32,6 +33,9 @@ from nbrepro.store import (
     RunRecord,
     Store,
 )
+
+from test_classify import _BASELINE_HEADER, _mixed_store
+from test_store import _add_edge_repositories, _populate
 
 _ERROR_TYPES = ["ModuleNotFoundError", "FileNotFoundError", "ImportError",
                 "SyntaxError", "NameError", "ValueError", "TypeError"]
@@ -365,7 +369,7 @@ def test_unwritable_target_raises(tmp_path):
 def test_classification_counts_included():
     with Store(":memory:") as store:
         store.record_classification({"A_EnvironmentResolved": 3,
-                                     "B_PersistentError": 1}, 75.0)
+                                     "B_PersistentError": 1}, 75.0, [])
         summary = aggregate_corpus(store)
     assert summary.outcome_classes["A_EnvironmentResolved"] == 3
     assert summary.classified_notebooks == 4
@@ -384,3 +388,181 @@ def test_fsum_over_grouped_scores_equals_fsum_over_the_flat_list():
         assert math.fsum(grouped) == math.fsum(flat)
         assert _mean(groups) == math.fsum(flat) / len(flat)
     assert _mean([]) is None
+
+
+# ---- the groups classify stored stand in for the latest-run read -------------------
+
+_STAMP = "2026-08-08T00:00:00+00:00"
+_REPORTS = ("report.json", "summary.csv", "summary.md")
+
+
+def _write_baseline(path, baselines: list[BaselineRecord]) -> None:
+    path.write_text(_BASELINE_HEADER + "".join(
+        f"{b.notebook_id},{b.prev_dependency_install},{b.prev_execution_status},-,-\n"
+        for b in baselines))
+
+
+def _cli(store_path, tmp_path, command: str, *flags: str) -> None:
+    assert main([command, "--store", str(store_path), "--logdir", str(tmp_path / "logs"),
+                 "--report-dir", str(tmp_path / "reports"), *flags]) == 0
+
+
+def _count_latest_reads(monkeypatch) -> list[int]:
+    reads: list[int] = []
+    read = Store.latest_outcomes
+    monkeypatch.setattr(Store, "latest_outcomes",
+                        lambda self: reads.append(1) or read(self))
+    return reads
+
+
+def _pending_repository(store: Store) -> None:
+    store.upsert_repository(Repository(
+        repository_id="pending", url="u/pending", accessible=True))
+    store.upsert_notebook(NotebookDescriptor(
+        notebook_id="pending-nb", repository_id="pending", relative_path="nb.ipynb"))
+    store.insert_run(RunRecord(run_id="run-pending", repository_id="pending",
+                               invocation_id="i", started_at=_STAMP))
+
+
+def _every_case(store: Store) -> None:
+    _mixed_store(store)
+    _pending_repository(store)
+    _add_edge_repositories(store, random.Random(3))
+
+
+# Each case's notebooks all have a baseline row; one more row matches none.
+# "mixed" holds a BuildFailed run, a repository with no run, error pairs and
+# a structural mismatch; "kernel-not-found" a KernelNotFound latest run with
+# an unexecuted, an unscored and a scored notebook.
+_CASES = {
+    "empty": lambda store: None,
+    "pending": _pending_repository,
+    "mixed": _mixed_store,
+    "kernel-not-found": lambda store: _add_edge_repositories(store, random.Random(3)),
+    "all": _every_case,
+}
+
+
+@pytest.mark.parametrize("case", list(_CASES))
+def test_report_after_classify_equals_the_live_fold(tmp_path, monkeypatch, case):
+    monkeypatch.setattr("nbrepro.report.utc_now_iso", lambda: _STAMP)
+    store_path, baseline = tmp_path / "store.sqlite3", tmp_path / "baseline.csv"
+    pairs = [("Success", "Success"), ("Fail", "Install Dependency Error"),
+             ("Success", "ModuleNotFoundError")]
+    with Store(store_path) as store:
+        _CASES[case](store)
+        notebook_ids = [nb.notebook_id for repo in store.list_repositories()
+                        for nb in store.list_notebooks(repo.repository_id)]
+    _write_baseline(baseline, [BaselineRecord(notebook_id, *pairs[n % len(pairs)])
+                               for n, notebook_id in enumerate(notebook_ids + ["ghost"])])
+    _cli(store_path, tmp_path, "classify", "--baseline", str(baseline))
+    assert json.loads((tmp_path / "reports" / "classification.json").read_text())[
+        "unmatched_baseline_rows"] == ["ghost"]
+    reads = _count_latest_reads(monkeypatch)
+    _cli(store_path, tmp_path, "report")
+    # An empty corpus has no groups to store, so its report reads the runs.
+    assert len(reads) == (0 if notebook_ids else 1)
+
+    with Store(store_path) as store, store.transaction():
+        classification = store.classification()
+        assert len(classification.outcomes) == len(store.latest_outcomes())
+        live = aggregate_corpus(store, classification._replace(outcomes=[]))
+    assert live.classified_notebooks == len(notebook_ids)
+    emit_reports(live, tmp_path / "live", generated_at=_STAMP)
+    for name in _REPORTS:
+        assert ((tmp_path / "reports" / name).read_bytes()
+                == (tmp_path / "live" / name).read_bytes()), name
+
+
+def test_report_after_classify_makes_no_latest_run_read(tmp_path, monkeypatch):
+    store_path, baseline = tmp_path / "store.sqlite3", tmp_path / "baseline.csv"
+    with Store(store_path) as store:
+        _every_case(store)
+    _write_baseline(baseline, [BaselineRecord("nbA1", "Fail", "Install Dependency Error")])
+    _cli(store_path, tmp_path, "classify", "--baseline", str(baseline))
+
+    def refuse(self):
+        raise AssertionError("report read the latest runs again")
+
+    monkeypatch.setattr(Store, "latest_outcomes", refuse)
+    _cli(store_path, tmp_path, "report")
+    summary = json.loads((tmp_path / "reports" / "report.json").read_text())["summary"]
+    assert (summary["total_notebooks"], summary["classified_notebooks"]) == (10, 1)
+
+
+def _new_notebook(store: Store) -> None:
+    store.upsert_notebook(NotebookDescriptor(
+        notebook_id="r1-nb9", repository_id="r1", relative_path="nb9.ipynb"))
+
+
+def _next_run(store: Store) -> None:
+    store.insert_run(RunRecord(run_id="run-r1-next", repository_id="r1",
+                               invocation_id="j", started_at="2026-08-09T00:00:00+00:00"))
+
+
+# One write through the Store API per table, or two, and the field it moves.
+_WRITES = {
+    "repository": (lambda store: store.upsert_repository(Repository(
+        repository_id="r1", url="u/r1", accessible=True, has_requirements_file=True)),
+        "repositories_with_requirements", 0, 1),
+    "notebook": (_new_notebook, "total_notebooks", 6, 7),
+    "run": (_next_run, "executed_notebooks", 6, 3),
+    "executions-and-metrics": (lambda store: store.delete_run_results(
+        store.get_run("run-r2")), "scored_notebooks", 6, 3),
+}
+
+
+@pytest.mark.parametrize("write", list(_WRITES))
+def test_report_after_a_write_reads_the_runs_again(tmp_path, monkeypatch, write):
+    store_path, baseline = tmp_path / "store.sqlite3", tmp_path / "baseline.csv"
+    with Store(store_path) as store:
+        _two_built_repositories(store)
+    _write_baseline(baseline, [BaselineRecord("r1-nb0", "Success", "Success")])
+    _cli(store_path, tmp_path, "classify", "--baseline", str(baseline))
+    change, field_name, before, after = _WRITES[write]
+    with Store(store_path) as store:
+        assert getattr(aggregate_corpus(store, None), field_name) == before
+        change(store)
+        live = aggregate_corpus(store, None)
+    reads = _count_latest_reads(monkeypatch)
+    _cli(store_path, tmp_path, "report")
+    assert len(reads) == 1
+    summary = json.loads((tmp_path / "reports" / "report.json").read_text())["summary"]
+    assert summary == live.to_dict()
+    assert summary["classified_notebooks"] == 0
+    assert summary[field_name] == after
+
+
+def _bits(value):
+    """``value`` with every float as its hex digits and every dict as its
+    items in order, so that equal means equal bits in the same order."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return [(key, _bits(item)) for key, item in value.items()]
+    return value
+
+
+def test_stored_groups_fold_to_the_live_summary_on_random_stores(tmp_path):
+    """Per seed, one store is classified and folded from its stored groups,
+    and an untouched copy of it from the latest-run read."""
+    classes = ("classified_notebooks", "outcome_classes", "resolution_rate")
+    for seed in range(30):
+        path, copy = tmp_path / f"store{seed}.sqlite3", tmp_path / f"copy{seed}.sqlite3"
+        baseline = tmp_path / f"baseline{seed}.csv"
+        with Store(path) as store:
+            _write_baseline(baseline, _populate(store, random.Random(seed)))
+        copy.write_bytes(path.read_bytes())
+        _cli(path, tmp_path / str(seed), "classify", "--baseline", str(baseline))
+        with Store(path) as store, store.transaction():
+            classification = store.classification()
+            assert classification.outcomes
+            stored = aggregate_corpus(store, classification)
+        with Store(copy) as untouched:
+            live = aggregate_corpus(untouched)
+        assert ([(name, value) for name, value in _bits(stored.to_dict())
+                 if name not in classes]
+                == [(name, value) for name, value in _bits(live.to_dict())
+                    if name not in classes]), seed
+        assert stored.outcome_classes == classification.counts
+        assert stored.classified_notebooks == stored.total_notebooks

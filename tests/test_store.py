@@ -343,6 +343,9 @@ def test_persistence_across_reopen(tmp_path):
 def test_latest_read_names_its_columns_as_its_row_fields(store):
     columns = [column[0] for column in store._conn.execute(_LATEST_OUTCOMES).description]
     assert columns == list(LatestOutcome._fields)
+    # Classify stores each group but its notebook ids.
+    stored = store._conn.execute("PRAGMA table_info(classified_outcomes)").fetchall()
+    assert [column[1] for column in stored] == columns[:-1]
 
 
 def _plans_of(store: Store, call, verb: str) -> list[tuple[str, list[str]]]:
@@ -407,11 +410,13 @@ _DDL_DIGESTS = {
     1: "e02b8c9165182bfd61cbd0cc448e7c6113c5723c402dd9cef4f4931701beee85",
     2: "21c44615ef15709b4f279c650a4566eef86f055878ae813548e847902a89c5cf",
     3: "9b038f3a83b33a1064af42764a8a4412593ef124474fd351a4ab70ae96051e1a",
+    4: "2bf3f19f9344186870fa0ebfd7436845a578beafe07f91d7331566b6cf8df4b6",
 }
 
 _V0_SCHEMA = (FIXTURES / "store_schema_v0.sql").read_text("utf-8")
 _V1_SCHEMA = (FIXTURES / "store_schema_v1.sql").read_text("utf-8")
 _V2_SCHEMA = (FIXTURES / "store_schema_v2.sql").read_text("utf-8")
+_V3_SCHEMA = (FIXTURES / "store_schema_v3.sql").read_text("utf-8")
 
 
 def _ddl(conn) -> list[tuple]:
@@ -492,14 +497,14 @@ def test_version_0_store_migrates_to_equal_rows(tmp_path):
             expected = _all_rows(store)
             groups = store.latest_outcomes()
             outcomes = sorted(map(repr, groups))
-            payload = _classification(baselines, store)
+            payload = _classification(baselines, groups)
             summary = aggregate_corpus(store)
             _write_old_copy(store, old, _V0_SCHEMA)
         assert _version(old) == 0
         with Store(old) as migrated:
             assert _all_rows(migrated) == expected
             assert sorted(map(repr, migrated.latest_outcomes())) == outcomes
-            assert _classification(baselines, migrated) == payload
+            assert _classification(baselines, migrated.latest_outcomes()) == payload
             assert aggregate_corpus(migrated) == summary
         assert _version(old) == SCHEMA_VERSION
         # Classify and report fold the same groups.
@@ -561,7 +566,7 @@ def test_version_1_store_migrates_once_to_equal_rows(tmp_path, monkeypatch):
             assert sorted(_ddl(migrated._conn)) == sorted(_ddl(new._conn))
             # The migration vacuumed the pages of the tables it rebuilt.
             assert migrated._conn.execute("PRAGMA freelist_count").fetchone()[0] == 0
-    assert migrated_from == [1, 2]
+    assert migrated_from == [1, 2, 3]
     assert _version(path) == SCHEMA_VERSION
 
 
@@ -578,7 +583,7 @@ def test_version_2_store_migrates_once_to_equal_rows(tmp_path, monkeypatch):
         with Store(path) as migrated, Store() as new:
             assert {table: store_rows(migrated, table) for table in tables} == expected
             assert sorted(_ddl(migrated._conn)) == sorted(_ddl(new._conn))
-    assert migrated_from == [2]
+    assert migrated_from == [2, 3]
     assert _version(path) == SCHEMA_VERSION
 
     # The migrated store reports no classes until classify runs again.
@@ -595,10 +600,58 @@ def test_version_2_store_migrates_once_to_equal_rows(tmp_path, monkeypatch):
     assert after.classified_notebooks == after.total_notebooks == len(baselines)
 
 
+def _stored_groups(conn) -> int:
+    return conn.execute("SELECT count(*) FROM classified_outcomes").fetchone()[0]
+
+
+def test_version_3_store_migrates_once_to_equal_rows(tmp_path, monkeypatch):
+    """A version-3 row that stands keeps its classes and gains no groups, so
+    the migrated store's report folds the latest-run read and gives the
+    bytes of the report that folded the groups."""
+    monkeypatch.setattr(nbrepro.report, "utc_now_iso", lambda: "2026-01-01T00:00:00+00:00")
+    path = tmp_path / "v3.sqlite3"
+    baseline = tmp_path / "baseline.csv"
+    config = PipelineConfig(baseline_path=baseline, report_dir=tmp_path / "classified")
+    with Store() as store:
+        baselines = _populate(store, random.Random(13))
+        baseline.write_text(_BASELINE_HEADER + "".join(
+            f"{b.notebook_id},{b.prev_dependency_install},{b.prev_execution_status},-,-\n"
+            for b in baselines))
+        assert cmd_classify(config, store) == 0
+        assert cmd_report(config, store) == 0
+        counts, rate, groups = store.classification()
+        assert groups and counts
+        tables = [table for table in _tables(store) if table != "classified_outcomes"]
+        expected = {table: store_rows(store, table) for table in tables}
+        _write_old_copy(store, path, _V3_SCHEMA)
+    assert _version(path) == 3
+    migrated_from = _record_migrations(monkeypatch)
+    for _ in range(2):
+        with Store(path) as migrated, Store() as new:
+            assert {table: store_rows(migrated, table) for table in tables} == expected
+            assert migrated.classification() == (counts, rate, [])
+            assert sorted(_ddl(migrated._conn)) == sorted(_ddl(new._conn))
+    assert migrated_from == [3]
+    assert _version(path) == SCHEMA_VERSION
+
+    reads = []
+    read = Store.latest_outcomes
+    monkeypatch.setattr(Store, "latest_outcomes",
+                        lambda self: reads.append(1) or read(self))
+    migrated_config = PipelineConfig(report_dir=tmp_path / "migrated")
+    with Store(path) as migrated:
+        assert cmd_report(migrated_config, migrated) == 0
+    assert len(reads) == 1
+    for name in ("report.json", "summary.csv", "summary.md"):
+        assert ((config.report_dir / name).read_bytes()
+                == (migrated_config.report_dir / name).read_bytes()), name
+
+
 @pytest.mark.parametrize("table", nbrepro.store._CLASSIFIED_TABLES)
 def test_any_write_to_a_classified_table_deletes_the_classes(tmp_path, table):
     """The triggers hold the rule, so a write through another connection
-    deletes the classes too; one that touches no row leaves them."""
+    deletes the classes and their groups too; one that touches no row
+    leaves them. The other connection has its foreign keys off."""
     path = tmp_path / "store.sqlite3"
     with Store(path) as store:
         _populate(store, random.Random(2))
@@ -611,15 +664,24 @@ def test_any_write_to_a_classified_table_deletes_the_classes(tmp_path, table):
                 (f"DELETE FROM {table} WHERE rowid = ?", (rowid,), False),
                 (f"INSERT INTO {table} VALUES ({', '.join('?' * len(values))})",
                  values, True)):
-            store.record_classification({"A_EnvironmentResolved": 2}, 50.0)
+            groups = store.latest_outcomes()
+            store.record_classification({"A_EnvironmentResolved": 2}, 50.0, groups)
+            assert _stored_groups(other) == len(groups) > 0
             with other:
                 other.execute(statement, params)
             assert (store.classification() is None) == deletes, statement
+            assert _stored_groups(other) == (0 if deletes else len(groups)), statement
     with Store(path) as store:
-        store.record_classification({"A_EnvironmentResolved": 2}, 50.0)
-        assert store.classification() == ({
+        groups = store.latest_outcomes()
+        store.record_classification({"B_PersistentError": 1}, None, groups[:1])
+        store.record_classification({"A_EnvironmentResolved": 2}, 50.0, groups)
+        counts, rate, stored = store.classification()
+        assert (counts, rate) == ({
             "A_EnvironmentResolved": 2, "B_PersistentError": 0,
             "C_ReproducibilityDrift": 0, "D_Regression": 0, "Unclassified": 0}, 50.0)
+        # The second classify's groups replaced the first one's.
+        assert sorted(map(repr, stored)) == sorted(
+            repr(group._replace(notebook_ids=None)) for group in groups)
 
 
 def test_classify_holds_the_write_lock_from_its_read_to_its_row(tmp_path, monkeypatch):
@@ -898,9 +960,14 @@ def test_a_migrated_store_that_stays_busy_keeps_its_free_pages(tmp_path, monkeyp
     vacuum leaves the free pages in place; the store opens migrated."""
     path = tmp_path / "v1.sqlite3"
     with Store() as store:
-        _populate(store, random.Random(7))
+        _populate(store, random.Random(1))
         expected = _all_rows(store)
         _write_old_copy(store, path, _V1_SCHEMA)
+    # Small pages, so that the rebuilt tables free more pages than the
+    # tables of the later versions take.
+    with closing(sqlite3.connect(path)) as conn:
+        conn.execute("PRAGMA page_size = 512")
+        conn.execute("VACUUM")
     vacuum = Store._vacuum
 
     def vacuum_while_read(self):
