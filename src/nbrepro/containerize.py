@@ -204,8 +204,8 @@ def cleanup_previous(repository_id: str, docker: DockerCli) -> None:
     """Remove every container and image tagged for this repository.
 
     Idempotent: a second call finds nothing and is a no-op. An unreachable
-    runtime raises from the container listing, which callers record as a
-    failed build.
+    runtime raises from the container listing; callers record nothing, and
+    the run stays Pending for the next execute to resume.
     """
     for container in docker.list_containers(f"{REPOSITORY_LABEL}={repository_id}"):
         logger.info("removing stale container %s", container)

@@ -39,10 +39,12 @@ deletes the groups with it, so both stand exactly while those rows are
 unchanged. Report takes its classes from the row alone, and folds the
 stored groups while they stand instead of reading the latest runs again.
 
-The schema carries its version in ``PRAGMA user_version``. Opening an
-older store migrates it in one transaction, one version after another, and
-then vacuums it once to give back the pages the rebuilt tables left free; a
-newer one is refused.
+The schema carries its version in ``PRAGMA user_version``. A new store and
+an older one alike are brought to ``_SCHEMA`` in one transaction by one
+table-by-table comparison: a missing table is created, one whose stored
+statement differs is rebuilt with its rows, and the triggers are made anew.
+An older store is then vacuumed once to give back the pages the rebuilt
+tables left free; a newer one is refused.
 """
 
 from __future__ import annotations
@@ -188,112 +190,25 @@ def _one_of(column: str, enum: type[Enum]) -> str:
     return f"CHECK ({column} IN ({values}))"
 
 
-# The tables that migrations rebuild, as the current version defines them.
-# Every migration rebuilds from these statements, so a migrated store's DDL
-# equals a new one's. The per-run tables are keyed run first, so a run's
-# rows sit together in their primary-key indexes.
-_RUNS_DDL = f"""
-CREATE TABLE repository_runs (
-    run_id TEXT PRIMARY KEY,
-    repository_id TEXT NOT NULL REFERENCES repositories(repository_id),
-    invocation_id TEXT NOT NULL,
-    started_at TEXT NOT NULL,
-    finished_at TEXT CHECK (finished_at IS NULL OR finished_at >= started_at),
-    provisioning_status TEXT NOT NULL
-        {_one_of("provisioning_status", ProvisioningStatus)},
-    status_reason TEXT,
-    image_reference TEXT,
-    revision TEXT,
-    build_phase TEXT
-        CHECK (build_phase IS NULL OR provisioning_status = 'BuildFailed'),
-    build_duration_s REAL
-        CHECK (build_duration_s IS NULL OR build_duration_s >= 0),
-    UNIQUE (repository_id, invocation_id)
-)"""
-
-_EXECUTIONS_DDL = f"""
-CREATE TABLE notebook_executions (
-    notebook_id TEXT NOT NULL REFERENCES notebooks(notebook_id),
-    run_id TEXT NOT NULL REFERENCES repository_runs(run_id),
-    status TEXT NOT NULL {_one_of("status", ExecutionStatus)},
-    duration_s REAL CHECK (duration_s IS NULL OR duration_s >= 0),
-    code_cell_count INTEGER NOT NULL DEFAULT 0,
-    markdown_code_ratio REAL,
-    errors TEXT NOT NULL DEFAULT '[]',
-    error_pairs TEXT NOT NULL DEFAULT '[]',
-    executed_notebook_path TEXT,
-    PRIMARY KEY (run_id, notebook_id),
-    CHECK (status != 'Success'
-           OR (errors = '[]' AND executed_notebook_path IS NOT NULL)),
-    CHECK (status = 'Skipped' OR duration_s IS NOT NULL),
-    CHECK ((errors = '[]') = (error_pairs = '[]'))
-)"""
-
-_METRICS_DDL = """
-CREATE TABLE reproducibility_metrics (
-    notebook_id TEXT NOT NULL,
-    run_id TEXT NOT NULL,
-    identical_count INTEGER NOT NULL DEFAULT 0,
-    different_count INTEGER NOT NULL DEFAULT 0,
-    nondeterministic_count INTEGER NOT NULL DEFAULT 0,
-    identical_indices TEXT NOT NULL DEFAULT '[]',
-    different_indices TEXT NOT NULL DEFAULT '[]',
-    nondeterministic_indices TEXT NOT NULL DEFAULT '[]',
-    total_code_cells INTEGER NOT NULL DEFAULT 0,
-    score REAL CHECK (score IS NULL OR (score >= 0.0 AND score <= 1.0)),
-    structural_mismatch INTEGER NOT NULL DEFAULT 0,
-    PRIMARY KEY (run_id, notebook_id),
-    FOREIGN KEY (run_id, notebook_id)
-        REFERENCES notebook_executions(run_id, notebook_id),
-    CHECK (structural_mismatch = 1
-           OR identical_count + different_count + nondeterministic_count
-              = total_code_cells)
-)"""
-
 # Classify's class counts and resolution rate, in one row, one column per
 # class in the order of ``OutcomeClass``.
 _CLASS_COLUMNS = "".join(f"\n    {cls.value} INTEGER NOT NULL CHECK ({cls.value} >= 0),"
                          for cls in OutcomeClass)
-_CLASSIFICATION_DDL = f"""
-CREATE TABLE classification (
-    only_row INTEGER PRIMARY KEY CHECK (only_row = 1),{_CLASS_COLUMNS}
-    resolution_rate REAL
-        CHECK (resolution_rate IS NULL OR resolution_rate BETWEEN 0 AND 100)
-)"""
-
-# The latest-run groups that classify folded, one row per ``LatestOutcome``
-# without its notebook ids, which only classify reads. They are deleted with
-# the classification row by a trigger rather than a cascade, so that a
-# connection with the foreign keys off deletes them too.
-_CLASSIFIED_OUTCOMES_DDL = f"""
-CREATE TABLE classified_outcomes (
-    has_requirements_file INTEGER NOT NULL,
-    provisioning_status TEXT {_one_of("provisioning_status", ProvisioningStatus)},
-    build_phase TEXT,
-    execution_status TEXT {_one_of("execution_status", ExecutionStatus)},
-    error_pairs TEXT NOT NULL,
-    different_count INTEGER,
-    nondeterministic_count INTEGER,
-    score REAL,
-    structural_mismatch INTEGER,
-    pattern_notebooks INTEGER NOT NULL,
-    notebook_count INTEGER NOT NULL CHECK (notebook_count > 0),
-    CHECK (pattern_notebooks BETWEEN 0 AND notebook_count)
-)"""
-_OUTCOMES_GO_WITH_THE_CLASSES = (
-    "CREATE TRIGGER classification_delete_deletes_outcomes AFTER DELETE ON classification"
-    " BEGIN DELETE FROM classified_outcomes; END")
 
 # The tables classify reads. Any write to them deletes classify's row, so the
 # row stands only while the rows it was folded from are unchanged, whoever
 # writes them.
 _CLASSIFIED_TABLES = ("repositories", "notebooks", "repository_runs",
                       "notebook_executions", "reproducibility_metrics")
-_DECLASSIFY_TRIGGERS = [
-    f"CREATE TRIGGER {table}_{event.lower()}_declassifies AFTER {event} ON {table}"
-    " BEGIN DELETE FROM classification; END"
-    for table in _CLASSIFIED_TABLES for event in ("INSERT", "UPDATE", "DELETE")]
 
+# The current schema, each statement as SQLite keeps it in ``sqlite_master``
+# once its leading whitespace is gone, so a store's tables compare with it as
+# text. The per-run tables are keyed run first, so a run's rows sit together
+# in their primary-key indexes. The latest-run groups that classify folded,
+# ``classified_outcomes``, are one row per ``LatestOutcome`` without its
+# notebook ids, which only classify reads; they are deleted with the
+# classification row by a trigger rather than a cascade, so that a
+# connection with the foreign keys off deletes them too.
 _SCHEMA = ["""
 CREATE TABLE repositories (
     repository_id TEXT PRIMARY KEY,
@@ -317,8 +232,90 @@ CREATE TABLE notebooks (
     parse_failed INTEGER NOT NULL DEFAULT 0,
     parse_error TEXT,
     UNIQUE (repository_id, relative_path)
-)""", _RUNS_DDL, _EXECUTIONS_DDL, _METRICS_DDL, _CLASSIFICATION_DDL,
-    *_DECLASSIFY_TRIGGERS, _CLASSIFIED_OUTCOMES_DDL, _OUTCOMES_GO_WITH_THE_CLASSES]
+)""", f"""
+CREATE TABLE repository_runs (
+    run_id TEXT PRIMARY KEY,
+    repository_id TEXT NOT NULL REFERENCES repositories(repository_id),
+    invocation_id TEXT NOT NULL,
+    started_at TEXT NOT NULL,
+    finished_at TEXT CHECK (finished_at IS NULL OR finished_at >= started_at),
+    provisioning_status TEXT NOT NULL
+        {_one_of("provisioning_status", ProvisioningStatus)},
+    status_reason TEXT,
+    image_reference TEXT,
+    revision TEXT,
+    build_phase TEXT
+        CHECK (build_phase IS NULL OR provisioning_status = 'BuildFailed'),
+    build_duration_s REAL
+        CHECK (build_duration_s IS NULL OR build_duration_s >= 0),
+    UNIQUE (repository_id, invocation_id)
+)""", f"""
+CREATE TABLE notebook_executions (
+    notebook_id TEXT NOT NULL REFERENCES notebooks(notebook_id),
+    run_id TEXT NOT NULL REFERENCES repository_runs(run_id),
+    status TEXT NOT NULL {_one_of("status", ExecutionStatus)},
+    duration_s REAL CHECK (duration_s IS NULL OR duration_s >= 0),
+    code_cell_count INTEGER NOT NULL DEFAULT 0,
+    markdown_code_ratio REAL,
+    errors TEXT NOT NULL DEFAULT '[]',
+    error_pairs TEXT NOT NULL DEFAULT '[]',
+    executed_notebook_path TEXT,
+    PRIMARY KEY (run_id, notebook_id),
+    CHECK (status != 'Success'
+           OR (errors = '[]' AND executed_notebook_path IS NOT NULL)),
+    CHECK (status = 'Skipped' OR duration_s IS NOT NULL),
+    CHECK ((errors = '[]') = (error_pairs = '[]'))
+)""", """
+CREATE TABLE reproducibility_metrics (
+    notebook_id TEXT NOT NULL,
+    run_id TEXT NOT NULL,
+    identical_count INTEGER NOT NULL DEFAULT 0,
+    different_count INTEGER NOT NULL DEFAULT 0,
+    nondeterministic_count INTEGER NOT NULL DEFAULT 0,
+    identical_indices TEXT NOT NULL DEFAULT '[]',
+    different_indices TEXT NOT NULL DEFAULT '[]',
+    nondeterministic_indices TEXT NOT NULL DEFAULT '[]',
+    total_code_cells INTEGER NOT NULL DEFAULT 0,
+    score REAL CHECK (score IS NULL OR (score >= 0.0 AND score <= 1.0)),
+    structural_mismatch INTEGER NOT NULL DEFAULT 0,
+    PRIMARY KEY (run_id, notebook_id),
+    FOREIGN KEY (run_id, notebook_id)
+        REFERENCES notebook_executions(run_id, notebook_id),
+    CHECK (structural_mismatch = 1
+           OR identical_count + different_count + nondeterministic_count
+              = total_code_cells)
+)""", f"""
+CREATE TABLE classification (
+    only_row INTEGER PRIMARY KEY CHECK (only_row = 1),{_CLASS_COLUMNS}
+    resolution_rate REAL
+        CHECK (resolution_rate IS NULL OR resolution_rate BETWEEN 0 AND 100)
+)""", *(
+    f"CREATE TRIGGER {table}_{event.lower()}_declassifies AFTER {event} ON {table}"
+    " BEGIN DELETE FROM classification; END"
+    for table in _CLASSIFIED_TABLES for event in ("INSERT", "UPDATE", "DELETE")), f"""
+CREATE TABLE classified_outcomes (
+    has_requirements_file INTEGER NOT NULL,
+    provisioning_status TEXT {_one_of("provisioning_status", ProvisioningStatus)},
+    build_phase TEXT,
+    execution_status TEXT {_one_of("execution_status", ExecutionStatus)},
+    error_pairs TEXT NOT NULL,
+    different_count INTEGER,
+    nondeterministic_count INTEGER,
+    score REAL,
+    structural_mismatch INTEGER,
+    pattern_notebooks INTEGER NOT NULL,
+    notebook_count INTEGER NOT NULL CHECK (notebook_count > 0),
+    CHECK (pattern_notebooks BETWEEN 0 AND notebook_count)
+)""", "CREATE TRIGGER classification_delete_deletes_outcomes AFTER DELETE ON classification"
+    " BEGIN DELETE FROM classified_outcomes; END"]
+
+# The columns that a store's older tables lack and that are computed, when
+# their table is brought to ``_SCHEMA``, from the old columns through the
+# functions the writes use. Every other new column takes its default.
+_BACKFILL = {
+    ("repository_runs", "build_phase"): "build_phase(provisioning_status, status_reason)",
+    ("notebook_executions", "error_pairs"): "error_pairs(errors)",
+}
 
 # The latest run of each repository: the greatest (started_at, run_id).
 # Start times carry microseconds, so the run id breaks only a true tie.
@@ -418,7 +415,7 @@ class Store:
             raise
 
     def _open_schema(self) -> None:
-        """Create the schema in a new store or migrate an older one, in one
+        """Bring a new store or an older one to ``_SCHEMA`` in one
         transaction. The version is read again under the write lock, so of
         two processes opening one old store, one migrates it and the other
         finds it migrated. A table rebuild needs the foreign keys off, and
@@ -434,12 +431,7 @@ class Store:
                 with conn:  # commits, or rolls back on any failure
                     version = self._check_version()
                     if version < SCHEMA_VERSION:
-                        if conn.execute("SELECT 1 FROM sqlite_master").fetchone():
-                            self._migrate(version)
-                            migrated = True
-                        else:
-                            for statement in _SCHEMA:
-                                conn.execute(statement)
+                        migrated = self._migrate(version)
                         conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
             except sqlite3.OperationalError as exc:  # locked, or not writable
                 raise StoreError(
@@ -461,10 +453,11 @@ class Store:
             logger.warning("store %s keeps the free pages of its migration: %s",
                            self.path, exc)
 
-    def _migrate(self, version: int) -> None:
+    def _migrate(self, version: int) -> bool:
+        """Bring the store from ``version`` to ``_SCHEMA``, and say whether
+        it held tables before."""
         try:
-            for migrate in _MIGRATIONS[version:]:
-                migrate(self._conn)
+            held = _bring_to_schema(self._conn)
         except sqlite3.IntegrityError as exc:
             raise StoreError(f"cannot migrate store {self.path} from schema "
                              f"version {version}: {exc}") from exc
@@ -474,6 +467,7 @@ class Store:
                 f"cannot migrate store {self.path} from schema version "
                 f"{version}: {len(broken)} dangling references, the first "
                 f"in table {broken[0][0]}")
+        return held
 
     def _check_version(self) -> int:
         version = self._conn.execute("PRAGMA user_version").fetchone()[0]
@@ -830,64 +824,44 @@ def _error_pairs(pairs: Iterable[list[str]]) -> str:
     return json.dumps(list(pairs))
 
 
-def _rebuild(conn: sqlite3.Connection, table: str, ddl: str,
-             columns: str = "*") -> None:
-    """Rebuild ``table`` from ``ddl``, copying its rows in rowid order as
-    ``columns`` selects them from the old table. The caller has turned the
+def _bring_to_schema(conn: sqlite3.Connection) -> bool:
+    """Bring the tables of the store to ``_SCHEMA``, and say whether it
+    held any. A missing table is created and one whose stored statement
+    equals its own is left alone. Any other is renamed away, created anew
+    and given the old rows, in rowid order, of the columns both tables
+    have, a ``_BACKFILL`` column computed and any other new one at its
+    default; then the old table is dropped. Every trigger is dropped before
+    the copies and every one of ``_SCHEMA`` created after them, so no copy
+    fires one and no rebuilt table loses one. The caller has turned the
     foreign keys off and ``legacy_alter_table`` on, so the references of
-    other tables keep naming ``table``. The rename takes the table's
-    triggers along and the drop deletes them, so a migration from version 3
-    or later that rebuilds a table must create its triggers again."""
-    conn.execute(f"ALTER TABLE {table} RENAME TO {table}_old")
-    conn.execute(ddl)
-    conn.execute(f"INSERT INTO {table} SELECT {columns} FROM {table}_old ORDER BY rowid")
-    conn.execute(f"DROP TABLE {table}_old")
-
-
-def _migrate_0_to_1(conn: sqlite3.Connection) -> None:
-    """Version 1 adds enum checks on the run and execution statuses, and
-    stores a failed build's phase and an execution's error pairs. Both
-    tables are rebuilt and these facts backfilled from the version-0
-    columns, through the functions the writes use."""
+    other tables keep naming a rebuilt table."""
+    found = dict(conn.execute("SELECT name, sql FROM sqlite_master WHERE type = 'table'"))
+    for (trigger,) in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'trigger'").fetchall():
+        conn.execute(f"DROP TRIGGER {trigger}")
     def error_pairs(errors: str) -> str:
         return _error_pairs([e["error_type"], e["category"]] for e in json.loads(errors))
 
     conn.create_function("build_phase", 2, _build_phase, deterministic=True)
     conn.create_function("error_pairs", 1, error_pairs, deterministic=True)
-    _rebuild(conn, "repository_runs", _RUNS_DDL, """
-        run_id, repository_id, invocation_id, started_at, finished_at,
-        provisioning_status, status_reason, image_reference, revision,
-        build_phase(provisioning_status, status_reason), NULL""")
-    _rebuild(conn, "notebook_executions", _EXECUTIONS_DDL, """
-        notebook_id, run_id, status, duration_s, code_cell_count,
-        markdown_code_ratio, errors,
-        CASE errors WHEN '[]' THEN '[]' ELSE error_pairs(errors) END,
-        executed_notebook_path""")
-
-
-def _migrate_1_to_2(conn: sqlite3.Connection) -> None:
-    """Version 2 keys the execution and metrics rows by (run, notebook).
-    Both tables are rebuilt with the same columns and rows."""
-    _rebuild(conn, "notebook_executions", _EXECUTIONS_DDL)
-    _rebuild(conn, "reproducibility_metrics", _METRICS_DDL)
-
-
-def _migrate_2_to_3(conn: sqlite3.Connection) -> None:
-    """Version 3 adds classify's row and the triggers that delete it. The
-    migrated store has no row, so it reports no classes until classify runs
-    again."""
-    for statement in (_CLASSIFICATION_DDL, *_DECLASSIFY_TRIGGERS):
+    triggers = []
+    for statement in _SCHEMA:
+        kind, table = statement.split(maxsplit=3)[1:3]
+        if kind == "TRIGGER":
+            triggers.append(statement)
+        elif table not in found:
+            conn.execute(statement)
+        elif found[table] != statement.lstrip():
+            conn.execute(f"ALTER TABLE {table} RENAME TO {table}_old")
+            conn.execute(statement)
+            old = {row[1] for row in conn.execute(f"PRAGMA table_info({table}_old)")}
+            columns = [row[1] for row in conn.execute(f"PRAGMA table_info({table})")
+                       if row[1] in old or (table, row[1]) in _BACKFILL]
+            values = [column if column in old else _BACKFILL[table, column]
+                      for column in columns]
+            conn.execute(f"INSERT INTO {table} ({', '.join(columns)})"
+                         f" SELECT {', '.join(values)} FROM {table}_old ORDER BY rowid")
+            conn.execute(f"DROP TABLE {table}_old")
+    for statement in triggers:
         conn.execute(statement)
-
-
-def _migrate_3_to_4(conn: sqlite3.Connection) -> None:
-    """Version 4 stores classify's groups beside its row. A row that stands
-    keeps its classes and has no groups, so report reads the latest runs
-    until classify runs again."""
-    for statement in (_CLASSIFIED_OUTCOMES_DDL, _OUTCOMES_GO_WITH_THE_CLASSES):
-        conn.execute(statement)
-
-
-# _MIGRATIONS[v] migrates a store of version v to version v + 1.
-_MIGRATIONS = [_migrate_0_to_1, _migrate_1_to_2, _migrate_2_to_3, _migrate_3_to_4]
-
+    return bool(found)

@@ -405,12 +405,22 @@ def test_run_deletes_search_the_per_run_tables_by_run(store):
 # ---- schema version, migration and enum checks ----------------------------------
 
 # The sqlite_master DDL of a new store, per schema version. A change to the
-# schema needs a new version, a migration to it, and a new entry here.
+# schema needs a new version, a fixture of the version before, and a new
+# entry here.
 _DDL_DIGESTS = {
     1: "e02b8c9165182bfd61cbd0cc448e7c6113c5723c402dd9cef4f4931701beee85",
     2: "21c44615ef15709b4f279c650a4566eef86f055878ae813548e847902a89c5cf",
     3: "9b038f3a83b33a1064af42764a8a4412593ef124474fd351a4ab70ae96051e1a",
     4: "2bf3f19f9344186870fa0ebfd7436845a578beafe07f91d7331566b6cf8df4b6",
+}
+
+# The tables that bringing an empty store of each older version to the
+# current schema rebuilds; the others are left in place or created.
+_REBUILT_FROM = {
+    0: {"repository_runs", "notebook_executions", "reproducibility_metrics"},
+    1: {"notebook_executions", "reproducibility_metrics"},
+    2: set(),
+    3: set(),
 }
 
 _V0_SCHEMA = (FIXTURES / "store_schema_v0.sql").read_text("utf-8")
@@ -514,13 +524,30 @@ def test_version_0_store_migrates_to_equal_rows(tmp_path):
                 == summary.nondeterministic_notebooks)
 
 
-def test_migrated_store_ddl_equals_a_new_ones(tmp_path):
+def _rootpages(conn) -> dict[str, int]:
+    return dict(conn.execute("SELECT name, rootpage FROM sqlite_master WHERE type = 'table'"))
+
+
+@pytest.mark.parametrize("version", range(SCHEMA_VERSION))
+def test_migrated_store_ddl_equals_a_new_ones(tmp_path, monkeypatch, version):
+    """Each older version has a fixture, pinned by its DDL digest, and comes
+    to a new store's DDL by rebuilding exactly the tables whose statements
+    changed since."""
+    fixture = FIXTURES / f"store_schema_v{version}.sql"
+    assert fixture.exists()
     path = tmp_path / "old.sqlite3"
-    conn = sqlite3.connect(path)
-    conn.executescript(_V0_SCHEMA)
-    conn.close()
+    with closing(sqlite3.connect(path)) as conn:
+        conn.executescript(fixture.read_text("utf-8"))
+        if version >= 1:
+            assert hashlib.sha256(repr(_ddl(conn)).encode("utf-8")).hexdigest() \
+                == _DDL_DIGESTS[version]
+        before = _rootpages(conn)
+    monkeypatch.setattr(Store, "_vacuum", lambda self: None)
     with Store(path) as migrated, Store() as new:
         assert sorted(_ddl(migrated._conn)) == sorted(_ddl(new._conn))
+        after = _rootpages(migrated._conn)
+        assert {table for table, page in before.items()
+                if after[table] != page} == _REBUILT_FROM[version]
         # The references of the tables left in place still name the rebuilt ones.
         assert not migrated._conn.execute("PRAGMA foreign_key_check").fetchall()
         assert "REFERENCES notebook_executions(" in dict(
@@ -529,18 +556,16 @@ def test_migrated_store_ddl_equals_a_new_ones(tmp_path):
 
 
 def _record_migrations(monkeypatch) -> list[int]:
-    """The versions that store openings migrate from, in order."""
+    """The versions that file-backed store openings migrate from, in order."""
     migrated_from = []
+    migrate = Store._migrate
 
-    def recorded(version, migrate):
-        def migration(conn):
+    def recorded(self, version):
+        if self.path != ":memory:":
             migrated_from.append(version)
-            migrate(conn)
-        return migration
+        return migrate(self, version)
 
-    monkeypatch.setattr(nbrepro.store, "_MIGRATIONS", [
-        recorded(version, migrate)
-        for version, migrate in enumerate(nbrepro.store._MIGRATIONS)])
+    monkeypatch.setattr(Store, "_migrate", recorded)
     return migrated_from
 
 
@@ -566,7 +591,7 @@ def test_version_1_store_migrates_once_to_equal_rows(tmp_path, monkeypatch):
             assert sorted(_ddl(migrated._conn)) == sorted(_ddl(new._conn))
             # The migration vacuumed the pages of the tables it rebuilt.
             assert migrated._conn.execute("PRAGMA freelist_count").fetchone()[0] == 0
-    assert migrated_from == [1, 2, 3]
+    assert migrated_from == [1]
     assert _version(path) == SCHEMA_VERSION
 
 
@@ -583,7 +608,7 @@ def test_version_2_store_migrates_once_to_equal_rows(tmp_path, monkeypatch):
         with Store(path) as migrated, Store() as new:
             assert {table: store_rows(migrated, table) for table in tables} == expected
             assert sorted(_ddl(migrated._conn)) == sorted(_ddl(new._conn))
-    assert migrated_from == [2, 3]
+    assert migrated_from == [2]
     assert _version(path) == SCHEMA_VERSION
 
     # The migrated store reports no classes until classify runs again.
@@ -645,6 +670,35 @@ def test_version_3_store_migrates_once_to_equal_rows(tmp_path, monkeypatch):
     for name in ("report.json", "summary.csv", "summary.md"):
         assert ((config.report_dir / name).read_bytes()
                 == (migrated_config.report_dir / name).read_bytes()), name
+
+
+def test_a_rebuilt_table_keeps_its_triggers_and_the_classes(tmp_path, monkeypatch):
+    """A later version that adds a column to a table the classes were folded
+    from rebuilds it: the copy deletes neither the classes nor their groups,
+    and a write to the rebuilt table afterwards deletes both."""
+    path = tmp_path / "store.sqlite3"
+    with Store(path) as store:
+        _populate(store, random.Random(17))
+        store.record_classification({"A_EnvironmentResolved": 2}, 50.0,
+                                    store.latest_outcomes())
+        classified = store.classification()
+        expected = {table: store_rows(store, table) for table in _tables(store)}
+    assert classified.outcomes
+    expected["notebooks"] = [{**row, "note": None} for row in expected["notebooks"]]
+    monkeypatch.setattr(nbrepro.store, "SCHEMA_VERSION", SCHEMA_VERSION + 1)
+    monkeypatch.setattr(nbrepro.store, "_SCHEMA", [
+        statement.replace("    parse_error TEXT,\n", "    parse_error TEXT,\n    note TEXT,\n")
+        for statement in nbrepro.store._SCHEMA])
+    with Store(path) as migrated, Store() as new:
+        assert {table: store_rows(migrated, table) for table in expected} == expected
+        assert sorted(_ddl(migrated._conn)) == sorted(_ddl(new._conn))
+        assert migrated._conn.execute(
+            "SELECT count(*) FROM sqlite_master WHERE type = 'trigger'").fetchone()[0] == 16
+        assert migrated.classification() == classified
+        _notebook(migrated, nb_id="nb-new", repo_id="unicode", rel="new.ipynb")
+        assert migrated.classification() is None
+        assert _stored_groups(migrated._conn) == 0
+    assert _version(path) == SCHEMA_VERSION + 1
 
 
 @pytest.mark.parametrize("table", nbrepro.store._CLASSIFIED_TABLES)
@@ -754,16 +808,16 @@ def test_two_stores_opening_one_version_0_store_migrate_it_once(tmp_path, monkey
         _write_old_copy(store, path, _V0_SCHEMA)
     migrations = []
     inside = threading.Event()
-    chain = list(nbrepro.store._MIGRATIONS)
+    migrate = Store._migrate
 
-    def slow_migration(conn):
-        migrations.append(threading.current_thread().name)
-        inside.set()
-        threading.Event().wait(0.3)  # the second opener reads version 0 meanwhile
-        for migrate in chain:
-            migrate(conn)
+    def slow_migration(self, version):
+        if self.path != ":memory:":
+            migrations.append(threading.current_thread().name)
+            inside.set()
+            threading.Event().wait(0.3)  # the second opener reads version 0 meanwhile
+        return migrate(self, version)
 
-    monkeypatch.setattr(nbrepro.store, "_MIGRATIONS", [slow_migration])
+    monkeypatch.setattr(Store, "_migrate", slow_migration)
     opened, errors = [], []
 
     def open_store():
