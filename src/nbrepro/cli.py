@@ -88,9 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--report-dir", type=Path, dest="report_dir",
                          help="directory for emitted reports")
         sub.add_argument("--jobs", type=int,
-                         help="work budget: at most this many repository "
-                              "stages and notebook runs at once (default 1, "
-                              "serial)")
+                         help="runtime budget: at most this many clean "
+                              "rooms (cleanup and build) and notebook "
+                              "container runs at once, while up to twice as "
+                              "many repositories are in flight, cloning, "
+                              "inferring or comparing beside them (default 1)")
         sub.add_argument("--build-timeout", type=float, dest="build_timeout",
                          help="image build timeout in seconds")
         sub.add_argument("--exec-timeout", type=float, dest="exec_timeout",

@@ -75,7 +75,7 @@ class DockerCli:
 
     def __init__(self, executable: str = "docker") -> None:
         self.executable = executable
-        self._unreachable: str | None = None  # the verdict of a failed listing
+        self._unreachable: str | None = None  # the verdict of a failed probe
 
     def _run(self, args: list[str], timeout: float) -> ToolRun:
         return run_tool([self.executable, *args], timeout)
@@ -89,7 +89,7 @@ class DockerCli:
 
     def build(self, tag: str, dockerfile: Path, context: Path,
               timeout: float = DEFAULT_BUILD_TIMEOUT) -> ToolRun:
-        return self._run(
+        return self._call(
             ["build", "--no-cache", "-t", tag, "-f", str(dockerfile), str(context)],
             timeout=timeout)
 
@@ -102,25 +102,15 @@ class DockerCli:
 
     def list_containers(self, label: str) -> list[str]:
         """The containers carrying ``label``. This is a clean room's first
-        runtime call, so it is the one reachability check of ``run`` and
-        ``execute``: it raises ContainerRuntimeUnavailable when ``ps``
-        cannot start or does not finish in 30 s, and every later listing
-        raises the same at once. On a nonzero exit the version probe
-        decides, and a reachable runtime lists nothing; that fallback is
-        there only for the benchmark stub's ``ps``, which can exit 1."""
-        if self._unreachable is not None:
-            raise ContainerRuntimeUnavailable(self._unreachable)
-        try:
-            result = self._run(["ps", "-aq", "--filter", f"label={label}"],
-                               timeout=QUICK_CALL_TIMEOUT)
-        except OSError:
-            result = None
-        if result is not None and result.returncode == 0:
-            return [line for line in result.stdout.splitlines() if line.strip()]
-        if result is None or result.timed_out or not self.available():
-            self._unreachable = f"container runtime {self.executable!r} is not reachable"
-            raise ContainerRuntimeUnavailable(self._unreachable)
-        return []
+        runtime call; a listing that runs past its 30 s bound means an
+        unreachable runtime at once. On a nonzero exit a reachable runtime
+        lists nothing; that fallback is there only for the benchmark stub's
+        ``ps``, which can exit 1."""
+        result = self._call(["ps", "-aq", "--filter", f"label={label}"],
+                            timeout=QUICK_CALL_TIMEOUT, hung_means_unreachable=True)
+        if result.returncode != 0:
+            return []
+        return [line for line in result.stdout.splitlines() if line.strip()]
 
     def remove_container(self, name_or_id: str) -> None:
         self._run(["rm", "-f", name_or_id], timeout=QUICK_CALL_TIMEOUT)
@@ -130,13 +120,35 @@ class DockerCli:
 
     def run_container(self, image: str, command: list[str], run_args: list[str],
                       timeout: float = DEFAULT_EXECUTION_TIMEOUT) -> ToolRun:
-        return self._run(["run", *run_args, image, *command], timeout=timeout)
+        return self._call(["run", *run_args, image, *command], timeout=timeout)
 
     def copy_from_container(self, container: str, source: str, destination: Path,
                             timeout: float = DEFAULT_EXECUTION_TIMEOUT) -> bool:
-        result = self._run(["cp", f"{container}:{source}", str(destination)],
-                           timeout=timeout)
+        result = self._call(["cp", f"{container}:{source}", str(destination)],
+                            timeout=timeout)
         return result.returncode == 0 and destination.exists()
+
+    def _call(self, args: list[str], timeout: float, *,
+              hung_means_unreachable: bool = False) -> ToolRun:
+        """A listing, build, run or copy-out, whose failure may be an outage
+        rather than an answer. The one reachability check of ``run`` and
+        ``execute``: ContainerRuntimeUnavailable is raised when the call
+        cannot start, or when it exits nonzero or hits its bound and the
+        version probe fails too; a listing that hits its bound is not
+        probed, since a hung daemon may still answer ``version``. From then
+        on every such call raises the same at once, so no outage becomes a
+        build or notebook verdict."""
+        if self._unreachable is None:
+            try:
+                result = self._run(args, timeout)
+            except OSError:
+                result = None
+            if result is not None and (result.returncode == 0 or (
+                    not (result.timed_out and hung_means_unreachable)
+                    and self.available())):
+                return result
+            self._unreachable = f"container runtime {self.executable!r} is not reachable"
+        raise ContainerRuntimeUnavailable(self._unreachable)
 
 
 def image_repository_for(repository_id: str) -> str:
@@ -224,7 +236,8 @@ def build_image(tag: str, dockerfile_path: Path, context_dir: Path,
 
     The build log, persisted for every attempt, success or failure, holds
     the argv that ran, its exit status and its output, a timed-out build's
-    output up to the kill included.
+    output up to the kill included. An unreachable runtime raises
+    ContainerRuntimeUnavailable instead, and no log is written.
     """
     result = docker.build(tag, dockerfile_path, context_dir, timeout=timeout)
     atomic.write_text(log_path, result.log_text())

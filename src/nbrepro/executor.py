@@ -141,7 +141,9 @@ def execute_notebook(
     the log holds every attempt's runtime argv, exit status and output.
     The attempts, and the removal between them, run inside ``slot``; the
     log, the copy-out and the removal of the last container follow it, and
-    that removal happens even when the log or the copy raises. The
+    that removal happens even when the log or the copy raises. An
+    unreachable runtime raises ContainerRuntimeUnavailable from the run or
+    the copy, so an outage never becomes the notebook's status. The
     recorded duration is the attempts' own.
     """
     rel = PurePosixPath(descriptor.relative_path)

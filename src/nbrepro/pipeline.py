@@ -2,24 +2,27 @@
 
 Per repository: validate -> acquire -> discover -> infer -> recipe ->
 cleanup -> build -> execute -> compare. Each stage maps over the corpus on
-one ``--jobs`` budget of slots, shared by repository stages and container
-runs; a failing repository becomes data, never a corpus abort. A
-notebook's copy-out and container removal hold no slot. Every ``--jobs``
-value takes the same path: repositories run on a pool of worker threads
-and notebooks on a second one, both opened and closed around the stage,
-where a repository waiting for its notebooks runs the ones not yet started
-on its own thread, so ``--jobs 1`` differs from ``--jobs N`` only in its
-slot count. Infer holds facts, not parsed notebooks. A large repository's
-notebooks run side by side while the clean room holds (its cleanup and
-no-cache build finish before any of its notebooks start, and each notebook
-gets its own fresh container). This
+one ``--jobs`` budget of slots, and a slot covers only runtime work: a
+repository's clean room (its cleanup and no-cache build) or one notebook's
+container run. Validation, the clone, discovery, synthesis, a notebook's
+copy-out and removal, and comparison hold none, and nothing waits while
+holding one. A failing repository becomes data, never a corpus abort. Every
+``--jobs`` value takes the same path: repositories run on a pool of
+``2 * jobs`` worker threads, so that beside every repository using the
+runtime another can clone, infer or compare, and notebooks on a second pool
+of ``jobs``, both opened and closed around the stage, where a repository
+waiting for its notebooks runs the ones not yet started on its own thread.
+Infer holds facts, not parsed notebooks. A large repository's notebooks run
+side by side while the clean room holds (its cleanup and no-cache build
+finish before any of its notebooks start, and each notebook gets its own
+fresh container). This
 module is the only writer of the store: a stage records each repository's
 outcome in one transaction on that repository's thread, never a partial
 one, and compare finds its work with one query. After Ctrl-C, no further
 container starts and nothing is recorded; an unreachable runtime records
-nothing either. Every stage appends machine-parseable events, each naming
-the invocation, to the event log beside the raw tool logs. All parallelism
-lives here. One table,
+nothing either, at any runtime call. Every stage appends machine-parseable
+events, each naming the invocation, to the event log beside the raw tool
+logs. All parallelism lives here. One table,
 ``NEXT_STAGE``, sends a stored run to its next stage by its status: the
 execute and compare stages take the latest runs it sends them, and
 ``run_repository`` follows it after infer. The pipeline builds the one
@@ -90,16 +93,16 @@ class EventLog:
 
 
 class WorkBudget:
-    """``jobs`` slots shared by every unit of work of one stage, and the
-    pool that stage's notebooks run on.
+    """``jobs`` slots shared by the runtime units of one stage, and the pool
+    that stage's notebooks run on.
 
-    A unit is a repository's serial stages or one notebook's container run;
-    it holds one of ``slots`` while it runs, so at most ``jobs`` units are
-    in flight. A notebook's copy-out and removal hold no slot. The unit
-    that maps notebooks runs its own not yet started ones on its thread, so
-    the thread count stays O(jobs). The caller owns the pool and shuts it
-    down once the stage is over. Only a unit calls ``map``: releasing a
-    slot it does not hold overflows the bounded semaphore, which raises.
+    A unit is a repository's clean room or one notebook's container run; it
+    holds one of ``slots`` while it runs, so at most ``jobs`` units are in
+    flight. Nothing waits while holding a slot: a notebook's copy-out and
+    removal, and all of a repository's other work, hold none. The caller of
+    ``map`` runs its own not yet started calls on its thread, so the thread
+    count stays O(jobs). The caller owns the pool and shuts it down once
+    the stage is over.
     """
 
     def __init__(self, jobs: int, pool: ThreadPoolExecutor) -> None:
@@ -108,21 +111,16 @@ class WorkBudget:
 
     def map(self, fn, items: list) -> list:
         """``[fn(item) for item in items]`` on the notebook pool; each call
-        takes ``slots`` itself for what needs one. The calling unit leaves
-        its slot, runs on its own thread each call the pool has not started
-        (a successful ``cancel`` claims it), waits for the rest and takes
-        the slot back before it returns. Once none of the calls is running,
-        the first exception in item order is raised and any later ones are
-        logged.
+        takes ``slots`` itself for what needs one, and the caller holds
+        none. The caller runs on its own thread each call the pool has not
+        started (a successful ``cancel`` claims it) and waits for the rest.
+        Once none of the calls is running, the first exception in item
+        order is raised and any later ones are logged.
         """
-        self.slots.release()
-        try:
-            futures = [self.pool.submit(fn, item) for item in items]
-            futures = [_run_here(fn, item) if future.cancel() else future
-                       for future, item in zip(futures, items)]
-            wait(futures)
-        finally:
-            self.slots.acquire()
+        futures = [self.pool.submit(fn, item) for item in items]
+        futures = [_run_here(fn, item) if future.cancel() else future
+                   for future, item in zip(futures, items)]
+        wait(futures)
         failures = [f.exception() for f in futures if f.exception() is not None]
         for exc in failures[1:]:
             logger.error("unit of work failed as well", exc_info=exc)
@@ -286,46 +284,49 @@ class Pipeline:
             result.degraded_reason = "build recipe missing; rerun the infer stage"
             return result
 
-        # After Ctrl-C no clean room starts: the run stays Pending.
-        if self._interrupted(result):
-            return result
         logdir = Path(self.config.logdir) / run.run_id
         ids = {"repository_id": repo.repository_id, "run_id": run.run_id}
-        self.events.emit("execute", "cleanup", **ids)
         try:
-            containerize.cleanup_previous(repo.repository_id, self.docker)
+            # The clean room is one runtime unit. Ctrl-C is checked once its
+            # slot is held: after it, no clean room starts and the run stays
+            # Pending.
+            with self.budget.slots:
+                if self._interrupted(result):
+                    return result
+                self.events.emit("execute", "cleanup", **ids)
+                containerize.cleanup_previous(repo.repository_id, self.docker)
+                if self._interrupted(result):
+                    return result
+                tag = containerize.image_tag_for(repo.repository_id, run.run_id)
+                self.events.emit("execute", "build_start", tag=tag, **ids)
+                started = time.monotonic()
+                built = containerize.build_image(
+                    tag, dockerfile, tree, self.docker,
+                    timeout=self.config.build_timeout, log_path=logdir / "build.log")
+                build_duration_s = time.monotonic() - started
+            if isinstance(built, BuildFailure):
+                self.events.emit("execute", "build_failed", phase=built.phase.value,
+                                 duration_s=build_duration_s, **ids)
+                return self._record_executed(
+                    result, run, ProvisioningStatus.BUILD_FAILED,
+                    reason=f"{built.phase.value}: {built.last_line}",
+                    build_duration_s=build_duration_s)
+            self.events.emit("execute", "build_done", tag=tag,
+                             duration_s=build_duration_s, **ids)
+
+            # The image is built: the notebooks fan out on the shared budget.
+            # Their rows commit with the run's outcome: an interrupted execute
+            # leaves the run Pending with no rows, and the next one repeats it.
+            records = self.budget.map(
+                functools.partial(self._execute_notebook, run.run_id, built, logdir),
+                self.store.list_notebooks(repo.repository_id))
         except containerize.ContainerRuntimeUnavailable as exc:
-            # An outage is no outcome of the run: it stays Pending, and the
-            # next execute resumes it.
+            # An outage is no outcome of the run, at whichever call it shows:
+            # the run stays Pending, with no rows, and the next execute
+            # resumes it.
             self.events.emit("execute", "runtime_unavailable", **ids)
             result.degraded_reason = f"container runtime unavailable: {exc}"
             return result
-
-        if self._interrupted(result):
-            return result
-        tag = containerize.image_tag_for(repo.repository_id, run.run_id)
-        self.events.emit("execute", "build_start", tag=tag, **ids)
-        started = time.monotonic()
-        built = containerize.build_image(
-            tag, dockerfile, tree, self.docker,
-            timeout=self.config.build_timeout, log_path=logdir / "build.log")
-        build_duration_s = time.monotonic() - started
-        if isinstance(built, BuildFailure):
-            self.events.emit("execute", "build_failed", phase=built.phase.value,
-                             duration_s=build_duration_s, **ids)
-            return self._record_executed(
-                result, run, ProvisioningStatus.BUILD_FAILED,
-                reason=f"{built.phase.value}: {built.last_line}",
-                build_duration_s=build_duration_s)
-        self.events.emit("execute", "build_done", tag=tag,
-                         duration_s=build_duration_s, **ids)
-
-        # The image is built: the notebooks fan out on the shared budget.
-        # Their rows commit with the run's outcome: an interrupted execute
-        # leaves the run Pending with no rows, and the next one repeats it.
-        records = self.budget.map(
-            functools.partial(self._execute_notebook, run.run_id, built, logdir),
-            self.store.list_notebooks(repo.repository_id))
         if self._interrupted(result):  # notebooks not started returned None
             return result
 
@@ -467,8 +468,8 @@ class Pipeline:
     def map_repositories(self, items: list, fn) -> list[RepositoryResult]:
         """Apply one per-repository stage across the corpus on a budget of
         ``jobs`` slots; unexpected exceptions degrade that repository only.
-        The repository and notebook pools, ``jobs`` threads each, live
-        exactly as long as this call; a pool starts a thread only for work
+        The repository pool of ``2 * jobs`` threads and the notebook pool of
+        ``jobs`` live exactly as long as this call; a pool starts a thread only for work
         submitted to it, so a stage without notebooks starts no notebook
         thread. Every notebook run has finished when this returns. After a
         KeyboardInterrupt, no repository still running records an infer or
@@ -477,7 +478,7 @@ class Pipeline:
         jobs = self.config.jobs
         # The repository pool closes first: its units wait for their notebooks.
         with (ThreadPoolExecutor(jobs, thread_name_prefix="nbrepro-notebook") as notebooks,
-              ThreadPoolExecutor(jobs, thread_name_prefix="nbrepro-repository") as pool):
+              ThreadPoolExecutor(2 * jobs, thread_name_prefix="nbrepro-repository") as pool):
             self.budget = WorkBudget(jobs, notebooks)
             try:
                 return list(pool.map(lambda item: self._safe(fn, item), items))
@@ -489,8 +490,7 @@ class Pipeline:
 
     def _safe(self, fn, item) -> RepositoryResult:
         try:
-            with self.budget.slots:
-                return fn(item)
+            return fn(item)
         except Exception as exc:  # noqa: BLE001 - corpus runs must not abort
             result = self._result_for(item)
             logger.exception("repository task %s failed unexpectedly", result.url)

@@ -43,8 +43,8 @@ The schema carries its version in ``PRAGMA user_version``. A new store and
 an older one alike are brought to ``_SCHEMA`` in one transaction by one
 table-by-table comparison: a missing table is created, one whose stored
 statement differs is rebuilt with its rows, and the triggers are made anew.
-An older store is then vacuumed once to give back the pages the rebuilt
-tables left free; a newer one is refused.
+A store in which a table was rebuilt is then vacuumed once to give back
+the pages the rebuilt tables left free; a newer one is refused.
 """
 
 from __future__ import annotations
@@ -422,7 +422,7 @@ class Store:
         renaming a table away must not rewrite the references to it."""
         conn = self._conn
         found = self._check_version()
-        migrated = False
+        rebuilt = False
         if found < SCHEMA_VERSION:
             conn.execute("PRAGMA foreign_keys = OFF")
             conn.execute("PRAGMA legacy_alter_table = ON")
@@ -431,7 +431,7 @@ class Store:
                 with conn:  # commits, or rolls back on any failure
                     version = self._check_version()
                     if version < SCHEMA_VERSION:
-                        migrated = self._migrate(version)
+                        rebuilt = self._migrate(version)
                         conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
             except sqlite3.OperationalError as exc:  # locked, or not writable
                 raise StoreError(
@@ -440,7 +440,7 @@ class Store:
             finally:
                 conn.execute("PRAGMA legacy_alter_table = OFF")
         conn.execute("PRAGMA foreign_keys = ON")
-        if migrated:
+        if rebuilt:
             self._vacuum()
 
     def _vacuum(self) -> None:
@@ -455,9 +455,9 @@ class Store:
 
     def _migrate(self, version: int) -> bool:
         """Bring the store from ``version`` to ``_SCHEMA``, and say whether
-        it held tables before."""
+        a table was rebuilt."""
         try:
-            held = _bring_to_schema(self._conn)
+            rebuilt = _bring_to_schema(self._conn)
         except sqlite3.IntegrityError as exc:
             raise StoreError(f"cannot migrate store {self.path} from schema "
                              f"version {version}: {exc}") from exc
@@ -467,7 +467,7 @@ class Store:
                 f"cannot migrate store {self.path} from schema version "
                 f"{version}: {len(broken)} dangling references, the first "
                 f"in table {broken[0][0]}")
-        return held
+        return rebuilt
 
     def _check_version(self) -> int:
         version = self._conn.execute("PRAGMA user_version").fetchone()[0]
@@ -826,7 +826,7 @@ def _error_pairs(pairs: Iterable[list[str]]) -> str:
 
 def _bring_to_schema(conn: sqlite3.Connection) -> bool:
     """Bring the tables of the store to ``_SCHEMA``, and say whether it
-    held any. A missing table is created and one whose stored statement
+    rebuilt any, which leaves free pages. A missing table is created and one whose stored statement
     equals its own is left alone. Any other is renamed away, created anew
     and given the old rows, in rowid order, of the columns both tables
     have, a ``_BACKFILL`` column computed and any other new one at its
@@ -844,7 +844,7 @@ def _bring_to_schema(conn: sqlite3.Connection) -> bool:
 
     conn.create_function("build_phase", 2, _build_phase, deterministic=True)
     conn.create_function("error_pairs", 1, error_pairs, deterministic=True)
-    triggers = []
+    triggers, rebuilt = [], False
     for statement in _SCHEMA:
         kind, table = statement.split(maxsplit=3)[1:3]
         if kind == "TRIGGER":
@@ -862,6 +862,7 @@ def _bring_to_schema(conn: sqlite3.Connection) -> bool:
             conn.execute(f"INSERT INTO {table} ({', '.join(columns)})"
                          f" SELECT {', '.join(values)} FROM {table}_old ORDER BY rowid")
             conn.execute(f"DROP TABLE {table}_old")
+            rebuilt = True
     for statement in triggers:
         conn.execute(statement)
-    return bool(found)
+    return rebuilt

@@ -313,10 +313,10 @@ def test_cli_builds_no_runtime_client_of_its_own():
     assert "nbrepro.containerize" not in modules
 
 
-def test_cli_makes_no_runtime_call_and_the_listing_alone_probes():
-    """The runtime is checked in one place: each clean room's listing. The
-    CLI reads no runtime client, and only the listing's fallback calls the
-    version probe."""
+def test_cli_makes_no_runtime_call_and_one_place_probes():
+    """The runtime is checked in one place: the client's call that a
+    listing, build, run or copy-out makes. The CLI reads no runtime client,
+    and only that call's fallback calls the version probe."""
     from nbrepro import cli
 
     sources = {path.stem: ast.parse(path.read_text("utf-8"))
@@ -330,7 +330,7 @@ def test_cli_makes_no_runtime_call_and_the_listing_alone_probes():
                for node in ast.walk(function)
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                and node.func.attr == "available"]
-    assert callers == ["containerize.list_containers"]
+    assert callers == ["containerize._call"]
 
 
 def test_report_on_empty_store_exits_zero(workspace):

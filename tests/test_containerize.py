@@ -240,3 +240,43 @@ def test_listing_that_hits_its_bound_means_unreachable(tmp_path, monkeypatch):
     with pytest.raises(ContainerRuntimeUnavailable, match="is not reachable"):
         DockerCli(str(runtime)).list_containers("nbrepro.repository_id=abc123")
     assert (tmp_path / "calls").read_text().split() == ["ps"]
+
+
+def _verb_call(docker: DockerCli, verb: str, tmp_path):
+    """The client call that issues ``verb``."""
+    if verb == "build":
+        return docker.build("repro/abc123:run1", tmp_path / "Dockerfile", tmp_path)
+    if verb == "run":
+        return docker.run_container("repro/abc123:run1", ["true"], [])
+    return docker.copy_from_container("c1", "/workspace/a.ipynb", tmp_path / "a.ipynb")
+
+
+@pytest.mark.parametrize("verb", ["build", "run", "cp"])
+@pytest.mark.parametrize("reachable", [True, False])
+def test_a_failed_runtime_call_is_checked_by_the_version_probe(tmp_path, verb,
+                                                               reachable):
+    executable, calls = logging_runtime(
+        tmp_path, {verb: 1, "version": 0 if reachable else 1})
+    docker = DockerCli(str(executable))
+    if reachable:
+        # an answer: the failure is the call's own verdict
+        answer = _verb_call(docker, verb, tmp_path)
+        assert (answer is False) if verb == "cp" else (answer.returncode == 1)
+    else:
+        with pytest.raises(ContainerRuntimeUnavailable, match="is not reachable"):
+            _verb_call(docker, verb, tmp_path)
+        # the verdict holds: later calls raise at once, without a runtime call
+        for later in ("build", "run", "cp"):
+            with pytest.raises(ContainerRuntimeUnavailable):
+                _verb_call(docker, later, tmp_path)
+        with pytest.raises(ContainerRuntimeUnavailable):
+            docker.list_containers("nbrepro.repository_id=abc123")
+    assert calls.read_text().split() == [verb, "version"]
+
+
+def test_a_runtime_call_that_succeeds_is_not_probed(tmp_path):
+    executable, calls = logging_runtime(tmp_path)
+    docker = DockerCli(str(executable))
+    for verb in ("build", "run", "cp"):
+        _verb_call(docker, verb, tmp_path)
+    assert calls.read_text().split() == ["build", "run", "cp"]

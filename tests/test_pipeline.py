@@ -393,8 +393,9 @@ def test_cleanup_learns_reachability_from_its_own_listing(env):
 
     pipeline.map_repositories([store.get_run(run_id)], pipeline.execute_run)
 
-    # the listing is the reachability check: no version probe
-    assert calls.read_text().split() == ["ps", "images", "build"]
+    # the listing answered, so it is not probed; the failed build is, and
+    # a reachable runtime makes it a verdict
+    assert calls.read_text().split() == ["ps", "images", "build", "version"]
     assert (store.get_run(run_id).provisioning_status
             is ProvisioningStatus.BUILD_FAILED)
 
@@ -521,8 +522,9 @@ def test_budget_bounds_container_runs_and_threads(tmp_path):
     assert all(r.completed for r in results)
     assert len(rows["notebook_executions"]) == 7
     assert docker.peak_running == 2
-    # a repository pool and a notebook pool of at most jobs threads each
-    assert docker.peak_threads - baseline <= 2 * 2
+    # a repository pool of at most 2 * jobs threads and a notebook pool of
+    # at most jobs
+    assert docker.peak_threads - baseline <= 3 * 2
     assert not [t for t in threading.enumerate()
                 if t.name.startswith("nbrepro-")]
 
@@ -690,6 +692,131 @@ def test_each_container_is_removed_once_after_its_copy(tmp_path, jobs):
     assert not docker.containers
 
 
+class _PipelinedDocker(FakeDocker):
+    """Logs, in one order, where each runtime unit starts and ends: a clean
+    room from its listing to the return of its build, and a container run.
+    The build and each run take a while, so other work can meet them."""
+
+    def __init__(self, log: list, lock: threading.Lock):
+        super().__init__()
+        self.log, self._lock = log, lock
+
+    def _note(self, edge: str, kind: str, key: str, repository: str) -> None:
+        with self._lock:
+            self.log.append((edge, kind, key, repository))
+
+    def list_containers(self, label):
+        repository = label.split("=", 1)[1]
+        self._note("start", "clean_room", repository, repository)
+        return super().list_containers(label)
+
+    def build(self, tag, dockerfile, context, timeout=None):
+        repository = tag.split(":", 1)[0].split("/", 1)[1]
+        self._note("start", "build", repository, repository)
+        time.sleep(0.03)
+        try:
+            return super().build(tag, dockerfile, context, timeout)
+        finally:
+            self._note("end", "build", repository, repository)
+            self._note("end", "clean_room", repository, repository)
+
+    def run_container(self, image, command, run_args, timeout=None):
+        name = run_args[run_args.index("--name") + 1]
+        repository = image.split(":", 1)[0].split("/", 1)[1]
+        self._note("start", "run", name, repository)
+        time.sleep(0.02)
+        try:
+            return super().run_container(image, command, run_args, timeout)
+        finally:
+            self._note("end", "run", name, repository)
+
+
+def _pipelined_corpus(tmp_path, count: int) -> list[str]:
+    """``count`` repositories of two notebooks each."""
+    return [make_git_repo(tmp_path / f"origin-r{n}", {
+        f"r{n}n{i}.ipynb": _original(f"print({i})", f"{i}\n").decode()
+        for i in range(2)}) for n in range(count)]
+
+
+def _run_logged(root: Path, urls: list[str], jobs: int, monkeypatch,
+                one_at_a_time: bool = False) -> tuple[dict, list]:
+    """Run the corpus and log each repository, validation and clone as it
+    starts and ends, beside the runtime units; ``one_at_a_time`` maps the
+    repositories one by one. Returns the rows and the log."""
+    log, lock = [], threading.Lock()
+    docker = _PipelinedDocker(log, lock)
+    for n in range(len(urls)):
+        for i in range(2):
+            docker.copy_payloads[f"/workspace/r{n}n{i}.executed.ipynb"] = _original(
+                f"print({i})", f"{i}\n" if n % 2 else "drift\n")
+
+    def logged(kind, call):
+        def wrapper(url, *args, **kwargs):
+            repository = corpus.repository_id_for(corpus.canonical_input(url))
+            with lock:
+                log.append(("start", kind, repository, repository))
+            try:
+                return call(url, *args, **kwargs)
+            finally:
+                with lock:
+                    log.append(("end", kind, repository, repository))
+        return wrapper
+
+    config = _config(root, jobs)
+    with monkeypatch.context() as patched, Store(config.store_path) as store:
+        patched.setattr(corpus, "validate_repository",
+                        logged("validate", corpus.validate_repository))
+        patched.setattr(corpus, "acquire_repository",
+                        logged("acquire", corpus.acquire_repository))
+        pipeline = Pipeline(config, store, docker)
+        repository = logged("repository", pipeline.run_repository)
+        for batch in ([[url] for url in urls] if one_at_a_time else [urls]):
+            assert all(r.completed for r in pipeline.map_repositories(batch, repository))
+        rows = _comparable_rows(store, config.artifacts_dir)
+    return rows, log
+
+
+def _pipelining(log: list) -> tuple[int, int, bool]:
+    """The most runtime units and the most repositories in flight at once,
+    and whether a validation or clone of one repository ever ran while a
+    build or container run of another did."""
+    infer, runtime = {"validate", "acquire"}, {"build", "run"}
+    active: set[tuple[str, str, str]] = set()
+    units = repositories = 0
+    met = False
+    for edge, kind, key, repository in log:
+        if edge == "end":
+            active.remove((kind, key, repository))
+            continue
+        active.add((kind, key, repository))
+        units = max(units, sum(k in ("clean_room", "run") for k, _, _ in active))
+        repositories = max(repositories, sum(k == "repository" for k, _, _ in active))
+        met = met or any(
+            r != repository and {k, kind} & infer and {k, kind} & runtime
+            for k, _, r in active)
+    return units, repositories, met
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_repositories_clone_infer_and_compare_beside_the_runtime_units(
+        tmp_path, monkeypatch, jobs):
+    urls = _pipelined_corpus(tmp_path, 2 * jobs + 2)
+    serial, _ = _run_logged(tmp_path / "serial", urls, jobs, monkeypatch,
+                            one_at_a_time=True)
+    rows, log = _run_logged(tmp_path / "pipelined", urls, jobs, monkeypatch)
+
+    units, repositories, met = _pipelining(log)
+    assert units <= jobs
+    assert repositories <= 2 * jobs
+    if jobs == 1:
+        # one repository validated or cloned beside another's build or run
+        assert met
+    assert rows == serial
+    assert len(rows["notebook_executions"]) == 2 * len(urls)
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("nbrepro-")]
+
+
 def test_map_runs_the_callers_unstarted_items_on_its_own_thread(caplog):
     pool = ThreadPoolExecutor(max_workers=1)
     budget = WorkBudget(1, pool)
@@ -701,8 +828,7 @@ def test_map_runs_the_callers_unstarted_items_on_its_own_thread(caplog):
         return item
 
     def other_unit():
-        with budget.slots:
-            other.extend(budget.map(blocked, ["x", "y"]))
+        other.extend(budget.map(blocked, ["x", "y"]))
 
     # Another unit's two blocked items take the pool's only thread and the
     # other unit's own thread.
@@ -719,12 +845,11 @@ def test_map_runs_the_callers_unstarted_items_on_its_own_thread(caplog):
                 raise item
             return item * 10
 
-        with budget.slots:
-            assert budget.map(own, [1, 2, 3]) == [10, 20, 30]
-            with pytest.raises(ValueError, match="first"):
-                budget.map(own, [1, ValueError("first"), 2, KeyError("second")])
-            with pytest.raises(KeyboardInterrupt):
-                budget.map(own, [KeyboardInterrupt(), 1])
+        assert budget.map(own, [1, 2, 3]) == [10, 20, 30]
+        with pytest.raises(ValueError, match="first"):
+            budget.map(own, [1, ValueError("first"), 2, KeyError("second")])
+        with pytest.raises(KeyboardInterrupt):
+            budget.map(own, [KeyboardInterrupt(), 1])
         # every call ran on the calling thread while the pool was held
         assert set(ran_on) == {threading.current_thread()}
         assert len(ran_on) == 9
@@ -759,8 +884,7 @@ def test_map_runs_each_item_once_under_contention():
         return key
 
     def unit(number):
-        with budget.slots:
-            return budget.map(item, [(number, i) for i in range(50)])
+        return budget.map(item, [(number, i) for i in range(50)])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -778,12 +902,10 @@ def test_map_runs_each_item_once_under_contention():
 STUB_RUNTIME = Path(__file__).resolve().parents[1] / "bench" / "stub_runtime.sh"
 
 
-def test_stub_runtime_rows_equal_fake_runtime_rows(tmp_path, monkeypatch):
-    """The pipeline through DockerCli and real subprocesses, against the
-    benchmark's POSIX sh stand-in for the runtime."""
-    urls = _skewed_corpus(tmp_path)
-    _, expected, _ = _run_corpus(tmp_path / "fake", urls, 2, FakeDocker())
-
+def _stub_runtime_state(tmp_path, urls: list[str], monkeypatch) -> Path:
+    """Set up the benchmark's POSIX sh stand-in for the runtime over the
+    skewed corpus, with the artifacts ``_plant_artifacts`` plants; returns
+    its state directory."""
     # The stub hands back <executed>/<repository_id>/<notebook path>.
     state, executed = tmp_path / "stub-state", tmp_path / "executed"
     for kind in ("images", "containers"):
@@ -798,6 +920,21 @@ def test_stub_runtime_rows_equal_fake_runtime_rows(tmp_path, monkeypatch):
         target.write_bytes(payload)
     monkeypatch.setenv("BENCH_STUB_STATE", str(state))
     monkeypatch.setenv("BENCH_STUB_EXECUTED", str(executed))
+    return state
+
+
+def _removed_containers(state: Path) -> list[int]:
+    """The sizes of the stub's container state files; it truncates the
+    file of a removed container."""
+    return [path.stat().st_size for path in sorted((state / "containers").iterdir())]
+
+
+def test_stub_runtime_rows_equal_fake_runtime_rows(tmp_path, monkeypatch):
+    """The pipeline through DockerCli and real subprocesses, against the
+    benchmark's POSIX sh stand-in for the runtime."""
+    urls = _skewed_corpus(tmp_path)
+    _, expected, _ = _run_corpus(tmp_path / "fake", urls, 2, FakeDocker())
+    state = _stub_runtime_state(tmp_path, urls, monkeypatch)
 
     config = _config(tmp_path / "stub", 2)
     with Store(config.store_path) as store:
@@ -807,10 +944,58 @@ def test_stub_runtime_rows_equal_fake_runtime_rows(tmp_path, monkeypatch):
 
     assert all(r.completed for r in results)
     assert rows == expected
-    # the stub truncates a container's state file when it is removed
-    containers = sorted((state / "containers").iterdir())
-    assert len(containers) == 7
-    assert [path.stat().st_size for path in containers] == [0] * 7
+    assert _removed_containers(state) == [0] * 7
+
+
+def _runtime_going_down_at(tmp_path, verb: str) -> Path:
+    """The stub runtime, which goes down at the first call of ``verb``:
+    from then on every call, ``version`` too, fails as the docker client
+    fails without its daemon."""
+    down, wrapper = tmp_path / "runtime-down", tmp_path / "outage-runtime"
+    wrapper.write_text(
+        "#!/bin/sh\n"
+        f'if [ "$1" = {verb} ]; then : > "{down}"; fi\n'
+        f'if [ -e "{down}" ]; then\n'
+        "    echo 'Cannot connect to the Docker daemon at"
+        " unix:///var/run/docker.sock. Is the docker daemon running?' >&2\n"
+        "    exit 1\n"
+        "fi\n"
+        f'exec "{STUB_RUNTIME}" "$@"\n')
+    wrapper.chmod(0o755)
+    return wrapper
+
+
+@pytest.mark.parametrize("verb", ["build", "run"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_runtime_outage_records_nothing_and_execute_resumes(
+        tmp_path, monkeypatch, verb, jobs):
+    urls = _skewed_corpus(tmp_path)
+    _, expected, _ = _run_corpus(tmp_path / "fake", urls, 2, FakeDocker())
+    state = _stub_runtime_state(tmp_path, urls, monkeypatch)
+    runtime = _runtime_going_down_at(tmp_path, verb)
+
+    config = _config(tmp_path / "stub", jobs)
+    with Store(config.store_path) as store:
+        pipeline = Pipeline(config, store, DockerCli(str(runtime)))
+        results = pipeline.map_repositories(urls, pipeline.run_repository)
+
+        # No verdict was taken from a failed call: every run stays Pending.
+        assert [r.degraded_reason for r in results] == [
+            f"container runtime unavailable: container runtime {str(runtime)!r} "
+            "is not reachable"] * 2
+        assert {run.provisioning_status for run in store.latest_runs().values()} == {
+            ProvisioningStatus.PENDING}
+        assert store_rows(store, "notebook_executions") == []
+
+        # With the runtime back, execute then compare give a clean run's rows.
+        pipeline = Pipeline(config, store, DockerCli(str(STUB_RUNTIME)))
+        for stage, step in (("execute", pipeline.execute_run),
+                            ("compare", pipeline.compare_run)):
+            resumed = pipeline.map_repositories(pipeline.runs_awaiting(stage), step)
+            assert [r.completed for r in resumed] == [True, True]
+        rows = _comparable_rows(store, config.artifacts_dir)
+    assert rows == expected
+    assert set(_removed_containers(state)) == {0}
 
 
 def test_timed_out_clone_degrades_only_its_repository(tmp_path, monkeypatch):
@@ -1168,7 +1353,7 @@ def test_each_container_is_removed_once_after_ctrl_c(tmp_path, jobs):
 def test_ctrl_c_under_parallel_infer_records_no_run(tmp_path, monkeypatch, jobs):
     urls = [make_git_repo(tmp_path / name, {
         f"{name}.ipynb": _original("print(1)", "1\n").decode()})
-        for name in ("a", "b", "c", "d")]
+        for name in "abcdef"[:2 * jobs + 2]]
     config = _config(tmp_path / "store", jobs)
     validate = corpus.validate_repository
     lock = threading.Lock()
@@ -1192,7 +1377,7 @@ def test_ctrl_c_under_parallel_infer_records_no_run(tmp_path, monkeypatch, jobs)
             pipeline.map_repositories(urls, pipeline.infer_repository)
 
         # the repositories not yet started were cancelled
-        assert 1 <= len(probes) <= jobs
+        assert 1 <= len(probes) <= 2 * jobs
         assert store_rows(store, "repository_runs") == []
         assert store.list_repositories() == []
 
@@ -1232,6 +1417,75 @@ def test_ctrl_c_in_a_clean_room_starts_no_later_runtime_call(tmp_path):
         assert [store.get_run(run.run_id).provisioning_status for run in runs] == [
             ProvisioningStatus.PENDING] * 2
         assert store_rows(store, "notebook_executions") == []
+
+
+class _WatchedSlots(threading.BoundedSemaphore):
+    """Slots that set ``waiting`` when a taker finds none free."""
+
+    def __init__(self, value: int, waiting: threading.Event):
+        super().__init__(value)
+        self.waiting = waiting
+
+    def acquire(self, blocking=True, timeout=None):
+        if super().acquire(blocking=False):
+            return True
+        self.waiting.set()
+        return super().acquire(blocking, timeout)
+
+    __enter__ = acquire
+
+
+class _CtrlCInBuildDocker(FakeDocker):
+    """The first build waits until another repository waits for a slot,
+    sends SIGINT to the main thread, as a terminal does, and returns once
+    the pipeline has seen it."""
+
+    def __init__(self, waiting: threading.Event, seen: threading.Event):
+        super().__init__()
+        self.waiting, self.seen = waiting, seen
+
+    def build(self, tag, dockerfile, context, timeout=None):
+        if not any(call[0] == "build" for call in self.calls):
+            assert self.waiting.wait(timeout=10)
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            assert self.seen.wait(timeout=10)
+        return super().build(tag, dockerfile, context, timeout)
+
+
+def test_ctrl_c_while_a_repository_waits_for_a_slot(tmp_path, monkeypatch):
+    from nbrepro import pipeline as pipelinemod
+
+    urls = [make_git_repo(tmp_path / name, {
+        f"{name}.ipynb": _original("print(1)", "1\n").decode()})
+        for name in ("a", "b")]
+    waiting = threading.Event()
+
+    class WatchedBudget(WorkBudget):
+        def __init__(self, jobs, pool):
+            super().__init__(jobs, pool)
+            self.slots = _WatchedSlots(jobs, waiting)
+
+    monkeypatch.setattr(pipelinemod, "WorkBudget", WatchedBudget)
+    config = _config(tmp_path / "store", 1)
+    with Store(config.store_path) as store:
+        pipeline = Pipeline(config, store, FakeDocker())
+        docker = pipeline.docker = _CtrlCInBuildDocker(waiting, pipeline.interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            pipeline.map_repositories(urls, pipeline.run_repository)
+
+        # The repository that built held the only slot; the other had
+        # inferred and was waiting for it. It made no runtime call.
+        (build,) = [call for call in docker.calls if call[0] == "build"]
+        runs = store.latest_runs()
+        (waiter,) = [repository for repository in runs if repository not in build[1]]
+        assert [call for call in docker.calls if waiter in str(call)] == []
+        assert len(store.list_notebooks(waiter)) == 1
+        assert {run.provisioning_status for run in runs.values()} == {
+            ProvisioningStatus.PENDING}
+        assert store_rows(store, "notebook_executions") == []
+        assert waiter not in {e["repository_id"] for e in _events(config, "cleanup")}
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("nbrepro-")]
 
 
 def test_ctrl_c_during_compare_commits_no_metrics(env, monkeypatch):

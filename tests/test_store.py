@@ -1039,3 +1039,25 @@ def test_a_migrated_store_that_stays_busy_keeps_its_free_pages(tmp_path, monkeyp
             assert migrated._conn.execute("PRAGMA freelist_count").fetchone()[0] > 0
     assert "keeps the free pages of its migration" in caplog.text
     assert _version(path) == SCHEMA_VERSION
+
+
+@pytest.mark.parametrize("version", range(SCHEMA_VERSION))
+def test_a_migration_vacuums_only_after_a_rebuild(tmp_path, monkeypatch, version):
+    """A migration that only creates tables frees no page, so it does not
+    vacuum; one that rebuilds a table vacuums once."""
+    path = tmp_path / "old.sqlite3"
+    with closing(sqlite3.connect(path)) as conn:
+        conn.executescript((FIXTURES / f"store_schema_v{version}.sql").read_text("utf-8"))
+    vacuum, vacuumed = Store._vacuum, []
+
+    def counted(self):
+        vacuumed.append(self.path)
+        vacuum(self)
+
+    monkeypatch.setattr(Store, "_vacuum", counted)
+    with Store(path) as migrated:
+        assert migrated._conn.execute("PRAGMA freelist_count").fetchone()[0] == 0
+    with Store(path), Store():
+        pass
+    assert vacuumed == [str(path)] * bool(_REBUILT_FROM[version])
+    assert _version(path) == SCHEMA_VERSION
