@@ -11,11 +11,15 @@ Subcommands expose each pipeline stage independently; ``run`` chains them.
 
 ``classify`` stores its classes, with the groups they were folded from, and
 exports them; ``report`` reads the store.
+Every subcommand takes the workspace flags (``--config``, ``--store``,
+``--logdir``, ``--artifacts``, ``--report-dir``) and only the behaviour flags
+its handler reads (``_COMMANDS``); any other flag is a usage error.
 Exit codes: 0 complete, 2 partial (some repositories not fully assessed),
-1 fatal, also for a locked store; this module owns them. Only the stage
-handlers import the pipeline, git and runtime modules, so ``report`` and
-``classify`` never load them. The CLI makes no runtime call of its own:
-each clean room's first call is the pipeline's one reachability check.
+1 fatal, also for a locked store or a usage error; this module owns them.
+Only the stage handlers import the pipeline, git and runtime modules, so
+``report`` and ``classify`` never load them. The CLI makes no runtime call
+of its own: each clean room's first call is the pipeline's one
+reachability check.
 """
 
 from __future__ import annotations
@@ -65,6 +69,58 @@ _INTERPRETATION_NOTE = (
 )
 
 
+# Every subcommand takes the workspace flags: the deployment's paths, and
+# the config file that may name them.
+_WORKSPACE_FLAGS = ("--config", "--store", "--logdir", "--artifacts", "--report-dir")
+
+# Each subcommand's help and the behaviour flags its handler reads. A flag
+# that a subcommand would ignore is a usage error there.
+_COMMANDS = {
+    "run": ("full pipeline over the input repositories",
+            ("--input", "--jobs", "--build-timeout", "--exec-timeout", "--base-image",
+             "--alias-table", "--scan-magic-installs", "--baseline", "--docker")),
+    "infer": ("discovery, validation, and dependency inference only",
+              ("--input", "--jobs", "--base-image", "--alias-table",
+               "--scan-magic-installs")),
+    "execute": ("build images and execute notebooks for inferred runs",
+                ("--jobs", "--build-timeout", "--exec-timeout", "--docker")),
+    "compare": ("compare executed artifacts against committed outputs", ("--jobs",)),
+    "report": ("aggregate the store and emit reports", ()),
+    "classify": ("assign outcome classes against a baseline export", ("--baseline",)),
+}
+
+# How each flag parses. Its dest (by default the flag's own name) is the
+# PipelineConfig field it sets, or ``config``; an unset flag is None, and
+# the config file's value stands.
+_FLAGS = {
+    "--config": dict(type=Path, help="JSON config file; flags take precedence"),
+    "--store": dict(type=Path, dest="store_path", help="SQLite store file"),
+    "--logdir": dict(type=Path, help="log directory root"),
+    "--artifacts": dict(type=Path, dest="artifacts_dir",
+                        help="artifacts directory (clones, executed notebooks)"),
+    "--report-dir": dict(type=Path, help="directory for emitted reports"),
+    "--input": dict(action="append", dest="inputs", metavar="URL_OR_PATH",
+                    help="repository URL or local path; repeatable"),
+    "--jobs": dict(type=int,
+                   help="runtime budget: at most this many clean rooms (cleanup "
+                        "and build) and notebook container runs at once, while "
+                        "up to twice as many repositories are in flight, "
+                        "cloning, inferring or comparing beside them (default 1)"),
+    "--build-timeout": dict(type=float, help="image build timeout in seconds"),
+    "--exec-timeout": dict(type=float, help="per-notebook execution timeout in seconds"),
+    "--base-image": dict(help="container base image override"),
+    "--alias-table": dict(type=Path, dest="alias_table_path",
+                          help="JSON file extending the import alias table"),
+    "--baseline": dict(type=Path, dest="baseline_path",
+                       help="baseline CSV export for outcome classification"),
+    "--scan-magic-installs": dict(action=argparse.BooleanOptionalAction, default=None,
+                                  help="scan notebook pip-install lines as declared "
+                                       "dependencies (default on)"),
+    "--docker": dict(dest="docker_executable",
+                     help="container runtime executable (default docker)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nbrepro",
@@ -72,54 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "assessment for notebook repositories.")
     parser.add_argument("--version", action="version", version=__version__)
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sub: argparse.ArgumentParser, with_inputs: bool) -> None:
-        if with_inputs:
-            sub.add_argument("--input", action="append", dest="inputs",
-                             metavar="URL_OR_PATH",
-                             help="repository URL or local path; repeatable")
-        sub.add_argument("--config", type=Path,
-                         help="JSON config file; flags take precedence")
-        sub.add_argument("--store", type=Path, dest="store_path",
-                         help="SQLite store file")
-        sub.add_argument("--logdir", type=Path, help="log directory root")
-        sub.add_argument("--artifacts", type=Path, dest="artifacts_dir",
-                         help="artifacts directory (clones, executed notebooks)")
-        sub.add_argument("--report-dir", type=Path, dest="report_dir",
-                         help="directory for emitted reports")
-        sub.add_argument("--jobs", type=int,
-                         help="runtime budget: at most this many clean "
-                              "rooms (cleanup and build) and notebook "
-                              "container runs at once, while up to twice as "
-                              "many repositories are in flight, cloning, "
-                              "inferring or comparing beside them (default 1)")
-        sub.add_argument("--build-timeout", type=float, dest="build_timeout",
-                         help="image build timeout in seconds")
-        sub.add_argument("--exec-timeout", type=float, dest="exec_timeout",
-                         help="per-notebook execution timeout in seconds")
-        sub.add_argument("--base-image", dest="base_image",
-                         help="container base image override")
-        sub.add_argument("--alias-table", type=Path, dest="alias_table_path",
-                         help="JSON file extending the import alias table")
-        sub.add_argument("--baseline", type=Path, dest="baseline_path",
-                         help="baseline CSV export for outcome classification")
-        sub.add_argument("--scan-magic-installs", dest="scan_magic_installs",
-                         action=argparse.BooleanOptionalAction, default=None,
-                         help="scan notebook pip-install lines as declared "
-                              "dependencies (default on)")
-        sub.add_argument("--docker", dest="docker_executable",
-                         help="container runtime executable (default docker)")
-
-    for name, help_text, with_inputs in (
-        ("run", "full pipeline over the input repositories", True),
-        ("infer", "discovery, validation, and dependency inference only", True),
-        ("execute", "build images and execute notebooks for inferred runs", False),
-        ("compare", "compare executed artifacts against committed outputs", False),
-        ("report", "aggregate the store and emit reports", False),
-        ("classify", "assign outcome classes against a baseline export", False),
-    ):
+    for name, (help_text, flags) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
-        add_common(sub, with_inputs)
+        for flag in (*_WORKSPACE_FLAGS, *flags):
+            sub.add_argument(flag, **_FLAGS[flag])
         sub.set_defaults(handler=_HANDLERS[name])
     return parser
 
@@ -354,8 +366,10 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         level=logging.INFO,
         format="%(asctime)s %(levelname)s %(name)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error; --help and --version exit 0
+        return EXIT_FATAL if exc.code else EXIT_COMPLETE
     try:
         config = config_from_args(args)
         with Store(config.store_path) as store:

@@ -16,6 +16,18 @@ DEFAULT_BASE_IMAGE = "python:3.10-slim"
 DEFAULT_BUILD_TIMEOUT = 1200.0
 DEFAULT_EXECUTION_TIMEOUT = 600.0
 DEFAULT_VALIDATION_TIMEOUT = 30.0
+# The longest timeout accepted, in seconds (about 11.6 days). The process
+# runner's wait takes whole milliseconds as a C int, so a bound past about
+# 2.1e6 s fails every call instead of bounding it.
+MAX_TIMEOUT = 1_000_000.0
+_TIMEOUT_RANGE = f"a number of seconds above 0 and at most {MAX_TIMEOUT:.0f}"
+
+
+def _valid_timeout(value: object) -> bool:
+    """One rule for a timeout from a flag or a config file; NaN fails both
+    comparisons and infinity the second."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value <= MAX_TIMEOUT)
 
 
 class ConfigError(Exception):
@@ -27,8 +39,7 @@ _FILE_VALUE_CHECKS = {
     "list[str]": ("a list of strings", lambda v: isinstance(v, list)
                   and all(isinstance(item, str) for item in v)),
     "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    "float": ("a positive number", lambda v: isinstance(v, (int, float))
-              and not isinstance(v, bool) and v > 0),
+    "float": (_TIMEOUT_RANGE, _valid_timeout),
     "str": ("a string", lambda v: isinstance(v, str)),
     "Path": ("a string", lambda v: isinstance(v, str)),
     "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
@@ -60,8 +71,9 @@ class PipelineConfig:
         if self.jobs < 1:
             raise ConfigError("worker pool size must be at least 1")
         for name in ("build_timeout", "exec_timeout", "validation_timeout"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not _valid_timeout(value):
+                raise ConfigError(f"{name} must be {_TIMEOUT_RANGE}, not {value}")
 
     @classmethod
     def from_file(cls, path: Path | str) -> "PipelineConfig":

@@ -7,6 +7,7 @@ contract under test.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import dataclasses
 import json
@@ -14,6 +15,7 @@ import logging
 import math
 import shutil
 import sqlite3
+import sys
 import threading
 from contextlib import closing
 from pathlib import Path
@@ -21,8 +23,8 @@ from pathlib import Path
 import pytest
 
 from nbrepro import containerize, corpus, tool
-from nbrepro.cli import main
-from nbrepro.config import PipelineConfig
+from nbrepro.cli import build_parser, config_from_args, main
+from nbrepro.config import MAX_TIMEOUT, ConfigError, PipelineConfig
 from nbrepro.store import SCHEMA_VERSION, ProvisioningStatus, Store
 
 from conftest import (
@@ -522,6 +524,9 @@ def test_invalid_config_is_fatal(workspace, caplog):
     ("jobs", True),
     ("exec_timeout", "10"),
     ("build_timeout", 0),
+    ("exec_timeout", math.inf),  # JSON's Infinity
+    ("build_timeout", math.inf),
+    ("validation_timeout", 1e9),
     ("store_path", None),
     ("cpu_limit", 2),
     ("scan_magic_installs", "no"),
@@ -553,6 +558,119 @@ def test_config_file_accepts_every_field(tmp_path):
     config = PipelineConfig.from_file(config_file)
     assert config.jobs == 2 and config.baseline_path == Path("baseline.csv")
     assert config.scan_magic_installs is False
+
+
+# What a timeout may be, from a flag or a config file: finite, above 0 and
+# at most MAX_TIMEOUT, which the process runner can still wait out.
+@pytest.mark.parametrize("flag, value", [
+    (flag, value) for flag in ("--exec-timeout", "--build-timeout")
+    for value in ("nan", "inf", "1e9")])
+def test_a_timeout_flag_out_of_range_is_fatal(workspace, caplog, flag, value):
+    setting = flag[2:].replace("-", "_")
+    assert main(["run", "--input", str(workspace["root"] / "missing"), flag, value,
+                 *_common_flags(workspace)]) == 1
+    (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error.startswith(f"{setting} must be a number of seconds")
+    assert not workspace["store"].exists()
+
+
+def test_the_longest_timeout_is_one_the_runner_can_wait_out():
+    with pytest.raises(ConfigError):
+        PipelineConfig(exec_timeout=MAX_TIMEOUT * 1.001).validate()
+    PipelineConfig(exec_timeout=MAX_TIMEOUT, build_timeout=MAX_TIMEOUT,
+                   validation_timeout=MAX_TIMEOUT).validate()
+    done = tool.run_tool([sys.executable, "-c", "print('ok')"], MAX_TIMEOUT)
+    assert (done.returncode, done.stdout) == (0, "ok\n")
+
+
+# The behaviour flags each subcommand's handler reads; every subcommand also
+# takes the workspace flags, and no other.
+_WORKSPACE_FLAGS = {"--config", "--store", "--logdir", "--artifacts", "--report-dir"}
+_ROWS = {
+    "run": {"--input", "--jobs", "--build-timeout", "--exec-timeout", "--base-image",
+            "--alias-table", "--scan-magic-installs", "--baseline", "--docker"},
+    "infer": {"--input", "--jobs", "--base-image", "--alias-table",
+              "--scan-magic-installs"},
+    "execute": {"--jobs", "--build-timeout", "--exec-timeout", "--docker"},
+    "compare": {"--jobs"},
+    "report": set(),
+    "classify": {"--baseline"},
+}
+# A value for each behaviour flag that its own commands would accept.
+_FLAG_VALUES = {
+    "--input": ["file:///nonexistent/u/p"], "--jobs": ["4"], "--build-timeout": ["5"],
+    "--exec-timeout": ["5"], "--base-image": ["python:3.12-slim"],
+    "--alias-table": ["aliases.json"], "--scan-magic-installs": [],
+    "--no-scan-magic-installs": [], "--baseline": ["baseline.csv"],
+    "--docker": ["podman"],
+}
+
+
+def _subparser(command: str) -> argparse.ArgumentParser:
+    (subparsers,) = [action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    return subparsers.choices[command]
+
+
+@pytest.mark.parametrize("command", sorted(_ROWS))
+def test_each_subcommand_takes_the_workspace_flags_and_its_row(command):
+    options = [action for action in _subparser(command)._actions
+               if not isinstance(action, argparse._HelpAction)]
+    assert {action.option_strings[0] for action in options} \
+        == _WORKSPACE_FLAGS | _ROWS[command]
+    # config_from_args copies a flag by its dest and skips one that names no
+    # field, so a misspelled dest would be accepted and ignored.
+    fields = {field.name for field in dataclasses.fields(PipelineConfig)}
+    assert {action.dest for action in options} <= fields | {"config"}
+
+
+@pytest.mark.parametrize("command", sorted(set(_ROWS) - {"run"}))  # run reads them all
+def test_a_behaviour_flag_of_another_subcommand_is_a_usage_error(workspace, capsys,
+                                                                 monkeypatch, command):
+    monkeypatch.chdir(workspace["root"])
+    for flag in _FLAG_VALUES:
+        if flag.replace("--no-", "--") in _ROWS[command]:
+            continue
+        assert main([command, flag, *_FLAG_VALUES[flag], *_common_flags(workspace)]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert list(workspace["root"].iterdir()) == []
+
+
+def test_the_benchmark_argv_shapes_parse(tmp_path):
+    # The argv that the benchmark harness sends, flag for flag: it passes
+    # --logdir to classify and report, which read no log directory.
+    store, reports, logs = tmp_path / "store.sqlite3", tmp_path / "reports", tmp_path / "logs"
+    workspace = ["--store", str(store), "--report-dir", str(reports), "--logdir", str(logs)]
+    parser = build_parser()
+    run = config_from_args(parser.parse_args([
+        "run", "--input", "file:///a", "--input", "file:///b", "--store", str(store),
+        "--logdir", str(logs), "--artifacts", str(tmp_path / "artifacts"),
+        "--report-dir", str(reports), "--jobs", "2", "--docker", "stub_runtime.sh"]))
+    assert (run.inputs, run.jobs, run.docker_executable, run.artifacts_dir) \
+        == (["file:///a", "file:///b"], 2, "stub_runtime.sh", tmp_path / "artifacts")
+    classify = config_from_args(parser.parse_args(
+        ["classify", *workspace, "--baseline", str(tmp_path / "baseline.csv")]))
+    assert classify.baseline_path == tmp_path / "baseline.csv"
+    report = config_from_args(parser.parse_args(["report", *workspace]))
+    for config in (run, classify, report):
+        assert (config.store_path, config.report_dir, config.logdir) == (store, reports, logs)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["report", "--bogus"], 1),
+    (["report", "--jobs"], 1),
+    (["frobnicate"], 1),
+    ([], 1),
+    (["--help"], 0),
+    (["classify", "--help"], 0),
+    (["--version"], 0),
+])
+def test_a_usage_error_is_fatal_and_help_is_not(tmp_path, monkeypatch, capsys, argv, code):
+    # 2 means partial: a script that resumes on it must not loop on a typo.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    assert (capsys.readouterr().err.startswith("usage: nbrepro")) == (code == 1)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_structured_event_log_lines_parse(workspace):
@@ -925,9 +1043,13 @@ def test_a_locked_store_is_a_fatal_error_that_names_it(workspace, caplog, monkey
 
 @pytest.mark.parametrize("command", ["execute", "compare"])
 def test_execute_and_compare_read_no_alias_table(workspace, caplog, command):
+    # Neither command takes --alias-table, so the config file names one.
     runtime, _ = logging_runtime(workspace["root"])
-    assert main([command, "--alias-table", str(workspace["root"] / "missing.json"),
-                 "--docker", str(runtime), *_common_flags(workspace)]) == 1
+    config = workspace["root"] / "config.json"
+    config.write_text(json.dumps({
+        "alias_table_path": str(workspace["root"] / "missing.json"),
+        "docker_executable": str(runtime)}))
+    assert main([command, "--config", str(config), *_common_flags(workspace)]) == 1
     message = {"execute": "no inferred runs are awaiting execution",
                "compare": "no executed artifacts for run"}[command]
     assert any(message in r.getMessage() for r in caplog.records)
@@ -951,10 +1073,11 @@ def test_each_log_line_names_a_repository_by_its_store_url(workspace, caplog):
     origin = workspace["root"] / "origins" / "Repo.git"
     make_git_repo(origin, {"nb.ipynb": _notebook_file(code_cell("print(1)"))})
     caplog.set_level(logging.INFO, logger="nbrepro.cli")
-    for command in ("infer", "run"):
+    # Only run reaches the runtime, so only run takes --docker.
+    for command, flags in (("infer", []),
+                           ("run", ["--docker", "definitely-missing-runtime"])):
         caplog.clear()
-        main([command, "--input", str(origin), "--docker", "definitely-missing-runtime",
-              *_common_flags(workspace)])
+        main([command, "--input", str(origin), *flags, *_common_flags(workspace)])
         with Store(workspace["store"]) as store:
             (repo,) = store.list_repositories()
         assert repo.url.endswith("/Repo")
