@@ -121,15 +121,29 @@ _FLAGS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: a flag it does not take is an error reported
+    with its own usage, not passed up to the top-level parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand. A flag is matched only as spelled in
+    full: a prefix of another flag is an error, not that flag."""
     parser = argparse.ArgumentParser(
-        prog="nbrepro",
+        prog="nbrepro", allow_abbrev=False,
         description="Containerized re-execution and reproducibility "
                     "assessment for notebook repositories.")
     parser.add_argument("--version", action="version", version=__version__)
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(dest="command", required=True,
+                                       parser_class=_CommandParser)
     for name, (help_text, flags) in _COMMANDS.items():
-        sub = subparsers.add_parser(name, help=help_text)
+        sub = subparsers.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in (*_WORKSPACE_FLAGS, *flags):
             sub.add_argument(flag, **_FLAGS[flag])
         sub.set_defaults(handler=_HANDLERS[name])

@@ -75,16 +75,22 @@ class DockerCli:
 
     def __init__(self, executable: str = "docker") -> None:
         self.executable = executable
-        self._unreachable: str | None = None  # the verdict of a failed probe
+        self._unreachable: str | None = None  # the verdict of a failed probe or start
 
     def _run(self, args: list[str], timeout: float) -> ToolRun:
-        return run_tool([self.executable, *args], timeout)
+        """One call of any verb. An executable that cannot start is an
+        outage at every verb: the client takes the unreachable verdict and
+        raises ContainerRuntimeUnavailable."""
+        try:
+            return run_tool([self.executable, *args], timeout)
+        except OSError:
+            raise self._down() from None
 
     def available(self) -> bool:
         try:
             return self._run(["version", "--format", "{{.Server.Version}}"],
                              timeout=QUICK_CALL_TIMEOUT).returncode == 0
-        except OSError:
+        except ContainerRuntimeUnavailable:
             return False
 
     def build(self, tag: str, dockerfile: Path, context: Path,
@@ -103,13 +109,11 @@ class DockerCli:
     def list_containers(self, label: str) -> list[str]:
         """The containers carrying ``label``. This is a clean room's first
         runtime call; a listing that runs past its 30 s bound means an
-        unreachable runtime at once. On a nonzero exit a reachable runtime
-        lists nothing; that fallback is there only for the benchmark stub's
-        ``ps``, which can exit 1."""
+        unreachable runtime at once. After a nonzero exit that the version
+        probe finds reachable, the listing is what the runtime printed: the
+        benchmark stub's ``ps`` can exit 1 after printing its matches."""
         result = self._call(["ps", "-aq", "--filter", f"label={label}"],
                             timeout=QUICK_CALL_TIMEOUT, hung_means_unreachable=True)
-        if result.returncode != 0:
-            return []
         return [line for line in result.stdout.splitlines() if line.strip()]
 
     def remove_container(self, name_or_id: str) -> None:
@@ -138,17 +142,19 @@ class DockerCli:
         probed, since a hung daemon may still answer ``version``. From then
         on every such call raises the same at once, so no outage becomes a
         build or notebook verdict."""
-        if self._unreachable is None:
-            try:
-                result = self._run(args, timeout)
-            except OSError:
-                result = None
-            if result is not None and (result.returncode == 0 or (
-                    not (result.timed_out and hung_means_unreachable)
-                    and self.available())):
-                return result
-            self._unreachable = f"container runtime {self.executable!r} is not reachable"
-        raise ContainerRuntimeUnavailable(self._unreachable)
+        if self._unreachable is not None:
+            raise ContainerRuntimeUnavailable(self._unreachable)
+        result = self._run(args, timeout)
+        if result.returncode == 0 or (
+                not (result.timed_out and hung_means_unreachable)
+                and self.available()):
+            return result
+        raise self._down()
+
+    def _down(self) -> ContainerRuntimeUnavailable:
+        """Take the unreachable verdict; returns the error to raise."""
+        self._unreachable = f"container runtime {self.executable!r} is not reachable"
+        return ContainerRuntimeUnavailable(self._unreachable)
 
 
 def image_repository_for(repository_id: str) -> str:

@@ -145,11 +145,10 @@ def _run_here(fn, item) -> Future:
 
 
 class Pipeline:
-    def __init__(self, config: PipelineConfig, store: Store,
-                 docker: containerize.DockerCli | None = None) -> None:
+    def __init__(self, config: PipelineConfig, store: Store) -> None:
         self.config = config
         self.store = store
-        self.docker = docker or containerize.DockerCli(config.docker_executable)
+        self.docker = containerize.DockerCli(config.docker_executable)
         self.invocation_id = new_invocation_id()
         self.events = EventLog(Path(config.logdir) / "events.ndjson",
                                self.invocation_id)
@@ -210,11 +209,12 @@ class Pipeline:
                              error=str(exc),
                              repository_id=repository_id, run_id=run.run_id)
             result.degraded_reason = str(exc)
-            # The failed clone deleted the tree; the stored facts stand.
+            # The failed clone deleted the tree; the stored facts stand. The
+            # run stays Pending, and unfinished, with the reason.
             known = self.store.get_repository(repository_id) or known
             return self._record_inferred(
-                result, replace(known, local_path=None, accessible=True), run,
-                ProvisioningStatus.PENDING, f"acquisition failed: {exc}")
+                result, replace(known, local_path=None, accessible=True),
+                replace(run, status_reason=f"acquisition failed: {exc}"))
 
         tree = Path(repo.local_path or "")
         run = replace(run, revision=corpus.current_revision(tree))

@@ -1,5 +1,7 @@
-"""Shared builders for notebook documents, git fixture repos, and a fake
-container runtime, and a plain-SQL reader of store rows."""
+"""Shared builders for notebook documents and git fixture repos, a
+plain-SQL reader of store rows, and the container runtime every runtime test
+drives: the shipped client over the benchmark's stub, with faults scripted
+at the process seam."""
 
 from __future__ import annotations
 
@@ -7,11 +9,13 @@ import dataclasses
 import json
 import shutil
 import subprocess
+import threading
 from pathlib import Path
 
 import pytest
 
-from nbrepro.tool import ToolRun
+from nbrepro import containerize, corpus
+from nbrepro.tool import ToolRun, run_tool
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -150,92 +154,113 @@ requires_docker = pytest.mark.skipif(
     reason="container runtime not available; end-to-end stage is gated")
 
 
-# ---- fake container runtime -----------------------------------------------------
+# ---- the container runtime every test drives -----------------------------------
 
-def logging_runtime(directory: Path, exits: dict[str, int] | None = None
-                    ) -> tuple[Path, Path]:
-    """A runtime executable for ``DockerCli`` that appends each call's verb
-    to a log and exits with ``exits[verb]``, 0 by default, printing nothing;
-    returns the executable and the log."""
-    log = directory / "runtime.calls"
-    cases = "".join(f"    {verb}) exit {code} ;;\n"
-                    for verb, code in (exits or {}).items())
-    executable = directory / "runtime"
-    executable.write_text(f'#!/bin/sh\necho "$1" >> "{log}"\n'
-                          f'case $1 in\n{cases}esac\n')
-    executable.chmod(0o755)
-    return executable, log
+STUB_RUNTIME = Path(__file__).resolve().parents[1] / "bench" / "stub_runtime.sh"
+
+# How the docker client answers when no daemon does.
+DAEMON_DOWN = ToolRun([], 1, "", "Cannot connect to the Docker daemon at "
+                      "unix:///var/run/docker.sock. Is the docker daemon running?\n")
 
 
-def FakeCompleted(returncode: int = 0, stdout: str = "", stderr: str = "",
-                  args: list[str] | None = None) -> ToolRun:
-    """A runtime call that finished with ``returncode``."""
-    return ToolRun(args or ["docker"], returncode, stdout, stderr)
+class Runtime:
+    """The container runtime of every runtime test: the benchmark's stub
+    behind the shipped ``DockerCli``, with faults scripted at the one seam
+    every runtime call passes, ``containerize.run_tool``.
 
-
-class FakeDocker:
-    """In-memory stand-in for the container runtime CLI wrapper.
-
-    Tracks containers/images per repository label and records every call so
-    tests can assert on clean-room behavior without a daemon.
+    Each call's argv after the executable is appended to ``calls``. A call
+    that a test answers (see ``answer``) gets that answer; every other call
+    runs ``bench/stub_runtime.sh`` unmodified, whatever executable the
+    client was given, so no test reaches a host's container runtime. The
+    stub keeps its images and containers under ``state``, and hands back the
+    executed notebooks that ``plant`` puts under ``executed``.
     """
 
-    def __init__(self, available: bool = True):
-        self._available = available
-        self.containers: dict[str, str] = {}  # name -> label
-        self.images: set[str] = set()
-        self.calls: list[tuple] = []
-        self.run_results: list = []
-        self.copy_payloads: dict[str, bytes] = {}
+    def __init__(self, root: Path, monkeypatch) -> None:
+        self.state, self.executed = root / "stub-state", root / "stub-executed"
+        for kind in ("images", "containers"):
+            (self.state / kind).mkdir(parents=True)
+        self.executed.mkdir()
+        monkeypatch.setenv("BENCH_STUB_STATE", str(self.state))
+        monkeypatch.setenv("BENCH_STUB_EXECUTED", str(self.executed))
+        monkeypatch.setattr(containerize, "run_tool", self._call)
+        self.calls: list[list[str]] = []
+        self._answers: list[list] = []  # [verb, reply, calls left or None]
+        self._lock = threading.Lock()
 
-    def build(self, tag, dockerfile, context, timeout=None):
-        self.calls.append(("build", tag))
-        self.images.add(tag)
-        return FakeCompleted(0, stdout=f"built {tag}", args=[
-            "docker", "build", "--no-cache", "-t", tag, "-f", str(dockerfile),
-            str(context)])
+    @property
+    def verbs(self) -> list[str]:
+        return [args[0] for args in self.calls]
 
-    def list_images(self, repository):
-        self.calls.append(("list_images", repository))
-        return [tag for tag in sorted(self.images)
-                if tag.startswith(repository + ":")]
+    def plant(self, repository: str, notebooks: dict[str, bytes]) -> None:
+        """The executed notebooks, by relative path, that the stub's ``run``
+        hands back for a repository, named by its id or its URL; a notebook
+        without one fails as the converter fails on a file that is not JSON."""
+        if "://" in repository:
+            repository = corpus.repository_id_for(repository)
+        for relative_path, payload in notebooks.items():
+            target = self.executed / repository / relative_path
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(payload)
 
-    def list_containers(self, label):
-        self.calls.append(("list_containers", label))
-        if not self._available:
-            from nbrepro.containerize import ContainerRuntimeUnavailable
-            raise ContainerRuntimeUnavailable("fake runtime is down")
-        value = label.split("=", 1)[1]
-        return [name for name, lab in sorted(self.containers.items())
-                if lab == value]
+    def answer(self, verb: str, reply, times: int | None = None) -> None:
+        """Answer the next ``times`` calls of ``verb`` (every call when None;
+        ``"*"`` matches every verb) with ``reply``: a ToolRun, returned with
+        the call's argv when its own is empty; an exception, raised; or a
+        function of the call's args and bound returning either, which may
+        pass the call on to ``stub``. The earliest answer that matches is
+        taken."""
+        with self._lock:
+            self._answers.append([verb, reply, times])
 
-    def remove_container(self, name_or_id):
-        self.calls.append(("remove_container", name_or_id))
-        self.containers.pop(name_or_id, None)
+    def go_down(self, verb: str, reply=DAEMON_DOWN) -> None:
+        """An outage from the first call of ``verb`` on: that call and every
+        later one, ``version`` too, get ``reply``."""
+        down = threading.Event()
 
-    def remove_image(self, reference):
-        self.calls.append(("remove_image", reference))
-        self.images.discard(reference)
+        def outage(args, timeout):
+            if args[0] == verb:
+                down.set()
+            return reply if down.is_set() else self.stub(args, timeout)
 
-    def run_container(self, image, command, run_args, timeout=None):
-        """Pops the next of ``run_results``, FakeCompleted(0) when none is
-        left; a None there hits the wall-clock bound, as a timed-out run."""
-        self.calls.append(("run_container", image, tuple(command)))
-        name = run_args[run_args.index("--name") + 1]
-        label = next((a.split("=", 1)[1] for a in run_args
-                      if a.startswith("nbrepro.repository_id=")), "")
-        self.containers[name] = label
-        argv = ["docker", "run", *run_args, image, *command]
-        result = self.run_results.pop(0) if self.run_results else FakeCompleted(0)
-        if result is None:
-            return ToolRun(argv, -1, "", "", timed_out=True)
-        return dataclasses.replace(result, args=argv)
+        self.answer("*", outage)
 
-    def copy_from_container(self, container, source, destination, timeout=None):
-        self.calls.append(("copy_from_container", container, source))
-        payload = self.copy_payloads.get(source)
-        if payload is None:
-            return False
-        Path(destination).parent.mkdir(parents=True, exist_ok=True)
-        Path(destination).write_bytes(payload)
-        return True
+    def recover(self) -> None:
+        """Drop every answer: each later call runs the stub."""
+        with self._lock:
+            self._answers.clear()
+
+    def stub(self, args: list[str], timeout: float) -> ToolRun:
+        return run_tool([str(STUB_RUNTIME), *args], timeout)
+
+    def images(self) -> list[str]:
+        """The stub's images, as ``repro/<repository_id>:<run_id>``."""
+        return sorted("repro/{}:{}".format(*path.name.rsplit(".", 1))
+                      for path in (self.state / "images").iterdir()
+                      if path.stat().st_size)
+
+    def containers(self) -> list[str]:
+        """The names of the stub's containers not removed; it truncates
+        the state file of a removed one."""
+        return sorted(path.name for path in (self.state / "containers").iterdir()
+                      if path.stat().st_size)
+
+    def _call(self, argv: list[str], timeout: float) -> ToolRun:
+        args = list(argv[1:])
+        with self._lock:
+            self.calls.append(args)
+            entry = next((entry for entry in self._answers
+                          if entry[0] in ("*", args[0]) and entry[2] != 0), None)
+            if entry is not None and entry[2] is not None:
+                entry[2] -= 1
+        reply = self.stub if entry is None else entry[1]
+        if callable(reply):
+            reply = reply(args, timeout)
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply if reply.args else dataclasses.replace(reply, args=list(argv))
+
+
+@pytest.fixture()
+def runtime(tmp_path, monkeypatch) -> Runtime:
+    return Runtime(tmp_path, monkeypatch)

@@ -7,11 +7,10 @@ import os
 import pytest
 
 from nbrepro import atomic
-from nbrepro.containerize import build_image
+from nbrepro.containerize import DockerCli, build_image
 from nbrepro.executor import execute_notebook
 from nbrepro.store import NotebookDescriptor
-
-from conftest import FakeCompleted, FakeDocker
+from nbrepro.tool import ToolRun
 
 
 def test_write_replaces_the_file_with_write_text_permissions(tmp_path):
@@ -48,30 +47,28 @@ def test_failed_write_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch,
     assert os.listdir(tmp_path) == ["classification.json"]
 
 
-def _build_log(tmp_path, log, output):
-    docker = FakeDocker()
-    docker.build = lambda *args, **kwargs: FakeCompleted(0, stdout=output)
-    build_image("repro/repo1:run1", tmp_path / "Dockerfile", tmp_path, docker,
+def _build_log(runtime, tmp_path, log, output):
+    runtime.answer("build", ToolRun([], 0, output, ""), times=1)
+    build_image("repro/repo1:run1", tmp_path / "Dockerfile", tmp_path, DockerCli(),
                 log_path=log)
 
 
-def _execution_log(tmp_path, log, output):
-    docker = FakeDocker()
-    docker.run_results = [FakeCompleted(0, stdout=output)]
-    execute_notebook(docker, "repro/repo1:run1", NotebookDescriptor(
+def _execution_log(runtime, tmp_path, log, output):
+    runtime.answer("run", ToolRun([], 0, output, ""), times=1)
+    execute_notebook(DockerCli(), "repro/repo1:run1", NotebookDescriptor(
         notebook_id="nb1", repository_id="repo1", relative_path="a.ipynb"),
         run_id="run1", artifacts_dir=tmp_path / "artifacts", log_path=log)
 
 
 @pytest.mark.parametrize("write_log", [_build_log, _execution_log],
                          ids=["build", "execution"])
-def test_tool_logs_are_replaced_atomically(tmp_path, monkeypatch, write_log):
+def test_tool_logs_are_replaced_atomically(tmp_path, monkeypatch, runtime, write_log):
     log = tmp_path / "logs" / "tool.log"
-    write_log(tmp_path, log, "first attempt")
+    write_log(runtime, tmp_path, log, "first attempt")
     before = log.read_bytes()
     assert b"first attempt" in before
     _fail_on_replace(monkeypatch)
     with pytest.raises(OSError, match="disk went away"):
-        write_log(tmp_path, log, "second attempt")
+        write_log(runtime, tmp_path, log, "second attempt")
     assert log.read_bytes() == before
     assert os.listdir(log.parent) == ["tool.log"]

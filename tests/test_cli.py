@@ -1,8 +1,9 @@
 """CLI subcommand wiring, stage composition, and exit codes.
 
-These run the real pipeline against local git fixtures; container stages
-degrade gracefully when no runtime is present, which is itself part of the
-contract under test.
+These run the real pipeline against local git fixtures and, for the
+container stages, the shipped runtime client over the stub runtime; a
+runtime that is missing or down degrades the run, which is itself part of
+the contract under test.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from nbrepro.config import MAX_TIMEOUT, ConfigError, PipelineConfig
 from nbrepro.store import SCHEMA_VERSION, ProvisioningStatus, Store
 
 from conftest import (
+    DAEMON_DOWN,
     FIXTURES,
+    STUB_RUNTIME,
     code_cell,
-    docker_available,
-    logging_runtime,
     make_git_repo,
     markdown_cell,
     notebook_bytes,
@@ -269,15 +270,11 @@ def test_run_checks_its_baseline_before_any_repository(workspace, caplog, rows,
 
 
 def test_run_with_a_baseline_writes_its_classes_into_the_report(workspace,
-                                                               monkeypatch):
-    from conftest import FakeDocker
-
+                                                               monkeypatch, runtime):
     notebook = _notebook_file(code_cell("print(1)", [
         {"output_type": "stream", "name": "stdout", "text": ["1\n"]}], 1))
     url = _fixture_repo(workspace, "classified", {"nb.ipynb": notebook})
-    docker = FakeDocker()
-    docker.copy_payloads["/workspace/nb.executed.ipynb"] = notebook.encode()
-    monkeypatch.setattr(containerize, "DockerCli", lambda executable: docker)
+    runtime.plant(url, {"nb.ipynb": notebook.encode()})
     notebook_id = corpus.notebook_id_for(
         corpus.repository_id_for(corpus.canonical_input(url)), "nb.ipynb")
     baseline = workspace["root"] / "baseline.csv"
@@ -341,11 +338,10 @@ def test_report_on_empty_store_exits_zero(workspace):
     assert report["summary"]["total_repositories"] == 0
 
 
-@pytest.mark.skipif(docker_available(),
-                    reason="exercises the no-runtime degradation path")
-def test_run_without_runtime_skips_stages_3_4_with_status(workspace, caplog):
+def test_run_without_runtime_skips_stages_3_4_with_status(workspace, caplog, runtime):
     url = _fixture_repo(workspace, "repo", {
         "nb.ipynb": _notebook_file(code_cell("import requests"))})
+    runtime.answer("*", DAEMON_DOWN)
     with caplog.at_level("INFO", logger="nbrepro.cli"):
         code = main(["run", "--input", url, *_common_flags(workspace)])
     assert code == 2  # partial: stages 1-2 done, 3-4 skipped
@@ -363,23 +359,24 @@ def test_run_without_runtime_skips_stages_3_4_with_status(workspace, caplog):
     assert (workspace["logdir"] / "events.ndjson").exists()
 
 
-def test_every_tool_call_of_a_run_has_a_finite_bound(workspace, monkeypatch):
-    url = _fixture_repo(workspace, "repo", {
-        "nb.ipynb": _notebook_file(code_cell("print(1)"))})
-    # A listing that exits 1 leaves reachability to the version probe.
-    executable, _ = logging_runtime(workspace["root"], {"ps": 1})
+def test_every_tool_call_of_a_run_has_a_finite_bound(workspace, monkeypatch, runtime):
+    notebook = _notebook_file(code_cell("print(1)"))
+    url = _fixture_repo(workspace, "repo", {"a.ipynb": notebook, "b.ipynb": notebook})
+    # b.ipynb has no executed artifact: its run fails, and the version probe
+    # finds the runtime reachable.
+    runtime.plant(url, {"a.ipynb": notebook.encode()})
     bounds = []
     run = tool.subprocess.run
 
     def recording_run(argv, **kwargs):
         # git -C <tree> rev-parse names its verb after the tree
         args = argv[3:] if argv[1:2] == ["-C"] else argv[1:]
-        bounds.append((f"{Path(argv[0]).name} {args[0]}", kwargs.get("timeout")))
+        name = "runtime" if argv[0] == str(STUB_RUNTIME) else Path(argv[0]).name
+        bounds.append((f"{name} {args[0]}", kwargs.get("timeout")))
         return run(argv, **kwargs)
 
     monkeypatch.setattr(tool.subprocess, "run", recording_run)
-    main(["run", "--input", url, "--docker", str(executable),
-          *_common_flags(workspace)])
+    main(["run", "--input", url, *_common_flags(workspace)])
 
     assert {verb for verb, _ in bounds} == {
         "git ls-remote", "git clone", "git rev-parse", "runtime version",
@@ -429,18 +426,17 @@ def test_a_hung_runtime_costs_one_bound_per_run(workspace, monkeypatch, caplog):
         assert store_rows(store, "repository_runs") == runs
 
 
-def test_a_run_on_an_unreachable_runtime_is_resumed_by_execute(workspace, monkeypatch,
-                                                               caplog):
-    from conftest import FakeDocker
-
-    docker = FakeDocker()
+def test_a_run_on_an_unreachable_runtime_is_resumed_by_execute(workspace, caplog, runtime):
     urls = []
     for name in ("a", "b"):
         notebook = _notebook_file(code_cell("print(1)", [
             {"output_type": "stream", "name": "stdout", "text": ["1\n"]}], 1))
-        docker.copy_payloads[f"/workspace/{name}.executed.ipynb"] = notebook.encode()
         urls.append(_fixture_repo(workspace, name, {f"{name}.ipynb": notebook}))
+        runtime.plant(urls[-1], {f"{name}.ipynb": notebook.encode()})
     inputs = [arg for url in urls for arg in ("--input", url)]
+    # The executable does not exist.
+    runtime.answer("*", OSError(2, "No such file or directory",
+                                "definitely-missing-runtime"))
 
     with caplog.at_level("INFO", logger="nbrepro.cli"):
         assert main(["run", *inputs, "--docker", "definitely-missing-runtime",
@@ -456,7 +452,7 @@ def test_a_run_on_an_unreachable_runtime_is_resumed_by_execute(workspace, monkey
         "'definitely-missing-runtime' is not reachable" for url in repo_urls}
 
     # The outage recorded nothing, so the next execute resumes those runs.
-    monkeypatch.setattr(containerize, "DockerCli", lambda executable: docker)
+    runtime.recover()
     assert main(["execute", *_common_flags(workspace)]) == 0
     with Store(workspace["store"]) as store:
         for run in latest.values():
@@ -464,7 +460,7 @@ def test_a_run_on_an_unreachable_runtime_is_resumed_by_execute(workspace, monkey
                     is ProvisioningStatus.ENVIRONMENT_BUILT)
             assert len(store_rows(store, "notebook_executions",
                                   run_id=run.run_id)) == 1
-    assert sum(1 for call in docker.calls if call[0] == "build") == 2
+    assert runtime.verbs.count("build") == 2
 
 
 def test_run_requires_inputs(workspace, caplog):
@@ -656,6 +652,25 @@ def test_the_benchmark_argv_shapes_parse(tmp_path):
         assert (config.store_path, config.report_dir, config.logdir) == (store, reports, logs)
 
 
+@pytest.mark.parametrize("argv", [
+    # A prefix is no flag: --base is not classify's --baseline, nor --exec
+    # execute's --exec-timeout.
+    ["classify", "--base", "python:3.12-slim"],
+    ["execute", "--exec", "5"],
+    ["run", "--input", "file:///a", "--doc", "x"],
+    ["report", "--jobs", "4"],
+], ids=["classify-base", "execute-exec", "run-doc", "report-jobs"])
+def test_a_flag_the_subcommand_does_not_take_shows_its_usage(workspace, capsys,
+                                                              monkeypatch, argv):
+    monkeypatch.chdir(workspace["root"])
+    assert main([*argv, *_common_flags(workspace)]) == 1
+    err = capsys.readouterr().err
+    command, flag = argv[0], " ".join(argv[-2:])
+    assert err.startswith(f"usage: nbrepro {command} [-h] [--config CONFIG]")
+    assert f"nbrepro {command}: error: unrecognized arguments: {flag}" in err
+    assert list(workspace["root"].iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, code", [
     (["report", "--bogus"], 1),
     (["report", "--jobs"], 1),
@@ -734,11 +749,10 @@ def test_infer_parallel_jobs(workspace):
         assert len(store_rows(store, "repository_runs")) == 4
 
 
-def test_only_a_stage_with_notebooks_starts_notebook_threads(workspace, monkeypatch):
+def test_only_a_stage_with_notebooks_starts_notebook_threads(workspace, monkeypatch,
+                                                            runtime):
     """Both pools open with every stage, but a pool starts a thread only for
     work submitted to it."""
-    from conftest import FakeDocker
-
     started: list[str] = []
     start = threading.Thread.start
 
@@ -754,7 +768,6 @@ def test_only_a_stage_with_notebooks_starts_notebook_threads(workspace, monkeypa
     assert started
     assert not [name for name in started if name.startswith("nbrepro-notebook")]
 
-    monkeypatch.setattr(containerize, "DockerCli", lambda executable: FakeDocker())
     started.clear()
     assert main(["execute", "--jobs", "2", *_common_flags(workspace)]) == 0
     assert 1 <= len([name for name in started if name.startswith("nbrepro-notebook")]) <= 2
@@ -804,8 +817,7 @@ def test_classification_reports_rescue_direction(workspace):
     assert payload["resolution_rate"] == 100.0
 
 
-def test_subcommand_chain_with_stubbed_runtime(workspace, monkeypatch):
-    from conftest import FakeDocker
+def test_subcommand_chain_with_stubbed_runtime(workspace, runtime):
     from nbrepro.notebook import parse_notebook
 
     url = _fixture_repo(workspace, "chained", {
@@ -816,13 +828,11 @@ def test_subcommand_chain_with_stubbed_runtime(workspace, monkeypatch):
     })
     assert main(["infer", "--input", url, *_common_flags(workspace)]) == 0
 
-    docker = FakeDocker()
     with Store(workspace["store"]) as store:
         (repo,) = store.list_repositories()
         original = (Path(repo.local_path) / "nb.ipynb").read_bytes()
     parse_notebook(original)  # sanity: fixture is a valid artifact
-    docker.copy_payloads["/workspace/nb.executed.ipynb"] = original
-    monkeypatch.setattr(containerize, "DockerCli", lambda executable: docker)
+    runtime.plant(url, {"nb.ipynb": original})
 
     assert main(["execute", *_common_flags(workspace)]) == 0
     assert main(["compare", *_common_flags(workspace)]) == 0
@@ -837,18 +847,14 @@ def test_subcommand_chain_with_stubbed_runtime(workspace, monkeypatch):
     assert report["summary"]["score_categories"]["Perfect"] == 1
     assert report["summary"]["zero_error_notebooks"] == 1
     # build ran through the clean-room cleanup first
-    ops = [c[0] for c in docker.calls]
-    assert ops.index("list_containers") < ops.index("build")
+    assert runtime.verbs.index("ps") < runtime.verbs.index("build")
 
 
-def test_execute_logs_each_repository_outcome(workspace, monkeypatch, caplog):
-    from conftest import FakeDocker
-
-    class CrashingDocker(FakeDocker):
-        def run_container(self, image, command, run_args, timeout=None):
-            if command[-1] == "bad.ipynb":
-                raise RuntimeError("runtime client crashed")
-            return super().run_container(image, command, run_args, timeout)
+def test_execute_logs_each_repository_outcome(workspace, caplog, runtime):
+    def crashing(args, timeout):
+        if args[-1] == "bad.ipynb":
+            raise RuntimeError("runtime client crashed")
+        return runtime.stub(args, timeout)
 
     for name in ("good", "bad"):
         url = _fixture_repo(workspace, name, {
@@ -857,7 +863,7 @@ def test_execute_logs_each_repository_outcome(workspace, monkeypatch, caplog):
     with Store(workspace["store"]) as store:
         urls = {repo.url.rsplit("/", 1)[-1]: repo.url
                 for repo in store.list_repositories()}
-    monkeypatch.setattr(containerize, "DockerCli", lambda executable: CrashingDocker())
+    runtime.answer("run", crashing)
 
     with caplog.at_level("INFO", logger="nbrepro.cli"):
         assert main(["execute", *_common_flags(workspace)]) == 2
@@ -868,25 +874,20 @@ def test_execute_logs_each_repository_outcome(workspace, monkeypatch, caplog):
             "runtime client crashed") in lines
 
 
-def _executed_corpus(workspace, monkeypatch, names):
-    """Infer and execute one single-notebook repository per name on a fake
-    runtime whose artifacts reproduce the committed outputs."""
-    from conftest import FakeDocker
-
-    docker = FakeDocker()
+def _executed_corpus(workspace, runtime, names):
+    """Infer and execute one single-notebook repository per name on the
+    stub runtime, whose artifacts reproduce the committed outputs."""
     for name in names:
         notebook = _notebook_file(code_cell("print(1)", [
             {"output_type": "stream", "name": "stdout", "text": ["1\n"]}], 1))
-        docker.copy_payloads[f"/workspace/{name}.executed.ipynb"] = notebook.encode()
         url = _fixture_repo(workspace, name, {f"{name}.ipynb": notebook})
+        runtime.plant(url, {f"{name}.ipynb": notebook.encode()})
         assert main(["infer", "--input", url, *_common_flags(workspace)]) == 0
-    monkeypatch.setattr(containerize, "DockerCli", lambda executable: docker)
     assert main(["execute", *_common_flags(workspace)]) == 0
 
 
-def test_compare_degrades_one_repository_not_the_corpus(workspace, monkeypatch,
-                                                        caplog):
-    _executed_corpus(workspace, monkeypatch, ("blocked", "fine"))
+def test_compare_degrades_one_repository_not_the_corpus(workspace, runtime, caplog):
+    _executed_corpus(workspace, runtime, ("blocked", "fine"))
     with Store(workspace["store"]) as store:
         runs = {Path(repo.url).name: store.latest_runs()[repo.repository_id]
                 for repo in store.list_repositories()}
@@ -911,30 +912,16 @@ def test_compare_degrades_one_repository_not_the_corpus(workspace, monkeypatch,
                for line in lines)
 
 
-def test_resource_limits_from_config_reach_the_runtime(workspace, monkeypatch,
-                                                       tmp_path):
-    from conftest import FakeDocker
-
-    class RecordingDocker(FakeDocker):
-        def __init__(self):
-            super().__init__()
-            self.run_args = []
-
-        def run_container(self, image, command, run_args, timeout=None):
-            self.run_args.append(list(run_args))
-            return super().run_container(image, command, run_args, timeout)
-
+def test_resource_limits_from_config_reach_the_runtime(workspace, runtime, tmp_path):
     config_file = tmp_path / "limits.json"
     config_file.write_text(json.dumps({"cpu_limit": "1.5", "memory_limit": "2g"}))
-    docker = RecordingDocker()
     url = _fixture_repo(workspace, "limited", {
         "nb.ipynb": _notebook_file(code_cell("print(1)"))})
     common = [*_common_flags(workspace), "--config", str(config_file)]
     assert main(["infer", "--input", url, *common]) == 0
-    monkeypatch.setattr(containerize, "DockerCli", lambda executable: docker)
     assert main(["execute", *common]) == 0
 
-    (run_args,) = docker.run_args
+    (run_args,) = [args for args in runtime.calls if args[0] == "run"]
     assert run_args[run_args.index("--cpus") + 1] == "1.5"
     assert run_args[run_args.index("--memory") + 1] == "2g"
 
@@ -975,15 +962,11 @@ def test_report_on_another_store_has_no_classes(workspace, caplog):
     _report_without_classes(workspace, caplog, flags)
 
 
-def test_report_after_compare_has_no_stale_classes(workspace, caplog, monkeypatch):
-    from conftest import FakeDocker
-
+def test_report_after_compare_has_no_stale_classes(workspace, caplog, runtime):
     notebook = _notebook_file(code_cell("print(1)", [
         {"output_type": "stream", "name": "stdout", "text": ["1\n"]}], 1))
     url = _fixture_repo(workspace, "compared", {"nb.ipynb": notebook})
-    docker = FakeDocker()
-    docker.copy_payloads["/workspace/nb.executed.ipynb"] = notebook.encode()
-    monkeypatch.setattr(containerize, "DockerCli", lambda executable: docker)
+    runtime.plant(url, {"nb.ipynb": notebook.encode()})
     assert main(["infer", "--input", url, *_common_flags(workspace)]) == 0
     assert main(["execute", *_common_flags(workspace)]) == 0
     with Store(workspace["store"]) as store:
@@ -1042,17 +1025,16 @@ def test_a_locked_store_is_a_fatal_error_that_names_it(workspace, caplog, monkey
 
 
 @pytest.mark.parametrize("command", ["execute", "compare"])
-def test_execute_and_compare_read_no_alias_table(workspace, caplog, command):
+def test_execute_and_compare_read_no_alias_table(workspace, caplog, runtime, command):
     # Neither command takes --alias-table, so the config file names one.
-    runtime, _ = logging_runtime(workspace["root"])
     config = workspace["root"] / "config.json"
     config.write_text(json.dumps({
-        "alias_table_path": str(workspace["root"] / "missing.json"),
-        "docker_executable": str(runtime)}))
+        "alias_table_path": str(workspace["root"] / "missing.json")}))
     assert main([command, "--config", str(config), *_common_flags(workspace)]) == 1
     message = {"execute": "no inferred runs are awaiting execution",
                "compare": "no executed artifacts for run"}[command]
     assert any(message in r.getMessage() for r in caplog.records)
+    assert runtime.calls == []
 
 
 @pytest.mark.parametrize("command", ["infer", "run"])
@@ -1085,7 +1067,7 @@ def test_each_log_line_names_a_repository_by_its_store_url(workspace, caplog):
         assert line.startswith(f"{repo.url} -> "), line
 
 
-def test_run_matches_subcommand_chain_on_deterministic_state(workspace, tmp_path):
+def test_run_matches_subcommand_chain_on_deterministic_state(workspace, tmp_path, runtime):
     # Same corpus through `run` and through the subcommand chain must agree
     # on every deterministic field (ids, counts, synthesized manifests);
     # run ids are random by design and local paths differ per workspace.

@@ -1,5 +1,5 @@
 """Recipe generation determinism, clean-room cleanup, and build-failure
-classification (fake runtime)."""
+classification, through the shipped client over the stub runtime."""
 
 from __future__ import annotations
 
@@ -22,10 +22,11 @@ from nbrepro.depinfer import (
     RequirementOrigin,
     synthesize_dependency_spec,
 )
+from nbrepro.executor import _nbconvert_command
 from nbrepro.store import Repository
 from nbrepro.tool import ToolRun
 
-from conftest import FakeCompleted, FakeDocker, logging_runtime
+from conftest import DAEMON_DOWN
 
 
 def _spec(*names, repo_id="fixturerepo0001", verbatim_lines=()):
@@ -100,62 +101,54 @@ def test_recipe_text_is_pure_function_of_spec(tmp_path):
 
 # ---- cleanup ------------------------------------------------------------------
 
-def test_cleanup_removes_tagged_state():
-    docker = FakeDocker()
-    docker.images.add("repro/abc123:run1")
-    docker.images.add("repro/other:run1")
-    docker.containers["nbrepro-run1-nb1"] = "abc123"
-    docker.containers["unrelated"] = "zzz"
+def _leave_behind(docker, tmp_path, repository_id, container):
+    """An image built for ``repository_id`` and a container of it that was
+    never removed."""
+    tag = image_tag_for(repository_id, "run1")
+    docker.build(tag, tmp_path / "Dockerfile", tmp_path)
+    docker.run_container(tag, ["true"], [
+        "--name", container, "--label", f"{containerize.REPOSITORY_LABEL}={repository_id}"])
+
+
+def test_cleanup_removes_tagged_state(runtime, tmp_path):
+    docker = DockerCli()
+    _leave_behind(docker, tmp_path, "abc123", "nbrepro-run1-nb1")
+    _leave_behind(docker, tmp_path, "other", "unrelated")
     cleanup_previous("abc123", docker)
-    assert "repro/abc123:run1" not in docker.images
-    assert "repro/other:run1" in docker.images
-    assert "nbrepro-run1-nb1" not in docker.containers
-    assert "unrelated" in docker.containers
+    assert runtime.images() == ["repro/other:run1"]
+    assert runtime.containers() == ["unrelated"]
 
 
-def test_cleanup_idempotent():
-    docker = FakeDocker()
-    docker.images.add("repro/abc123:run1")
+def test_cleanup_idempotent(runtime, tmp_path):
+    docker = DockerCli()
+    _leave_behind(docker, tmp_path, "abc123", "nbrepro-run1-nb1")
     cleanup_previous("abc123", docker)
-    state = (set(docker.images), dict(docker.containers))
+    state = (runtime.images(), runtime.containers())
     cleanup_previous("abc123", docker)
-    assert (set(docker.images), dict(docker.containers)) == state
+    assert (runtime.images(), runtime.containers()) == state == ([], [])
 
 
-def test_cleanup_unreachable_runtime_raises():
-    docker = FakeDocker(available=False)
+def test_cleanup_unreachable_runtime_raises(runtime):
+    runtime.answer("*", DAEMON_DOWN)
     with pytest.raises(ContainerRuntimeUnavailable):
-        cleanup_previous("abc123", docker)
+        cleanup_previous("abc123", DockerCli())
 
 
 # ---- build --------------------------------------------------------------------
 
-def test_build_success_returns_tag_and_logs(tmp_path):
-    docker = FakeDocker()
+def test_build_success_returns_tag_and_logs(runtime, tmp_path):
     recipe = generate_build_recipe(_spec("numpy"), context_dir=tmp_path / "ctx")
     (tmp_path / "ctx").mkdir()
     log_path = tmp_path / "logs" / "build.log"
     dockerfile = write_recipe(recipe, tmp_path / "Dockerfile")
     tag = image_tag_for("fixturerepo0001", "run1")
-    result = build_image(tag, dockerfile, recipe.context_dir, docker,
+    result = build_image(tag, dockerfile, recipe.context_dir, DockerCli(),
                          log_path=log_path)
     assert result == tag
-    assert ("build", tag) in docker.calls
+    assert runtime.calls == [["build", "--no-cache", "-t", tag, "-f", str(dockerfile),
+                              str(recipe.context_dir)]]
+    assert runtime.images() == [tag]
     assert log_path.exists()
-
-
-class _FailingDocker(FakeDocker):
-    def __init__(self, stderr, returncode=1, timed_out=False):
-        super().__init__()
-        self._stderr = stderr
-        self._returncode = returncode
-        self._timed_out = timed_out
-
-    def build(self, tag, dockerfile, context, timeout=None):
-        if self._timed_out:
-            return ToolRun(["docker", "build", "--no-cache"], -1, "", "",
-                           timed_out=True)
-        return FakeCompleted(self._returncode, stderr=self._stderr)
 
 
 @pytest.mark.parametrize("stderr,phase", [
@@ -167,12 +160,12 @@ class _FailingDocker(FakeDocker):
      BuildPhase.BASE_IMAGE),
     ("something exploded in COPY", BuildPhase.OTHER),
 ])
-def test_build_failure_phases(tmp_path, stderr, phase):
-    docker = _FailingDocker(stderr)
+def test_build_failure_phases(runtime, tmp_path, stderr, phase):
+    runtime.answer("build", ToolRun([], 1, "", stderr))
     (tmp_path / "ctx").mkdir()
     recipe = generate_build_recipe(_spec("numpy"), context_dir=tmp_path / "ctx")
     result = build_image(image_tag_for("fixturerepo0001", "run1"),
-                         tmp_path / "Dockerfile", recipe.context_dir, docker,
+                         tmp_path / "Dockerfile", recipe.context_dir, DockerCli(),
                          log_path=tmp_path / "build.log")
     assert isinstance(result, BuildFailure)
     assert result.phase is phase
@@ -180,23 +173,26 @@ def test_build_failure_phases(tmp_path, stderr, phase):
     assert (tmp_path / "build.log").exists()
 
 
-def test_build_timeout_phase(tmp_path):
-    docker = _FailingDocker("", timed_out=True)
+def test_build_timeout_phase(runtime, tmp_path):
+    runtime.answer("build", ToolRun([], -1, "", "", timed_out=True))
     (tmp_path / "ctx").mkdir()
     recipe = generate_build_recipe(_spec("numpy"), context_dir=tmp_path / "ctx")
-    result = build_image(image_tag_for("fixturerepo0001", "run1"),
-                         tmp_path / "Dockerfile", recipe.context_dir, docker,
+    tag = image_tag_for("fixturerepo0001", "run1")
+    result = build_image(tag, tmp_path / "Dockerfile", recipe.context_dir, DockerCli(),
                          timeout=5.0, log_path=tmp_path / "build.log")
     assert isinstance(result, BuildFailure)
     assert result.phase is BuildPhase.TIMEOUT
     assert result.last_line == "build exceeded 5.0s"
     assert (tmp_path / "build.log").read_text() == (
-        "$ docker build --no-cache\nexit=-1 timed_out=True\n"
+        f"$ docker build --no-cache -t {tag} -f {tmp_path / 'Dockerfile'} "
+        f"{tmp_path / 'ctx'}\nexit=-1 timed_out=True\n"
         "--- stdout ---\n\n--- stderr ---\n\n")
 
 
 def test_build_log_starts_with_the_argv_that_ran(tmp_path):
-    executable, _ = logging_runtime(tmp_path)
+    executable = tmp_path / "runtime"
+    executable.write_text("#!/bin/sh\n")
+    executable.chmod(0o755)
     (tmp_path / "ctx").mkdir()
     recipe = generate_build_recipe(_spec("numpy"), context_dir=tmp_path / "ctx")
     dockerfile = write_recipe(recipe, tmp_path / "Dockerfile")
@@ -217,17 +213,23 @@ def test_real_cli_wrapper_reports_unavailable_for_bogus_executable():
         cleanup_previous("abc123", docker)
 
 
+def _down_unless(runtime, reachable: bool) -> None:
+    """The version probe answers when the runtime is ``reachable``."""
+    if not reachable:
+        runtime.answer("version", DAEMON_DOWN)
+
+
 @pytest.mark.parametrize("reachable", [True, False])
-def test_failed_listing_is_checked_by_the_version_probe(tmp_path, reachable):
-    executable, calls = logging_runtime(
-        tmp_path, {"ps": 1, "version": 0 if reachable else 1})
-    docker = DockerCli(str(executable))
+def test_failed_listing_is_checked_by_the_version_probe(runtime, reachable):
+    runtime.answer("ps", ToolRun([], 1, "", ""))
+    _down_unless(runtime, reachable)
+    docker = DockerCli()
     if reachable:
         assert docker.list_containers("nbrepro.repository_id=abc123") == []
     else:
         with pytest.raises(ContainerRuntimeUnavailable, match="is not reachable"):
             docker.list_containers("nbrepro.repository_id=abc123")
-    assert calls.read_text().split() == ["ps", "version"]
+    assert runtime.verbs == ["ps", "version"]
 
 
 def test_listing_that_hits_its_bound_means_unreachable(tmp_path, monkeypatch):
@@ -242,22 +244,31 @@ def test_listing_that_hits_its_bound_means_unreachable(tmp_path, monkeypatch):
     assert (tmp_path / "calls").read_text().split() == ["ps"]
 
 
+# The calls the pipeline makes for one notebook of repository abc123.
+_TAG = image_tag_for("abc123", "run1")
+_CONTAINER = "nbrepro-run1-nb1"
+_RUN_ARGS = ["--name", _CONTAINER, "--workdir", "/workspace",
+             "--label", f"{containerize.REPOSITORY_LABEL}=abc123"]
+_COMMAND = _nbconvert_command("a.ipynb", "a.executed.ipynb", None)
+
+
 def _verb_call(docker: DockerCli, verb: str, tmp_path):
     """The client call that issues ``verb``."""
     if verb == "build":
-        return docker.build("repro/abc123:run1", tmp_path / "Dockerfile", tmp_path)
+        return docker.build(_TAG, tmp_path / "Dockerfile", tmp_path)
     if verb == "run":
-        return docker.run_container("repro/abc123:run1", ["true"], [])
-    return docker.copy_from_container("c1", "/workspace/a.ipynb", tmp_path / "a.ipynb")
+        return docker.run_container(_TAG, _COMMAND, _RUN_ARGS)
+    return docker.copy_from_container(_CONTAINER, "/workspace/a.executed.ipynb",
+                                      tmp_path / "a.ipynb")
 
 
 @pytest.mark.parametrize("verb", ["build", "run", "cp"])
 @pytest.mark.parametrize("reachable", [True, False])
-def test_a_failed_runtime_call_is_checked_by_the_version_probe(tmp_path, verb,
+def test_a_failed_runtime_call_is_checked_by_the_version_probe(runtime, tmp_path, verb,
                                                                reachable):
-    executable, calls = logging_runtime(
-        tmp_path, {verb: 1, "version": 0 if reachable else 1})
-    docker = DockerCli(str(executable))
+    runtime.answer(verb, ToolRun([], 1, "", ""))
+    _down_unless(runtime, reachable)
+    docker = DockerCli()
     if reachable:
         # an answer: the failure is the call's own verdict
         answer = _verb_call(docker, verb, tmp_path)
@@ -271,12 +282,53 @@ def test_a_failed_runtime_call_is_checked_by_the_version_probe(tmp_path, verb,
                 _verb_call(docker, later, tmp_path)
         with pytest.raises(ContainerRuntimeUnavailable):
             docker.list_containers("nbrepro.repository_id=abc123")
-    assert calls.read_text().split() == [verb, "version"]
+    assert runtime.verbs == [verb, "version"]
 
 
-def test_a_runtime_call_that_succeeds_is_not_probed(tmp_path):
-    executable, calls = logging_runtime(tmp_path)
-    docker = DockerCli(str(executable))
+def test_a_runtime_call_that_succeeds_is_not_probed(runtime, tmp_path):
+    runtime.plant("abc123", {"a.ipynb": b"{}"})
+    docker = DockerCli()
     for verb in ("build", "run", "cp"):
         _verb_call(docker, verb, tmp_path)
-    assert calls.read_text().split() == ["build", "run", "cp"]
+    assert runtime.verbs == ["build", "run", "cp"]
+
+
+@pytest.mark.parametrize("verb", ["ps", "images", "build", "run", "cp", "rm", "rmi"])
+def test_an_executable_that_cannot_start_is_an_outage_at_every_verb(runtime, tmp_path,
+                                                                    verb):
+    calls = {"ps": lambda docker: docker.list_containers("nbrepro.repository_id=abc123"),
+             "images": lambda docker: docker.list_images("repro/abc123"),
+             "rm": lambda docker: docker.remove_container(_CONTAINER),
+             "rmi": lambda docker: docker.remove_image(_TAG)}
+    runtime.answer("*", OSError(2, "No such file or directory", "docker"))
+    docker = DockerCli()
+    with pytest.raises(ContainerRuntimeUnavailable,
+                       match="container runtime 'docker' is not reachable"):
+        calls.get(verb, lambda docker: _verb_call(docker, verb, tmp_path))(docker)
+    # the verdict holds, and the probe still answers False
+    with pytest.raises(ContainerRuntimeUnavailable):
+        _verb_call(docker, "build", tmp_path)
+    assert not docker.available()
+    assert runtime.verbs == [verb, "version"]
+
+
+def test_the_stub_answers_every_client_call_the_pipeline_makes(runtime, tmp_path):
+    """Each public DockerCli method, with the arguments the pipeline passes,
+    exits 0 against the stub runtime: a client change that the stub does not
+    understand fails here."""
+    runtime.plant("abc123", {"a.ipynb": b"{}"})
+    docker = DockerCli()
+    label = f"{containerize.REPOSITORY_LABEL}=abc123"
+    assert docker.available()
+    assert docker.build(_TAG, tmp_path / "Dockerfile", tmp_path).returncode == 0
+    assert docker.list_images(containerize.image_repository_for("abc123")) == [_TAG]
+    limits = ["--cpus", "1.5", "--memory", "2g"]
+    assert docker.run_container(_TAG, _COMMAND, [*_RUN_ARGS, *limits]).returncode == 0
+    assert docker.list_containers(label) == [_CONTAINER]
+    assert docker.copy_from_container(_CONTAINER, "/workspace/a.executed.ipynb",
+                                      tmp_path / "a.ipynb")
+    docker.remove_container(_CONTAINER)
+    docker.remove_image(_TAG)
+    assert (runtime.images(), runtime.containers()) == ([], [])
+    # every call exited 0, so none was probed
+    assert runtime.verbs == ["version", "build", "images", "run", "ps", "cp", "rm", "rmi"]

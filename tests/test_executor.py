@@ -1,6 +1,6 @@
 """Error extraction, failure classification, the execution record derived
-without a runtime, and containerized execution (driven through a fake
-runtime)."""
+without a runtime, and containerized execution through the shipped client
+over the stub runtime."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from nbrepro.containerize import DockerCli
+from nbrepro.containerize import ContainerRuntimeUnavailable, DockerCli
 from nbrepro.executor import (
     ErrorCategory,
     ExecutionStatus,
@@ -26,8 +26,6 @@ from nbrepro.store import NotebookDescriptor
 from nbrepro.tool import ToolRun
 
 from conftest import (
-    FakeCompleted,
-    FakeDocker,
     code_cell,
     error_output,
     markdown_cell,
@@ -118,7 +116,11 @@ def test_extract_errors_round_trip_stable():
             == extract_errors(parse_notebook(document)))
 
 
-# ---- execute_notebook (fake runtime) --------------------------------------------------
+# ---- execute_notebook (stub runtime) ------------------------------------------------
+
+IMAGE = "repro/repo0001:run1"
+KERNEL_MISSING = "jupyter_client.kernelspec.NoSuchKernel: No such kernel named conda-env"
+
 
 def _descriptor(relative_path="analysis.ipynb"):
     return NotebookDescriptor(
@@ -127,18 +129,27 @@ def _descriptor(relative_path="analysis.ipynb"):
         nbformat_version=(4, 5), code_cell_count=2, markdown_cell_count=1)
 
 
-def _executed_payload(cells):
-    return notebook_bytes(cells)
+@pytest.fixture()
+def docker(runtime, tmp_path):
+    """The shipped client over the stub runtime, with ``IMAGE`` built and
+    no call recorded yet."""
+    client = DockerCli()
+    client.build(IMAGE, tmp_path / "Dockerfile", tmp_path)
+    runtime.calls.clear()
+    return client
 
 
-def test_successful_execution(tmp_path):
-    docker = FakeDocker()
-    docker.copy_payloads["/workspace/analysis.executed.ipynb"] = _executed_payload([
+def _exited(returncode, stderr="", stdout=""):
+    return ToolRun([], returncode, stdout, stderr)
+
+
+def test_successful_execution(tmp_path, runtime, docker):
+    runtime.plant("repo0001", {"analysis.ipynb": notebook_bytes([
         markdown_cell("title"),
         code_cell("print(1)", [stream_output("1\n")], 1),
         code_cell("print(2)", [stream_output("2\n")], 2),
-    ])
-    record = execute_notebook(docker, "repro/repo0001:run1", _descriptor(),
+    ])})
+    record = execute_notebook(docker, IMAGE, _descriptor(),
                               run_id="run1", artifacts_dir=tmp_path / "artifacts",
                               log_path=tmp_path / "logs" / "nb0001.execution.log")
     assert record.status is ExecutionStatus.SUCCESS
@@ -151,19 +162,18 @@ def test_successful_execution(tmp_path):
     assert executed.exists()
     assert (tmp_path / "logs" / "nb0001.execution.log").exists()
     # container removed afterwards
-    assert not docker.containers
+    assert runtime.containers() == []
 
 
-def test_errored_cell_still_produces_record(tmp_path):
-    docker = FakeDocker()
-    docker.copy_payloads["/workspace/analysis.executed.ipynb"] = _executed_payload([
+def test_errored_cell_still_produces_record(tmp_path, runtime, docker):
+    runtime.plant("repo0001", {"analysis.ipynb": notebook_bytes([
         markdown_cell("title"),
         code_cell("ok()", [stream_output("fine\n")], 1),
         code_cell("import missing_pkg",
                   [error_output("ModuleNotFoundError",
                                 "No module named 'missing_pkg'")], 2),
-    ])
-    record = execute_notebook(docker, "img", _descriptor(),
+    ])})
+    record = execute_notebook(docker, IMAGE, _descriptor(),
                               run_id="run1", artifacts_dir=tmp_path,
                               log_path=tmp_path / "execution.log")
     assert record.status is ExecutionStatus.ERRORED_BUT_COMPLETED
@@ -173,49 +183,38 @@ def test_errored_cell_still_produces_record(tmp_path):
     assert err.cell_index == 1
 
 
-def test_kernel_not_found_retries_then_reports(tmp_path):
-    docker = FakeDocker()
-    docker.run_results = [
-        FakeCompleted(1, stderr="jupyter_client.kernelspec.NoSuchKernel: "
-                                "No such kernel named conda-env"),
-        FakeCompleted(1, stderr="jupyter_client.kernelspec.NoSuchKernel: "
-                                "No such kernel named python3"),
-    ]
-    record = execute_notebook(docker, "img", _descriptor(),
+def test_kernel_not_found_retries_then_reports(tmp_path, runtime, docker):
+    runtime.answer("run", _exited(1, KERNEL_MISSING), times=1)
+    runtime.answer("run", _exited(1, "jupyter_client.kernelspec.NoSuchKernel: "
+                                     "No such kernel named python3"), times=1)
+    record = execute_notebook(docker, IMAGE, _descriptor(),
                               run_id="run1", artifacts_dir=tmp_path,
                               log_path=tmp_path / "execution.log")
     assert record.status is ExecutionStatus.KERNEL_NOT_FOUND
-    run_calls = [c for c in docker.calls if c[0] == "run_container"]
+    run_calls = [args for args in runtime.calls if args[0] == "run"]
     assert len(run_calls) == 2
-    assert any("--ExecutePreprocessor.kernel_name=python3" in c[2]
-               for c in run_calls)
+    assert any("--ExecutePreprocessor.kernel_name=python3" in args
+               for args in run_calls)
 
 
-def test_kernel_fallback_recovers(tmp_path):
-    docker = FakeDocker()
-    docker.run_results = [
-        FakeCompleted(1, stderr="No such kernel named mycustomkernel"),
-        FakeCompleted(0),
-    ]
-    docker.copy_payloads["/workspace/analysis.executed.ipynb"] = _executed_payload([
-        code_cell("print(1)", [stream_output("1\n")], 1)])
-    record = execute_notebook(docker, "img", _descriptor(),
+def test_kernel_fallback_recovers(tmp_path, runtime, docker):
+    runtime.answer("run", _exited(1, "No such kernel named mycustomkernel"), times=1)
+    runtime.plant("repo0001", {"analysis.ipynb": notebook_bytes([
+        code_cell("print(1)", [stream_output("1\n")], 1)])})
+    record = execute_notebook(docker, IMAGE, _descriptor(),
                               run_id="run1", artifacts_dir=tmp_path,
                               log_path=tmp_path / "execution.log")
     assert record.status is ExecutionStatus.SUCCESS
 
 
-def test_log_holds_every_attempt(tmp_path):
-    docker = FakeDocker()
-    first_stderr = "jupyter_client.kernelspec.NoSuchKernel: No such kernel named conda-env"
-    docker.run_results = [
-        FakeCompleted(1, stdout="first stdout", stderr=first_stderr),
-        FakeCompleted(0, stdout="second stdout"),
-    ]
-    docker.copy_payloads["/workspace/analysis.executed.ipynb"] = _executed_payload([
-        code_cell("print(1)", [stream_output("1\n")], 1)])
+def test_log_holds_every_attempt(tmp_path, runtime, docker):
+    runtime.answer("run", _exited(1, KERNEL_MISSING, stdout="first stdout"), times=1)
+    runtime.answer("run", lambda args, timeout: dataclasses.replace(
+        runtime.stub(args, timeout), stdout="second stdout"))
+    runtime.plant("repo0001", {"analysis.ipynb": notebook_bytes([
+        code_cell("print(1)", [stream_output("1\n")], 1)])})
     log_path = tmp_path / "logs" / "nb0001.execution.log"
-    record = execute_notebook(docker, "img", _descriptor(), run_id="run1",
+    record = execute_notebook(docker, IMAGE, _descriptor(), run_id="run1",
                               artifacts_dir=tmp_path, log_path=log_path)
     assert record.status is ExecutionStatus.SUCCESS
 
@@ -227,66 +226,61 @@ def test_log_holds_every_attempt(tmp_path):
         "--ExecutePreprocessor.kernel_name=python3 analysis.ipynb")
     assert "exit=1 timed_out=False" in log
     assert "exit=0 timed_out=False" in log
-    assert first_stderr in log
+    assert KERNEL_MISSING in log
     assert "first stdout" in log and "second stdout" in log
-    assert log.index(first_stderr) < log.index(commands[1])
+    assert log.index(KERNEL_MISSING) < log.index(commands[1])
 
 
-def test_notebook_missing_in_image(tmp_path):
-    docker = FakeDocker()
-    docker.run_results = [FakeCompleted(
-        255, stderr="[NbConvertApp] WARNING | pattern matched no files")]
-    record = execute_notebook(docker, "img", _descriptor("gone.ipynb"),
+def test_notebook_missing_in_image(tmp_path, runtime, docker):
+    runtime.answer("run", _exited(255, "[NbConvertApp] WARNING | pattern matched no files"))
+    record = execute_notebook(docker, IMAGE, _descriptor("gone.ipynb"),
                               run_id="run1", artifacts_dir=tmp_path,
                               log_path=tmp_path / "execution.log")
     assert record.status is ExecutionStatus.NOTEBOOK_NOT_FOUND
 
 
-def test_timeout_reported(tmp_path):
-    docker = FakeDocker()
-    docker.run_results = [None]  # the run hits the wall-clock bound
-    record = execute_notebook(docker, "img", _descriptor(),
+def test_timeout_reported(tmp_path, runtime, docker):
+    # the run hits the wall-clock bound
+    runtime.answer("run", ToolRun([], -1, "", "", timed_out=True))
+    record = execute_notebook(docker, IMAGE, _descriptor(),
                               run_id="run1", artifacts_dir=tmp_path, timeout=1.0,
                               log_path=tmp_path / "execution.log")
     assert record.status is ExecutionStatus.TIMEOUT
     assert record.duration_s is not None
 
 
-def test_unparseable_artifact_recorded_not_raised(tmp_path):
-    docker = FakeDocker()
-    docker.copy_payloads["/workspace/analysis.executed.ipynb"] = b"{corrupt"
-    record = execute_notebook(docker, "img", _descriptor(),
+def test_unparseable_artifact_recorded_not_raised(tmp_path, runtime, docker):
+    runtime.plant("repo0001", {"analysis.ipynb": b"{corrupt"})
+    record = execute_notebook(docker, IMAGE, _descriptor(),
                               run_id="run1", artifacts_dir=tmp_path,
                               log_path=tmp_path / "execution.log")
     assert record.status is ExecutionStatus.ERRORED_BUT_COMPLETED
     (err,) = record.errors
     assert err.error_type == "ArtifactParseError"
-    assert not docker.containers
+    assert runtime.containers() == []
 
 
-def test_artifact_copied_out_before_removal(tmp_path):
-    docker = FakeDocker()
-    docker.copy_payloads["/workspace/sub/deep.executed.ipynb"] = _executed_payload([
-        code_cell("print(9)", [stream_output("9\n")], 1)])
-    record = execute_notebook(docker, "img", _descriptor("sub/deep.ipynb"),
+def test_artifact_copied_out_before_removal(tmp_path, runtime, docker):
+    runtime.plant("repo0001", {"sub/deep.ipynb": notebook_bytes([
+        code_cell("print(9)", [stream_output("9\n")], 1)])})
+    record = execute_notebook(docker, IMAGE, _descriptor("sub/deep.ipynb"),
                               run_id="runZ", artifacts_dir=tmp_path,
                               log_path=tmp_path / "execution.log")
     assert record.status is ExecutionStatus.SUCCESS
     assert (tmp_path / "runZ" / "sub" / "deep.ipynb").exists()
-    ops = [c[0] for c in docker.calls]
-    assert ops.index("copy_from_container") < ops.index("remove_container")
+    assert runtime.verbs.index("cp") < runtime.verbs.index("rm")
 
 
-def test_executed_artifact_feeds_workdir(tmp_path):
-    docker = FakeDocker()
-    docker.copy_payloads["/workspace/sub/deep.executed.ipynb"] = _executed_payload([
-        code_cell("print(9)", [stream_output("9\n")], 1)])
-    execute_notebook(docker, "img", _descriptor("sub/deep.ipynb"),
+def test_executed_artifact_feeds_workdir(tmp_path, runtime, docker):
+    runtime.plant("repo0001", {"sub/deep.ipynb": notebook_bytes([
+        code_cell("print(9)", [stream_output("9\n")], 1)])})
+    execute_notebook(docker, IMAGE, _descriptor("sub/deep.ipynb"),
                      run_id="runZ", artifacts_dir=tmp_path,
                      log_path=tmp_path / "execution.log")
     # executed in the notebook's own directory inside the image
-    run_call = next(c for c in docker.calls if c[0] == "run_container")
-    assert run_call[1] == "img"
+    run = next(args for args in runtime.calls if args[0] == "run")
+    assert run[run.index("--workdir") + 1] == "/workspace/sub"
+    assert run[run.index(IMAGE) + 1:run.index(IMAGE) + 3] == ["jupyter", "nbconvert"]
 
 
 # ---- execution_record (no runtime) -------------------------------------------------
@@ -344,70 +338,64 @@ def test_execution_record_without_a_runtime(attempt, artifact, status, error_typ
 
 # ---- runtime calls and logs ------------------------------------------------------
 
-_VERBS = {"run_container": "run", "copy_from_container": "cp",
-          "remove_container": "rm"}
+_FALLBACK = {"run": [_exited(1, "No such kernel named custom")]}
 
 
-@pytest.mark.parametrize("run_results,artifact,verbs", [
-    pytest.param([], _THREE_CODE_CELLS, "run cp rm", id="success"),
-    pytest.param([FakeCompleted(1, stderr="No such kernel named custom"),
-                  FakeCompleted(0)], _THREE_CODE_CELLS, "run rm run cp rm",
-                 id="fallback"),
-    pytest.param([None], _THREE_CODE_CELLS, "run rm", id="timeout"),
-    pytest.param([FakeCompleted(1, stderr="ValueError: bad")], _THREE_CODE_CELLS,
-                 "run rm", id="nonzero-exit"),
-    pytest.param([], None, "run cp rm", id="failed-copy"),
+@pytest.mark.parametrize("answers,verbs", [
+    pytest.param({}, "run cp rm", id="success"),
+    pytest.param(_FALLBACK, "run version rm run cp rm", id="fallback"),
+    pytest.param({"run": [ToolRun([], -1, "", "", timed_out=True)]}, "run version rm",
+                 id="timeout"),
+    pytest.param({"run": [_exited(1, "ValueError: bad")]}, "run version rm",
+                 id="nonzero-exit"),
+    pytest.param({"cp": [_exited(1, "Error: No such container:path")]},
+                 "run cp version rm", id="failed-copy"),
 ])
-def test_runtime_calls_on_each_path(tmp_path, run_results, artifact, verbs):
-    docker = FakeDocker()
-    docker.run_results = list(run_results)
-    if artifact is not None:
-        docker.copy_payloads["/workspace/analysis.executed.ipynb"] = artifact
-    execute_notebook(docker, "img", _descriptor(), run_id="run1",
+def test_runtime_calls_on_each_path(tmp_path, runtime, docker, answers, verbs):
+    for verb, replies in answers.items():
+        for reply in replies:
+            runtime.answer(verb, reply, times=1)
+    runtime.plant("repo0001", {"analysis.ipynb": _THREE_CODE_CELLS})
+    execute_notebook(docker, IMAGE, _descriptor(), run_id="run1",
                      artifacts_dir=tmp_path, log_path=tmp_path / "execution.log")
-    assert [_VERBS[call[0]] for call in docker.calls] == verbs.split()
+    assert runtime.verbs == verbs.split()
 
 
-def test_only_the_container_runs_hold_the_slot(tmp_path):
-    docker = FakeDocker()
-    docker.run_results = [FakeCompleted(1, stderr="No such kernel named custom"),
-                          FakeCompleted(0)]
-    docker.copy_payloads["/workspace/analysis.executed.ipynb"] = _THREE_CODE_CELLS
+def test_only_the_container_runs_hold_the_slot(tmp_path, runtime, docker):
+    runtime.answer("run", _FALLBACK["run"][0], times=1)
+    runtime.plant("repo0001", {"analysis.ipynb": _THREE_CODE_CELLS})
 
     @contextlib.contextmanager
     def slot():
-        docker.calls.append(("take_slot",))
+        runtime.calls.append(["take_slot"])
         yield
-        docker.calls.append(("leave_slot",))
+        runtime.calls.append(["leave_slot"])
 
-    execute_notebook(docker, "img", _descriptor(), run_id="run1",
+    execute_notebook(docker, IMAGE, _descriptor(), run_id="run1",
                      artifacts_dir=tmp_path, log_path=tmp_path / "execution.log",
                      slot=slot())
     # the retry and the removal before it run in the slot; the copy-out and
     # the last removal follow it
-    assert [_VERBS.get(call[0], call[0]) for call in docker.calls] == [
-        "take_slot", "run", "rm", "run", "leave_slot", "cp", "rm"]
-
-
-class _CopyFails(FakeDocker):
-    def copy_from_container(self, container, source, destination, timeout=None):
-        super().copy_from_container(container, source, destination, timeout)
-        raise OSError("copy-out interrupted")
+    assert runtime.verbs == [
+        "take_slot", "run", "version", "rm", "run", "leave_slot", "cp", "rm"]
 
 
 @pytest.mark.parametrize("failing", ["log", "copy"])
-def test_a_returned_run_is_removed_when_its_log_or_copy_raises(tmp_path, failing):
-    docker = _CopyFails() if failing == "copy" else FakeDocker()
-    docker.copy_payloads["/workspace/analysis.executed.ipynb"] = _THREE_CODE_CELLS
+def test_a_returned_run_is_removed_when_its_log_or_copy_raises(tmp_path, runtime,
+                                                              docker, failing):
+    runtime.plant("repo0001", {"analysis.ipynb": _THREE_CODE_CELLS})
+    if failing == "copy":
+        # a copy-out that cannot start is an outage
+        runtime.answer("cp", OSError("copy-out interrupted"))
     # a log directory that is a file makes the log write raise
     (tmp_path / "logs").write_text("")
     log_dir = tmp_path / ("logs" if failing == "log" else "fine")
-    with pytest.raises(OSError):
-        execute_notebook(docker, "img", _descriptor(), run_id="run1",
+    with pytest.raises(OSError if failing == "log" else ContainerRuntimeUnavailable):
+        execute_notebook(docker, IMAGE, _descriptor(), run_id="run1",
                          artifacts_dir=tmp_path / "artifacts",
                          log_path=log_dir / "execution.log")
-    assert docker.calls[-1] == ("remove_container", "nbrepro-run1-nb0001")
-    assert not docker.containers
+    assert runtime.calls[-1] == ["rm", "-f", "nbrepro-run1-nb0001"]
+    assert runtime.containers() == []
 
 
 @pytest.mark.parametrize("on_run,status", [

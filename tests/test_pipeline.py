@@ -1,5 +1,6 @@
-"""Stage 3-4 orchestration wiring over a fake container runtime: store rows,
-artifact layout, and the log directory contract."""
+"""Stage 3-4 orchestration wiring through the shipped runtime client over
+the stub runtime: store rows, artifact layout, and the log directory
+contract."""
 
 from __future__ import annotations
 
@@ -13,14 +14,13 @@ import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 
 import pytest
 
 from nbrepro import containerize, corpus, depinfer, notebook, report
 from nbrepro.compare import metrics_from_partition
 from nbrepro.config import PipelineConfig
-from nbrepro.containerize import DockerCli
 from nbrepro.executor import (
     ErrorCategory,
     ExecutionError,
@@ -32,10 +32,9 @@ from nbrepro.store import ProvisioningStatus, Repository, RunRecord, Store
 from nbrepro.tool import ToolRun
 
 from conftest import (
-    FakeCompleted,
-    FakeDocker,
+    DAEMON_DOWN,
+    Runtime,
     code_cell,
-    logging_runtime,
     make_git_repo,
     markdown_cell,
     notebook_bytes,
@@ -70,27 +69,24 @@ def _events(config, event=None) -> list[dict]:
     return [r for r in records if event in (None, r["event"])]
 
 
-def test_execute_and_compare_full_wiring(env):
+def test_execute_and_compare_full_wiring(env, runtime):
     config, store, tmp_path = env
     url = make_git_repo(tmp_path / "origin", {
         "stable.ipynb": _original("print('ok')", "ok\n").decode(),
         "drift.ipynb": _original("print(data)", "before\n").decode(),
     })
 
-    docker = FakeDocker()
-    pipeline = Pipeline(config, store, docker)
+    pipeline = Pipeline(config, store)
     result = pipeline.infer_repository(url)
     assert result.completed
     run = store.get_run(result.run_id)
     assert run.provisioning_status is ProvisioningStatus.PENDING
     assert run.revision  # clone revision recorded for traceability
 
-    # The fake runtime "re-executes" by returning artifacts: one identical,
-    # one with drifted output.
-    docker.copy_payloads["/workspace/stable.executed.ipynb"] = _original(
-        "print('ok')", "ok\n")
-    docker.copy_payloads["/workspace/drift.executed.ipynb"] = _original(
-        "print(data)", "after\n")
+    # The stub runtime "re-executes" by handing back artifacts: one
+    # identical, one with drifted output.
+    runtime.plant(url, {"stable.ipynb": _original("print('ok')", "ok\n"),
+                        "drift.ipynb": _original("print(data)", "after\n")})
 
     (execute_result,) = pipeline.map_repositories([run], pipeline.execute_run)
     assert execute_result.completed
@@ -148,7 +144,7 @@ def test_execute_and_compare_full_wiring(env):
     assert {"infer", "execute", "compare"} <= stages
 
 
-def test_structural_mismatch_persists_unscored(env):
+def test_structural_mismatch_persists_unscored(env, runtime):
     config, store, tmp_path = env
     url = make_git_repo(tmp_path / "origin", {
         "shrunk.ipynb": notebook_bytes([
@@ -156,13 +152,12 @@ def test_structural_mismatch_persists_unscored(env):
             code_cell("b", [stream_output("2\n")], 2),
         ]).decode(),
     })
-    docker = FakeDocker()
-    pipeline = Pipeline(config, store, docker)
+    pipeline = Pipeline(config, store)
     result = pipeline.infer_repository(url)
     run = store.get_run(result.run_id)
     # executed artifact lost a code cell
-    docker.copy_payloads["/workspace/shrunk.executed.ipynb"] = notebook_bytes([
-        code_cell("a", [stream_output("1\n")], 1)])
+    runtime.plant(url, {"shrunk.ipynb": notebook_bytes([
+        code_cell("a", [stream_output("1\n")], 1)])})
     pipeline.map_repositories([run], pipeline.execute_run)
     pipeline.compare_run(store.get_run(run.run_id))
     descriptor = store.list_notebooks(result.repository_id)[0]
@@ -188,19 +183,16 @@ def test_structural_mismatch_persists_unscored(env):
         '}\n')
 
 
-def test_all_kernels_missing_marks_run_kernel_not_found(env):
+def test_all_kernels_missing_marks_run_kernel_not_found(env, runtime):
     config, store, tmp_path = env
     url = make_git_repo(tmp_path / "origin", {
         "exotic.ipynb": notebook_bytes(
             [code_cell("x", [], 1)], kernel_name="exotic-kernel").decode(),
     })
-    docker = FakeDocker()
-    from conftest import FakeCompleted
-    docker.run_results = [
-        FakeCompleted(1, stderr="No such kernel named exotic-kernel"),
-        FakeCompleted(1, stderr="No such kernel named python3"),
-    ]
-    pipeline = Pipeline(config, store, docker)
+    for missing in ("exotic-kernel", "python3"):
+        runtime.answer("run", ToolRun([], 1, "", f"No such kernel named {missing}"),
+                       times=1)
+    pipeline = Pipeline(config, store)
     result = pipeline.infer_repository(url)
     pipeline.map_repositories([store.get_run(result.run_id)], pipeline.execute_run)
     finished = store.get_run(result.run_id)
@@ -223,29 +215,33 @@ def _count_calls(monkeypatch, module, name: str) -> list:
     return calls
 
 
-def _two_notebook_repo(tmp_path, docker):
-    first = notebook_bytes([
-        markdown_cell("# setup"),
-        code_cell("import numpy\n!pip install requests", [stream_output("a\n")], 1),
-        code_cell("print('b')", [stream_output("b\n")], 2),
-    ])
-    second = _original("import pandas", "c\n")
-    docker.copy_payloads["/workspace/first.executed.ipynb"] = first
-    docker.copy_payloads["/workspace/second.executed.ipynb"] = second
-    return make_git_repo(tmp_path / "origin", {
-        "first.ipynb": first.decode(), "second.ipynb": second.decode()})
+def _two_notebook_repo(tmp_path, runtime=None):
+    """A repository of two notebooks, each executed artifact planted on the
+    ``runtime`` when one is given; returns its URL."""
+    notebooks = {
+        "first.ipynb": notebook_bytes([
+            markdown_cell("# setup"),
+            code_cell("import numpy\n!pip install requests", [stream_output("a\n")], 1),
+            code_cell("print('b')", [stream_output("b\n")], 2),
+        ]),
+        "second.ipynb": _original("import pandas", "c\n"),
+    }
+    url = make_git_repo(tmp_path / "origin", {
+        name: payload.decode() for name, payload in notebooks.items()})
+    if runtime is not None:
+        runtime.plant(url, notebooks)
+    return url
 
 
-def test_run_computes_each_fact_once(env, monkeypatch):
+def test_run_computes_each_fact_once(env, monkeypatch, runtime):
     config, store, tmp_path = env
-    docker = FakeDocker()
-    url = _two_notebook_repo(tmp_path, docker)
+    url = _two_notebook_repo(tmp_path, runtime)
     parses = _count_calls(monkeypatch, notebook, "parse_notebook")
     syntheses = _count_calls(monkeypatch, depinfer, "synthesize_dependency_spec")
     recipe_writes = _count_calls(monkeypatch, containerize, "write_recipe")
     import_scans = _count_calls(monkeypatch, depinfer, "extract_imports")
 
-    pipeline = Pipeline(config, store, docker)
+    pipeline = Pipeline(config, store)
     (result,) = pipeline.map_repositories([url], pipeline.run_repository)
 
     assert result.completed
@@ -263,7 +259,7 @@ def test_infer_loads_the_package_data_once_per_pipeline(env, monkeypatch):
     config, store, tmp_path = env
     stdlib_loads = _count_calls(monkeypatch, depinfer, "load_stdlib_modules")
     alias_loads = _count_calls(monkeypatch, depinfer, "load_alias_table")
-    pipeline = Pipeline(config, store, FakeDocker())
+    pipeline = Pipeline(config, store)
     for name in ("one", "two"):
         url = make_git_repo(tmp_path / name, {
             "nb.ipynb": _original("import os, numpy", "x\n").decode()})
@@ -289,7 +285,7 @@ def test_infer_holds_at_most_one_parsed_notebook(env, monkeypatch):
         return model
 
     monkeypatch.setattr(notebook, "parse_notebook", tracking)
-    result = Pipeline(config, store, FakeDocker()).infer_repository(url)
+    result = Pipeline(config, store).infer_repository(url)
 
     assert result.completed
     assert len(alive_at_parse) == 5
@@ -298,10 +294,9 @@ def test_infer_holds_at_most_one_parsed_notebook(env, monkeypatch):
 
 def test_infer_without_magic_scan_leaves_pip_installs_out(env):
     config, store, tmp_path = env
-    docker = FakeDocker()
-    url = _two_notebook_repo(tmp_path, docker)
+    url = _two_notebook_repo(tmp_path)
     config.scan_magic_installs = False
-    result = Pipeline(config, store, docker).infer_repository(url)
+    result = Pipeline(config, store).infer_repository(url)
     # the first notebook's "!pip install requests" is not a requirement
     assert _recipe_bytes(store, result.repository_id)[1] == b"numpy\npandas\n"
 
@@ -312,11 +307,10 @@ def _recipe_bytes(store, repository_id):
             (tree / containerize.SYNTHESIZED_MANIFEST_NAME).read_bytes())
 
 
-def test_execute_builds_the_recipe_infer_wrote(env):
+def test_execute_builds_the_recipe_infer_wrote(env, runtime):
     config, store, tmp_path = env
-    docker = FakeDocker()
-    url = _two_notebook_repo(tmp_path, docker)
-    result = Pipeline(config, store, docker).infer_repository(url)
+    url = _two_notebook_repo(tmp_path, runtime)
+    result = Pipeline(config, store).infer_repository(url)
     written = _recipe_bytes(store, result.repository_id)
     assert b"requests" in written[1]
 
@@ -325,14 +319,14 @@ def test_execute_builds_the_recipe_infer_wrote(env):
         store_path=config.store_path, logdir=config.logdir,
         artifacts_dir=config.artifacts_dir, report_dir=config.report_dir,
         base_image="python:3.12-slim", scan_magic_installs=False)
-    pipeline = Pipeline(later, store, docker)
+    pipeline = Pipeline(later, store)
     (outcome,) = pipeline.map_repositories([store.get_run(result.run_id)],
                                            pipeline.execute_run)
 
     assert outcome.completed
     assert _recipe_bytes(store, result.repository_id) == written
     tag = containerize.image_tag_for(result.repository_id, result.run_id)
-    assert ("build", tag) in docker.calls
+    assert [args[3] for args in runtime.calls if args[0] == "build"] == [tag]
     assert store.get_run(result.run_id).image_reference == tag
 
 
@@ -341,11 +335,10 @@ def test_execute_builds_the_recipe_infer_wrote(env):
 @pytest.mark.parametrize("removed", [
     "../Dockerfile", containerize.SYNTHESIZED_MANIFEST_NAME],
     ids=["dockerfile", "manifest"])
-def test_execute_without_recipe_is_degraded(env, removed):
+def test_execute_without_recipe_is_degraded(env, runtime, removed):
     config, store, tmp_path = env
-    docker = FakeDocker()
-    url = _two_notebook_repo(tmp_path, docker)
-    pipeline = Pipeline(config, store, docker)
+    url = _two_notebook_repo(tmp_path, runtime)
+    pipeline = Pipeline(config, store)
     result = pipeline.infer_repository(url)
     tree = Path(store.get_repository(result.repository_id).local_path)
     (tree / removed).unlink()
@@ -355,21 +348,20 @@ def test_execute_without_recipe_is_degraded(env, removed):
 
     assert not outcome.completed
     assert outcome.degraded_reason == "build recipe missing; rerun the infer stage"
-    assert not any(call[0] == "build" for call in docker.calls)
+    assert "build" not in runtime.verbs
     assert store_rows(store, "notebook_executions", run_id=result.run_id) == []
     assert (store.get_run(result.run_id).provisioning_status
             is ProvisioningStatus.PENDING)
 
 
 @pytest.mark.parametrize("build_fails", [False, True])
-def test_build_events_carry_the_stored_build_duration(env, build_fails):
+def test_build_events_carry_the_stored_build_duration(env, runtime, build_fails):
     config, store, tmp_path = env
-    docker = FakeDocker()
-    url = _two_notebook_repo(tmp_path, docker)
-    pipeline = Pipeline(config, store, docker)
+    url = _two_notebook_repo(tmp_path, runtime)
+    pipeline = Pipeline(config, store)
     result = pipeline.infer_repository(url)
     if build_fails:
-        docker.build = lambda *args, **kwargs: FakeCompleted(1, stderr="no space")
+        runtime.answer("build", ToolRun([], 1, "", "no space"))
 
     pipeline.map_repositories([store.get_run(result.run_id)], pipeline.execute_run)
 
@@ -383,35 +375,32 @@ def test_build_events_carry_the_stored_build_duration(env, build_fails):
         assert built["tag"] == run.image_reference
 
 
-def test_cleanup_learns_reachability_from_its_own_listing(env):
+def test_cleanup_learns_reachability_from_its_own_listing(env, runtime):
     config, store, tmp_path = env
-    docker = FakeDocker()
-    pipeline = Pipeline(config, store, docker)
-    run_id = pipeline.infer_repository(_two_notebook_repo(tmp_path, docker)).run_id
-    executable, calls = logging_runtime(tmp_path, {"build": 1})
-    pipeline.docker = DockerCli(str(executable))
+    pipeline = Pipeline(config, store)
+    run_id = pipeline.infer_repository(_two_notebook_repo(tmp_path, runtime)).run_id
+    runtime.answer("build", ToolRun([], 1, "", ""))
 
     pipeline.map_repositories([store.get_run(run_id)], pipeline.execute_run)
 
     # the listing answered, so it is not probed; the failed build is, and
     # a reachable runtime makes it a verdict
-    assert calls.read_text().split() == ["ps", "images", "build", "version"]
+    assert runtime.verbs == ["ps", "images", "build", "version"]
     assert (store.get_run(run_id).provisioning_status
             is ProvisioningStatus.BUILD_FAILED)
 
 
 def test_build_printing_a_non_utf8_byte_fails_with_its_log(env):
     config, store, tmp_path = env
-    docker = FakeDocker()
-    pipeline = Pipeline(config, store, docker)
-    run_id = pipeline.infer_repository(_two_notebook_repo(tmp_path, docker)).run_id
     executable = tmp_path / "runtime"
     executable.write_text("#!/bin/sh\n"
                           "[ \"$1\" = build ] || exit 0\n"
                           "printf 'step 1\\nbad byte \\377\\n' >&2\n"
                           "exit 1\n")
     executable.chmod(0o755)
-    pipeline.docker = DockerCli(str(executable))
+    config.docker_executable = str(executable)
+    pipeline = Pipeline(config, store)
+    run_id = pipeline.infer_repository(_two_notebook_repo(tmp_path)).run_id
 
     (result,) = pipeline.map_repositories([store.get_run(run_id)], pipeline.execute_run)
 
@@ -426,32 +415,63 @@ def test_build_printing_a_non_utf8_byte_fails_with_its_log(env):
 
 # ---- one --jobs budget over repository stages and notebook runs ------------
 
-class _SlowDocker(FakeDocker):
-    """Container runs take about 25 ms. Counts the runs in flight and the
-    peak thread count; a notebook named in ``fail_on`` raises instead of
-    running."""
+class _Watch:
+    """Hooks on the stub runtime's container runs, copy-outs and removals.
 
-    def __init__(self, fail_on: tuple[str, ...] = ()):
-        super().__init__()
+    Logs, in one order, each container run as it starts, each copy-out as
+    it returns and each removal, by container name; counts the runs, the
+    runs in flight, their peak and the peak thread count. Each run first
+    waits ``run_s``; the run of a notebook named in ``fail_on`` raises
+    instead of running, and one in ``errored`` exits 1 once the stub ran
+    it. Each copy-out first waits ``copy_s``. ``after_run``, when given,
+    is called with each run's answer, and what it returns is the answer.
+    """
+
+    def __init__(self, runtime, run_s=0.025, copy_s=0.0, fail_on=(), errored=(),
+                 after_run=None):
+        self.runtime, self.run_s, self.copy_s = runtime, run_s, copy_s
+        self.fail_on, self.errored, self.after_run = fail_on, errored, after_run
         self._lock = threading.Lock()
-        self.fail_on = fail_on
-        self.running = 0
-        self.peak_running = 0
-        self.peak_threads = 0
+        self.lifecycle: list[tuple[str, str]] = []
+        self.runs = self.running = self.peak_running = self.peak_threads = 0
+        runtime.answer("run", self._run)
+        runtime.answer("cp", self._copy)
+        runtime.answer("rm", self._remove)
 
-    def run_container(self, image, command, run_args, timeout=None):
+    def _log(self, verb: str, name: str) -> None:
         with self._lock:
+            self.lifecycle.append((verb, name))
+
+    def _run(self, args, timeout):
+        notebook = args[-1]
+        self._log("run", args[args.index("--name") + 1])
+        with self._lock:
+            self.runs += 1
             self.running += 1
             self.peak_running = max(self.peak_running, self.running)
             self.peak_threads = max(self.peak_threads, threading.active_count())
         try:
-            time.sleep(0.025)
-            if command[-1] in self.fail_on:
-                raise RuntimeError(f"runtime crashed on {command[-1]}")
-            return super().run_container(image, command, run_args, timeout)
+            time.sleep(self.run_s)
+            if notebook in self.fail_on:
+                raise RuntimeError(f"runtime crashed on {notebook}")
+            done = self.runtime.stub(args, timeout)
+            if notebook in self.errored:
+                done = ToolRun([], 1, "", "RuntimeError: boom")
+            return self.after_run(done) if self.after_run else done
         finally:
             with self._lock:
                 self.running -= 1
+
+    def _copy(self, args, timeout):
+        time.sleep(self.copy_s)
+        copied = self.runtime.stub(args, timeout)
+        self._log("cp", args[1].split(":", 1)[0])
+        return copied
+
+    def _remove(self, args, timeout):
+        removed = self.runtime.stub(args, timeout)
+        self._log("rm", args[-1])
+        return removed
 
 
 def _skewed_corpus(tmp_path) -> list[str]:
@@ -463,14 +483,15 @@ def _skewed_corpus(tmp_path) -> list[str]:
             make_git_repo(tmp_path / "origin-small", small)]
 
 
-def _plant_artifacts(docker):
-    for i in range(6):
-        # odd notebooks drift, so scores differ between notebooks
-        output = f"{i}\n" if i % 2 == 0 else "drift\n"
-        docker.copy_payloads[f"/workspace/a{i}.executed.ipynb"] = _original(
-            f"print({i})", output)
-    docker.copy_payloads["/workspace/b0.executed.ipynb"] = _original(
-        "print('b')", "b\n")
+def _plant_artifacts(runtime, large, small=None):
+    """The executed artifacts of ``_skewed_corpus``'s repositories, or of
+    ``_four_notebook_repo``'s as the large one."""
+    # odd notebooks drift, so scores differ between notebooks
+    runtime.plant(large, {
+        f"a{i}.ipynb": _original(f"print({i})", f"{i}\n" if i % 2 == 0 else "drift\n")
+        for i in range(6)})
+    if small is not None:
+        runtime.plant(small, {"b0.ipynb": _original("print('b')", "b\n")})
 
 
 def _config(root: Path, jobs: int) -> PipelineConfig:
@@ -479,12 +500,12 @@ def _config(root: Path, jobs: int) -> PipelineConfig:
                           report_dir=root / "reports", jobs=jobs)
 
 
-def _run_corpus(root: Path, urls: list[str], jobs: int, docker):
-    _plant_artifacts(docker)
+def _run_corpus(root: Path, urls: list[str], jobs: int, runtime):
+    _plant_artifacts(runtime, *urls)
     config = _config(root, jobs)
     with Store(config.store_path) as store:
         baseline_threads = threading.active_count()
-        pipeline = Pipeline(config, store, docker)
+        pipeline = Pipeline(config, store)
         results = pipeline.map_repositories(urls, pipeline.run_repository)
         rows = _comparable_rows(store, config.artifacts_dir)
     return results, rows, baseline_threads
@@ -514,48 +535,51 @@ def _comparable_rows(store, artifacts: Path) -> dict:
                           "notebook_executions", "reproducibility_metrics")}
 
 
-def test_budget_bounds_container_runs_and_threads(tmp_path):
+def test_budget_bounds_container_runs_and_threads(tmp_path, runtime):
     urls = _skewed_corpus(tmp_path)
-    docker = _SlowDocker()
-    results, rows, baseline = _run_corpus(tmp_path / "parallel", urls, 2, docker)
+    watch = _Watch(runtime)
+    results, rows, baseline = _run_corpus(tmp_path / "parallel", urls, 2, runtime)
 
     assert all(r.completed for r in results)
     assert len(rows["notebook_executions"]) == 7
-    assert docker.peak_running == 2
+    assert watch.peak_running == 2
     # a repository pool of at most 2 * jobs threads and a notebook pool of
     # at most jobs
-    assert docker.peak_threads - baseline <= 3 * 2
+    assert watch.peak_threads - baseline <= 3 * 2
     assert not [t for t in threading.enumerate()
                 if t.name.startswith("nbrepro-")]
 
 
-def test_each_build_precedes_its_repository_runs(tmp_path):
+def test_each_build_precedes_its_repository_runs(tmp_path, runtime):
     urls = _skewed_corpus(tmp_path)
-    docker = _SlowDocker()
-    _run_corpus(tmp_path / "parallel", urls, 2, docker)
+    _Watch(runtime)
+    _run_corpus(tmp_path / "parallel", urls, 2, runtime)
 
-    calls = list(docker.calls)
-    builds = {call[1]: index for index, call in enumerate(calls)
-              if call[0] == "build"}
+    calls = list(runtime.calls)
+    builds = {args[3]: index for index, args in enumerate(calls)
+              if args[0] == "build"}
     assert len(builds) == 2
     for tag, built_at in builds.items():
         repository = tag.split(":", 1)[0]
-        cleaned_at = calls.index(("list_images", repository))
-        runs = [index for index, call in enumerate(calls)
-                if call[0] == "run_container" and call[1] == tag]
+        (cleaned_at,) = [index for index, args in enumerate(calls)
+                         if args[0] == "images" and args[-1] == repository]
+        runs = [index for index, args in enumerate(calls)
+                if args[0] == "run" and tag in args]
         assert runs
         assert cleaned_at < built_at < min(runs)
 
 
-def test_parallel_rows_equal_serial_rows(tmp_path):
+def test_parallel_rows_equal_serial_rows(tmp_path, runtime):
     urls = _skewed_corpus(tmp_path)
-    serial_docker = _SlowDocker()
-    _, serial, _ = _run_corpus(tmp_path / "serial", urls, 1, serial_docker)
-    _, parallel, _ = _run_corpus(tmp_path / "parallel", urls, 2, _SlowDocker())
+    serial_watch = _Watch(runtime)
+    _, serial, _ = _run_corpus(tmp_path / "serial", urls, 1, runtime)
+    runtime.recover()
+    _Watch(runtime)
+    _, parallel, _ = _run_corpus(tmp_path / "parallel", urls, 2, runtime)
 
     # --jobs 1 takes the pooled path with one slot: one container at a time,
     # and no worker thread outlives the invocation
-    assert serial_docker.peak_running == 1
+    assert serial_watch.peak_running == 1
     assert not [t for t in threading.enumerate()
                 if t.name.startswith("nbrepro-")]
     assert len(serial["notebook_executions"]) == 7
@@ -563,10 +587,10 @@ def test_parallel_rows_equal_serial_rows(tmp_path):
     assert parallel == serial
 
 
-def test_failing_notebook_degrades_only_its_repository(tmp_path, caplog):
+def test_failing_notebook_degrades_only_its_repository(tmp_path, runtime, caplog):
     urls = _skewed_corpus(tmp_path)
-    docker = _SlowDocker(fail_on=("a2.ipynb", "a4.ipynb"))
-    results, rows, _ = _run_corpus(tmp_path / "parallel", urls, 2, docker)
+    watch = _Watch(runtime, fail_on=("a2.ipynb", "a4.ipynb"))
+    results, rows, _ = _run_corpus(tmp_path / "parallel", urls, 2, runtime)
 
     large, small = results
     assert not large.completed
@@ -582,70 +606,25 @@ def test_failing_notebook_degrades_only_its_repository(tmp_path, caplog):
         corpus.repository_id_for(urls[1]): ProvisioningStatus.ENVIRONMENT_BUILT.value,
     }
     # nothing of the failed repository is still running afterwards
-    assert docker.running == 0
+    assert watch.running == 0
     assert not [t for t in threading.enumerate()
                 if t.name.startswith("nbrepro-")]
 
 
-def test_single_repository_execute_runs_notebooks_side_by_side(tmp_path):
+def test_single_repository_execute_runs_notebooks_side_by_side(tmp_path, runtime):
     urls = _skewed_corpus(tmp_path)
-    docker = _SlowDocker()
-    _plant_artifacts(docker)
+    watch = _Watch(runtime)
+    _plant_artifacts(runtime, *urls)
     config = _config(tmp_path / "single", 2)
     with Store(config.store_path) as store:
-        pipeline = Pipeline(config, store, docker)
+        pipeline = Pipeline(config, store)
         inferred = pipeline.infer_repository(urls[0])
         (result,) = pipeline.map_repositories(
             [store.get_run(inferred.run_id)], pipeline.execute_run)
         assert result.completed
         assert len(store_rows(store, "notebook_executions",
                               run_id=inferred.run_id)) == 6
-    assert docker.peak_running == 2
-
-
-class _Lifecycle:
-    """Mixed into a fake runtime: logs, in one order, each container run as
-    it starts, each copy-out as it returns and each removal, by container
-    name. Every copy-out takes ``copy_s``; a notebook named in ``errored``
-    exits 1, and one in ``kernelless`` needs the kernel fallback."""
-
-    copy_s = 0.0
-    errored: tuple[str, ...] = ()
-    kernelless: tuple[str, ...] = ()
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._log_lock = threading.Lock()
-        self.lifecycle: list[tuple[str, str]] = []
-
-    def _log(self, verb: str, name: str) -> None:
-        with self._log_lock:
-            self.lifecycle.append((verb, name))
-
-    def run_container(self, image, command, run_args, timeout=None):
-        self._log("run", run_args[run_args.index("--name") + 1])
-        done = super().run_container(image, command, run_args, timeout)
-        if command[-1] in self.errored:
-            return FakeCompleted(1, stderr="RuntimeError: boom")
-        if command[-1] in self.kernelless and not any(
-                part.startswith("--ExecutePreprocessor.kernel_name=")
-                for part in command):
-            return FakeCompleted(1, stderr="NoSuchKernel: No such kernel named ir")
-        return done
-
-    def copy_from_container(self, container, source, destination, timeout=None):
-        time.sleep(self.copy_s)
-        copied = super().copy_from_container(container, source, destination, timeout)
-        self._log("cp", container)
-        return copied
-
-    def remove_container(self, name_or_id):
-        super().remove_container(name_or_id)
-        self._log("rm", name_or_id)
-
-
-class _LifecycleDocker(_Lifecycle, _SlowDocker):
-    pass
+    assert watch.peak_running == 2
 
 
 def _removed_once_after_copy(lifecycle: list[tuple[str, str]]) -> bool:
@@ -659,76 +638,38 @@ def _removed_once_after_copy(lifecycle: list[tuple[str, str]]) -> bool:
         for verbs in by_name.values())
 
 
-def test_copy_out_and_removal_leave_the_slot(tmp_path):
+def test_copy_out_and_removal_leave_the_slot(tmp_path, runtime):
     urls = _skewed_corpus(tmp_path)
-    docker = _LifecycleDocker()
-    docker.copy_s = 0.2
-    results, rows, _ = _run_corpus(tmp_path / "serial", urls, 1, docker)
+    watch = _Watch(runtime, copy_s=0.2)
+    results, rows, _ = _run_corpus(tmp_path / "serial", urls, 1, runtime)
 
     assert all(r.completed for r in results)
     assert len(rows["notebook_executions"]) == 7
     # one container at a time, yet the next run starts while the first
     # notebook's artifact is still being copied out
-    assert docker.peak_running == 1
-    verb, first = docker.lifecycle[0]
+    assert watch.peak_running == 1
+    verb, first = watch.lifecycle[0]
     assert verb == "run"
-    copied_at = docker.lifecycle.index(("cp", first))
+    copied_at = watch.lifecycle.index(("cp", first))
     assert any(verb == "run" and name != first
-               for verb, name in docker.lifecycle[1:copied_at])
+               for verb, name in watch.lifecycle[1:copied_at])
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_each_container_is_removed_once_after_its_copy(tmp_path, jobs):
+def test_each_container_is_removed_once_after_its_copy(tmp_path, runtime, jobs):
     urls = _skewed_corpus(tmp_path)
-    docker = _LifecycleDocker()
-    docker.errored, docker.kernelless = ("a1.ipynb",), ("a3.ipynb", "b0.ipynb")
-    results, rows, _ = _run_corpus(tmp_path / "run", urls, jobs, docker)
+    watch = _Watch(runtime, errored=("a1.ipynb",))
+    # the stub's run of these fails with NoSuchKernel until a kernel is forced
+    runtime.plant(urls[0], {"a3.ipynb.nokernel": b"ir\n"})
+    runtime.plant(urls[1], {"b0.ipynb.nokernel": b"ir\n"})
+    results, rows, _ = _run_corpus(tmp_path / "run", urls, jobs, runtime)
 
     assert all(r.completed for r in results)
     assert Counter(row["status"] for row in rows["notebook_executions"]) == {
         "Success": 6, "ErroredButCompleted": 1}
-    assert _removed_once_after_copy(docker.lifecycle)
-    assert len({name for _, name in docker.lifecycle}) == 7
-    assert not docker.containers
-
-
-class _PipelinedDocker(FakeDocker):
-    """Logs, in one order, where each runtime unit starts and ends: a clean
-    room from its listing to the return of its build, and a container run.
-    The build and each run take a while, so other work can meet them."""
-
-    def __init__(self, log: list, lock: threading.Lock):
-        super().__init__()
-        self.log, self._lock = log, lock
-
-    def _note(self, edge: str, kind: str, key: str, repository: str) -> None:
-        with self._lock:
-            self.log.append((edge, kind, key, repository))
-
-    def list_containers(self, label):
-        repository = label.split("=", 1)[1]
-        self._note("start", "clean_room", repository, repository)
-        return super().list_containers(label)
-
-    def build(self, tag, dockerfile, context, timeout=None):
-        repository = tag.split(":", 1)[0].split("/", 1)[1]
-        self._note("start", "build", repository, repository)
-        time.sleep(0.03)
-        try:
-            return super().build(tag, dockerfile, context, timeout)
-        finally:
-            self._note("end", "build", repository, repository)
-            self._note("end", "clean_room", repository, repository)
-
-    def run_container(self, image, command, run_args, timeout=None):
-        name = run_args[run_args.index("--name") + 1]
-        repository = image.split(":", 1)[0].split("/", 1)[1]
-        self._note("start", "run", name, repository)
-        time.sleep(0.02)
-        try:
-            return super().run_container(image, command, run_args, timeout)
-        finally:
-            self._note("end", "run", name, repository)
+    assert _removed_once_after_copy(watch.lifecycle)
+    assert len({name for _, name in watch.lifecycle}) == 7
+    assert runtime.containers() == []
 
 
 def _pipelined_corpus(tmp_path, count: int) -> list[str]:
@@ -738,28 +679,66 @@ def _pipelined_corpus(tmp_path, count: int) -> list[str]:
         for i in range(2)}) for n in range(count)]
 
 
-def _run_logged(root: Path, urls: list[str], jobs: int, monkeypatch,
+def _plant_pipelined(runtime, urls: list[str]) -> None:
+    """The executed artifacts of ``_pipelined_corpus``: the notebooks of
+    every other repository drift."""
+    for n, url in enumerate(urls):
+        runtime.plant(url, {
+            f"r{n}n{i}.ipynb": _original(f"print({i})", f"{i}\n" if n % 2 else "drift\n")
+            for i in range(2)})
+
+
+def _run_logged(root: Path, urls: list[str], jobs: int, runtime, monkeypatch,
                 one_at_a_time: bool = False) -> tuple[dict, list]:
-    """Run the corpus and log each repository, validation and clone as it
-    starts and ends, beside the runtime units; ``one_at_a_time`` maps the
+    """Run the corpus and log where each runtime unit starts and ends (a
+    clean room from its listing to the return of its build, and a container
+    run) and each repository, validation and clone; the build and each run
+    take a while, so other work can meet them. ``one_at_a_time`` maps the
     repositories one by one. Returns the rows and the log."""
     log, lock = [], threading.Lock()
-    docker = _PipelinedDocker(log, lock)
-    for n in range(len(urls)):
-        for i in range(2):
-            docker.copy_payloads[f"/workspace/r{n}n{i}.executed.ipynb"] = _original(
-                f"print({i})", f"{i}\n" if n % 2 else "drift\n")
+
+    def note(edge, kind, key, repository):
+        with lock:
+            log.append((edge, kind, key, repository))
+
+    def listing(args, timeout):
+        repository = args[-1].rsplit("=", 1)[1]
+        note("start", "clean_room", repository, repository)
+        return runtime.stub(args, timeout)
+
+    def build(args, timeout):
+        repository = args[3].split(":", 1)[0].split("/", 1)[1]
+        note("start", "build", repository, repository)
+        time.sleep(0.03)
+        try:
+            return runtime.stub(args, timeout)
+        finally:
+            note("end", "build", repository, repository)
+            note("end", "clean_room", repository, repository)
+
+    def run(args, timeout):
+        name = args[args.index("--name") + 1]
+        repository = args[args.index("--label") + 1].rsplit("=", 1)[1]
+        note("start", "run", name, repository)
+        time.sleep(0.02)
+        try:
+            return runtime.stub(args, timeout)
+        finally:
+            note("end", "run", name, repository)
+
+    runtime.recover()
+    for verb, hook in (("ps", listing), ("build", build), ("run", run)):
+        runtime.answer(verb, hook)
+    _plant_pipelined(runtime, urls)
 
     def logged(kind, call):
         def wrapper(url, *args, **kwargs):
             repository = corpus.repository_id_for(corpus.canonical_input(url))
-            with lock:
-                log.append(("start", kind, repository, repository))
+            note("start", kind, repository, repository)
             try:
                 return call(url, *args, **kwargs)
             finally:
-                with lock:
-                    log.append(("end", kind, repository, repository))
+                note("end", kind, repository, repository)
         return wrapper
 
     config = _config(root, jobs)
@@ -768,7 +747,7 @@ def _run_logged(root: Path, urls: list[str], jobs: int, monkeypatch,
                         logged("validate", corpus.validate_repository))
         patched.setattr(corpus, "acquire_repository",
                         logged("acquire", corpus.acquire_repository))
-        pipeline = Pipeline(config, store, docker)
+        pipeline = Pipeline(config, store)
         repository = logged("repository", pipeline.run_repository)
         for batch in ([[url] for url in urls] if one_at_a_time else [urls]):
             assert all(r.completed for r in pipeline.map_repositories(batch, repository))
@@ -799,11 +778,11 @@ def _pipelining(log: list) -> tuple[int, int, bool]:
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_repositories_clone_infer_and_compare_beside_the_runtime_units(
-        tmp_path, monkeypatch, jobs):
+        tmp_path, monkeypatch, runtime, jobs):
     urls = _pipelined_corpus(tmp_path, 2 * jobs + 2)
-    serial, _ = _run_logged(tmp_path / "serial", urls, jobs, monkeypatch,
+    serial, _ = _run_logged(tmp_path / "serial", urls, jobs, runtime, monkeypatch,
                             one_at_a_time=True)
-    rows, log = _run_logged(tmp_path / "pipelined", urls, jobs, monkeypatch)
+    rows, log = _run_logged(tmp_path / "pipelined", urls, jobs, runtime, monkeypatch)
 
     units, repositories, met = _pipelining(log)
     assert units <= jobs
@@ -899,106 +878,81 @@ def test_map_runs_each_item_once_under_contention():
     assert peak[0] <= 4
 
 
-STUB_RUNTIME = Path(__file__).resolve().parents[1] / "bench" / "stub_runtime.sh"
+# An outage begins at the first call of a verb: that call and every later
+# one, the version probe too, get the reply the docker client gets without
+# its daemon (exit 1), or one that hits its bound, or an executable that
+# cannot start.
+_OUTAGES = [
+    *[pytest.param(verb, DAEMON_DOWN, id=verb)
+      for verb in ("ps", "images", "build", "run", "cp", "rm")],
+    pytest.param("run", ToolRun([], -1, "", "", timed_out=True), id="run-timed-out"),
+    pytest.param("run", OSError(2, "No such file or directory", "docker"),
+                 id="run-cannot-start"),
+]
 
 
-def _stub_runtime_state(tmp_path, urls: list[str], monkeypatch) -> Path:
-    """Set up the benchmark's POSIX sh stand-in for the runtime over the
-    skewed corpus, with the artifacts ``_plant_artifacts`` plants; returns
-    its state directory."""
-    # The stub hands back <executed>/<repository_id>/<notebook path>.
-    state, executed = tmp_path / "stub-state", tmp_path / "executed"
-    for kind in ("images", "containers"):
-        (state / kind).mkdir(parents=True)
-    planted = FakeDocker()
-    _plant_artifacts(planted)
-    for source, payload in planted.copy_payloads.items():
-        name = PurePosixPath(source).name.replace(".executed", "")
-        url = urls[0] if name.startswith("a") else urls[1]
-        target = executed / corpus.repository_id_for(url) / name
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(payload)
-    monkeypatch.setenv("BENCH_STUB_STATE", str(state))
-    monkeypatch.setenv("BENCH_STUB_EXECUTED", str(executed))
-    return state
+@pytest.fixture(scope="module")
+def outage_corpus(tmp_path_factory):
+    """Two repositories of two notebooks each, and the rows of a clean run
+    of them on the stub runtime."""
+    root = tmp_path_factory.mktemp("outage")
+    urls = _pipelined_corpus(root, 2)
+    with pytest.MonkeyPatch.context() as patched:
+        runtime = Runtime(root, patched)
+        _plant_pipelined(runtime, urls)
+        config = _config(root / "clean", 2)
+        with Store(config.store_path) as store:
+            pipeline = Pipeline(config, store)
+            assert all(r.completed for r in
+                       pipeline.map_repositories(urls, pipeline.run_repository))
+            return urls, _comparable_rows(store, config.artifacts_dir)
 
 
-def _removed_containers(state: Path) -> list[int]:
-    """The sizes of the stub's container state files; it truncates the
-    file of a removed container."""
-    return [path.stat().st_size for path in sorted((state / "containers").iterdir())]
-
-
-def test_stub_runtime_rows_equal_fake_runtime_rows(tmp_path, monkeypatch):
-    """The pipeline through DockerCli and real subprocesses, against the
-    benchmark's POSIX sh stand-in for the runtime."""
-    urls = _skewed_corpus(tmp_path)
-    _, expected, _ = _run_corpus(tmp_path / "fake", urls, 2, FakeDocker())
-    state = _stub_runtime_state(tmp_path, urls, monkeypatch)
-
-    config = _config(tmp_path / "stub", 2)
-    with Store(config.store_path) as store:
-        pipeline = Pipeline(config, store, DockerCli(str(STUB_RUNTIME)))
-        results = pipeline.map_repositories(urls, pipeline.run_repository)
-        rows = _comparable_rows(store, config.artifacts_dir)
-
-    assert all(r.completed for r in results)
-    assert rows == expected
-    assert _removed_containers(state) == [0] * 7
-
-
-def _runtime_going_down_at(tmp_path, verb: str) -> Path:
-    """The stub runtime, which goes down at the first call of ``verb``:
-    from then on every call, ``version`` too, fails as the docker client
-    fails without its daemon."""
-    down, wrapper = tmp_path / "runtime-down", tmp_path / "outage-runtime"
-    wrapper.write_text(
-        "#!/bin/sh\n"
-        f'if [ "$1" = {verb} ]; then : > "{down}"; fi\n'
-        f'if [ -e "{down}" ]; then\n'
-        "    echo 'Cannot connect to the Docker daemon at"
-        " unix:///var/run/docker.sock. Is the docker daemon running?' >&2\n"
-        "    exit 1\n"
-        "fi\n"
-        f'exec "{STUB_RUNTIME}" "$@"\n')
-    wrapper.chmod(0o755)
-    return wrapper
-
-
-@pytest.mark.parametrize("verb", ["build", "run"])
+@pytest.mark.parametrize("verb, reply", _OUTAGES)
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_a_runtime_outage_records_nothing_and_execute_resumes(
-        tmp_path, monkeypatch, verb, jobs):
-    urls = _skewed_corpus(tmp_path)
-    _, expected, _ = _run_corpus(tmp_path / "fake", urls, 2, FakeDocker())
-    state = _stub_runtime_state(tmp_path, urls, monkeypatch)
-    runtime = _runtime_going_down_at(tmp_path, verb)
+        tmp_path, runtime, outage_corpus, jobs, verb, reply):
+    urls, expected = outage_corpus
+    _plant_pipelined(runtime, urls)
+    runtime.go_down(verb, reply)
 
     config = _config(tmp_path / "stub", jobs)
     with Store(config.store_path) as store:
-        pipeline = Pipeline(config, store, DockerCli(str(runtime)))
+        pipeline = Pipeline(config, store)
         results = pipeline.map_repositories(urls, pipeline.run_repository)
 
         # No verdict was taken from a failed call: every run stays Pending.
-        assert [r.degraded_reason for r in results] == [
-            f"container runtime unavailable: container runtime {str(runtime)!r} "
-            "is not reachable"] * 2
-        assert {run.provisioning_status for run in store.latest_runs().values()} == {
-            ProvisioningStatus.PENDING}
-        assert store_rows(store, "notebook_executions") == []
+        # A removal is no reachability check, so an outage that begins after
+        # a repository's last copy-out leaves its verdicts, which are valid,
+        # and its container for the next clean room.
+        recorded = [r.run_id for r in results if r.completed]
+        if verb != "rm":
+            assert recorded == []
+        for result in results:
+            if result.run_id in recorded:
+                continue
+            assert result.degraded_reason == (
+                "container runtime unavailable: container runtime 'docker' "
+                "is not reachable")
+            assert (store.get_run(result.run_id).provisioning_status
+                    is ProvisioningStatus.PENDING)
+            assert store_rows(store, "notebook_executions", run_id=result.run_id) == []
 
         # With the runtime back, execute then compare give a clean run's rows.
-        pipeline = Pipeline(config, store, DockerCli(str(STUB_RUNTIME)))
+        runtime.recover()
+        pipeline = Pipeline(config, store)
+        assert len(pipeline.runs_awaiting("execute")) == len(urls) - len(recorded)
         for stage, step in (("execute", pipeline.execute_run),
                             ("compare", pipeline.compare_run)):
             resumed = pipeline.map_repositories(pipeline.runs_awaiting(stage), step)
-            assert [r.completed for r in resumed] == [True, True]
+            assert all(r.completed for r in resumed)
         rows = _comparable_rows(store, config.artifacts_dir)
     assert rows == expected
-    assert set(_removed_containers(state)) == {0}
+    assert [name for name in runtime.containers()
+            if not any(name.startswith(f"nbrepro-{run_id}-") for run_id in recorded)] == []
 
 
-def test_timed_out_clone_degrades_only_its_repository(tmp_path, monkeypatch):
+def test_timed_out_clone_degrades_only_its_repository(tmp_path, monkeypatch, runtime):
     urls = _skewed_corpus(tmp_path)
     run_tool = corpus.run_tool
 
@@ -1008,7 +962,7 @@ def test_timed_out_clone_degrades_only_its_repository(tmp_path, monkeypatch):
         return run_tool(argv, timeout, env)
 
     monkeypatch.setattr(corpus, "run_tool", clone_times_out)
-    results, rows, _ = _run_corpus(tmp_path / "parallel", urls, 2, FakeDocker())
+    results, rows, _ = _run_corpus(tmp_path / "parallel", urls, 2, runtime)
 
     large, small = results
     assert large.completed and not small.completed
@@ -1020,9 +974,9 @@ def test_timed_out_clone_degrades_only_its_repository(tmp_path, monkeypatch):
     assert len(rows["notebook_executions"]) == 6
 
 
-def test_every_event_names_its_repository_and_run(tmp_path):
+def test_every_event_names_its_repository_and_run(tmp_path, runtime):
     urls = _skewed_corpus(tmp_path)
-    results, _, _ = _run_corpus(tmp_path / "run", urls, 2, FakeDocker())
+    results, _, _ = _run_corpus(tmp_path / "run", urls, 2, runtime)
 
     run_of = {result.repository_id: result.run_id for result in results}
     events = _events(_config(tmp_path / "run", 2))
@@ -1039,7 +993,7 @@ def test_every_event_names_its_repository_and_run(tmp_path):
     (first,) = {event["invocation_id"] for event in events}
 
     # a second invocation appends to the same log under its own id
-    _run_corpus(tmp_path / "run", urls, 2, FakeDocker())
+    _run_corpus(tmp_path / "run", urls, 2, runtime)
     later = _events(_config(tmp_path / "run", 2))[len(events):]
     assert len(later) == len(events)
     (second,) = {event["invocation_id"] for event in later}
@@ -1061,7 +1015,7 @@ def test_infer_persists_repository_and_notebooks(env):
         "a.ipynb": _original("print(1)", "1\n").decode(),
         "sub/b.ipynb": _original("print(2)", "2\n").decode(),
     })
-    first = Pipeline(config, store, FakeDocker()).infer_repository(url)
+    first = Pipeline(config, store).infer_repository(url)
     repo = store.get_repository(first.repository_id)
     notebooks = store.list_notebooks(first.repository_id)
     assert repo.notebook_count == 2
@@ -1069,7 +1023,7 @@ def test_infer_persists_repository_and_notebooks(env):
         url, Path(config.artifacts_dir) / "repos"), notebook_count=2)
     assert notebooks == corpus.discover_notebooks(repo)[0]
 
-    second = Pipeline(config, store, FakeDocker()).infer_repository(url)
+    second = Pipeline(config, store).infer_repository(url)
     assert second.run_id != first.run_id
     assert store.list_repositories() == [repo]
     assert store.list_notebooks(first.repository_id) == notebooks
@@ -1079,7 +1033,7 @@ def test_infer_persists_repository_and_notebooks(env):
 def test_infer_without_notebooks_records_count_zero(env):
     config, store, tmp_path = env
     url = make_git_repo(tmp_path / "origin", {"only.py": "pass\n"})
-    result = Pipeline(config, store, FakeDocker()).infer_repository(url)
+    result = Pipeline(config, store).infer_repository(url)
     assert store.get_repository(result.repository_id).notebook_count == 0
     assert store_rows(store, "notebooks") == []
     assert (store.get_run(result.run_id).provisioning_status
@@ -1105,12 +1059,12 @@ def test_a_failed_clone_keeps_the_stored_facts(env, monkeypatch):
         "a.ipynb": _original("print(1)", "1\n").decode(),
         "b.ipynb": _original("print(2)", "2\n").decode(),
     })
-    inferred = Pipeline(config, store, FakeDocker()).infer_repository(url)
+    inferred = Pipeline(config, store).infer_repository(url)
     repo = store.get_repository(inferred.repository_id)
     assert (repo.has_requirements_file, repo.notebook_count) == (True, 2)
 
     _clones_fail(monkeypatch)
-    failed = Pipeline(config, store, FakeDocker()).infer_repository(url)
+    failed = Pipeline(config, store).infer_repository(url)
 
     assert failed.degraded_reason.startswith(f"clone of {url} failed: ")
     # The failed clone deleted the tree; no other fact changed.
@@ -1119,16 +1073,17 @@ def test_a_failed_clone_keeps_the_stored_facts(env, monkeypatch):
     run = store.get_run(failed.run_id)
     assert run.provisioning_status is ProvisioningStatus.PENDING
     assert run.status_reason == f"acquisition failed: {failed.degraded_reason}"
+    # a Pending run is unfinished
+    assert run.finished_at is None
     with store.transaction():
         assert report.aggregate_corpus(store).repositories_with_requirements == 1
 
 
-def test_execute_of_a_run_whose_clone_failed_asks_for_infer(env, monkeypatch):
+def test_execute_of_a_run_whose_clone_failed_asks_for_infer(env, monkeypatch, runtime):
     config, store, tmp_path = env
     url = make_git_repo(tmp_path / "origin", {
         "a.ipynb": _original("print(1)", "1\n").decode()})
-    docker = FakeDocker()
-    pipeline = Pipeline(config, store, docker)
+    pipeline = Pipeline(config, store)
     _clones_fail(monkeypatch)
     inferred = pipeline.infer_repository(url)
     assert store.get_repository(inferred.repository_id).local_path is None
@@ -1137,7 +1092,7 @@ def test_execute_of_a_run_whose_clone_failed_asks_for_infer(env, monkeypatch):
                                           pipeline.execute_run)
 
     assert result.degraded_reason == "repository tree missing; rerun the infer stage"
-    assert docker.calls == []
+    assert runtime.calls == []
     assert (store.get_run(inferred.run_id).provisioning_status
             is ProvisioningStatus.PENDING)
     assert store_rows(store, "notebook_executions") == []
@@ -1145,36 +1100,33 @@ def test_execute_of_a_run_whose_clone_failed_asks_for_infer(env, monkeypatch):
 
 def test_failed_recipe_write_records_nothing(env, monkeypatch):
     config, store, tmp_path = env
-    docker = FakeDocker()
-    url = _two_notebook_repo(tmp_path, docker)
+    url = _two_notebook_repo(tmp_path)
 
     def no_space(*args, **kwargs):
         raise OSError("no space left on device")
 
     monkeypatch.setattr(containerize, "write_recipe", no_space)
     with pytest.raises(OSError):
-        Pipeline(config, store, docker).infer_repository(url)
+        Pipeline(config, store).infer_repository(url)
     assert store.list_repositories() == []
     assert store_rows(store, "repository_runs") == []
     assert store_rows(store, "notebooks") == []
 
 
-class _InterruptedDocker(FakeDocker):
-    """Raises KeyboardInterrupt, as Ctrl-C would, in place of container run
-    number ``interrupt_at`` (counting from 0); every other run succeeds."""
+def _interrupt_at_run(runtime, interrupt_at: int) -> None:
+    """KeyboardInterrupt, as Ctrl-C would raise it, in place of container run
+    number ``interrupt_at`` (counting from 0); every other run goes to the
+    stub."""
+    lock, runs = threading.Lock(), [0]
 
-    def __init__(self, interrupt_at: int):
-        super().__init__()
-        self._lock = threading.Lock()
-        self.interrupt_at = interrupt_at
-        self.runs = 0
-
-    def run_container(self, image, command, run_args, timeout=None):
-        with self._lock:
-            index, self.runs = self.runs, self.runs + 1
-        if index == self.interrupt_at:
+    def run(args, timeout):
+        with lock:
+            index, runs[0] = runs[0], runs[0] + 1
+        if index == interrupt_at:
             raise KeyboardInterrupt
-        return super().run_container(image, command, run_args, timeout)
+        return runtime.stub(args, timeout)
+
+    runtime.answer("run", run)
 
 
 def _execute_and_compare(pipeline, run_id):
@@ -1191,12 +1143,11 @@ def _four_notebook_repo(tmp_path) -> str:
         for i in range(4)})
 
 
-def _uninterrupted_rows(tmp_path, url: str, jobs: int) -> dict:
-    clean = FakeDocker()
-    _plant_artifacts(clean)
+def _uninterrupted_rows(tmp_path, url: str, jobs: int, runtime) -> dict:
+    _plant_artifacts(runtime, url)
     config = _config(tmp_path / "clean", jobs)
     with Store(config.store_path) as store:
-        pipeline = Pipeline(config, store, clean)
+        pipeline = Pipeline(config, store)
         assert _execute_and_compare(
             pipeline, pipeline.infer_repository(url).run_id).completed
         return _comparable_rows(store, config.artifacts_dir)
@@ -1205,16 +1156,16 @@ def _uninterrupted_rows(tmp_path, url: str, jobs: int) -> dict:
 @pytest.mark.parametrize("interrupt_at", range(4))
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_interrupted_execute_leaves_no_rows_and_reruns_whole(
-        tmp_path, jobs, interrupt_at):
+        tmp_path, runtime, jobs, interrupt_at):
     url = _four_notebook_repo(tmp_path)
-    expected = _uninterrupted_rows(tmp_path, url, jobs)
+    expected = _uninterrupted_rows(tmp_path, url, jobs, runtime)
 
-    docker = _InterruptedDocker(interrupt_at)
-    _plant_artifacts(docker)
+    _interrupt_at_run(runtime, interrupt_at)
     config = _config(tmp_path / "interrupted", jobs)
     with Store(config.store_path) as store:
-        pipeline = Pipeline(config, store, docker)
+        pipeline = Pipeline(config, store)
         run_id = pipeline.infer_repository(url).run_id
+        first_call = len(runtime.calls)
         with pytest.raises(KeyboardInterrupt):
             pipeline.map_repositories([store.get_run(run_id)],
                                       pipeline.execute_run)
@@ -1226,22 +1177,20 @@ def test_interrupted_execute_leaves_no_rows_and_reruns_whole(
         assert left == (ProvisioningStatus.PENDING, [])
         assert _comparable_rows(store, config.artifacts_dir) == expected
     # the rerun repeated the clean room and every notebook
-    builds = [i for i, call in enumerate(docker.calls) if call[0] == "build"]
+    verbs = runtime.verbs[first_call:]
+    builds = [i for i, verb in enumerate(verbs) if verb == "build"]
     assert len(builds) == 2
-    assert sum(1 for call in docker.calls[builds[1]:]
-               if call[0] == "run_container") == 4
+    assert verbs[builds[1]:].count("run") == 4
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_execute_replaces_partial_rows_of_an_old_store(tmp_path, jobs):
+def test_execute_replaces_partial_rows_of_an_old_store(tmp_path, runtime, jobs):
     url = _four_notebook_repo(tmp_path)
-    expected = _uninterrupted_rows(tmp_path, url, jobs)
+    expected = _uninterrupted_rows(tmp_path, url, jobs, runtime)
 
-    docker = FakeDocker()
-    _plant_artifacts(docker)
     config = _config(tmp_path / "old", jobs)
     with Store(config.store_path) as store:
-        pipeline = Pipeline(config, store, docker)
+        pipeline = Pipeline(config, store)
         inferred = pipeline.infer_repository(url)
         run_id = inferred.run_id
         # A Pending run as an execute interrupted after two of its four
@@ -1267,7 +1216,7 @@ def test_execute_replaces_partial_rows_of_an_old_store(tmp_path, jobs):
 def test_unexpected_execute_error_names_the_repository(env):
     config, store, tmp_path = env
     url = _four_notebook_repo(tmp_path)
-    pipeline = Pipeline(config, store, FakeDocker())
+    pipeline = Pipeline(config, store)
     inferred = pipeline.infer_repository(url)
 
     def crash(run):
@@ -1281,72 +1230,65 @@ def test_unexpected_execute_error_names_the_repository(env):
     assert result.degraded_reason == "unexpected error: runtime client crashed"
 
 
-class _CtrlCDocker(FakeDocker):
+def _ctrl_c_during_runs(runtime, seen: threading.Event, **watched) -> _Watch:
     """Ctrl-C during the notebook runs: the first container run sends
     SIGINT to the main thread, as a terminal does, and every run's client
-    exits 130 once ``seen`` is set. ``runs`` counts the container runs."""
+    exits 130 once ``seen`` is set. Returns the watch that counts the runs."""
+    lock, sent = threading.Lock(), []
 
-    def __init__(self, seen: threading.Event):
-        super().__init__()
-        self._lock = threading.Lock()
-        self.seen = seen
-        self.runs = 0
-
-    def run_container(self, image, command, run_args, timeout=None):
-        super().run_container(image, command, run_args, timeout)
-        with self._lock:
-            send, self.runs = self.runs == 0, self.runs + 1
+    def interrupted(done):
+        with lock:
+            send = not sent
+            sent.append(True)
         if send:
             # A real signal: it wakes a main thread that is blocked on a
             # future, which _thread.interrupt_main() does not.
             signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
         # Without the interrupt seen, the run completes and commits.
-        self.seen.wait(timeout=10)
-        return FakeCompleted(130, stderr="KeyboardInterrupt")
+        seen.wait(timeout=10)
+        return ToolRun([], 130, "", "KeyboardInterrupt")
+
+    return _Watch(runtime, run_s=0.0, after_run=interrupted, **watched)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_ctrl_c_under_parallel_execute_commits_no_run(tmp_path, jobs):
+def test_ctrl_c_under_parallel_execute_commits_no_run(tmp_path, runtime, jobs):
     urls = [make_git_repo(tmp_path / name, {
         f"{name}{i}.ipynb": _original(f"print({i})", f"{i}\n").decode()
         for i in range(8)}) for name in ("a", "b")]
     config = _config(tmp_path / "store", jobs)
     with Store(config.store_path) as store:
-        pipeline = Pipeline(config, store, FakeDocker())
+        pipeline = Pipeline(config, store)
         runs = [store.get_run(pipeline.infer_repository(url).run_id)
                 for url in urls]
-        docker = pipeline.docker = _CtrlCDocker(pipeline.interrupted)
+        watch = _ctrl_c_during_runs(runtime, pipeline.interrupted)
         with pytest.raises(KeyboardInterrupt):
             pipeline.map_repositories(runs, pipeline.execute_run)
 
         # only the runs in flight at Ctrl-C started; no notebook after them
-        assert 1 <= docker.runs <= config.jobs
+        assert 1 <= watch.runs <= config.jobs
         assert [store.get_run(run.run_id).provisioning_status for run in runs] == [
             ProvisioningStatus.PENDING, ProvisioningStatus.PENDING]
         assert store_rows(store, "notebook_executions") == []
 
 
-class _LifecycleCtrlCDocker(_Lifecycle, _CtrlCDocker):
-    pass
-
-
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_each_container_is_removed_once_after_ctrl_c(tmp_path, jobs):
+def test_each_container_is_removed_once_after_ctrl_c(tmp_path, runtime, jobs):
     urls = [make_git_repo(tmp_path / name, {
         f"{name}{i}.ipynb": _original(f"print({i})", f"{i}\n").decode()
         for i in range(4)}) for name in ("a", "b")]
     config = _config(tmp_path / "store", jobs)
     with Store(config.store_path) as store:
-        pipeline = Pipeline(config, store, FakeDocker())
+        pipeline = Pipeline(config, store)
         runs = [store.get_run(pipeline.infer_repository(url).run_id)
                 for url in urls]
-        docker = pipeline.docker = _LifecycleCtrlCDocker(pipeline.interrupted)
+        watch = _ctrl_c_during_runs(runtime, pipeline.interrupted)
         with pytest.raises(KeyboardInterrupt):
             pipeline.map_repositories(runs, pipeline.execute_run)
 
-    assert 1 <= docker.runs <= jobs
-    assert _removed_once_after_copy(docker.lifecycle)
-    assert not docker.containers
+    assert 1 <= watch.runs <= jobs
+    assert _removed_once_after_copy(watch.lifecycle)
+    assert runtime.containers() == []
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -1359,7 +1301,7 @@ def test_ctrl_c_under_parallel_infer_records_no_run(tmp_path, monkeypatch, jobs)
     lock = threading.Lock()
     probes = []
     with Store(config.store_path) as store:
-        pipeline = Pipeline(config, store, FakeDocker())
+        pipeline = Pipeline(config, store)
 
         def interrupting_validate(url, timeout):
             with lock:
@@ -1395,23 +1337,30 @@ def _interrupt_after(obj, name: str, interrupted: threading.Event) -> None:
     setattr(obj, name, interrupting)
 
 
-def test_ctrl_c_in_a_clean_room_starts_no_later_runtime_call(tmp_path):
+def test_ctrl_c_in_a_clean_room_starts_no_later_runtime_call(tmp_path, runtime):
     urls = [make_git_repo(tmp_path / name, {
         f"{name}.ipynb": _original("print(1)", "1\n").decode()})
         for name in ("a", "b")]
     config = _config(tmp_path / "store", 1)
     with Store(config.store_path) as store:
-        docker = FakeDocker()
-        pipeline = Pipeline(config, store, docker)
+        pipeline = Pipeline(config, store)
         runs = [store.get_run(pipeline.infer_repository(url).run_id)
                 for url in urls]
-        _interrupt_after(docker, "list_containers", pipeline.interrupted)
+
+        def listing(args, timeout):
+            # Ctrl-C as the pipeline sees it, once the first listing returns.
+            try:
+                return runtime.stub(args, timeout)
+            finally:
+                pipeline.interrupted.set()
+
+        runtime.answer("ps", listing)
 
         results = pipeline.map_repositories(runs, pipeline.execute_run)
 
         # The first repository stops before its build, the second before
         # its cleanup's listing.
-        assert [call[0] for call in docker.calls] == ["list_containers", "list_images"]
+        assert runtime.verbs == ["ps", "images"]
         assert [r.degraded_reason for r in results] == [
             "interrupted; nothing was recorded"] * 2
         assert [store.get_run(run.run_id).provisioning_status for run in runs] == [
@@ -1435,24 +1384,7 @@ class _WatchedSlots(threading.BoundedSemaphore):
     __enter__ = acquire
 
 
-class _CtrlCInBuildDocker(FakeDocker):
-    """The first build waits until another repository waits for a slot,
-    sends SIGINT to the main thread, as a terminal does, and returns once
-    the pipeline has seen it."""
-
-    def __init__(self, waiting: threading.Event, seen: threading.Event):
-        super().__init__()
-        self.waiting, self.seen = waiting, seen
-
-    def build(self, tag, dockerfile, context, timeout=None):
-        if not any(call[0] == "build" for call in self.calls):
-            assert self.waiting.wait(timeout=10)
-            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-            assert self.seen.wait(timeout=10)
-        return super().build(tag, dockerfile, context, timeout)
-
-
-def test_ctrl_c_while_a_repository_waits_for_a_slot(tmp_path, monkeypatch):
+def test_ctrl_c_while_a_repository_waits_for_a_slot(tmp_path, monkeypatch, runtime):
     from nbrepro import pipeline as pipelinemod
 
     urls = [make_git_repo(tmp_path / name, {
@@ -1468,17 +1400,27 @@ def test_ctrl_c_while_a_repository_waits_for_a_slot(tmp_path, monkeypatch):
     monkeypatch.setattr(pipelinemod, "WorkBudget", WatchedBudget)
     config = _config(tmp_path / "store", 1)
     with Store(config.store_path) as store:
-        pipeline = Pipeline(config, store, FakeDocker())
-        docker = pipeline.docker = _CtrlCInBuildDocker(waiting, pipeline.interrupted)
+        pipeline = Pipeline(config, store)
+
+        def build(args, timeout):
+            # The build waits until another repository waits for a slot,
+            # sends SIGINT to the main thread, as a terminal does, and
+            # returns once the pipeline has seen it.
+            assert waiting.wait(timeout=10)
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            assert pipeline.interrupted.wait(timeout=10)
+            return runtime.stub(args, timeout)
+
+        runtime.answer("build", build, times=1)
         with pytest.raises(KeyboardInterrupt):
             pipeline.map_repositories(urls, pipeline.run_repository)
 
         # The repository that built held the only slot; the other had
         # inferred and was waiting for it. It made no runtime call.
-        (build,) = [call for call in docker.calls if call[0] == "build"]
+        (build,) = [args for args in runtime.calls if args[0] == "build"]
         runs = store.latest_runs()
-        (waiter,) = [repository for repository in runs if repository not in build[1]]
-        assert [call for call in docker.calls if waiter in str(call)] == []
+        (waiter,) = [repository for repository in runs if repository not in build[3]]
+        assert [args for args in runtime.calls if waiter in " ".join(args)] == []
         assert len(store.list_notebooks(waiter)) == 1
         assert {run.provisioning_status for run in runs.values()} == {
             ProvisioningStatus.PENDING}
@@ -1488,11 +1430,11 @@ def test_ctrl_c_while_a_repository_waits_for_a_slot(tmp_path, monkeypatch):
                 if t.name.startswith("nbrepro-")]
 
 
-def test_ctrl_c_during_compare_commits_no_metrics(env, monkeypatch):
+def test_ctrl_c_during_compare_commits_no_metrics(env, monkeypatch, runtime):
     from nbrepro import compare
 
     config, store, tmp_path = env
-    pipeline, runs = _executed_pipeline(config, store, tmp_path, ("a", "b"))
+    pipeline, runs = _executed_pipeline(config, store, tmp_path, runtime, ("a", "b"))
     _interrupt_after(compare, "compare_notebooks", pipeline.interrupted)
 
     results = pipeline.map_repositories(runs, pipeline.compare_run)
@@ -1507,14 +1449,13 @@ def test_ctrl_c_during_compare_commits_no_metrics(env, monkeypatch):
 
 # ---- compare reads its work once and commits a repository once --------------
 
-def _executed_pipeline(config, store, tmp_path, names=("origin",)):
+def _executed_pipeline(config, store, tmp_path, runtime, names=("origin",)):
     """Infer and execute one two-notebook repository per name; returns the
     pipeline and the finished runs."""
-    docker = FakeDocker()
-    pipeline = Pipeline(config, store, docker)
+    pipeline = Pipeline(config, store)
     runs = []
     for name in names:
-        url = _two_notebook_repo(tmp_path / name, docker)
+        url = _two_notebook_repo(tmp_path / name, runtime)
         run_id = pipeline.infer_repository(url).run_id
         (result,) = pipeline.map_repositories([store.get_run(run_id)],
                                               pipeline.execute_run)
@@ -1523,9 +1464,9 @@ def _executed_pipeline(config, store, tmp_path, names=("origin",)):
     return pipeline, runs
 
 
-def test_compare_commits_a_repository_once(env, monkeypatch):
+def test_compare_commits_a_repository_once(env, monkeypatch, runtime):
     config, store, tmp_path = env
-    pipeline, (run,) = _executed_pipeline(config, store, tmp_path)
+    pipeline, (run,) = _executed_pipeline(config, store, tmp_path, runtime)
     insert = store.insert_metrics
     inserted = []
 
@@ -1551,11 +1492,11 @@ def test_compare_commits_a_repository_once(env, monkeypatch):
     assert len(_events(config, "notebook_compared")) == 2
 
 
-def test_compare_decodes_no_rows(env, monkeypatch):
+def test_compare_decodes_no_rows(env, monkeypatch, runtime):
     from nbrepro import cli, store as storemod
 
     config, store, tmp_path = env
-    pipeline, runs = _executed_pipeline(config, store, tmp_path, ("a", "b"))
+    pipeline, runs = _executed_pipeline(config, store, tmp_path, runtime, ("a", "b"))
 
     def no_decoding(row):
         raise AssertionError("compare decoded a notebook row")
@@ -1571,12 +1512,12 @@ def test_compare_decodes_no_rows(env, monkeypatch):
     assert scores == {run.run_id: [1.0, 1.0] for run in runs}
 
 
-def test_compare_degrades_a_repository_with_an_unreadable_artifact(env, caplog):
+def test_compare_degrades_a_repository_with_an_unreadable_artifact(env, caplog, runtime):
     from nbrepro import cli
 
     config, store, tmp_path = env
     caplog.set_level("INFO")
-    _, (run,) = _executed_pipeline(config, store, tmp_path)
+    _, (run,) = _executed_pipeline(config, store, tmp_path, runtime)
     kept, lost = store_rows(store, "notebook_executions", run_id=run.run_id)
     artifact = Path(lost["executed_notebook_path"])
     saved = artifact.read_bytes()
@@ -1652,7 +1593,7 @@ def test_run_goes_on_to_compare_exactly_when_the_table_says(env, monkeypatch, st
     config, store, tmp_path = env
     url = make_git_repo(tmp_path / "origin", {
         "nb.ipynb": _original("print(1)", "1\n").decode()})
-    pipeline = Pipeline(config, store, FakeDocker())
+    pipeline = Pipeline(config, store)
     steps = []
 
     def execute(run):
@@ -1680,7 +1621,7 @@ def test_a_validation_that_does_not_finish_degrades_without_rows(env, monkeypatc
         "nb.ipynb": _original("print(1)", "1\n").decode()})
     monkeypatch.setattr(corpus, "run_tool", lambda argv, timeout, env=None:
                         ToolRun(list(argv), -1, "", "", timed_out=True))
-    pipeline = Pipeline(config, store, FakeDocker())
+    pipeline = Pipeline(config, store)
     (result,) = pipeline.map_repositories([url], pipeline.infer_repository)
 
     canonical = corpus.canonical_input(url)
